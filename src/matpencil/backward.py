@@ -16,19 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exactla as xla
 from .errors import PreconditionError, SchemaError, VerificationError
-from .matpoly import (
-    FIELD_FLOAT,
-    FIELD_RATIONAL,
-    MatPoly,
-    Pencil,
-    _require_keys,
-    float_rank,
-    float_rank_tol,
-    h_dual,
-    lambda_vec,
-)
+from .field import FIELD_FLOAT, RESIDUAL_REL_TOL, field_of_array
+from .matpoly import MatPoly, Pencil, _require_keys, h_dual, lambda_vec
 from .minimal import _check_trim_matches
 from .reduction import TrimResult
 from .spaces import SIDE_L2
@@ -48,8 +38,6 @@ __all__ = [
     "summarize_experiment",
 ]
 
-RESIDUAL_TOL = 1e-9
-
 
 def _as_grade_one(x, what: str) -> MatPoly:
     if isinstance(x, Pencil):
@@ -65,9 +53,7 @@ def _as_grade_one(x, what: str) -> MatPoly:
 
 def _fmatrix(a) -> np.ndarray:
     a = np.asarray(a)
-    if a.dtype == object:
-        return xla.to_float(a)
-    return a.astype(float)
+    return field_of_array(a).to_float(a)
 
 
 def _smin(a) -> float:
@@ -158,11 +144,8 @@ def _split_sizes(bp: MatPoly):
 def _is_block_minimal(bp: MatPoly, k: int, safety=None) -> bool:
     c_sq = bp.conv_matrix(k - 2)
     c_row = bp.conv_matrix(k - 1)
-    if bp.field == FIELD_RATIONAL:
-        return (xla.rank(c_sq) == c_sq.shape[0]
-                and xla.rank(c_row) == c_row.shape[0])
-    return (float_rank(c_sq, safety) == c_sq.shape[0]
-            and float_rank(c_row, safety) == c_row.shape[0])
+    return (bp.field.rank(c_sq, safety) == c_sq.shape[0]
+            and bp.field.rank(c_row, safety) == c_row.shape[0])
 
 
 def minimality_margin(bp, rt, safety=None):
@@ -177,16 +160,6 @@ def minimality_margin(bp, rt, safety=None):
     k, _ = _split_sizes(bp)
     margin = 3.0 * _smin(rt) / (2.0 * k ** 1.5)
     return _is_block_minimal(bp, k, safety), margin
-
-
-def _stack_desc(mp: MatPoly) -> np.ndarray:
-    blocks = [mp.coeff(i) for i in range(mp.grade, -1, -1)]
-    if mp.field == FIELD_RATIONAL:
-        out = xla.fzeros(len(blocks) * mp.m, mp.n)
-        for i, b in enumerate(blocks):
-            out[i * mp.m:(i + 1) * mp.m, :] = b
-        return out
-    return np.vstack(blocks)
 
 
 def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
@@ -211,29 +184,23 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
         if not dbn < _smin(rt) / (2.0 * k ** 1.5):
             raise PreconditionError("row perturbation exceeds the dual "
                                     "completion radius")
-    lam = lambda_vec(k, n, bp.field)
-    conv = bp.conv_matrix(k - 1)
-    rhs = _stack_desc(bp.matmul(lam))
-    if bp.field == FIELD_RATIONAL:
-        gram = xla.mm(conv, conv.T)
-        if xla.rank(gram) != gram.shape[0]:
-            raise VerificationError("dual completion system is rank "
-                                    "deficient")
-        x = -xla.mm(conv.T, xla.solve(gram, rhs))
-    else:
-        x = -np.linalg.lstsq(conv, rhs, rcond=None)[0]
+    field = bp.field
+    lam = lambda_vec(k, n, field)
+    target = bp.matmul(lam)
+    x = field.min_norm_solve(
+        bp.conv_matrix(k - 1),
+        np.vstack([target.coeff(i) for i in range(target.grade, -1, -1)]))
+    if x is None:
+        raise VerificationError("dual completion system is rank deficient")
+    x = -x
     kn = k * n
     coeffs = [x[(k - 1 - i) * kn:(k - i) * kn, :] for i in range(k)]
-    dd = MatPoly([np.ascontiguousarray(c) for c in coeffs], bp.field)
-    residual = bp.matmul(lam + dd)
-    if bp.field == FIELD_RATIONAL:
-        if not residual.is_zero():
-            raise VerificationError("dual completion residual is not zero")
-    else:
-        scale = max(1.0, bp.frob_norm() * (lam + dd).frob_norm())
-        if residual.frob_norm() > RESIDUAL_TOL * scale:
-            raise VerificationError("dual completion residual above "
-                                    "tolerance")
+    dd = MatPoly([np.ascontiguousarray(c) for c in coeffs], field)
+    if not field.frob_negligible(
+            bp.matmul(lam + dd),
+            lambda: max(1.0, bp.frob_norm() * (lam + dd).frob_norm()),
+            RESIDUAL_REL_TOL):
+        raise VerificationError("dual completion residual above tolerance")
     if rt is not None and dbn is not None:
         limit = k * math.sqrt(2.0) / _smin(rt) * dbn
         if dd.frob_norm() > limit * (1.0 + 1e-12):
@@ -241,12 +208,7 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
     if not _is_block_minimal(bp, k, safety):
         raise VerificationError("perturbed block row is not a minimal "
                                 "basis")
-    lead = (lam + dd).coeff(k - 1)
-    if bp.field == FIELD_RATIONAL:
-        lead_ok = xla.rank(lead) == n
-    else:
-        lead_ok = float_rank(lead, safety) == n
-    if not lead_ok:
+    if field.rank((lam + dd).coeff(k - 1), safety) != n:
         raise VerificationError("perturbed dual basis is not column "
                                 "reduced")
     return dd
@@ -259,7 +221,7 @@ def perturbed_polynomial(a, da, dd, alpha) -> MatPoly:
     da = _as_grade_one(da, "strip perturbation")
     if float(alpha) == 0.0:
         raise PreconditionError("scale must be nonzero")
-    if (a.m, a.n) != (da.m, da.n) or a.field != da.field:
+    if (a.field, a.m, a.n) != (da.field, da.m, da.n):
         raise SchemaError("strip and perturbation shapes differ")
     if dd is None:
         raise SchemaError("dual correction is required; pass a zero "
@@ -274,9 +236,7 @@ def perturbed_polynomial(a, da, dd, alpha) -> MatPoly:
     k = a.n // n
     lam = lambda_vec(k, n, a.field)
     out = (a + da).matmul(dd) + da.matmul(lam)
-    if a.field == FIELD_RATIONAL:
-        return out.scale(xla.frac(1) / xla.frac(alpha))
-    return out.scale(1.0 / float(alpha))
+    return out.scale(a.field.one / a.field.scalar(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +350,7 @@ def _rank_with_margin(a: np.ndarray, safety=None):
     if a.size == 0:
         return 0, True
     s = np.linalg.svd(a, compute_uv=False)
-    tol = float_rank_tol(a, safety)
+    tol = FIELD_FLOAT.cutoff(s, a.shape, safety)
     if tol == 0.0:
         return 0, True
     rank = int(np.sum(s > tol))
@@ -457,7 +417,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
                                 "inside the radius")
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    _check_trim_matches(tr, p, RESIDUAL_TOL)
+    _check_trim_matches(tr, p, RESIDUAL_REL_TOL)
     k, m, n = tr.k, tr.m, tr.n
     pf = p.to_float()
     dt = _fmatrix(tr.Dtilde)
@@ -519,13 +479,12 @@ def optimality_check(tr: TrimResult, p, factor: float = 10.0) -> dict:
     a_norm = float(tr.a_block().frob_norm())
     sig_r = _smin(tr.Rt)
     scaled = alpha * p_norm
+    kappa_d, kappa_r = _cond2(tr.Dtilde), _cond2(tr.Rt)
     conditions = [
         {"name": "row_compression_conditioning",
-         "value": _cond2(tr.Dtilde),
-         "passes": _cond2(tr.Dtilde) <= factor},
+         "value": kappa_d, "passes": kappa_d <= factor},
         {"name": "triangular_factor_conditioning",
-         "value": _cond2(tr.Rt),
-         "passes": _cond2(tr.Rt) <= factor},
+         "value": kappa_r, "passes": kappa_r <= factor},
         {"name": "strip_norm_over_scaled_poly_norm",
          "value": a_norm / scaled,
          "passes": 1.0 / factor <= a_norm / scaled <= factor},

@@ -150,11 +150,3 @@ def case3_eval_at_one():
 
 
 CASE3_NORM_SQ = Fraction(1022)
-
-
-def get_case_poly(i: int) -> MatPoly:
-    return {1: case1_poly, 2: case2_poly, 3: case3_poly}[i]()
-
-
-def get_case_member(i: int):
-    return {1: case1_member, 2: case2_member, 3: case3_member}[i]()

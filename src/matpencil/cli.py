@@ -24,7 +24,7 @@ from .eigenstructure import (check_g_linearization, check_linearization,
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      StructureError, VerificationError)
 from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json,
-                      matrix_from_json, rect_identity, scalar_to_json)
+                      matrix_from_json, rect_identity)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
                       recover_minimal)
@@ -111,7 +111,7 @@ def _load_vector(path, field):
 
 
 def _vec_json(v, field):
-    return [scalar_to_json(x, field) for x in v]
+    return [field.scalar_to_json(x) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +150,9 @@ def cmd_check(args) -> int:
     obj = _load_object(args.pencil)
     mode = "lin" if args.lin else "glin"
     if mode == "glin":
-        verdict = check_g_linearization(obj, p, strong=args.strong,
-                                        safety=args.tol)
+        verdict = check_g_linearization(obj, p, strong=args.strong)
     else:
-        verdict = check_linearization(obj, p, strong=args.strong,
-                                      safety=args.tol)
+        verdict = check_linearization(obj, p, strong=args.strong)
     membership = {SIDE_L1: None, SIDE_L2: None}
     pen = None
     if isinstance(obj, AnsatzPencil):

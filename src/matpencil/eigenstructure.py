@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from . import exactla as xla
 from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import (
     FIELD_FLOAT,
@@ -221,15 +220,6 @@ def _smith_diag(p):
 # Eigenstructure report
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else (
-        "%d/%d" % (x.numerator, x.denominator))
-
-
-def _parse_frac(s) -> Fraction:
-    return Fraction(str(s))
-
-
 @dataclass(frozen=True)
 class EigStructure:
     """Complete eigenstructure of a matrix polynomial.
@@ -291,7 +281,7 @@ class EigStructure:
             fin = [{"value": [x.real, x.imag], "exponents": list(e)}
                    for x, e in self.finite]
         else:
-            fin = [{"factor": [_frac_str(c) for c in f],
+            fin = [{"factor": [FIELD_RATIONAL.scalar_to_json(c) for c in f],
                     "exponents": list(e)} for f, e in self.finite]
         return {
             "kind": "eigstructure",
@@ -318,8 +308,8 @@ class EigStructure:
                 re, im = entry["value"]
                 fin.append((complex(re, im), exps))
             else:
-                fin.append((tuple(_parse_frac(c) for c in entry["factor"]),
-                            exps))
+                fin.append((tuple(FIELD_RATIONAL.scalar_from_json(c)
+                                  for c in entry["factor"]), exps))
         return cls(nrank=int(d["nrank"]), finite=tuple(fin),
                    infinite=tuple(d["infinite"]),
                    right_indices=tuple(d["right_indices"]),
@@ -474,8 +464,7 @@ def _reversal_verdict(rl, rt) -> Verdict:
     return Verdict(True, "")
 
 
-def check_g_linearization(l, p, strong: bool = False,
-                          safety=None) -> Verdict:
+def check_g_linearization(l, p, strong: bool = False) -> Verdict:
     """Does the pencil carry the complete finite (and, when strong, also
     infinite) structure of p with matching nullspace dimensions?
 
@@ -492,15 +481,14 @@ def check_g_linearization(l, p, strong: bool = False,
         raise SchemaError("pencil size does not match the grade")
     pad = None
     if k >= 2:
-        pad = xla.kron(xla.feye(k - 1), rect_identity(p.m, p.n, p.field))
+        pad = p.field.kron(p.field.eye(k - 1), rect_identity(p.m, p.n))
     verdict = _finite_verdict(lmat, _padded(p, pad))
     if not verdict.ok or not strong:
         return verdict
     return _reversal_verdict(lmat.reversal(), _padded(p.reversal(), pad))
 
 
-def check_linearization(lt, p, strong: bool = False,
-                        safety=None) -> Verdict:
+def check_linearization(lt, p, strong: bool = False) -> Verdict:
     """Same comparison for trimmed pencils against p padded with a square
     identity block sized by the shape difference."""
     lmat = _as_pencil_matpoly(lt)
@@ -511,7 +499,7 @@ def check_linearization(lt, p, strong: bool = False,
     s = lmat.m - p.m
     if s != lmat.n - p.n or s < 0:
         raise SchemaError("pencil size does not match a padded identity")
-    pad = xla.feye(s) if s > 0 else None
+    pad = p.field.eye(s) if s > 0 else None
     verdict = _finite_verdict(lmat, _padded(p, pad))
     if not verdict.ok or not strong:
         return verdict

@@ -67,11 +67,6 @@ def feye(n: int) -> np.ndarray:
     return out
 
 
-def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # object arrays do not support @, but dot dispatches fine
-    return a.dot(b)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ma, na = a.shape
     mb, nb = b.shape
@@ -134,11 +129,6 @@ def nullspace(a: np.ndarray) -> np.ndarray:
         for row_i, pc in enumerate(pivots):
             out[pc, idx] = -r[row_i, fc]
     return out
-
-
-def left_nullspace(a: np.ndarray) -> np.ndarray:
-    """Rows y with y·a = 0, canonical basis (transpose of nullspace of aᵀ)."""
-    return nullspace(a.T).T
 
 
 def solve(a: np.ndarray, b: np.ndarray):

@@ -1,0 +1,366 @@
+"""The two scalar fields: exact rationals and float64.
+
+Everything that differs between the fields lives here: building and
+coercing matrices, the linear algebra kernels, the negligibility tests,
+and JSON scalars.  Each field is a single object that compares equal to
+its name ("rational" or "float64") and serializes as that plain string,
+so code holding a field can both dispatch on it and write it out.
+
+The rational field calls the dense exact backend (``exactla``) through
+module attribute lookup, so replacing a backend function replaces it for
+every caller.  On the rational field every negligibility test is exact.
+"""
+
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import scipy.linalg
+
+from . import exactla as xla
+from .errors import PreconditionError, SchemaError
+
+# Float tolerances, all relative.  A singular value counts toward the
+# rank when it exceeds max(m, n) * sigma_max * eps * safety.
+RANK_SAFETY = 8.0  # safety factor when a call passes none
+RESIDUAL_REL_TOL = 1e-9  # residuals and structural zero blocks
+MEMBERSHIP_REL_TOL = 1e-10  # ansatz identity of a space member
+SPAN_REL_TOL = 1e-8  # independence of a new vector from a span
+CLEAN_REL_TOL = 1e-12  # noise next to the largest entry of a vector
+
+
+def _is_object_array(a) -> bool:
+    return isinstance(a, np.ndarray) and a.dtype == object
+
+
+def _sign_canonicalize(q, r):
+    """Flip column signs of q (and the matching rows of r) so the first
+    entry of largest magnitude in each column is positive."""
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            q[:, j] = -q[:, j]
+            if r is not None:
+                r[j, :] = -r[j, :]
+    return q, r
+
+
+class Field(str):
+    """A scalar field; the instance is the string of its name.
+
+    ``negligible`` and ``frob_negligible`` take the reference scale as a
+    zero-argument callable: only the float field evaluates it.
+    """
+
+    name = ""
+
+    def __new__(cls):
+        return super().__new__(cls, cls.name)
+
+    def __reduce__(self):
+        return field_of, (str(self),)
+
+
+class RationalField(Field):
+    """Exact arithmetic on ``fractions.Fraction`` entries in object
+    arrays."""
+
+    name = "rational"
+    one = xla.ONE
+
+    def scalar(self, x):
+        return xla.frac(x)
+
+    def matrix(self, a) -> np.ndarray:
+        return a if _is_object_array(a) else xla.fmat(a)
+
+    def vector(self, v) -> np.ndarray:
+        return v if _is_object_array(v) else xla.fvec(list(v))
+
+    def zeros(self, m, n):
+        return xla.fzeros(m, n)
+
+    def eye(self, n):
+        return xla.feye(n)
+
+    def to_float(self, a):
+        return xla.to_float(a)
+
+    def is_zero(self, a) -> bool:
+        return xla.is_zero(a)
+
+    def inner(self, a, b):
+        """Sum of the entrywise products."""
+        return sum(x * y for x, y in zip(a.flat, b.flat))
+
+    def kron(self, a, b):
+        return xla.kron(a, b)
+
+    def rank(self, a, safety=None) -> int:
+        return xla.rank(a)
+
+    def nullspace(self, a, safety=None):
+        """Canonical rref basis, one column per free column."""
+        return xla.nullspace(a)
+
+    def solve(self, a, b):
+        return xla.solve(a, b)
+
+    def inv(self, a):
+        return xla.inv(a)
+
+    def pinv(self, z):
+        """Pseudoinverse (zᵀz)⁻¹zᵀ of a full-column-rank z."""
+        return xla.inv(z.T @ z) @ z.T
+
+    def min_norm_solve(self, a, b):
+        """Minimum-norm solution of a·x = b for full-row-rank a, or None
+        when a is rank deficient."""
+        gram = a @ a.T
+        if xla.rank(gram) != gram.shape[0]:
+            return None
+        return a.T @ xla.solve(gram, b)
+
+    def negligible(self, a, scale, tol=RESIDUAL_REL_TOL) -> bool:
+        """Is every entry of a (an array or a matrix polynomial) zero?"""
+        return all(xla.is_zero(c) for c in getattr(a, "coeffs", (a,)))
+
+    def frob_negligible(self, poly, scale, tol):
+        return poly.is_zero()
+
+    def clean(self, coeffs):
+        return coeffs
+
+    def reflector(self, v):
+        """Elementary M = [[1, 0], [-v_2..-v_k | v_1 I]] composed with a
+        row swap when the leading entry vanishes; alpha is that leading
+        entry."""
+        vec = self.vector(v)
+        k = vec.shape[0]
+        j = next((i for i in range(k) if vec[i] != 0), None)
+        if j is None:
+            raise PreconditionError("ansatz vector must be nonzero")
+        perm = xla.feye(k)
+        if j:
+            perm[[0, j], :] = perm[[j, 0], :]
+        pv = perm @ vec
+        alpha = pv[0]
+        elem = xla.fzeros(k, k)
+        elem[0, 0] = xla.ONE
+        for i in range(1, k):
+            elem[i, 0] = -pv[i]
+            elem[i, i] = alpha
+        return elem @ perm, alpha
+
+    def factor_z(self, z, cn):
+        """Exact Gram-Schmidt: z = q1·rt with pairwise orthogonal rational
+        columns q1 and unit upper triangular rt; q1* scales q1ᵀ by the
+        inverse squared column norms.  Returns (q1, q2, rt, q1*, q2*)."""
+        rows = z.shape[0]
+        q1 = xla.fzeros(rows, cn)
+        rt = xla.fzeros(cn, cn)
+        norms = []
+        for j in range(cn):
+            w = z[:, j].copy()
+            for i in range(j):
+                c = sum(q1[t, i] * z[t, j] for t in range(rows)) / norms[i]
+                rt[i, j] = c
+                w = w - q1[:, i] * c
+            if all(x == 0 for x in w):
+                raise PreconditionError("columns are linearly dependent")
+            rt[j, j] = xla.ONE
+            q1[:, j] = w
+            norms.append(sum(x * x for x in w))
+        q1, rt = _sign_canonicalize(q1, rt)
+        q2, _ = _sign_canonicalize(xla.nullspace(z.T), None)
+        q1_star = (q1 / np.array(norms, dtype=object)).T.copy()
+        return q1, q2, rt, q1_star, q2.T.copy()
+
+    def span_add(self, rows, vec, tol) -> bool:
+        """Reduce vec against the (pivot, row) echelon rows; keep it when
+        a nonzero entry is left."""
+        w = np.array([Fraction(x) for x in vec], dtype=object)
+        for pivot, row in rows:
+            if w[pivot] != 0:
+                w = w - w[pivot] * row
+        for j in range(w.shape[0]):
+            if w[j] != 0:
+                rows.append((j, w / w[j]))
+                return True
+        return False
+
+    def scalar_to_json(self, x):
+        return str(x)
+
+    def scalar_from_json(self, x):
+        if isinstance(x, str):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError) as e:
+                raise SchemaError(f"bad rational literal {x!r}") from e
+        if isinstance(x, int) and not isinstance(x, bool):
+            return Fraction(x)
+        raise SchemaError(
+            f"rational entries must be strings, got {type(x).__name__}")
+
+
+class FloatField(Field):
+    """numpy float64 arrays; rank decisions cut the singular values at
+    the shared relative tolerance."""
+
+    name = "float64"
+    one = 1.0
+
+    def scalar(self, x):
+        return float(x)
+
+    def matrix(self, a) -> np.ndarray:
+        return np.asarray(a, dtype=float)
+
+    vector = to_float = matrix
+
+    def zeros(self, m, n):
+        return np.zeros((m, n))
+
+    def eye(self, n):
+        return np.eye(n)
+
+    def is_zero(self, a) -> bool:
+        return not np.any(a)
+
+    def inner(self, a, b):
+        return float(np.sum(a * b))
+
+    def kron(self, a, b):
+        return np.kron(a, b)
+
+    def cutoff(self, s, shape, safety=None) -> float:
+        """Rank tolerance from the singular values s of a matrix of the
+        given shape."""
+        smax = s[0] if s.size else 0.0
+        k = RANK_SAFETY if safety is None else safety
+        return max(shape) * smax * np.finfo(float).eps * k
+
+    def rank(self, a, safety=None) -> int:
+        if a.size == 0:
+            return 0
+        s = np.linalg.svd(a, compute_uv=False)
+        return int(np.sum(s > self.cutoff(s, a.shape, safety)))
+
+    def nullspace(self, a, safety=None):
+        """Right singular vectors past the tolerance rank; warns when a
+        singular value sits within a factor 100 of the cut."""
+        _, s, vh = np.linalg.svd(a)
+        tol = self.cutoff(s, a.shape, safety)
+        rank = int(np.sum(s > tol))
+        if tol > 0 and np.any((s >= tol / 100.0) & (s <= tol * 100.0)):
+            warnings.warn("nullspace rank decision is near the tolerance",
+                          RuntimeWarning)
+        return np.ascontiguousarray(vh[rank:, :].T)
+
+    def solve(self, a, b):
+        return np.linalg.solve(a, b)
+
+    def inv(self, a):
+        return np.linalg.inv(a)
+
+    def pinv(self, z):
+        return np.linalg.pinv(z)
+
+    def min_norm_solve(self, a, b):
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+    def negligible(self, a, scale, tol=RESIDUAL_REL_TOL) -> bool:
+        """Is the largest entry of a (an array or a matrix polynomial) at
+        most tol times scale()?"""
+        big = max((float(np.max(np.abs(c)))
+                   for c in getattr(a, "coeffs", (a,)) if c.size),
+                  default=0.0)
+        return big <= tol * scale()
+
+    def frob_negligible(self, poly, scale, tol):
+        return poly.frob_norm() <= tol * scale()
+
+    def clean(self, coeffs):
+        """Zero the entries that are noise next to the largest one, so
+        degree tests can be exact-zero tests."""
+        big = max((float(np.max(np.abs(c))) for c in coeffs if c.size),
+                  default=0.0)
+        if big == 0.0:
+            return coeffs
+        thr = CLEAN_REL_TOL * big
+        return [np.where(np.abs(c) <= thr, 0.0, c) for c in coeffs]
+
+    def reflector(self, v):
+        """Householder reflector; alpha = ||v||_2."""
+        vec = self.vector(v)
+        k = vec.shape[0]
+        nrm = float(np.linalg.norm(vec))
+        if nrm == 0.0:
+            raise PreconditionError("ansatz vector must be nonzero")
+        u = vec - nrm * np.eye(k)[:, 0]
+        if np.linalg.norm(u) <= 1e-14 * nrm:
+            return np.eye(k), nrm
+        m = np.eye(k) - 2.0 * np.outer(u, u) / float(u @ u)
+        return m, nrm
+
+    def factor_z(self, z, cn):
+        """Pivoted QR: orthonormal q1 spanning ran(z) with q1ᵀz = rt and
+        its orthonormal complement q2.  Returns (q1, q2, rt, q1ᵀ, q2ᵀ)."""
+        qf, rf, piv = scipy.linalg.qr(z, pivoting=True)
+        rt = rf[:cn, :] @ np.eye(z.shape[1])[piv, :]
+        q1, rt = _sign_canonicalize(qf[:, :cn].copy(), rt)
+        q2, _ = _sign_canonicalize(qf[:, cn:].copy(), None)
+        return q1, q2, rt, q1.T.copy(), q2.T.copy()
+
+    def span_add(self, rows, vec, tol) -> bool:
+        """Twice-repeated Gram-Schmidt against the orthonormal rows; keep
+        vec when more than tol of its norm is left."""
+        w = np.asarray(vec, dtype=float).copy()
+        base = float(np.linalg.norm(w))
+        if base == 0.0:
+            return False
+        for _ in range(2):
+            for row in rows:
+                w = w - float(row @ w) * row
+        nrm = float(np.linalg.norm(w))
+        if nrm > tol * base:
+            rows.append(w / nrm)
+            return True
+        return False
+
+    def scalar_to_json(self, x):
+        return float(x)
+
+    def scalar_from_json(self, x):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise SchemaError(
+                f"float entries must be numbers, got {type(x).__name__}")
+        try:
+            y = float(x)
+        except OverflowError as e:
+            raise SchemaError(f"float entry {x} is out of range") from e
+        if not math.isfinite(y):
+            raise SchemaError(f"float entries must be finite, got {x}")
+        return y
+
+
+FIELD_RATIONAL = RationalField()
+FIELD_FLOAT = FloatField()
+FIELDS = {f: f for f in (FIELD_RATIONAL, FIELD_FLOAT)}
+
+
+def field_of(name) -> Field:
+    """The field instance for a field name (or a field)."""
+    if not isinstance(name, str) or name not in FIELDS:
+        raise SchemaError(f"unknown field {name!r}")
+    return FIELDS[name]
+
+
+def field_of_array(a) -> Field:
+    """Field of a matrix's entries: float arrays hold float64 entries,
+    object arrays and plain sequences rationals."""
+    if isinstance(a, np.ndarray) and not _is_object_array(a):
+        return FIELD_FLOAT
+    return FIELD_RATIONAL

@@ -4,103 +4,34 @@ A MatPoly stores coefficients ascending (A_0 first); displays and the JSON
 format keep that order too. Grade is explicit and may exceed the degree,
 which matters for reversal and for grade-k perturbation statements.
 
-Two scalar fields are supported: "rational" (Fraction entries in object
-arrays, exact) and "float64".
+Two scalar fields are supported, "rational" (Fraction entries in object
+arrays, exact) and "float64"; field.py holds everything that differs
+between them.
 """
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import exactla as xla
 from .errors import PreconditionError, SchemaError
-from .exactla import frac
+from .field import FIELD_FLOAT, FIELD_RATIONAL, field_of
 from .qpoly import QP, pm_zeros
 
-FIELD_RATIONAL = "rational"
-FIELD_FLOAT = "float64"
 
-
-@dataclass
-class FloatConfig:
-    """Knobs for the float64 path. rank_safety multiplies the standard
-    SVD rank tolerance max(m,n)*sigma_max*eps."""
-    rank_safety: float = 8.0
-
-
-CONFIG = FloatConfig()
-
-
-def _as_field_matrix(a, field):
-    if field == FIELD_RATIONAL:
-        if isinstance(a, np.ndarray) and a.dtype == object:
-            return a
-        return xla.fmat(a)
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
+def _block(a, field):
+    a = field.matrix(a)
+    if a.ndim != 2:
         raise SchemaError("coefficient blocks must be 2-d")
-    return arr
-
-
-def zeros_matrix(m: int, n: int, field: str):
-    if field == FIELD_RATIONAL:
-        return xla.fzeros(m, n)
-    return np.zeros((m, n))
-
-
-def eye_matrix(n: int, field: str):
-    if field == FIELD_RATIONAL:
-        return xla.feye(n)
-    return np.eye(n)
-
-
-def mat_is_zero(a, field: str) -> bool:
-    if field == FIELD_RATIONAL:
-        return xla.is_zero(a)
-    return not np.any(a)
-
-
-def mat_mm(a, b):
-    return a.dot(b)
-
-
-def mat_kron(a, b, field: str):
-    if field == FIELD_RATIONAL:
-        return xla.kron(a, b)
-    return np.kron(a, b)
-
-
-def float_rank_tol(a: np.ndarray, safety=None) -> float:
-    s = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.array([])
-    smax = s[0] if s.size else 0.0
-    k = CONFIG.rank_safety if safety is None else safety
-    return max(a.shape) * smax * np.finfo(float).eps * k
-
-
-def float_rank(a: np.ndarray, safety=None) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    tol = float_rank_tol(a, safety)
-    return int(np.sum(s > tol))
-
-
-def mat_rank(a, field: str, safety=None) -> int:
-    if field == FIELD_RATIONAL:
-        return xla.rank(a)
-    return float_rank(a, safety)
+    return a
 
 
 class MatPoly:
     """Grade-k matrix polynomial with coefficients [A_0, ..., A_k]."""
 
     def __init__(self, coeffs, field: str = FIELD_RATIONAL, grade=None):
-        if field not in (FIELD_RATIONAL, FIELD_FLOAT):
-            raise SchemaError(f"unknown field {field!r}")
-        coeffs = [(_as_field_matrix(c, field)) for c in coeffs]
+        field = field_of(field)
+        coeffs = [_block(c, field) for c in coeffs]
         if not coeffs:
             raise SchemaError("a matrix polynomial needs at least one coefficient")
         shape = coeffs[0].shape
@@ -110,7 +41,7 @@ class MatPoly:
             if grade + 1 < len(coeffs):
                 raise SchemaError("grade smaller than the coefficient list")
             while len(coeffs) < grade + 1:
-                coeffs.append(zeros_matrix(shape[0], shape[1], field))
+                coeffs.append(field.zeros(shape[0], shape[1]))
         self.coeffs = coeffs
         self.field = field
         self.m, self.n = shape
@@ -122,7 +53,7 @@ class MatPoly:
     @property
     def degree(self) -> int:
         for i in range(self.grade, -1, -1):
-            if not mat_is_zero(self.coeffs[i], self.field):
+            if not self.field.is_zero(self.coeffs[i]):
                 return i
         return -1
 
@@ -132,11 +63,12 @@ class MatPoly:
     def coeff(self, i: int):
         if 0 <= i <= self.grade:
             return self.coeffs[i]
-        return zeros_matrix(self.m, self.n, self.field)
+        return self.field.zeros(self.m, self.n)
 
     @classmethod
     def zero(cls, m, n, grade, field=FIELD_RATIONAL):
-        return cls([zeros_matrix(m, n, field) for _ in range(grade + 1)], field)
+        field = field_of(field)
+        return cls([field.zeros(m, n) for _ in range(grade + 1)], field)
 
     @classmethod
     def constant(cls, a, field=FIELD_RATIONAL):
@@ -147,8 +79,7 @@ class MatPoly:
 
     def eval(self, x):
         """Horner evaluation. Rational path rejects non-rational points."""
-        if self.field == FIELD_RATIONAL:
-            x = frac(x)
+        x = self.field.scalar(x)
         acc = self.coeffs[self.grade].copy()
         for i in range(self.grade - 1, -1, -1):
             acc = acc * x + self.coeffs[i]
@@ -161,9 +92,12 @@ class MatPoly:
     def transpose(self) -> "MatPoly":
         return MatPoly([c.T.copy() for c in self.coeffs], self.field)
 
-    def _check_compat(self, other: "MatPoly"):
+    def _check_field(self, other: "MatPoly"):
         if self.field != other.field:
             raise SchemaError("scalar fields differ")
+
+    def _check_compat(self, other: "MatPoly"):
+        self._check_field(other)
         if (self.m, self.n) != (other.m, other.n):
             raise SchemaError("shapes differ")
 
@@ -181,52 +115,41 @@ class MatPoly:
         return self.scale(-1)
 
     def scale(self, s) -> "MatPoly":
-        if self.field == FIELD_RATIONAL:
-            s = frac(s)
+        s = self.field.scalar(s)
         return MatPoly([c * s for c in self.coeffs], self.field)
 
     def matmul(self, other: "MatPoly") -> "MatPoly":
         """Polynomial product; grade is the sum of grades."""
-        if self.field != other.field:
-            raise SchemaError("scalar fields differ")
+        self._check_field(other)
         if self.n != other.m:
             raise SchemaError("inner dimensions differ")
         g = self.grade + other.grade
-        out = [zeros_matrix(self.m, other.n, self.field) for _ in range(g + 1)]
+        out = [self.field.zeros(self.m, other.n) for _ in range(g + 1)]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + mat_mm(a, b)
+                out[i + j] = out[i + j] + a @ b
         return MatPoly(out, self.field)
 
     def kron(self, other: "MatPoly") -> "MatPoly":
         """Symbolic Kronecker product of two matrix polynomials."""
-        if self.field != other.field:
-            raise SchemaError("scalar fields differ")
+        self._check_field(other)
         g = self.grade + other.grade
-        out = [zeros_matrix(self.m * other.m, self.n * other.n, self.field)
+        out = [self.field.zeros(self.m * other.m, self.n * other.n)
                for _ in range(g + 1)]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + mat_kron(a, b, self.field)
+                out[i + j] = out[i + j] + self.field.kron(a, b)
         return MatPoly(out, self.field)
 
     def equal(self, other: "MatPoly") -> bool:
-        if self.field != other.field or (self.m, self.n) != (other.m, other.n):
+        if (self.field, self.m, self.n) != (other.field, other.m, other.n):
             return False
-        g = max(self.grade, other.grade)
-        return all(mat_is_zero(self.coeff(i) - other.coeff(i), self.field)
-                   for i in range(g + 1))
+        return (self - other).is_zero()
 
     def frob_norm_sq(self):
         """Sum over coefficients of squared Frobenius norms (exact on the
         rational path)."""
-        if self.field == FIELD_RATIONAL:
-            total = Fraction(0)
-            for c in self.coeffs:
-                for x in c.flat:
-                    total += x * x
-            return total
-        return float(sum(np.sum(c * c) for c in self.coeffs))
+        return sum(self.field.inner(c, c) for c in self.coeffs)
 
     def frob_norm(self) -> float:
         return math.sqrt(self.frob_norm_sq())
@@ -239,11 +162,8 @@ class MatPoly:
         k*min(m,n)+1 distinct points attains it.
         """
         npts = self.grade * min(self.m, self.n) + 1
-        best = 0
-        for t in range(1, npts + 1):
-            point = Fraction(t) if self.field == FIELD_RATIONAL else float(t)
-            best = max(best, mat_rank(self.eval(point), self.field, safety))
-        return best
+        return max(self.field.rank(self.eval(t), safety)
+                   for t in range(1, npts + 1))
 
     def conv_matrix(self, j: int):
         """Block-Toeplitz convolution matrix with j+1 block columns; block
@@ -252,7 +172,7 @@ class MatPoly:
             raise PreconditionError("negative block-column count")
         k = self.grade
         rows, cols = (k + j + 1) * self.m, (j + 1) * self.n
-        out = zeros_matrix(rows, cols, self.field)
+        out = self.field.zeros(rows, cols)
         for i in range(j + 1):
             for t in range(k + 1):
                 r0 = (i + t) * self.m
@@ -276,7 +196,7 @@ class MatPoly:
         g = max(g, 0)
         if grade is not None:
             g = max(g, grade)
-        coeffs = [xla.fzeros(m, n) for _ in range(g + 1)]
+        coeffs = [FIELD_RATIONAL.zeros(m, n) for _ in range(g + 1)]
         for i in range(m):
             for j in range(n):
                 for t, c in enumerate(a[i, j].c):
@@ -284,18 +204,15 @@ class MatPoly:
         return cls(coeffs, FIELD_RATIONAL)
 
     def to_float(self) -> "MatPoly":
-        if self.field == FIELD_FLOAT:
-            return self
-        return MatPoly([xla.to_float(c) for c in self.coeffs], FIELD_FLOAT)
+        return MatPoly([self.field.to_float(c) for c in self.coeffs], FIELD_FLOAT)
 
     def block_diag(self, other: "MatPoly") -> "MatPoly":
         """diag(self, other) with the common grade."""
-        if self.field != other.field:
-            raise SchemaError("scalar fields differ")
+        self._check_field(other)
         g = max(self.grade, other.grade)
         out = []
         for i in range(g + 1):
-            c = zeros_matrix(self.m + other.m, self.n + other.n, self.field)
+            c = self.field.zeros(self.m + other.m, self.n + other.n)
             c[:self.m, :self.n] = self.coeff(i)
             c[self.m:, self.n:] = other.coeff(i)
             out.append(c)
@@ -315,9 +232,8 @@ class MatPoly:
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatPoly":
         _require_keys(d, ("m", "n", "grade", "field", "coeffs"), "matrix polynomial")
-        field = d["field"]
-        if field not in (FIELD_RATIONAL, FIELD_FLOAT):
-            raise SchemaError(f"unknown field {field!r}")
+        _require_ints(d, ("m", "n", "grade"), "matrix polynomial")
+        field = field_of(d["field"])
         if not isinstance(d["coeffs"], list) or len(d["coeffs"]) != d["grade"] + 1:
             raise SchemaError("coeffs must list grade+1 blocks")
         coeffs = [matrix_from_json(c, field, d["m"], d["n"]) for c in d["coeffs"]]
@@ -331,17 +247,15 @@ class Pencil:
     """lambda*X + Y with matching shapes."""
 
     def __init__(self, x, y, field: str = FIELD_RATIONAL):
-        self.field = field
-        self.X = _as_field_matrix(x, field)
-        self.Y = _as_field_matrix(y, field)
+        self.field = field = field_of(field)
+        self.X = _block(x, field)
+        self.Y = _block(y, field)
         if self.X.shape != self.Y.shape:
             raise SchemaError("pencil parts differ in shape")
         self.m, self.n = self.X.shape
 
     def eval(self, x):
-        if self.field == FIELD_RATIONAL:
-            x = frac(x)
-        return self.X * x + self.Y
+        return self.X * self.field.scalar(x) + self.Y
 
     def to_matpoly(self) -> MatPoly:
         return MatPoly([self.Y, self.X], self.field)
@@ -359,8 +273,7 @@ class Pencil:
         return Pencil(self.X - other.X, self.Y - other.Y, self.field)
 
     def scale(self, s) -> "Pencil":
-        if self.field == FIELD_RATIONAL:
-            s = frac(s)
+        s = self.field.scalar(s)
         return Pencil(self.X * s, self.Y * s, self.field)
 
     def frob_norm(self) -> float:
@@ -370,9 +283,8 @@ class Pencil:
         return self.to_matpoly().equal(other.to_matpoly())
 
     def to_float(self) -> "Pencil":
-        if self.field == FIELD_FLOAT:
-            return self
-        return Pencil(xla.to_float(self.X), xla.to_float(self.Y), FIELD_FLOAT)
+        return Pencil(self.field.to_float(self.X), self.field.to_float(self.Y),
+                      FIELD_FLOAT)
 
     def to_json_dict(self) -> dict:
         return {"x": matrix_to_json(self.X, self.field),
@@ -394,10 +306,10 @@ class Pencil:
 
 def rect_identity(m: int, n: int, field: str = FIELD_RATIONAL):
     """I_n stacked over zeros when m > n, I_m padded right when m < n."""
-    out = zeros_matrix(m, n, field)
-    one = Fraction(1) if field == FIELD_RATIONAL else 1.0
+    field = field_of(field)
+    out = field.zeros(m, n)
     for i in range(min(m, n)):
-        out[i, i] = one
+        out[i, i] = field.one
     return out
 
 
@@ -405,11 +317,12 @@ def lambda_vec(k: int, p: int = 1, field: str = FIELD_RATIONAL) -> MatPoly:
     """Column [lambda^(k-1), ..., lambda, 1]^T, Kronecker-expanded by I_p."""
     if k < 1 or p < 1:
         raise PreconditionError("sizes must be positive")
+    field = field_of(field)
     coeffs = []
     for i in range(k):
-        c = zeros_matrix(k * p, p, field)
+        c = field.zeros(k * p, p)
         r0 = (k - 1 - i) * p
-        c[r0:r0 + p, :] = eye_matrix(p, field)
+        c[r0:r0 + p, :] = field.eye(p)
         coeffs.append(c)
     return MatPoly(coeffs, field)
 
@@ -419,9 +332,10 @@ def h_dual(j: int, p: int = 1, field: str = FIELD_RATIONAL) -> MatPoly:
     annihilates lambda_vec(j+1, p)."""
     if j < 1 or p < 1:
         raise PreconditionError("sizes must be positive")
-    y = zeros_matrix(j * p, (j + 1) * p, field)
-    x = zeros_matrix(j * p, (j + 1) * p, field)
-    eye = eye_matrix(p, field)
+    field = field_of(field)
+    y = field.zeros(j * p, (j + 1) * p)
+    x = field.zeros(j * p, (j + 1) * p)
+    eye = field.eye(p)
     for i in range(j):
         y[i * p:(i + 1) * p, i * p:(i + 1) * p] = -eye
         x[i * p:(i + 1) * p, (i + 1) * p:(i + 2) * p] = eye
@@ -433,8 +347,9 @@ def shear_s(k: int, p: int = 1, field: str = FIELD_RATIONAL) -> MatPoly:
     (zero-based) and a zero last block row."""
     if k < 2 or p < 1:
         raise PreconditionError("needs k >= 2 and positive block size")
-    coeffs = [zeros_matrix(k * p, (k - 1) * p, field) for _ in range(k - 1)]
-    eye = eye_matrix(p, field)
+    field = field_of(field)
+    coeffs = [field.zeros(k * p, (k - 1) * p) for _ in range(k - 1)]
+    eye = field.eye(p)
     for i in range(k - 1):
         for j in range(i, k - 1):
             coeffs[j - i][i * p:(i + 1) * p, j * p:(j + 1) * p] = eye
@@ -444,8 +359,9 @@ def shear_s(k: int, p: int = 1, field: str = FIELD_RATIONAL) -> MatPoly:
 def flip_r(k: int, p: int = 1, field: str = FIELD_RATIONAL):
     """Block antidiagonal permutation; reverses the block order of
     lambda_vec(k, p)."""
-    out = zeros_matrix(k * p, k * p, field)
-    eye = eye_matrix(p, field)
+    field = field_of(field)
+    out = field.zeros(k * p, k * p)
+    eye = field.eye(p)
     for i in range(k):
         out[i * p:(i + 1) * p, (k - 1 - i) * p:(k - i) * p] = eye
     return out
@@ -472,53 +388,28 @@ def _require_keys(d, keys, what):
         raise SchemaError(f"{what}: missing keys {missing}")
 
 
-def scalar_to_json(x, field: str):
-    if field == FIELD_RATIONAL:
-        return str(x)
-    return float(x)
-
-
-def scalar_from_json(x, field: str):
-    if field == FIELD_RATIONAL:
-        if isinstance(x, str):
-            try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError) as e:
-                raise SchemaError(f"bad rational literal {x!r}") from e
-        if isinstance(x, int) and not isinstance(x, bool):
-            return Fraction(x)
-        raise SchemaError(f"rational entries must be strings, got {type(x).__name__}")
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
-    raise SchemaError(f"float entries must be numbers, got {type(x).__name__}")
+def _require_ints(d, keys, what):
+    bad = [k for k in keys if isinstance(d[k], bool) or not isinstance(d[k], int)]
+    if bad:
+        raise SchemaError(f"{what}: {bad} must be integers")
 
 
 def matrix_to_json(a, field: str):
-    return [[scalar_to_json(x, field) for x in row] for row in a]
+    field = field_of(field)
+    return [[field.scalar_to_json(x) for x in row] for row in a]
 
 
 def matrix_from_json(rows, field: str, m=None, n=None):
+    field = field_of(field)
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError("matrix must be an array of arrays")
     if m is not None and len(rows) != m:
         raise SchemaError(f"expected {m} rows, got {len(rows)}")
-    if rows and n is not None and any(len(r) != n for r in rows):
+    if rows and any(len(r) != (len(rows[0]) if n is None else n) for r in rows):
         raise SchemaError("row length mismatch")
-    if field == FIELD_RATIONAL:
-        data = [[scalar_from_json(x, field) for x in r] for r in rows]
-        return xla.fmat(data)
-    return np.array([[scalar_from_json(x, field) for x in r] for r in rows], dtype=float)
+    return field.matrix([[field.scalar_from_json(x) for x in r] for r in rows])
 
 
 def dump_json(obj: dict) -> str:
     """Canonical serialization so identical inputs give identical bytes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def load_matpoly(path: str) -> MatPoly:
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SchemaError(f"cannot read matrix polynomial from {path}: {e}") from e
-    return MatPoly.from_json_dict(data)

@@ -13,19 +13,14 @@ ansatz member's left nullvectors down, lifting a left nullvector into a
 member with full lower-block rank, and the combined recovery driver.
 """
 
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import exactla as xla
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
-from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, Pencil,
-                      eye_matrix, float_rank_tol, lambda_vec, mat_kron,
-                      mat_mm, mat_rank, scalar_from_json, scalar_to_json,
-                      shear_s, zeros_matrix, _require_keys)
+from .field import RESIDUAL_REL_TOL, SPAN_REL_TOL, field_of
+from .matpoly import MatPoly, Pencil, lambda_vec, shear_s, _require_keys
 from .reduction import TrimResult, trim
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -39,88 +34,25 @@ MODE_TRIMMED_L2 = "trimmed_L2"
 RECOVERY_MODES = (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                   MODE_TRIMMED_L2)
 
-RESIDUAL_REL_TOL = 1e-9
-SPAN_REL_TOL = 1e-8
-
-
-def _negligible_matrix(a, field, scale, tol):
-    if field == FIELD_RATIONAL:
-        return xla.is_zero(a)
-    if a.size == 0:
-        return True
-    return float(np.max(np.abs(a))) <= tol * scale
-
-
-def _negligible_poly(mp: MatPoly, scale, tol) -> bool:
-    if mp.field == FIELD_RATIONAL:
-        return mp.is_zero()
-    big = max((float(np.max(np.abs(c))) for c in mp.coeffs if c.size),
-              default=0.0)
-    return big <= tol * scale
-
-
 def _trim_tail(v: MatPoly) -> MatPoly:
     """Drop explicit zero coefficients above the degree."""
     d = max(v.degree, 0)
     return MatPoly([v.coeff(i) for i in range(d + 1)], v.field)
 
 
-def _clean_float(v: MatPoly, rel=1e-12) -> MatPoly:
-    """Zero out float entries that are noise next to the largest one;
-    degree tests on the float path are exact-zero tests."""
-    if v.field != FIELD_FLOAT:
-        return v
-    big = max((float(np.max(np.abs(c))) for c in v.coeffs if c.size),
-              default=0.0)
-    if big == 0.0:
-        return v
-    thr = rel * big
-    return MatPoly([np.where(np.abs(c) <= thr, 0.0, c) for c in v.coeffs],
-                   FIELD_FLOAT)
+def _clean(v: MatPoly) -> MatPoly:
+    return MatPoly(v.field.clean(v.coeffs), v.field)
 
 
 def _stack_columns(vecs, rows, field) -> MatPoly:
     g = max((v.grade for v in vecs), default=0)
     out = []
     for i in range(g + 1):
-        c = zeros_matrix(rows, len(vecs), field)
+        c = field.zeros(rows, len(vecs))
         for j, v in enumerate(vecs):
             c[:, j:j + 1] = v.coeff(i)
         out.append(c)
     return MatPoly(out, field)
-
-
-class _RowSpan:
-    """Incremental independence test for a growing set of vectors."""
-
-    def __init__(self, field: str, tol):
-        self.field = field
-        self.tol = tol
-        self.rows = []
-
-    def add(self, vec) -> bool:
-        if self.field == FIELD_RATIONAL:
-            w = np.array([Fraction(x) for x in vec], dtype=object)
-            for pivot, row in self.rows:
-                if w[pivot] != 0:
-                    w = w - w[pivot] * row
-            for j in range(w.shape[0]):
-                if w[j] != 0:
-                    self.rows.append((j, w / w[j]))
-                    return True
-            return False
-        w = np.asarray(vec, dtype=float).copy()
-        base = float(np.linalg.norm(w))
-        if base == 0.0:
-            return False
-        for _ in range(2):
-            for _, row in self.rows:
-                w = w - float(row @ w) * row
-        nrm = float(np.linalg.norm(w))
-        if nrm > self.tol * base:
-            self.rows.append((0, w / nrm))
-            return True
-        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +68,7 @@ class MinimalBasis:
     field: str
 
     def __post_init__(self):
+        object.__setattr__(self, "field", field_of(self.field))
         if self.side not in (SIDE_LEFT, SIDE_RIGHT):
             raise SchemaError(f"unknown side {self.side!r}")
         vecs = tuple(self.vectors)
@@ -166,7 +99,7 @@ class MinimalBasis:
     def leading_matrix(self):
         """Columns are the coefficient of each vector at its own degree."""
         rows = self.vectors[0].m if self.vectors else 0
-        out = zeros_matrix(rows, self.count, self.field)
+        out = self.field.zeros(rows, self.count)
         for j, (v, e) in enumerate(zip(self.vectors, self.indices)):
             out[:, j:j + 1] = v.coeff(e)
         return out
@@ -174,7 +107,7 @@ class MinimalBasis:
     def to_json_dict(self) -> dict:
         vecs = []
         for v in self.vectors:
-            vecs.append([[scalar_to_json(c[i, 0], self.field)
+            vecs.append([[self.field.scalar_to_json(c[i, 0])
                           for i in range(v.m)]
                          for c in v.coeffs])
         return {
@@ -192,9 +125,7 @@ class MinimalBasis:
                       "minimal basis")
         if d["kind"] != "minimal_basis":
             raise SchemaError("not a minimal basis document")
-        field = d["field"]
-        if field not in (FIELD_RATIONAL, FIELD_FLOAT):
-            raise SchemaError(f"unknown field {field!r}")
+        field = field_of(d["field"])
         vecs = []
         for coeff_lists in d["vectors"]:
             if not coeff_lists:
@@ -204,24 +135,12 @@ class MinimalBasis:
             for cl in coeff_lists:
                 if len(cl) != rows:
                     raise SchemaError("coefficient lengths differ")
-                c = zeros_matrix(rows, 1, field)
+                c = field.zeros(rows, 1)
                 for i, s in enumerate(cl):
-                    c[i, 0] = scalar_from_json(s, field)
+                    c[i, 0] = field.scalar_from_json(s)
                 coeffs.append(c)
             vecs.append(MatPoly(coeffs, field))
         return cls(d["side"], tuple(vecs), tuple(d["indices"]), field)
-
-
-def _nullspace(a, field, safety):
-    if field == FIELD_RATIONAL:
-        return xla.nullspace(a)
-    u, s, vh = np.linalg.svd(a)
-    tol = float_rank_tol(a, safety)
-    rank = int(np.sum(s > tol))
-    if tol > 0 and np.any((s >= tol / 100.0) & (s <= tol * 100.0)):
-        warnings.warn("nullspace rank decision is near the tolerance",
-                      RuntimeWarning)
-    return np.ascontiguousarray(vh[rank:, :].T)
 
 
 def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
@@ -252,7 +171,7 @@ def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
     if want == 0:
         return MinimalBasis(SIDE_RIGHT, (), (), field)
     bound = p.grade * min(p.m, p.n)
-    leads = _RowSpan(field, tol)
+    leads = []  # running span of the kept leading coefficients
     chosen = []
     indices = []
     prev_nullity = 0
@@ -261,11 +180,11 @@ def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
         if d > bound:
             raise VerificationError(
                 "minimal index search passed the degree bound")
-        ns = _nullspace(p.conv_matrix(d), field, safety)
+        ns = field.nullspace(p.conv_matrix(d), safety)
         nullity = ns.shape[1]
         for j in range(nullity):
             col = ns[:, j]
-            if not leads.add(col[:n]):
+            if not field.span_add(leads, col[:n], tol):
                 continue
             coeffs = [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
                       for i in range(d + 1)]
@@ -284,16 +203,15 @@ def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
 def _certify(basis: MinimalBasis, p: MatPoly, safety, tol):
     """Residuals, independence over the function field, and a row-reduced
     leading matrix; raises on any failure."""
-    scale = max(1.0, p.frob_norm()) if p.field == FIELD_FLOAT else None
     for v in basis.vectors:
         res = (p.matmul(v) if basis.side == SIDE_RIGHT
                else v.transpose().matmul(p))
-        vs = scale * max(1.0, v.frob_norm()) if scale is not None else None
-        if not _negligible_poly(res, vs, RESIDUAL_REL_TOL):
+        scale = lambda: max(1.0, p.frob_norm()) * max(1.0, v.frob_norm())
+        if not p.field.negligible(res, scale):
             raise VerificationError("basis vector fails the residual check")
     if basis.count == 0:
         return
-    if mat_rank(basis.leading_matrix(), basis.field, safety) != basis.count:
+    if basis.field.rank(basis.leading_matrix(), safety) != basis.count:
         raise VerificationError("leading coefficient matrix is rank deficient")
     stacked = _stack_columns(basis.vectors, basis.vectors[0].m, basis.field)
     if stacked.normal_rank(safety) != basis.count:
@@ -314,24 +232,13 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
     if not isinstance(y, MatPoly) or y.n != 1:
         raise SchemaError("expected a column vector polynomial")
     field = y.field
-    if field == FIELD_RATIONAL:
-        vv = v if isinstance(v, np.ndarray) and v.dtype == object \
-            else xla.fvec(list(v))
-    else:
-        vv = np.asarray(v, dtype=float)
+    vv = field.vector(v)
     k = vv.shape[0]
     if y.m != k * m:
         raise PreconditionError(
             f"length mismatch: {y.m} entries vs {k} blocks of {m}")
-    row = mat_kron(vv.reshape(1, k), eye_matrix(m, field), field)
-    return MatPoly([mat_mm(row, c) for c in y.coeffs], field)
-
-
-def _pinv_full_col(z, field):
-    # full column rank assumed; (z^T z)^{-1} z^T
-    if field == FIELD_RATIONAL:
-        return xla.mm(xla.inv(xla.mm(z.T, z)), z.T)
-    return np.linalg.pinv(z)
+    row = field.kron(vv.reshape(1, k), field.eye(m))
+    return MatPoly([row @ c for c in y.coeffs], field)
 
 
 def _member_pencil(tr: TrimResult) -> Pencil:
@@ -339,8 +246,8 @@ def _member_pencil(tr: TrimResult) -> Pencil:
     blocks, in right-space orientation."""
     k, m, n, field = tr.k, tr.m, tr.n, tr.field
     a = tr.a_block()
-    x = zeros_matrix(k * m, k * n, field)
-    y = zeros_matrix(k * m, k * n, field)
+    x = field.zeros(k * m, k * n)
+    y = field.zeros(k * m, k * n)
     x[:m, :] = a.X
     x[m:, n:] = -tr.Z
     y[:m, :] = a.Y
@@ -352,7 +259,7 @@ def _check_trim_matches(tr: TrimResult, p: MatPoly, tol=RESIDUAL_REL_TOL):
     """The stored top strip must reproduce alpha * p when contracted with
     the monomial tower."""
     field = tr.field
-    if field != p.field or (tr.m, tr.n, tr.k) != (p.m, p.n, p.grade):
+    if (field, tr.m, tr.n, tr.k) != (p.field, p.m, p.n, p.grade):
         raise SchemaError("trimming record does not fit this polynomial")
     a = tr.a_block().to_matpoly()
     if tr.side == SIDE_L1:
@@ -360,9 +267,8 @@ def _check_trim_matches(tr: TrimResult, p: MatPoly, tol=RESIDUAL_REL_TOL):
     else:
         got = lambda_vec(tr.k, tr.m, field).transpose().matmul(a)
     diff = got - p.scale(tr.alpha)
-    scale = max(1.0, abs(tr.alpha) * p.frob_norm()) \
-        if field == FIELD_FLOAT else None
-    if not _negligible_poly(diff, scale, tol):
+    scale = lambda: max(1.0, abs(tr.alpha) * p.frob_norm())
+    if not field.negligible(diff, scale, tol):
         raise SchemaError("trimming record was built from a different polynomial")
 
 
@@ -384,20 +290,17 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
                                 "transpose the problem first")
     if not isinstance(q, MatPoly) or q.n != 1:
         raise SchemaError("expected a column vector polynomial")
-    if q.field != p.field:
-        raise SchemaError("scalar fields differ")
     if q.m != p.m:
         raise SchemaError("vector length does not match the row count")
     _check_trim_matches(tr, p, tol)
     k, m, n, field = tr.k, tr.m, tr.n, tr.field
-    fscale = max(1.0, q.frob_norm() * max(1.0, p.frob_norm())) \
-        if field == FIELD_FLOAT else None
-    if not _negligible_poly(q.transpose().matmul(p), fscale, tol):
+    fscale = lambda: max(1.0, q.frob_norm() * max(1.0, p.frob_norm()))
+    if not field.negligible(q.transpose().matmul(p), fscale, tol):
         raise PreconditionError("vector is not in the left nullspace")
     if q.is_zero():
         return MatPoly.zero(k * m, 1, 0, field)
 
-    zdag = _pinv_full_col(tr.Z, field)
+    zdag = field.pinv(tr.Z)
     head = q.transpose().matmul(tr.a_block().to_matpoly())
     tail_row = head.matmul(shear_s(k, n, field)) \
                    .matmul(MatPoly([zdag], field)).scale(-1)
@@ -407,27 +310,23 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
     stacked = MatPoly([np.vstack([q.coeff(i), qtil.coeff(i)])
                        for i in range(g + 1)], field)
     delta = q.degree
-    zscale = max(1.0, float(np.max(np.abs(tr.Z)))) \
-        if field == FIELD_FLOAT else None
     for i in range(stacked.grade, delta, -1):
         t = stacked.coeff(i)[m:, :]
-        ts = zscale * max(1.0, float(np.max(np.abs(t)))) \
-            if zscale is not None else None
-        if not _negligible_matrix(mat_mm(t.T, tr.Z), field, ts, tol):
+        ts = lambda: (max(1.0, float(np.max(np.abs(tr.Z))))
+                      * max(1.0, float(np.max(np.abs(t)))))
+        if not field.negligible(t.T @ tr.Z, ts, tol):
             raise VerificationError(
                 "degree reduction failed; the lift keeps a higher-degree tail")
     stacked = MatPoly([stacked.coeff(i) for i in range(delta + 1)], field)
 
     res = stacked.transpose().matmul(_member_pencil(tr).to_matpoly())
-    mscale = fscale * max(1.0, tr.Lt.frob_norm()) if fscale is not None else None
-    if not _negligible_poly(res, mscale, tol):
+    mscale = lambda: fscale() * max(1.0, tr.Lt.frob_norm())
+    if not field.negligible(res, mscale, tol):
         raise VerificationError("lifted vector fails the pencil residual")
 
-    mkt = mat_kron(tr.M.T, eye_matrix(m, field), field)
-    inv_alpha = (Fraction(1) / tr.alpha if field == FIELD_RATIONAL
-                 else 1.0 / tr.alpha)
-    y = MatPoly([mat_mm(mkt, c) for c in stacked.coeffs],
-                field).scale(inv_alpha)
+    mkt = field.kron(tr.M.T, field.eye(m))
+    y = MatPoly([mkt @ c for c in stacked.coeffs],
+                field).scale(field.one / tr.alpha)
     if y.degree != delta:
         raise VerificationError("lift changed the degree")
     return y
@@ -450,13 +349,12 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
         raise SchemaError("expected a right-space trimming record")
     field = l.field
     k, m = l.k, l.poly.m
-    mk = mat_kron(tr.M, eye_matrix(m, field), field)
+    mk = field.kron(tr.M, field.eye(m))
     member = _member_pencil(tr)
-    dx = mat_mm(mk, l.pencil.X) - member.X
-    dy = mat_mm(mk, l.pencil.Y) - member.Y
-    mscale = max(1.0, l.pencil.frob_norm()) if field == FIELD_FLOAT else None
-    if not (_negligible_matrix(dx, field, mscale, RESIDUAL_REL_TOL)
-            and _negligible_matrix(dy, field, mscale, RESIDUAL_REL_TOL)):
+    dx = mk @ l.pencil.X - member.X
+    dy = mk @ l.pencil.Y - member.Y
+    mscale = lambda: max(1.0, l.pencil.frob_norm())
+    if not (field.negligible(dx, mscale) and field.negligible(dy, mscale)):
         raise SchemaError("trimming record does not belong to this member")
 
     base = minimal_basis(l.pencil.to_matpoly(), SIDE_LEFT, safety, tol)
@@ -464,30 +362,29 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
     if c == 0:
         return base
 
-    mkt = mat_kron(tr.M.T, eye_matrix(m, field), field)
+    mkt = field.kron(tr.M.T, field.eye(m))
     lpoly = l.pencil.to_matpoly()
     kernel = []
     for j in range(tr.Q2.shape[1]):
-        col = zeros_matrix(k * m, 1, field)
+        col = field.zeros(k * m, 1)
         col[m:, 0] = tr.Q2[:, j]
-        u = MatPoly([mat_mm(mkt, col)], field)
-        us = mscale * max(1.0, u.frob_norm()) if mscale is not None else None
-        if not _negligible_poly(u.transpose().matmul(lpoly), us,
-                                RESIDUAL_REL_TOL):
+        u = MatPoly([mkt @ col], field)
+        us = lambda: mscale() * max(1.0, u.frob_norm())
+        if not field.negligible(u.transpose().matmul(lpoly), us):
             raise VerificationError("kernel vector fails the pencil residual")
         kernel.append(u)
 
     constants = [v for v, e in zip(base.vectors, base.indices) if e == 0]
     higher = [(v, e) for v, e in zip(base.vectors, base.indices) if e > 0]
-    span = _RowSpan(field, tol)
+    span = []
     for u in kernel:
-        if not span.add(u.coeff(0)[:, 0]):
+        if not field.span_add(span, u.coeff(0)[:, 0], tol):
             raise VerificationError("kernel vectors are dependent")
     picked = []
     for v in constants:
         if len(kernel) + len(picked) == len(constants):
             break
-        if span.add(v.coeff(0)[:, 0]):
+        if field.span_add(span, v.coeff(0)[:, 0], tol):
             picked.append(v)
     if len(kernel) + len(picked) != len(constants):
         raise VerificationError(
@@ -496,7 +393,7 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
     vectors = tuple(kernel + picked + [v for v, _ in higher])
     indices = tuple([0] * len(constants) + [e for _, e in higher])
     result = MinimalBasis(SIDE_LEFT, vectors, indices, field)
-    if mat_rank(result.leading_matrix(), field, safety) != result.count:
+    if field.rank(result.leading_matrix(), safety) != result.count:
         raise VerificationError("special basis is not row reduced")
     stacked = _stack_columns(result.vectors, k * m, field)
     if stacked.normal_rank(safety) != result.count:
@@ -514,11 +411,10 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, safety, tol):
     field = base.field
     xs = []
     for y in base.vectors:
-        bottom = _trim_tail(_clean_float(
+        bottom = _trim_tail(_clean(
             MatPoly([cc[(k - 1) * n:, :] for cc in y.coeffs], field)))
         emb = embed_right(bottom, k)
-        scale = max(1.0, y.frob_norm()) if field == FIELD_FLOAT else None
-        if not _negligible_poly(emb - y, scale, RESIDUAL_REL_TOL):
+        if not field.negligible(emb - y, lambda: max(1.0, y.frob_norm())):
             raise StructureError("right nullvector lacks the tower form")
         xs.append(bottom)
     return _pack_checked(xs, p, SIDE_RIGHT, safety, tol)
@@ -531,7 +427,7 @@ def _pack_checked(vecs, p: MatPoly, side: str, safety, tol) -> MinimalBasis:
     if len(vecs) != expected:
         raise VerificationError(
             f"index count mismatch: got {len(vecs)}, expected {expected}")
-    vecs = [_clean_float(v) for v in vecs]
+    vecs = [_clean(v) for v in vecs]
     pairs = sorted(((v.degree, v) for v in vecs), key=lambda t: t[0])
     if pairs and pairs[0][0] < 0:
         raise VerificationError("recovered a zero vector")
@@ -597,6 +493,6 @@ def recover_minimal(source, p, side: str, mode: str, safety=None,
     dt = source.D.T
     qs = []
     for y in base.vectors:
-        lifted = MatPoly([mat_mm(dt, cc) for cc in y.coeffs], p.field)
+        lifted = MatPoly([dt @ cc for cc in y.coeffs], p.field)
         qs.append(project_ansatz(v, lifted, p.m))
     return _pack_checked(qs, p, SIDE_LEFT, safety, tol)

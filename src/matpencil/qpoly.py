@@ -42,9 +42,6 @@ class QP:
     def is_zero(self) -> bool:
         return not self.c
 
-    def is_constant(self) -> bool:
-        return len(self.c) <= 1
-
     def __bool__(self):
         return bool(self.c)
 
@@ -168,13 +165,6 @@ QP_ONE = QP(1)
 QP_X = QP((0, 1))
 
 
-def qp_gcd(a: QP, b: QP) -> QP:
-    """Monic gcd."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def pm(rows) -> np.ndarray:
     """Matrix of QP entries from nested lists of QP/int/Fraction."""
     data = [[x if isinstance(x, QP) else QP(x) for x in row] for row in rows]
@@ -198,33 +188,12 @@ def pm_eye(n: int) -> np.ndarray:
     return out
 
 
-def pm_from_scalar_mat(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = QP(a[i, j])
-    return out
-
-
 def pm_eval(a: np.ndarray, x) -> np.ndarray:
     out = np.empty(a.shape, dtype=object)
     for i in range(a.shape[0]):
         for j in range(a.shape[1]):
             out[i, j] = a[i, j].evaluate(x)
     return out
-
-
-def pm_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and all(
-        a[i, j] == b[i, j] for i in range(a.shape[0]) for j in range(a.shape[1]))
-
-
-def pm_is_zero(a: np.ndarray) -> bool:
-    return all(x.is_zero() for x in a.flat)
-
-
-def pm_max_degree(a: np.ndarray) -> int:
-    return max((x.degree for x in a.flat), default=-1)
 
 
 def pm_det(a: np.ndarray) -> QP:

@@ -12,27 +12,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from . import exactla as xla
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
-from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, Pencil,
-                      eye_matrix, mat_kron, mat_mm, mat_rank,
-                      matrix_from_json, matrix_to_json, rect_identity,
-                      scalar_from_json, scalar_to_json, zeros_matrix,
-                      _require_keys)
+from .field import FIELD_RATIONAL, field_of, field_of_array
+from .matpoly import (MatPoly, Pencil, matrix_from_json, matrix_to_json,
+                      rect_identity, _require_ints, _require_keys)
 from .qpoly import QP, QP_ONE, QP_X, pm_det, pm_eye, pm_zeros
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
-
-STRUCT_REL_TOL = 1e-9
-RECON_REL_TOL = 1e-9
-
-
-def _is_zero_block(a, field, scale):
-    if field == FIELD_RATIONAL:
-        return xla.is_zero(a)
-    return (a.size == 0) or (np.max(np.abs(a)) <= STRUCT_REL_TOL * scale)
 
 
 def reflector_for(v, field: Optional[str] = None):
@@ -41,37 +28,10 @@ def reflector_for(v, field: Optional[str] = None):
     Float path: Householder reflector, alpha = ||v||_2. Exact path: the
     elementary matrix [[1, 0], [-v_2..-v_k | v_1 I]] composed with a row
     swap when the leading entry vanishes; alpha is that leading entry.
+    Without a field, float arrays take the float path.
     """
-    if field is None:
-        field = (FIELD_FLOAT if isinstance(v, np.ndarray) and v.dtype != object
-                 else FIELD_RATIONAL)
-    if field == FIELD_FLOAT:
-        vec = np.asarray(v, dtype=float)
-        k = vec.shape[0]
-        nrm = float(np.linalg.norm(vec))
-        if nrm == 0.0:
-            raise PreconditionError("ansatz vector must be nonzero")
-        u = vec - nrm * np.eye(k)[:, 0]
-        if np.linalg.norm(u) <= 1e-14 * nrm:
-            return np.eye(k), nrm
-        m = np.eye(k) - 2.0 * np.outer(u, u) / float(u @ u)
-        return m, nrm
-    vec = v if isinstance(v, np.ndarray) and v.dtype == object else xla.fvec(list(v))
-    k = vec.shape[0]
-    j = next((i for i in range(k) if vec[i] != 0), None)
-    if j is None:
-        raise PreconditionError("ansatz vector must be nonzero")
-    perm = xla.feye(k)
-    if j:
-        perm[[0, j], :] = perm[[j, 0], :]
-    pv = perm.dot(vec)
-    alpha = pv[0]
-    elem = xla.fzeros(k, k)
-    elem[0, 0] = xla.ONE
-    for i in range(1, k):
-        elem[i, 0] = -pv[i]
-        elem[i, i] = alpha
-    return elem.dot(perm), alpha
+    field = field_of_array(v) if field is None else field_of(field)
+    return field.reflector(v)
 
 
 def z_block(l: AnsatzPencil, m_mat, alpha):
@@ -83,10 +43,9 @@ def z_block(l: AnsatzPencil, m_mat, alpha):
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     field = l.field
-    mk = mat_kron(m_mat, eye_matrix(m, field), field)
-    xp = mat_mm(mk, l.pencil.X)
-    yp = mat_mm(mk, l.pencil.Y)
-    scale = max(1.0, l.pencil.frob_norm()) if field == FIELD_FLOAT else None
+    mk = field.kron(m_mat, field.eye(m))
+    xp = mk @ l.pencil.X
+    yp = mk @ l.pencil.Y
     z = yp[m:, :(k - 1) * n]
     checks = [
         (xp[m:, :n], "lambda lower-left"),
@@ -95,15 +54,16 @@ def z_block(l: AnsatzPencil, m_mat, alpha):
         (xp[:m, :n] - p.coeff(k) * alpha, "leading corner"),
         (yp[:m, (k - 1) * n:] - p.coeff(0) * alpha, "trailing corner"),
     ]
+    scale = lambda: max(1.0, l.pencil.frob_norm())
     for block, what in checks:
-        if not _is_zero_block(block, field, scale):
+        if not field.negligible(block, scale):
             raise StructureError(f"reduced pencil violates the {what} block")
     return z.copy()
 
 
 def z_rank(l: AnsatzPencil, safety=None) -> int:
     m_mat, alpha = reflector_for(l.ansatz, l.field)
-    return mat_rank(z_block(l, m_mat, alpha), l.field, safety)
+    return l.field.rank(z_block(l, m_mat, alpha), safety)
 
 
 def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
@@ -112,91 +72,7 @@ def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact QR substitutes
-
-def _exact_gs(z):
-    """z = q * r with pairwise orthogonal rational columns q and unit upper
-    triangular r. Needs full column rank."""
-    rows, cols = z.shape
-    q = xla.fzeros(rows, cols)
-    r = xla.fzeros(cols, cols)
-    norms = []
-    for j in range(cols):
-        w = z[:, j].copy()
-        for i in range(j):
-            c = sum(q[t, i] * z[t, j] for t in range(rows)) / norms[i]
-            r[i, j] = c
-            w = w - q[:, i] * c
-        if all(x == 0 for x in w):
-            raise PreconditionError("columns are linearly dependent")
-        r[j, j] = xla.ONE
-        q[:, j] = w
-        norms.append(sum(x * x for x in w))
-    return q, r, norms
-
-
-def _sign_canonicalize(q, r, field):
-    """Flip column signs of q (and the matching rows of r) so the first
-    entry of largest magnitude in each column is positive."""
-    cols = q.shape[1]
-    for j in range(cols):
-        col = q[:, j]
-        if field == FIELD_RATIONAL:
-            best = max(abs(x) for x in col)
-            lead = next(x for x in col if abs(x) == best)
-            neg = lead < 0
-        else:
-            idx = int(np.argmax(np.abs(col)))
-            neg = col[idx] < 0
-        if neg:
-            q[:, j] = -q[:, j]
-            if r is not None:
-                r[j, :] = -r[j, :]
-    return q, r
-
-
-def _factor_z(z, field, cn):
-    """Columns spanning ran(Z) and its complement, plus the triangular-ish
-    core with Q1* Z = Rt. Returns (q1, q2, rt, q1_star, q2_star)."""
-    if field == FIELD_RATIONAL:
-        q1, rt, norms = _exact_gs(z)
-        q1, rt = _sign_canonicalize(q1, rt, field)
-        ln = xla.left_nullspace(z)
-        q2 = ln.T.copy() if ln.shape[0] else xla.fzeros(z.shape[0], 0)
-        q2, _ = _sign_canonicalize(q2, None, field)
-        q1_star = xla.fzeros(cn, z.shape[0])
-        for j in range(cn):
-            q1_star[j, :] = q1[:, j] / norms[j]
-        q2_star = q2.T.copy()
-        return q1, q2, rt, q1_star, q2_star
-    qf, rf, piv = scipy.linalg.qr(z, pivoting=True)
-    pm_inv = np.eye(z.shape[1])[piv, :]
-    rt = rf[:cn, :] @ pm_inv
-    q1, q2 = qf[:, :cn].copy(), qf[:, cn:].copy()
-    q1, rt = _sign_canonicalize(q1, rt, field)
-    q2, _ = _sign_canonicalize(q2, None, field)
-    return q1, q2, rt, q1.T.copy(), q2.T.copy()
-
-
-# ---------------------------------------------------------------------------
 # witnesses
-
-def _qp_const(a):
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = QP((a[i, j],))
-    return out
-
-
-def _block_diag_qp(a, b):
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = pm_zeros(ra + rb, ca + cb)
-    out[:ra, :ca] = a
-    out[ra:, ca:] = b
-    return out
-
 
 def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
     """Unimodular E, F with E*L*F = diag(P, I_{k-1} kron I_{m,n}),
@@ -212,15 +88,16 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
     k, m, n = p.grade, p.m, p.n
     if m < n:
         raise PreconditionError("wide polynomials reduce through the left space")
-    m_mat, alpha = reflector_for(l.ansatz, FIELD_RATIONAL)
+    field = l.field
+    m_mat, alpha = field.reflector(l.ansatz)
     z = z_block(l, m_mat, alpha)
     cn = (k - 1) * n
-    if xla.rank(z) < cn:
+    if field.rank(z) < cn:
         raise PreconditionError("lower block is rank deficient")
 
-    mk = mat_kron(m_mat, xla.feye(m), FIELD_RATIONAL)
-    lq = Pencil(mat_mm(mk, l.pencil.X), mat_mm(mk, l.pencil.Y),
-                FIELD_RATIONAL).to_matpoly().to_qp_matrix()
+    mk = field.kron(m_mat, field.eye(m))
+    lq = Pencil(mk @ l.pencil.X, mk @ l.pencil.Y,
+                field).to_matpoly().to_qp_matrix()
 
     # column stage: fold the full polynomial into the last block column,
     # clear the lambda terms off the lower rows, bring it to the front
@@ -247,15 +124,13 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
 
     work = lq.dot(f)
     w_top = work[:m, n:]
-    zt = z.T.copy()
-    zdag = mat_mm(xla.inv(mat_mm(zt, z)), zt)
     e2 = pm_eye(k * m)
-    e2[:m, m:] = w_top.dot(_qp_const(-zdag))
+    e2[:m, m:] = w_top.dot(MatPoly([-field.pinv(z)]).to_qp_matrix())
 
     # constant completion: a square E' whose prescribed columns are the
     # columns of Z and whose free slots take a basis of the complement
-    ln = xla.left_nullspace(z)
-    eprime = xla.fzeros((k - 1) * m, (k - 1) * m)
+    ln = field.nullspace(z.T).T
+    eprime = field.zeros((k - 1) * m, (k - 1) * m)
     free = 0
     for b in range(k - 1):
         for j in range(m):
@@ -264,8 +139,9 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
             else:
                 eprime[:, b * m + j] = ln[free, :]
                 free += 1
-    e3 = _block_diag_qp(pm_eye(m), _qp_const(xla.inv(eprime)))
-    e = e3.dot(e2).dot(_qp_const(mk))
+    e3 = MatPoly([field.eye(m)]).block_diag(
+        MatPoly([field.inv(eprime)])).to_qp_matrix()
+    e = e3.dot(e2).dot(MatPoly([mk]).to_qp_matrix())
 
     ef = MatPoly.from_qp_matrix(e)
     ff = MatPoly.from_qp_matrix(f)
@@ -282,8 +158,7 @@ def verify_witnesses(l, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
     k, m, n = p.grade, p.m, p.n
     prod = e.matmul(lp).matmul(f)
     target = p.block_diag(MatPoly(
-        [mat_kron(xla.feye(k - 1), rect_identity(m, n, FIELD_RATIONAL),
-                  FIELD_RATIONAL)], FIELD_RATIONAL))
+        [p.field.kron(p.field.eye(k - 1), rect_identity(m, n))]))
     if not prod.equal(target):
         raise VerificationError("witness product is not the two-copy form")
     for name, w in (("left", e), ("right", f)):
@@ -322,51 +197,40 @@ class TrimResult:
     X12: np.ndarray
     Y11: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "field", field_of(self.field))
+
+    def _strip(self, x, y) -> Pencil:
+        stack = np.hstack if self.side == SIDE_L1 else np.vstack
+        return Pencil(np.ascontiguousarray(stack(x)),
+                      np.ascontiguousarray(stack(y)), self.field)
+
     def a_block(self) -> Pencil:
         """Top strip of Lt_hat; satisfies A * (Lambda kron I) = alpha * P
         on the right side (transposed identity on the left side)."""
-        field = self.field
         if self.side == SIDE_L1:
-            x = np.hstack([self._ak_scaled(), self.X12])
-            y = np.hstack([self.Y11, self._a0_scaled()])
-            return Pencil(np.ascontiguousarray(x), np.ascontiguousarray(y), field)
-        x = np.vstack([self._ak_scaled(), self.X12])
-        y = np.vstack([self.Y11, self._a0_scaled()])
-        return Pencil(np.ascontiguousarray(x), np.ascontiguousarray(y), field)
+            a0 = self.Lt_hat.Y[:self.m, (self.k - 1) * self.n:]
+        else:
+            a0 = self.Lt_hat.Y[(self.k - 1) * self.m:, :self.n]
+        return self._strip([self.Lt_hat.X[:self.m, :self.n], self.X12],
+                           [self.Y11, a0])
 
     def b_block(self) -> Pencil:
         """Bottom strip of Lt_hat; equals -Rt * (H kron I) on the right
         side, with H the dual shift pencil."""
-        field = self.field
         cn = self.Rt.shape[0]
-        if self.side == SIDE_L1:
-            nn = self.n
-            x = np.hstack([zeros_matrix(cn, nn, field), -self.Rt])
-            y = np.hstack([self.Rt, zeros_matrix(cn, nn, field)])
-        else:
-            mm = self.m
-            x = np.vstack([zeros_matrix(mm, cn, field), -self.Rt])
-            y = np.vstack([self.Rt, zeros_matrix(mm, cn, field)])
-        return Pencil(np.ascontiguousarray(x), np.ascontiguousarray(y), field)
-
-    def _ak_scaled(self):
-        return self.Lt_hat.X[:self.m, :self.n]
-
-    def _a0_scaled(self):
-        if self.side == SIDE_L1:
-            return self.Lt_hat.Y[:self.m, (self.k - 1) * self.n:]
-        return self.Lt_hat.Y[(self.k - 1) * self.m:, :self.n]
+        zero = (self.field.zeros(cn, self.n) if self.side == SIDE_L1
+                else self.field.zeros(self.m, cn))
+        return self._strip([zero, -self.Rt], [self.Rt, zero])
 
     def removed_row_count(self) -> int:
         return (self.k - 1) * abs(self.m - self.n)
 
     def ansatz(self) -> np.ndarray:
         """Member's ansatz vector, recovered from M v = alpha e1."""
-        e1 = zeros_matrix(self.k, 1, self.field)
+        e1 = self.field.zeros(self.k, 1)
         e1[0, 0] = self.alpha
-        if self.field == FIELD_RATIONAL:
-            return xla.solve(self.M, e1)[:, 0]
-        return np.linalg.solve(self.M, e1)[:, 0]
+        return self.field.solve(self.M, e1)[:, 0]
 
     def transpose(self) -> "TrimResult":
         """Same trimming seen from the opposite space side."""
@@ -386,7 +250,7 @@ class TrimResult:
             "kind": "trim_result", "side": self.side, "field": field,
             "m": self.m, "n": self.n, "k": self.k,
             "M": matrix_to_json(self.M, field),
-            "alpha": scalar_to_json(self.alpha, field),
+            "alpha": field.scalar_to_json(self.alpha),
             "Z": matrix_to_json(self.Z, field),
             "Q1": matrix_to_json(self.Q1, field),
             "Q2": matrix_to_json(self.Q2, field),
@@ -410,12 +274,13 @@ class TrimResult:
             raise SchemaError("not a trim result payload")
         if d["side"] not in (SIDE_L1, SIDE_L2):
             raise SchemaError(f"unknown side {d['side']!r}")
-        field = d["field"]
+        _require_ints(d, ("m", "n", "k"), "trim result")
+        field = field_of(d["field"])
         mats = {key: matrix_from_json(d[key], field)
                 for key in ("M", "Z", "Q1", "Q2", "Rt", "D", "Dtilde",
                             "X12", "Y11")}
         out = cls(side=d["side"], field=field, m=d["m"], n=d["n"], k=d["k"],
-                  alpha=scalar_from_json(d["alpha"], field),
+                  alpha=field.scalar_from_json(d["alpha"]),
                   Lt=Pencil.from_json_dict(d["Lt"], field),
                   Lt_hat=Pencil.from_json_dict(d["Lt_hat"], field),
                   K=Pencil.from_json_dict(d["K"], field), **mats)
@@ -423,18 +288,22 @@ class TrimResult:
         return out
 
 
+def _check_reproduces_lt(tr: TrimResult, rx, ry, message: str):
+    scale = lambda: max(1.0, tr.Lt.frob_norm())
+    for r in (rx, ry):
+        if not tr.field.negligible(r, scale):
+            raise VerificationError(message)
+
+
 def _verify_trim_identities(tr: TrimResult):
     """Lt = Dtilde * Lt_hat (or the transposed variant) must hold."""
     if tr.side == SIDE_L1:
-        rx = mat_mm(tr.Dtilde, tr.Lt_hat.X) - tr.Lt.X
-        ry = mat_mm(tr.Dtilde, tr.Lt_hat.Y) - tr.Lt.Y
+        rx = tr.Dtilde @ tr.Lt_hat.X - tr.Lt.X
+        ry = tr.Dtilde @ tr.Lt_hat.Y - tr.Lt.Y
     else:
-        rx = mat_mm(tr.Lt_hat.X, tr.Dtilde) - tr.Lt.X
-        ry = mat_mm(tr.Lt_hat.Y, tr.Dtilde) - tr.Lt.Y
-    scale = max(1.0, tr.Lt.frob_norm()) if tr.field == FIELD_FLOAT else None
-    for r in (rx, ry):
-        if not _is_zero_block(r, tr.field, scale):
-            raise VerificationError("trim factors do not reproduce Lt")
+        rx = tr.Lt_hat.X @ tr.Dtilde - tr.Lt.X
+        ry = tr.Lt_hat.Y @ tr.Dtilde - tr.Lt.Y
+    _check_reproduces_lt(tr, rx, ry, "trim factors do not reproduce Lt")
 
 
 def trim(l: AnsatzPencil, d=None) -> TrimResult:
@@ -445,97 +314,71 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     D is accepted when it completes the kernel rows to a nonsingular
     square matrix.
     """
+    field = l.field
     if l.side == SIDE_L2:
-        d_t = None
-        if d is not None:
-            if not isinstance(d, np.ndarray):
-                d = (np.asarray(d, dtype=float) if l.field == FIELD_FLOAT
-                     else xla.fmat(d))
-            d_t = d.T.copy()
-        dual = trim(l.transpose(), d_t)
-        return TrimResult(
-            side=SIDE_L2, field=dual.field, m=dual.n, n=dual.m, k=dual.k,
-            M=dual.M, alpha=dual.alpha, Z=dual.Z.T.copy(),
-            Q1=dual.Q1.T.copy(), Q2=dual.Q2.T.copy(), Rt=dual.Rt.T.copy(),
-            D=dual.D.T.copy(), Dtilde=dual.Dtilde.T.copy(),
-            Lt=dual.Lt.transpose(), Lt_hat=dual.Lt_hat.transpose(),
-            K=dual.K.transpose(), X12=dual.X12.T.copy(),
-            Y11=dual.Y11.T.copy())
+        d_t = None if d is None else field.matrix(d).T.copy()
+        return trim(l.transpose(), d_t).transpose()
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     if m < n:
         raise PreconditionError("wide polynomials trim through the left space")
-    field = l.field
     cn = (k - 1) * n
-    m_mat, alpha = reflector_for(l.ansatz, field)
+    m_mat, alpha = field.reflector(l.ansatz)
     z = z_block(l, m_mat, alpha)
-    if mat_rank(z, field) < cn:
+    if field.rank(z) < cn:
         raise PreconditionError("lower block is rank deficient; cannot trim")
 
-    q1, q2, rt, q1_star, q2_star = _factor_z(z, field, cn)
-    mk = mat_kron(m_mat, eye_matrix(m, field), field)
-    xp = mat_mm(mk, l.pencil.X)
-    yp = mat_mm(mk, l.pencil.Y)
+    q1, q2, rt, q1_star, q2_star = field.factor_z(z, cn)
+    mk = field.kron(m_mat, field.eye(m))
+    xp = mk @ l.pencil.X
+    yp = mk @ l.pencil.Y
     x12 = xp[:m, n:].copy()
     y11 = yp[:m, :cn].copy()
 
-    xh = zeros_matrix(m + cn, k * n, field)
-    yh = zeros_matrix(m + cn, k * n, field)
-    xh[:m, :n] = xp[:m, :n]
-    xh[:m, n:] = x12
-    xh[m:, n:] = -rt
-    yh[:m, :cn] = y11
-    yh[:m, cn:] = yp[:m, cn:]
-    yh[m:, :cn] = rt
-    lt_hat = Pencil(xh, yh, field)
+    def reduced_form(lower):
+        """The transformed top strip over the pair (-lower, lower)."""
+        x = field.zeros(m + cn, k * n)
+        y = field.zeros(m + cn, k * n)
+        x[:m, :n] = xp[:m, :n]
+        x[:m, n:] = x12
+        x[m:, n:] = -lower
+        y[:m, :cn] = y11
+        y[:m, cn:] = yp[:m, cn:]
+        y[m:, :cn] = lower
+        return Pencil(x, y, field)
 
-    stack_bottom = mat_mm(np.hstack([zeros_matrix(q2_star.shape[0], m, field),
-                                     q2_star]), mk)
     if d is None:
-        d_used = zeros_matrix(m + cn, k * m, field)
-        d_used[:m, :m] = eye_matrix(m, field)
+        d_used = field.zeros(m + cn, k * m)
+        d_used[:m, :m] = field.eye(m)
         d_used[m:, m:] = q1_star
-        d_used = mat_mm(d_used, mk)
+        d_used = d_used @ mk
     else:
-        d_used = d if field == FIELD_FLOAT or (
-            isinstance(d, np.ndarray) and d.dtype == object) else xla.fmat(d)
-        if field == FIELD_FLOAT:
-            d_used = np.asarray(d_used, dtype=float)
+        d_used = field.matrix(d)
         if d_used.shape != (m + cn, k * m):
             raise SchemaError(f"row-selector must be {m + cn}x{k * m}")
-        stacked = np.vstack([d_used, stack_bottom])
-        if mat_rank(stacked, field) < k * m:
+        stack_bottom = np.hstack([field.zeros(q2_star.shape[0], m),
+                                  q2_star]) @ mk
+        if field.rank(np.vstack([d_used, stack_bottom])) < k * m:
             raise PreconditionError(
                 "row-selector does not complete the kernel rows to a "
                 "nonsingular matrix")
 
-    lt = Pencil(mat_mm(d_used, l.pencil.X), mat_mm(d_used, l.pencil.Y), field)
+    lt = Pencil(d_used @ l.pencil.X, d_used @ l.pencil.Y, field)
 
     # Lt = Dtilde * Lt_hat through the factorized inverse of the row
     # transform: (M kron I)^{-1} diag(I, Q1) maps Lt_hat back to L
-    m_inv = xla.inv(m_mat) if field == FIELD_RATIONAL else np.linalg.inv(m_mat)
-    mk_inv = mat_kron(m_inv, eye_matrix(m, field), field)
-    e1 = zeros_matrix(k * m, m + cn, field)
-    e1[:m, :m] = eye_matrix(m, field)
+    mk_inv = field.kron(field.inv(m_mat), field.eye(m))
+    e1 = field.zeros(k * m, m + cn)
+    e1[:m, :m] = field.eye(m)
     e1[m:, m:] = q1
-    e1 = mat_mm(mk_inv, e1)
-    dtilde = mat_mm(d_used, e1)
-    if mat_rank(dtilde, field) < m + cn:
+    dtilde = d_used @ (mk_inv @ e1)
+    if field.rank(dtilde) < m + cn:
         raise PreconditionError("trim produced a singular square factor")
-
-    xk = zeros_matrix(m + cn, k * n, field)
-    yk = zeros_matrix(m + cn, k * n, field)
-    xk[:m, :n] = xp[:m, :n]
-    xk[:m, n:] = x12
-    xk[m:, n:] = -eye_matrix(cn, field)
-    yk[:m, :cn] = y11
-    yk[:m, cn:] = yp[:m, cn:]
-    yk[m:, :cn] = eye_matrix(cn, field)
 
     out = TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
                      alpha=alpha, Z=z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
-                     Dtilde=dtilde, Lt=lt, Lt_hat=lt_hat,
-                     K=Pencil(xk, yk, field), X12=x12, Y11=y11)
+                     Dtilde=dtilde, Lt=lt, Lt_hat=reduced_form(rt),
+                     K=reduced_form(field.eye(cn)), X12=x12, Y11=y11)
     _verify_trim_identities(out)
     return out
 
@@ -545,22 +388,17 @@ def kronecker_core(tr: TrimResult) -> Pencil:
     Lt = Dtilde * diag(I, Rt) * K (transposed variant on the left side)."""
     field = tr.field
     cn = tr.Rt.shape[0]
+    size = (tr.m if tr.side == SIDE_L1 else tr.n) + cn
+    blk = field.zeros(size, size)
+    blk[:size - cn, :size - cn] = field.eye(size - cn)
+    blk[size - cn:, size - cn:] = tr.Rt
     if tr.side == SIDE_L1:
-        blk = zeros_matrix(tr.m + cn, tr.m + cn, field)
-        blk[:tr.m, :tr.m] = eye_matrix(tr.m, field)
-        blk[tr.m:, tr.m:] = tr.Rt
-        lead = mat_mm(tr.Dtilde, blk)
-        rx = mat_mm(lead, tr.K.X) - tr.Lt.X
-        ry = mat_mm(lead, tr.K.Y) - tr.Lt.Y
+        lead = tr.Dtilde @ blk
+        rx = lead @ tr.K.X - tr.Lt.X
+        ry = lead @ tr.K.Y - tr.Lt.Y
     else:
-        blk = zeros_matrix(tr.n + cn, tr.n + cn, field)
-        blk[:tr.n, :tr.n] = eye_matrix(tr.n, field)
-        blk[tr.n:, tr.n:] = tr.Rt
-        lead = mat_mm(blk, tr.Dtilde)
-        rx = mat_mm(tr.K.X, lead) - tr.Lt.X
-        ry = mat_mm(tr.K.Y, lead) - tr.Lt.Y
-    scale = max(1.0, tr.Lt.frob_norm()) if field == FIELD_FLOAT else None
-    for r in (rx, ry):
-        if not _is_zero_block(r, field, scale):
-            raise VerificationError("shift core does not reproduce Lt")
+        lead = blk @ tr.Dtilde
+        rx = tr.K.X @ lead - tr.Lt.X
+        ry = tr.K.Y @ lead - tr.Lt.Y
+    _check_reproduces_lt(tr, rx, ry, "shift core does not reproduce Lt")
     return tr.K

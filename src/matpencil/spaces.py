@@ -11,16 +11,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import exactla as xla
-from .errors import PreconditionError, SchemaError
-from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, Pencil,
-                      lambda_vec, matrix_from_json, matrix_to_json,
-                      rect_identity, zeros_matrix)
+from .errors import PreconditionError, SchemaError, VerificationError
+from .field import MEMBERSHIP_REL_TOL, field_of_array
+from .matpoly import (MatPoly, Pencil, flip_r, lambda_vec, matrix_from_json,
+                      rect_identity)
 
 SIDE_L1 = "l1"
 SIDE_L2 = "l2"
-
-MEMBERSHIP_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +47,13 @@ class AnsatzPencil:
     def reversal_member(self) -> "AnsatzPencil":
         """Reversed pencil times a block flip is a member for the reversed
         polynomial with the same ansatz vector."""
-        from .matpoly import flip_r
         rev = self.pencil.reversal()
         if self.side == SIDE_L1:
             flip = flip_r(self.k, self.poly.n, self.field)
-            pen = Pencil(xla_mm(rev.X, flip), xla_mm(rev.Y, flip), self.field)
+            pen = Pencil(rev.X @ flip, rev.Y @ flip, self.field)
         else:
             flip = flip_r(self.k, self.poly.m, self.field)
-            pen = Pencil(xla_mm(flip, rev.X), xla_mm(flip, rev.Y), self.field)
+            pen = Pencil(flip @ rev.X, flip @ rev.Y, self.field)
         return AnsatzPencil(pen, self.side, self.ansatz, self.poly.reversal())
 
     def to_json_dict(self) -> dict:
@@ -65,7 +61,7 @@ class AnsatzPencil:
             "kind": "ansatz_pencil",
             "side": self.side,
             "field": self.field,
-            "ansatz": [matrix_to_json([[x]], self.field)[0][0] for x in self.ansatz],
+            "ansatz": [self.field.scalar_to_json(x) for x in self.ansatz],
             "pencil": self.pencil.to_json_dict(),
             "poly": self.poly.to_json_dict(),
         }
@@ -81,36 +77,25 @@ class AnsatzPencil:
             raise SchemaError(f"unknown side {d['side']!r}")
         poly = MatPoly.from_json_dict(d["poly"])
         pen = Pencil.from_json_dict(d["pencil"], d["field"])
-        row = matrix_from_json([d["ansatz"]], d["field"])
-        ansatz = row[0, :] if d["field"] == FIELD_RATIONAL else row[0]
+        ansatz = matrix_from_json([d["ansatz"]], d["field"])[0]
         member = cls(pen, d["side"], ansatz, poly)
-        residual = ansatz_residual(member)
-        if not residual_ok(residual, pen):
+        if not _satisfies_identity(member):
             raise SchemaError("payload does not satisfy its ansatz identity")
         return member
 
 
-def xla_mm(a, b):
-    return a.dot(b)
+def _satisfies_identity(member: AnsatzPencil) -> bool:
+    pen = member.pencil
+    return member.field.frob_negligible(
+        ansatz_residual(member), lambda: max(pen.frob_norm(), 1.0),
+        MEMBERSHIP_REL_TOL)
 
 
 def _as_vector(v, field, k):
-    if field == FIELD_RATIONAL:
-        vec = v if isinstance(v, np.ndarray) and v.dtype == object else xla.fvec(list(v))
-    else:
-        vec = np.asarray(v, dtype=float)
+    vec = field.vector(v)
     if vec.shape != (k,):
         raise SchemaError(f"ansatz vector must have length {k}")
     return vec
-
-
-def _kron_vec_mat(v, a, field):
-    """v ⊗ A for a plain vector v."""
-    m, n = a.shape
-    out = zeros_matrix(len(v) * m, n, field)
-    for i, vi in enumerate(v):
-        out[i * m:(i + 1) * m, :] = a * vi
-    return out
 
 
 def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
@@ -123,27 +108,16 @@ def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
         raise PreconditionError("ansatz spaces need grade >= 2")
     field = p.field
     v = _as_vector(v, field, k)
-    if field == FIELD_RATIONAL and not (isinstance(w, np.ndarray) and w.dtype == object):
-        w = xla.fmat(w)
-    elif field == FIELD_FLOAT:
-        w = np.asarray(w, dtype=float)
+    w = field.matrix(w)
     if w.shape != (k * m, (k - 1) * n):
         raise SchemaError(f"free block must be {k * m}x{(k - 1) * n}")
 
-    x = zeros_matrix(k * m, k * n, field)
-    y = zeros_matrix(k * m, k * n, field)
-    x[:, :n] = _kron_vec_mat(v, p.coeffs[k], field)
-    x[:, n:] = -w
-    mid = zeros_matrix(k * m, (k - 1) * n, field)
-    for j in range(k - 1):
-        mid[:, j * n:(j + 1) * n] = _kron_vec_mat(v, p.coeffs[k - 1 - j], field)
-    y[:, :(k - 1) * n] = w + mid
-    y[:, (k - 1) * n:] = _kron_vec_mat(v, p.coeffs[0], field)
-
+    t = ansatz_target(p, v)
+    x = np.hstack([t[:, :n], -w])
+    y = np.hstack([w + t[:, n:k * n], t[:, k * n:]])
     member = AnsatzPencil(Pencil(x, y, field), SIDE_L1, v, p)
-    residual = ansatz_residual(member)
-    if not residual_ok(residual, member.pencil):
-        raise AssertionError("construction violated the ansatz identity")
+    if not _satisfies_identity(member):
+        raise VerificationError("construction violated the ansatz identity")
     return member
 
 
@@ -154,10 +128,7 @@ def build_l2(p: MatPoly, w, what) -> AnsatzPencil:
         raise PreconditionError("ansatz spaces need grade >= 2")
     field = p.field
     w = _as_vector(w, field, k)
-    if field == FIELD_RATIONAL and not (isinstance(what, np.ndarray) and what.dtype == object):
-        what = xla.fmat(what)
-    elif field == FIELD_FLOAT:
-        what = np.asarray(what, dtype=float)
+    what = field.matrix(what)
     if what.shape != ((k - 1) * m, k * p.n):
         raise SchemaError(f"free block must be {(k - 1) * m}x{k * p.n}")
     dual = build_l1(p.transpose(), w, what.T.copy())
@@ -169,26 +140,17 @@ def companion_g1(p: MatPoly) -> AnsatzPencil:
     puts rectangular identities on the lambda diagonal."""
     k, m, n = p.grade, p.m, p.n
     field = p.field
-    w = zeros_matrix(k * m, (k - 1) * n, field)
+    w = field.zeros(k * m, (k - 1) * n)
     imn = rect_identity(m, n, field)
     for j in range(k - 1):
         w[(j + 1) * m:(j + 2) * m, j * n:(j + 1) * n] = -imn
-    e1 = zeros_matrix(k, 1, field)[:, 0]
-    e1[0] = xla.ONE if field == FIELD_RATIONAL else 1.0
-    return build_l1(p, e1, w)
+    return build_l1(p, _unit_like(p, 0), w)
 
 
 def companion_g2(p: MatPoly) -> AnsatzPencil:
-    """Second companion-style member (left space)."""
-    k, m, n = p.grade, p.m, p.n
-    field = p.field
-    what = zeros_matrix((k - 1) * m, k * n, field)
-    imn = rect_identity(m, n, field)
-    for j in range(k - 1):
-        what[j * m:(j + 1) * m, (j + 1) * n:(j + 2) * n] = -imn
-    e1 = zeros_matrix(k, 1, field)[:, 0]
-    e1[0] = xla.ONE if field == FIELD_RATIONAL else 1.0
-    return build_l2(p, e1, what)
+    """Second companion-style member (left space): the transpose of the
+    first one of the transposed polynomial."""
+    return companion_g1(p.transpose()).transpose()
 
 
 def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
@@ -200,14 +162,14 @@ def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
     rows, cols = x.shape
     if rows % m or cols % n:
         raise SchemaError("shape is not a whole number of blocks")
-    field = FIELD_RATIONAL if x.dtype == object else FIELD_FLOAT
+    field = field_of_array(x)
     if side == "col":
-        out = zeros_matrix(rows, cols + n, field)
+        out = field.zeros(rows, cols + n)
         out[:, :cols] = out[:, :cols] + x
         out[:, n:] = out[:, n:] + y
         return out
     if side == "row":
-        out = zeros_matrix(rows + m, cols, field)
+        out = field.zeros(rows + m, cols)
         out[:rows, :] = out[:rows, :] + x
         out[m:, :] = out[m:, :] + y
         return out
@@ -216,12 +178,8 @@ def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
 
 def ansatz_target(p: MatPoly, v) -> np.ndarray:
     """v ⊗ [A_k A_{k-1} ... A_0], the shifted-sum form of the identity."""
-    k, m, n = p.grade, p.m, p.n
-    field = p.field
-    strip = zeros_matrix(m, (k + 1) * n, field)
-    for j in range(k + 1):
-        strip[:, j * n:(j + 1) * n] = p.coeffs[k - j]
-    return _kron_vec_mat(v, strip, field)
+    strip = np.hstack(p.coeffs[::-1])
+    return p.field.kron(p.field.vector(v).reshape(-1, 1), strip)
 
 
 def ansatz_residual(member: AnsatzPencil) -> MatPoly:
@@ -230,21 +188,14 @@ def ansatz_residual(member: AnsatzPencil) -> MatPoly:
     if member.side == SIDE_L1:
         lam = lambda_vec(p.grade, p.n, p.field)
         lhs = member.pencil.to_matpoly().matmul(lam)
-        rhs = MatPoly([_kron_vec_mat(member.ansatz, c, p.field) for c in p.coeffs],
-                      p.field)
+        col = member.ansatz.reshape(-1, 1)
+        rhs = MatPoly([p.field.kron(col, c) for c in p.coeffs], p.field)
     else:
         lam = lambda_vec(p.grade, p.m, p.field)
         lhs = lam.transpose().matmul(member.pencil.to_matpoly())
-        rhs = MatPoly([_kron_vec_mat(member.ansatz, c.T.copy(), p.field).T.copy()
-                       for c in p.coeffs], p.field)
+        row = member.ansatz.reshape(1, -1)
+        rhs = MatPoly([p.field.kron(row, c) for c in p.coeffs], p.field)
     return lhs - rhs
-
-
-def residual_ok(residual: MatPoly, pencil: Pencil) -> bool:
-    if residual.field == FIELD_RATIONAL:
-        return residual.is_zero()
-    scale = max(pencil.frob_norm(), 1.0)
-    return residual.frob_norm() <= MEMBERSHIP_REL_TOL * scale
 
 
 def ansatz_membership(l: Pencil, p: MatPoly, side: str) -> Optional[np.ndarray]:
@@ -265,24 +216,17 @@ def ansatz_membership(l: Pencil, p: MatPoly, side: str) -> Optional[np.ndarray]:
     shifted = shifted_sum(l.X, l.Y, "col", (m, n))
     strip = ansatz_target(p, _unit_like(p, 0))  # e_1 strip, used per block row
     t = strip[:m, :]
-    tt = sum(x * x for x in t.flat) if p.field == FIELD_RATIONAL else float(np.sum(t * t))
-    entries = []
-    for i in range(k):
-        block = shifted[i * m:(i + 1) * m, :]
-        dot = (sum(a * b for a, b in zip(block.flat, t.flat))
-               if p.field == FIELD_RATIONAL else float(np.sum(block * t)))
-        entries.append(dot / tt)
-    v = (xla.fvec(entries) if p.field == FIELD_RATIONAL
-         else np.array(entries, dtype=float))
-    member = AnsatzPencil(l, side, v, p)
-    if residual_ok(ansatz_residual(member), l):
+    tt = p.field.inner(t, t)
+    v = p.field.vector([p.field.inner(shifted[i * m:(i + 1) * m, :], t) / tt
+                        for i in range(k)])
+    if _satisfies_identity(AnsatzPencil(l, side, v, p)):
         return v
     return None
 
 
 def _unit_like(p: MatPoly, i: int):
-    e = zeros_matrix(p.grade, 1, p.field)[:, 0]
-    e[i] = xla.ONE if p.field == FIELD_RATIONAL else 1.0
+    e = p.field.zeros(p.grade, 1)[:, 0]
+    e[i] = p.field.one
     return e
 
 
@@ -300,19 +244,18 @@ def generator_matrix(p: MatPoly, side: str) -> np.ndarray:
     rows = []
 
     def vec_of(member):
-        pen = member.pencil.to_float() if member.field == FIELD_RATIONAL else member.pencil
+        pen = member.pencil.to_float()
         return np.concatenate([pen.X.ravel(), pen.Y.ravel()])
 
     wshape = (k * m, (k - 1) * n) if side == SIDE_L1 else ((k - 1) * m, k * n)
-    zero_w = zeros_matrix(*wshape, p.field)
+    zero_w = p.field.zeros(*wshape)
     build = build_l1 if side == SIDE_L1 else build_l2
     for i in range(k):
         rows.append(vec_of(build(p, _unit_like(p, i), zero_w)))
-    zero_v = zeros_matrix(k, 1, p.field)[:, 0]
-    one = xla.ONE if p.field == FIELD_RATIONAL else 1.0
+    zero_v = p.field.zeros(k, 1)[:, 0]
     for r in range(wshape[0]):
         for c in range(wshape[1]):
-            w = zeros_matrix(*wshape, p.field)
-            w[r, c] = one
+            w = p.field.zeros(*wshape)
+            w[r, c] = p.field.one
             rows.append(vec_of(build(p, zero_v, w)))
     return np.vstack(rows)

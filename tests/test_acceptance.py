@@ -228,7 +228,7 @@ def test_criterion_6_z_rank_invariance():
             if xla.rank(block) == k - 1:
                 break
         u[1:, 1:] = block
-        m2 = xla.mm(u, m1)
+        m2 = u @ m1
         r2 = xla.rank(z_block(member, m2, a1 * beta))
         assert r1 == r2
     print("criterion 6 (Z rank invariance): PASS "

@@ -89,6 +89,52 @@ class TestExitCodes:
         assert jline(out)["verdict"]["reason"] == "infinite eigenvalue mismatch"
 
 
+def _float_payload(entry):
+    """Float64 case 3 with its first entry replaced, as raw JSON text:
+    the standard library writes NaN and Infinity unquoted."""
+    d = case3_poly().to_float().to_json_dict()
+    d["coeffs"][0][0][0] = entry
+    return json.dumps(d)
+
+
+class TestMalformedInput:
+    """Every malformed payload exits 1 with one schema error object."""
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("argv", [["info"], ["solve"],
+                                      ["build", "--companion"]])
+    def test_non_finite_float_entry(self, files, entry, argv):
+        path = files("p.json", _float_payload(entry))
+        code, out = run(argv[0], path, *argv[1:])
+        assert code == 1
+        assert len(out.strip().split("\n")) == 1
+        assert jline(out)["error"] == "schema"
+        assert "NaN" not in out and "Infinity" not in out
+
+    def test_out_of_range_integer_entry(self, files):
+        path = files("p.json", _float_payload(10 ** 400))
+        code, out = run("info", path)
+        assert code == 1
+        assert jline(out)["error"] == "schema"
+
+    @pytest.mark.parametrize("key,value", [("grade", 2.0), ("m", 3.0),
+                                           ("n", True), ("grade", "2")])
+    def test_non_integer_size(self, files, key, value):
+        d = case3_poly().to_json_dict()
+        d[key] = value
+        code, out = run("info", files("p.json", json.dumps(d)))
+        assert code == 1
+        assert jline(out)["error"] == "schema"
+
+    def test_ragged_rows(self, files):
+        member = case3_member().to_json_dict()
+        member["pencil"]["x"][0].append("1")
+        code, out = run("trim", files("l.json", member))
+        assert code == 1
+        assert jline(out)["error"] == "schema"
+
+
 class TestInfo:
     def test_case3_summary(self, p3):
         code, out = run("info", p3)

@@ -12,8 +12,8 @@ from matpencil import exactla as xla
 from matpencil.cases import (CASE3_NORM_SQ, case2_poly, case3_eval_at_one,
                              case3_poly)
 from matpencil.errors import SchemaError
-from matpencil.matpoly import (CONFIG, FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               Pencil, build_structured, dump_json, float_rank,
+from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
+                               Pencil, build_structured, dump_json,
                                h_dual, lambda_vec, rect_identity, shear_s)
 
 
@@ -135,7 +135,7 @@ class TestConvMatrix:
         p = rand_matpoly(rng, 2, 3, 2)
         q = rand_matpoly(rng, 3, 2, 3)
         lhs = p.matmul(q).conv_matrix(0)
-        rhs = xla.mm(p.conv_matrix(q.grade), q.conv_matrix(0))
+        rhs = p.conv_matrix(q.grade) @ q.conv_matrix(0)
         assert xla.is_zero(lhs - rhs)
 
     def test_additivity(self):
@@ -246,15 +246,9 @@ class TestJson:
 class TestFloatRank:
     def test_safety_knob(self):
         # default tolerance is max(m,n)*sigma_max*eps*8 ~ 3.6e-15
-        assert float_rank(np.diag([1.0, 1e-16])) == 1
-        assert float_rank(np.diag([1.0, 1e-13])) == 2
-        old = CONFIG.rank_safety
-        try:
-            CONFIG.rank_safety = 1e4  # knob widens the cutoff past 1e-13
-            assert float_rank(np.diag([1.0, 1e-13])) == 1
-        finally:
-            CONFIG.rank_safety = old
-        assert float_rank(np.diag([1.0, 1e-13]), safety=1e4) == 1
+        assert FIELD_FLOAT.rank(np.diag([1.0, 1e-16])) == 1
+        assert FIELD_FLOAT.rank(np.diag([1.0, 1e-13])) == 2
+        assert FIELD_FLOAT.rank(np.diag([1.0, 1e-13]), safety=1e4) == 1
 
 
 class TestPencil:

@@ -12,8 +12,7 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
 from matpencil.errors import (PreconditionError, StructureError,
                               VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, Pencil,
-                               flip_r, h_dual, lambda_vec, mat_kron, mat_mm,
-                               rect_identity, zeros_matrix)
+                               flip_r, h_dual, lambda_vec, rect_identity)
 from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
                                  kronecker_core, reflector_for, trim,
                                  verify_witnesses, z_block, z_rank)
@@ -43,8 +42,8 @@ def frobenius_c1(p: MatPoly) -> Pencil:
     """Classical trimmed first companion of a tall polynomial."""
     k, m, n = p.grade, p.m, p.n
     rows = m + (k - 1) * n
-    x = zeros_matrix(rows, k * n, p.field)
-    y = zeros_matrix(rows, k * n, p.field)
+    x = p.field.zeros(rows, k * n)
+    y = p.field.zeros(rows, k * n)
     x[:m, :n] = p.coeff(k)
     for j in range(k - 1):
         x[m + j * n:m + (j + 1) * n, (j + 1) * n:(j + 2) * n] = \
@@ -100,7 +99,7 @@ class TestZBlock:
         rng = np.random.default_rng(31)
         p = rand_poly(rng, 4, 2, 3)
         z = z_block(companion_g1(p), xla.feye(3), xla.ONE)
-        target = mat_kron(xla.feye(2), rect_identity(4, 2), FIELD_RATIONAL)
+        target = FIELD_RATIONAL.kron(xla.feye(2), rect_identity(4, 2))
         assert xla.is_zero(z + target)
 
     def test_rank_deficient_case(self):
@@ -289,7 +288,7 @@ class TestTrim:
         tr = trim(member)
         b = tr.b_block().to_matpoly()
         h = h_dual(2, 2)
-        target = MatPoly([mat_mm(-tr.Rt, c) for c in h.coeffs], FIELD_RATIONAL)
+        target = MatPoly([-tr.Rt @ c for c in h.coeffs], FIELD_RATIONAL)
         assert b.equal(target)
 
     def test_row_split_reconstructs(self):
@@ -333,7 +332,7 @@ class TestTrim:
         rng = np.random.default_rng(43)
         p = rand_poly(rng, 2, 3, 2)
         c2 = companion_g2(p)
-        d = zeros_matrix(6, 5, FIELD_RATIONAL)
+        d = FIELD_RATIONAL.zeros(6, 5)
         d[:3, :3] = xla.feye(3)
         d[3:, 3:] = rect_identity(3, 2)
         tr = trim(c2, d=d)

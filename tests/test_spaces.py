@@ -6,7 +6,7 @@ import pytest
 
 from matpencil import exactla as xla
 from matpencil.cases import CASE3_X, CASE3_Y, case2_member, case3_poly
-from matpencil.errors import PreconditionError, SchemaError
+from matpencil.errors import PreconditionError, SchemaError, VerificationError
 from matpencil.matpoly import FIELD_RATIONAL, MatPoly, Pencil, rect_identity
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                               ansatz_residual, ansatz_target, build_l1,
@@ -91,6 +91,14 @@ class TestBuildL1:
             build_l1(p, [1, 0, 0], xla.fzeros(6, 2))
         with pytest.raises(SchemaError):
             build_l1(p, [1, 0], xla.fzeros(6, 4))
+
+    def test_failed_identity_is_a_verification_error(self):
+        # the library constructor accepts non-finite floats; the member's
+        # own identity check must then fail as a verification error
+        p = case3_poly().to_float()
+        p.coeffs[0][0, 0] = np.nan
+        with pytest.raises(VerificationError):
+            build_l1(p, [1.0, 0.0], np.zeros((6, 2)))
 
 
 class TestBuildL2:
