@@ -358,10 +358,9 @@ def _rank_with_margin(a: np.ndarray, safety=None):
     return rank, not near
 
 
-def _profile_indices(mp: MatPoly, safety=None):
-    """Minimal index multiset from the nullity growth of convolution
-    matrices (right side)."""
-    want = mp.n - mp.normal_rank(safety)
+def _profile_indices(mp: MatPoly, want: int, safety=None):
+    """The want right minimal indices of mp (want is n minus the normal
+    rank), from the nullity growth of convolution matrices."""
     out = []
     conclusive = True
     bound = mp.grade * min(mp.m, mp.n)
@@ -385,8 +384,9 @@ def _profile_indices(mp: MatPoly, safety=None):
 
 
 def _float_index_pair(mp: MatPoly, safety=None):
-    right, ok_r = _profile_indices(mp, safety)
-    left, ok_l = _profile_indices(mp.transpose(), safety)
+    nrank = mp.normal_rank(safety)
+    right, ok_r = _profile_indices(mp, mp.n - nrank, safety)
+    left, ok_l = _profile_indices(mp.transpose(), mp.m - nrank, safety)
     return right, left, ok_r and ok_l
 
 

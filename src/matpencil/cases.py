@@ -50,29 +50,22 @@ def case2_member():
 
 def case2_witnesses():
     """Hand-written unimodular E, F with E*L*F = diag(P, I_{3,2})."""
-    zero = (0,)
-    one = (1,)
-    lam = (0, 1)
-
-    def row(*entries):
-        return list(entries)
-
-    from .qpoly import QP, pm
-    e = pm([
-        row(QP(zero), QP(zero), QP(one), QP(lam), QP(zero), QP(zero)),
-        row(QP(zero), QP(zero), QP(zero), QP(one), QP(zero), QP(zero)),
-        row(QP(zero), QP(zero), QP(zero), QP(zero), QP(one), QP(zero)),
-        row(QP(zero), QP(one), QP(zero), QP(zero), QP(zero), QP(zero)),
-        row(QP(one), QP(zero), QP(zero), QP(zero), QP(zero), QP(zero)),
-        row(QP(zero), QP(zero), QP(zero), QP(zero), QP(zero), QP(one)),
-    ])
-    f = pm([
-        row(QP(zero), QP(one), QP(zero), QP(zero)),
-        row(QP(zero), QP((0, -1)), QP(zero), QP(one)),
-        row(QP((-1,)), QP(zero), QP(zero), QP(zero)),
-        row(QP(zero), QP((-1,)), QP(one), QP(zero)),
-    ])
-    return MatPoly.from_qp_matrix(e), MatPoly.from_qp_matrix(f)
+    e0 = xla.fmat([[0, 0, 1, 0, 0, 0],
+                   [0, 0, 0, 1, 0, 0],
+                   [0, 0, 0, 0, 1, 0],
+                   [0, 1, 0, 0, 0, 0],
+                   [1, 0, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 1]])
+    e1 = xla.fzeros(6, 6)
+    e1[0, 3] = xla.ONE
+    f0 = xla.fmat([[0, 1, 0, 0],
+                   [0, 0, 0, 1],
+                   [-1, 0, 0, 0],
+                   [0, -1, 1, 0]])
+    f1 = xla.fzeros(4, 4)
+    f1[1, 1] = -xla.ONE
+    return (MatPoly([e0, e1], FIELD_RATIONAL),
+            MatPoly([f0, f1], FIELD_RATIONAL))
 
 
 def case3_poly() -> MatPoly:

@@ -28,7 +28,7 @@ from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json,
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
                       recover_minimal)
-from .reduction import TrimResult, full_z_rank, trim, z_rank
+from .reduction import TrimResult, max_z_rank, trim, z_rank
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2)
 
@@ -172,8 +172,7 @@ def cmd_check(args) -> int:
         "kind": "check_report", "mode": mode, "strong": args.strong,
         "verdict": verdict.to_json_dict(), "membership": membership,
         "z_rank": zr,
-        "full_z_rank": (None if zr is None
-                        else full_z_rank(obj, args.tol)),
+        "full_z_rank": None if zr is None else zr == max_z_rank(obj),
     }))
     return EXIT_OK if verdict.ok else EXIT_VERIFICATION
 

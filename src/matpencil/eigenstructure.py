@@ -1,10 +1,12 @@
 """Smith normal form over the rational polynomials and complete
 eigenstructure reports.
 
-The exact path reduces a matrix polynomial to Smith form with tracked
-unimodular transformations, reads finite elementary divisors off the
-invariant factors, takes infinite ones from the reversal at zero, and
-attaches the minimal indices of both nullspaces.  Linearization claims are
+The exact path reduces a matrix polynomial to Smith form over QQ[l] with
+sympy's smith_normal_decomp, makes the invariant factors monic, and audits
+the result exactly: diagonal form, monic divisibility chain, unimodular
+transformations and the product U p V = S.  It reads finite elementary
+divisors off the invariant factors, takes infinite ones from the reversal
+at zero, and attaches the minimal indices of both nullspaces.  Linearization claims are
 settled by comparing Smith forms against a padded block diagonal target,
 which decides the finite structure and the nullspace dimensions in one shot.
 
@@ -18,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import (
@@ -29,7 +33,7 @@ from .matpoly import (
     rect_identity,
 )
 from .minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
-from .qpoly import QP, pm_det, pm_eye
+from .qpoly import L, QQL, from_pm, pm_det, pm_eye, poly, to_pm
 
 __all__ = [
     "EigStructure",
@@ -54,153 +58,66 @@ def _as_matpoly(p):
 # Smith form
 
 
-def _scale_row(a, u, i, s):
-    for c in range(a.shape[1]):
-        a[i, c] = a[i, c] * s
-    for c in range(u.shape[1]):
-        u[i, c] = u[i, c] * s
-
-
-def _row_op(a, u, r, t, q):
-    # row r minus q times row t, mirrored in the transformation
-    for c in range(a.shape[1]):
-        a[r, c] = a[r, c] - q * a[t, c]
-    for c in range(u.shape[1]):
-        u[r, c] = u[r, c] - q * u[t, c]
-
-
-def _col_op(a, v, c, t, q):
-    for r in range(a.shape[0]):
-        a[r, c] = a[r, c] - q * a[r, t]
-    for r in range(v.shape[0]):
-        v[r, c] = v[r, c] - q * v[r, t]
-
-
-def _swap_rows(a, u, i, j):
-    a[[i, j], :] = a[[j, i], :]
-    u[[i, j], :] = u[[j, i], :]
-
-
-def _swap_cols(a, v, i, j):
-    a[:, [i, j]] = a[:, [j, i]]
-    v[:, [i, j]] = v[:, [j, i]]
-
-
-def _min_degree_entry(a, t):
-    """Position of a lowest-degree nonzero entry in the trailing block,
-    row-major on ties."""
-    best = None
-    best_deg = -1
-    for i in range(t, a.shape[0]):
-        for j in range(t, a.shape[1]):
-            e = a[i, j]
-            if e.is_zero():
-                continue
-            d = e.degree
-            if best is None or d < best_deg:
-                best = (i, j)
-                best_deg = d
-    return best
-
-
 def smith_form(p):
     """Smith normal form with its unimodular transformations.
 
     Returns (U, S, V) with U p V = S, S diagonal with monic invariant
-    factors in a divisibility chain.  Pivoting picks a minimal-degree
-    entry and keeps pivots monic so coefficient content stays in the
-    transformations instead of compounding in the working matrix.
-    Rational field only.
+    factors in a divisibility chain.  sympy's smith_normal_decomp reduces
+    p over QQ[l]; each factor is then made monic, with the unit folded into
+    its row of U, and the result is audited exactly before it is returned.
+    A zero p keeps identity transformations.  Rational field only.
     """
     p = _as_matpoly(p)
     if p.field != FIELD_RATIONAL:
         raise PreconditionError("Smith reduction needs the rational field")
-    a = p.to_qp_matrix()
-    m, n = a.shape
-    u = pm_eye(m)
-    v = pm_eye(n)
-    for t in range(min(m, n)):
-        pos = _min_degree_entry(a, t)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if i != t:
-                _swap_rows(a, u, t, i)
-            if j != t:
-                _swap_cols(a, v, t, j)
-            if a[t, t].lc != 1:
-                _scale_row(a, u, t, QP(Fraction(1) / a[t, t].lc))
-            pos = None
-            for r in range(t + 1, m):
-                if a[r, t].is_zero():
-                    continue
-                _row_op(a, u, r, t, a[r, t] // a[t, t])
-                if not a[r, t].is_zero():
-                    # remainder has lower degree; it becomes the pivot
-                    pos = (r, t)
-                    break
-            if pos is not None:
-                continue
-            for c in range(t + 1, n):
-                if a[t, c].is_zero():
-                    continue
-                _col_op(a, v, c, t, a[t, c] // a[t, t])
-                if not a[t, c].is_zero():
-                    pos = (t, c)
-                    break
-            if pos is not None:
-                continue
-            pos = None
-            for r in range(t + 1, m):
-                for c in range(t + 1, n):
-                    if not a[t, t].divides(a[r, c]):
-                        pos = (r, c)
-                        break
-                if pos is not None:
-                    break
-            if pos is None:
-                break
-            # fold the offending row into the pivot row and go again; the
-            # next column pass leaves a lower-degree remainder
-            r, _ = pos
-            for c in range(n):
-                a[t, c] = a[t, c] + a[r, c]
-            for c in range(m):
-                u[t, c] = u[t, c] + u[r, c]
-            pos = (t, t)
-    su = MatPoly.from_qp_matrix(u)
-    sv = MatPoly.from_qp_matrix(v)
-    ss = MatPoly.from_qp_matrix(a)
-    _audit_smith(su, p, sv, ss, a)
-    return su, ss, sv
+    a = to_pm(p)
+    if p.is_zero():
+        s, u, v = a, pm_eye(p.m), pm_eye(p.n)
+    else:
+        s, u, v = smith_normal_decomp(a)
+        s, u = _make_monic(s, u)
+    _audit_smith(u, a, v, s)
+    return from_pm(u), from_pm(s), from_pm(v)
 
 
-def _audit_smith(su, p, sv, ss, a):
-    m, n = a.shape
-    for i in range(m):
-        for j in range(n):
-            if i != j and not a[i, j].is_zero():
-                raise VerificationError("Smith reduction left an off"
-                                        "-diagonal entry")
+def _make_monic(s, u):
+    """Scale each nonzero diagonal entry of s, and its row of u, by the
+    inverse of the entry's leading coefficient."""
+    s_rows, u_rows = s.to_list(), u.to_list()
+    for t in range(min(s.shape)):
+        d = s_rows[t][t]
+        if d and d.LC != 1:
+            lc = d.LC
+            s_rows[t][t] = d.monic()
+            u_rows[t] = [x.quo_ground(lc) for x in u_rows[t]]
+    return (DomainMatrix(s_rows, s.shape, QQL),
+            DomainMatrix(u_rows, u.shape, QQL))
+
+
+def _audit_smith(u, a, v, s):
+    """Raise unless s is diagonal with monic factors in a divisibility
+    chain, u and v have nonzero constant determinants, and u a v = s."""
+    rows = s.to_list()
+    m, n = s.shape
+    if any(rows[i][j] for i in range(m) for j in range(n) if i != j):
+        raise VerificationError("Smith reduction left an off-diagonal entry")
     prev = None
     for t in range(min(m, n)):
-        d = a[t, t]
-        if d.is_zero():
+        d = rows[t][t]
+        if not d:
             prev = d
             continue
-        if prev is not None and (prev.is_zero() or not prev.divides(d)):
+        if prev is not None and (not prev or d.rem(prev)):
             raise VerificationError("invariant factors break the "
                                     "divisibility chain")
-        if d.lc != 1:
+        if d.LC != 1:
             raise VerificationError("invariant factor is not monic")
         prev = d
-    if pm_det(su.to_qp_matrix()).degree != 0:
+    if pm_det(u).degree() != 0:
         raise VerificationError("row transformation is not unimodular")
-    if pm_det(sv.to_qp_matrix()).degree != 0:
+    if pm_det(v).degree() != 0:
         raise VerificationError("column transformation is not unimodular")
-    prod = su.matmul(p).matmul(sv)
-    if not prod.equal(ss):
+    if (u * a * v).to_list() != rows:
         raise VerificationError("Smith reduction lost the transformation "
                                 "trail")
 
@@ -208,12 +125,8 @@ def _audit_smith(su, p, sv, ss, a):
 def _smith_diag(p):
     """Nonzero invariant factors of p, in chain order."""
     _, s, _ = smith_form(p)
-    a = s.to_qp_matrix()
-    out = []
-    for t in range(min(a.shape)):
-        if not a[t, t].is_zero():
-            out.append(a[t, t])
-    return out
+    diag = (poly([c[t, t] for c in s.coeffs]) for t in range(min(s.m, s.n)))
+    return [d for d in diag if d]
 
 
 # ---------------------------------------------------------------------------
@@ -322,31 +235,19 @@ def index_sum_check(es: EigStructure) -> bool:
     return es.structural_sum() == es.nrank
 
 
-def _factor_monic(d: QP):
-    """Monic irreducible factors of a monic rational polynomial, with
+def _factor_monic(d):
+    """Monic irreducible factors of a monic element of QQ[l], with
     multiplicities, as ascending coefficient tuples."""
-    x = sympy.Symbol("x")
-    expr = sum((sympy.Rational(c.numerator, c.denominator) * x ** i
-                for i, c in enumerate(d.c)), sympy.Integer(0))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
-    out = []
-    for f, e in factors:
-        desc = f.all_coeffs()
-        lc = desc[0]
-        asc = []
-        for c in reversed(desc):
-            r = sympy.Rational(c, lc)
-            asc.append(Fraction(int(r.p), int(r.q)))
-        out.append((tuple(asc), int(e)))
+    _, factors = sympy.factor_list(sympy.Poly(d.as_expr(), domain=sympy.QQ))
+    out = [(tuple(Fraction(int(c.p), int(c.q))
+                  for c in reversed(f.monic().all_coeffs())), int(e))
+           for f, e in factors]
     out.sort(key=lambda fe: (len(fe[0]), fe[0]))
     return out
 
 
-def _valuation_at_zero(d: QP) -> int:
-    t = 0
-    while t < len(d.c) and d.c[t] == 0:
-        t += 1
-    return t
+def _valuation_at_zero(d) -> int:
+    return min(t for (t,) in d.monoms())
 
 
 def complete_eigenstructure(p, safety=None) -> EigStructure:
@@ -365,7 +266,7 @@ def complete_eigenstructure(p, safety=None) -> EigStructure:
     table = {}
     order = []
     for d in divisors:
-        if d.degree == 0:
+        if d.degree() == 0:
             continue
         for fac, e in _factor_monic(d):
             if fac not in table:
@@ -445,7 +346,7 @@ def _padded(p: MatPoly, pad) -> MatPoly:
 
 
 def _strip_zero_roots(diag):
-    return [QP(d.c[_valuation_at_zero(d):]) for d in diag]
+    return [d.exquo(L ** _valuation_at_zero(d)) for d in diag]
 
 
 def _finite_verdict(lmat, target) -> Verdict:

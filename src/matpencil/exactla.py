@@ -1,14 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are numpy arrays with dtype=object holding ``fractions.Fraction``
-entries. numpy's ``dot`` works on object arrays, so products stay exact;
-everything rank-related goes through a single rref routine to keep pivot
-choices deterministic.
+entries. numpy's ``dot`` works on object arrays, so products stay exact.
+The elimination kernels are sympy's: ``rref``, ``inv`` and ``det`` convert
+to a ``DomainMatrix`` over QQ, call it, and convert back.  Everything
+rank-related reads the canonical rref, so pivots, nullspace bases and
+particular solutions do not depend on the elimination order.
 """
 
 from fractions import Fraction
 
 import numpy as np
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .errors import PreconditionError
 
@@ -81,33 +86,25 @@ def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
 
+def to_domain(a: np.ndarray) -> DomainMatrix:
+    """The DomainMatrix over QQ holding the entries of a."""
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
+                         for row in a], a.shape, QQ)
+
+
+def from_domain(d: DomainMatrix) -> np.ndarray:
+    """Object array of Fractions holding the entries of d."""
+    out = np.empty(d.shape, dtype=object)
+    for i, row in enumerate(d.to_list()):
+        for j, x in enumerate(row):
+            out[i, j] = Fraction(x.numerator, x.denominator)
+    return out
+
+
 def rref(a: np.ndarray):
     """Reduced row echelon form. Returns (R, pivot_columns)."""
-    r = a.copy()
-    m, n = r.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot_row = None
-        for i in range(row, m):
-            if r[i, col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != row:
-            r[[row, pivot_row]] = r[[pivot_row, row]]
-        p = r[row, col]
-        if p != 1:
-            r[row, :] = r[row, :] * (ONE / p)
-        for i in range(m):
-            if i != row and r[i, col] != 0:
-                r[i, :] = r[i, :] - r[i, col] * r[row, :]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    r, pivots = to_domain(a).rref()
+    return from_domain(r), list(pivots)
 
 
 def rank(a: np.ndarray) -> int:
@@ -135,11 +132,9 @@ def solve(a: np.ndarray, b: np.ndarray):
     """One solution of a·x = b (b may be a matrix), or None if inconsistent."""
     m, n = a.shape
     bb = b if b.ndim == 2 else b.reshape(-1, 1)
-    aug = np.concatenate([a, bb], axis=1)
-    r, pivots = rref(aug)
-    for pc in pivots:
-        if pc >= n:
-            return None
+    r, pivots = rref(np.concatenate([a, bb], axis=1))
+    if pivots and pivots[-1] >= n:
+        return None
     x = fzeros(n, bb.shape[1])
     for row_i, pc in enumerate(pivots):
         x[pc, :] = r[row_i, n:]
@@ -150,35 +145,18 @@ def inv(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m != n:
         raise PreconditionError("inverse of a non-square matrix")
-    r, pivots = rref(np.concatenate([a, feye(n)], axis=1))
-    if len(pivots) != n or pivots != list(range(n)):
-        raise PreconditionError("matrix is singular")
-    return r[:, n:]
+    try:
+        return from_domain(to_domain(a).inv())
+    except DMNonInvertibleMatrixError as e:
+        raise PreconditionError("matrix is singular") from e
 
 
 def det(a: np.ndarray) -> Fraction:
     m, n = a.shape
     if m != n:
         raise PreconditionError("determinant of a non-square matrix")
-    r = a.copy()
-    d = ONE
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if r[i, col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            r[[col, pivot_row]] = r[[pivot_row, col]]
-            d = -d
-        p = r[col, col]
-        d *= p
-        for i in range(col + 1, n):
-            if r[i, col] != 0:
-                r[i, col:] = r[i, col:] - (r[i, col] / p) * r[col, col:]
-    return d
+    d = to_domain(a).det()
+    return Fraction(d.numerator, d.denominator)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ and JSON scalars.  Each field is a single object that compares equal to
 its name ("rational" or "float64") and serializes as that plain string,
 so code holding a field can both dispatch on it and write it out.
 
-The rational field calls the dense exact backend (``exactla``) through
-module attribute lookup, so replacing a backend function replaces it for
-every caller.  On the rational field every negligibility test is exact.
+The rational field calls the exact backend (``exactla``, thin adapters
+over sympy's DomainMatrix on QQ) through module attribute lookup, so
+replacing a backend function replaces it for every caller.  On the
+rational field every negligibility test is exact.
 """
 
 import math

@@ -12,11 +12,8 @@ between them.
 import json
 import math
 
-import numpy as np
-
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, FIELD_RATIONAL, field_of
-from .qpoly import QP, pm_zeros
 
 
 def _block(a, field):
@@ -152,7 +149,21 @@ class MatPoly:
         return sum(self.field.inner(c, c) for c in self.coeffs)
 
     def frob_norm(self) -> float:
-        return math.sqrt(self.frob_norm_sq())
+        """sqrt of frob_norm_sq; only when that sum overflows a float is
+        the norm accumulated with scaling instead, by math.hypot."""
+        try:
+            norm = math.sqrt(self.frob_norm_sq())
+        except OverflowError:
+            norm = math.inf
+        if norm == math.inf:
+            try:
+                norm = math.hypot(*(float(x) for c in self.coeffs
+                                    for x in c.flat))
+            except OverflowError:
+                norm = math.inf
+        if norm == math.inf:
+            raise PreconditionError("Frobenius norm exceeds the float range")
+        return norm
 
     def normal_rank(self, safety=None) -> int:
         """Rank over the rational-function field, via sampling.
@@ -178,30 +189,6 @@ class MatPoly:
                 r0 = (i + t) * self.m
                 out[r0:r0 + self.m, i * self.n:(i + 1) * self.n] = self.coeffs[k - t]
         return out
-
-    def to_qp_matrix(self) -> np.ndarray:
-        """Object matrix of QP entries (rational path only)."""
-        if self.field != FIELD_RATIONAL:
-            raise PreconditionError("symbolic form needs the rational field")
-        out = pm_zeros(self.m, self.n)
-        for i in range(self.m):
-            for j in range(self.n):
-                out[i, j] = QP(tuple(c[i, j] for c in self.coeffs))
-        return out
-
-    @classmethod
-    def from_qp_matrix(cls, a: np.ndarray, grade=None) -> "MatPoly":
-        m, n = a.shape
-        g = max((x.degree for x in a.flat), default=0)
-        g = max(g, 0)
-        if grade is not None:
-            g = max(g, grade)
-        coeffs = [FIELD_RATIONAL.zeros(m, n) for _ in range(g + 1)]
-        for i in range(m):
-            for j in range(n):
-                for t, c in enumerate(a[i, j].c):
-                    coeffs[t][i, j] = c
-        return cls(coeffs, FIELD_RATIONAL)
 
     def to_float(self) -> "MatPoly":
         return MatPoly([self.field.to_float(c) for c in self.coeffs], FIELD_FLOAT)
@@ -411,5 +398,10 @@ def matrix_from_json(rows, field: str, m=None, n=None):
 
 
 def dump_json(obj: dict) -> str:
-    """Canonical serialization so identical inputs give identical bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical serialization so identical inputs give identical bytes.
+    Only standard JSON is written: a non-finite number is refused."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as e:
+        raise VerificationError("report holds a non-finite number") from e

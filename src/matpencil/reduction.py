@@ -18,7 +18,7 @@ from .errors import (PreconditionError, SchemaError, StructureError,
 from .field import FIELD_RATIONAL, field_of, field_of_array
 from .matpoly import (MatPoly, Pencil, matrix_from_json, matrix_to_json,
                       rect_identity, _require_ints, _require_keys)
-from .qpoly import QP, QP_ONE, QP_X, pm_det, pm_eye, pm_zeros
+from .qpoly import pm_det, to_pm
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
 
@@ -66,9 +66,14 @@ def z_rank(l: AnsatzPencil, safety=None) -> int:
     return l.field.rank(z_block(l, m_mat, alpha), safety)
 
 
-def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
+def max_z_rank(l: AnsatzPencil) -> int:
+    """Rank of a full-rank Z block: (k-1)·min(m, n)."""
     p = l.poly
-    return z_rank(l, safety) == (p.grade - 1) * min(p.m, p.n)
+    return (p.grade - 1) * min(p.m, p.n)
+
+
+def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
+    return z_rank(l, safety) == max_z_rank(l)
 
 
 # ---------------------------------------------------------------------------
@@ -96,36 +101,35 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
         raise PreconditionError("lower block is rank deficient")
 
     mk = field.kron(m_mat, field.eye(m))
-    lq = Pencil(mk @ l.pencil.X, mk @ l.pencil.Y,
-                field).to_matpoly().to_qp_matrix()
+    lq = Pencil(mk @ l.pencil.X, mk @ l.pencil.Y, field).to_matpoly()
 
     # column stage: fold the full polynomial into the last block column,
     # clear the lambda terms off the lower rows, bring it to the front
-    g = pm_eye(k * n)
+    kn = k * n
+    g = [field.eye(kn)] + [field.zeros(kn, kn) for _ in range(k - 1)]
     for i in range(k):
         for t in range(n):
-            g[i * n + t, (k - 1) * n + t] = QP_ONE.shift(k - 1 - i)
-    f = g
+            g[k - 1 - i][i * n + t, (k - 1) * n + t] = field.one
+    f = MatPoly(g, field)
     for jj in range(k - 2):
-        t = pm_eye(k * n)
+        x = field.zeros(kn, kn)
         for tt in range(n):
-            t[jj * n + tt, (jj + 1) * n + tt] = QP_X
-        f = f.dot(t)
-    perm = pm_zeros(k * n, k * n)
+            x[jj * n + tt, (jj + 1) * n + tt] = field.one
+        f = f.matmul(MatPoly([field.eye(kn), x], field))
+    perm = field.zeros(kn, kn)
     for i in range(n):
-        perm[(k - 1) * n + i, i] = QP_ONE
+        perm[(k - 1) * n + i, i] = field.one / alpha
     for i in range((k - 1) * n):
-        perm[i, n + i] = QP_ONE
-    scale = pm_eye(k * n)
-    inv_alpha = QP((1 / alpha,))
-    for i in range(n):
-        scale[i, i] = inv_alpha
-    f = f.dot(perm).dot(scale)
+        perm[i, n + i] = field.one
+    f = f.matmul(MatPoly([perm], field))
 
-    work = lq.dot(f)
-    w_top = work[:m, n:]
-    e2 = pm_eye(k * m)
-    e2[:m, m:] = w_top.dot(MatPoly([-field.pinv(z)]).to_qp_matrix())
+    work = lq.matmul(f)
+    top = MatPoly([c[:m, n:] for c in work.coeffs], field).matmul(
+        MatPoly([-field.pinv(z)], field))
+    e2 = [field.eye(k * m)] + [field.zeros(k * m, k * m)
+                               for _ in range(top.grade)]
+    for c, block in zip(e2, top.coeffs):
+        c[:m, m:] = block
 
     # constant completion: a square E' whose prescribed columns are the
     # columns of Z and whose free slots take a basis of the complement
@@ -139,14 +143,11 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
             else:
                 eprime[:, b * m + j] = ln[free, :]
                 free += 1
-    e3 = MatPoly([field.eye(m)]).block_diag(
-        MatPoly([field.inv(eprime)])).to_qp_matrix()
-    e = e3.dot(e2).dot(MatPoly([mk]).to_qp_matrix())
-
-    ef = MatPoly.from_qp_matrix(e)
-    ff = MatPoly.from_qp_matrix(f)
-    verify_witnesses(l.pencil, p, ef, ff)
-    return ef, ff
+    e3 = field.eye(k * m)
+    e3[m:, m:] = field.inv(eprime)
+    e = MatPoly([e3 @ c @ mk for c in e2], field)
+    verify_witnesses(l.pencil, p, e, f)
+    return e, f
 
 
 def verify_witnesses(l, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
@@ -162,8 +163,7 @@ def verify_witnesses(l, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
     if not prod.equal(target):
         raise VerificationError("witness product is not the two-copy form")
     for name, w in (("left", e), ("right", f)):
-        d = pm_det(w.to_qp_matrix())
-        if d.degree > 0 or d.is_zero():
+        if pm_det(to_pm(w)).degree() != 0:
             raise VerificationError(f"{name} witness is not unimodular")
 
 

@@ -98,7 +98,8 @@ def _float_payload(entry):
 
 
 class TestMalformedInput:
-    """Every malformed payload exits 1 with one schema error object."""
+    """Every malformed payload exits 1 with one schema error object;
+    extreme but valid entries give one standard JSON object."""
 
     @pytest.mark.parametrize("entry", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -126,6 +127,30 @@ class TestMalformedInput:
         code, out = run("info", files("p.json", json.dumps(d)))
         assert code == 1
         assert jline(out)["error"] == "schema"
+
+    def test_large_rational_entry_norm(self, files):
+        d = case3_poly().to_json_dict()
+        d["coeffs"][0][0][0] = "1" + "0" * 199
+        code, out = run("info", files("p.json", d))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1
+        assert jline(out)["frob_norm"] == pytest.approx(1e199)
+
+    def test_large_float_entries_norm(self, files):
+        d = case3_poly().to_float().to_json_dict()
+        d["coeffs"][0][0][0] = d["coeffs"][2][2][1] = 1e200
+        code, out = run("info", files("p.json", json.dumps(d)))
+        assert code == 0
+        assert "Infinity" not in out
+        assert jline(out)["frob_norm"] == pytest.approx(math.sqrt(2) * 1e200)
+
+    def test_norm_beyond_float_range(self, files):
+        d = case3_poly().to_float().to_json_dict()
+        d["coeffs"][0][0][0] = d["coeffs"][2][2][1] = 1.5e308
+        code, out = run("info", files("p.json", json.dumps(d)))
+        assert code == 2
+        assert jline(out)["error"] == "precondition"
+        assert "Infinity" not in out
 
     def test_ragged_rows(self, files):
         member = case3_member().to_json_dict()

@@ -9,7 +9,9 @@ moves any byte of these reports fails here.
 import contextlib
 import hashlib
 import io
+import random
 
+import numpy as np
 import pytest
 
 from matpencil.cases import case3_poly
@@ -83,3 +85,90 @@ def test_case3_pipeline_output_pinned(tmp_path):
     got = {name: _digest(text)
            for name, text in case3_outputs(tmp_path).items()}
     assert got == CASE3_DIGESTS
+
+
+# Generic integer polynomials, entries in [-5, 5] drawn from
+# random.Random(seed), with full-rank leading and trailing coefficients.
+# Tall shapes go through the right space L1, wide ones through the left
+# space L2.
+GENERIC_SEEDS = {(4, 3, 2): 11, (3, 4, 2): 12}
+
+GENERIC_DIGESTS = {
+    (4, 3, 2): {
+        "build":
+            "7c652120f6a233bf2c3a609224534acd19dde09b91672c63f41c451793792d13",
+        "check_glin_strong":
+            "5b4fe062b3411a6ba807c50b069939bc30a7d08822cd25f9d34c9413b47c43be",
+        "trim":
+            "483204f08c3e4a749bb4e29e75803083180d6af78fbbebcce0265762f8e2fdcc",
+        "check_lin_strong":
+            "67930174b231d6a49775b43f884d6b8fcd514c8b826080fa275741e0a4d4f4d5",
+        "solve":
+            "2b06a6f888095d5976270ba69781a526dba8b4bab165e88e6250ab626b4649f1",
+        "recover_glin":
+            "767edd62dd19f28b7827e14ea8f3611fcda953c0af2fbc94dff446d689980754",
+        "recover_trimmed":
+            "9dd050d200999f87acf775296494d24ab57e8adfd61c56f58c41fbd7ae1eb2ec",
+    },
+    (3, 4, 2): {
+        "build":
+            "b85da4a75f02a2e2b9191f51f4ec73e3d0adff8f2f7c5d29529df1f9150151a0",
+        "check_glin_strong":
+            "f5964d366bcfee3328ff397201c957a57098f96fc62176a45caf7f2ffc11ba20",
+        "trim":
+            "6dde2df471013fccd2403f49685353469b04b26e39dfd895ad9d5bd2fc261e60",
+        "check_lin_strong":
+            "67930174b231d6a49775b43f884d6b8fcd514c8b826080fa275741e0a4d4f4d5",
+        "solve":
+            "d48376c6c66b5976120ad67189694d772c86dcb57a3d2095b26a68902aa446b0",
+        "recover_glin":
+            "e818821784c8acb01de9eee9e7866812b7823bb2980b8a24a51c29b585ce9edb",
+        "recover_trimmed":
+            "861aff950de2f91e43c1098ed44f7d3906ed5428be990e5042d80d3e0738babe",
+    },
+}
+
+
+def generic_poly(m, n, k):
+    rng = random.Random(GENERIC_SEEDS[(m, n, k)])
+    while True:
+        coeffs = [[[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+                  for _ in range(k + 1)]
+        if all(np.linalg.matrix_rank(np.array(c, dtype=float)) == min(m, n)
+               for c in (coeffs[0], coeffs[-1])):
+            return {"m": m, "n": n, "grade": k, "field": "rational",
+                    "coeffs": [[[str(x) for x in row] for row in c]
+                               for c in coeffs]}
+
+
+def generic_outputs(tmp_path, m, n, k):
+    """stdout of the certify and recover pipelines on one generic
+    polynomial, keyed by op."""
+    side = "1" if m >= n else "2"
+    poly = tmp_path / "p.json"
+    poly.write_text(dump_json(generic_poly(m, n, k)))
+    member = tmp_path / "l.json"
+    trimmed = tmp_path / "t.json"
+    out = {}
+    out["build"] = _stdout(["build", str(poly), "--side", "l" + side,
+                            "--companion"])
+    member.write_text(out["build"])
+    out["check_glin_strong"] = _stdout(["check", str(member), str(poly),
+                                        "--strong"])
+    out["trim"] = _stdout(["trim", str(member)])
+    trimmed.write_text(out["trim"])
+    out["check_lin_strong"] = _stdout(["check", str(trimmed), str(poly),
+                                       "--lin", "--strong"])
+    out["solve"] = _stdout(["solve", str(poly)])
+    out["recover_glin"] = _stdout(["recover", str(member), str(poly),
+                                   "--mode", "glin_L" + side])
+    out["recover_trimmed"] = _stdout(["recover", str(trimmed), str(poly),
+                                      "--mode", "trimmed_L" + side])
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(GENERIC_SEEDS))
+def test_generic_pipeline_output_pinned(tmp_path, shape):
+    got = {name: _digest(text)
+           for name, text in generic_outputs(tmp_path, *shape).items()}
+    assert got == GENERIC_DIGESTS[shape]

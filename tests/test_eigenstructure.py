@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from matpencil import exactla as xla
 from matpencil.cases import (
@@ -14,9 +16,11 @@ from matpencil.cases import (
     case3_member,
     case3_poly,
 )
+from matpencil import eigenstructure
 from matpencil.eigenstructure import (
     EigStructure,
     Verdict,
+    _audit_smith,
     _reversal_verdict,
     check_g_linearization,
     check_linearization,
@@ -24,7 +28,8 @@ from matpencil.eigenstructure import (
     index_sum_check,
     smith_form,
 )
-from matpencil.errors import PreconditionError, SchemaError
+from matpencil.errors import (PreconditionError, SchemaError,
+                              VerificationError)
 from matpencil.matpoly import (
     FIELD_FLOAT,
     FIELD_RATIONAL,
@@ -33,7 +38,7 @@ from matpencil.matpoly import (
     rect_identity,
 )
 from matpencil.minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
-from matpencil.qpoly import QP
+from matpencil.qpoly import L, QQL, coeffs, poly as qp, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import companion_g1, companion_g2
 
@@ -53,8 +58,8 @@ def rand_poly(rng, m, n, k):
 
 def smith_diag(p):
     _, s, _ = smith_form(p)
-    a = s.to_qp_matrix()
-    return [a[i, i] for i in range(min(a.shape))]
+    a = to_pm(s).to_list()
+    return [a[i][i] for i in range(min(s.m, s.n))]
 
 
 def frobenius_c1(p):
@@ -71,19 +76,19 @@ def frobenius_c1(p):
     return Pencil(x, y, FIELD_RATIONAL)
 
 
-CASE3_D2 = QP((-9, -54, -38, -9, 1))
+CASE3_D2 = qp((-9, -54, -38, -9, 1))
 
 
 class TestSmithForm:
     def test_diagonal_example(self):
         p = poly([[0, 0], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [0, 1]])
         d = smith_diag(p)
-        assert d == [QP((0, 1)), QP((0, -1, 1))]
+        assert d == [qp((0, 1)), qp((0, -1, 1))]
 
     def test_unordered_diagonal_normalizes(self):
         # diag(l(l-1), l) has to come out as diag(l, l(l-1))
         p = poly([[0, 0], [0, 0]], [[-1, 0], [0, 1]], [[1, 0], [0, 0]])
-        assert smith_diag(p) == [QP((0, 1)), QP((0, -1, 1))]
+        assert smith_diag(p) == [qp((0, 1)), qp((0, -1, 1))]
 
     def test_identity_fixed_point(self):
         i2 = MatPoly.constant(xla.feye(2), FIELD_RATIONAL)
@@ -92,17 +97,17 @@ class TestSmithForm:
 
     def test_case2_rank_one(self):
         d = smith_diag(case2_poly())
-        assert d == [QP(1), QP(0)]
+        assert d == [qp((1,)), qp((0,))]
 
     def test_case2_transposed(self):
-        assert smith_diag(case2_poly().transpose()) == [QP(1), QP(0)]
+        assert smith_diag(case2_poly().transpose()) == [qp((1,)), qp((0,))]
 
     def test_case3_invariant_factors(self):
-        assert smith_diag(case3_poly()) == [QP(1), CASE3_D2]
+        assert smith_diag(case3_poly()) == [qp((1,)), CASE3_D2]
 
     def test_scalar_poly(self):
         p = poly([[-1]], [[0]], [[1]])
-        assert smith_diag(p) == [QP((-1, 0, 1))]
+        assert smith_diag(p) == [qp((-1, 0, 1))]
 
     def test_transformation_product(self):
         rng = np.random.default_rng(11)
@@ -116,17 +121,38 @@ class TestSmithForm:
         p = rand_poly(rng, 3, 2, 2)
         d = smith_diag(p)
         for a, b in zip(d, d[1:]):
-            if not b.is_zero():
-                assert a.divides(b)
+            if b:
+                assert a and not b.rem(a)
         for a in d:
-            if not a.is_zero():
-                assert a.lc == 1
+            if a:
+                assert a.LC == 1
 
     def test_zero_polynomial(self):
         p = MatPoly.zero(2, 3, 1, FIELD_RATIONAL)
         u, s, v = smith_form(p)
         assert s.is_zero()
         assert u.equal(MatPoly.constant(xla.feye(2), FIELD_RATIONAL))
+        assert v.equal(MatPoly.constant(xla.feye(3), FIELD_RATIONAL))
+
+    def test_planted_chain(self):
+        # U0 diag(1, l, l^2 (l - 1), 0) V0 with integer unimodular U0, V0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            c = [xla.fzeros(4, 5) for _ in range(4)]
+            c[0][0, 0] = c[1][1, 1] = c[3][2, 2] = Fraction(1)
+            c[2][2, 2] = Fraction(-1)
+            p = (MatPoly.constant(int_unimodular(rng, 4))
+                 .matmul(MatPoly(c, FIELD_RATIONAL))
+                 .matmul(MatPoly.constant(int_unimodular(rng, 5))))
+            assert smith_diag(p) == [qp((1,)), qp((0, 1)), qp((0, 0, -1, 1)),
+                                     qp(())]
+
+    def test_non_monic_decomposition_made_monic(self):
+        rev = case3_poly().reversal()
+        raw = smith_normal_decomp(to_pm(rev))[0].to_list()
+        assert raw[1][1].LC == 9
+        d2 = qp((Fraction(-1, 9), 1, Fraction(38, 9), 6, 1))
+        assert smith_diag(rev) == [qp((1,)), d2]
 
     def test_pencil_input(self):
         pen = case2_member().pencil
@@ -140,6 +166,78 @@ class TestSmithForm:
         a = smith_form(case3_poly())[1]
         b = smith_form(case3_poly())[1]
         assert a.equal(b)
+
+
+def int_unimodular(rng, n):
+    """Integer matrix of determinant +-1: integer row additions, then a
+    row permutation."""
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, 2, replace=False)
+        u[i] += int(rng.integers(-2, 3)) * u[j]
+    return xla.fmat(u[rng.permutation(n)].tolist())
+
+
+def _with_entry(a, i, j, x):
+    rows = a.to_list()
+    rows[i][j] = x
+    return DomainMatrix(rows, a.shape, QQL)
+
+
+def _with_row(a, i, row):
+    rows = a.to_list()
+    rows[i] = row
+    return DomainMatrix(rows, a.shape, QQL)
+
+
+class TestSmithAudit:
+    """Each of the audit's six conditions, broken on its own."""
+
+    def decomposition(self):
+        # diag(l, l^2 - l): already in Smith form
+        p = poly([[0, 0], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [0, 1]])
+        u, s, v = smith_form(p)
+        return to_pm(u), to_pm(p), to_pm(v), to_pm(s)
+
+    def test_valid_decomposition_passes(self):
+        _audit_smith(*self.decomposition())
+
+    @pytest.mark.parametrize("defect,message", [
+        ("off_diagonal", "off-diagonal"),
+        ("chain", "divisibility chain"),
+        ("monic", "not monic"),
+        ("det_u", "row transformation"),
+        ("det_v", "column transformation"),
+        ("product", "transformation trail"),
+    ])
+    def test_each_condition_raises(self, defect, message):
+        u, a, v, s = self.decomposition()
+        d = s.to_list()
+        if defect == "off_diagonal":
+            s = _with_entry(s, 0, 1, QQL.one)
+        elif defect == "chain":
+            s = _with_entry(_with_entry(s, 0, 0, d[1][1]), 1, 1, d[0][0])
+        elif defect == "monic":
+            s = _with_entry(s, 0, 0, 2 * d[0][0])
+        elif defect == "det_u":
+            u = _with_row(u, 0, [L * x for x in u.to_list()[0]])
+        elif defect == "det_v":
+            v = _with_row(v, 0, [L * x for x in v.to_list()[0]])
+        else:
+            r = u.to_list()
+            u = _with_row(u, 0, [x + y for x, y in zip(r[0], r[1])])
+        with pytest.raises(VerificationError, match=message):
+            _audit_smith(u, a, v, s)
+
+    def test_corrupted_transformation_from_the_reduction(self, monkeypatch):
+        def corrupted(a):
+            s, u, v = smith_normal_decomp(a)
+            r = u.to_list()
+            return s, _with_row(u, 0, [x + y for x, y in zip(r[0], r[1])]), v
+
+        monkeypatch.setattr(eigenstructure, "smith_normal_decomp", corrupted)
+        with pytest.raises(VerificationError):
+            smith_form(case3_poly())
 
 
 class TestEigStructureType:
@@ -236,7 +334,7 @@ class TestCompleteEigenstructure:
     def test_case3(self):
         es = complete_eigenstructure(case3_poly())
         assert es.nrank == 2
-        assert es.finite == ((tuple(Fraction(c) for c in CASE3_D2.c),
+        assert es.finite == ((coeffs(CASE3_D2),
                               (1,)),)
         assert es.infinite == ()
         assert es.right_indices == ()

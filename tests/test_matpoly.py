@@ -15,6 +15,7 @@ from matpencil.errors import SchemaError
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                Pencil, build_structured, dump_json,
                                h_dual, lambda_vec, rect_identity, shear_s)
+from matpencil.qpoly import coeffs, to_pm
 
 
 def rand_matpoly(rng, m, n, k, lo=-4, hi=5):
@@ -192,11 +193,11 @@ class TestStructured:
     def test_shear_shape_and_band(self):
         s = shear_s(3, 1)
         assert s.m == 3 and s.n == 2
-        m = s.to_qp_matrix()
-        assert m[0, 0].c == (Fraction(1),)
-        assert m[0, 1].c == (Fraction(0), Fraction(1))
-        assert m[1, 1].c == (Fraction(1),)
-        assert m[2, 0].is_zero() and m[2, 1].is_zero() and m[1, 0].is_zero()
+        m = to_pm(s).to_list()
+        assert coeffs(m[0][0]) == (Fraction(1),)
+        assert coeffs(m[0][1]) == (Fraction(0), Fraction(1))
+        assert coeffs(m[1][1]) == (Fraction(1),)
+        assert not m[2][0] and not m[2][1] and not m[1][0]
 
     def test_dispatcher_rejects_unknown(self):
         with pytest.raises(SchemaError):

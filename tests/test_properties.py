@@ -10,7 +10,7 @@ from matpencil.errors import PreconditionError
 from matpencil.matpoly import FIELD_RATIONAL, MatPoly, Pencil
 from matpencil.minimal import (SIDE_LEFT, lift_left, minimal_basis,
                                project_ansatz)
-from matpencil.qpoly import pm_det
+from matpencil.qpoly import pm_det, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil,
                               ansatz_residual, ansatz_target, build_l1,
@@ -117,19 +117,19 @@ class TestSmithCertificates:
     def test_transformation_and_chain(self, p):
         u, s, v = smith_form(p)
         assert u.matmul(p).matmul(v).equal(s)
-        uq, sq, vq = u.to_qp_matrix(), s.to_qp_matrix(), v.to_qp_matrix()
-        assert pm_det(uq).degree == 0
-        assert pm_det(vq).degree == 0
+        uq, sq, vq = to_pm(u), to_pm(s).to_list(), to_pm(v)
+        assert pm_det(uq).degree() == 0
+        assert pm_det(vq).degree() == 0
         for i in range(p.m):
             for j in range(p.n):
                 if i != j:
-                    assert sq[i, j].is_zero()
-        diag = [sq[i, i] for i in range(min(p.m, p.n))]
-        live = [d for d in diag if not d.is_zero()]
+                    assert not sq[i][j]
+        diag = [sq[i][i] for i in range(min(p.m, p.n))]
+        live = [d for d in diag if d]
         for d in live:
-            assert d.lc == 1
+            assert d.LC == 1
         for a, b in zip(live, live[1:]):
-            assert a.divides(b)
+            assert not b.rem(a)
 
 
 class TestIndexSums:
