@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, RESIDUAL_REL_TOL, field_of_array
-from .matpoly import MatPoly, Pencil, _require_keys, h_dual, lambda_vec
+from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
 from .minimal import _check_trim_matches
 from .reduction import TrimResult
 from .spaces import SIDE_L2
@@ -39,16 +39,10 @@ __all__ = [
 ]
 
 
-def _as_grade_one(x, what: str) -> MatPoly:
-    if isinstance(x, Pencil):
-        return x.to_matpoly()
-    if isinstance(x, MatPoly):
-        if x.grade > 1:
-            raise SchemaError(what + " must be a pencil")
-        if x.grade == 0:
-            return MatPoly([x.coeff(0), x.coeff(1)], x.field)
-        return x
-    raise SchemaError(what + " must be a pencil")
+def _require_pencil(x, what: str) -> MatPoly:
+    if not isinstance(x, MatPoly) or x.grade != 1:
+        raise SchemaError(what + " must be a pencil")
+    return x
 
 
 def _fmatrix(a) -> np.ndarray:
@@ -156,7 +150,7 @@ def minimality_margin(bp, rt, safety=None):
     one for full row rank.  The margin is the admissible perturbation
     radius 3 sigma_min(rt) / (2 k^(3/2)), returned for reference.
     """
-    bp = _as_grade_one(bp, "block row")
+    bp = _require_pencil(bp, "block row")
     k, _ = _split_sizes(bp)
     margin = 3.0 * _smin(rt) / (2.0 * k ** 1.5)
     return _is_block_minimal(bp, k, safety), margin
@@ -173,12 +167,12 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
     norm bound on the correction are enforced as well.  The perturbed dual
     pair is verified minimal before returning.
     """
-    bp = _as_grade_one(bp, "block row")
+    bp = _require_pencil(bp, "block row")
     if (bp.m, bp.n) != ((k - 1) * n, k * n):
         raise SchemaError("block row shape is not (k-1)n x kn")
     dbn = None
     if delta_b is not None:
-        db = _as_grade_one(delta_b, "row perturbation")
+        db = _require_pencil(delta_b, "row perturbation")
         dbn = db.frob_norm()
     if rt is not None and dbn is not None:
         if not dbn < _smin(rt) / (2.0 * k ** 1.5):
@@ -217,8 +211,8 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
 def perturbed_polynomial(a, da, dd, alpha) -> MatPoly:
     """The polynomial the perturbed trimmed pencil actually linearizes,
     relative to the original: (1/alpha) ((A + dA) dD + dA Lambda)."""
-    a = _as_grade_one(a, "top strip")
-    da = _as_grade_one(da, "strip perturbation")
+    a = _require_pencil(a, "top strip")
+    da = _require_pencil(da, "strip perturbation")
     if float(alpha) == 0.0:
         raise PreconditionError("scale must be nonzero")
     if (a.field, a.m, a.n) != (da.field, da.m, da.n):
@@ -249,8 +243,6 @@ def backward_constants(tr: TrimResult, p):
     row compression."""
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
-    if isinstance(p, Pencil):
-        p = p.to_matpoly()
     if (tr.m, tr.n, tr.k) != (p.m, p.n, p.grade):
         raise SchemaError("trimming record sizes do not match the "
                           "polynomial")
@@ -405,8 +397,6 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     indices of the perturbed polynomial against the perturbed pencil
     under the unperturbed shift rules.
     """
-    if isinstance(p, Pencil):
-        p = p.to_matpoly()
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
     if tr.side == SIDE_L2:
@@ -422,9 +412,9 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     pf = p.to_float()
     dt = _fmatrix(tr.Dtilde)
     rt = _fmatrix(tr.Rt)
-    af = tr.a_block().to_matpoly().to_float()
-    bf = tr.b_block().to_matpoly().to_float()
-    ltf = tr.Lt.to_matpoly().to_float()
+    af = tr.a_block().to_float()
+    bf = tr.b_block().to_float()
+    ltf = tr.Lt.to_float()
     alpha = float(tr.alpha)
     sig_r = _smin(rt)
     bound = sig_r * _smin(dt) / (2.0 * k ** 1.5)
@@ -472,8 +462,6 @@ def optimality_check(tr: TrimResult, p, factor: float = 10.0) -> dict:
     factor."""
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
-    if isinstance(p, Pencil):
-        p = p.to_matpoly()
     alpha = abs(float(tr.alpha))
     p_norm = float(p.frob_norm())
     a_norm = float(tr.a_block().frob_norm())

@@ -15,7 +15,7 @@ published 5x4 trimmed pencil for an explicitly chosen row-selection matrix.
 from fractions import Fraction
 
 from . import exactla as xla
-from .matpoly import FIELD_RATIONAL, MatPoly, Pencil
+from .matpoly import FIELD_RATIONAL, MatPoly
 
 
 def case1_poly() -> MatPoly:
@@ -134,8 +134,9 @@ def case3_published_d():
     return xla.fmat(CASE3_D)
 
 
-def case3_expected_lt() -> Pencil:
-    return Pencil(xla.fmat(CASE3_LT_X), xla.fmat(CASE3_LT_Y), FIELD_RATIONAL)
+def case3_expected_lt() -> MatPoly:
+    return MatPoly.pencil(xla.fmat(CASE3_LT_X), xla.fmat(CASE3_LT_Y),
+                          FIELD_RATIONAL)
 
 
 def case3_eval_at_one():

@@ -24,11 +24,12 @@ from .eigenstructure import (check_g_linearization, check_linearization,
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      StructureError, VerificationError)
 from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json,
-                      matrix_from_json, rect_identity)
+                      matrix_from_json, pencil_to_json)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
                       recover_minimal)
-from .reduction import TrimResult, max_z_rank, trim, z_rank
+from .reduction import (TrimResult, max_z_rank, trim, verify_witnesses,
+                        z_rank)
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2)
 
@@ -157,8 +158,8 @@ def cmd_check(args) -> int:
     pen = None
     if isinstance(obj, AnsatzPencil):
         pen = obj.pencil
-    elif isinstance(obj, MatPoly) and obj.grade == 1:
-        pen = obj.as_pencil()
+    elif isinstance(obj, MatPoly):
+        pen = obj
     if pen is not None:
         for side in (SIDE_L1, SIDE_L2):
             try:
@@ -303,12 +304,7 @@ def cmd_examples(args) -> int:
                  and strong.reason == "infinite eigenvalue mismatch",
                  "example 2: strong check must fail at infinity")
         e, f = case2_witnesses()
-        target = p.block_diag(MatPoly.constant(
-            rect_identity(p.m, p.n), FIELD_RATIONAL))
-        prod = e.matmul(member.pencil.to_matpoly()).matmul(f)
-        _require(prod.equal(target),
-                 "example 2: witness product must equal the padded "
-                 "polynomial")
+        verify_witnesses(member.pencil, p, e, f)
         print(dump_json({
             "kind": "example_report", "example": 2,
             "weak": weak.to_json_dict(), "strong": strong.to_json_dict(),
@@ -330,7 +326,7 @@ def cmd_examples(args) -> int:
         "kind": "example_report", "example": 3,
         "trimmed_matches_published": True,
         "strong": strong.to_json_dict(),
-        "lt": tr.Lt.to_json_dict(),
+        "lt": pencil_to_json(tr.Lt),
     }))
     return EXIT_OK
 

@@ -6,9 +6,10 @@ sympy's smith_normal_decomp, makes the invariant factors monic, and audits
 the result exactly: diagonal form, monic divisibility chain, unimodular
 transformations and the product U p V = S.  It reads finite elementary
 divisors off the invariant factors, takes infinite ones from the reversal
-at zero, and attaches the minimal indices of both nullspaces.  Linearization claims are
-settled by comparing Smith forms against a padded block diagonal target,
-which decides the finite structure and the nullspace dimensions in one shot.
+at zero, and attaches the minimal indices of both nullspaces.  Linearization
+claims are settled by comparing the pencil's invariant factors with those of
+the polynomial padded by a constant block, which decides the finite
+structure and the nullspace dimensions in one shot.
 
 The float path only handles regular pencils through the generalized
 eigensolver.  It cannot resolve Jordan structure, so every numeric
@@ -24,16 +25,11 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import PreconditionError, SchemaError, VerificationError
-from .matpoly import (
-    FIELD_FLOAT,
-    FIELD_RATIONAL,
-    MatPoly,
-    Pencil,
-    _require_keys,
-    rect_identity,
-)
+from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
 from .minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
 from .qpoly import L, QQL, from_pm, pm_det, pm_eye, poly, to_pm
+from .reduction import TrimResult
+from .spaces import AnsatzPencil
 
 __all__ = [
     "EigStructure",
@@ -46,12 +42,10 @@ __all__ = [
 ]
 
 
-def _as_matpoly(p):
-    if isinstance(p, Pencil):
-        return p.to_matpoly()
-    if isinstance(p, MatPoly):
-        return p
-    raise SchemaError("expected a matrix polynomial or a pencil")
+def _require_matpoly(p):
+    if not isinstance(p, MatPoly):
+        raise SchemaError("expected a matrix polynomial")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +61,7 @@ def smith_form(p):
     its row of U, and the result is audited exactly before it is returned.
     A zero p keeps identity transformations.  Rational field only.
     """
-    p = _as_matpoly(p)
+    p = _require_matpoly(p)
     if p.field != FIELD_RATIONAL:
         raise PreconditionError("Smith reduction needs the rational field")
     a = to_pm(p)
@@ -258,7 +252,7 @@ def complete_eigenstructure(p, safety=None) -> EigStructure:
     indices.  Float path: regular pencils only, one simple divisor per
     numeric eigenvalue.
     """
-    p = _as_matpoly(p)
+    p = _require_matpoly(p)
     if p.field == FIELD_FLOAT:
         return _float_regular_pencil(p)
     divisors = _smith_diag(p)
@@ -325,39 +319,32 @@ class Verdict:
         return {"kind": "verdict", "ok": self.ok, "reason": self.reason}
 
 
-def _as_pencil_matpoly(l):
-    if hasattr(l, "pencil") and hasattr(l, "ansatz"):
+def _pencil_of(l) -> MatPoly:
+    """The pencil of a member, of a trimming record, or a bare grade-1
+    polynomial."""
+    if isinstance(l, AnsatzPencil):
         l = l.pencil
-    if isinstance(l, Pencil):
-        return l.to_matpoly()
-    if hasattr(l, "Lt"):
-        return l.Lt.to_matpoly()
-    if isinstance(l, MatPoly):
-        if l.grade != 1:
-            raise SchemaError("expected a pencil")
-        return l
-    raise SchemaError("expected a pencil")
+    elif isinstance(l, TrimResult):
+        l = l.Lt
+    if not isinstance(l, MatPoly) or l.grade != 1:
+        raise SchemaError("expected a pencil")
+    return l
 
 
-def _padded(p: MatPoly, pad) -> MatPoly:
-    if pad is None or pad.shape[0] == 0:
-        return p
-    return p.block_diag(MatPoly.constant(pad, p.field))
+def _rational_inputs(l, p):
+    lmat, p = _pencil_of(l), _require_matpoly(p)
+    if p.field != FIELD_RATIONAL or lmat.field != FIELD_RATIONAL:
+        raise PreconditionError("linearization checks need the rational "
+                                "field")
+    return lmat, p
 
 
 def _strip_zero_roots(diag):
     return [d.exquo(L ** _valuation_at_zero(d)) for d in diag]
 
 
-def _finite_verdict(lmat, target) -> Verdict:
-    if _smith_diag(lmat) != _smith_diag(target):
-        return Verdict(False, "finite structure mismatch")
-    return Verdict(True, "")
-
-
-def _reversal_verdict(rl, rt) -> Verdict:
-    d1 = _smith_diag(rl)
-    d2 = _smith_diag(rt)
+def _reversal_verdict(d1, d2) -> Verdict:
+    """Compare the invariant factor lists of two reversals."""
     if d1 != d2:
         if _strip_zero_roots(d1) == _strip_zero_roots(d2):
             return Verdict(False, "infinite eigenvalue mismatch")
@@ -365,43 +352,42 @@ def _reversal_verdict(rl, rt) -> Verdict:
     return Verdict(True, "")
 
 
+def _padded_verdict(lmat: MatPoly, p: MatPoly, r: int, strong: bool):
+    """Compare L with diag(P, E) for a constant E of rank r.
+
+    diag(P, E) is unimodularly equivalent to diag(P, I_r, 0), so its
+    nonzero invariant factors are r ones followed by those of P, and the
+    same holds for the two reversals.
+    """
+    ones = [QQL.one] * r
+    if _smith_diag(lmat) != ones + _smith_diag(p):
+        return Verdict(False, "finite structure mismatch")
+    if not strong:
+        return Verdict(True, "")
+    return _reversal_verdict(_smith_diag(lmat.reversal()),
+                             ones + _smith_diag(p.reversal()))
+
+
 def check_g_linearization(l, p, strong: bool = False) -> Verdict:
     """Does the pencil carry the complete finite (and, when strong, also
     infinite) structure of p with matching nullspace dimensions?
 
-    The pencil and the padded target share their shape, so equal Smith
-    forms already force equal nullspace dimensions on both sides.
+    The target is p padded with I_{k-1} kron I_{m,n}.  The pencil and the
+    target share their shape, so equal Smith forms already force equal
+    nullspace dimensions on both sides.
     """
-    lmat = _as_pencil_matpoly(l)
-    p = _as_matpoly(p)
-    if p.field != FIELD_RATIONAL or lmat.field != FIELD_RATIONAL:
-        raise PreconditionError("linearization checks need the rational "
-                                "field")
+    lmat, p = _rational_inputs(l, p)
     k = p.grade
     if (lmat.m, lmat.n) != (k * p.m, k * p.n):
         raise SchemaError("pencil size does not match the grade")
-    pad = None
-    if k >= 2:
-        pad = p.field.kron(p.field.eye(k - 1), rect_identity(p.m, p.n))
-    verdict = _finite_verdict(lmat, _padded(p, pad))
-    if not verdict.ok or not strong:
-        return verdict
-    return _reversal_verdict(lmat.reversal(), _padded(p.reversal(), pad))
+    return _padded_verdict(lmat, p, (k - 1) * min(p.m, p.n), strong)
 
 
 def check_linearization(lt, p, strong: bool = False) -> Verdict:
     """Same comparison for trimmed pencils against p padded with a square
     identity block sized by the shape difference."""
-    lmat = _as_pencil_matpoly(lt)
-    p = _as_matpoly(p)
-    if p.field != FIELD_RATIONAL or lmat.field != FIELD_RATIONAL:
-        raise PreconditionError("linearization checks need the rational "
-                                "field")
+    lmat, p = _rational_inputs(lt, p)
     s = lmat.m - p.m
     if s != lmat.n - p.n or s < 0:
         raise SchemaError("pencil size does not match a padded identity")
-    pad = p.field.eye(s) if s > 0 else None
-    verdict = _finite_verdict(lmat, _padded(p, pad))
-    if not verdict.ok or not strong:
-        return verdict
-    return _reversal_verdict(lmat.reversal(), _padded(p.reversal(), pad))
+    return _padded_verdict(lmat, p, s, strong)

@@ -1,8 +1,9 @@
-"""Matrix polynomials, pencils, structured builder matrices, and file I/O.
+"""Matrix polynomials, structured builder matrices, and file I/O.
 
 A MatPoly stores coefficients ascending (A_0 first); displays and the JSON
 format keep that order too. Grade is explicit and may exceed the degree,
-which matters for reversal and for grade-k perturbation statements.
+which matters for reversal and for grade-k perturbation statements. A
+pencil lambda*X + Y is the grade-1 MatPoly [Y, X].
 
 Two scalar fields are supported, "rational" (Fraction entries in object
 arrays, exact) and "float64"; field.py holds everything that differs
@@ -11,9 +12,12 @@ between them.
 
 import json
 import math
+import sys
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, FIELD_RATIONAL, field_of
+
+_SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)
 
 
 def _block(a, field):
@@ -70,6 +74,25 @@ class MatPoly:
     @classmethod
     def constant(cls, a, field=FIELD_RATIONAL):
         return cls([a], field)
+
+    @classmethod
+    def pencil(cls, x, y, field=FIELD_RATIONAL):
+        """The grade-1 polynomial lambda*X + Y."""
+        field = field_of(field)
+        x, y = _block(x, field), _block(y, field)
+        if x.shape != y.shape:
+            raise SchemaError("pencil parts differ in shape")
+        return cls([y, x], field)
+
+    def _pencil_part(self, i):
+        if self.grade != 1:
+            raise PreconditionError("not a pencil (grade != 1)")
+        return self.coeffs[i]
+
+    X = property(lambda self: self._pencil_part(1),
+                 doc="X of a pencil lambda*X + Y.")
+    Y = property(lambda self: self._pencil_part(0),
+                 doc="Y of a pencil lambda*X + Y.")
 
     def copy(self) -> "MatPoly":
         return MatPoly([c.copy() for c in self.coeffs], self.field)
@@ -149,13 +172,14 @@ class MatPoly:
         return sum(self.field.inner(c, c) for c in self.coeffs)
 
     def frob_norm(self) -> float:
-        """sqrt of frob_norm_sq; only when that sum overflows a float is
-        the norm accumulated with scaling instead, by math.hypot."""
+        """sqrt of frob_norm_sq; only when that sum overflows or underflows
+        a float is the norm accumulated with scaling instead, by
+        math.hypot."""
         try:
             norm = math.sqrt(self.frob_norm_sq())
         except OverflowError:
             norm = math.inf
-        if norm == math.inf:
+        if norm == math.inf or norm < _SQRT_FLOAT_MIN:
             try:
                 norm = math.hypot(*(float(x) for c in self.coeffs
                                     for x in c.flat))
@@ -205,11 +229,6 @@ class MatPoly:
             out.append(c)
         return MatPoly(out, self.field)
 
-    def as_pencil(self) -> "Pencil":
-        if self.grade != 1:
-            raise PreconditionError("not a pencil (grade != 1)")
-        return Pencil(self.coeffs[1], self.coeffs[0], self.field)
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m, "n": self.n, "grade": self.grade, "field": self.field,
@@ -228,64 +247,6 @@ class MatPoly:
 
     def __repr__(self):
         return f"MatPoly({self.m}x{self.n}, grade={self.grade}, field={self.field})"
-
-
-class Pencil:
-    """lambda*X + Y with matching shapes."""
-
-    def __init__(self, x, y, field: str = FIELD_RATIONAL):
-        self.field = field = field_of(field)
-        self.X = _block(x, field)
-        self.Y = _block(y, field)
-        if self.X.shape != self.Y.shape:
-            raise SchemaError("pencil parts differ in shape")
-        self.m, self.n = self.X.shape
-
-    def eval(self, x):
-        return self.X * self.field.scalar(x) + self.Y
-
-    def to_matpoly(self) -> MatPoly:
-        return MatPoly([self.Y, self.X], self.field)
-
-    def transpose(self) -> "Pencil":
-        return Pencil(self.X.T.copy(), self.Y.T.copy(), self.field)
-
-    def reversal(self) -> "Pencil":
-        return Pencil(self.Y, self.X, self.field)
-
-    def __add__(self, other: "Pencil") -> "Pencil":
-        return Pencil(self.X + other.X, self.Y + other.Y, self.field)
-
-    def __sub__(self, other: "Pencil") -> "Pencil":
-        return Pencil(self.X - other.X, self.Y - other.Y, self.field)
-
-    def scale(self, s) -> "Pencil":
-        s = self.field.scalar(s)
-        return Pencil(self.X * s, self.Y * s, self.field)
-
-    def frob_norm(self) -> float:
-        return self.to_matpoly().frob_norm()
-
-    def equal(self, other: "Pencil") -> bool:
-        return self.to_matpoly().equal(other.to_matpoly())
-
-    def to_float(self) -> "Pencil":
-        return Pencil(self.field.to_float(self.X), self.field.to_float(self.Y),
-                      FIELD_FLOAT)
-
-    def to_json_dict(self) -> dict:
-        return {"x": matrix_to_json(self.X, self.field),
-                "y": matrix_to_json(self.Y, self.field)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict, field: str) -> "Pencil":
-        _require_keys(d, ("x", "y"), "pencil")
-        x = matrix_from_json(d["x"], field)
-        y = matrix_from_json(d["y"], field)
-        return cls(x, y, field)
-
-    def __repr__(self):
-        return f"Pencil({self.m}x{self.n}, field={self.field})"
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +356,19 @@ def matrix_from_json(rows, field: str, m=None, n=None):
     if rows and any(len(r) != (len(rows[0]) if n is None else n) for r in rows):
         raise SchemaError("row length mismatch")
     return field.matrix([[field.scalar_from_json(x) for x in r] for r in rows])
+
+
+def pencil_to_json(pen: MatPoly) -> dict:
+    """The {"x": X, "y": Y} form a pencil takes inside member and trimming
+    records."""
+    return {"x": matrix_to_json(pen.X, pen.field),
+            "y": matrix_to_json(pen.Y, pen.field)}
+
+
+def pencil_from_json(d, field) -> MatPoly:
+    _require_keys(d, ("x", "y"), "pencil")
+    return MatPoly.pencil(matrix_from_json(d["x"], field),
+                          matrix_from_json(d["y"], field), field)
 
 
 def dump_json(obj: dict) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import RESIDUAL_REL_TOL, SPAN_REL_TOL, field_of
-from .matpoly import MatPoly, Pencil, lambda_vec, shear_s, _require_keys
+from .matpoly import MatPoly, lambda_vec, shear_s, _require_keys
 from .reduction import TrimResult, trim
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -93,9 +93,6 @@ class MinimalBasis:
     def count(self) -> int:
         return len(self.vectors)
 
-    def degree_sum(self) -> int:
-        return sum(self.indices)
-
     def leading_matrix(self):
         """Columns are the coefficient of each vector at its own degree."""
         rows = self.vectors[0].m if self.vectors else 0
@@ -156,8 +153,6 @@ def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
     Exact arithmetic is the intended path; the float path applies the
     shared rank tolerance and warns near the cut.
     """
-    if isinstance(p, Pencil):
-        p = p.to_matpoly()
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
     if side == SIDE_LEFT:
@@ -209,6 +204,12 @@ def _certify(basis: MinimalBasis, p: MatPoly, safety, tol):
         scale = lambda: max(1.0, p.frob_norm()) * max(1.0, v.frob_norm())
         if not p.field.negligible(res, scale):
             raise VerificationError("basis vector fails the residual check")
+    _check_independent(basis, safety)
+
+
+def _check_independent(basis: MinimalBasis, safety):
+    """A row-reduced leading matrix and full normal rank of the stacked
+    vectors; raises on either failure."""
     if basis.count == 0:
         return
     if basis.field.rank(basis.leading_matrix(), safety) != basis.count:
@@ -241,7 +242,7 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
     return MatPoly([row @ c for c in y.coeffs], field)
 
 
-def _member_pencil(tr: TrimResult) -> Pencil:
+def _member_pencil(tr: TrimResult) -> MatPoly:
     """The row-transformed member (M kron I)L rebuilt from the stored
     blocks, in right-space orientation."""
     k, m, n, field = tr.k, tr.m, tr.n, tr.field
@@ -252,7 +253,7 @@ def _member_pencil(tr: TrimResult) -> Pencil:
     x[m:, n:] = -tr.Z
     y[:m, :] = a.Y
     y[m:, :(k - 1) * n] = tr.Z
-    return Pencil(x, y, field)
+    return MatPoly.pencil(x, y, field)
 
 
 def _check_trim_matches(tr: TrimResult, p: MatPoly, tol=RESIDUAL_REL_TOL):
@@ -261,7 +262,7 @@ def _check_trim_matches(tr: TrimResult, p: MatPoly, tol=RESIDUAL_REL_TOL):
     field = tr.field
     if (field, tr.m, tr.n, tr.k) != (p.field, p.m, p.n, p.grade):
         raise SchemaError("trimming record does not fit this polynomial")
-    a = tr.a_block().to_matpoly()
+    a = tr.a_block()
     if tr.side == SIDE_L1:
         got = a.matmul(lambda_vec(tr.k, tr.n, field))
     else:
@@ -301,7 +302,7 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
         return MatPoly.zero(k * m, 1, 0, field)
 
     zdag = field.pinv(tr.Z)
-    head = q.transpose().matmul(tr.a_block().to_matpoly())
+    head = q.transpose().matmul(tr.a_block())
     tail_row = head.matmul(shear_s(k, n, field)) \
                    .matmul(MatPoly([zdag], field)).scale(-1)
     qtil = tail_row.transpose()
@@ -319,7 +320,7 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
                 "degree reduction failed; the lift keeps a higher-degree tail")
     stacked = MatPoly([stacked.coeff(i) for i in range(delta + 1)], field)
 
-    res = stacked.transpose().matmul(_member_pencil(tr).to_matpoly())
+    res = stacked.transpose().matmul(_member_pencil(tr))
     mscale = lambda: fscale() * max(1.0, tr.Lt.frob_norm())
     if not field.negligible(res, mscale, tol):
         raise VerificationError("lifted vector fails the pencil residual")
@@ -357,20 +358,19 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
     if not (field.negligible(dx, mscale) and field.negligible(dy, mscale)):
         raise SchemaError("trimming record does not belong to this member")
 
-    base = minimal_basis(l.pencil.to_matpoly(), SIDE_LEFT, safety, tol)
+    base = minimal_basis(l.pencil, SIDE_LEFT, safety, tol)
     c = tr.removed_row_count()
     if c == 0:
         return base
 
     mkt = field.kron(tr.M.T, field.eye(m))
-    lpoly = l.pencil.to_matpoly()
     kernel = []
     for j in range(tr.Q2.shape[1]):
         col = field.zeros(k * m, 1)
         col[m:, 0] = tr.Q2[:, j]
         u = MatPoly([mkt @ col], field)
         us = lambda: mscale() * max(1.0, u.frob_norm())
-        if not field.negligible(u.transpose().matmul(lpoly), us):
+        if not field.negligible(u.transpose().matmul(l.pencil), us):
             raise VerificationError("kernel vector fails the pencil residual")
         kernel.append(u)
 
@@ -393,11 +393,7 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
     vectors = tuple(kernel + picked + [v for v, _ in higher])
     indices = tuple([0] * len(constants) + [e for _, e in higher])
     result = MinimalBasis(SIDE_LEFT, vectors, indices, field)
-    if field.rank(result.leading_matrix(), safety) != result.count:
-        raise VerificationError("special basis is not row reduced")
-    stacked = _stack_columns(result.vectors, k * m, field)
-    if stacked.normal_rank(safety) != result.count:
-        raise VerificationError("special basis is dependent")
+    _check_independent(result, safety)
     return result
 
 
@@ -452,8 +448,6 @@ def recover_minimal(source, p, side: str, mode: str, safety=None,
         raise SchemaError(f"unknown side {side!r}")
     if mode not in RECOVERY_MODES:
         raise SchemaError(f"unknown recovery mode {mode!r}")
-    if isinstance(p, Pencil):
-        p = p.to_matpoly()
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
 
@@ -473,8 +467,7 @@ def recover_minimal(source, p, side: str, mode: str, safety=None,
         if not source.poly.equal(p):
             raise SchemaError("member was built from a different polynomial")
         if side == SIDE_RIGHT:
-            base = minimal_basis(source.pencil.to_matpoly(), SIDE_RIGHT,
-                                 safety, tol)
+            base = minimal_basis(source.pencil, SIDE_RIGHT, safety, tol)
             return _strip_tower(base, p, source.k, safety, tol)
         tr = trim(source)
         sb = special_left_basis(source, tr, safety, tol)
@@ -486,9 +479,9 @@ def recover_minimal(source, p, side: str, mode: str, safety=None,
         raise SchemaError("mode expects a right-space trimming record")
     _check_trim_matches(source, p)
     if side == SIDE_RIGHT:
-        base = minimal_basis(source.Lt.to_matpoly(), SIDE_RIGHT, safety, tol)
+        base = minimal_basis(source.Lt, SIDE_RIGHT, safety, tol)
         return _strip_tower(base, p, source.k, safety, tol)
-    base = minimal_basis(source.Lt.to_matpoly(), SIDE_LEFT, safety, tol)
+    base = minimal_basis(source.Lt, SIDE_LEFT, safety, tol)
     v = source.ansatz()
     dt = source.D.T
     qs = []

@@ -16,8 +16,9 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_RATIONAL, field_of, field_of_array
-from .matpoly import (MatPoly, Pencil, matrix_from_json, matrix_to_json,
-                      rect_identity, _require_ints, _require_keys)
+from .matpoly import (MatPoly, matrix_from_json, matrix_to_json,
+                      pencil_from_json, pencil_to_json, rect_identity,
+                      _require_ints, _require_keys)
 from .qpoly import pm_det, to_pm
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -101,7 +102,7 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
         raise PreconditionError("lower block is rank deficient")
 
     mk = field.kron(m_mat, field.eye(m))
-    lq = Pencil(mk @ l.pencil.X, mk @ l.pencil.Y, field).to_matpoly()
+    lq = MatPoly([mk @ c for c in l.pencil.coeffs], field)
 
     # column stage: fold the full polynomial into the last block column,
     # clear the lambda terms off the lower rows, bring it to the front
@@ -150,14 +151,14 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
     return e, f
 
 
-def verify_witnesses(l, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
-    """Check E*L*F = diag(P, I_{k-1} kron I_{m,n}) symbolically and that
-    both determinants are nonzero constants. Raises on failure."""
+def verify_witnesses(l: MatPoly, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
+    """Check E*L*F = diag(P, I_{k-1} kron I_{m,n}) symbolically for the
+    pencil L and that both determinants are nonzero constants. Raises on
+    failure."""
     if p.field != FIELD_RATIONAL:
         raise PreconditionError("witness verification needs the rational field")
-    lp = l.to_matpoly() if isinstance(l, Pencil) else l.pencil.to_matpoly()
     k, m, n = p.grade, p.m, p.n
-    prod = e.matmul(lp).matmul(f)
+    prod = e.matmul(l).matmul(f)
     target = p.block_diag(MatPoly(
         [p.field.kron(p.field.eye(k - 1), rect_identity(m, n))]))
     if not prod.equal(target):
@@ -191,21 +192,21 @@ class TrimResult:
     Rt: np.ndarray
     D: np.ndarray
     Dtilde: np.ndarray
-    Lt: Pencil
-    Lt_hat: Pencil
-    K: Pencil
+    Lt: MatPoly
+    Lt_hat: MatPoly
+    K: MatPoly
     X12: np.ndarray
     Y11: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "field", field_of(self.field))
 
-    def _strip(self, x, y) -> Pencil:
+    def _strip(self, x, y) -> MatPoly:
         stack = np.hstack if self.side == SIDE_L1 else np.vstack
-        return Pencil(np.ascontiguousarray(stack(x)),
-                      np.ascontiguousarray(stack(y)), self.field)
+        return MatPoly.pencil(np.ascontiguousarray(stack(x)),
+                              np.ascontiguousarray(stack(y)), self.field)
 
-    def a_block(self) -> Pencil:
+    def a_block(self) -> MatPoly:
         """Top strip of Lt_hat; satisfies A * (Lambda kron I) = alpha * P
         on the right side (transposed identity on the left side)."""
         if self.side == SIDE_L1:
@@ -215,7 +216,7 @@ class TrimResult:
         return self._strip([self.Lt_hat.X[:self.m, :self.n], self.X12],
                            [self.Y11, a0])
 
-    def b_block(self) -> Pencil:
+    def b_block(self) -> MatPoly:
         """Bottom strip of Lt_hat; equals -Rt * (H kron I) on the right
         side, with H the dual shift pencil."""
         cn = self.Rt.shape[0]
@@ -257,9 +258,9 @@ class TrimResult:
             "Rt": matrix_to_json(self.Rt, field),
             "D": matrix_to_json(self.D, field),
             "Dtilde": matrix_to_json(self.Dtilde, field),
-            "Lt": self.Lt.to_json_dict(),
-            "Lt_hat": self.Lt_hat.to_json_dict(),
-            "K": self.K.to_json_dict(),
+            "Lt": pencil_to_json(self.Lt),
+            "Lt_hat": pencil_to_json(self.Lt_hat),
+            "K": pencil_to_json(self.K),
             "X12": matrix_to_json(self.X12, field),
             "Y11": matrix_to_json(self.Y11, field),
         }
@@ -281,9 +282,9 @@ class TrimResult:
                             "X12", "Y11")}
         out = cls(side=d["side"], field=field, m=d["m"], n=d["n"], k=d["k"],
                   alpha=field.scalar_from_json(d["alpha"]),
-                  Lt=Pencil.from_json_dict(d["Lt"], field),
-                  Lt_hat=Pencil.from_json_dict(d["Lt_hat"], field),
-                  K=Pencil.from_json_dict(d["K"], field), **mats)
+                  Lt=pencil_from_json(d["Lt"], field),
+                  Lt_hat=pencil_from_json(d["Lt_hat"], field),
+                  K=pencil_from_json(d["K"], field), **mats)
         _verify_trim_identities(out)
         return out
 
@@ -345,7 +346,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
         y[:m, :cn] = y11
         y[:m, cn:] = yp[:m, cn:]
         y[m:, :cn] = lower
-        return Pencil(x, y, field)
+        return MatPoly.pencil(x, y, field)
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)
@@ -363,7 +364,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
                 "row-selector does not complete the kernel rows to a "
                 "nonsingular matrix")
 
-    lt = Pencil(d_used @ l.pencil.X, d_used @ l.pencil.Y, field)
+    lt = MatPoly.pencil(d_used @ l.pencil.X, d_used @ l.pencil.Y, field)
 
     # Lt = Dtilde * Lt_hat through the factorized inverse of the row
     # transform: (M kron I)^{-1} diag(I, Q1) maps Lt_hat back to L
@@ -383,7 +384,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     return out
 
 
-def kronecker_core(tr: TrimResult) -> Pencil:
+def kronecker_core(tr: TrimResult) -> MatPoly:
     """The inner shift-structured pencil K, re-verified against
     Lt = Dtilde * diag(I, Rt) * K (transposed variant on the left side)."""
     field = tr.field

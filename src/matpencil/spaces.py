@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import MEMBERSHIP_REL_TOL, field_of_array
-from .matpoly import (MatPoly, Pencil, flip_r, lambda_vec, matrix_from_json,
-                      rect_identity)
+from .matpoly import (MatPoly, flip_r, lambda_vec, matrix_from_json,
+                      pencil_from_json, pencil_to_json, rect_identity)
 
 SIDE_L1 = "l1"
 SIDE_L2 = "l2"
@@ -24,7 +24,7 @@ SIDE_L2 = "l2"
 class AnsatzPencil:
     """A pencil together with its space side, ansatz vector, and source
     polynomial."""
-    pencil: Pencil
+    pencil: MatPoly
     side: str
     ansatz: np.ndarray
     poly: MatPoly
@@ -47,13 +47,13 @@ class AnsatzPencil:
     def reversal_member(self) -> "AnsatzPencil":
         """Reversed pencil times a block flip is a member for the reversed
         polynomial with the same ansatz vector."""
-        rev = self.pencil.reversal()
+        rev = self.pencil.reversal().coeffs
         if self.side == SIDE_L1:
             flip = flip_r(self.k, self.poly.n, self.field)
-            pen = Pencil(rev.X @ flip, rev.Y @ flip, self.field)
+            pen = MatPoly([c @ flip for c in rev], self.field)
         else:
             flip = flip_r(self.k, self.poly.m, self.field)
-            pen = Pencil(flip @ rev.X, flip @ rev.Y, self.field)
+            pen = MatPoly([flip @ c for c in rev], self.field)
         return AnsatzPencil(pen, self.side, self.ansatz, self.poly.reversal())
 
     def to_json_dict(self) -> dict:
@@ -62,7 +62,7 @@ class AnsatzPencil:
             "side": self.side,
             "field": self.field,
             "ansatz": [self.field.scalar_to_json(x) for x in self.ansatz],
-            "pencil": self.pencil.to_json_dict(),
+            "pencil": pencil_to_json(self.pencil),
             "poly": self.poly.to_json_dict(),
         }
 
@@ -76,7 +76,7 @@ class AnsatzPencil:
         if d["side"] not in (SIDE_L1, SIDE_L2):
             raise SchemaError(f"unknown side {d['side']!r}")
         poly = MatPoly.from_json_dict(d["poly"])
-        pen = Pencil.from_json_dict(d["pencil"], d["field"])
+        pen = pencil_from_json(d["pencil"], d["field"])
         ansatz = matrix_from_json([d["ansatz"]], d["field"])[0]
         member = cls(pen, d["side"], ansatz, poly)
         if not _satisfies_identity(member):
@@ -115,7 +115,7 @@ def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
     t = ansatz_target(p, v)
     x = np.hstack([t[:, :n], -w])
     y = np.hstack([w + t[:, n:k * n], t[:, k * n:]])
-    member = AnsatzPencil(Pencil(x, y, field), SIDE_L1, v, p)
+    member = AnsatzPencil(MatPoly.pencil(x, y, field), SIDE_L1, v, p)
     if not _satisfies_identity(member):
         raise VerificationError("construction violated the ansatz identity")
     return member
@@ -187,18 +187,18 @@ def ansatz_residual(member: AnsatzPencil) -> MatPoly:
     p = member.poly
     if member.side == SIDE_L1:
         lam = lambda_vec(p.grade, p.n, p.field)
-        lhs = member.pencil.to_matpoly().matmul(lam)
+        lhs = member.pencil.matmul(lam)
         col = member.ansatz.reshape(-1, 1)
         rhs = MatPoly([p.field.kron(col, c) for c in p.coeffs], p.field)
     else:
         lam = lambda_vec(p.grade, p.m, p.field)
-        lhs = lam.transpose().matmul(member.pencil.to_matpoly())
+        lhs = lam.transpose().matmul(member.pencil)
         row = member.ansatz.reshape(1, -1)
         rhs = MatPoly([p.field.kron(row, c) for c in p.coeffs], p.field)
     return lhs - rhs
 
 
-def ansatz_membership(l: Pencil, p: MatPoly, side: str) -> Optional[np.ndarray]:
+def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]:
     """Recover the unique ansatz vector of a space member, or None.
 
     Solves block row by block row with an exact least-squares ratio, then

@@ -20,7 +20,7 @@ from matpencil.eigenstructure import (check_g_linearization,
                                       complete_eigenstructure,
                                       index_sum_check, smith_form)
 from matpencil.errors import PreconditionError
-from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, Pencil
+from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
 from matpencil.minimal import (SIDE_LEFT, SIDE_RIGHT, lift_left,
                                minimal_basis, project_ansatz)
 from matpencil.qpoly import pm_det, to_pm
@@ -153,11 +153,11 @@ def test_criterion_4_index_shift_laws():
         pr = minimal_basis(p, SIDE_RIGHT).indices
         pl = minimal_basis(p, SIDE_LEFT).indices
         member = companion_g1(p) if tall else companion_g2(p)
-        lmat = member.pencil.to_matpoly()
+        lmat = member.pencil
         lr = minimal_basis(lmat, SIDE_RIGHT).indices
         ll = minimal_basis(lmat, SIDE_LEFT).indices
         tr = trim(member)
-        tmat = tr.Lt.to_matpoly()
+        tmat = tr.Lt
         tr_r = minimal_basis(tmat, SIDE_RIGHT).indices
         tr_l = minimal_basis(tmat, SIDE_LEFT).indices
         c = (k - 1) * abs(m - n)
@@ -296,7 +296,8 @@ def test_criterion_8_property_suites():
             assert np.array_equal(got, ansatz_target(p, member.ansatz))
             x = member.pencil.X.copy()
             x[0, 0] = x[0, 0] + 1
-            broken = AnsatzPencil(Pencil(x, member.pencil.Y, member.field),
+            broken = AnsatzPencil(MatPoly.pencil(x, member.pencil.Y,
+                                                 member.field),
                                   SIDE_L1, member.ansatz, p)
             assert not ansatz_residual(broken).is_zero()
             assert not np.array_equal(

@@ -228,10 +228,10 @@ class TestDualCompletion:
         db = MatPoly.zero((k - 1) * n, k * n, 1, FIELD_RATIONAL)
         db.coeffs[0][0, 0] = Fraction(1, 100)
         db.coeffs[1][1, 2] = Fraction(-1, 200)
-        dd = dual_completion(tr.b_block().to_matpoly() + db, k, n,
+        dd = dual_completion(tr.b_block() + db, k, n,
                              rt=tr.Rt, delta_b=db)
         assert dd.field == FIELD_RATIONAL
-        res = (tr.b_block().to_matpoly() + db).matmul(
+        res = (tr.b_block() + db).matmul(
             lambda_vec(k, n, FIELD_RATIONAL) + dd)
         assert res.is_zero()
 
@@ -253,7 +253,7 @@ class TestDualCompletion:
 class TestPerturbedPolynomial:
     def test_all_zero(self):
         tr = trim(case3_member())
-        a = tr.a_block().to_matpoly()
+        a = tr.a_block()
         da = MatPoly.zero(a.m, a.n, 1, FIELD_RATIONAL)
         dd = MatPoly.zero(tr.k * tr.n, tr.n, tr.k - 1, FIELD_RATIONAL)
         assert perturbed_polynomial(a, da, dd, tr.alpha).is_zero()

@@ -144,6 +144,23 @@ class TestMalformedInput:
         assert "Infinity" not in out
         assert jline(out)["frob_norm"] == pytest.approx(math.sqrt(2) * 1e200)
 
+    def test_tiny_float_entries_norm(self, files):
+        d = {"m": 2, "n": 2, "grade": 1, "field": "float64",
+             "coeffs": [[[1e-200, 0.0], [0.0, 2e-200]],
+                        [[2e-200, 0.0], [0.0, 1e-200]]]}
+        code, out = run("info", files("p.json", d))
+        assert code == 0
+        assert jline(out)["frob_norm"] == pytest.approx(
+            math.sqrt(10) * 1e-200, abs=0)
+
+    def test_tiny_rational_entries_norm(self, files):
+        d = {"m": 1, "n": 2, "grade": 0, "field": "rational",
+             "coeffs": [[["1/1" + "0" * 200, "2/1" + "0" * 200]]]}
+        code, out = run("info", files("p.json", d))
+        assert code == 0
+        assert jline(out)["frob_norm"] == pytest.approx(
+            math.sqrt(5) * 1e-200, abs=0)
+
     def test_norm_beyond_float_range(self, files):
         d = case3_poly().to_float().to_json_dict()
         d["coeffs"][0][0][0] = d["coeffs"][2][2][1] = 1.5e308

@@ -9,6 +9,7 @@ moves any byte of these reports fails here.
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import numpy as np
@@ -85,6 +86,42 @@ def test_case3_pipeline_output_pinned(tmp_path):
     got = {name: _digest(text)
            for name, text in case3_outputs(tmp_path).items()}
     assert got == CASE3_DIGESTS
+
+
+# `check` on a bare grade-1 matrix polynomial payload rather than an
+# ansatz_pencil or trim_result record: the membership search runs on it.
+BARE_PENCIL_DIGESTS = {
+    "check_glin_strong":
+        "69f88ae65cf08eae09377f75ba61a63e4920e4960a739366e9ffe67109a6a4b4",
+    "check_lin_strong":
+        "67930174b231d6a49775b43f884d6b8fcd514c8b826080fa275741e0a4d4f4d5",
+}
+
+
+def _bare_pencil(pencil, field):
+    """A {"x", "y"} pencil written as a grade-1 matrix polynomial."""
+    x, y = pencil["x"], pencil["y"]
+    return {"m": len(x), "n": len(x[0]), "grade": 1, "field": field,
+            "coeffs": [y, x]}
+
+
+def test_bare_pencil_check_output_pinned(tmp_path):
+    outputs = case3_outputs(tmp_path)
+    member = json.loads(outputs["build"])
+    trimmed = json.loads(outputs["trim"])
+    poly = tmp_path / "p.json"
+    lpen = tmp_path / "lpen.json"
+    ltpen = tmp_path / "ltpen.json"
+    lpen.write_text(dump_json(_bare_pencil(member["pencil"],
+                                           member["field"])))
+    ltpen.write_text(dump_json(_bare_pencil(trimmed["Lt"], trimmed["field"])))
+    got = {
+        "check_glin_strong": _digest(_stdout(
+            ["check", str(lpen), str(poly), "--strong"])),
+        "check_lin_strong": _digest(_stdout(
+            ["check", str(ltpen), str(poly), "--lin", "--strong"])),
+    }
+    assert got == BARE_PENCIL_DIGESTS
 
 
 # Generic integer polynomials, entries in [-5, 5] drawn from

@@ -22,6 +22,7 @@ from matpencil.eigenstructure import (
     Verdict,
     _audit_smith,
     _reversal_verdict,
+    _smith_diag,
     check_g_linearization,
     check_linearization,
     complete_eigenstructure,
@@ -34,7 +35,6 @@ from matpencil.matpoly import (
     FIELD_FLOAT,
     FIELD_RATIONAL,
     MatPoly,
-    Pencil,
     rect_identity,
 )
 from matpencil.minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
@@ -73,7 +73,7 @@ def frobenius_c1(p):
         y[p.m + i * n:p.m + (i + 1) * n, i * n:(i + 1) * n] = -xla.feye(n)
     for j in range(k):
         y[:p.m, j * n:(j + 1) * n] = p.coeffs[k - 1 - j]
-    return Pencil(x, y, FIELD_RATIONAL)
+    return MatPoly.pencil(x, y, FIELD_RATIONAL)
 
 
 CASE3_D2 = qp((-9, -54, -38, -9, 1))
@@ -156,7 +156,7 @@ class TestSmithForm:
 
     def test_pencil_input(self):
         pen = case2_member().pencil
-        assert smith_diag(pen) == smith_diag(pen.to_matpoly())
+        assert smith_diag(pen) == smith_diag(pen)
 
     def test_float_rejected(self):
         with pytest.raises(PreconditionError):
@@ -376,7 +376,7 @@ class TestCompleteEigenstructure:
         assert es.left_indices == minimal_basis(p, SIDE_LEFT).indices
 
     def test_float_regular(self):
-        pen = Pencil(np.eye(2), np.diag([-1.0, -2.0]), FIELD_FLOAT)
+        pen = MatPoly.pencil(np.eye(2), np.diag([-1.0, -2.0]), FIELD_FLOAT)
         es = complete_eigenstructure(pen)
         assert es.nrank == 2
         assert es.infinite == ()
@@ -385,14 +385,15 @@ class TestCompleteEigenstructure:
         assert es.right_indices == () and es.left_indices == ()
 
     def test_float_infinite_eigenvalue(self):
-        pen = Pencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0]), FIELD_FLOAT)
+        pen = MatPoly.pencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0]),
+                             FIELD_FLOAT)
         es = complete_eigenstructure(pen)
         assert es.infinite == (1,)
         assert len(es.finite) == 1
         assert abs(es.finite[0][0] - 1.0) < 1e-12
 
     def test_float_singular_rejected(self):
-        pen = Pencil(np.zeros((2, 2)), np.zeros((2, 2)), FIELD_FLOAT)
+        pen = MatPoly.pencil(np.zeros((2, 2)), np.zeros((2, 2)), FIELD_FLOAT)
         with pytest.raises(PreconditionError):
             complete_eigenstructure(pen)
 
@@ -401,7 +402,7 @@ class TestCompleteEigenstructure:
             complete_eigenstructure(case2_poly().to_float())
 
     def test_float_needs_square(self):
-        pen = Pencil(np.ones((3, 2)), np.ones((3, 2)), FIELD_FLOAT)
+        pen = MatPoly.pencil(np.ones((3, 2)), np.ones((3, 2)), FIELD_FLOAT)
         with pytest.raises(PreconditionError):
             complete_eigenstructure(pen)
 
@@ -434,7 +435,8 @@ class TestGLinearizationCheck:
 
     def test_detects_wrong_pencil(self):
         pen = companion_g1(case3_poly()).pencil
-        broken = Pencil(pen.X, xla.fzeros(*pen.Y.shape), FIELD_RATIONAL)
+        broken = MatPoly.pencil(pen.X, xla.fzeros(*pen.Y.shape),
+                                FIELD_RATIONAL)
         v = check_g_linearization(broken, case3_poly())
         assert not v.ok
         assert v.reason == "finite structure mismatch"
@@ -449,7 +451,7 @@ class TestGLinearizationCheck:
             check_g_linearization(pen, case2_poly())
 
     def test_matpoly_pencil_accepted(self):
-        pen = companion_g1(case2_poly()).pencil.to_matpoly()
+        pen = companion_g1(case2_poly()).pencil
         assert check_g_linearization(pen, case2_poly()).ok
 
     def test_grade_two_source_rejected(self):
@@ -459,13 +461,14 @@ class TestGLinearizationCheck:
     def test_reversal_reason_split(self):
         # l(l+1) against l+1: only the power of l differs
         v = _reversal_verdict(
-            MatPoly([fm([[0]]), fm([[1]]), fm([[1]])], FIELD_RATIONAL),
-            MatPoly([fm([[1]]), fm([[1]])], FIELD_RATIONAL))
+            _smith_diag(MatPoly([fm([[0]]), fm([[1]]), fm([[1]])],
+                                FIELD_RATIONAL)),
+            _smith_diag(MatPoly([fm([[1]]), fm([[1]])], FIELD_RATIONAL)))
         assert v.reason == "infinite eigenvalue mismatch"
         # l+1 against l+2: genuinely different finite parts
         v = _reversal_verdict(
-            MatPoly([fm([[1]]), fm([[1]])], FIELD_RATIONAL),
-            MatPoly([fm([[2]]), fm([[1]])], FIELD_RATIONAL))
+            _smith_diag(MatPoly([fm([[1]]), fm([[1]])], FIELD_RATIONAL)),
+            _smith_diag(MatPoly([fm([[2]]), fm([[1]])], FIELD_RATIONAL)))
         assert v.reason == "reversal structure mismatch"
 
 

@@ -11,10 +11,10 @@ import pytest
 from matpencil import exactla as xla
 from matpencil.cases import (CASE3_NORM_SQ, case2_poly, case3_eval_at_one,
                              case3_poly)
-from matpencil.errors import SchemaError
+from matpencil.errors import PreconditionError, SchemaError
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               Pencil, build_structured, dump_json,
-                               h_dual, lambda_vec, rect_identity, shear_s)
+                               build_structured, dump_json, h_dual,
+                               lambda_vec, rect_identity, shear_s)
 from matpencil.qpoly import coeffs, to_pm
 
 
@@ -256,15 +256,27 @@ class TestPencil:
     def test_round_trips(self):
         rng = np.random.default_rng(8)
         p = rand_matpoly(rng, 2, 2, 1)
-        pen = p.as_pencil()
-        assert pen.to_matpoly().equal(p)
+        pen = MatPoly.pencil(p.X, p.Y, p.field)
+        assert pen.equal(p)
         assert pen.transpose().transpose().equal(pen)
 
     def test_norm(self):
-        pen = Pencil(xla.feye(2), xla.feye(2), FIELD_RATIONAL)
+        pen = MatPoly.pencil(xla.feye(2), xla.feye(2), FIELD_RATIONAL)
         assert pen.frob_norm() == pytest.approx(2.0)
 
     def test_reversal_swaps(self):
-        pen = Pencil(xla.fmat([[1]]), xla.fmat([[2]]), FIELD_RATIONAL)
+        pen = MatPoly.pencil(xla.fmat([[1]]), xla.fmat([[2]]), FIELD_RATIONAL)
         r = pen.reversal()
         assert r.X[0, 0] == 2 and r.Y[0, 0] == 1
+
+    def test_parts_need_grade_one(self):
+        for grade in (0, 2):
+            p = MatPoly.zero(2, 2, grade)
+            with pytest.raises(PreconditionError):
+                p.X
+            with pytest.raises(PreconditionError):
+                p.Y
+
+    def test_parts_differ_in_shape(self):
+        with pytest.raises(SchemaError, match="pencil parts differ"):
+            MatPoly.pencil(xla.feye(2), xla.fzeros(2, 3), FIELD_RATIONAL)

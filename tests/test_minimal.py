@@ -150,15 +150,15 @@ class TestMinimalBasisComputation:
 
     def test_companion_pencil_indices(self):
         l = companion_g1(case2_poly())
-        right = minimal_basis(l.pencil.to_matpoly(), SIDE_RIGHT)
+        right = minimal_basis(l.pencil, SIDE_RIGHT)
         assert right.indices == (2,)
-        left = minimal_basis(l.pencil.to_matpoly(), SIDE_LEFT)
+        left = minimal_basis(l.pencil, SIDE_LEFT)
         assert left.indices == (0, 0, 1)
 
     def test_dim_identities(self):
         p = case2_poly()
         l = companion_g1(p)
-        lp = l.pencil.to_matpoly()
+        lp = l.pencil
         assert (minimal_basis(lp, SIDE_RIGHT).count
                 == minimal_basis(p, SIDE_RIGHT).count)
         extra = (p.grade - 1) * (p.m - p.n)
@@ -223,7 +223,7 @@ class TestEmbedProject:
     def test_projected_pencil_nullvectors_land_in_p(self):
         p = case2_poly()
         l = companion_g1(p)
-        left = minimal_basis(l.pencil.to_matpoly(), SIDE_LEFT)
+        left = minimal_basis(l.pencil, SIDE_LEFT)
         for y in left.vectors:
             q = project_ansatz(l.ansatz, y, p.m)
             assert q.transpose().matmul(p).is_zero()
@@ -322,7 +322,7 @@ class TestSpecialBasis:
         l = companion_g1(p)
         tr = trim(l)
         sb = special_left_basis(l, tr)
-        assert same_basis(sb, minimal_basis(l.pencil.to_matpoly(), SIDE_LEFT))
+        assert same_basis(sb, minimal_basis(l.pencil, SIDE_LEFT))
 
     def test_generic_tall_has_only_kernel_zeros(self):
         rng = np.random.default_rng(37)
@@ -413,7 +413,7 @@ class TestRecover:
             p = planted_right_poly(rng)
             want = minimal_basis(p, SIDE_RIGHT).indices
             l = companion_g1(p)
-            lvl = minimal_basis(l.pencil.to_matpoly(), SIDE_RIGHT).indices
+            lvl = minimal_basis(l.pencil, SIDE_RIGHT).indices
             assert lvl == tuple(e + 1 for e in want)
             got = recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L1).indices
             assert got == want

@@ -7,7 +7,7 @@ from matpencil import exactla as xla
 from matpencil.eigenstructure import (complete_eigenstructure,
                                       index_sum_check, smith_form)
 from matpencil.errors import PreconditionError
-from matpencil.matpoly import FIELD_RATIONAL, MatPoly, Pencil
+from matpencil.matpoly import FIELD_RATIONAL, MatPoly
 from matpencil.minimal import (SIDE_LEFT, lift_left, minimal_basis,
                                project_ansatz)
 from matpencil.qpoly import pm_det, to_pm
@@ -76,7 +76,7 @@ class TestShiftedSumEquivalence:
         i = cell % x.shape[0]
         j = (cell // x.shape[0]) % x.shape[1]
         x[i, j] = x[i, j] + 1
-        broken = AnsatzPencil(Pencil(x, member.pencil.Y, member.field),
+        broken = AnsatzPencil(MatPoly.pencil(x, member.pencil.Y, member.field),
                               member.side, member.ansatz, p)
         got = shifted_sum(x, member.pencil.Y, "col", (p.m, p.n))
         sum_matches = np.array_equal(got, ansatz_target(p, member.ansatz))

@@ -11,7 +11,7 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case3_poly)
 from matpencil.errors import (PreconditionError, StructureError,
                               VerificationError)
-from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, Pencil,
+from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                flip_r, h_dual, lambda_vec, rect_identity)
 from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
                                  kronecker_core, reflector_for, trim,
@@ -38,7 +38,7 @@ def rand_member(rng, m, n, k, field=FIELD_RATIONAL):
     return build_l1(p, v.astype(float), w.astype(float))
 
 
-def frobenius_c1(p: MatPoly) -> Pencil:
+def frobenius_c1(p: MatPoly) -> MatPoly:
     """Classical trimmed first companion of a tall polynomial."""
     k, m, n = p.grade, p.m, p.n
     rows = m + (k - 1) * n
@@ -52,7 +52,7 @@ def frobenius_c1(p: MatPoly) -> Pencil:
         y[:m, j * n:(j + 1) * n] = p.coeff(k - 1 - j)
     eye = xla.feye((k - 1) * n) if p.field == FIELD_RATIONAL else np.eye((k - 1) * n)
     y[m:, :(k - 1) * n] = -eye
-    return Pencil(x, y, p.field)
+    return MatPoly.pencil(x, y, p.field)
 
 
 class TestReflector:
@@ -124,7 +124,7 @@ class TestZBlock:
         x = c1.pencil.X.copy()
         x[4, 0] = x[4, 0] + 1  # pollutes the lambda lower-left block
         from matpencil.spaces import AnsatzPencil
-        fake = AnsatzPencil(Pencil(x, c1.pencil.Y, p.field), c1.side,
+        fake = AnsatzPencil(MatPoly.pencil(x, c1.pencil.Y, p.field), c1.side,
                             c1.ansatz, p)
         with pytest.raises(StructureError):
             z_block(fake, xla.feye(2), xla.ONE)
@@ -186,7 +186,7 @@ class TestWitnesses:
             if not full_z_rank(member):
                 continue
             e, f = g_lin_witnesses(member)
-            prod = e.matmul(member.pencil.to_matpoly()).matmul(f)
+            prod = e.matmul(member.pencil).matmul(f)
             target = member.poly.block_diag(
                 MatPoly([rect_identity(3, 2)], FIELD_RATIONAL))
             assert prod.equal(target)
@@ -275,7 +275,7 @@ class TestTrim:
         if not full_z_rank(member):
             pytest.skip("unlucky draw")
         tr = trim(member)
-        a = tr.a_block().to_matpoly()
+        a = tr.a_block()
         lam = lambda_vec(2, 2)
         prod = a.matmul(lam)
         assert prod.equal(member.poly.scale(tr.alpha))
@@ -286,7 +286,7 @@ class TestTrim:
         if not full_z_rank(member):
             pytest.skip("unlucky draw")
         tr = trim(member)
-        b = tr.b_block().to_matpoly()
+        b = tr.b_block()
         h = h_dual(2, 2)
         target = MatPoly([-tr.Rt @ c for c in h.coeffs], FIELD_RATIONAL)
         assert b.equal(target)
@@ -355,7 +355,7 @@ class TestTrim:
         assert np.allclose(tr.Q1.T @ tr.Q1, np.eye(2), atol=1e-12)
         assert np.allclose(tr.Q1 @ tr.Rt, tr.Z, atol=1e-10)
         lam = lambda_vec(2, 2, FIELD_FLOAT)
-        prod = tr.a_block().to_matpoly().matmul(lam)
+        prod = tr.a_block().matmul(lam)
         target = member.poly.scale(tr.alpha)
         assert (prod - target).frob_norm() <= 1e-9 * max(1.0, target.frob_norm())
         kronecker_core(tr)

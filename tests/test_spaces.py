@@ -7,7 +7,7 @@ import pytest
 from matpencil import exactla as xla
 from matpencil.cases import CASE3_X, CASE3_Y, case2_member, case3_poly
 from matpencil.errors import PreconditionError, SchemaError, VerificationError
-from matpencil.matpoly import FIELD_RATIONAL, MatPoly, Pencil, rect_identity
+from matpencil.matpoly import FIELD_RATIONAL, MatPoly, rect_identity
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                               ansatz_residual, ansatz_target, build_l1,
                               build_l2, companion_g1, companion_g2,
@@ -187,12 +187,14 @@ class TestMembership:
         c1 = companion_g1(p)
         x = c1.pencil.X.copy()
         x[1, 1] = x[1, 1] + 1
-        assert ansatz_membership(Pencil(x, c1.pencil.Y, p.field), p, SIDE_L1) is None
+        broken = MatPoly.pencil(x, c1.pencil.Y, p.field)
+        assert ansatz_membership(broken, p, SIDE_L1) is None
 
     def test_zero_poly_degenerate(self):
         p = MatPoly.zero(3, 2, 2)
         z = xla.fzeros(6, 4)
-        assert ansatz_membership(Pencil(z, z, FIELD_RATIONAL), p, SIDE_L1) is None
+        zero = MatPoly.pencil(z, z, FIELD_RATIONAL)
+        assert ansatz_membership(zero, p, SIDE_L1) is None
 
     def test_l2_side(self):
         rng = np.random.default_rng(20)
