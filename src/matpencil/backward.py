@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, RESIDUAL_REL_TOL, field_of_array
 from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
-from .minimal import _check_trim_matches
+from .minimal import index_walk
 from .reduction import TrimResult
 from .spaces import SIDE_L2
 
@@ -336,49 +336,24 @@ def summarize_experiment(reports) -> dict:
 # Index extraction on the float path
 
 
-def _rank_with_margin(a: np.ndarray, safety=None):
-    """Tolerance rank plus a flag telling whether every singular value
-    stays a factor ten away from the cut."""
-    if a.size == 0:
-        return 0, True
-    s = np.linalg.svd(a, compute_uv=False)
-    tol = FIELD_FLOAT.cutoff(s, a.shape, safety)
-    if tol == 0.0:
-        return 0, True
-    rank = int(np.sum(s > tol))
-    near = np.any((s >= tol / 10.0) & (s <= tol * 10.0))
-    return rank, not near
+def _float_indices(mp: MatPoly, want: int, safety=None):
+    """The want right minimal indices of the float polynomial mp, from
+    singular values alone, and whether every rank decision stayed a
+    factor ten away from the cut."""
+    clear = []
 
+    def nullity(d):
+        rank, ok = FIELD_FLOAT.rank_with_margin(mp.conv_matrix(d), safety)
+        clear.append(ok)
+        return (d + 1) * mp.n - rank, None
 
-def _profile_indices(mp: MatPoly, want: int, safety=None):
-    """The want right minimal indices of mp (want is n minus the normal
-    rank), from the nullity growth of convolution matrices."""
-    out = []
-    conclusive = True
-    bound = mp.grade * min(mp.m, mp.n)
-    nu_prev = 0
-    g_prev = 0
-    d = 0
-    while len(out) < want:
-        if d > bound:
-            raise VerificationError("minimal index search passed the "
-                                    "degree bound")
-        rank, ok = _rank_with_margin(mp.conv_matrix(d), safety)
-        conclusive = conclusive and ok
-        nu = (d + 1) * mp.n - rank
-        g = nu - nu_prev
-        if g < g_prev:
-            raise VerificationError("nullity profile is not monotone")
-        out.extend([d] * (g - g_prev))
-        nu_prev, g_prev = nu, g
-        d += 1
-    return tuple(out), conclusive
+    return index_walk(mp, want, nullity), all(clear)
 
 
 def _float_index_pair(mp: MatPoly, safety=None):
     nrank = mp.normal_rank(safety)
-    right, ok_r = _profile_indices(mp, mp.n - nrank, safety)
-    left, ok_l = _profile_indices(mp.transpose(), mp.m - nrank, safety)
+    right, ok_r = _float_indices(mp, mp.n - nrank, safety)
+    left, ok_l = _float_indices(mp.transpose(), mp.m - nrank, safety)
     return right, left, ok_r and ok_l
 
 
@@ -407,7 +382,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
                                 "inside the radius")
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    _check_trim_matches(tr, p, RESIDUAL_REL_TOL)
+    tr.check_source(p)
     k, m, n = tr.k, tr.m, tr.n
     pf = p.to_float()
     dt = _fmatrix(tr.Dtilde)

@@ -194,7 +194,7 @@ def cmd_trim(args) -> int:
 
 def cmd_solve(args) -> int:
     p = _load_poly(args.poly, args)
-    es = complete_eigenstructure(p, safety=args.tol)
+    es = complete_eigenstructure(p)
     print(dump_json(es.to_json_dict()))
     return EXIT_OK
 

@@ -244,7 +244,7 @@ def _valuation_at_zero(d) -> int:
     return min(t for (t,) in d.monoms())
 
 
-def complete_eigenstructure(p, safety=None) -> EigStructure:
+def complete_eigenstructure(p) -> EigStructure:
     """Finite and infinite elementary divisors plus minimal indices.
 
     Exact path: Smith form of p for the finite part, Smith form of the
@@ -272,8 +272,8 @@ def complete_eigenstructure(p, safety=None) -> EigStructure:
     rev_divisors = _smith_diag(p.reversal())
     infinite = tuple(t for t in (_valuation_at_zero(d) for d in rev_divisors)
                      if t > 0)
-    right = minimal_basis(p, SIDE_RIGHT, safety).indices
-    left = minimal_basis(p, SIDE_LEFT, safety).indices
+    right = minimal_basis(p, SIDE_RIGHT).indices
+    left = minimal_basis(p, SIDE_LEFT).indices
     es = EigStructure(nrank=nrank, finite=finite, infinite=infinite,
                       right_indices=right, left_indices=left, field=p.field)
     if p.grade == 1 and not index_sum_check(es):

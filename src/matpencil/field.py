@@ -86,10 +86,16 @@ class RationalField(Field):
         return xla.feye(n)
 
     def to_float(self, a):
-        return xla.to_float(a)
+        try:
+            return xla.to_float(a)
+        except OverflowError as e:
+            raise PreconditionError("entry exceeds the float range") from e
 
     def is_zero(self, a) -> bool:
         return xla.is_zero(a)
+
+    def all_finite(self, arrays) -> bool:
+        return True
 
     def inner(self, a, b):
         """Sum of the entrywise products."""
@@ -230,8 +236,15 @@ class FloatField(Field):
     def is_zero(self, a) -> bool:
         return not np.any(a)
 
+    def all_finite(self, arrays) -> bool:
+        """Are all entries of the equally shaped arrays finite?"""
+        return bool(np.isfinite(arrays).all())
+
     def inner(self, a, b):
-        return float(np.sum(a * b))
+        """Sum of the entrywise products; an overflow gives inf without a
+        warning."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(a * b))
 
     def kron(self, a, b):
         return np.kron(a, b)
@@ -243,11 +256,20 @@ class FloatField(Field):
         k = RANK_SAFETY if safety is None else safety
         return max(shape) * smax * np.finfo(float).eps * k
 
-    def rank(self, a, safety=None) -> int:
+    def rank_with_margin(self, a, safety=None):
+        """Tolerance rank from the singular values alone, plus a flag
+        telling whether every one stays a factor ten away from the cut."""
         if a.size == 0:
-            return 0
+            return 0, True
         s = np.linalg.svd(a, compute_uv=False)
-        return int(np.sum(s > self.cutoff(s, a.shape, safety)))
+        # a few values: plain floats compare faster than numpy scalars
+        tol = float(self.cutoff(s, a.shape, safety))
+        s = s.tolist()
+        near = tol > 0 and any(tol / 10.0 <= x <= tol * 10.0 for x in s)
+        return sum(x > tol for x in s), not near
+
+    def rank(self, a, safety=None) -> int:
+        return self.rank_with_margin(a, safety)[0]
 
     def nullspace(self, a, safety=None):
         """Right singular vectors past the tolerance rank; warns when a

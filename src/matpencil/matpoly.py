@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, FIELD_RATIONAL, field_of
 
@@ -187,6 +189,8 @@ class MatPoly:
                 norm = math.inf
         if norm == math.inf:
             raise PreconditionError("Frobenius norm exceeds the float range")
+        if norm == 0.0 and not self.is_zero():
+            raise PreconditionError("Frobenius norm is below the float range")
         return norm
 
     def normal_rank(self, safety=None) -> int:
@@ -197,8 +201,12 @@ class MatPoly:
         k*min(m,n)+1 distinct points attains it.
         """
         npts = self.grade * min(self.m, self.n) + 1
-        return max(self.field.rank(self.eval(t), safety)
-                   for t in range(1, npts + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = [self.eval(t) for t in range(1, npts + 1)]
+        if not self.field.all_finite(samples):
+            raise PreconditionError(
+                "a sample of the polynomial exceeds the float range")
+        return max(self.field.rank(s, safety) for s in samples)
 
     def conv_matrix(self, j: int):
         """Block-Toeplitz convolution matrix with j+1 block columns; block
@@ -239,6 +247,8 @@ class MatPoly:
     def from_json_dict(cls, d: dict) -> "MatPoly":
         _require_keys(d, ("m", "n", "grade", "field", "coeffs"), "matrix polynomial")
         _require_ints(d, ("m", "n", "grade"), "matrix polynomial")
+        if d["m"] < 0 or d["n"] < 0:
+            raise SchemaError("matrix polynomial: negative size")
         field = field_of(d["field"])
         if not isinstance(d["coeffs"], list) or len(d["coeffs"]) != d["grade"] + 1:
             raise SchemaError("coeffs must list grade+1 blocks")
@@ -355,6 +365,8 @@ def matrix_from_json(rows, field: str, m=None, n=None):
         raise SchemaError(f"expected {m} rows, got {len(rows)}")
     if rows and any(len(r) != (len(rows[0]) if n is None else n) for r in rows):
         raise SchemaError("row length mismatch")
+    if not rows and n is not None:
+        return field.zeros(0, n)
     return field.matrix([[field.scalar_from_json(x) for x in r] for r in rows])
 
 

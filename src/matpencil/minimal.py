@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
-from .field import RESIDUAL_REL_TOL, SPAN_REL_TOL, field_of
+from .field import SPAN_REL_TOL, field_of
 from .matpoly import MatPoly, lambda_vec, shear_s, _require_keys
 from .reduction import TrimResult, trim
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
@@ -140,15 +140,46 @@ class MinimalBasis:
         return cls(d["side"], tuple(vecs), tuple(d["indices"]), field)
 
 
-def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
+def index_walk(p: MatPoly, want: int, step) -> tuple:
+    """The want right minimal indices of p, read off the nullity growth
+    of its convolution matrices (De Terán, Dopico & Mackey, ELA 18, 2009).
+
+    The nullity of conv(d), the degree <= d vector polynomials killed by
+    p, grows by the number of minimal indices <= d, so that growth may
+    never shrink and every index is at most grade * min(m, n).
+    step(d) returns the nullity of p.conv_matrix(d) and, when the caller
+    selects basis vectors as it goes, how many it holds so far (else
+    None); that count must equal the growth at the same degree.
+    """
+    bound = p.grade * min(p.m, p.n)
+    indices = []
+    prev_nullity = 0
+    d = 0
+    while len(indices) < want:
+        if d > bound:
+            raise VerificationError(
+                "minimal index search passed the degree bound")
+        nullity, selected = step(d)
+        growth = nullity - prev_nullity
+        if selected is not None and selected != growth:
+            raise VerificationError(
+                "nullspace growth does not match the selected index profile")
+        if growth < len(indices):
+            raise VerificationError("nullity profile is not monotone")
+        indices.extend([d] * (growth - len(indices)))
+        prev_nullity = nullity
+        d += 1
+    return tuple(indices)
+
+
+def minimal_basis(p, side: str, safety=None) -> MinimalBasis:
     """Minimal basis of the chosen rational nullspace of p.
 
-    Walks degrees d = 0, 1, ...; nullvectors of the convolution matrix
-    with d+1 block columns are exactly the degree <= d vector polynomials
-    killed by p (coefficients stacked highest first). A candidate is kept
-    when its degree-d coefficient extends the row-reduced leading matrix
-    of the vectors already kept, and the running count is checked against
-    the nullity growth at every degree.
+    Walks degrees d = 0, 1, ... with index_walk; nullvectors of the
+    convolution matrix with d+1 block columns are exactly the degree <= d
+    vector polynomials killed by p (coefficients stacked highest first).
+    A candidate is kept when its degree-d coefficient extends the
+    row-reduced leading matrix of the vectors already kept.
 
     Exact arithmetic is the intended path; the float path applies the
     shared rank tolerance and warns near the cut.
@@ -156,46 +187,32 @@ def minimal_basis(p, side: str, safety=None, tol=SPAN_REL_TOL) -> MinimalBasis:
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
     if side == SIDE_LEFT:
-        dual = minimal_basis(p.transpose(), SIDE_RIGHT, safety, tol)
+        dual = minimal_basis(p.transpose(), SIDE_RIGHT, safety)
         return MinimalBasis(SIDE_LEFT, dual.vectors, dual.indices, dual.field)
     if side != SIDE_RIGHT:
         raise SchemaError(f"unknown side {side!r}")
     field = p.field
     n = p.n
-    want = n - p.normal_rank(safety)
-    if want == 0:
-        return MinimalBasis(SIDE_RIGHT, (), (), field)
-    bound = p.grade * min(p.m, p.n)
     leads = []  # running span of the kept leading coefficients
     chosen = []
-    indices = []
-    prev_nullity = 0
-    d = 0
-    while len(chosen) < want:
-        if d > bound:
-            raise VerificationError(
-                "minimal index search passed the degree bound")
+
+    def select(d):
         ns = field.nullspace(p.conv_matrix(d), safety)
-        nullity = ns.shape[1]
-        for j in range(nullity):
+        for j in range(ns.shape[1]):
             col = ns[:, j]
-            if not field.span_add(leads, col[:n], tol):
-                continue
-            coeffs = [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
-                      for i in range(d + 1)]
-            chosen.append(MatPoly(coeffs, field))
-            indices.append(d)
-        if len(chosen) != nullity - prev_nullity:
-            raise VerificationError(
-                "nullspace growth does not match the selected index profile")
-        prev_nullity = nullity
-        d += 1
-    basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), tuple(indices), field)
-    _certify(basis, p, safety, tol)
+            if field.span_add(leads, col[:n], SPAN_REL_TOL):
+                chosen.append(MatPoly(
+                    [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
+                     for i in range(d + 1)], field))
+        return ns.shape[1], len(chosen)
+
+    indices = index_walk(p, n - p.normal_rank(safety), select)
+    basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), indices, field)
+    _certify(basis, p, safety)
     return basis
 
 
-def _certify(basis: MinimalBasis, p: MatPoly, safety, tol):
+def _certify(basis: MinimalBasis, p: MatPoly, safety):
     """Residuals, independence over the function field, and a row-reduced
     leading matrix; raises on any failure."""
     for v in basis.vectors:
@@ -242,39 +259,7 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
     return MatPoly([row @ c for c in y.coeffs], field)
 
 
-def _member_pencil(tr: TrimResult) -> MatPoly:
-    """The row-transformed member (M kron I)L rebuilt from the stored
-    blocks, in right-space orientation."""
-    k, m, n, field = tr.k, tr.m, tr.n, tr.field
-    a = tr.a_block()
-    x = field.zeros(k * m, k * n)
-    y = field.zeros(k * m, k * n)
-    x[:m, :] = a.X
-    x[m:, n:] = -tr.Z
-    y[:m, :] = a.Y
-    y[m:, :(k - 1) * n] = tr.Z
-    return MatPoly.pencil(x, y, field)
-
-
-def _check_trim_matches(tr: TrimResult, p: MatPoly, tol=RESIDUAL_REL_TOL):
-    """The stored top strip must reproduce alpha * p when contracted with
-    the monomial tower."""
-    field = tr.field
-    if (field, tr.m, tr.n, tr.k) != (p.field, p.m, p.n, p.grade):
-        raise SchemaError("trimming record does not fit this polynomial")
-    a = tr.a_block()
-    if tr.side == SIDE_L1:
-        got = a.matmul(lambda_vec(tr.k, tr.n, field))
-    else:
-        got = lambda_vec(tr.k, tr.m, field).transpose().matmul(a)
-    diff = got - p.scale(tr.alpha)
-    scale = lambda: max(1.0, abs(tr.alpha) * p.frob_norm())
-    if not field.negligible(diff, scale, tol):
-        raise SchemaError("trimming record was built from a different polynomial")
-
-
-def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
-              tol=RESIDUAL_REL_TOL) -> MatPoly:
+def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly) -> MatPoly:
     """Lift a left nullvector of p into the member recorded by tr.
 
     With the member row-transformed so the lower block pair (-Z, Z) is
@@ -293,10 +278,10 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
         raise SchemaError("expected a column vector polynomial")
     if q.m != p.m:
         raise SchemaError("vector length does not match the row count")
-    _check_trim_matches(tr, p, tol)
+    tr.check_source(p)
     k, m, n, field = tr.k, tr.m, tr.n, tr.field
     fscale = lambda: max(1.0, q.frob_norm() * max(1.0, p.frob_norm()))
-    if not field.negligible(q.transpose().matmul(p), fscale, tol):
+    if not field.negligible(q.transpose().matmul(p), fscale):
         raise PreconditionError("vector is not in the left nullspace")
     if q.is_zero():
         return MatPoly.zero(k * m, 1, 0, field)
@@ -315,17 +300,17 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
         t = stacked.coeff(i)[m:, :]
         ts = lambda: (max(1.0, float(np.max(np.abs(tr.Z))))
                       * max(1.0, float(np.max(np.abs(t)))))
-        if not field.negligible(t.T @ tr.Z, ts, tol):
+        if not field.negligible(t.T @ tr.Z, ts):
             raise VerificationError(
                 "degree reduction failed; the lift keeps a higher-degree tail")
     stacked = MatPoly([stacked.coeff(i) for i in range(delta + 1)], field)
 
-    res = stacked.transpose().matmul(_member_pencil(tr))
+    res = stacked.transpose().matmul(tr.member_pencil())
     mscale = lambda: fscale() * max(1.0, tr.Lt.frob_norm())
-    if not field.negligible(res, mscale, tol):
+    if not field.negligible(res, mscale):
         raise VerificationError("lifted vector fails the pencil residual")
 
-    mkt = field.kron(tr.M.T, field.eye(m))
+    mkt = tr.row_transform().T
     y = MatPoly([mkt @ c for c in stacked.coeffs],
                 field).scale(field.one / tr.alpha)
     if y.degree != delta:
@@ -333,8 +318,8 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly,
     return y
 
 
-def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
-                       tol=SPAN_REL_TOL) -> MinimalBasis:
+def special_left_basis(l: AnsatzPencil, tr: TrimResult,
+                       safety=None) -> MinimalBasis:
     """Left minimal basis of the member whose constant head spans the
     kernel of the ansatz projection.
 
@@ -350,25 +335,24 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
         raise SchemaError("expected a right-space trimming record")
     field = l.field
     k, m = l.k, l.poly.m
-    mk = field.kron(tr.M, field.eye(m))
-    member = _member_pencil(tr)
+    mk = tr.row_transform()
+    member = tr.member_pencil()
     dx = mk @ l.pencil.X - member.X
     dy = mk @ l.pencil.Y - member.Y
     mscale = lambda: max(1.0, l.pencil.frob_norm())
     if not (field.negligible(dx, mscale) and field.negligible(dy, mscale)):
         raise SchemaError("trimming record does not belong to this member")
 
-    base = minimal_basis(l.pencil, SIDE_LEFT, safety, tol)
+    base = minimal_basis(l.pencil, SIDE_LEFT, safety)
     c = tr.removed_row_count()
     if c == 0:
         return base
 
-    mkt = field.kron(tr.M.T, field.eye(m))
     kernel = []
     for j in range(tr.Q2.shape[1]):
         col = field.zeros(k * m, 1)
         col[m:, 0] = tr.Q2[:, j]
-        u = MatPoly([mkt @ col], field)
+        u = MatPoly([mk.T @ col], field)
         us = lambda: mscale() * max(1.0, u.frob_norm())
         if not field.negligible(u.transpose().matmul(l.pencil), us):
             raise VerificationError("kernel vector fails the pencil residual")
@@ -378,13 +362,13 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult, safety=None,
     higher = [(v, e) for v, e in zip(base.vectors, base.indices) if e > 0]
     span = []
     for u in kernel:
-        if not field.span_add(span, u.coeff(0)[:, 0], tol):
+        if not field.span_add(span, u.coeff(0)[:, 0], SPAN_REL_TOL):
             raise VerificationError("kernel vectors are dependent")
     picked = []
     for v in constants:
         if len(kernel) + len(picked) == len(constants):
             break
-        if field.span_add(span, v.coeff(0)[:, 0], tol):
+        if field.span_add(span, v.coeff(0)[:, 0], SPAN_REL_TOL):
             picked.append(v)
     if len(kernel) + len(picked) != len(constants):
         raise VerificationError(
@@ -401,7 +385,7 @@ def _flip(side: str) -> str:
     return SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
 
 
-def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, safety, tol):
+def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, safety):
     """Peel Lambda_k kron x off every vector of a right pencil basis."""
     n = p.n
     field = base.field
@@ -413,10 +397,10 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, safety, tol):
         if not field.negligible(emb - y, lambda: max(1.0, y.frob_norm())):
             raise StructureError("right nullvector lacks the tower form")
         xs.append(bottom)
-    return _pack_checked(xs, p, SIDE_RIGHT, safety, tol)
+    return _pack_checked(xs, p, SIDE_RIGHT, safety)
 
 
-def _pack_checked(vecs, p: MatPoly, side: str, safety, tol) -> MinimalBasis:
+def _pack_checked(vecs, p: MatPoly, side: str, safety) -> MinimalBasis:
     field = p.field
     r = p.normal_rank(safety)
     expected = (p.n if side == SIDE_RIGHT else p.m) - r
@@ -430,12 +414,12 @@ def _pack_checked(vecs, p: MatPoly, side: str, safety, tol) -> MinimalBasis:
     vectors = tuple(_trim_tail(v) for _, v in pairs)
     indices = tuple(d for d, _ in pairs)
     basis = MinimalBasis(side, vectors, indices, field)
-    _certify(basis, p, safety, tol)
+    _certify(basis, p, safety)
     return basis
 
 
-def recover_minimal(source, p, side: str, mode: str, safety=None,
-                    tol=SPAN_REL_TOL) -> MinimalBasis:
+def recover_minimal(source, p, side: str, mode: str,
+                    safety=None) -> MinimalBasis:
     """Minimal basis of p read off from a pencil built from it.
 
     Right bases of right-space members and their trims are Kronecker
@@ -458,7 +442,7 @@ def recover_minimal(source, p, side: str, mode: str, safety=None,
             raise SchemaError("mode expects a left-space source")
         dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
         dual = recover_minimal(source.transpose(), p.transpose(),
-                               _flip(side), dual_mode, safety, tol)
+                               _flip(side), dual_mode, safety)
         return MinimalBasis(side, dual.vectors, dual.indices, dual.field)
 
     if mode == MODE_GLIN_L1:
@@ -467,25 +451,25 @@ def recover_minimal(source, p, side: str, mode: str, safety=None,
         if not source.poly.equal(p):
             raise SchemaError("member was built from a different polynomial")
         if side == SIDE_RIGHT:
-            base = minimal_basis(source.pencil, SIDE_RIGHT, safety, tol)
-            return _strip_tower(base, p, source.k, safety, tol)
+            base = minimal_basis(source.pencil, SIDE_RIGHT, safety)
+            return _strip_tower(base, p, source.k, safety)
         tr = trim(source)
-        sb = special_left_basis(source, tr, safety, tol)
+        sb = special_left_basis(source, tr, safety)
         kept = sb.vectors[tr.removed_row_count():]
         qs = [project_ansatz(source.ansatz, y, p.m) for y in kept]
-        return _pack_checked(qs, p, SIDE_LEFT, safety, tol)
+        return _pack_checked(qs, p, SIDE_LEFT, safety)
 
     if not isinstance(source, TrimResult) or source.side != SIDE_L1:
         raise SchemaError("mode expects a right-space trimming record")
-    _check_trim_matches(source, p)
+    source.check_source(p)
     if side == SIDE_RIGHT:
-        base = minimal_basis(source.Lt, SIDE_RIGHT, safety, tol)
-        return _strip_tower(base, p, source.k, safety, tol)
-    base = minimal_basis(source.Lt, SIDE_LEFT, safety, tol)
+        base = minimal_basis(source.Lt, SIDE_RIGHT, safety)
+        return _strip_tower(base, p, source.k, safety)
+    base = minimal_basis(source.Lt, SIDE_LEFT, safety)
     v = source.ansatz()
     dt = source.D.T
     qs = []
     for y in base.vectors:
         lifted = MatPoly([dt @ cc for cc in y.coeffs], p.field)
         qs.append(project_ansatz(v, lifted, p.m))
-    return _pack_checked(qs, p, SIDE_LEFT, safety, tol)
+    return _pack_checked(qs, p, SIDE_LEFT, safety)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_RATIONAL, field_of, field_of_array
-from .matpoly import (MatPoly, matrix_from_json, matrix_to_json,
+from .matpoly import (MatPoly, lambda_vec, matrix_from_json, matrix_to_json,
                       pencil_from_json, pencil_to_json, rect_identity,
                       _require_ints, _require_keys)
 from .qpoly import pm_det, to_pm
@@ -35,12 +35,11 @@ def reflector_for(v, field: Optional[str] = None):
     return field.reflector(v)
 
 
-def z_block(l: AnsatzPencil, m_mat, alpha):
-    """The constant lower-left block of (M kron I)*L, after verifying the
-    pencil really carries the two-copy structure: the lambda lower-right
-    block must be its negative and the remaining lower corners zero."""
-    if l.side == SIDE_L2:
-        return z_block(l.transpose(), m_mat, alpha).T.copy()
+def _row_transformed(l: AnsatzPencil, m_mat, alpha):
+    """M kron I, the right-space member (M kron I)*L and its constant
+    lower-left block Z, after verifying the pencil really carries the
+    two-copy structure: the lambda lower-right block must be -Z and the
+    remaining lower corners zero."""
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     field = l.field
@@ -59,7 +58,30 @@ def z_block(l: AnsatzPencil, m_mat, alpha):
     for block, what in checks:
         if not field.negligible(block, scale):
             raise StructureError(f"reduced pencil violates the {what} block")
-    return z.copy()
+    return mk, MatPoly.pencil(xp, yp, field), z.copy()
+
+
+def _stack_over(top: MatPoly, lower) -> MatPoly:
+    """The pencil with the strip top over the lower block pair
+    (-lower, lower): lower sits left in Y and right in X."""
+    field = top.field
+    m, cols = top.m, top.n
+    rows, cn = lower.shape
+    x = field.zeros(m + rows, cols)
+    y = field.zeros(m + rows, cols)
+    x[:m] = top.X
+    x[m:, cols - cn:] = -lower
+    y[:m] = top.Y
+    y[m:, :cn] = lower
+    return MatPoly.pencil(x, y, field)
+
+
+def z_block(l: AnsatzPencil, m_mat, alpha):
+    """The constant lower-left block of (M kron I)*L, after the structure
+    checks of the row transform."""
+    if l.side == SIDE_L2:
+        return z_block(l.transpose(), m_mat, alpha).T.copy()
+    return _row_transformed(l, m_mat, alpha)[2]
 
 
 def z_rank(l: AnsatzPencil, safety=None) -> int:
@@ -96,13 +118,10 @@ def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
         raise PreconditionError("wide polynomials reduce through the left space")
     field = l.field
     m_mat, alpha = field.reflector(l.ansatz)
-    z = z_block(l, m_mat, alpha)
+    mk, lq, z = _row_transformed(l, m_mat, alpha)
     cn = (k - 1) * n
     if field.rank(z) < cn:
         raise PreconditionError("lower block is rank deficient")
-
-    mk = field.kron(m_mat, field.eye(m))
-    lq = MatPoly([mk @ c for c in l.pencil.coeffs], field)
 
     # column stage: fold the full polynomial into the last block column,
     # clear the lambda terms off the lower rows, bring it to the front
@@ -224,6 +243,31 @@ class TrimResult:
                 else self.field.zeros(self.m, cn))
         return self._strip([zero, -self.Rt], [self.Rt, zero])
 
+    def row_transform(self):
+        """M kron I_m, the block-row transform of a right-space record."""
+        return self.field.kron(self.M, self.field.eye(self.m))
+
+    def member_pencil(self) -> MatPoly:
+        """The row-transformed member (M kron I)L of a right-space record,
+        rebuilt from the stored blocks."""
+        return _stack_over(self.a_block(), self.Z)
+
+    def check_source(self, p: MatPoly):
+        """Raise SchemaError unless the stored top strip reproduces
+        alpha * p when contracted with the monomial tower."""
+        field = self.field
+        if (field, self.m, self.n, self.k) != (p.field, p.m, p.n, p.grade):
+            raise SchemaError("trimming record does not fit this polynomial")
+        a = self.a_block()
+        if self.side == SIDE_L1:
+            got = a.matmul(lambda_vec(self.k, self.n, field))
+        else:
+            got = lambda_vec(self.k, self.m, field).transpose().matmul(a)
+        scale = lambda: max(1.0, abs(self.alpha) * p.frob_norm())
+        if not field.negligible(got - p.scale(self.alpha), scale):
+            raise SchemaError(
+                "trimming record was built from a different polynomial")
+
     def removed_row_count(self) -> int:
         return (self.k - 1) * abs(self.m - self.n)
 
@@ -325,28 +369,12 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
         raise PreconditionError("wide polynomials trim through the left space")
     cn = (k - 1) * n
     m_mat, alpha = field.reflector(l.ansatz)
-    z = z_block(l, m_mat, alpha)
+    mk, lq, z = _row_transformed(l, m_mat, alpha)
     if field.rank(z) < cn:
         raise PreconditionError("lower block is rank deficient; cannot trim")
 
     q1, q2, rt, q1_star, q2_star = field.factor_z(z, cn)
-    mk = field.kron(m_mat, field.eye(m))
-    xp = mk @ l.pencil.X
-    yp = mk @ l.pencil.Y
-    x12 = xp[:m, n:].copy()
-    y11 = yp[:m, :cn].copy()
-
-    def reduced_form(lower):
-        """The transformed top strip over the pair (-lower, lower)."""
-        x = field.zeros(m + cn, k * n)
-        y = field.zeros(m + cn, k * n)
-        x[:m, :n] = xp[:m, :n]
-        x[:m, n:] = x12
-        x[m:, n:] = -lower
-        y[:m, :cn] = y11
-        y[:m, cn:] = yp[:m, cn:]
-        y[m:, :cn] = lower
-        return MatPoly.pencil(x, y, field)
+    top = MatPoly.pencil(lq.X[:m], lq.Y[:m], field)
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)
@@ -378,8 +406,9 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
 
     out = TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
                      alpha=alpha, Z=z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
-                     Dtilde=dtilde, Lt=lt, Lt_hat=reduced_form(rt),
-                     K=reduced_form(field.eye(cn)), X12=x12, Y11=y11)
+                     Dtilde=dtilde, Lt=lt, Lt_hat=_stack_over(top, rt),
+                     K=_stack_over(top, field.eye(cn)),
+                     X12=top.X[:, n:].copy(), Y11=top.Y[:, :cn].copy())
     _verify_trim_identities(out)
     return out
 

@@ -98,14 +98,18 @@ def _as_vector(v, field, k):
     return vec
 
 
+def _ansatz_grade(p: MatPoly) -> int:
+    if p.grade < 2:
+        raise PreconditionError("ansatz spaces need grade >= 2")
+    return p.grade
+
+
 def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
     """Member of the right ansatz space from its free parameters.
 
     X = [v ⊗ A_k | -W], Y = [W + v ⊗ [A_{k-1} ... A_1] | v ⊗ A_0].
     """
-    k, m, n = p.grade, p.m, p.n
-    if k < 2:
-        raise PreconditionError("ansatz spaces need grade >= 2")
+    k, m, n = _ansatz_grade(p), p.m, p.n
     field = p.field
     v = _as_vector(v, field, k)
     w = field.matrix(w)
@@ -123,9 +127,7 @@ def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
 
 def build_l2(p: MatPoly, w, what) -> AnsatzPencil:
     """Member of the left ansatz space, built through the transpose dual."""
-    k, m = p.grade, p.m
-    if k < 2:
-        raise PreconditionError("ansatz spaces need grade >= 2")
+    k, m = _ansatz_grade(p), p.m
     field = p.field
     w = _as_vector(w, field, k)
     what = field.matrix(what)
@@ -138,7 +140,7 @@ def build_l2(p: MatPoly, w, what) -> AnsatzPencil:
 def companion_g1(p: MatPoly) -> AnsatzPencil:
     """First companion-style member: ansatz e_1 and the block pattern that
     puts rectangular identities on the lambda diagonal."""
-    k, m, n = p.grade, p.m, p.n
+    k, m, n = _ansatz_grade(p), p.m, p.n
     field = p.field
     w = field.zeros(k * m, (k - 1) * n)
     imn = rect_identity(m, n, field)

@@ -390,6 +390,14 @@ class TestRunExperiment:
             assert math.isfinite(r.ratio)
             assert r.ratio <= r.constant_full
 
+    def test_perturbation_near_the_rank_cut_is_inconclusive(self):
+        # at 1e-9 of the radius the perturbation lifts zero singular values
+        # of the convolution matrices to within a factor ten of the cut
+        tr = trim(case3_member())
+        reps = run_experiment(case3_poly(), tr, 1e-9, 4, 0)
+        assert [r.conclusive for r in reps] == [False] * 4
+        assert summarize_experiment(reps)["inconclusive"] == 4
+
     def test_l2_record_transposed_internally(self):
         trl2 = trim(case3_member().transpose())
         reps = run_experiment(case3_poly().transpose(), trl2, 0.4, 3, 2)

@@ -5,7 +5,9 @@ import contextlib
 import json
 import math
 import time
+import warnings
 
+import numpy as np
 import pytest
 
 from matpencil.cases import (case2_member, case2_poly, case3_member,
@@ -176,6 +178,65 @@ class TestMalformedInput:
         assert code == 1
         assert jline(out)["error"] == "schema"
 
+    def test_norm_below_float_range(self, files):
+        d = {"m": 1, "n": 1, "grade": 0, "field": "rational",
+             "coeffs": [[["1/1" + "0" * 400]]]}
+        code, out = run("info", files("p.json", d))
+        assert code == 2
+        assert len(out.strip().split("\n")) == 1
+        assert jline(out)["error"] == "precondition"
+
+    def test_backward_norm_below_float_range(self, files):
+        tiny = "1/1" + "0" * 400
+        d = {"m": 3, "n": 2, "grade": 2, "field": "rational",
+             "coeffs": [[[("-" if (i + r + c) % 2 else "") + tiny
+                          for c in range(2)] for r in range(3)]
+                        for i in range(3)]}
+        p = files("p.json", d)
+        code, out = run("build", p, "--companion")
+        assert code == 0
+        code, out = run("trim", files("l.json", out))
+        assert code == 0
+        code, out = run("backward", p, files("t.json", out), "--eps", "0.5",
+                        "--trials", "2", "--seed", "0")
+        assert code == 2
+        assert len(out.strip().split("\n")) == 1
+        assert jline(out)["error"] == "precondition"
+
+    def test_overflowing_samples_are_silent(self, files):
+        big = 1e308
+        d = {"m": 2, "n": 2, "grade": 1, "field": "float64",
+             "coeffs": [[[big, -big], [big, big]], [[-big, big], [big, big]]]}
+        path = files("p.json", d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run("info", path)
+        assert code == 2
+        assert len(out.strip().split("\n")) == 1
+        assert jline(out)["error"] == "precondition"
+
+    def test_companion_of_grade_zero(self, files):
+        d = {"m": 2, "n": 1, "grade": 0, "field": "rational",
+             "coeffs": [[["1"], ["2"]]]}
+        code, out = run("build", files("p.json", d), "--companion")
+        assert code == 2
+        assert jline(out)["error"] == "precondition"
+
+    def test_empty_rows_keep_the_declared_width(self, files):
+        for field in ("rational", "float64"):
+            d = {"m": 0, "n": 2, "grade": 1, "field": field,
+                 "coeffs": [[], []]}
+            code, out = run("info", files("p.json", d))
+            assert code == 0
+            assert (jline(out)["m"], jline(out)["n"]) == (0, 2)
+
+    def test_negative_size(self, files):
+        d = {"m": 0, "n": -1, "grade": 0, "field": "rational",
+             "coeffs": [[]]}
+        code, out = run("info", files("p.json", d))
+        assert code == 1
+        assert jline(out)["error"] == "schema"
+
 
 class TestInfo:
     def test_case3_summary(self, p3):
@@ -334,6 +395,32 @@ class TestBackward:
         code, _ = run("backward", p3, companion3, "--eps", "0.5",
                       "--trials", "1", "--seed", "0")
         assert code == 1
+
+    # Per-trial (indices_preserved, conclusive) pairs and the summary's
+    # inconclusive and bound_violations counts of `backward --eps 0.5
+    # --trials 20` on an exact and a float input: a change to the float
+    # index walk that moves any verdict fails here.
+    @pytest.mark.parametrize("which,seed", [("case3", 7), ("float433", 0)])
+    def test_index_walk_verdicts_pinned(self, files, which, seed):
+        if which == "case3":
+            d = case3_poly().to_json_dict()
+        else:
+            rng = np.random.default_rng(0)
+            d = {"m": 4, "n": 3, "grade": 3, "field": "float64",
+                 "coeffs": [c.tolist() for c in rng.standard_normal((4, 4, 3))]}
+        p = files("p.json", d)
+        code, out = run("build", p, "--companion")
+        assert code == 0
+        code, out = run("trim", files("l.json", out))
+        assert code == 0
+        code, out = run("backward", p, files("t.json", out), "--eps", "0.5",
+                        "--trials", "20", "--seed", str(seed))
+        assert code == 0
+        lines = [json.loads(x) for x in out.strip().split("\n")]
+        assert [(r["indices_preserved"], r["conclusive"])
+                for r in lines[:-1]] == [(True, True)] * 20
+        assert (lines[-1]["inconclusive"], lines[-1]["bound_violations"]) \
+            == (0, 0)
 
 
 class TestLemmaCheck:

@@ -1,0 +1,90 @@
+"""The command line's error contract, fuzzed.
+
+Every payload, however malformed or extreme, ends in exit code 0, 1, 2
+or 3 with JSON lines on stdout and no traceback.  A nonzero exit prints
+exactly one error object, except that a rejected check and a violated
+experimental bound exit 3 with their ordinary report.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from matpencil.cli import main
+
+EXTREMES = {
+    "rational": ["1" + "0" * 400, "-1/1" + "0" * 400, "7/3"],
+    "float64": [1e308, -1.5e308, 5e-324, -1e-320, 1e-200],
+}
+# wrong types for both fields, out-of-range and non-finite spellings
+MALFORMED = [None, True, "x", "1/0", "NaN", [1], {}, 1.5, 10 ** 400]
+REPORTS_ON_EXIT_3 = ("check_report", "experiment_summary")
+
+
+@st.composite
+def payloads(draw):
+    field = draw(st.sampled_from(sorted(EXTREMES)))
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    grade = draw(st.integers(-1, 3))
+    plain = str if field == "rational" else float
+    coeffs = [[[plain(draw(st.integers(-3, 3))) for _ in range(n)]
+               for _ in range(m)] for _ in range(max(grade + 1, 0))]
+    rows = [r for c in coeffs for r in c]
+    special = st.sampled_from(EXTREMES[field] + MALFORMED)
+    for _ in range(draw(st.integers(0, 2)) if rows and n else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, n - 1))] = draw(special)
+    defect = draw(st.sampled_from(["none"] * 6 + ["ragged", "short",
+                                                  "no_key"]))
+    if defect == "ragged" and rows:
+        rows[0].append(plain(1))
+    if defect == "short" and coeffs and coeffs[-1]:
+        coeffs[-1].pop()
+    d = {"m": m, "n": n, "grade": grade, "field": field, "coeffs": coeffs}
+    if defect == "no_key":
+        del d[draw(st.sampled_from(sorted(d)))]
+    return d
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out = buf.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    lines = [json.loads(line) for line in out.splitlines()]
+    errors = [x for x in lines if x.get("kind") == "error"]
+    if code == 0:
+        assert not errors, (argv, out)
+    elif not (code == 3 and not errors
+              and lines[-1]["kind"] in REPORTS_ON_EXIT_3):
+        assert len(lines) == 1 and len(errors) == 1, (argv, out)
+    return code, out
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=payloads())
+def test_every_payload_keeps_the_error_contract(tmp_path, d):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    p = write("p.json", json.dumps(d))
+    run(["info", p])
+    run(["solve", p])
+    for side in ("1", "2"):
+        code, out = run(["build", p, "--side", "l" + side, "--companion"])
+        if code:
+            continue
+        member = write("l.json", out)
+        run(["check", member, p, "--strong"])
+        run(["recover", member, p, "--mode", "glin_L" + side])
+        code, out = run(["trim", member])
+        if code == 0:
+            run(["backward", p, write("t.json", out), "--eps", "0.5",
+                 "--trials", "2", "--seed", "0"])

@@ -251,6 +251,19 @@ class TestFloatRank:
         assert FIELD_FLOAT.rank(np.diag([1.0, 1e-13])) == 2
         assert FIELD_FLOAT.rank(np.diag([1.0, 1e-13]), safety=1e4) == 1
 
+    def test_margin_flags_values_near_the_cut(self):
+        # the cut is ~3.6e-15: 5e-15 counts and 1e-15 does not, but both
+        # sit within a factor ten of it
+        assert FIELD_FLOAT.rank_with_margin(np.diag([1.0, 5e-15])) \
+            == (2, False)
+        assert FIELD_FLOAT.rank_with_margin(np.diag([1.0, 1e-15])) \
+            == (1, False)
+        assert FIELD_FLOAT.rank_with_margin(np.diag([1.0, 1e-3])) \
+            == (2, True)
+        assert FIELD_FLOAT.rank_with_margin(np.diag([1.0, 1e-20])) \
+            == (1, True)
+        assert FIELD_FLOAT.rank_with_margin(np.zeros((2, 0))) == (0, True)
+
 
 class TestPencil:
     def test_round_trips(self):

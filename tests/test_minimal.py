@@ -13,9 +13,9 @@ from matpencil.errors import (PreconditionError, SchemaError,
 from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
-                               MinimalBasis, embed_right, lift_left,
-                               minimal_basis, project_ansatz, recover_minimal,
-                               special_left_basis)
+                               MinimalBasis, embed_right, index_walk,
+                               lift_left, minimal_basis, project_ansatz,
+                               recover_minimal, special_left_basis)
 from matpencil.reduction import trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
 
@@ -450,3 +450,43 @@ class TestRecover:
         l = companion_g1(p)
         rb = recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L1)
         assert rb.indices == (1,)
+
+
+class TestIndexWalk:
+    """index_walk on scripted nullities of a 1x4 grade-3 polynomial (degree
+    bound 3)."""
+
+    poly = MatPoly.zero(1, 4, 3)
+
+    def walk(self, want, nullities, selected=None):
+        calls = []
+
+        def step(d):
+            calls.append(d)
+            return nullities[d], None if selected is None else selected[d]
+        return index_walk(self.poly, want, step), calls
+
+    def test_reads_indices_off_the_nullity_growth(self):
+        # growth 0, 2, 2, 3: two indices equal to 1 and one equal to 3
+        assert self.walk(3, [0, 2, 4, 7]) == ((1, 1, 3), [0, 1, 2, 3])
+
+    def test_no_wanted_index_needs_no_step(self):
+        assert self.walk(0, []) == ((), [])
+
+    def test_shrinking_growth_raises(self):
+        with pytest.raises(VerificationError, match="not monotone"):
+            self.walk(2, [1, 1])
+
+    def test_degree_bound(self):
+        with pytest.raises(VerificationError, match="degree bound"):
+            self.walk(1, [0, 0, 0, 0, 0])
+
+    def test_selection_mismatch_raises_at_its_degree(self):
+        calls = []
+
+        def step(d):
+            calls.append(d)
+            return [0, 2, 4][d], [0, 1, 2][d]
+        with pytest.raises(VerificationError, match="selected index"):
+            index_walk(self.poly, 3, step)
+        assert calls == [0, 1]

@@ -9,8 +9,8 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case2_member, case2_poly, case2_witnesses,
                              case3_expected_lt, case3_member, case3_published_d,
                              case3_poly)
-from matpencil.errors import (PreconditionError, StructureError,
-                              VerificationError)
+from matpencil.errors import (PreconditionError, SchemaError,
+                              StructureError, VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                flip_r, h_dual, lambda_vec, rect_identity)
 from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
@@ -220,6 +220,24 @@ class TestWitnesses:
 
 
 class TestTrim:
+    @pytest.mark.parametrize("member", [case3_member(),
+                                        companion_g1(case3_poly().to_float())])
+    def test_member_pencil_is_the_row_transformed_member(self, member):
+        tr = trim(member)
+        mk = tr.row_transform()
+        moved = MatPoly([mk @ c for c in member.pencil.coeffs], tr.field)
+        diff = moved - tr.member_pencil()
+        assert tr.field.negligible(diff, lambda: 1.0, 1e-12)
+
+    def test_check_source_rejects_a_foreign_polynomial(self):
+        tr = trim(case3_member())
+        tr.check_source(case3_poly())
+        tr.transpose().check_source(case3_poly().transpose())
+        with pytest.raises(SchemaError, match="different polynomial"):
+            tr.check_source(case3_poly().scale(2))
+        with pytest.raises(SchemaError, match="does not fit"):
+            tr.check_source(case3_poly().transpose())
+
     def test_companion_trims_to_frobenius(self):
         p = case3_poly()
         tr = trim(companion_g1(p))
