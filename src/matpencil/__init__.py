@@ -10,8 +10,9 @@ from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2,
                      shifted_sum, space_dimension)
 from .reduction import (TrimResult, full_z_rank, g_lin_witnesses,
-                        kronecker_core, reflector_for, trim,
-                        verify_witnesses, z_block, z_rank)
+                        kronecker_core, linearization_witnesses,
+                        reflector_for, trim, verify_witnesses, z_block,
+                        z_rank)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT, MinimalBasis,
                       embed_right, lift_left, minimal_basis, project_ansatz,
@@ -32,10 +33,11 @@ __all__ = [
     "shear_s", "SIDE_L1", "SIDE_L2", "AnsatzPencil", "ansatz_membership",
     "build_l1", "build_l2", "companion_g1", "companion_g2", "shifted_sum",
     "space_dimension", "TrimResult", "full_z_rank", "g_lin_witnesses",
-    "kronecker_core", "reflector_for", "trim", "verify_witnesses", "z_block",
-    "z_rank", "MODE_GLIN_L1", "MODE_GLIN_L2", "MODE_TRIMMED_L1",
-    "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT", "MinimalBasis",
-    "embed_right", "lift_left", "minimal_basis", "project_ansatz",
+    "kronecker_core", "linearization_witnesses", "reflector_for", "trim",
+    "verify_witnesses", "z_block", "z_rank", "MODE_GLIN_L1", "MODE_GLIN_L2",
+    "MODE_TRIMMED_L1", "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT",
+    "MinimalBasis", "embed_right", "lift_left", "minimal_basis",
+    "project_ansatz",
     "recover_minimal", "special_left_basis", "EigStructure", "Verdict",
     "check_g_linearization", "check_linearization",
     "complete_eigenstructure", "index_sum_check", "smith_form",

@@ -6,10 +6,20 @@ sympy's smith_normal_decomp, makes the invariant factors monic, and audits
 the result exactly: diagonal form, monic divisibility chain, unimodular
 transformations and the product U p V = S.  It reads finite elementary
 divisors off the invariant factors, takes infinite ones from the reversal
-at zero, and attaches the minimal indices of both nullspaces.  Linearization
-claims are settled by comparing the pencil's invariant factors with those of
-the polynomial padded by a constant block, which decides the finite
-structure and the nullspace dimensions in one shot.
+at zero, and attaches the minimal indices of both nullspaces.
+
+Linearization claims are certified in a fixed order.  First the witness:
+a member with full-rank Z, or a trimming record, built from the polynomial
+yields explicit unimodular E, F through its block-Kronecker form
+(reduction.linearization_witnesses), and E L F = diag(P, padding) is
+checked exactly over QQ[l], for the reversals as well when the claim is
+strong.  A witness that is built but fails that check raises.  Only when
+no witness can be built (a bare pencil, a deficient Z, a record or member
+of another polynomial, a singular constant factor) is the claim settled
+by the Smith fallback: comparing the pencil's invariant factors with those
+of the polynomial padded by a constant block, which decides the finite
+structure and the nullspace dimensions in one shot.  Every rejection comes
+from that comparison.  No check is probabilistic.
 
 The float path only handles regular pencils through the generalized
 eigensolver.  It cannot resolve Jordan structure, so every numeric
@@ -28,7 +38,7 @@ from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
 from .minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
 from .qpoly import L, QQL, from_pm, pm_det, pm_eye, poly, to_pm
-from .reduction import TrimResult
+from .reduction import TrimResult, linearization_witnesses, verify_witnesses
 from .spaces import AnsatzPencil
 
 __all__ = [
@@ -368,26 +378,44 @@ def _padded_verdict(lmat: MatPoly, p: MatPoly, r: int, strong: bool):
                              ones + _smith_diag(p.reversal()))
 
 
+def _witnessed(l, p, strong: bool) -> bool:
+    """True when exact witnesses certify l, and its reversal when strong;
+    False when none can be built.  A built witness that fails its
+    verification raises VerificationError."""
+    pairs = linearization_witnesses(l, p, strong)
+    if pairs is None:
+        return False
+    for pen, poly, e, f in pairs:
+        verify_witnesses(pen, poly, e, f)
+    return True
+
+
 def check_g_linearization(l, p, strong: bool = False) -> Verdict:
     """Does the pencil carry the complete finite (and, when strong, also
     infinite) structure of p with matching nullspace dimensions?
 
-    The target is p padded with I_{k-1} kron I_{m,n}.  The pencil and the
-    target share their shape, so equal Smith forms already force equal
-    nullspace dimensions on both sides.
+    The target is p padded with I_{k-1} kron I_{m,n}.  A member of p with
+    full-rank Z is accepted on its verified witnesses; otherwise the
+    pencil and the target, which share their shape, are compared by
+    Smith form, which also forces equal nullspace dimensions.
     """
     lmat, p = _rational_inputs(l, p)
     k = p.grade
     if (lmat.m, lmat.n) != (k * p.m, k * p.n):
         raise SchemaError("pencil size does not match the grade")
+    if _witnessed(l, p, strong):
+        return Verdict(True, "")
     return _padded_verdict(lmat, p, (k - 1) * min(p.m, p.n), strong)
 
 
 def check_linearization(lt, p, strong: bool = False) -> Verdict:
-    """Same comparison for trimmed pencils against p padded with a square
-    identity block sized by the shape difference."""
+    """Same decision for trimmed pencils against p padded with a square
+    identity block sized by the shape difference: witnesses first, then
+    the Smith comparison."""
     lmat, p = _rational_inputs(lt, p)
     s = lmat.m - p.m
     if s != lmat.n - p.n or s < 0:
         raise SchemaError("pencil size does not match a padded identity")
+    if _witnessed(lt, p, strong):
+        return Verdict(True, "")
     return _padded_verdict(lmat, p, s, strong)

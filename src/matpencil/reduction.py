@@ -4,8 +4,9 @@ Given a member L with ansatz vector v and any nonsingular M with Mv = a*e1,
 the block-row transform (M kron I) exposes a constant lower block Z whose
 rank decides everything: full rank makes L a strong linearization candidate
 and admits a trimming step that deletes the redundant rows. This module
-extracts Z, tests its rank, builds explicit unimodular witnesses of the
-linearization property, and performs the trimming.
+extracts Z, tests its rank, performs the trimming, and builds explicit
+unimodular witnesses of the linearization property for members and trimmed
+pencils alike, from the block-Kronecker pencil both reduce to.
 """
 
 from dataclasses import dataclass
@@ -16,9 +17,9 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_RATIONAL, field_of, field_of_array
-from .matpoly import (MatPoly, lambda_vec, matrix_from_json, matrix_to_json,
-                      pencil_from_json, pencil_to_json, rect_identity,
-                      _require_ints, _require_keys)
+from .matpoly import (MatPoly, lambda_vec, matrix_from_json,
+                      matrix_to_json, pencil_from_json, pencil_to_json,
+                      rect_identity, shear_s, _require_ints, _require_keys)
 from .qpoly import pm_det, to_pm
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -97,94 +98,6 @@ def max_z_rank(l: AnsatzPencil) -> int:
 
 def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
     return z_rank(l, safety) == max_z_rank(l)
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
-    """Unimodular E, F with E*L*F = diag(P, I_{k-1} kron I_{m,n}),
-    constructed explicitly and verified symbolically. Exact field only."""
-    if l.field != FIELD_RATIONAL:
-        raise PreconditionError("witness construction needs the rational field")
-    if l.side == SIDE_L2:
-        e_d, f_d = g_lin_witnesses(l.transpose())
-        e, f = f_d.transpose(), e_d.transpose()
-        verify_witnesses(l.pencil, l.poly, e, f)
-        return e, f
-    p = l.poly
-    k, m, n = p.grade, p.m, p.n
-    if m < n:
-        raise PreconditionError("wide polynomials reduce through the left space")
-    field = l.field
-    m_mat, alpha = field.reflector(l.ansatz)
-    mk, lq, z = _row_transformed(l, m_mat, alpha)
-    cn = (k - 1) * n
-    if field.rank(z) < cn:
-        raise PreconditionError("lower block is rank deficient")
-
-    # column stage: fold the full polynomial into the last block column,
-    # clear the lambda terms off the lower rows, bring it to the front
-    kn = k * n
-    g = [field.eye(kn)] + [field.zeros(kn, kn) for _ in range(k - 1)]
-    for i in range(k):
-        for t in range(n):
-            g[k - 1 - i][i * n + t, (k - 1) * n + t] = field.one
-    f = MatPoly(g, field)
-    for jj in range(k - 2):
-        x = field.zeros(kn, kn)
-        for tt in range(n):
-            x[jj * n + tt, (jj + 1) * n + tt] = field.one
-        f = f.matmul(MatPoly([field.eye(kn), x], field))
-    perm = field.zeros(kn, kn)
-    for i in range(n):
-        perm[(k - 1) * n + i, i] = field.one / alpha
-    for i in range((k - 1) * n):
-        perm[i, n + i] = field.one
-    f = f.matmul(MatPoly([perm], field))
-
-    work = lq.matmul(f)
-    top = MatPoly([c[:m, n:] for c in work.coeffs], field).matmul(
-        MatPoly([-field.pinv(z)], field))
-    e2 = [field.eye(k * m)] + [field.zeros(k * m, k * m)
-                               for _ in range(top.grade)]
-    for c, block in zip(e2, top.coeffs):
-        c[:m, m:] = block
-
-    # constant completion: a square E' whose prescribed columns are the
-    # columns of Z and whose free slots take a basis of the complement
-    ln = field.nullspace(z.T).T
-    eprime = field.zeros((k - 1) * m, (k - 1) * m)
-    free = 0
-    for b in range(k - 1):
-        for j in range(m):
-            if j < n:
-                eprime[:, b * m + j] = z[:, b * n + j]
-            else:
-                eprime[:, b * m + j] = ln[free, :]
-                free += 1
-    e3 = field.eye(k * m)
-    e3[m:, m:] = field.inv(eprime)
-    e = MatPoly([e3 @ c @ mk for c in e2], field)
-    verify_witnesses(l.pencil, p, e, f)
-    return e, f
-
-
-def verify_witnesses(l: MatPoly, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
-    """Check E*L*F = diag(P, I_{k-1} kron I_{m,n}) symbolically for the
-    pencil L and that both determinants are nonzero constants. Raises on
-    failure."""
-    if p.field != FIELD_RATIONAL:
-        raise PreconditionError("witness verification needs the rational field")
-    k, m, n = p.grade, p.m, p.n
-    prod = e.matmul(l).matmul(f)
-    target = p.block_diag(MatPoly(
-        [p.field.kron(p.field.eye(k - 1), rect_identity(m, n))]))
-    if not prod.equal(target):
-        raise VerificationError("witness product is not the two-copy form")
-    for name, w in (("left", e), ("right", f)):
-        if pm_det(to_pm(w)).degree() != 0:
-            raise VerificationError(f"{name} witness is not unimodular")
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +326,207 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     return out
 
 
-def kronecker_core(tr: TrimResult) -> MatPoly:
-    """The inner shift-structured pencil K, re-verified against
-    Lt = Dtilde * diag(I, Rt) * K (transposed variant on the left side)."""
+def _core_factor(tr: TrimResult):
+    """The constant factor Dtilde*diag(I, Rt) with Lt = Dtilde*diag(I, Rt)*K
+    (diag(I, Rt)*Dtilde, acting from the right, on the left side)."""
     field = tr.field
     cn = tr.Rt.shape[0]
     size = (tr.m if tr.side == SIDE_L1 else tr.n) + cn
-    blk = field.zeros(size, size)
-    blk[:size - cn, :size - cn] = field.eye(size - cn)
+    blk = field.eye(size)
     blk[size - cn:, size - cn:] = tr.Rt
+    return tr.Dtilde @ blk if tr.side == SIDE_L1 else blk @ tr.Dtilde
+
+
+def kronecker_core(tr: TrimResult) -> MatPoly:
+    """The inner block-Kronecker pencil K, re-verified against
+    Lt = Dtilde * diag(I, Rt) * K (transposed variant on the left side).
+
+    This factorization is the trimmed pencil's certificate: a strong
+    `check --lin` carries the exact witnesses of K (and of its reversal)
+    through the constant factors, verifies them over QQ[l], and only
+    falls back to comparing Smith forms when no witness can be built.
+    """
+    lead = _core_factor(tr)
     if tr.side == SIDE_L1:
-        lead = tr.Dtilde @ blk
         rx = lead @ tr.K.X - tr.Lt.X
         ry = lead @ tr.K.Y - tr.Lt.Y
     else:
-        lead = blk @ tr.Dtilde
         rx = tr.K.X @ lead - tr.Lt.X
         ry = tr.K.Y @ lead - tr.Lt.Y
     _check_reproduces_lt(tr, rx, ry, "shift core does not reproduce Lt")
     return tr.K
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+#
+# Every certified pencil is reached from a block-Kronecker pencil through
+# constant factors: C*L*B = [K; 0] with K = [top; H], H = [I 0] + l[0 -I]
+# the dual of Lambda kron I_n, and top*(Lambda kron I_n) = alpha*P.  With
+# G = shear_s(k, n), H*Lambda = 0 and H*G = I, so F_K = [Lambda/alpha | G]
+# and E_K = [[I, -top*G], [0, I]] give E_K*K*F_K = diag(P, I).  Both are
+# unimodular, so E = T*diag(E_K, I)*C and F = B*F_K witness L, where the
+# permutation T only moves rows below the first m onto the target layout.
+
+@dataclass(frozen=True)
+class _KronForm:
+    """A pencil L written as c*L*B = [K; 0], with c constant nonsingular,
+    B the row permutation b of the identity and K = [top; H] the
+    block-Kronecker pencil of block width n, plus the row permutation t
+    (fixing the first m rows) onto the target diag(P, padding)."""
+    c: np.ndarray
+    top: MatPoly
+    alpha: object
+    b: np.ndarray
+    t: np.ndarray
+    n: int
+
+    def reversal(self) -> "_KronForm":
+        """The form of rev L against rev P: rev K = diag(I, -Pi)*K'*flip
+        with K' = [rev(top)*flip; H] and Pi the block flip of H's rows."""
+        m, n = self.top.m, self.n
+        k = self.top.n // n
+        c = self.c.copy()
+        c[m:m + (k - 1) * n] = -self.c[m + _block_flip(k - 1, n)]
+        flip = _block_flip(k, n)
+        top = MatPoly([x[:, flip] for x in self.top.reversal().coeffs],
+                      FIELD_RATIONAL)
+        return _KronForm(c, top, self.alpha, flip[self.b], self.t, n)
+
+    def witnesses(self) -> Tuple[MatPoly, MatPoly]:
+        """E = T*diag(E_K, I)*c and F = B*F_K."""
+        field, m, n = FIELD_RATIONAL, self.top.m, self.n
+        k = self.top.n // n
+        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
+        f = [np.hstack([lam.coeff(i) / self.alpha, g.coeff(i)])[self.b]
+             for i in range(k)]
+        e = [self.c[self.t]] + [field.zeros(*self.c.shape)
+                                for _ in range(k - 1)]
+        lower = self.c[m:m + (k - 1) * n]
+        for c, block in zip(e, self.top.matmul(g).coeffs):
+            c[:m] -= block @ lower
+        return MatPoly(e, field), MatPoly(f, field)
+
+
+def _block_flip(k: int, n: int) -> np.ndarray:
+    """Row order of flip_r(k, n): flip_r(k, n) @ x == x[_block_flip(k, n)]."""
+    return np.arange(k * n).reshape(k, n)[::-1].ravel()
+
+
+def _member_form(l: AnsatzPencil) -> _KronForm:
+    """(M kron I)*L = diag(I_m, [Z | N])*[K; 0] for a right-space member,
+    with N a basis of the complement of Z's range; raise unless Z has
+    full column rank."""
+    p = l.poly
+    k, m, n = p.grade, p.m, p.n
+    if m < n:
+        raise PreconditionError("wide polynomials reduce through the left space")
+    field = l.field
+    m_mat, alpha = field.reflector(l.ansatz)
+    mk, lq, z = _row_transformed(l, m_mat, alpha)
+    comp = field.nullspace(z.T)
+    if comp.shape[1] != (k - 1) * (m - n):
+        raise PreconditionError("lower block is rank deficient")
+    zn = np.hstack([z, comp])
+    c = mk.copy()
+    c[m:] = field.inv(zn) @ mk[m:]
+    # block b of the target's lower rows takes the n rows of Z's block b,
+    # then m - n rows of the complement
+    cn = (k - 1) * n
+    rest = cn + np.arange((k - 1) * (m - n)).reshape(k - 1, m - n)
+    lower = np.hstack([np.arange(cn).reshape(k - 1, n), rest])
+    t = np.concatenate([np.arange(m), m + lower.ravel()])
+    return _KronForm(c, MatPoly.pencil(lq.X[:m], lq.Y[:m], field), alpha,
+                     np.arange(k * n), t, n)
+
+
+def _trim_form(tr: TrimResult) -> _KronForm:
+    """Lt = Dtilde*diag(I, Rt)*K for a right-space record whose K stacks
+    its verified top strip over H; raise on a singular factor."""
+    field, cn = tr.field, tr.Rt.shape[0]
+    top = tr.a_block()
+    if tr.alpha == 0 or not tr.K.equal(_stack_over(top, field.eye(cn))):
+        raise PreconditionError("trimming record has no shift core")
+    return _KronForm(field.inv(_core_factor(tr)), top, tr.alpha,
+                     np.arange(tr.k * tr.n), np.arange(tr.m + cn), tr.n)
+
+
+def _kron_form(obj, p: MatPoly):
+    """The block-Kronecker form of a member or trimming record built from
+    p, and whether it was taken through the transpose; raises when none
+    can be built."""
+    if p.field != FIELD_RATIONAL:
+        raise PreconditionError("witness construction needs the rational field")
+    if isinstance(obj, AnsatzPencil):
+        if obj.poly.grade != p.grade or not obj.poly.equal(p):
+            raise PreconditionError("member was built from another polynomial")
+        if obj.side == SIDE_L2:
+            return _member_form(obj.transpose()), True
+        return _member_form(obj), False
+    if isinstance(obj, TrimResult):
+        try:
+            obj.check_source(p)
+            kronecker_core(obj)
+        except (SchemaError, VerificationError) as e:
+            raise PreconditionError(str(e)) from e
+        if obj.side == SIDE_L2:
+            return _trim_form(obj.transpose()), True
+        return _trim_form(obj), False
+    raise PreconditionError("a bare pencil has no witness")
+
+
+def _witness_pair(form: _KronForm, transposed: bool):
+    e, f = form.witnesses()
+    return (f.transpose(), e.transpose()) if transposed else (e, f)
+
+
+def linearization_witnesses(obj, p: MatPoly, strong: bool = False):
+    """Unverified witnesses (pencil, polynomial, E, F) for a member or a
+    trimming record built from p, then for the reversals when strong; None
+    when no witness can be built (a bare pencil, a deficient Z, a record
+    or member of another polynomial, a singular constant factor)."""
+    try:
+        form, transposed = _kron_form(obj, p)
+    except (PreconditionError, StructureError):
+        return None
+    pen = obj.pencil if isinstance(obj, AnsatzPencil) else obj.Lt
+    out = [(pen, p, *_witness_pair(form, transposed))]
+    if strong:
+        out.append((pen.reversal(), p.reversal(),
+                    *_witness_pair(form.reversal(), transposed)))
+    return out
+
+
+def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
+    """Unimodular E, F with E*L*F = diag(P, I_{k-1} kron I_{m,n}),
+    constructed explicitly and verified symbolically. Exact field only."""
+    if l.field != FIELD_RATIONAL:
+        raise PreconditionError("witness construction needs the rational field")
+    e, f = _witness_pair(*_kron_form(l, l.poly))
+    verify_witnesses(l.pencil, l.poly, e, f)
+    return e, f
+
+
+def _padding(l: MatPoly, p: MatPoly):
+    """The constant block a linearization pads P with: I_s for an
+    (m+s) x (n+s) pencil, I_{k-1} kron I_{m,n} for a km x kn member."""
+    field, k, m, n = p.field, p.grade, p.m, p.n
+    if l.m - m == l.n - n >= 0:
+        return field.eye(l.m - m)
+    if (l.m, l.n) == (k * m, k * n):
+        return field.kron(field.eye(k - 1), rect_identity(m, n, field))
+    raise SchemaError("pencil size does not match a padded polynomial")
+
+
+def verify_witnesses(l: MatPoly, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
+    """Check E*L*F = diag(P, padding) exactly over QQ[l] for the pencil L,
+    and that both determinants are nonzero constants. Raises on failure."""
+    if p.field != FIELD_RATIONAL:
+        raise PreconditionError("witness verification needs the rational field")
+    target = to_pm(p.block_diag(MatPoly([_padding(l, p)], p.field)))
+    ea, fa = to_pm(e), to_pm(f)
+    if not (ea * to_pm(l) * fa - target).is_zero_matrix:
+        raise VerificationError("witness product is not the padded polynomial")
+    for name, w in (("left", ea), ("right", fa)):
+        if pm_det(w).degree() != 0:
+            raise VerificationError(f"{name} witness is not unimodular")

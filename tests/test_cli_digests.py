@@ -209,3 +209,44 @@ def test_generic_pipeline_output_pinned(tmp_path, shape):
     got = {name: _digest(text)
            for name, text in generic_outputs(tmp_path, *shape).items()}
     assert got == GENERIC_DIGESTS[shape]
+
+
+# `check` of case 3's member and trimming record against a polynomial
+# they were not built from: case 3's P with A_0[0, 0] raised by one.  The
+# verdict is a rejection (exit 3), reached through the Smith comparison.
+MISMATCHED_DIGESTS = {
+    "check_glin_strong":
+        "f75a0fd874e80efcac5f85ee30439f2e733b5e944406b9874483b90846724637",
+    "check_lin_strong":
+        "40435721d50551344abdeb9e3724560fcd50134242b625c700bbaaa920555b05",
+}
+
+
+def _stdout_any(argv):
+    """stdout and exit code of a call that may reject."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def test_mismatched_polynomial_check_output_pinned(tmp_path):
+    outputs = case3_outputs(tmp_path)
+    other = case3_poly()
+    other.coeffs[0][0, 0] += 1
+    poly = tmp_path / "other.json"
+    poly.write_text(dump_json(other.to_json_dict()))
+    member = tmp_path / "l.json"
+    trimmed = tmp_path / "t.json"
+    member.write_text(outputs["build"])
+    trimmed.write_text(outputs["trim"])
+    got = {}
+    for name, argv in (
+            ("check_glin_strong", ["check", str(member), str(poly),
+                                   "--strong"]),
+            ("check_lin_strong", ["check", str(trimmed), str(poly), "--lin",
+                                  "--strong"])):
+        code, text = _stdout_any(argv)
+        assert code == 3, text
+        got[name] = _digest(text)
+    assert got == MISMATCHED_DIGESTS

@@ -1,9 +1,14 @@
 """Smith form, eigenstructure reports, and linearization verdicts."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
@@ -17,10 +22,12 @@ from matpencil.cases import (
     case3_poly,
 )
 from matpencil import eigenstructure
+from matpencil.cli import main
 from matpencil.eigenstructure import (
     EigStructure,
     Verdict,
     _audit_smith,
+    _padded_verdict,
     _reversal_verdict,
     _smith_diag,
     check_g_linearization,
@@ -35,12 +42,15 @@ from matpencil.matpoly import (
     FIELD_FLOAT,
     FIELD_RATIONAL,
     MatPoly,
+    dump_json,
     rect_identity,
+    shear_s,
 )
 from matpencil.minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
 from matpencil.qpoly import L, QQL, coeffs, poly as qp, to_pm
 from matpencil.reduction import trim
-from matpencil.spaces import companion_g1, companion_g2
+from matpencil.spaces import (SIDE_L1, SIDE_L2, build_l1, build_l2,
+                              companion_g1, companion_g2)
 
 
 def fm(rows):
@@ -520,3 +530,158 @@ class TestLinearizationCheck:
         tr = trim(case3_member())
         with pytest.raises(PreconditionError):
             check_linearization(tr.Lt.to_float(), case3_poly())
+
+
+def _no_smith(*args):
+    raise AssertionError("smith_form reached")
+
+
+class TestWitnessCertificate:
+    """Accepted checks rest on verified witnesses; everything else on the
+    Smith comparison, with the same verdicts."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (4, 4, 2)])
+    def test_accepted_strong_checks_skip_smith(self, monkeypatch, shape):
+        m, n, k = shape
+        p = rand_poly(np.random.default_rng(60), m, n, k)
+        member = companion_g1(p) if m >= n else companion_g2(p)
+        tr = trim(member)
+        monkeypatch.setattr(eigenstructure, "smith_form", _no_smith)
+        assert check_g_linearization(member, p, strong=True).ok
+        assert check_linearization(tr, p, strong=True).ok
+
+    def test_fallbacks_reach_smith(self, monkeypatch):
+        p = case3_poly()
+        member = companion_g1(p)
+        tr = trim(member)
+        monkeypatch.setattr(eigenstructure, "smith_form", _no_smith)
+        for check, obj, q in (
+                (check_g_linearization, member.pencil, p),
+                (check_g_linearization, case1_member(), case1_poly()),
+                (check_g_linearization, member, p.scale(2)),
+                (check_linearization, tr.Lt, p),
+                (check_linearization, tr, p.scale(2))):
+            with pytest.raises(AssertionError, match="smith_form reached"):
+                check(obj, q)
+
+    def test_failed_witness_raises_instead_of_falling_back(self,
+                                                           monkeypatch):
+        from matpencil import reduction
+
+        def wrong_shear(k, n, field):
+            g = shear_s(k, n, field)
+            g.coeffs[0][0, 0] += 1
+            return g
+
+        monkeypatch.setattr(reduction, "shear_s", wrong_shear)
+        with pytest.raises(VerificationError):
+            check_g_linearization(companion_g1(case3_poly()), case3_poly())
+        with pytest.raises(VerificationError):
+            check_linearization(trim(companion_g1(case3_poly())),
+                                case3_poly(), strong=True)
+
+    def test_huge_entry_certified_without_smith(self, monkeypatch,
+                                                tmp_path):
+        """A 400-digit entry made the Smith audit's determinants take
+        seconds; the witnesses never form a Smith transformation."""
+        p = rand_poly(np.random.default_rng(61), 3, 2, 3)
+        p.coeffs[1][1, 0] = Fraction(10 ** 399 + 7)
+        poly_file = tmp_path / "p.json"
+        poly_file.write_text(dump_json(p.to_json_dict()))
+        member = tmp_path / "l.json"
+        trimmed = tmp_path / "t.json"
+        monkeypatch.setattr(eigenstructure, "smith_form", _no_smith)
+        for argv, out in (
+                (["build", str(poly_file), "--side", "l1", "--companion"],
+                 member),
+                (["check", str(member), str(poly_file), "--strong"], None),
+                (["trim", str(member)], trimmed),
+                (["check", str(trimmed), str(poly_file), "--lin",
+                  "--strong"], None)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, buf.getvalue()
+            if out is not None:
+                out.write_text(buf.getvalue())
+            else:
+                assert json.loads(buf.getvalue())["verdict"]["ok"]
+
+
+@st.composite
+def check_cases(draw):
+    """A member of the right or left space and the polynomial it is
+    checked against: generic, planted singular, with a deficient Z block,
+    or checked against a polynomial it was not built from.  Hypothesis
+    picks the shape, the side and the kind; the entries come from a drawn
+    seed, so that they are generic rather than mostly zero."""
+    k = draw(st.sampled_from((2, 3)))
+    # cubic pencils stop at 9x9: the Smith comparison of a 12x9 one takes
+    # seconds
+    top = 4 if k == 2 else 3
+    m, n = draw(st.integers(1, top)), draw(st.integers(1, top))
+    # mostly the side that reduces this shape, sometimes the other one
+    natural, other = (SIDE_L1, SIDE_L2) if m >= n else (SIDE_L2, SIDE_L1)
+    side = other if draw(st.booleans()) else natural
+    kind = draw(st.sampled_from(("generic", "singular", "deficient",
+                                 "mismatched")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def matrix(rows, cols):
+        return fm(rng.integers(-3, 4, size=(rows, cols)).tolist())
+
+    coeffs = [matrix(m, n) for _ in range(k + 1)]
+    if kind == "singular":
+        # equal first and last columns: P(l) kills e_1 - e_n (P = 0 if n = 1)
+        coeffs = [np.hstack([c[:, :n - 1], c[:, :1]]) if n > 1
+                  else xla.fzeros(m, 1) for c in coeffs]
+    p = MatPoly(coeffs, FIELD_RATIONAL)
+    v = xla.fvec(rng.integers(1, 4, size=k).tolist())
+    if kind == "deficient":
+        v = xla.fvec([1] + [0] * (k - 1))
+    if side == SIDE_L1:
+        w = matrix(k * m, (k - 1) * n)
+        if kind == "deficient":  # Z = W[m:] when v = e_1
+            w[m] = 0
+            w[m:, 0] = 0
+        member = build_l1(p, v, w)
+    else:
+        w = matrix((k - 1) * m, k * n)
+        if kind == "deficient":  # Z = W[:, n:] when v = e_1
+            w[0, n:] = 0
+            w[:, n] = 0
+        member = build_l2(p, v, w)
+    if kind == "mismatched":
+        q = [c.copy() for c in coeffs]
+        q[0][0, 0] += draw(st.sampled_from((1, -2)))
+        p = MatPoly(q, FIELD_RATIONAL)
+    return member, p
+
+
+class TestVerdictsMatchSmith:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(check_cases())
+    def test_check_equals_padded_verdict(self, case):
+        member, p = case
+        k = p.grade
+        memo = {}
+        smith_diag = eigenstructure._smith_diag
+
+        def remembered(q):
+            key = tuple(tuple(c.flat) for c in q.coeffs) + ((q.m, q.n),)
+            if key not in memo:
+                memo[key] = smith_diag(q)
+            return memo[key]
+
+        # each example compares the same pencils up to four times
+        with mock.patch.object(eigenstructure, "_smith_diag", remembered):
+            for strong in (False, True):
+                assert check_g_linearization(member, p, strong) == \
+                    _padded_verdict(member.pencil, p,
+                                    (k - 1) * min(p.m, p.n), strong)
+            try:
+                tr = trim(member)
+            except PreconditionError:
+                return
+            for strong in (False, True):
+                assert check_linearization(tr, p, strong) == \
+                    _padded_verdict(tr.Lt, p, tr.Lt.m - p.m, strong)

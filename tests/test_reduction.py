@@ -13,9 +13,11 @@ from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                flip_r, h_dual, lambda_vec, rect_identity)
+from matpencil import reduction
 from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
-                                 kronecker_core, reflector_for, trim,
-                                 verify_witnesses, z_block, z_rank)
+                                 kronecker_core, linearization_witnesses,
+                                 reflector_for, trim, verify_witnesses,
+                                 z_block, z_rank)
 from matpencil.spaces import (SIDE_L1, build_l1, build_l2, companion_g1,
                               companion_g2)
 
@@ -192,6 +194,15 @@ class TestWitnesses:
             assert prod.equal(target)
             done += 1
 
+    def test_random_cubic_member(self):
+        # m - n = 2 and k = 3: the target permutation interleaves blocks
+        member = rand_member(np.random.default_rng(51), 4, 2, 3)
+        assert full_z_rank(member)
+        e, f = g_lin_witnesses(member)
+        target = member.poly.block_diag(MatPoly(
+            [xla.kron(xla.feye(2), rect_identity(4, 2))], FIELD_RATIONAL))
+        assert e.matmul(member.pencil).matmul(f).equal(target)
+
     def test_determinants_constant(self):
         from matpencil.qpoly import pm_det, to_pm
         member = case3_member()
@@ -217,6 +228,87 @@ class TestWitnesses:
     def test_rank_deficient_refused(self):
         with pytest.raises(PreconditionError):
             g_lin_witnesses(case1_member())
+
+    def test_l2_member_verified_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            verify_witnesses(*args)
+
+        monkeypatch.setattr(reduction, "verify_witnesses", counting)
+        g_lin_witnesses(companion_g2(rand_poly(np.random.default_rng(38),
+                                               2, 3, 3)))
+        assert len(calls) == 1
+
+
+class TestLinearizationWitnesses:
+    """Witnesses of the block-Kronecker pencil carried to members, trimmed
+    pencils and their reversals."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 2, 3), (2, 3, 2),
+                                       (2, 4, 3), (3, 3, 3)])
+    def test_members_and_trims_verify(self, shape):
+        m, n, k = shape
+        p = rand_poly(np.random.default_rng(50), m, n, k)
+        member = companion_g1(p) if m >= n else companion_g2(p)
+        for obj in (member, trim(member)):
+            pairs = linearization_witnesses(obj, p, strong=True)
+            assert len(pairs) == 2
+            assert pairs[1][1].equal(p.reversal())
+            for pen, poly, e, f in pairs:
+                verify_witnesses(pen, poly, e, f)
+
+    def test_published_trim(self):
+        tr = trim(case3_member(), d=case3_published_d())
+        for pen, poly, e, f in linearization_witnesses(tr, case3_poly(),
+                                                       strong=True):
+            verify_witnesses(pen, poly, e, f)
+
+    @pytest.mark.parametrize("factor", ["e", "f"])
+    def test_tampered_factor_rejected(self, factor):
+        p = case3_poly()
+        for obj in (companion_g1(p), trim(companion_g1(p))):
+            pen, poly, e, f = linearization_witnesses(obj, p)[0]
+            bad = (e if factor == "e" else f).copy()
+            bad.coeffs[-1][0, 0] = bad.coeffs[-1][0, 0] + 1
+            e, f = (bad, f) if factor == "e" else (e, bad)
+            with pytest.raises(VerificationError):
+                verify_witnesses(pen, poly, e, f)
+
+    def test_nothing_to_build(self):
+        p = case3_poly()
+        member = companion_g1(p)
+        other = p.scale(2)
+        tr = trim(member)
+        assert linearization_witnesses(member.pencil, p) is None
+        assert linearization_witnesses(case1_member(), case1_member().poly) \
+            is None
+        assert linearization_witnesses(member, other) is None
+        assert linearization_witnesses(tr, other) is None
+        wide = rand_poly(np.random.default_rng(52), 2, 3, 2)
+        assert linearization_witnesses(
+            build_l1(wide, [1, 0], xla.fzeros(4, 3)), wide) is None
+        # alpha = 0 still reproduces P = 0 but has no F_K
+        zero = MatPoly([xla.fzeros(3, 2)] * 3, FIELD_RATIONAL)
+        d = trim(companion_g1(zero)).to_json_dict()
+        d["alpha"] = "0"
+        assert linearization_witnesses(TrimResult.from_json_dict(d), zero,
+                                       strong=True) is None
+
+    def test_singular_trim_factor_builds_nothing(self):
+        # a consistent record whose Dtilde repeats a row: Lt = Dtilde*Lt_hat
+        # and Lt = Dtilde*diag(I, Rt)*K still hold
+        tr = trim(case3_member())
+        d = tr.to_json_dict()
+        dt = tr.Dtilde.copy()
+        dt[1] = dt[0]
+        d["Dtilde"] = [[str(x) for x in row] for row in dt]
+        d["Lt"] = {"x": [[str(x) for x in row] for row in dt @ tr.Lt_hat.X],
+                   "y": [[str(x) for x in row] for row in dt @ tr.Lt_hat.Y]}
+        broken = TrimResult.from_json_dict(d)
+        kronecker_core(broken)
+        assert linearization_witnesses(broken, case3_poly()) is None
 
 
 class TestTrim:
