@@ -12,6 +12,7 @@ step that produced them.
 """
 
 import argparse
+import functools
 import json
 
 from .backward import (appendix_lambda_min, run_experiment, sigma_min_tau,
@@ -335,23 +336,25 @@ def cmd_examples(args) -> int:
 # parser and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SchemaError: bad flags are malformed input."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The command line parser, built once and reused by every call."""
+    ap = _Parser(
         prog="matpencil",
         description="Linearizations of rectangular matrix polynomials: "
                     "build, check, trim, solve, recover, and run "
                     "backward-error experiments.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--field", choices=[FIELD_RATIONAL, FIELD_FLOAT],
-                        help="convert the input polynomial to this field")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="safety multiplier on the float rank tolerance")
-
     sp = sub.add_parser("info", help="sizes, degree, normal rank, norm")
     sp.add_argument("poly")
-    common(sp)
     sp.set_defaults(handler=cmd_info)
 
     sp = sub.add_parser("build", help="assemble an ansatz space member")
@@ -363,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "coefficient block")
     sp.add_argument("--companion", action="store_true",
                     help="use the companion member instead of --ansatz/--w")
-    common(sp)
     sp.set_defaults(handler=cmd_build)
 
     sp = sub.add_parser("check", help="linearization verdict plus "
@@ -376,19 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="generalized linearization check (default)")
     kind.add_argument("--lin", action="store_true",
                       help="trimmed linearization check")
-    common(sp)
     sp.set_defaults(handler=cmd_check)
 
     sp = sub.add_parser("trim", help="delete the redundant rows of a member")
     sp.add_argument("pencil")
     sp.add_argument("--d", help="path to a JSON file holding an explicit "
                                 "row selection matrix")
-    common(sp)
     sp.set_defaults(handler=cmd_trim)
 
     sp = sub.add_parser("solve", help="complete eigenstructure report")
     sp.add_argument("poly")
-    common(sp)
     sp.set_defaults(handler=cmd_solve)
 
     sp = sub.add_parser("recover", help="minimal bases of the polynomial "
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                              MODE_TRIMMED_L2])
     sp.add_argument("--side", choices=[SIDE_LEFT, SIDE_RIGHT, "both"],
                     default="both")
-    common(sp)
     sp.set_defaults(handler=cmd_recover)
 
     sp = sub.add_parser("backward", help="seeded perturbation experiment")
@@ -410,33 +408,37 @@ def build_parser() -> argparse.ArgumentParser:
                     help="perturbation size as a fraction of the radius")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    common(sp)
     sp.set_defaults(handler=cmd_backward)
 
     sp = sub.add_parser("lemma-check",
                         help="smallest singular value formula table")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
     sp.set_defaults(handler=cmd_lemma_check)
 
     sp = sub.add_parser("examples", help="re-run a bundled reference case")
     sp.add_argument("number", type=int, choices=[1, 2, 3])
-    common(sp)
     sp.set_defaults(handler=cmd_examples)
 
+    # each flag only on the subcommands that read it
+    for name in ("info", "build", "check", "solve", "recover", "backward"):
+        sub.choices[name].add_argument(
+            "--field", choices=[FIELD_RATIONAL, FIELD_FLOAT],
+            help="convert the input polynomial to this field")
+    for name in ("info", "check", "recover", "backward"):
+        sub.choices[name].add_argument(
+            "--tol", type=float,
+            help="safety multiplier on the float rank tolerance")
     return ap
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors; fold that into the schema code
-        code = e.code if isinstance(e.code, int) else 1
-        return EXIT_OK if code == 0 else EXIT_SCHEMA
-    try:
         return args.handler(args)
+    except SystemExit as e:
+        # only --help exits the parser; usage errors raise SchemaError
+        return EXIT_OK if not e.code else EXIT_SCHEMA
     except SchemaError as e:
         print(dump_json({"kind": "error", "error": "schema",
                          "message": str(e)}))

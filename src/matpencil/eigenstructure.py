@@ -8,18 +8,18 @@ transformations and the product U p V = S.  It reads finite elementary
 divisors off the invariant factors, takes infinite ones from the reversal
 at zero, and attaches the minimal indices of both nullspaces.
 
-Linearization claims are certified in a fixed order.  First the witness:
-a member with full-rank Z, or a trimming record, built from the polynomial
+Linearization claims are certified in a fixed order.  First the witness: a
+member with full-rank Z, or a trimming record, built from the polynomial
 yields explicit unimodular E, F through its block-Kronecker form
 (reduction.linearization_witnesses), and E L F = diag(P, padding) is
 checked exactly over QQ[l], for the reversals as well when the claim is
-strong.  A witness that is built but fails that check raises.  Only when
-no witness can be built (a bare pencil, a deficient Z, a record or member
-of another polynomial, a singular constant factor) is the claim settled
-by the Smith fallback: comparing the pencil's invariant factors with those
-of the polynomial padded by a constant block, which decides the finite
-structure and the nullspace dimensions in one shot.  Every rejection comes
-from that comparison.  No check is probabilistic.
+strong.  A witness that is built but fails that check raises.  Only when no
+witness can be built (a bare pencil, a deficient Z, a record or member of
+another polynomial, a zero alpha, a singular constant factor) is the claim
+settled by the Smith fallback: comparing the pencil's invariant factors
+with those of the polynomial padded by a constant block, which decides the
+finite structure and the nullspace dimensions in one shot.  Every rejection
+comes from that comparison.  No check is probabilistic.
 
 The float path only handles regular pencils through the generalized
 eigensolver.  It cannot resolve Jordan structure, so every numeric

@@ -103,13 +103,33 @@ def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
 # ---------------------------------------------------------------------------
 # trimming
 
+# matrix fields of a trimming record, stored transposed on the left side
+_MATRICES = ("Z", "Q1", "Q2", "Rt", "D", "Dtilde")
+
+
+def _shapes(side: str, m: int, n: int, k: int) -> dict:
+    """Stored field shapes of a record of an m x n grade-k polynomial."""
+    if side == SIDE_L2:
+        return {key: s[::-1] for key, s in _shapes(SIDE_L1, n, m, k).items()}
+    cn, rows = (k - 1) * n, (k - 1) * m
+    strip = (m + cn, k * n)
+    return {"M": (k, k), "Z": (rows, cn), "Q1": (rows, cn),
+            "Q2": (rows, rows - cn), "Rt": (cn, cn), "D": (m + cn, k * m),
+            "Dtilde": (m + cn, m + cn), "Lt": strip, "Lt_hat": strip,
+            "K": strip, "X12": (m, cn), "Y11": (m, cn)}
+
+
 @dataclass(frozen=True, eq=False)
 class TrimResult:
     """All factors of one trimming run.
 
-    Right-space members are trimmed by deleting rows: Lt = D * L. For
-    left-space members every factor acts from the right instead and is
-    stored transposed, so Lt = L * D and Lt = Lt_hat * Dtilde there.
+    Right-space members are trimmed by deleting rows: Lt = D * L and
+    Lt = Dtilde * Lt_hat, where Lt_hat = [top; Rt*H] = diag(I, Rt) * K and
+    K = [top; H] is the block-Kronecker pencil, H the dual shift pencil.
+    The top strip is stored once; Lt_hat, K and the corners X12, Y11 the
+    JSON form repeats are derived from it and Rt. For left-space members
+    every factor acts from the right instead and is stored transposed, so
+    Lt = L * D and Lt = Lt_hat * Dtilde there.
     """
     side: str
     field: str
@@ -125,36 +145,44 @@ class TrimResult:
     D: np.ndarray
     Dtilde: np.ndarray
     Lt: MatPoly
-    Lt_hat: MatPoly
-    K: MatPoly
-    X12: np.ndarray
-    Y11: np.ndarray
+    top: MatPoly
 
     def __post_init__(self):
         object.__setattr__(self, "field", field_of(self.field))
 
-    def _strip(self, x, y) -> MatPoly:
-        stack = np.hstack if self.side == SIDE_L1 else np.vstack
-        return MatPoly.pencil(np.ascontiguousarray(stack(x)),
-                              np.ascontiguousarray(stack(y)), self.field)
+    @property
+    def Lt_hat(self) -> MatPoly:
+        """The reduced form [top; Rt*H] with Lt = Dtilde * Lt_hat."""
+        if self.side == SIDE_L2:
+            return self.transpose().Lt_hat.transpose()
+        return _stack_over(self.top, self.Rt)
+
+    @property
+    def K(self) -> MatPoly:
+        """The block-Kronecker pencil [top; H]."""
+        if self.side == SIDE_L2:
+            return self.transpose().K.transpose()
+        return _stack_over(self.top, self.field.eye(self.Rt.shape[0]))
 
     def a_block(self) -> MatPoly:
         """Top strip of Lt_hat; satisfies A * (Lambda kron I) = alpha * P
         on the right side (transposed identity on the left side)."""
-        if self.side == SIDE_L1:
-            a0 = self.Lt_hat.Y[:self.m, (self.k - 1) * self.n:]
-        else:
-            a0 = self.Lt_hat.Y[(self.k - 1) * self.m:, :self.n]
-        return self._strip([self.Lt_hat.X[:self.m, :self.n], self.X12],
-                           [self.Y11, a0])
+        return self.top
 
     def b_block(self) -> MatPoly:
         """Bottom strip of Lt_hat; equals -Rt * (H kron I) on the right
-        side, with H the dual shift pencil."""
+        side."""
+        if self.side == SIDE_L2:
+            return self.transpose().b_block().transpose()
+        return MatPoly([c[self.m:] for c in self.Lt_hat.coeffs], self.field)
+
+    def _corners(self):
+        """X12 and Y11: the top strip's X without its leading block and its
+        Y without its trailing block, which the JSON form repeats."""
         cn = self.Rt.shape[0]
-        zero = (self.field.zeros(cn, self.n) if self.side == SIDE_L1
-                else self.field.zeros(self.m, cn))
-        return self._strip([zero, -self.Rt], [self.Rt, zero])
+        if self.side == SIDE_L1:
+            return self.top.X[:, self.n:], self.top.Y[:, :cn]
+        return self.top.X[self.m:], self.top.Y[:cn]
 
     def row_transform(self):
         """M kron I_m, the block-row transform of a right-space record."""
@@ -163,7 +191,7 @@ class TrimResult:
     def member_pencil(self) -> MatPoly:
         """The row-transformed member (M kron I)L of a right-space record,
         rebuilt from the stored blocks."""
-        return _stack_over(self.a_block(), self.Z)
+        return _stack_over(self.top, self.Z)
 
     def check_source(self, p: MatPoly):
         """Raise SchemaError unless the stored top strip reproduces
@@ -171,11 +199,11 @@ class TrimResult:
         field = self.field
         if (field, self.m, self.n, self.k) != (p.field, p.m, p.n, p.grade):
             raise SchemaError("trimming record does not fit this polynomial")
-        a = self.a_block()
         if self.side == SIDE_L1:
-            got = a.matmul(lambda_vec(self.k, self.n, field))
+            got = self.top.matmul(lambda_vec(self.k, self.n, field))
         else:
-            got = lambda_vec(self.k, self.m, field).transpose().matmul(a)
+            got = lambda_vec(self.k, self.m, field).transpose().matmul(
+                self.top)
         scale = lambda: max(1.0, abs(self.alpha) * p.frob_norm())
         if not field.negligible(got - p.scale(self.alpha), scale):
             raise SchemaError(
@@ -195,38 +223,28 @@ class TrimResult:
         other = SIDE_L2 if self.side == SIDE_L1 else SIDE_L1
         return TrimResult(
             side=other, field=self.field, m=self.n, n=self.m, k=self.k,
-            M=self.M, alpha=self.alpha, Z=self.Z.T.copy(),
-            Q1=self.Q1.T.copy(), Q2=self.Q2.T.copy(), Rt=self.Rt.T.copy(),
-            D=self.D.T.copy(), Dtilde=self.Dtilde.T.copy(),
-            Lt=self.Lt.transpose(), Lt_hat=self.Lt_hat.transpose(),
-            K=self.K.transpose(), X12=self.X12.T.copy(),
-            Y11=self.Y11.T.copy())
+            M=self.M, alpha=self.alpha, Lt=self.Lt.transpose(),
+            top=self.top.transpose(),
+            **{key: getattr(self, key).T.copy() for key in _MATRICES})
 
     def to_json_dict(self) -> dict:
         field = self.field
-        return {
-            "kind": "trim_result", "side": self.side, "field": field,
-            "m": self.m, "n": self.n, "k": self.k,
-            "M": matrix_to_json(self.M, field),
-            "alpha": field.scalar_to_json(self.alpha),
-            "Z": matrix_to_json(self.Z, field),
-            "Q1": matrix_to_json(self.Q1, field),
-            "Q2": matrix_to_json(self.Q2, field),
-            "Rt": matrix_to_json(self.Rt, field),
-            "D": matrix_to_json(self.D, field),
-            "Dtilde": matrix_to_json(self.Dtilde, field),
-            "Lt": pencil_to_json(self.Lt),
-            "Lt_hat": pencil_to_json(self.Lt_hat),
-            "K": pencil_to_json(self.K),
-            "X12": matrix_to_json(self.X12, field),
-            "Y11": matrix_to_json(self.Y11, field),
-        }
+        mats = {key: getattr(self, key) for key in ("M",) + _MATRICES}
+        mats["X12"], mats["Y11"] = self._corners()
+        pens = {"Lt": self.Lt, "Lt_hat": self.Lt_hat, "K": self.K}
+        return {"kind": "trim_result", "side": self.side, "field": field,
+                "m": self.m, "n": self.n, "k": self.k,
+                "alpha": field.scalar_to_json(self.alpha),
+                **{key: matrix_to_json(a, field) for key, a in mats.items()},
+                **{key: pencil_to_json(p) for key, p in pens.items()}}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrimResult":
-        keys = ("kind", "side", "field", "m", "n", "k", "M", "alpha", "Z",
-                "Q1", "Q2", "Rt", "D", "Dtilde", "Lt", "Lt_hat", "K",
-                "X12", "Y11")
+        """Load a record, reading the top strip from Lt_hat; raise
+        VerificationError unless K, X12, Y11 and the rest of Lt_hat equal
+        what that strip and Rt give, and Lt = Dtilde * Lt_hat holds."""
+        keys = ("kind", "side", "field", "m", "n", "k", "M", "alpha", "Lt",
+                "Lt_hat", "K", "X12", "Y11") + _MATRICES
         _require_keys(d, keys, "trim result")
         if d["kind"] != "trim_result":
             raise SchemaError("not a trim result payload")
@@ -234,34 +252,39 @@ class TrimResult:
             raise SchemaError(f"unknown side {d['side']!r}")
         _require_ints(d, ("m", "n", "k"), "trim result")
         field = field_of(d["field"])
-        mats = {key: matrix_from_json(d[key], field)
-                for key in ("M", "Z", "Q1", "Q2", "Rt", "D", "Dtilde",
-                            "X12", "Y11")}
-        out = cls(side=d["side"], field=field, m=d["m"], n=d["n"], k=d["k"],
-                  alpha=field.scalar_from_json(d["alpha"]),
-                  Lt=pencil_from_json(d["Lt"], field),
-                  Lt_hat=pencil_from_json(d["Lt_hat"], field),
-                  K=pencil_from_json(d["K"], field), **mats)
+        m, n, k = d["m"], d["n"], d["k"]
+        shapes = _shapes(d["side"], m, n, k)
+        mats = {key: matrix_from_json(d[key], field, *shapes[key])
+                for key in ("M", "X12", "Y11") + _MATRICES}
+        pens = {key: pencil_from_json(d[key], field)
+                for key in ("Lt", "Lt_hat", "K")}
+        for key, p in pens.items():
+            if (p.m, p.n) != shapes[key]:
+                raise SchemaError(f"trim result: {key} has the wrong shape")
+        lt_hat = pens["Lt_hat"]
+        top = MatPoly([c[:, :n].copy() if d["side"] == SIDE_L2 else c[:m]
+                       for c in lt_hat.coeffs], field)
+        out = cls(side=d["side"], field=field, m=m, n=n, k=k,
+                  alpha=field.scalar_from_json(d["alpha"]), Lt=pens["Lt"],
+                  top=top, **{key: mats[key] for key in ("M",) + _MATRICES})
+        x12, y11 = out._corners()
+        if not (lt_hat.equal(out.Lt_hat) and pens["K"].equal(out.K)
+                and field.is_zero(mats["X12"] - x12)
+                and field.is_zero(mats["Y11"] - y11)):
+            raise VerificationError(
+                "trimming record's copies of the top strip disagree")
         _verify_trim_identities(out)
         return out
 
 
-def _check_reproduces_lt(tr: TrimResult, rx, ry, message: str):
-    scale = lambda: max(1.0, tr.Lt.frob_norm())
-    for r in (rx, ry):
-        if not tr.field.negligible(r, scale):
-            raise VerificationError(message)
-
-
 def _verify_trim_identities(tr: TrimResult):
-    """Lt = Dtilde * Lt_hat (or the transposed variant) must hold."""
-    if tr.side == SIDE_L1:
-        rx = tr.Dtilde @ tr.Lt_hat.X - tr.Lt.X
-        ry = tr.Dtilde @ tr.Lt_hat.Y - tr.Lt.Y
-    else:
-        rx = tr.Lt_hat.X @ tr.Dtilde - tr.Lt.X
-        ry = tr.Lt_hat.Y @ tr.Dtilde - tr.Lt.Y
-    _check_reproduces_lt(tr, rx, ry, "trim factors do not reproduce Lt")
+    """Lt = Dtilde * Lt_hat (transposed on the left side) must hold."""
+    if tr.side == SIDE_L2:
+        return _verify_trim_identities(tr.transpose())
+    scale = lambda: max(1.0, tr.Lt.frob_norm())
+    for lt, hat in zip(tr.Lt.coeffs, tr.Lt_hat.coeffs):
+        if not tr.field.negligible(tr.Dtilde @ hat - lt, scale):
+            raise VerificationError("trim factors do not reproduce Lt")
 
 
 def trim(l: AnsatzPencil, d=None) -> TrimResult:
@@ -319,42 +342,18 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
 
     out = TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
                      alpha=alpha, Z=z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
-                     Dtilde=dtilde, Lt=lt, Lt_hat=_stack_over(top, rt),
-                     K=_stack_over(top, field.eye(cn)),
-                     X12=top.X[:, n:].copy(), Y11=top.Y[:, :cn].copy())
+                     Dtilde=dtilde, Lt=lt, top=top)
     _verify_trim_identities(out)
     return out
 
 
 def _core_factor(tr: TrimResult):
     """The constant factor Dtilde*diag(I, Rt) with Lt = Dtilde*diag(I, Rt)*K
-    (diag(I, Rt)*Dtilde, acting from the right, on the left side)."""
-    field = tr.field
+    of a right-space record."""
     cn = tr.Rt.shape[0]
-    size = (tr.m if tr.side == SIDE_L1 else tr.n) + cn
-    blk = field.eye(size)
-    blk[size - cn:, size - cn:] = tr.Rt
-    return tr.Dtilde @ blk if tr.side == SIDE_L1 else blk @ tr.Dtilde
-
-
-def kronecker_core(tr: TrimResult) -> MatPoly:
-    """The inner block-Kronecker pencil K, re-verified against
-    Lt = Dtilde * diag(I, Rt) * K (transposed variant on the left side).
-
-    This factorization is the trimmed pencil's certificate: a strong
-    `check --lin` carries the exact witnesses of K (and of its reversal)
-    through the constant factors, verifies them over QQ[l], and only
-    falls back to comparing Smith forms when no witness can be built.
-    """
-    lead = _core_factor(tr)
-    if tr.side == SIDE_L1:
-        rx = lead @ tr.K.X - tr.Lt.X
-        ry = lead @ tr.K.Y - tr.Lt.Y
-    else:
-        rx = tr.K.X @ lead - tr.Lt.X
-        ry = tr.K.Y @ lead - tr.Lt.Y
-    _check_reproduces_lt(tr, rx, ry, "shift core does not reproduce Lt")
-    return tr.K
+    blk = tr.field.eye(tr.m + cn)
+    blk[tr.m:, tr.m:] = tr.Rt
+    return tr.Dtilde @ blk
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +440,13 @@ def _member_form(l: AnsatzPencil) -> _KronForm:
 
 
 def _trim_form(tr: TrimResult) -> _KronForm:
-    """Lt = Dtilde*diag(I, Rt)*K for a right-space record whose K stacks
-    its verified top strip over H; raise on a singular factor."""
-    field, cn = tr.field, tr.Rt.shape[0]
-    top = tr.a_block()
-    if tr.alpha == 0 or not tr.K.equal(_stack_over(top, field.eye(cn))):
+    """Lt = Dtilde*diag(I, Rt)*K for a right-space record; raise on a zero
+    alpha or a singular factor."""
+    if tr.alpha == 0:
         raise PreconditionError("trimming record has no shift core")
-    return _KronForm(field.inv(_core_factor(tr)), top, tr.alpha,
-                     np.arange(tr.k * tr.n), np.arange(tr.m + cn), tr.n)
+    return _KronForm(tr.field.inv(_core_factor(tr)), tr.top, tr.alpha,
+                     np.arange(tr.k * tr.n),
+                     np.arange(tr.m + tr.Rt.shape[0]), tr.n)
 
 
 def _kron_form(obj, p: MatPoly):
@@ -466,8 +464,7 @@ def _kron_form(obj, p: MatPoly):
     if isinstance(obj, TrimResult):
         try:
             obj.check_source(p)
-            kronecker_core(obj)
-        except (SchemaError, VerificationError) as e:
+        except SchemaError as e:
             raise PreconditionError(str(e)) from e
         if obj.side == SIDE_L2:
             return _trim_form(obj.transpose()), True

@@ -6,6 +6,7 @@ import json
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from matpencil.cases import (case2_member, case2_poly, case3_member,
                              case3_published_d, case3_poly, CASE3_NORM_SQ)
 from matpencil.cli import main
 from matpencil.matpoly import dump_json
-from matpencil.reduction import TrimResult
+from matpencil.reduction import TrimResult, trim
 
 
 def run(*argv):
@@ -293,8 +294,12 @@ class TestCheck:
         assert jline(out)["verdict"]["ok"]
 
     def test_mode_flags_exclusive(self, trim3, p3):
-        code, _ = run("check", trim3, p3, "--glin", "--lin")
+        code, out = run("check", trim3, p3, "--glin", "--lin")
         assert code == 1
+        assert out.count("\n") == 1
+        err = jline(out)
+        assert (err["kind"], err["error"]) == ("error", "schema")
+        assert "not allowed" in err["message"]
 
 
 class TestTrim:
@@ -306,6 +311,20 @@ class TestTrim:
             assert key in d
         assert set(d["provenance"]) >= {"M", "Z", "Q1", "Q2", "Rt", "D",
                                         "Dtilde", "Lt", "Lt_hat", "K"}
+
+    @pytest.mark.parametrize("argv", [("trim", "--field", "float64"),
+                                      ("trim", "--tol", "2"),
+                                      ("examples", "3", "--field", "float64"),
+                                      ("lemma-check", "--k", "3", "--n", "1",
+                                       "--tol", "2")])
+    def test_unread_flags_refused(self, companion3, argv):
+        if argv[0] == "trim":
+            argv = ("trim", companion3) + argv[1:]
+        code, out = run(*argv)
+        assert code == 1
+        err = jline(out)
+        assert (err["kind"], err["error"]) == ("error", "schema")
+        assert "unrecognized arguments" in err["message"]
 
     def test_explicit_row_selection(self, files):
         l3 = files("m3.json", case3_member().to_json_dict())
@@ -385,6 +404,15 @@ class TestBackward:
         _, other = run("backward", p3, trim3, "--eps", "0.4",
                        "--trials", "2", "--seed", "6")
         assert other != run(*argv)[1]
+
+    def test_disagreeing_top_strip_exits_3(self, files, p3):
+        d = trim(case3_member()).to_json_dict()
+        d["X12"][0][0] = str(Fraction(d["X12"][0][0]) + 5)
+        d["Y11"][0][0] = str(Fraction(d["Y11"][0][0]) - 5)
+        code, out = run("backward", p3, files("t.json", d), "--eps", "0.5",
+                        "--trials", "2", "--seed", "0")
+        assert code == 3
+        assert jline(out)["error"] == "verification"
 
     def test_eps_out_of_range(self, p3, trim3):
         code, out = run("backward", p3, trim3, "--eps", "1.5",

@@ -12,10 +12,11 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
 from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               flip_r, h_dual, lambda_vec, rect_identity)
+                               dump_json, flip_r, h_dual, lambda_vec,
+                               rect_identity)
 from matpencil import reduction
 from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
-                                 kronecker_core, linearization_witnesses,
+                                 linearization_witnesses,
                                  reflector_for, trim, verify_witnesses,
                                  z_block, z_rank)
 from matpencil.spaces import (SIDE_L1, build_l1, build_l2, companion_g1,
@@ -38,6 +39,13 @@ def rand_member(rng, m, n, k, field=FIELD_RATIONAL):
     if field == FIELD_RATIONAL:
         return build_l1(p, v.tolist(), xla.fmat(w.tolist()))
     return build_l1(p, v.astype(float), w.astype(float))
+
+
+def assert_core_reproduces_lt(tr: TrimResult):
+    """Lt = Dtilde * diag(I, Rt) * K for a right-space record."""
+    lead = reduction._core_factor(tr)
+    for a, b in ((lead @ tr.K.X, tr.Lt.X), (lead @ tr.K.Y, tr.Lt.Y)):
+        assert tr.field.negligible(a - b, lambda: 1.0, 1e-12)
 
 
 def frobenius_c1(p: MatPoly) -> MatPoly:
@@ -307,7 +315,7 @@ class TestLinearizationWitnesses:
         d["Lt"] = {"x": [[str(x) for x in row] for row in dt @ tr.Lt_hat.X],
                    "y": [[str(x) for x in row] for row in dt @ tr.Lt_hat.Y]}
         broken = TrimResult.from_json_dict(d)
-        kronecker_core(broken)
+        assert_core_reproduces_lt(broken)
         assert linearization_witnesses(broken, case3_poly()) is None
 
 
@@ -412,7 +420,7 @@ class TestTrim:
     def test_kronecker_core(self):
         member = case3_member()
         tr = trim(member, d=case3_published_d())
-        k = kronecker_core(tr)
+        k = tr.K
         assert k.m == 5 and k.n == 4
         # lower blocks of K carry plain identities
         assert xla.is_zero(k.X[3:, 2:] + xla.feye(2))
@@ -421,7 +429,7 @@ class TestTrim:
     def test_kronecker_core_companion_sign(self):
         p = case3_poly()
         tr = trim(companion_g1(p))
-        k = kronecker_core(tr)
+        k = tr.K
         c1 = frobenius_c1(p)
         flip = xla.feye(5)
         flip[3, 3] = -xla.ONE
@@ -468,14 +476,58 @@ class TestTrim:
         prod = tr.a_block().matmul(lam)
         target = member.poly.scale(tr.alpha)
         assert (prod - target).frob_norm() <= 1e-9 * max(1.0, target.frob_norm())
-        kronecker_core(tr)
+        assert_core_reproduces_lt(tr)
 
     def test_json_round_trip(self):
-        tr = trim(case3_member(), d=case3_published_d())
-        back = TrimResult.from_json_dict(tr.to_json_dict())
-        assert back.Lt.equal(tr.Lt)
-        assert xla.is_zero(back.Dtilde - tr.Dtilde)
-        assert back.side == tr.side
+        # both sides and both fields reload to the same bytes
+        tall = case3_poly()
+        cases = [(case3_member(), case3_published_d()),
+                 (companion_g2(tall.transpose()), None),
+                 (companion_g1(tall.to_float()), None),
+                 (companion_g2(tall.transpose().to_float()), None)]
+        for member, selector in cases:
+            tr = trim(member, selector)
+            d = tr.to_json_dict()
+            back = TrimResult.from_json_dict(d)
+            assert dump_json(back.to_json_dict()) == dump_json(d)
+            assert back.Lt.equal(tr.Lt)
+            assert tr.field.is_zero(back.Dtilde - tr.Dtilde)
+            assert back.side == tr.side
+
+    def test_json_compares_values_not_spellings(self):
+        tr = trim(case3_member())
+        d = tr.to_json_dict()
+        assert (d["K"]["x"][0][1], d["X12"][0][0]) == ("2", "0")
+        d["K"]["x"][0][1] = "6/3"
+        d["X12"][0][0] = "0/7"
+        assert TrimResult.from_json_dict(d).K.equal(tr.K)
+
+    @pytest.mark.parametrize("side", ["l1", "l2"])
+    def test_json_disagreeing_top_strip_rejected(self, side):
+        # shifting the free block between X12 and Y11 keeps check_source
+        # passing; the copies of the top strip must agree at load
+        member = case3_member()
+        if side == "l2":
+            member = companion_g2(case3_poly().transpose())
+        for key in ("X12", "K", "Lt_hat"):
+            d = trim(member).to_json_dict()
+            if key == "X12":
+                d["X12"][0][0] = str(xla.frac(d["X12"][0][0]) + 5)
+                d["Y11"][0][0] = str(xla.frac(d["Y11"][0][0]) - 5)
+            else:
+                d[key]["y"][-1][-1] = "9"
+            with pytest.raises(VerificationError, match="copies of the top"):
+                TrimResult.from_json_dict(d)
+
+    def test_json_mis_shaped_matrix_is_a_schema_error(self):
+        d = trim(case3_member()).to_json_dict()
+        d["Dtilde"] = [row[:-1] for row in d["Dtilde"]]
+        with pytest.raises(SchemaError, match="row length mismatch"):
+            TrimResult.from_json_dict(d)
+        d = trim(case3_member()).to_json_dict()
+        d["Lt_hat"] = {"x": d["Lt_hat"]["x"][:2], "y": d["Lt_hat"]["y"][:2]}
+        with pytest.raises(SchemaError, match="Lt_hat has the wrong shape"):
+            TrimResult.from_json_dict(d)
 
     def test_json_tamper_rejected(self):
         tr = trim(case3_member())
