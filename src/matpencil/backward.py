@@ -135,14 +135,14 @@ def _split_sizes(bp: MatPoly):
     return k, cols - rows
 
 
-def _is_block_minimal(bp: MatPoly, k: int, safety=None) -> bool:
+def _is_block_minimal(bp: MatPoly, k: int) -> bool:
     c_sq = bp.conv_matrix(k - 2)
     c_row = bp.conv_matrix(k - 1)
-    return (bp.field.rank(c_sq, safety) == c_sq.shape[0]
-            and bp.field.rank(c_row, safety) == c_row.shape[0])
+    return (bp.field.rank(c_sq) == c_sq.shape[0]
+            and bp.field.rank(c_row) == c_row.shape[0])
 
 
-def minimality_margin(bp, rt, safety=None):
+def minimality_margin(bp, rt):
     """Is the (possibly perturbed) block row still a minimal basis with
     every row index equal to one?
 
@@ -153,11 +153,10 @@ def minimality_margin(bp, rt, safety=None):
     bp = _require_pencil(bp, "block row")
     k, _ = _split_sizes(bp)
     margin = 3.0 * _smin(rt) / (2.0 * k ** 1.5)
-    return _is_block_minimal(bp, k, safety), margin
+    return _is_block_minimal(bp, k), margin
 
 
-def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
-                    safety=None) -> MatPoly:
+def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
     """Correction of the dual polynomial basis after the block row moved.
 
     Solves the exact annihilation condition for the perturbed row as a
@@ -199,10 +198,10 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None,
         limit = k * math.sqrt(2.0) / _smin(rt) * dbn
         if dd.frob_norm() > limit * (1.0 + 1e-12):
             raise VerificationError("dual completion norm bound failed")
-    if not _is_block_minimal(bp, k, safety):
+    if not _is_block_minimal(bp, k):
         raise VerificationError("perturbed block row is not a minimal "
                                 "basis")
-    if field.rank((lam + dd).coeff(k - 1), safety) != n:
+    if field.rank((lam + dd).coeff(k - 1)) != n:
         raise VerificationError("perturbed dual basis is not column "
                                 "reduced")
     return dd
@@ -336,24 +335,24 @@ def summarize_experiment(reports) -> dict:
 # Index extraction on the float path
 
 
-def _float_indices(mp: MatPoly, want: int, safety=None):
+def _float_indices(mp: MatPoly, want: int):
     """The want right minimal indices of the float polynomial mp, from
     singular values alone, and whether every rank decision stayed a
     factor ten away from the cut."""
     clear = []
 
     def nullity(d):
-        rank, ok = FIELD_FLOAT.rank_with_margin(mp.conv_matrix(d), safety)
+        rank, ok = FIELD_FLOAT.rank_with_margin(mp.conv_matrix(d))
         clear.append(ok)
         return (d + 1) * mp.n - rank, None
 
     return index_walk(mp, want, nullity), all(clear)
 
 
-def _float_index_pair(mp: MatPoly, safety=None):
-    nrank = mp.normal_rank(safety)
-    right, ok_r = _float_indices(mp, mp.n - nrank, safety)
-    left, ok_l = _float_indices(mp.transpose(), mp.m - nrank, safety)
+def _float_index_pair(mp: MatPoly):
+    nrank = mp.normal_rank()
+    right, ok_r = _float_indices(mp, mp.n - nrank)
+    left, ok_l = _float_indices(mp.transpose(), mp.m - nrank)
     return right, left, ok_r and ok_l
 
 
@@ -362,7 +361,7 @@ def _float_index_pair(mp: MatPoly, safety=None):
 
 
 def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
-                   seed: int, safety=None):
+                   seed: int):
     """Randomized check of the backward-error bound.
 
     Per trial: sample a pencil perturbation of Frobenius norm
@@ -412,14 +411,13 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         ey = np.linalg.solve(dt, dy)
         da = MatPoly([ey[:m], ex[:m]], FIELD_FLOAT)
         db = MatPoly([ey[m:], ex[m:]], FIELD_FLOAT)
-        dd = dual_completion(bf + db, k, n, rt=rt, delta_b=db,
-                             safety=safety)
+        dd = dual_completion(bf + db, k, n, rt=rt, delta_b=db)
         dp = perturbed_polynomial(af, da, dd, alpha)
         dpn = dp.frob_norm()
         ratio = (dpn / p_norm) / (epsilon / lt_norm)
-        rp, lp_idx, ok_p = _float_index_pair(pf + dp, safety)
+        rp, lp_idx, ok_p = _float_index_pair(pf + dp)
         perturbed_pencil = ltf + MatPoly([dy, dx], FIELD_FLOAT)
-        rl, ll, ok_l = _float_index_pair(perturbed_pencil, safety)
+        rl, ll, ok_l = _float_index_pair(perturbed_pencil)
         preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)
         reports.append(PerturbReport(
             epsilon=epsilon, bound_rhs=bound, delta_P_norm=dpn,

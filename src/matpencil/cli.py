@@ -23,7 +23,7 @@ from .cases import (case1_member, case1_poly, case2_member, case2_poly,
 from .eigenstructure import (check_g_linearization, check_linearization,
                              complete_eigenstructure)
 from .errors import (MatPencilError, PreconditionError, SchemaError,
-                     StructureError, VerificationError)
+                     VerificationError)
 from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json,
                       matrix_from_json, pencil_to_json)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
@@ -125,7 +125,7 @@ def cmd_info(args) -> int:
     print(dump_json({
         "kind": "info", "m": p.m, "n": p.n, "grade": p.grade,
         "degree": p.degree, "field": p.field,
-        "normal_rank": p.normal_rank(args.tol),
+        "normal_rank": p.normal_rank(),
         "frob_norm": p.frob_norm(),
     }))
     return EXIT_OK
@@ -169,7 +169,7 @@ def cmd_check(args) -> int:
                 got = None
             if got is not None:
                 membership[side] = _vec_json(got, p.field)
-    zr = z_rank(obj, args.tol) if isinstance(obj, AnsatzPencil) else None
+    zr = z_rank(obj) if isinstance(obj, AnsatzPencil) else None
     print(dump_json({
         "kind": "check_report", "mode": mode, "strong": args.strong,
         "verdict": verdict.to_json_dict(), "membership": membership,
@@ -208,7 +208,7 @@ def cmd_recover(args) -> int:
     report = {"kind": "recover_report", "mode": args.mode,
               SIDE_LEFT: None, SIDE_RIGHT: None}
     for side in sides:
-        mb = recover_minimal(source, p, side, args.mode, safety=args.tol)
+        mb = recover_minimal(source, p, side, args.mode)
         report[side] = mb.to_json_dict()
     print(dump_json(report))
     return EXIT_OK
@@ -219,8 +219,7 @@ def cmd_backward(args) -> int:
     tr = _load_object(args.trim)
     if not isinstance(tr, TrimResult):
         raise SchemaError("backward expects a trimming record payload")
-    reports = run_experiment(p, tr, args.eps, args.trials, args.seed,
-                             safety=args.tol)
+    reports = run_experiment(p, tr, args.eps, args.trials, args.seed)
     for r in reports:
         print(dump_json(r.to_json_dict()))
     summary = summarize_experiment(reports)
@@ -337,10 +336,15 @@ def cmd_examples(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise SchemaError: bad flags are malformed input."""
+    """Usage errors raise SchemaError: bad flags are malformed input.
+    Help is one {"kind": "help"} object, so stdout stays JSON."""
 
     def error(self, message):
         raise SchemaError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        print(dump_json({"kind": "help", "text": self.format_help()}),
+              file=file)
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,15 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("number", type=int, choices=[1, 2, 3])
     sp.set_defaults(handler=cmd_examples)
 
-    # each flag only on the subcommands that read it
+    # --field only on the subcommands that read it
     for name in ("info", "build", "check", "solve", "recover", "backward"):
         sub.choices[name].add_argument(
             "--field", choices=[FIELD_RATIONAL, FIELD_FLOAT],
             help="convert the input polynomial to this field")
-    for name in ("info", "check", "recover", "backward"):
-        sub.choices[name].add_argument(
-            "--tol", type=float,
-            help="safety multiplier on the float rank tolerance")
     return ap
 
 
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         print(dump_json({"kind": "error", "error": "schema",
                          "message": str(e)}))
         return EXIT_SCHEMA
-    except (PreconditionError, StructureError) as e:
+    except PreconditionError as e:
         print(dump_json({"kind": "error", "error": "precondition",
                          "message": str(e)}))
         return EXIT_PRECONDITION

@@ -17,8 +17,8 @@ class PreconditionError(MatPencilError):
     """A mathematical precondition does not hold (e.g. rank-deficient Z)."""
 
 
-class StructureError(MatPencilError):
-    """A matrix fails the structural pattern required by an operation."""
+class StructureError(PreconditionError):
+    """A matrix fails the structural pattern an operation requires."""
 
 
 class VerificationError(MatPencilError):

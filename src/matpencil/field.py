@@ -23,8 +23,11 @@ from . import exactla as xla
 from .errors import PreconditionError, SchemaError
 
 # Float tolerances, all relative.  A singular value counts toward the
-# rank when it exceeds max(m, n) * sigma_max * eps * safety.
-RANK_SAFETY = 8.0  # safety factor when a call passes none
+# rank when it exceeds max(m, n) * sigma_max * eps * RANK_SAFETY; the
+# decision is near the cut when a value lies within a factor RANK_MARGIN.
+RANK_SAFETY = 8.0
+RANK_MARGIN = 10.0
+_EPS = float(np.finfo(float).eps)
 RESIDUAL_REL_TOL = 1e-9  # residuals and structural zero blocks
 MEMBERSHIP_REL_TOL = 1e-10  # ansatz identity of a space member
 SPAN_REL_TOL = 1e-8  # independence of a new vector from a span
@@ -104,10 +107,10 @@ class RationalField(Field):
     def kron(self, a, b):
         return xla.kron(a, b)
 
-    def rank(self, a, safety=None) -> int:
+    def rank(self, a) -> int:
         return xla.rank(a)
 
-    def nullspace(self, a, safety=None):
+    def nullspace(self, a):
         """Canonical rref basis, one column per free column."""
         return xla.nullspace(a)
 
@@ -249,35 +252,32 @@ class FloatField(Field):
     def kron(self, a, b):
         return np.kron(a, b)
 
-    def cutoff(self, s, shape, safety=None) -> float:
-        """Rank tolerance from the singular values s of a matrix of the
-        given shape."""
-        smax = s[0] if s.size else 0.0
-        k = RANK_SAFETY if safety is None else safety
-        return max(shape) * smax * np.finfo(float).eps * k
-
-    def rank_with_margin(self, a, safety=None):
-        """Tolerance rank from the singular values alone, plus a flag
-        telling whether every one stays a factor ten away from the cut."""
-        if a.size == 0:
-            return 0, True
-        s = np.linalg.svd(a, compute_uv=False)
+    def _rank_from_singular_values(self, s, shape):
+        """Tolerance rank from the descending singular values s of a matrix
+        of the given shape, and whether all stay RANK_MARGIN from the cut."""
         # a few values: plain floats compare faster than numpy scalars
-        tol = float(self.cutoff(s, a.shape, safety))
         s = s.tolist()
-        near = tol > 0 and any(tol / 10.0 <= x <= tol * 10.0 for x in s)
+        tol = max(shape) * s[0] * _EPS * RANK_SAFETY if s else 0.0
+        near = tol > 0 and any(tol / RANK_MARGIN <= x <= tol * RANK_MARGIN
+                               for x in s)
         return sum(x > tol for x in s), not near
 
-    def rank(self, a, safety=None) -> int:
-        return self.rank_with_margin(a, safety)[0]
+    def rank_with_margin(self, a):
+        """Rank and clear-of-the-cut flag from the singular values alone."""
+        if a.size == 0:
+            return 0, True
+        return self._rank_from_singular_values(
+            np.linalg.svd(a, compute_uv=False), a.shape)
 
-    def nullspace(self, a, safety=None):
-        """Right singular vectors past the tolerance rank; warns when a
-        singular value sits within a factor 100 of the cut."""
+    def rank(self, a) -> int:
+        return self.rank_with_margin(a)[0]
+
+    def nullspace(self, a):
+        """Right singular vectors past the tolerance rank; warns when the
+        rank decision is near the cut."""
         _, s, vh = np.linalg.svd(a)
-        tol = self.cutoff(s, a.shape, safety)
-        rank = int(np.sum(s > tol))
-        if tol > 0 and np.any((s >= tol / 100.0) & (s <= tol * 100.0)):
+        rank, clear = self._rank_from_singular_values(s, a.shape)
+        if not clear:
             warnings.warn("nullspace rank decision is near the tolerance",
                           RuntimeWarning)
         return np.ascontiguousarray(vh[rank:, :].T)

@@ -193,7 +193,7 @@ class MatPoly:
             raise PreconditionError("Frobenius norm is below the float range")
         return norm
 
-    def normal_rank(self, safety=None) -> int:
+    def normal_rank(self) -> int:
         """Rank over the rational-function field, via sampling.
 
         The rank can only drop at finitely many points (at most the degree of
@@ -206,7 +206,7 @@ class MatPoly:
         if not self.field.all_finite(samples):
             raise PreconditionError(
                 "a sample of the polynomial exceeds the float range")
-        return max(self.field.rank(s, safety) for s in samples)
+        return max(self.field.rank(s) for s in samples)
 
     def conv_matrix(self, j: int):
         """Block-Toeplitz convolution matrix with j+1 block columns; block

@@ -172,7 +172,7 @@ def index_walk(p: MatPoly, want: int, step) -> tuple:
     return tuple(indices)
 
 
-def minimal_basis(p, side: str, safety=None) -> MinimalBasis:
+def minimal_basis(p, side: str) -> MinimalBasis:
     """Minimal basis of the chosen rational nullspace of p.
 
     Walks degrees d = 0, 1, ... with index_walk; nullvectors of the
@@ -181,13 +181,13 @@ def minimal_basis(p, side: str, safety=None) -> MinimalBasis:
     A candidate is kept when its degree-d coefficient extends the
     row-reduced leading matrix of the vectors already kept.
 
-    Exact arithmetic is the intended path; the float path applies the
-    shared rank tolerance and warns near the cut.
+    Exact arithmetic is the intended path; on float64 the nullspaces use
+    the field's one rank cut and warn where ``rank_with_margin`` flags.
     """
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
     if side == SIDE_LEFT:
-        dual = minimal_basis(p.transpose(), SIDE_RIGHT, safety)
+        dual = minimal_basis(p.transpose(), SIDE_RIGHT)
         return MinimalBasis(SIDE_LEFT, dual.vectors, dual.indices, dual.field)
     if side != SIDE_RIGHT:
         raise SchemaError(f"unknown side {side!r}")
@@ -197,7 +197,7 @@ def minimal_basis(p, side: str, safety=None) -> MinimalBasis:
     chosen = []
 
     def select(d):
-        ns = field.nullspace(p.conv_matrix(d), safety)
+        ns = field.nullspace(p.conv_matrix(d))
         for j in range(ns.shape[1]):
             col = ns[:, j]
             if field.span_add(leads, col[:n], SPAN_REL_TOL):
@@ -206,13 +206,13 @@ def minimal_basis(p, side: str, safety=None) -> MinimalBasis:
                      for i in range(d + 1)], field))
         return ns.shape[1], len(chosen)
 
-    indices = index_walk(p, n - p.normal_rank(safety), select)
+    indices = index_walk(p, n - p.normal_rank(), select)
     basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), indices, field)
-    _certify(basis, p, safety)
+    _certify(basis, p)
     return basis
 
 
-def _certify(basis: MinimalBasis, p: MatPoly, safety):
+def _certify(basis: MinimalBasis, p: MatPoly):
     """Residuals, independence over the function field, and a row-reduced
     leading matrix; raises on any failure."""
     for v in basis.vectors:
@@ -221,18 +221,18 @@ def _certify(basis: MinimalBasis, p: MatPoly, safety):
         scale = lambda: max(1.0, p.frob_norm()) * max(1.0, v.frob_norm())
         if not p.field.negligible(res, scale):
             raise VerificationError("basis vector fails the residual check")
-    _check_independent(basis, safety)
+    _check_independent(basis)
 
 
-def _check_independent(basis: MinimalBasis, safety):
+def _check_independent(basis: MinimalBasis):
     """A row-reduced leading matrix and full normal rank of the stacked
     vectors; raises on either failure."""
     if basis.count == 0:
         return
-    if basis.field.rank(basis.leading_matrix(), safety) != basis.count:
+    if basis.field.rank(basis.leading_matrix()) != basis.count:
         raise VerificationError("leading coefficient matrix is rank deficient")
     stacked = _stack_columns(basis.vectors, basis.vectors[0].m, basis.field)
-    if stacked.normal_rank(safety) != basis.count:
+    if stacked.normal_rank() != basis.count:
         raise VerificationError("basis is dependent over the function field")
 
 
@@ -318,8 +318,7 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly) -> MatPoly:
     return y
 
 
-def special_left_basis(l: AnsatzPencil, tr: TrimResult,
-                       safety=None) -> MinimalBasis:
+def special_left_basis(l: AnsatzPencil, tr: TrimResult) -> MinimalBasis:
     """Left minimal basis of the member whose constant head spans the
     kernel of the ansatz projection.
 
@@ -343,7 +342,7 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult,
     if not (field.negligible(dx, mscale) and field.negligible(dy, mscale)):
         raise SchemaError("trimming record does not belong to this member")
 
-    base = minimal_basis(l.pencil, SIDE_LEFT, safety)
+    base = minimal_basis(l.pencil, SIDE_LEFT)
     c = tr.removed_row_count()
     if c == 0:
         return base
@@ -377,7 +376,7 @@ def special_left_basis(l: AnsatzPencil, tr: TrimResult,
     vectors = tuple(kernel + picked + [v for v, _ in higher])
     indices = tuple([0] * len(constants) + [e for _, e in higher])
     result = MinimalBasis(SIDE_LEFT, vectors, indices, field)
-    _check_independent(result, safety)
+    _check_independent(result)
     return result
 
 
@@ -385,7 +384,7 @@ def _flip(side: str) -> str:
     return SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
 
 
-def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, safety):
+def _strip_tower(base: MinimalBasis, p: MatPoly, k: int):
     """Peel Lambda_k kron x off every vector of a right pencil basis."""
     n = p.n
     field = base.field
@@ -397,12 +396,12 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, safety):
         if not field.negligible(emb - y, lambda: max(1.0, y.frob_norm())):
             raise StructureError("right nullvector lacks the tower form")
         xs.append(bottom)
-    return _pack_checked(xs, p, SIDE_RIGHT, safety)
+    return _pack_checked(xs, p, SIDE_RIGHT)
 
 
-def _pack_checked(vecs, p: MatPoly, side: str, safety) -> MinimalBasis:
+def _pack_checked(vecs, p: MatPoly, side: str) -> MinimalBasis:
     field = p.field
-    r = p.normal_rank(safety)
+    r = p.normal_rank()
     expected = (p.n if side == SIDE_RIGHT else p.m) - r
     if len(vecs) != expected:
         raise VerificationError(
@@ -414,12 +413,11 @@ def _pack_checked(vecs, p: MatPoly, side: str, safety) -> MinimalBasis:
     vectors = tuple(_trim_tail(v) for _, v in pairs)
     indices = tuple(d for d, _ in pairs)
     basis = MinimalBasis(side, vectors, indices, field)
-    _certify(basis, p, safety)
+    _certify(basis, p)
     return basis
 
 
-def recover_minimal(source, p, side: str, mode: str,
-                    safety=None) -> MinimalBasis:
+def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
     """Minimal basis of p read off from a pencil built from it.
 
     Right bases of right-space members and their trims are Kronecker
@@ -442,7 +440,7 @@ def recover_minimal(source, p, side: str, mode: str,
             raise SchemaError("mode expects a left-space source")
         dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
         dual = recover_minimal(source.transpose(), p.transpose(),
-                               _flip(side), dual_mode, safety)
+                               _flip(side), dual_mode)
         return MinimalBasis(side, dual.vectors, dual.indices, dual.field)
 
     if mode == MODE_GLIN_L1:
@@ -451,25 +449,25 @@ def recover_minimal(source, p, side: str, mode: str,
         if not source.poly.equal(p):
             raise SchemaError("member was built from a different polynomial")
         if side == SIDE_RIGHT:
-            base = minimal_basis(source.pencil, SIDE_RIGHT, safety)
-            return _strip_tower(base, p, source.k, safety)
+            base = minimal_basis(source.pencil, SIDE_RIGHT)
+            return _strip_tower(base, p, source.k)
         tr = trim(source)
-        sb = special_left_basis(source, tr, safety)
+        sb = special_left_basis(source, tr)
         kept = sb.vectors[tr.removed_row_count():]
         qs = [project_ansatz(source.ansatz, y, p.m) for y in kept]
-        return _pack_checked(qs, p, SIDE_LEFT, safety)
+        return _pack_checked(qs, p, SIDE_LEFT)
 
     if not isinstance(source, TrimResult) or source.side != SIDE_L1:
         raise SchemaError("mode expects a right-space trimming record")
     source.check_source(p)
     if side == SIDE_RIGHT:
-        base = minimal_basis(source.Lt, SIDE_RIGHT, safety)
-        return _strip_tower(base, p, source.k, safety)
-    base = minimal_basis(source.Lt, SIDE_LEFT, safety)
+        base = minimal_basis(source.Lt, SIDE_RIGHT)
+        return _strip_tower(base, p, source.k)
+    base = minimal_basis(source.Lt, SIDE_LEFT)
     v = source.ansatz()
     dt = source.D.T
     qs = []
     for y in base.vectors:
         lifted = MatPoly([dt @ cc for cc in y.coeffs], p.field)
         qs.append(project_ansatz(v, lifted, p.m))
-    return _pack_checked(qs, p, SIDE_LEFT, safety)
+    return _pack_checked(qs, p, SIDE_LEFT)

@@ -85,9 +85,9 @@ def z_block(l: AnsatzPencil, m_mat, alpha):
     return _row_transformed(l, m_mat, alpha)[2]
 
 
-def z_rank(l: AnsatzPencil, safety=None) -> int:
+def z_rank(l: AnsatzPencil) -> int:
     m_mat, alpha = reflector_for(l.ansatz, l.field)
-    return l.field.rank(z_block(l, m_mat, alpha), safety)
+    return l.field.rank(z_block(l, m_mat, alpha))
 
 
 def max_z_rank(l: AnsatzPencil) -> int:
@@ -96,8 +96,8 @@ def max_z_rank(l: AnsatzPencil) -> int:
     return (p.grade - 1) * min(p.m, p.n)
 
 
-def full_z_rank(l: AnsatzPencil, safety=None) -> bool:
-    return z_rank(l, safety) == max_z_rank(l)
+def full_z_rank(l: AnsatzPencil) -> bool:
+    return z_rank(l) == max_z_rank(l)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +484,7 @@ def linearization_witnesses(obj, p: MatPoly, strong: bool = False):
     or member of another polynomial, a singular constant factor)."""
     try:
         form, transposed = _kron_form(obj, p)
-    except (PreconditionError, StructureError):
+    except PreconditionError:
         return None
     pen = obj.pencil if isinstance(obj, AnsatzPencil) else obj.Lt
     out = [(pen, p, *_witness_pair(form, transposed))]

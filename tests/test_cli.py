@@ -60,8 +60,14 @@ def trim3(files, companion3):
 
 class TestExitCodes:
     def test_help_exits_clean(self):
-        code, _ = run("--help")
-        assert code == 0
+        for argv in (("--help",), ("check", "--help")):
+            code, out = run(*argv)
+            assert code == 0
+            assert out.count("\n") == 1
+            help_obj = json.loads(out)
+            assert help_obj["kind"] == "help"
+            assert help_obj["text"].startswith(
+                " ".join(("usage: matpencil",) + argv[:-1]))
 
     def test_unknown_subcommand(self):
         code, _ = run("nonsense")
@@ -312,15 +318,19 @@ class TestTrim:
         assert set(d["provenance"]) >= {"M", "Z", "Q1", "Q2", "Rt", "D",
                                         "Dtilde", "Lt", "Lt_hat", "K"}
 
-    @pytest.mark.parametrize("argv", [("trim", "--field", "float64"),
-                                      ("trim", "--tol", "2"),
-                                      ("examples", "3", "--field", "float64"),
-                                      ("lemma-check", "--k", "3", "--n", "1",
-                                       "--tol", "2")])
-    def test_unread_flags_refused(self, companion3, argv):
-        if argv[0] == "trim":
-            argv = ("trim", companion3) + argv[1:]
-        code, out = run(*argv)
+    @pytest.mark.parametrize("argv", [
+        ("trim", "L", "--field", "float64"),
+        ("trim", "L", "--tol", "2"),
+        ("examples", "3", "--field", "float64"),
+        ("lemma-check", "--k", "3", "--n", "1", "--tol", "2"),
+        ("info", "P", "--tol", "2"),
+        ("check", "L", "P", "--tol", "2"),
+        ("recover", "L", "P", "--mode", "glin_L1", "--tol", "2"),
+        ("backward", "P", "T", "--eps", "0.5", "--trials", "1", "--seed",
+         "0", "--tol", "2")])
+    def test_unread_flags_refused(self, companion3, p3, trim3, argv):
+        paths = {"L": companion3, "P": p3, "T": trim3}
+        code, out = run(*(paths.get(a, a) for a in argv))
         assert code == 1
         err = jline(out)
         assert (err["kind"], err["error"]) == ("error", "schema")

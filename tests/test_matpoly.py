@@ -3,6 +3,7 @@ norms, normal rank, convolution matrices, structured builders, and JSON."""
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from matpencil import exactla as xla
 from matpencil.cases import (CASE3_NORM_SQ, case2_poly, case3_eval_at_one,
                              case3_poly)
 from matpencil.errors import PreconditionError, SchemaError
+from matpencil.field import RANK_SAFETY
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                build_structured, dump_json, h_dual,
                                lambda_vec, rect_identity, shear_s)
@@ -246,10 +248,9 @@ class TestJson:
 
 class TestFloatRank:
     def test_safety_knob(self):
-        # default tolerance is max(m,n)*sigma_max*eps*8 ~ 3.6e-15
+        # the tolerance is max(m,n)*sigma_max*eps*8 ~ 3.6e-15
         assert FIELD_FLOAT.rank(np.diag([1.0, 1e-16])) == 1
         assert FIELD_FLOAT.rank(np.diag([1.0, 1e-13])) == 2
-        assert FIELD_FLOAT.rank(np.diag([1.0, 1e-13]), safety=1e4) == 1
 
     def test_margin_flags_values_near_the_cut(self):
         # the cut is ~3.6e-15: 5e-15 counts and 1e-15 does not, but both
@@ -263,6 +264,23 @@ class TestFloatRank:
         assert FIELD_FLOAT.rank_with_margin(np.diag([1.0, 1e-20])) \
             == (1, True)
         assert FIELD_FLOAT.rank_with_margin(np.zeros((2, 0))) == (0, True)
+
+    def test_nullspace_shares_the_rank_rule(self):
+        cut = 2 * np.finfo(float).eps * RANK_SAFETY
+        for small, near in ((5 * cut, True), (cut / 5, True),
+                            (50 * cut, False)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                FIELD_FLOAT.nullspace(np.diag([1.0, small]))
+            assert bool(caught) == near, small
+        # the column count is the nullity that rank_with_margin implies
+        smalls = (5 * cut, cut / 5, 50 * cut, 5e-15, 1e-15, 1e-3, 1e-20)
+        for a in [np.diag([1.0, x]) for x in smalls] + [np.zeros((2, 0))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ns = FIELD_FLOAT.nullspace(a)
+            rank = FIELD_FLOAT.rank_with_margin(a)[0]
+            assert ns.shape == (a.shape[1], a.shape[1] - rank)
 
 
 class TestPencil:
