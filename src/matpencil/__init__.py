@@ -10,8 +10,8 @@ from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2,
                      shifted_sum, space_dimension)
 from .reduction import (TrimResult, full_z_rank, g_lin_witnesses,
-                        linearization_witnesses, reflector_for, trim,
-                        verify_witnesses, z_block, z_rank)
+                        linearization_witnesses, reflector_for, row_reduction,
+                        trim, verify_witnesses, z_block, z_rank)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT, MinimalBasis,
                       embed_right, lift_left, minimal_basis, project_ansatz,
@@ -32,7 +32,7 @@ __all__ = [
     "shear_s", "SIDE_L1", "SIDE_L2", "AnsatzPencil", "ansatz_membership",
     "build_l1", "build_l2", "companion_g1", "companion_g2", "shifted_sum",
     "space_dimension", "TrimResult", "full_z_rank", "g_lin_witnesses",
-    "linearization_witnesses", "reflector_for", "trim",
+    "linearization_witnesses", "reflector_for", "row_reduction", "trim",
     "verify_witnesses", "z_block", "z_rank", "MODE_GLIN_L1", "MODE_GLIN_L2",
     "MODE_TRIMMED_L1", "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT",
     "MinimalBasis", "embed_right", "lift_left", "minimal_basis",

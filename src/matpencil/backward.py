@@ -12,7 +12,7 @@ between trials and reports are listed in trial order.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -278,39 +278,17 @@ class PerturbReport:
         return self.ratio <= self.constant_full
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "perturb_report",
-            "epsilon": self.epsilon,
-            "bound_rhs": self.bound_rhs,
-            "delta_P_norm": self.delta_P_norm,
-            "ratio": self.ratio,
-            "constant_hat": self.constant_hat,
-            "constant_full": self.constant_full,
-            "kappa_dtilde": self.kappa_dtilde,
-            "kappa_rtilde": self.kappa_rtilde,
-            "sigma_min_rtilde": self.sigma_min_rtilde,
-            "indices_preserved": self.indices_preserved,
-            "conclusive": self.conclusive,
-        }
+        return {"kind": "perturb_report", **asdict(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PerturbReport":
-        _require_keys(d, ("kind", "epsilon", "bound_rhs", "delta_P_norm",
-                          "ratio", "constant_hat", "constant_full",
-                          "kappa_dtilde", "kappa_rtilde",
-                          "sigma_min_rtilde", "indices_preserved"),
-                      "perturbation report")
+        """Load a report; fields with a default (conclusive) may be
+        missing."""
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        _require_keys(d, ("kind", *required), "perturbation report")
         if d["kind"] != "perturb_report":
             raise SchemaError("not a perturbation report")
-        return cls(epsilon=d["epsilon"], bound_rhs=d["bound_rhs"],
-                   delta_P_norm=d["delta_P_norm"], ratio=d["ratio"],
-                   constant_hat=d["constant_hat"],
-                   constant_full=d["constant_full"],
-                   kappa_dtilde=d["kappa_dtilde"],
-                   kappa_rtilde=d["kappa_rtilde"],
-                   sigma_min_rtilde=d["sigma_min_rtilde"],
-                   indices_preserved=d["indices_preserved"],
-                   conclusive=d.get("conclusive", True))
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def reports_to_jsonl(reports) -> str:

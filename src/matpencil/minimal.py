@@ -11,6 +11,8 @@ The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
 ansatz member's left nullvectors down, lifting a left nullvector into a
 member with full lower-block rank, and the combined recovery driver.
+Both left-side maps read the member alone, through its block-row
+reduction (M kron I)*L; neither needs a trimming record.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import SPAN_REL_TOL, field_of
 from .matpoly import MatPoly, lambda_vec, shear_s, _require_keys
-from .reduction import TrimResult, trim
+from .reduction import TrimResult, row_reduction
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
 SIDE_RIGHT = "right"
@@ -42,17 +44,6 @@ def _trim_tail(v: MatPoly) -> MatPoly:
 
 def _clean(v: MatPoly) -> MatPoly:
     return MatPoly(v.field.clean(v.coeffs), v.field)
-
-
-def _stack_columns(vecs, rows, field) -> MatPoly:
-    g = max((v.grade for v in vecs), default=0)
-    out = []
-    for i in range(g + 1):
-        c = field.zeros(rows, len(vecs))
-        for j, v in enumerate(vecs):
-            c[:, j:j + 1] = v.coeff(i)
-        out.append(c)
-    return MatPoly(out, field)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +204,8 @@ def minimal_basis(p, side: str) -> MinimalBasis:
 
 
 def _certify(basis: MinimalBasis, p: MatPoly):
-    """Residuals, independence over the function field, and a row-reduced
-    leading matrix; raises on any failure."""
+    """Zero residuals and a full-rank leading matrix; raises on either
+    failure."""
     for v in basis.vectors:
         res = (p.matmul(v) if basis.side == SIDE_RIGHT
                else v.transpose().matmul(p))
@@ -225,15 +216,13 @@ def _certify(basis: MinimalBasis, p: MatPoly):
 
 
 def _check_independent(basis: MinimalBasis):
-    """A row-reduced leading matrix and full normal rank of the stacked
-    vectors; raises on either failure."""
+    """Full column rank of the leading matrix, so the basis is column
+    reduced; that implies full normal rank of the stacked vectors
+    (Forney, SIAM J. Control 13, 1975). Raises otherwise."""
     if basis.count == 0:
         return
     if basis.field.rank(basis.leading_matrix()) != basis.count:
         raise VerificationError("leading coefficient matrix is rank deficient")
-    stacked = _stack_columns(basis.vectors, basis.vectors[0].m, basis.field)
-    if stacked.normal_rank() != basis.count:
-        raise VerificationError("basis is dependent over the function field")
 
 
 def embed_right(x: MatPoly, k: int) -> MatPoly:
@@ -259,8 +248,18 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
     return MatPoly([row @ c for c in y.coeffs], field)
 
 
-def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly) -> MatPoly:
-    """Lift a left nullvector of p into the member recorded by tr.
+def _reduce(l: AnsatzPencil):
+    """The block-row reduction of a right-space member and a basis of the
+    left complement of its Z; raises unless P is tall and Z has full
+    column rank."""
+    if not isinstance(l, AnsatzPencil) or l.side != SIDE_L1:
+        raise PreconditionError("needs a right-space member; transpose first")
+    red = row_reduction(l, *l.field.reflector(l.ansatz))
+    return red, red.complement()
+
+
+def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
+    """Lift a left nullvector of P = l.poly into the member l.
 
     With the member row-transformed so the lower block pair (-Z, Z) is
     exposed, the complementary component is forced: contracting the top
@@ -269,27 +268,23 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly) -> MatPoly:
     above deg q are then removed after checking they hit Z trivially, so
     the lifted vector keeps the degree of q.
     """
-    if not isinstance(tr, TrimResult):
-        raise SchemaError("expected a trimming record")
-    if tr.side != SIDE_L1:
-        raise PreconditionError("lifting runs on right-space records; "
-                                "transpose the problem first")
+    red, _ = _reduce(l)
+    p = l.poly
     if not isinstance(q, MatPoly) or q.n != 1:
         raise SchemaError("expected a column vector polynomial")
     if q.m != p.m:
         raise SchemaError("vector length does not match the row count")
-    tr.check_source(p)
-    k, m, n, field = tr.k, tr.m, tr.n, tr.field
+    k, m, n, field = l.k, p.m, p.n, l.field
     fscale = lambda: max(1.0, q.frob_norm() * max(1.0, p.frob_norm()))
     if not field.negligible(q.transpose().matmul(p), fscale):
         raise PreconditionError("vector is not in the left nullspace")
     if q.is_zero():
         return MatPoly.zero(k * m, 1, 0, field)
 
-    zdag = field.pinv(tr.Z)
-    head = q.transpose().matmul(tr.a_block())
+    z = red.Z
+    head = q.transpose().matmul(red.top)
     tail_row = head.matmul(shear_s(k, n, field)) \
-                   .matmul(MatPoly([zdag], field)).scale(-1)
+                   .matmul(MatPoly([field.pinv(z)], field)).scale(-1)
     qtil = tail_row.transpose()
 
     g = max(q.degree, qtil.degree, 0)
@@ -298,60 +293,49 @@ def lift_left(q: MatPoly, tr: TrimResult, p: MatPoly) -> MatPoly:
     delta = q.degree
     for i in range(stacked.grade, delta, -1):
         t = stacked.coeff(i)[m:, :]
-        ts = lambda: (max(1.0, float(np.max(np.abs(tr.Z))))
+        ts = lambda: (max(1.0, float(np.max(np.abs(z))))
                       * max(1.0, float(np.max(np.abs(t)))))
-        if not field.negligible(t.T @ tr.Z, ts):
+        if not field.negligible(t.T @ z, ts):
             raise VerificationError(
                 "degree reduction failed; the lift keeps a higher-degree tail")
     stacked = MatPoly([stacked.coeff(i) for i in range(delta + 1)], field)
 
-    res = stacked.transpose().matmul(tr.member_pencil())
-    mscale = lambda: fscale() * max(1.0, tr.Lt.frob_norm())
+    res = stacked.transpose().matmul(red.pencil)
+    mscale = lambda: fscale() * max(1.0, red.pencil.frob_norm())
     if not field.negligible(res, mscale):
         raise VerificationError("lifted vector fails the pencil residual")
 
-    mkt = tr.row_transform().T
-    y = MatPoly([mkt @ c for c in stacked.coeffs],
-                field).scale(field.one / tr.alpha)
+    y = MatPoly([red.mk.T @ c for c in stacked.coeffs],
+                field).scale(field.one / red.alpha)
     if y.degree != delta:
         raise VerificationError("lift changed the degree")
     return y
 
 
-def special_left_basis(l: AnsatzPencil, tr: TrimResult) -> MinimalBasis:
+def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
     """Left minimal basis of the member whose constant head spans the
     kernel of the ansatz projection.
 
-    The first removed-row-count vectors are constants built from the
-    left-nullspace factor of Z; the rest of a freshly computed minimal
-    basis is kept, with its constant vectors greedily swapped in until
-    the constant count matches. Minimality of the result is re-verified,
-    not assumed.
+    The first (k-1)(m-n) vectors are constants built from the left
+    complement of Z; the rest of a freshly computed minimal basis is
+    kept, with its constant vectors greedily swapped in until the
+    constant count matches. The degrees are those of the minimal basis;
+    the result is re-checked for a full-rank leading matrix, which
+    certifies independence.
     """
-    if not isinstance(l, AnsatzPencil) or l.side != SIDE_L1:
-        raise PreconditionError("needs a right-space member; transpose first")
-    if not isinstance(tr, TrimResult) or tr.side != SIDE_L1:
-        raise SchemaError("expected a right-space trimming record")
+    red, comp = _reduce(l)
     field = l.field
-    k, m = l.k, l.poly.m
-    mk = tr.row_transform()
-    member = tr.member_pencil()
-    dx = mk @ l.pencil.X - member.X
-    dy = mk @ l.pencil.Y - member.Y
+    m = l.poly.m
     mscale = lambda: max(1.0, l.pencil.frob_norm())
-    if not (field.negligible(dx, mscale) and field.negligible(dy, mscale)):
-        raise SchemaError("trimming record does not belong to this member")
-
     base = minimal_basis(l.pencil, SIDE_LEFT)
-    c = tr.removed_row_count()
-    if c == 0:
+    if comp.shape[1] == 0:
         return base
 
     kernel = []
-    for j in range(tr.Q2.shape[1]):
-        col = field.zeros(k * m, 1)
-        col[m:, 0] = tr.Q2[:, j]
-        u = MatPoly([mk.T @ col], field)
+    for j in range(comp.shape[1]):
+        col = field.zeros(l.pencil.m, 1)
+        col[m:, 0] = comp[:, j]
+        u = MatPoly([red.mk.T @ col], field)
         us = lambda: mscale() * max(1.0, u.frob_norm())
         if not field.negligible(u.transpose().matmul(l.pencil), us):
             raise VerificationError("kernel vector fails the pencil residual")
@@ -400,6 +384,11 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int):
 
 
 def _pack_checked(vecs, p: MatPoly, side: str) -> MinimalBasis:
+    """Sort recovered nullvectors of p into a basis and certify it: zero
+    residuals, n - rank vectors (m - rank on the left) and a full-rank
+    leading matrix, so the basis is column reduced. Minimality of the
+    degrees is not re-checked; it rests on the recovery theorems, and a
+    recovered (l - 1)*x would pass."""
     field = p.field
     r = p.normal_rank()
     expected = (p.n if side == SIDE_RIGHT else p.m) - r
@@ -451,9 +440,9 @@ def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
         if side == SIDE_RIGHT:
             base = minimal_basis(source.pencil, SIDE_RIGHT)
             return _strip_tower(base, p, source.k)
-        tr = trim(source)
-        sb = special_left_basis(source, tr)
-        kept = sb.vectors[tr.removed_row_count():]
+        # the first (k-1)(m-n) vectors span the projection's kernel
+        sb = special_left_basis(source)
+        kept = sb.vectors[(source.k - 1) * (p.m - p.n):]
         qs = [project_ansatz(source.ansatz, y, p.m) for y in kept]
         return _pack_checked(qs, p, SIDE_LEFT)
 

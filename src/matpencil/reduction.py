@@ -10,7 +10,7 @@ pencils alike, from the block-Kronecker pencil both reduce to.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +36,40 @@ def reflector_for(v, field: Optional[str] = None):
     return field.reflector(v)
 
 
-def _row_transformed(l: AnsatzPencil, m_mat, alpha):
-    """M kron I, the right-space member (M kron I)*L and its constant
-    lower-left block Z, after verifying the pencil really carries the
-    two-copy structure: the lambda lower-right block must be -Z and the
-    remaining lower corners zero."""
+class RowReduction(NamedTuple):
+    """A right-space member L reduced by M with M*v = alpha*e1: the
+    transform M kron I, the member (M kron I)*L and its constant
+    lower-left block Z."""
+    M: np.ndarray
+    alpha: object
+    mk: np.ndarray
+    pencil: MatPoly
+    Z: np.ndarray
+
+    @property
+    def top(self) -> MatPoly:
+        """The first m rows of (M kron I)*L."""
+        m = self.pencil.m - self.Z.shape[0]
+        return MatPoly.pencil(self.pencil.X[:m], self.pencil.Y[:m],
+                              self.pencil.field)
+
+    def complement(self) -> np.ndarray:
+        """A basis of the left complement of Z's range, the kernel of Z^T;
+        raise unless P is tall and Z has full column rank."""
+        if self.pencil.m < self.pencil.n:
+            raise PreconditionError(
+                "wide polynomials trim through the left space")
+        comp = self.pencil.field.nullspace(self.Z.T)
+        if comp.shape[1] != self.Z.shape[0] - self.Z.shape[1]:
+            raise PreconditionError(
+                "lower block is rank deficient; cannot trim")
+        return comp
+
+
+def row_reduction(l: AnsatzPencil, m_mat, alpha) -> RowReduction:
+    """The block-row reduction of a right-space member, after verifying
+    the pencil really carries the two-copy structure: the lambda
+    lower-right block must be -Z and the remaining lower corners zero."""
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     field = l.field
@@ -59,7 +88,8 @@ def _row_transformed(l: AnsatzPencil, m_mat, alpha):
     for block, what in checks:
         if not field.negligible(block, scale):
             raise StructureError(f"reduced pencil violates the {what} block")
-    return mk, MatPoly.pencil(xp, yp, field), z.copy()
+    return RowReduction(m_mat, alpha, mk, MatPoly.pencil(xp, yp, field),
+                        z.copy())
 
 
 def _stack_over(top: MatPoly, lower) -> MatPoly:
@@ -82,7 +112,7 @@ def z_block(l: AnsatzPencil, m_mat, alpha):
     checks of the row transform."""
     if l.side == SIDE_L2:
         return z_block(l.transpose(), m_mat, alpha).T.copy()
-    return _row_transformed(l, m_mat, alpha)[2]
+    return row_reduction(l, m_mat, alpha).Z
 
 
 def z_rank(l: AnsatzPencil) -> int:
@@ -184,15 +214,6 @@ class TrimResult:
             return self.top.X[:, self.n:], self.top.Y[:, :cn]
         return self.top.X[self.m:], self.top.Y[:cn]
 
-    def row_transform(self):
-        """M kron I_m, the block-row transform of a right-space record."""
-        return self.field.kron(self.M, self.field.eye(self.m))
-
-    def member_pencil(self) -> MatPoly:
-        """The row-transformed member (M kron I)L of a right-space record,
-        rebuilt from the stored blocks."""
-        return _stack_over(self.top, self.Z)
-
     def check_source(self, p: MatPoly):
         """Raise SchemaError unless the stored top strip reproduces
         alpha * p when contracted with the monomial tower."""
@@ -208,9 +229,6 @@ class TrimResult:
         if not field.negligible(got - p.scale(self.alpha), scale):
             raise SchemaError(
                 "trimming record was built from a different polynomial")
-
-    def removed_row_count(self) -> int:
-        return (self.k - 1) * abs(self.m - self.n)
 
     def ansatz(self) -> np.ndarray:
         """Member's ansatz vector, recovered from M v = alpha e1."""
@@ -305,12 +323,12 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
         raise PreconditionError("wide polynomials trim through the left space")
     cn = (k - 1) * n
     m_mat, alpha = field.reflector(l.ansatz)
-    mk, lq, z = _row_transformed(l, m_mat, alpha)
+    red = row_reduction(l, m_mat, alpha)
+    mk, z = red.mk, red.Z
     if field.rank(z) < cn:
         raise PreconditionError("lower block is rank deficient; cannot trim")
 
     q1, q2, rt, q1_star, q2_star = field.factor_z(z, cn)
-    top = MatPoly.pencil(lq.X[:m], lq.Y[:m], field)
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)
@@ -342,7 +360,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
 
     out = TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
                      alpha=alpha, Z=z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
-                     Dtilde=dtilde, Lt=lt, top=top)
+                     Dtilde=dtilde, Lt=lt, top=red.top)
     _verify_trim_identities(out)
     return out
 
@@ -418,25 +436,16 @@ def _member_form(l: AnsatzPencil) -> _KronForm:
     full column rank."""
     p = l.poly
     k, m, n = p.grade, p.m, p.n
-    if m < n:
-        raise PreconditionError("wide polynomials reduce through the left space")
-    field = l.field
-    m_mat, alpha = field.reflector(l.ansatz)
-    mk, lq, z = _row_transformed(l, m_mat, alpha)
-    comp = field.nullspace(z.T)
-    if comp.shape[1] != (k - 1) * (m - n):
-        raise PreconditionError("lower block is rank deficient")
-    zn = np.hstack([z, comp])
-    c = mk.copy()
-    c[m:] = field.inv(zn) @ mk[m:]
+    red = row_reduction(l, *l.field.reflector(l.ansatz))
+    c = red.mk.copy()
+    c[m:] = l.field.inv(np.hstack([red.Z, red.complement()])) @ red.mk[m:]
     # block b of the target's lower rows takes the n rows of Z's block b,
     # then m - n rows of the complement
     cn = (k - 1) * n
     rest = cn + np.arange((k - 1) * (m - n)).reshape(k - 1, m - n)
     lower = np.hstack([np.arange(cn).reshape(k - 1, n), rest])
     t = np.concatenate([np.arange(m), m + lower.ravel()])
-    return _KronForm(c, MatPoly.pencil(lq.X[:m], lq.Y[:m], field), alpha,
-                     np.arange(k * n), t, n)
+    return _KronForm(c, red.top, red.alpha, np.arange(k * n), t, n)
 
 
 def _trim_form(tr: TrimResult) -> _KronForm:

@@ -318,7 +318,7 @@ def test_criterion_8_property_suites():
         except PreconditionError:
             continue
         for q in minimal_basis(p, SIDE_LEFT).vectors:
-            y = lift_left(q, tr, p)
+            y = lift_left(q, member)
             assert y.degree == q.degree
             assert project_ansatz(tr.ansatz(), y, p.m).equal(q)
         done += 1

@@ -250,3 +250,57 @@ def test_mismatched_polynomial_check_output_pinned(tmp_path):
         assert code == 3, text
         got[name] = _digest(text)
     assert got == MISMATCHED_DIGESTS
+
+
+# A tall 4x3 k=2 polynomial whose third row is the first plus twice the
+# second in every coefficient, so (1, 2, -1, 0) is a constant left null
+# vector; and its transpose, with that vector on the right.  The L1
+# member's left nullspace then has two constant vectors, and the special
+# basis must swap one of them for the kernel of the ansatz projection.
+PLANTED_COEFFS = [
+    [[1, 0, 2], [0, 1, -1], [1, 2, 0], [3, -1, 1]],
+    [[2, 1, 0], [1, -1, 1], [4, -1, 2], [0, 1, 1]],
+    [[1, 1, 1], [0, 2, 1], [1, 5, 3], [2, 0, 1]],
+]
+
+PLANTED_DIGESTS = {
+    "1": {
+        "recover_glin":
+            "f50ad07a6cad4766536af7d8427abc62eaa103c95cc5e0ed41197bc87a259168",
+        "recover_trimmed":
+            "07fd65b623bf715e506a0ed66ed812940e76dce8068af0e11dd6bc07fd43bc86",
+    },
+    "2": {
+        "recover_glin":
+            "a1d6ad9af4c7b9142efb61ee7307d08c6a8a502360cf382db13a2d173407c6a7",
+        "recover_trimmed":
+            "9afcbce3b562b8ffa0e02cc56ae189575f6dd799b2b848c3c90a7b9275142ed3",
+    },
+}
+
+
+def planted_poly(side):
+    coeffs = PLANTED_COEFFS if side == "1" else [
+        [list(col) for col in zip(*c)] for c in PLANTED_COEFFS]
+    return {"m": len(coeffs[0]), "n": len(coeffs[0][0]), "grade": 2,
+            "field": "rational",
+            "coeffs": [[[str(x) for x in row] for row in c] for c in coeffs]}
+
+
+@pytest.mark.parametrize("side", sorted(PLANTED_DIGESTS))
+def test_planted_left_null_vector_recovery_pinned(tmp_path, side):
+    poly = tmp_path / "p.json"
+    poly.write_text(dump_json(planted_poly(side)))
+    member = tmp_path / "l.json"
+    trimmed = tmp_path / "t.json"
+    member.write_text(_stdout(["build", str(poly), "--side", "l" + side,
+                               "--companion"]))
+    trimmed.write_text(_stdout(["trim", str(member)]))
+    got = {
+        "recover_glin": _digest(_stdout(
+            ["recover", str(member), str(poly), "--mode", "glin_L" + side])),
+        "recover_trimmed": _digest(_stdout(
+            ["recover", str(trimmed), str(poly), "--mode",
+             "trimmed_L" + side])),
+    }
+    assert got == PLANTED_DIGESTS[side]

@@ -2,20 +2,23 @@
 between a polynomial and its ansatz pencils."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.cases import case2_poly, case3_member, case3_poly
+from matpencil.cases import (case1_member, case2_poly, case3_member,
+                             case3_poly)
 from matpencil.errors import (PreconditionError, SchemaError,
                               VerificationError)
 from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
-                               MinimalBasis, embed_right, index_walk,
-                               lift_left, minimal_basis, project_ansatz,
-                               recover_minimal, special_left_basis)
+                               MinimalBasis, _pack_checked, embed_right,
+                               index_walk, lift_left, minimal_basis,
+                               project_ansatz, recover_minimal,
+                               special_left_basis)
 from matpencil.reduction import trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
 
@@ -232,46 +235,35 @@ class TestEmbedProject:
 class TestLift:
     def test_constant_vector(self):
         p = case2_poly()
-        tr = trim(companion_g1(p))
         q = vec_poly([0, 0, 1])
-        y = lift_left(q, tr, p)
+        y = lift_left(q, companion_g1(p))
         assert y.equal(vec_poly([0, 0, 1, 0, 0, 0]))
 
     def test_degree_one_vector(self):
         p = case2_poly()
-        tr = trim(companion_g1(p))
         q = vec_poly([1, 0, 0], [0, -1, 0])
-        y = lift_left(q, tr, p)
+        y = lift_left(q, companion_g1(p))
         assert y.equal(vec_poly([1, 0, 0, 0, 1, 0], [0, -1, 0, 0, 0, 0]))
 
     def test_zero_vector(self):
-        p = case2_poly()
-        tr = trim(companion_g1(p))
-        assert lift_left(MatPoly.zero(3, 1, 1), tr, p).is_zero()
+        l = companion_g1(case2_poly())
+        assert lift_left(MatPoly.zero(3, 1, 1), l).is_zero()
 
     def test_rejects_non_nullvector(self):
-        p = case2_poly()
-        tr = trim(companion_g1(p))
+        l = companion_g1(case2_poly())
         with pytest.raises(PreconditionError):
-            lift_left(vec_poly([1, 0, 0]), tr, p)
+            lift_left(vec_poly([1, 0, 0]), l)
 
-    def test_rejects_left_space_record(self):
-        pw = case2_poly().transpose()
-        tr = trim(companion_g2(pw))
+    def test_rejects_left_space_member(self):
+        l2 = companion_g2(case2_poly().transpose())
         with pytest.raises(PreconditionError):
-            lift_left(vec_poly([1, 0]), tr, pw)
-
-    def test_rejects_foreign_record(self):
-        tr = trim(companion_g1(case3_poly()))
-        with pytest.raises(SchemaError):
-            lift_left(vec_poly([0, 0, 1]), tr, case2_poly())
+            lift_left(vec_poly([1, 0]), l2)
 
     def test_projection_round_trip(self):
         p = case2_poly()
         l = companion_g1(p)
-        tr = trim(l)
         for q in (vec_poly([0, 0, 1]), vec_poly([1, 0, 0], [0, -1, 0])):
-            y = lift_left(q, tr, p)
+            y = lift_left(q, l)
             assert y.degree == q.degree
             assert project_ansatz(l.ansatz, y, p.m).equal(q)
 
@@ -279,9 +271,8 @@ class TestLift:
         # case 3's member has a swapped ansatz vector, M is not I there
         p = case3_poly()
         l = case3_member()
-        tr = trim(l)
         q = vec_poly([-2, -1, 1])
-        y = lift_left(q, tr, p)
+        y = lift_left(q, l)
         assert y.degree == 0
         assert project_ansatz(l.ansatz, y, p.m).equal(q)
 
@@ -291,24 +282,19 @@ class TestLift:
         for _ in range(5):
             p = planted_left_poly(rng)
             assert q.transpose().matmul(p).is_zero()
-            tr = trim(companion_g1(p))
-            y = lift_left(q, tr, p)
+            y = lift_left(q, companion_g1(p))
             assert y.degree == 1
             assert project_ansatz([1, 0], y, 3).equal(q)
 
 
 class TestSpecialBasis:
     def test_case2_companion(self):
-        l = companion_g1(case2_poly())
-        tr = trim(l)
-        sb = special_left_basis(l, tr)
+        sb = special_left_basis(companion_g1(case2_poly()))
         assert sb.indices == (0, 0, 1)
         assert sb.vectors[0].equal(vec_poly([0, 0, 0, 0, 0, 1]))
 
     def test_case3_member(self):
-        l = case3_member()
-        tr = trim(l)
-        sb = special_left_basis(l, tr)
+        sb = special_left_basis(case3_member())
         assert sb.indices == (0, 0)
         # M swaps the two blocks, so the kernel vector lands on top
         assert sb.vectors[0].equal(vec_poly([0, 0, 1, 0, 0, 0]))
@@ -320,8 +306,7 @@ class TestSpecialBasis:
         p = MatPoly([xla.fmat(a0), xla.fmat(a1), xla.fmat(a2)],
                     FIELD_RATIONAL)
         l = companion_g1(p)
-        tr = trim(l)
-        sb = special_left_basis(l, tr)
+        sb = special_left_basis(l)
         assert same_basis(sb, minimal_basis(l.pencil, SIDE_LEFT))
 
     def test_generic_tall_has_only_kernel_zeros(self):
@@ -333,20 +318,21 @@ class TestSpecialBasis:
             flat = np.hstack([np.array(c, dtype=object) for c in p.coeffs])
             if xla.rank(flat) < 3:
                 continue
-            l = companion_g1(p)
-            sb = special_left_basis(l, trim(l))
+            sb = special_left_basis(companion_g1(p))
             assert sum(1 for e in sb.indices if e == 0) == 1
 
-    def test_mismatched_pair_refused(self):
-        l = companion_g1(case2_poly())
-        with pytest.raises(SchemaError):
-            special_left_basis(l, trim(case3_member()))
+    def test_deficient_z_refused(self):
+        with pytest.raises(PreconditionError,
+                           match="lower block is rank deficient; cannot trim"):
+            special_left_basis(case1_member())
+        with pytest.raises(PreconditionError,
+                           match="wide polynomials trim through the left"):
+            special_left_basis(companion_g1(case2_poly().transpose()))
 
     def test_left_space_member_refused(self):
-        pw = case2_poly().transpose()
-        l2 = companion_g2(pw)
+        l2 = companion_g2(case2_poly().transpose())
         with pytest.raises(PreconditionError):
-            special_left_basis(l2, trim(l2))
+            special_left_basis(l2)
 
 
 class TestRecover:
@@ -444,6 +430,35 @@ class TestRecover:
         assert lb.indices == (0,)
         oracle = vec_poly([-2, -1, 1], field=FIELD_FLOAT)
         assert spans_line(lb.vectors[0], oracle, tol=1e-8)
+
+    def test_glin_left_reads_no_trimming_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("glin recovery ran trim")
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("matpencil")
+                    and getattr(mod, "trim", None) is trim):
+                monkeypatch.setattr(mod, "trim", refuse)
+        p = case2_poly()
+        lb = recover_minimal(companion_g1(p), p, SIDE_LEFT, MODE_GLIN_L1)
+        assert lb.indices == (0, 1)
+        lb = recover_minimal(case3_member(), case3_poly(), SIDE_LEFT,
+                             MODE_GLIN_L1)
+        assert lb.indices == (0,)
+        pw = p.transpose()
+        lb = recover_minimal(companion_g2(pw), pw, SIDE_LEFT, MODE_GLIN_L2)
+        assert lb.indices == (1,)
+
+    def test_leading_matrix_certificate_fires(self):
+        # p = [1, l, 0] kills x1 = (l, -1, 0) and x2 = (l, -1, 1): the pair
+        # is independent, but both leading coefficients are e1
+        p = MatPoly([xla.fmat([[1, 0, 0]]), xla.fmat([[0, 1, 0]])],
+                    FIELD_RATIONAL)
+        x1 = vec_poly([0, -1, 0], [1, 0, 0])
+        x2 = vec_poly([0, -1, 1], [1, 0, 0])
+        with pytest.raises(VerificationError,
+                           match="leading coefficient matrix is rank deficient"):
+            _pack_checked([x1, x2], p, SIDE_RIGHT)
 
     def test_float_glin_right(self):
         p = case2_poly().to_float()

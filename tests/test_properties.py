@@ -106,7 +106,7 @@ class TestLiftProject:
         basis = minimal_basis(p, SIDE_LEFT)
         assume(basis.vectors)
         for q in basis.vectors:
-            y = lift_left(q, tr, p)
+            y = lift_left(q, member)
             assert y.degree == q.degree
             assert project_ansatz(tr.ansatz(), y, p.m).equal(q)
 
