@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, RESIDUAL_REL_TOL, field_of_array
 from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
-from .minimal import index_walk
+from .minimal import index_walk, pencil_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
 
@@ -347,7 +347,9 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     compression into strip and block-row parts, complete the dual basis,
     build the induced polynomial perturbation, and compare minimal
     indices of the perturbed polynomial against the perturbed pencil
-    under the unperturbed shift rules.
+    under the unperturbed shift rules.  The two sides use independent
+    methods: the polynomial's indices come from the convolution walk that
+    defines them, the pencil's from its staircase.
     """
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
@@ -395,7 +397,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         ratio = (dpn / p_norm) / (epsilon / lt_norm)
         rp, lp_idx, ok_p = _float_index_pair(pf + dp)
         perturbed_pencil = ltf + MatPoly([dy, dx], FIELD_FLOAT)
-        rl, ll, ok_l = _float_index_pair(perturbed_pencil)
+        rl, ll, ok_l = pencil_indices(perturbed_pencil)
         preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)
         reports.append(PerturbReport(
             epsilon=epsilon, bound_rhs=bound, delta_P_norm=dpn,

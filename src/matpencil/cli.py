@@ -163,10 +163,15 @@ def cmd_check(args) -> int:
         pen = obj
     if pen is not None:
         for side in (SIDE_L1, SIDE_L2):
-            try:
-                got = ansatz_membership(pen, p, side)
-            except SchemaError:
-                got = None
+            if (isinstance(obj, AnsatzPencil) and side == obj.side
+                    and obj.poly.equal(p)):
+                # verified on load; the vector is unique unless P is zero
+                got = None if p.is_zero() else obj.ansatz
+            else:
+                try:
+                    got = ansatz_membership(pen, p, side)
+                except SchemaError:
+                    got = None
             if got is not None:
                 membership[side] = _vec_json(got, p.field)
     zr = z_rank(obj) if isinstance(obj, AnsatzPencil) else None

@@ -163,11 +163,12 @@ class RationalField(Field):
             elem[i, i] = alpha
         return elem @ perm, alpha
 
-    def factor_z(self, z, cn):
+    def factor_z(self, z, comp):
         """Exact Gram-Schmidt: z = q1·rt with pairwise orthogonal rational
         columns q1 and unit upper triangular rt; q1* scales q1ᵀ by the
-        inverse squared column norms.  Returns (q1, q2, rt, q1*, q2*)."""
-        rows = z.shape[0]
+        inverse squared column norms, and q2 is comp, the given basis of
+        the kernel of zᵀ.  Returns (q1, q2, rt, q1*, q2*)."""
+        rows, cn = z.shape
         q1 = xla.fzeros(rows, cn)
         rt = xla.fzeros(cn, cn)
         norms = []
@@ -183,7 +184,7 @@ class RationalField(Field):
             q1[:, j] = w
             norms.append(sum(x * x for x in w))
         q1, rt = _sign_canonicalize(q1, rt)
-        q2, _ = _sign_canonicalize(xla.nullspace(z.T), None)
+        q2, _ = _sign_canonicalize(comp.copy(), None)
         q1_star = (q1 / np.array(norms, dtype=object)).T.copy()
         return q1, q2, rt, q1_star, q2.T.copy()
 
@@ -252,12 +253,14 @@ class FloatField(Field):
     def kron(self, a, b):
         return np.kron(a, b)
 
-    def _rank_from_singular_values(self, s, shape):
+    def _rank_from_singular_values(self, s, shape, ref):
         """Tolerance rank from the descending singular values s of a matrix
-        of the given shape, and whether all stay RANK_MARGIN from the cut."""
+        of the given shape, cut relative to ref (the matrix's own sigma_max,
+        or that of the whole pencil a staircase block comes from), and
+        whether all stay RANK_MARGIN from the cut."""
         # a few values: plain floats compare faster than numpy scalars
         s = s.tolist()
-        tol = max(shape) * s[0] * _EPS * RANK_SAFETY if s else 0.0
+        tol = max(shape) * float(ref) * _EPS * RANK_SAFETY if s else 0.0
         near = tol > 0 and any(tol / RANK_MARGIN <= x <= tol * RANK_MARGIN
                                for x in s)
         return sum(x > tol for x in s), not near
@@ -266,8 +269,8 @@ class FloatField(Field):
         """Rank and clear-of-the-cut flag from the singular values alone."""
         if a.size == 0:
             return 0, True
-        return self._rank_from_singular_values(
-            np.linalg.svd(a, compute_uv=False), a.shape)
+        s = np.linalg.svd(a, compute_uv=False)
+        return self._rank_from_singular_values(s, a.shape, s[0])
 
     def rank(self, a) -> int:
         return self.rank_with_margin(a)[0]
@@ -276,7 +279,8 @@ class FloatField(Field):
         """Right singular vectors past the tolerance rank; warns when the
         rank decision is near the cut."""
         _, s, vh = np.linalg.svd(a)
-        rank, clear = self._rank_from_singular_values(s, a.shape)
+        rank, clear = self._rank_from_singular_values(
+            s, a.shape, s[0] if s.size else 0.0)
         if not clear:
             warnings.warn("nullspace rank decision is near the tolerance",
                           RuntimeWarning)
@@ -328,9 +332,12 @@ class FloatField(Field):
         m = np.eye(k) - 2.0 * np.outer(u, u) / float(u @ u)
         return m, nrm
 
-    def factor_z(self, z, cn):
+    def factor_z(self, z, comp):
         """Pivoted QR: orthonormal q1 spanning ran(z) with q1ᵀz = rt and
-        its orthonormal complement q2.  Returns (q1, q2, rt, q1ᵀ, q2ᵀ)."""
+        its orthonormal complement q2, taken from the same QR; comp, the
+        kernel basis behind the caller's rank decision, is not needed.
+        Returns (q1, q2, rt, q1ᵀ, q2ᵀ)."""
+        cn = z.shape[1]
         qf, rf, piv = scipy.linalg.qr(z, pivoting=True)
         rt = rf[:cn, :] @ np.eye(z.shape[1])[piv, :]
         q1, rt = _sign_canonicalize(qf[:, :cn].copy(), rt)

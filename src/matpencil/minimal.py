@@ -5,7 +5,9 @@ polynomial is a polynomial basis of least possible degree sum; the sorted
 degrees are the minimal indices. The construction here walks the
 nullspaces of the convolution matrices degree by degree and keeps every
 candidate whose leading coefficient extends a row-reduced leading matrix,
-which certifies minimality as it goes.
+which certifies minimality as it goes. A float pencil's indices can also
+be read off Van Dooren's staircase (pencil_indices), whose SVDs are of
+blocks of the pencil rather than of growing convolution matrices.
 
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
-from .field import SPAN_REL_TOL, field_of
+from .field import FIELD_FLOAT, SPAN_REL_TOL, field_of
 from .matpoly import MatPoly, lambda_vec, shear_s, _require_keys
 from .reduction import TrimResult, row_reduction
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
@@ -161,6 +163,56 @@ def index_walk(p: MatPoly, want: int, step) -> tuple:
         prev_nullity = nullity
         d += 1
     return tuple(indices)
+
+
+def _staircase(y, x):
+    """Right minimal indices of the float pencil y + l*x (Van Dooren, LAA
+    27, 1979), and whether every rank decision stayed RANK_MARGIN from
+    the cut.
+
+    Step i compresses the columns of the current y to its nullity nu_i,
+    then the rows of x on those null columns to their rank mu_i, and
+    deflates to the block that both leave; nu_i - mu_i right minimal
+    indices equal i - 1, and the walk stops once y has full column rank.
+    All transforms are orthogonal, so each block belongs to a pencil
+    within rounding of the whole one: every cut is the field's rule for
+    the whole [y x], its shape and its sigma_max.
+    """
+    whole = np.hstack([y, x])
+    ref = np.linalg.svd(whole, compute_uv=False)[0] if whole.size else 0.0
+    rank_cut = FIELD_FLOAT._rank_from_singular_values
+    indices, clear, degree = [], True, 0
+    while y.shape[1]:
+        _, s, vh = np.linalg.svd(y)
+        r, ok_y = rank_cut(s, whole.shape, ref)
+        clear = clear and ok_y
+        if r == y.shape[1]:
+            break
+        kept, null = vh[:r].T, vh[r:].T
+        u, s, _ = np.linalg.svd(x @ null)
+        mu, ok_x = rank_cut(s, whole.shape, ref)
+        clear = clear and ok_x
+        indices.extend([degree] * (null.shape[1] - mu))
+        rest = u[:, mu:].T
+        y, x = rest @ y @ kept, rest @ x @ kept
+        degree += 1
+    return tuple(indices), clear
+
+
+def pencil_indices(pencil: MatPoly):
+    """Right and left minimal indices of a float64 pencil Y + l*X, read
+    off Van Dooren's staircase of column and row compressions, and
+    whether every rank decision stayed RANK_MARGIN from the cut.
+
+    Each compression takes one SVD of a block of the pencil; the left
+    indices come from the same staircase on the transpose, and both
+    sides must agree on the normal rank.
+    """
+    y, x = pencil.coeff(0), pencil.coeff(1)
+    right, ok_r = _staircase(y, x)
+    left, ok_l = _staircase(y.T, x.T)
+    agree = pencil.n - len(right) == pencil.m - len(left)
+    return right, left, ok_r and ok_l and agree
 
 
 def minimal_basis(p, side: str) -> MinimalBasis:

@@ -319,16 +319,11 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
         return trim(l.transpose(), d_t).transpose()
     p = l.poly
     k, m, n = p.grade, p.m, p.n
-    if m < n:
-        raise PreconditionError("wide polynomials trim through the left space")
     cn = (k - 1) * n
     m_mat, alpha = field.reflector(l.ansatz)
     red = row_reduction(l, m_mat, alpha)
     mk, z = red.mk, red.Z
-    if field.rank(z) < cn:
-        raise PreconditionError("lower block is rank deficient; cannot trim")
-
-    q1, q2, rt, q1_star, q2_star = field.factor_z(z, cn)
+    q1, q2, rt, q1_star, q2_star = field.factor_z(z, red.complement())
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)

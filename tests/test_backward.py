@@ -1,9 +1,11 @@
 """Backward-error bounds, dual completion, and the experiment driver."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from matpencil import exactla as xla
 from matpencil.backward import (
     AppendixMatrices,
     PerturbReport,
+    _float_index_pair,
     appendix_lambda_min,
     backward_constants,
     dual_completion,
@@ -24,6 +27,7 @@ from matpencil.backward import (
     summarize_experiment,
 )
 from matpencil.cases import case3_member, case3_poly
+from matpencil.eigenstructure import complete_eigenstructure
 from matpencil.errors import PreconditionError, SchemaError
 from matpencil.matpoly import (
     FIELD_FLOAT,
@@ -32,6 +36,7 @@ from matpencil.matpoly import (
     h_dual,
     lambda_vec,
 )
+from matpencil.minimal import pencil_indices
 from matpencil.reduction import trim
 from matpencil.spaces import build_l1, companion_g1
 
@@ -471,3 +476,43 @@ class TestRowSingularValueBound:
                     right = sig_r * np.linalg.svd(tau.conv_matrix(j),
                                                   compute_uv=False)[-1]
                     assert left >= right - 1e-12
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPencilIndexCrossCheck:
+    """The staircase that reads the perturbed pencil's indices agrees with
+    the convolution walk on float pencils and with exact `solve`."""
+
+    @pytest.mark.parametrize("m,n,k", [(3, 2, 2), (4, 2, 3), (4, 3, 3),
+                                       (5, 4, 3)])
+    def test_matches_the_walk_on_perturbed_trims(self, m, n, k):
+        rng = np.random.default_rng([m, n, k])
+        p = MatPoly([rng.standard_normal((m, n)) for _ in range(k + 1)],
+                    FIELD_FLOAT)
+        lt = trim(companion_g1(p)).Lt
+        for size in np.logspace(-12, -1, 20):
+            d = [rng.standard_normal((lt.m, lt.n)) for _ in range(2)]
+            s = size * lt.frob_norm() / math.sqrt(sum(np.sum(c * c)
+                                                      for c in d))
+            pencil = lt + MatPoly([c * s for c in d], FIELD_FLOAT)
+            assert pencil_indices(pencil) == _float_index_pair(pencil)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_exact_solve_on_planted_polynomials(self, seed):
+        cases = [c for c in _bench_workloads().make_round("recover", seed, 0)
+                 if c.name.endswith("-planted")]
+        assert [c.shape for c in cases] == [(4, 3, 2), (4, 3, 3), (4, 3, 3)]
+        for case in cases:
+            p = MatPoly.from_json_dict(case.files["P.json"])
+            es = complete_eigenstructure(p)
+            lt = trim(companion_g1(p)).Lt.to_float()
+            # trimmed_L1: right indices shift by k - 1, left ones stay
+            shifted = tuple(e + p.grade - 1 for e in es.right_indices)
+            assert pencil_indices(lt) == (shifted, es.left_indices, True)

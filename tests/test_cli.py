@@ -13,9 +13,11 @@ import pytest
 
 from matpencil.cases import (case2_member, case2_poly, case3_member,
                              case3_published_d, case3_poly, CASE3_NORM_SQ)
+from matpencil import cli
 from matpencil.cli import main
-from matpencil.matpoly import dump_json
+from matpencil.matpoly import MatPoly, dump_json
 from matpencil.reduction import TrimResult, trim
+from matpencil.spaces import companion_g1
 
 
 def run(*argv):
@@ -306,6 +308,34 @@ class TestCheck:
         err = jline(out)
         assert (err["kind"], err["error"]) == ("error", "schema")
         assert "not allowed" in err["message"]
+
+
+    def test_member_side_is_read_from_the_payload(self, files, monkeypatch):
+        # a loaded member reports its own side from its verified ansatz
+        # vector; only the other side is solved, and so is every side of a
+        # member of another polynomial
+        solved = []
+        real = cli.ansatz_membership
+
+        def spy(pen, p, side):
+            solved.append(side)
+            return real(pen, p, side)
+        monkeypatch.setattr(cli, "ansatz_membership", spy)
+        zero = MatPoly.zero(3, 2, 2)
+        for member, poly, want, sides in (
+                (companion_g1(zero), zero, [None, None], ["l2"]),
+                (case3_member(), case3_poly(), [["0", "1"], None], ["l2"]),
+                (case3_member().transpose(), case3_poly().transpose(),
+                 [None, ["0", "1"]], ["l1"]),
+                (case3_member(), case3_poly().scale(2),
+                 [["0", "1/2"], None], ["l1", "l2"])):
+            solved.clear()
+            code, out = run("check", files("m.json", member.to_json_dict()),
+                            files("p.json", poly.to_json_dict()))
+            assert code == 0
+            got = jline(out)["membership"]
+            assert [got["l1"], got["l2"]] == want
+            assert solved == sides
 
 
 class TestTrim:

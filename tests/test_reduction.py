@@ -381,6 +381,35 @@ class TestTrim:
         with pytest.raises(PreconditionError):
             trim(case1_member())
 
+    @pytest.mark.parametrize("field", [FIELD_RATIONAL, FIELD_FLOAT])
+    def test_refusals_keep_their_messages(self, field):
+        wide = rand_poly(np.random.default_rng(41), 2, 3, 2)
+        with pytest.raises(PreconditionError, match="trim through the left"):
+            trim(companion_g1(wide if field == FIELD_RATIONAL
+                              else wide.to_float()))
+        if field == FIELD_RATIONAL:
+            with pytest.raises(PreconditionError,
+                               match="lower block is rank deficient; "
+                                     "cannot trim"):
+                trim(case1_member())
+
+    def test_z_is_eliminated_once(self, monkeypatch):
+        # the rank decision and Q2 both come from one rref of Z^T
+        member = case3_member()
+        z = row_reduction(member, *reflector_for(member.ansatz,
+                                                 member.field)).Z
+        seen = []
+        rref = xla.rref
+
+        def counting(a):
+            seen.append(a.shape in (z.shape, z.T.shape)
+                        and (xla.is_zero(a - z) if a.shape == z.shape
+                             else xla.is_zero(a - z.T)))
+            return rref(a)
+        monkeypatch.setattr(xla, "rref", counting)
+        trim(member)
+        assert sum(seen) == 1
+
     def test_square_identity_selector(self):
         rng = np.random.default_rng(39)
         p = rand_poly(rng, 2, 2, 2)
