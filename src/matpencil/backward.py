@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, RESIDUAL_REL_TOL, field_of_array
 from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
-from .minimal import index_walk, pencil_indices
+from .minimal import pencil_indices, walk_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
 
@@ -310,31 +310,6 @@ def summarize_experiment(reports) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Index extraction on the float path
-
-
-def _float_indices(mp: MatPoly, want: int):
-    """The want right minimal indices of the float polynomial mp, from
-    singular values alone, and whether every rank decision stayed a
-    factor ten away from the cut."""
-    clear = []
-
-    def nullity(d):
-        rank, ok = FIELD_FLOAT.rank_with_margin(mp.conv_matrix(d))
-        clear.append(ok)
-        return (d + 1) * mp.n - rank, None
-
-    return index_walk(mp, want, nullity), all(clear)
-
-
-def _float_index_pair(mp: MatPoly):
-    nrank = mp.normal_rank()
-    right, ok_r = _float_indices(mp, mp.n - nrank)
-    left, ok_l = _float_indices(mp.transpose(), mp.m - nrank)
-    return right, left, ok_r and ok_l
-
-
-# ---------------------------------------------------------------------------
 # Experiment driver
 
 
@@ -395,7 +370,8 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         dp = perturbed_polynomial(af, da, dd, alpha)
         dpn = dp.frob_norm()
         ratio = (dpn / p_norm) / (epsilon / lt_norm)
-        rp, lp_idx, ok_p = _float_index_pair(pf + dp)
+        pp = pf + dp
+        rp, lp_idx, ok_p = walk_indices(pp, pp.normal_rank())
         perturbed_pencil = ltf + MatPoly([dy, dx], FIELD_FLOAT)
         rl, ll, ok_l = pencil_indices(perturbed_pencil)
         preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)

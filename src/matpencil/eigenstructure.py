@@ -4,9 +4,10 @@ eigenstructure reports.
 The exact path reduces a matrix polynomial to Smith form over QQ[l] with
 sympy's smith_normal_decomp, makes the invariant factors monic, and audits
 the result exactly: diagonal form, monic divisibility chain, unimodular
-transformations and the product U p V = S.  It reads finite elementary
-divisors off the invariant factors, takes infinite ones from the reversal
-at zero, and attaches the minimal indices of both nullspaces.
+transformations and the product U p V = S.  It reads the normal rank and
+finite elementary divisors off the invariant factors; rank walks over the
+convolution matrices give the infinite degrees and both lists of minimal
+indices, and the Index Sum Theorem certifies all four together.
 
 Linearization claims are certified in a fixed order.  First the witness: a
 member with full-rank Z, or a trimming record, built from the polynomial
@@ -18,7 +19,8 @@ witness can be built (a bare pencil, a deficient Z, a record or member of
 another polynomial, a zero alpha, a singular constant factor) is the claim
 settled by the Smith fallback: comparing the pencil's invariant factors
 with those of the polynomial padded by a constant block, which decides the
-finite structure and the nullspace dimensions in one shot.  Every rejection
+finite structure and the nullspace dimensions in one shot; a strong claim
+also compares the two walks for the degrees at infinity.  Every rejection
 comes from that comparison.  No check is probabilistic.
 
 The float path only handles regular pencils through the generalized
@@ -36,8 +38,8 @@ from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
-from .minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
-from .qpoly import L, QQL, from_pm, pm_det, pm_eye, poly, to_pm
+from .minimal import index_walk, walk_indices
+from .qpoly import QQL, from_pm, pm_det, pm_eye, poly, to_pm
 from .reduction import TrimResult, linearization_witnesses, verify_witnesses
 from .spaces import AnsatzPencil
 
@@ -250,17 +252,28 @@ def _factor_monic(d):
     return out
 
 
-def _valuation_at_zero(d) -> int:
-    return min(t for (t,) in d.monoms())
+def _infinite_degrees(p: MatPoly, nrank: int) -> tuple:
+    """Degrees of the elementary divisors of p at infinity: the positive
+    orders at zero of the nrank invariant factors of its grade reversal.
+
+    The top (j+1)m rows of p.conv_matrix(j) are the block-Toeplitz matrix
+    T_j of the reversal; rank T_j - rank T_{j-1} counts its factors that
+    vanish to order <= j at zero (the local Smith form at zero; Gohberg,
+    Lancaster & Rodman, Matrix Polynomials, 1982)."""
+    def rank(j):
+        return p.field.rank(p.conv_matrix(j)[:(j + 1) * p.m]), None
+
+    return tuple(e for e in index_walk(p, nrank, rank) if e > 0)
 
 
 def complete_eigenstructure(p) -> EigStructure:
     """Finite and infinite elementary divisors plus minimal indices.
 
-    Exact path: Smith form of p for the finite part, Smith form of the
-    grade reversal for the degrees at infinity, minimal bases for the
-    indices.  Float path: regular pencils only, one simple divisor per
-    numeric eigenvalue.
+    Exact path: the Smith form of p for the normal rank and finite part,
+    rank walks for the rest, all certified by the Index Sum Theorem: the
+    degrees and indices add up to grade * normal rank (De Terán, Dopico &
+    Mackey, LAA 459, 2014).  Float path: regular pencils only, one simple
+    divisor per numeric eigenvalue.
     """
     p = _require_matpoly(p)
     if p.field == FIELD_FLOAT:
@@ -268,27 +281,19 @@ def complete_eigenstructure(p) -> EigStructure:
     divisors = _smith_diag(p)
     nrank = len(divisors)
     table = {}
-    order = []
     for d in divisors:
-        if d.degree() == 0:
-            continue
-        for fac, e in _factor_monic(d):
-            if fac not in table:
-                table[fac] = []
-                order.append(fac)
-            table[fac].append(e)
+        if d.degree() > 0:
+            for fac, e in _factor_monic(d):
+                table.setdefault(fac, []).append(e)
     finite = tuple((fac, tuple(table[fac]))
-                   for fac in sorted(order, key=lambda f: (len(f), f)))
-    rev_divisors = _smith_diag(p.reversal())
-    infinite = tuple(t for t in (_valuation_at_zero(d) for d in rev_divisors)
-                     if t > 0)
-    right = minimal_basis(p, SIDE_RIGHT).indices
-    left = minimal_basis(p, SIDE_LEFT).indices
-    es = EigStructure(nrank=nrank, finite=finite, infinite=infinite,
+                   for fac in sorted(table, key=lambda f: (len(f), f)))
+    right, left, _ = walk_indices(p, nrank)
+    es = EigStructure(nrank=nrank, finite=finite,
+                      infinite=_infinite_degrees(p, nrank),
                       right_indices=right, left_indices=left, field=p.field)
-    if p.grade == 1 and not index_sum_check(es):
+    if es.structural_sum() != p.grade * nrank:
         raise VerificationError("structural indices do not add up to the "
-                                "normal rank")
+                                "grade times the normal rank")
     return es
 
 
@@ -349,33 +354,22 @@ def _rational_inputs(l, p):
     return lmat, p
 
 
-def _strip_zero_roots(diag):
-    return [d.exquo(L ** _valuation_at_zero(d)) for d in diag]
-
-
-def _reversal_verdict(d1, d2) -> Verdict:
-    """Compare the invariant factor lists of two reversals."""
-    if d1 != d2:
-        if _strip_zero_roots(d1) == _strip_zero_roots(d2):
-            return Verdict(False, "infinite eigenvalue mismatch")
-        return Verdict(False, "reversal structure mismatch")
-    return Verdict(True, "")
-
-
 def _padded_verdict(lmat: MatPoly, p: MatPoly, r: int, strong: bool):
     """Compare L with diag(P, E) for a constant E of rank r.
 
     diag(P, E) is unimodularly equivalent to diag(P, I_r, 0), so its
     nonzero invariant factors are r ones followed by those of P, and the
-    same holds for the two reversals.
+    same holds for the two reversals.  Once the finite lists agree, the
+    reversals can differ only in their orders at zero, the infinite
+    degrees.
     """
-    ones = [QQL.one] * r
-    if _smith_diag(lmat) != ones + _smith_diag(p):
+    dl, dp = _smith_diag(lmat), _smith_diag(p)
+    if dl != [QQL.one] * r + dp:
         return Verdict(False, "finite structure mismatch")
-    if not strong:
-        return Verdict(True, "")
-    return _reversal_verdict(_smith_diag(lmat.reversal()),
-                             ones + _smith_diag(p.reversal()))
+    if strong and (_infinite_degrees(lmat, len(dl))
+                   != _infinite_degrees(p, len(dp))):
+        return Verdict(False, "infinite eigenvalue mismatch")
+    return Verdict(True, "")
 
 
 def _witnessed(l, p, strong: bool) -> bool:

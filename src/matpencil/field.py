@@ -65,6 +65,9 @@ class Field(str):
     def __reduce__(self):
         return field_of, (str(self),)
 
+    def rank(self, a) -> int:
+        return self.rank_with_margin(a)[0]
+
 
 class RationalField(Field):
     """Exact arithmetic on ``fractions.Fraction`` entries in object
@@ -107,8 +110,9 @@ class RationalField(Field):
     def kron(self, a, b):
         return xla.kron(a, b)
 
-    def rank(self, a) -> int:
-        return xla.rank(a)
+    def rank_with_margin(self, a):
+        """Exact rank; an exact decision is always clear of any cut."""
+        return xla.rank(a), True
 
     def nullspace(self, a):
         """Canonical rref basis, one column per free column."""
@@ -271,9 +275,6 @@ class FloatField(Field):
             return 0, True
         s = np.linalg.svd(a, compute_uv=False)
         return self._rank_from_singular_values(s, a.shape, s[0])
-
-    def rank(self, a) -> int:
-        return self.rank_with_margin(a)[0]
 
     def nullspace(self, a):
         """Right singular vectors past the tolerance rank; warns when the

@@ -198,15 +198,22 @@ class MatPoly:
 
         The rank can only drop at finitely many points (at most the degree of
         a largest non-vanishing minor, <= k*min(m,n)), so maximizing over
-        k*min(m,n)+1 distinct points attains it.
+        k*min(m,n)+1 distinct points attains it.  Sampling stops once the
+        rank reaches min(m,n), which no point can exceed.
         """
-        npts = self.grade * min(self.m, self.n) + 1
+        full = min(self.m, self.n)
+        npts = self.grade * full + 1
         with np.errstate(over="ignore", invalid="ignore"):
             samples = [self.eval(t) for t in range(1, npts + 1)]
         if not self.field.all_finite(samples):
             raise PreconditionError(
                 "a sample of the polynomial exceeds the float range")
-        return max(self.field.rank(s) for s in samples)
+        best = 0
+        for s in samples:
+            best = max(best, self.field.rank(s))
+            if best == full:
+                break
+        return best
 
     def conv_matrix(self, j: int):
         """Block-Toeplitz convolution matrix with j+1 block columns; block

@@ -5,9 +5,11 @@ polynomial is a polynomial basis of least possible degree sum; the sorted
 degrees are the minimal indices. The construction here walks the
 nullspaces of the convolution matrices degree by degree and keeps every
 candidate whose leading coefficient extends a row-reduced leading matrix,
-which certifies minimality as it goes. A float pencil's indices can also
-be read off Van Dooren's staircase (pencil_indices), whose SVDs are of
-blocks of the pencil rather than of growing convolution matrices.
+which certifies minimality as it goes; walk_indices reads the indices
+alone off the ranks of the same matrices, on either field. A float
+pencil's indices can also be read off Van Dooren's staircase
+(pencil_indices), whose SVDs are of blocks of the pencil rather than of
+growing convolution matrices.
 
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
@@ -134,35 +136,52 @@ class MinimalBasis:
 
 
 def index_walk(p: MatPoly, want: int, step) -> tuple:
-    """The want right minimal indices of p, read off the nullity growth
-    of its convolution matrices (De Terán, Dopico & Mackey, ELA 18, 2009).
+    """The want ascending indices whose count grows, from degree d - 1 to
+    d, by the number of indices <= d; that growth may never shrink, and
+    every index is at most grade * min(m, n).
 
-    The nullity of conv(d), the degree <= d vector polynomials killed by
-    p, grows by the number of minimal indices <= d, so that growth may
-    never shrink and every index is at most grade * min(m, n).
-    step(d) returns the nullity of p.conv_matrix(d) and, when the caller
-    selects basis vectors as it goes, how many it holds so far (else
-    None); that count must equal the growth at the same degree.
+    step(d) returns the count at d: for the right minimal indices the
+    nullity of p.conv_matrix(d), the degree <= d vector polynomials killed
+    by p (De Terán, Dopico & Mackey, ELA 18, 2009), or a rank for the
+    infinite degrees.  When the caller selects basis vectors as it goes,
+    step also returns how many it holds so far (else None); that count
+    must equal the growth at the same degree.
     """
     bound = p.grade * min(p.m, p.n)
     indices = []
-    prev_nullity = 0
+    prev_count = 0
     d = 0
     while len(indices) < want:
         if d > bound:
-            raise VerificationError(
-                "minimal index search passed the degree bound")
-        nullity, selected = step(d)
-        growth = nullity - prev_nullity
+            raise VerificationError("index walk passed the degree bound")
+        count, selected = step(d)
+        growth = count - prev_count
         if selected is not None and selected != growth:
             raise VerificationError(
                 "nullspace growth does not match the selected index profile")
         if growth < len(indices):
-            raise VerificationError("nullity profile is not monotone")
+            raise VerificationError("index profile is not monotone")
         indices.extend([d] * (growth - len(indices)))
-        prev_nullity = nullity
+        prev_count = count
         d += 1
     return tuple(indices)
+
+
+def walk_indices(p: MatPoly, nrank: int):
+    """Right and left minimal indices of p, of normal rank nrank, from the
+    ranks of its convolution matrices alone, and whether every rank
+    decision stayed clear of the field's cut (always, when exact)."""
+    clear = []
+
+    def indices(q, want):
+        def nullity(d):
+            rank, ok = q.field.rank_with_margin(q.conv_matrix(d))
+            clear.append(ok)
+            return (d + 1) * q.n - rank, None
+        return index_walk(q, want, nullity)
+
+    return (indices(p, p.n - nrank), indices(p.transpose(), p.m - nrank),
+            all(clear))
 
 
 def _staircase(y, x):

@@ -14,7 +14,6 @@ from matpencil import exactla as xla
 from matpencil.backward import (
     AppendixMatrices,
     PerturbReport,
-    _float_index_pair,
     appendix_lambda_min,
     backward_constants,
     dual_completion,
@@ -36,7 +35,7 @@ from matpencil.matpoly import (
     h_dual,
     lambda_vec,
 )
-from matpencil.minimal import pencil_indices
+from matpencil.minimal import pencil_indices, walk_indices
 from matpencil.reduction import trim
 from matpencil.spaces import build_l1, companion_g1
 
@@ -502,7 +501,8 @@ class TestPencilIndexCrossCheck:
             s = size * lt.frob_norm() / math.sqrt(sum(np.sum(c * c)
                                                       for c in d))
             pencil = lt + MatPoly([c * s for c in d], FIELD_FLOAT)
-            assert pencil_indices(pencil) == _float_index_pair(pencil)
+            assert pencil_indices(pencil) == walk_indices(
+                pencil, pencil.normal_rank())
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_exact_solve_on_planted_polynomials(self, seed):

@@ -1,9 +1,12 @@
 """Smith form, eigenstructure reports, and linearization verdicts."""
 
+import collections
 import contextlib
+import importlib.util
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,8 +30,8 @@ from matpencil.eigenstructure import (
     EigStructure,
     Verdict,
     _audit_smith,
+    _infinite_degrees,
     _padded_verdict,
-    _reversal_verdict,
     _smith_diag,
     check_g_linearization,
     check_linearization,
@@ -46,7 +49,8 @@ from matpencil.matpoly import (
     rect_identity,
     shear_s,
 )
-from matpencil.minimal import SIDE_LEFT, SIDE_RIGHT, minimal_basis
+from matpencil.minimal import (SIDE_LEFT, SIDE_RIGHT, minimal_basis,
+                               walk_indices)
 from matpencil.qpoly import L, QQL, coeffs, poly as qp, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, build_l1, build_l2,
@@ -468,19 +472,6 @@ class TestGLinearizationCheck:
         with pytest.raises(SchemaError):
             check_g_linearization(case2_poly(), case2_poly())
 
-    def test_reversal_reason_split(self):
-        # l(l+1) against l+1: only the power of l differs
-        v = _reversal_verdict(
-            _smith_diag(MatPoly([fm([[0]]), fm([[1]]), fm([[1]])],
-                                FIELD_RATIONAL)),
-            _smith_diag(MatPoly([fm([[1]]), fm([[1]])], FIELD_RATIONAL)))
-        assert v.reason == "infinite eigenvalue mismatch"
-        # l+1 against l+2: genuinely different finite parts
-        v = _reversal_verdict(
-            _smith_diag(MatPoly([fm([[1]]), fm([[1]])], FIELD_RATIONAL)),
-            _smith_diag(MatPoly([fm([[2]]), fm([[1]])], FIELD_RATIONAL)))
-        assert v.reason == "reversal structure mismatch"
-
 
 class TestLinearizationCheck:
     def test_case3_trim_strong(self):
@@ -530,6 +521,16 @@ class TestLinearizationCheck:
         tr = trim(case3_member())
         with pytest.raises(PreconditionError):
             check_linearization(tr.Lt.to_float(), case3_poly())
+
+    def test_bare_pencil_misses_an_infinite_eigenvalue(self):
+        # l + 1 at grade 2 reverses to l(l + 1): the same finite structure
+        # as the pencil l + 1, plus a degree at infinity
+        pen = poly([[1]], [[1]])
+        p = poly([[1]], [[1]], [[0]])
+        assert check_linearization(pen, p).ok
+        v = check_linearization(pen, p, strong=True)
+        assert v == Verdict(False, "infinite eigenvalue mismatch")
+        assert check_linearization(pen, poly([[1]], [[1]]), strong=True).ok
 
 
 def _no_smith(*args):
@@ -685,3 +686,149 @@ class TestVerdictsMatchSmith:
             for strong in (False, True):
                 assert check_linearization(tr, p, strong) == \
                     _padded_verdict(tr.Lt, p, tr.Lt.m - p.m, strong)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def low_rank_poly(rng, m, n, k):
+    """A(l) B(l) of grade k, with an inner dimension drawn from
+    1..min(m, n) and entries in {-1, 0, 1}.  Each factor has a random
+    number of its top blocks zeroed, so many draws carry degrees at
+    infinity."""
+    r = int(rng.integers(1, min(m, n) + 1))
+    a = int(rng.integers(0, k + 1))
+
+    def factor(rows, cols, grade):
+        top = grade + 1 - int(rng.integers(0, grade + 1))
+        return MatPoly([fm(rng.integers(-1, 2, size=(rows, cols)).tolist()
+                           if i < top else [[0] * cols] * rows)
+                        for i in range(grade + 1)], FIELD_RATIONAL)
+
+    return factor(m, r, a).matmul(factor(r, n, k - a))
+
+
+def low_rank_polys(seed):
+    """The zero polynomial, a singular constant, then one draw of each
+    shape at grades 0-2 and two at grade 3."""
+    rng = np.random.default_rng(seed)
+    yield MatPoly.zero(2, 3, 2, FIELD_RATIONAL)
+    yield poly([[1, 2], [2, 4]])
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for k in (0, 1, 2, 3, 3):
+                yield low_rank_poly(rng, m, n, k)
+
+
+def reversal_orders(p):
+    """The reference route: the positive powers of l in the invariant
+    factors of the reversal's Smith form."""
+    orders = (min(t for (t,) in d.monoms())
+              for d in _smith_diag(p.reversal()))
+    return tuple(t for t in orders if t > 0)
+
+
+def reference_strong_verdict(lmat, p, r):
+    """The strong Smith fallback on the Smith forms of both reversals,
+    with the reason split on the invariant factors stripped of l."""
+    ones = [QQL.one] * r
+    if _smith_diag(lmat) != ones + _smith_diag(p):
+        return Verdict(False, "finite structure mismatch")
+    d1, d2 = _smith_diag(lmat.reversal()), ones + _smith_diag(p.reversal())
+    if d1 == d2:
+        return Verdict(True, "")
+
+    def strip(diag):
+        return [d.exquo(L ** min(t for (t,) in d.monoms())) for d in diag]
+
+    if strip(d1) == strip(d2):
+        return Verdict(False, "infinite eigenvalue mismatch")
+    return Verdict(False, "reversal structure mismatch")
+
+
+class TestRankWalks:
+    """solve and the strong fallback read the degrees at infinity and the
+    minimal indices off rank walks; the Smith forms of the reversals they
+    replace are kept here as the reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_infinite_degrees_on_regular_generators(self, seed):
+        for case in _bench_workloads().make_round("regular", seed, 0):
+            p = MatPoly.from_json_dict(case.files["P.json"])
+            assert _infinite_degrees(p, len(_smith_diag(p))) == \
+                reversal_orders(p)
+
+    def test_infinite_degrees_on_examples_and_low_rank(self):
+        polys = [case1_poly(), case2_poly()]
+        polys += [q for q in low_rank_polys(70)]
+        for p in polys:
+            for q in (p, p.transpose()):
+                assert _infinite_degrees(q, len(_smith_diag(q))) == \
+                    reversal_orders(q)
+
+    def test_walk_indices_match_minimal_bases(self):
+        for p in [case1_poly(), case2_poly(), case3_poly(),
+                  *low_rank_polys(71)]:
+            right, left, clear = walk_indices(p, p.normal_rank())
+            assert clear
+            assert right == minimal_basis(p, SIDE_RIGHT).indices
+            assert left == minimal_basis(p, SIDE_LEFT).indices
+
+    def test_index_sum_holds_at_every_grade(self):
+        for p in low_rank_polys(72):
+            es = complete_eigenstructure(p)
+            assert es.structural_sum() == p.grade * es.nrank
+
+    def test_strong_fallback_on_bare_pencils(self):
+        rng = np.random.default_rng(73)
+        seen = collections.Counter()
+        for _ in range(1000):
+            m, n = (int(x) for x in rng.integers(1, 3, size=2))
+            s, k = int(rng.integers(0, 2)), int(rng.integers(1, 3))
+            p = MatPoly([fm(rng.integers(-1, 2, size=(m, n)).tolist())
+                         for _ in range(k + 1)], FIELD_RATIONAL)
+            pen = MatPoly([fm(rng.integers(-1, 2, size=(m + s, n + s))
+                              .tolist()) for _ in range(2)], FIELD_RATIONAL)
+            v = check_linearization(pen, p, strong=True)
+            assert v == reference_strong_verdict(pen, p, s)
+            seen[v.reason] += 1
+        assert set(seen) == {"", "finite structure mismatch",
+                             "infinite eigenvalue mismatch"}
+
+    @pytest.mark.parametrize("name", ["_infinite_degrees", "walk_indices"])
+    def test_index_sum_catches_a_walk_off_by_one(self, monkeypatch, name):
+        real = getattr(eigenstructure, name)
+
+        def off_by_one(p, nrank):
+            out = real(p, nrank)
+            if name == "walk_indices":
+                right, left, clear = out
+                return right, tuple(sorted(left + (1,))), clear
+            return tuple(sorted(out + (1,)))
+
+        p = case3_poly()
+        assert p.grade == 2
+        complete_eigenstructure(p)
+        monkeypatch.setattr(eigenstructure, name, off_by_one)
+        with pytest.raises(VerificationError, match="grade times"):
+            complete_eigenstructure(p)
+
+    def test_smith_forms_only_of_p_and_l(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return smith_form(p)
+
+        monkeypatch.setattr(eigenstructure, "smith_form", counted)
+        complete_eigenstructure(case3_poly())
+        assert len(calls) == 1
+        calls.clear()
+        pen = poly([[1]], [[1]])
+        assert check_linearization(pen, pen, strong=True).ok
+        assert len(calls) == 2

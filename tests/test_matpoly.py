@@ -114,6 +114,22 @@ class TestNormalRank:
     def test_float_path(self):
         assert case2_poly().to_float().normal_rank() == 1
 
+    def test_sampling_stops_at_full_rank(self, monkeypatch):
+        ranked = []
+        rank = type(FIELD_RATIONAL).rank
+
+        def counted(field, a):
+            ranked.append(a)
+            return rank(field, a)
+
+        monkeypatch.setattr(type(FIELD_RATIONAL), "rank", counted)
+        assert case3_poly().normal_rank() == 2
+        assert len(ranked) == 1
+        ranked.clear()
+        # rank 1 of at most 2: all k*min(m, n)+1 samples are needed
+        assert case2_poly().normal_rank() == 1
+        assert len(ranked) == 5
+
 
 class TestConvMatrix:
     def test_single_block_column(self):
