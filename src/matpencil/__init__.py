@@ -4,8 +4,8 @@ eigenstructure, and backward-error experiments."""
 
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      StructureError, VerificationError)
-from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, build_structured,
-                      flip_r, h_dual, lambda_vec, rect_identity, shear_s)
+from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, flip_r, h_dual,
+                      lambda_vec, rect_identity, shear_s)
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2,
                      shifted_sum, space_dimension)
@@ -28,7 +28,7 @@ from .backward import (AppendixMatrices, PerturbReport, appendix_lambda_min,
 __all__ = [
     "MatPencilError", "PreconditionError", "SchemaError", "StructureError",
     "VerificationError", "FIELD_FLOAT", "FIELD_RATIONAL", "MatPoly",
-    "build_structured", "flip_r", "h_dual", "lambda_vec", "rect_identity",
+    "flip_r", "h_dual", "lambda_vec", "rect_identity",
     "shear_s", "SIDE_L1", "SIDE_L2", "AnsatzPencil", "ansatz_membership",
     "build_l1", "build_l2", "companion_g1", "companion_g2", "shifted_sum",
     "space_dimension", "TrimResult", "full_z_rank", "g_lin_witnesses",

@@ -38,6 +38,8 @@ __all__ = [
     "summarize_experiment",
 ]
 
+OPTIMAL_BAND = 10.0  # optimality_check's ratios pass within this factor
+
 
 def _require_pencil(x, what: str) -> MatPoly:
     if not isinstance(x, MatPoly) or x.grade != 1:
@@ -384,7 +386,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     return reports
 
 
-def optimality_check(tr: TrimResult, p, factor: float = 10.0) -> dict:
+def optimality_check(tr: TrimResult, p) -> dict:
     """Measure how far the trim sits from the well-scaled regime: both
     condition numbers near one and the strip norm near the scaled
     polynomial norm near the smallest singular value of the triangular
@@ -399,15 +401,15 @@ def optimality_check(tr: TrimResult, p, factor: float = 10.0) -> dict:
     kappa_d, kappa_r = _cond2(tr.Dtilde), _cond2(tr.Rt)
     conditions = [
         {"name": "row_compression_conditioning",
-         "value": kappa_d, "passes": kappa_d <= factor},
+         "value": kappa_d, "passes": kappa_d <= OPTIMAL_BAND},
         {"name": "triangular_factor_conditioning",
-         "value": kappa_r, "passes": kappa_r <= factor},
+         "value": kappa_r, "passes": kappa_r <= OPTIMAL_BAND},
         {"name": "strip_norm_over_scaled_poly_norm",
          "value": a_norm / scaled,
-         "passes": 1.0 / factor <= a_norm / scaled <= factor},
+         "passes": 1.0 / OPTIMAL_BAND <= a_norm / scaled <= OPTIMAL_BAND},
         {"name": "smallest_singular_over_scaled_poly_norm",
          "value": sig_r / scaled,
-         "passes": 1.0 / factor <= sig_r / scaled <= factor},
+         "passes": 1.0 / OPTIMAL_BAND <= sig_r / scaled <= OPTIMAL_BAND},
     ]
     all_pass = all(c["passes"] for c in conditions)
     report = {

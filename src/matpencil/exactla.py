@@ -78,7 +78,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((ma * mb, na * nb), dtype=object)
     for i in range(ma):
         for j in range(na):
-            out[i * mb:(i + 1) * mb, j * nb:(j + 1) * nb] = a[i, j] * b
+            out[i * mb:(i + 1) * mb, j * nb:(j + 1) * nb] = (
+                ZERO if a[i, j] == 0 else a[i, j] * b)
     return out
 
 

@@ -136,7 +136,7 @@ class RationalField(Field):
             return None
         return a.T @ xla.solve(gram, b)
 
-    def negligible(self, a, scale, tol=RESIDUAL_REL_TOL) -> bool:
+    def negligible(self, a, scale) -> bool:
         """Is every entry of a (an array or a matrix polynomial) zero?"""
         return all(xla.is_zero(c) for c in getattr(a, "coeffs", (a,)))
 
@@ -299,13 +299,13 @@ class FloatField(Field):
     def min_norm_solve(self, a, b):
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
-    def negligible(self, a, scale, tol=RESIDUAL_REL_TOL) -> bool:
+    def negligible(self, a, scale) -> bool:
         """Is the largest entry of a (an array or a matrix polynomial) at
-        most tol times scale()?"""
+        most RESIDUAL_REL_TOL times scale()?"""
         big = max((float(np.max(np.abs(c)))
                    for c in getattr(a, "coeffs", (a,)) if c.size),
                   default=0.0)
-        return big <= tol * scale()
+        return big <= RESIDUAL_REL_TOL * scale()
 
     def frob_negligible(self, poly, scale, tol):
         return poly.frob_norm() <= tol * scale()

@@ -332,16 +332,6 @@ def flip_r(k: int, p: int = 1, field: str = FIELD_RATIONAL):
     return out
 
 
-def build_structured(kind: str, *sizes, field: str = FIELD_RATIONAL):
-    """Dispatch by name: lambda(k,p), h(j,p), shear(k,p), flip(k,p),
-    rect_identity(m,n)."""
-    table = {"lambda": lambda_vec, "h": h_dual, "shear": shear_s,
-             "flip": flip_r, "rect_identity": rect_identity}
-    if kind not in table:
-        raise SchemaError(f"unknown structured kind {kind!r}")
-    return table[kind](*sizes, field=field)
-
-
 # ---------------------------------------------------------------------------
 # JSON helpers
 

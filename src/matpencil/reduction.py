@@ -1,10 +1,11 @@
 """Reduction of ansatz-space pencils.
 
 Given a member L with ansatz vector v and any nonsingular M with Mv = a*e1,
-the block-row transform (M kron I) exposes a constant lower block Z whose
-rank decides everything: full rank makes L a strong linearization candidate
-and admits a trimming step that deletes the redundant rows. This module
-extracts Z, tests its rank, performs the trimming, and builds explicit
+(M kron I)*L is a member with ansatz a*e1 (checked on its shifted sum, as
+is a trimming record's top strip against the ansatz [a]) whose constant
+lower block Z decides everything: full rank makes L a strong linearization
+candidate and admits a trimming step that deletes the redundant rows. This
+module extracts Z, tests its rank, performs the trimming, and builds explicit
 unimodular witnesses of the linearization property for members and trimmed
 pencils alike, from the block-Kronecker pencil both reduce to.
 """
@@ -21,7 +22,7 @@ from .matpoly import (MatPoly, lambda_vec, matrix_from_json,
                       matrix_to_json, pencil_from_json, pencil_to_json,
                       rect_identity, shear_s, _require_ints, _require_keys)
 from .qpoly import pm_det, to_pm
-from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
+from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_gap
 
 
 def reflector_for(v, field: Optional[str] = None):
@@ -68,28 +69,20 @@ class RowReduction(NamedTuple):
 
 def row_reduction(l: AnsatzPencil, m_mat, alpha) -> RowReduction:
     """The block-row reduction of a right-space member, after verifying
-    the pencil really carries the two-copy structure: the lambda
-    lower-right block must be -Z and the remaining lower corners zero."""
+    that (M kron I)*L is a member with ansatz vector alpha*e1: its lower
+    block rows then hold -Z at lambda and Z in the constant part."""
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     field = l.field
     mk = field.kron(m_mat, field.eye(m))
-    xp = mk @ l.pencil.X
-    yp = mk @ l.pencil.Y
-    z = yp[m:, :(k - 1) * n]
-    checks = [
-        (xp[m:, :n], "lambda lower-left"),
-        (yp[m:, (k - 1) * n:], "constant lower-right"),
-        (xp[m:, n:] + z, "lambda lower block vs -Z"),
-        (xp[:m, :n] - p.coeff(k) * alpha, "leading corner"),
-        (yp[:m, (k - 1) * n:] - p.coeff(0) * alpha, "trailing corner"),
-    ]
+    reduced = MatPoly.pencil(mk @ l.pencil.X, mk @ l.pencil.Y, field)
+    e1 = field.vector([alpha] + [0] * (k - 1))
     scale = lambda: max(1.0, l.pencil.frob_norm())
-    for block, what in checks:
-        if not field.negligible(block, scale):
-            raise StructureError(f"reduced pencil violates the {what} block")
-    return RowReduction(m_mat, alpha, mk, MatPoly.pencil(xp, yp, field),
-                        z.copy())
+    if not field.negligible(ansatz_gap(reduced, p, e1), scale):
+        raise StructureError(
+            "reduced pencil is not a member with ansatz alpha*e1")
+    return RowReduction(m_mat, alpha, mk, reduced,
+                        reduced.Y[m:, :(k - 1) * n].copy())
 
 
 def _stack_over(top: MatPoly, lower) -> MatPoly:
@@ -215,18 +208,17 @@ class TrimResult:
         return self.top.X[self.m:], self.top.Y[:cn]
 
     def check_source(self, p: MatPoly):
-        """Raise SchemaError unless the stored top strip reproduces
-        alpha * p when contracted with the monomial tower."""
+        """Raise SchemaError unless the stored top strip is a member of
+        the one-entry ansatz [alpha] for p: its shifted sum must equal
+        alpha * [A_k ... A_0] (the transposed identity on the left side)."""
         field = self.field
         if (field, self.m, self.n, self.k) != (p.field, p.m, p.n, p.grade):
             raise SchemaError("trimming record does not fit this polynomial")
-        if self.side == SIDE_L1:
-            got = self.top.matmul(lambda_vec(self.k, self.n, field))
-        else:
-            got = lambda_vec(self.k, self.m, field).transpose().matmul(
-                self.top)
+        top, src = ((self.top, p) if self.side == SIDE_L1
+                    else (self.top.transpose(), p.transpose()))
+        gap = ansatz_gap(top, src, field.vector([self.alpha]))
         scale = lambda: max(1.0, abs(self.alpha) * p.frob_norm())
-        if not field.negligible(got - p.scale(self.alpha), scale):
+        if not field.negligible(gap, scale):
             raise SchemaError(
                 "trimming record was built from a different polynomial")
 

@@ -4,6 +4,9 @@ The right space collects pencils L with L(lambda) * (Lambda_k ⊗ I_n) =
 v ⊗ P(lambda); the left space is the transpose dual. Members are fully
 parameterized by the ansatz vector plus one free block matrix, which is what
 the builders take.
+
+The identity is checked in one form, ``ansatz_gap``: for lambda*X + Y it
+holds iff the shifted sum [X 0] + [0 Y] equals v ⊗ [A_k ... A_0].
 """
 
 from dataclasses import dataclass
@@ -13,8 +16,8 @@ import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import MEMBERSHIP_REL_TOL, field_of_array
-from .matpoly import (MatPoly, flip_r, lambda_vec, matrix_from_json,
-                      pencil_from_json, pencil_to_json, rect_identity)
+from .matpoly import (MatPoly, flip_r, matrix_from_json, pencil_from_json,
+                      pencil_to_json, rect_identity)
 
 SIDE_L1 = "l1"
 SIDE_L2 = "l2"
@@ -159,6 +162,8 @@ def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
     """Column variant: [X | 0] + [0 | Y] on m x n blocks; row variant is the
     vertical analogue."""
     m, n = block_dims
+    if m < 1 or n < 1:
+        raise PreconditionError("sizes must be positive")
     if x.shape != y.shape:
         raise SchemaError("summands differ in shape")
     rows, cols = x.shape
@@ -184,20 +189,30 @@ def ansatz_target(p: MatPoly, v) -> np.ndarray:
     return p.field.kron(p.field.vector(v).reshape(-1, 1), strip)
 
 
+def ansatz_gap(pencil: MatPoly, p: MatPoly, v) -> np.ndarray:
+    """[X 0] + [0 Y] - v ⊗ [A_k ... A_0] for the pencil lambda*X + Y: zero
+    exactly when L(lambda) * (Lambda_k ⊗ I_n) = v ⊗ P(lambda). Block
+    column j is the coefficient of lambda^(k-j) in the difference."""
+    k, n = p.grade, p.n
+    if k < 1 or n < 1:
+        raise PreconditionError("sizes must be positive")
+    pencil._check_field(p)
+    if pencil.n != k * n:
+        raise SchemaError("inner dimensions differ")
+    target = ansatz_target(p, v)
+    if pencil.m != target.shape[0]:
+        raise SchemaError("shapes differ")
+    # rows are matched to the target, so block rows need no size of their own
+    return shifted_sum(pencil.X, pencil.Y, "col", (1, n)) - target
+
+
 def ansatz_residual(member: AnsatzPencil) -> MatPoly:
-    """Symbolic residual of the defining identity; zero iff member is genuine."""
-    p = member.poly
-    if member.side == SIDE_L1:
-        lam = lambda_vec(p.grade, p.n, p.field)
-        lhs = member.pencil.matmul(lam)
-        col = member.ansatz.reshape(-1, 1)
-        rhs = MatPoly([p.field.kron(col, c) for c in p.coeffs], p.field)
-    else:
-        lam = lambda_vec(p.grade, p.m, p.field)
-        lhs = lam.transpose().matmul(member.pencil)
-        row = member.ansatz.reshape(1, -1)
-        rhs = MatPoly([p.field.kron(row, c) for c in p.coeffs], p.field)
-    return lhs - rhs
+    """Symbolic residual of the defining identity; zero iff member is
+    genuine. Coefficient i is block k-i of the ``ansatz_gap``."""
+    if member.side == SIDE_L2:
+        return ansatz_residual(member.transpose()).transpose()
+    gap = ansatz_gap(member.pencil, member.poly, member.ansatz)
+    return MatPoly(np.split(gap, member.k + 1, axis=1)[::-1], member.field)
 
 
 def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]:
@@ -209,8 +224,7 @@ def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]
     """
     k, m, n = p.grade, p.m, p.n
     if side == SIDE_L2:
-        got = ansatz_membership(l.transpose(), p.transpose(), SIDE_L1)
-        return got
+        return ansatz_membership(l.transpose(), p.transpose(), SIDE_L1)
     if (l.m, l.n) != (k * m, k * n):
         raise SchemaError(f"pencil must be {k * m}x{k * n} for this side")
     if p.is_zero():

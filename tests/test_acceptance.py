@@ -20,7 +20,8 @@ from matpencil.eigenstructure import (check_g_linearization,
                                       complete_eigenstructure,
                                       index_sum_check, smith_form)
 from matpencil.errors import PreconditionError
-from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
+from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
+                               lambda_vec)
 from matpencil.minimal import (SIDE_LEFT, SIDE_RIGHT, lift_left,
                                minimal_basis, project_ansatz)
 from matpencil.qpoly import pm_det, to_pm
@@ -36,6 +37,15 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(buf):
         code = cli_main(list(argv))
     return code, buf.getvalue()
+
+
+def product_residual(member: AnsatzPencil) -> MatPoly:
+    """L(l) * (Lambda_k ⊗ I_n) - v ⊗ P(l) of a right-space member, by
+    products with the monomial tower: the shifted sum's reference."""
+    p = member.poly
+    lhs = member.pencil.matmul(lambda_vec(p.grade, p.n, p.field))
+    col = member.ansatz.reshape(-1, 1)
+    return lhs - MatPoly([p.field.kron(col, c) for c in p.coeffs], p.field)
 
 
 def int_poly(rng, m, n, k, lo=-4, hi=5):
@@ -294,12 +304,14 @@ def test_criterion_8_property_suites():
             got = shifted_sum(member.pencil.X, member.pencil.Y, "col",
                               (p.m, p.n))
             assert np.array_equal(got, ansatz_target(p, member.ansatz))
+            assert product_residual(member).is_zero()
             x = member.pencil.X.copy()
             x[0, 0] = x[0, 0] + 1
             broken = AnsatzPencil(MatPoly.pencil(x, member.pencil.Y,
                                                  member.field),
                                   SIDE_L1, member.ansatz, p)
             assert not ansatz_residual(broken).is_zero()
+            assert not product_residual(broken).is_zero()
             assert not np.array_equal(
                 shifted_sum(x, member.pencil.Y, "col", (p.m, p.n)),
                 ansatz_target(p, member.ansatz))

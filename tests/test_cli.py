@@ -17,7 +17,7 @@ from matpencil import cli
 from matpencil.cli import main
 from matpencil.matpoly import MatPoly, dump_json
 from matpencil.reduction import TrimResult, trim
-from matpencil.spaces import companion_g1
+from matpencil.spaces import companion_g1, companion_g2
 
 
 def run(*argv):
@@ -245,6 +245,67 @@ class TestMalformedInput:
         code, out = run("info", files("p.json", d))
         assert code == 1
         assert jline(out)["error"] == "schema"
+
+    # message for a right-space (l1) and a left-space (l2) member of the
+    # 3x2 grade-2 case 3, whose pencil is 6x4, after each defect
+    MISSHAPEN = {
+        "row_short": ("shapes differ", "inner dimensions differ"),
+        "col_short": ("inner dimensions differ", "shapes differ"),
+        "three_rows_extra": ("shapes differ", "inner dimensions differ"),
+        "two_cols_extra": ("inner dimensions differ", "shapes differ"),
+        "ansatz_long": ("shapes differ", "shapes differ"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(MISSHAPEN))
+    @pytest.mark.parametrize("side", ["l1", "l2"])
+    @pytest.mark.parametrize("field", ["rational", "float64"])
+    def test_misshapen_member_payload(self, files, field, side, defect):
+        p = case3_poly() if field == "rational" else case3_poly().to_float()
+        build = companion_g1 if side == "l1" else companion_g2
+        d = build(p).to_json_dict()
+        zero = d["ansatz"][1]
+        for part in d["pencil"].values():
+            if defect == "row_short":
+                part.pop()
+            elif defect == "three_rows_extra":
+                part.extend([[zero] * len(part[0]) for _ in range(3)])
+            for row in part:
+                if defect == "col_short":
+                    row.pop()
+                elif defect == "two_cols_extra":
+                    row.extend([zero, zero])
+        if defect == "ansatz_long":
+            d["ansatz"].append(zero)
+        member = files("l.json", d)
+        want = self.MISSHAPEN[defect][side == "l2"]
+        for argv in (("check", member, files("p.json", p.to_json_dict())),
+                     ("trim", member)):
+            code, out = run(*argv)
+            assert code == 1
+            assert jline(out) == {"kind": "error", "error": "schema",
+                                  "message": want}
+
+    @pytest.mark.parametrize("side", ["l1", "l2"])
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0)])
+    @pytest.mark.parametrize("field", ["rational", "float64"])
+    def test_companion_of_an_empty_polynomial(self, files, field, m, n,
+                                              side):
+        zero = "0" if field == "rational" else 0.0
+        d = {"m": m, "n": n, "grade": 2, "field": field,
+             "coeffs": [[[zero] * n for _ in range(m)]] * 3}
+        code, out = run("build", files("p.json", d), "--side", side,
+                        "--companion")
+        # the tower has n blocks on the right side and m on the left
+        if (n if side == "l1" else m) == 0:
+            assert code == 2
+            assert jline(out) == {"kind": "error", "error": "precondition",
+                                  "message": "sizes must be positive"}
+            return
+        assert code == 0
+        got = jline(out)
+        assert (got["side"], got["ansatz"], got["poly"]) == (
+            side, [1, 0] if field == "float64" else ["1", "0"], d)
+        assert got["pencil"] == {"x": [[]] * (2 * m), "y": [[]] * (2 * m)}
 
 
 class TestInfo:

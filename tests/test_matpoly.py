@@ -15,8 +15,8 @@ from matpencil.cases import (CASE3_NORM_SQ, case2_poly, case3_eval_at_one,
 from matpencil.errors import PreconditionError, SchemaError
 from matpencil.field import RANK_SAFETY
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               build_structured, dump_json, h_dual,
-                               lambda_vec, rect_identity, shear_s)
+                               dump_json, flip_r, h_dual, lambda_vec,
+                               rect_identity, shear_s)
 from matpencil.qpoly import coeffs, to_pm
 
 
@@ -201,9 +201,8 @@ class TestStructured:
 
     def test_flip_reverses_lambda(self):
         k = 3
-        flipped = MatPoly([flip.dot(c) for c, flip in
-                           zip(lambda_vec(k, 2).coeffs,
-                               [build_structured("flip", k, 2)] * k)],
+        flip = flip_r(k, 2)
+        flipped = MatPoly([flip.dot(c) for c in lambda_vec(k, 2).coeffs],
                           FIELD_RATIONAL)
         rev = lambda_vec(k, 2).reversal()
         assert flipped.equal(rev)
@@ -216,10 +215,6 @@ class TestStructured:
         assert coeffs(m[0][1]) == (Fraction(0), Fraction(1))
         assert coeffs(m[1][1]) == (Fraction(1),)
         assert not m[2][0] and not m[2][1] and not m[1][0]
-
-    def test_dispatcher_rejects_unknown(self):
-        with pytest.raises(SchemaError):
-            build_structured("nope", 2, 2)
 
 
 class TestJson:

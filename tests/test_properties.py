@@ -7,7 +7,7 @@ from matpencil import exactla as xla
 from matpencil.eigenstructure import (complete_eigenstructure,
                                       index_sum_check, smith_form)
 from matpencil.errors import PreconditionError
-from matpencil.matpoly import FIELD_RATIONAL, MatPoly
+from matpencil.matpoly import FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import (SIDE_LEFT, lift_left, minimal_basis,
                                project_ansatz)
 from matpencil.qpoly import pm_det, to_pm
@@ -23,6 +23,15 @@ COMMON = dict(deadline=None, max_examples=25)
 
 def _matrix(draw, m, n):
     return xla.fmat([[draw(ints) for _ in range(n)] for _ in range(m)])
+
+
+def product_residual(member: AnsatzPencil) -> MatPoly:
+    """L(l) * (Lambda_k ⊗ I_n) - v ⊗ P(l) of a right-space member, by
+    products with the monomial tower: the shifted sum's reference."""
+    p = member.poly
+    lhs = member.pencil.matmul(lambda_vec(p.grade, p.n, p.field))
+    col = member.ansatz.reshape(-1, 1)
+    return lhs - MatPoly([p.field.kron(col, c) for c in p.coeffs], p.field)
 
 
 @st.composite
@@ -67,6 +76,7 @@ class TestShiftedSumEquivalence:
         got = shifted_sum(member.pencil.X, member.pencil.Y, "col",
                           (p.m, p.n))
         assert np.array_equal(got, ansatz_target(p, member.ansatz))
+        assert product_residual(member).is_zero()
 
     @settings(**COMMON)
     @given(members(), st.integers(0, 10 ** 6))
@@ -81,7 +91,8 @@ class TestShiftedSumEquivalence:
         got = shifted_sum(x, member.pencil.Y, "col", (p.m, p.n))
         sum_matches = np.array_equal(got, ansatz_target(p, member.ansatz))
         residual_zero = ansatz_residual(broken).is_zero()
-        assert sum_matches == residual_zero == False  # noqa: E712
+        product_zero = product_residual(broken).is_zero()
+        assert not (sum_matches or residual_zero or product_zero)
 
 
 @st.composite

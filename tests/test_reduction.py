@@ -11,6 +11,7 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case3_poly)
 from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
+from matpencil.field import RESIDUAL_REL_TOL
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                dump_json, flip_r, h_dual, lambda_vec,
                                rect_identity)
@@ -19,8 +20,8 @@ from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
                                  linearization_witnesses,
                                  reflector_for, row_reduction, trim,
                                  verify_witnesses, z_block, z_rank)
-from matpencil.spaces import (SIDE_L1, build_l1, build_l2, companion_g1,
-                              companion_g2)
+from matpencil.spaces import (SIDE_L1, AnsatzPencil, build_l1, build_l2,
+                              companion_g1, companion_g2)
 
 
 def rand_poly(rng, m, n, k, field=FIELD_RATIONAL):
@@ -41,11 +42,16 @@ def rand_member(rng, m, n, k, field=FIELD_RATIONAL):
     return build_l1(p, v.astype(float), w.astype(float))
 
 
+def tiny(field, a) -> bool:
+    """Every entry of a is zero, or at most 1e-12 on the float field."""
+    return field.negligible(a, lambda: 1e-12 / RESIDUAL_REL_TOL)
+
+
 def assert_core_reproduces_lt(tr: TrimResult):
     """Lt = Dtilde * diag(I, Rt) * K for a right-space record."""
     lead = reduction._core_factor(tr)
     for a, b in ((lead @ tr.K.X, tr.Lt.X), (lead @ tr.K.Y, tr.Lt.Y)):
-        assert tr.field.negligible(a - b, lambda: 1.0, 1e-12)
+        assert tiny(tr.field, a - b)
 
 
 def frobenius_c1(p: MatPoly) -> MatPoly:
@@ -133,11 +139,27 @@ class TestZBlock:
         c1 = companion_g1(p)
         x = c1.pencil.X.copy()
         x[4, 0] = x[4, 0] + 1  # pollutes the lambda lower-left block
-        from matpencil.spaces import AnsatzPencil
         fake = AnsatzPencil(MatPoly.pencil(x, c1.pencil.Y, p.field), c1.side,
                             c1.ansatz, p)
         with pytest.raises(StructureError):
             z_block(fake, xla.feye(2), xla.ONE)
+
+    @pytest.mark.parametrize("field", [FIELD_RATIONAL, FIELD_FLOAT])
+    def test_structure_error_on_a_wrong_middle_top_block(self, field):
+        # ansatz e1 makes M the identity, so only the top strip's middle
+        # block of (M kron I)*L is wrong: lower rows and corners still fit
+        p = case3_poly() if field == FIELD_RATIONAL else \
+            case3_poly().to_float()
+        c1 = companion_g1(p)
+        x = c1.pencil.X.copy()
+        x[0, 2] = x[0, 2] + 1
+        fake = AnsatzPencil(MatPoly.pencil(x, c1.pencil.Y, field), c1.side,
+                            c1.ansatz, p)
+        with pytest.raises(StructureError):
+            row_reduction(fake, *reflector_for(fake.ansatz, field))
+        for member in (fake, fake.transpose()):
+            with pytest.raises(StructureError):
+                trim(member)
 
     def test_rank_invariant_under_m(self):
         rng = np.random.default_rng(32)
@@ -326,11 +348,11 @@ class TestTrim:
         field = member.field
         red = row_reduction(member, *reflector_for(member.ansatz, field))
         moved = MatPoly([red.mk @ c for c in member.pencil.coeffs], field)
-        assert field.negligible(moved - red.pencil, lambda: 1.0, 1e-12)
+        assert tiny(field, moved - red.pencil)
         # the trimming record stores the same top strip and Z
         tr = trim(member)
-        assert field.negligible(red.top - tr.top, lambda: 1.0, 1e-12)
-        assert field.negligible(red.Z - tr.Z, lambda: 1.0, 1e-12)
+        assert tiny(field, red.top - tr.top)
+        assert tiny(field, red.Z - tr.Z)
 
     def test_check_source_rejects_a_foreign_polynomial(self):
         tr = trim(case3_member())

@@ -7,11 +7,13 @@ import pytest
 from matpencil import exactla as xla
 from matpencil.cases import CASE3_X, CASE3_Y, case2_member, case3_poly
 from matpencil.errors import PreconditionError, SchemaError, VerificationError
-from matpencil.matpoly import FIELD_RATIONAL, MatPoly, rect_identity
-from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
-                              ansatz_residual, ansatz_target, build_l1,
-                              build_l2, companion_g1, companion_g2,
-                              generator_matrix, shifted_sum, space_dimension)
+from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
+                               lambda_vec, rect_identity)
+from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_gap,
+                              ansatz_membership, ansatz_residual,
+                              ansatz_target, build_l1, build_l2,
+                              companion_g1, companion_g2, generator_matrix,
+                              shifted_sum, space_dimension)
 
 
 def rand_poly(rng, m, n, k):
@@ -21,6 +23,21 @@ def rand_poly(rng, m, n, k):
 
 def rand_w(rng, rows, cols):
     return xla.fmat(rng.integers(-4, 5, size=(rows, cols)).tolist())
+
+
+def product_residual(member: AnsatzPencil) -> MatPoly:
+    """L(l) * (Lambda_k ⊗ I_n) - v ⊗ P(l) by products with the monomial
+    tower, (Lambda_k ⊗ I_m)^T * L(l) - v^T ⊗ P(l) on the left side: an
+    independent reference for the shifted-sum form."""
+    p = member.poly
+    if member.side == SIDE_L1:
+        lhs = member.pencil.matmul(lambda_vec(p.grade, p.n, p.field))
+        v = member.ansatz.reshape(-1, 1)
+    else:
+        lam = lambda_vec(p.grade, p.m, p.field)
+        lhs = lam.transpose().matmul(member.pencil)
+        v = member.ansatz.reshape(1, -1)
+    return lhs - MatPoly([p.field.kron(v, c) for c in p.coeffs], p.field)
 
 
 class TestBuildL1:
@@ -152,6 +169,14 @@ class TestShiftedSum:
         out = shifted_sum(member.pencil.X, member.pencil.Y, "col", (3, 2))
         assert xla.is_zero(out - ansatz_target(p, member.ansatz))
 
+    def test_zero_block_size_is_a_precondition(self):
+        z = xla.fzeros(4, 4)
+        for side in ("col", "row"):
+            for dims in ((0, 2), (2, 0)):
+                with pytest.raises(PreconditionError,
+                                   match="sizes must be positive"):
+                    shifted_sum(z, z, side, dims)
+
     def test_row_variant_transposes(self):
         rng = np.random.default_rng(18)
         x = rand_w(rng, 4, 4)
@@ -159,6 +184,45 @@ class TestShiftedSum:
         col = shifted_sum(x, y, "col", (2, 2))
         row = shifted_sum(x.T.copy(), y.T.copy(), "row", (2, 2))
         assert xla.is_zero(col - row.T)
+
+
+class TestAnsatzGap:
+    @pytest.mark.parametrize("side", [SIDE_L1, SIDE_L2])
+    @pytest.mark.parametrize("field", [FIELD_RATIONAL, FIELD_FLOAT])
+    def test_matches_the_product_form(self, field, side):
+        rng = np.random.default_rng(31)
+        for t in range(24):
+            m, n, k = (int(x) for x in rng.integers(1, 5, size=3))
+            k = max(k, 2)
+            p = rand_poly(rng, m, n, k)
+            v = rng.integers(-3, 4, size=k).tolist()
+            shape = ((k * m, (k - 1) * n) if side == SIDE_L1
+                     else ((k - 1) * m, k * n))
+            w = rand_w(rng, *shape)
+            if field == FIELD_FLOAT:
+                p = p.to_float()
+                v, w = rng.normal(size=k), rng.normal(size=shape)
+            member = (build_l1 if side == SIDE_L1 else build_l2)(p, v, w)
+            if t % 3 == 0:
+                # off the space: the residuals are nonzero and must agree
+                x = member.pencil.X.copy()
+                x[t % x.shape[0], t % x.shape[1]] += (
+                    1 if field == FIELD_RATIONAL else 1e-7)
+                member = AnsatzPencil(MatPoly.pencil(x, member.pencil.Y,
+                                                     field),
+                                      side, member.ansatz, p)
+            want = product_residual(member)
+            got = ansatz_residual(member)
+            assert (got.m, got.n, got.grade) == (want.m, want.n, want.grade)
+            for a, b in zip(got.coeffs, want.coeffs):
+                assert np.array_equal(a, b)
+            if field == FIELD_RATIONAL:
+                assert got.is_zero() == (t % 3 != 0)
+            if side == SIDE_L1:
+                gap = ansatz_gap(member.pencil, p, member.ansatz)
+                for i, c in enumerate(want.coeffs):
+                    assert np.array_equal(gap[:, (k - i) * n:(k - i + 1) * n],
+                                          c)
 
 
 class TestMembership:
