@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are numpy arrays with dtype=object holding ``fractions.Fraction``
-entries. numpy's ``dot`` works on object arrays, so products stay exact.
+entries. numpy's matmul and ``kron`` work on object arrays, so products,
+block transforms and Kronecker products stay exact without a kernel here.
 The elimination kernels are sympy's: ``rref``, ``inv`` and ``det`` convert
 to a ``DomainMatrix`` over QQ, call it, and convert back.  Everything
 rank-related reads the canonical rref, so pivots, nullspace bases and
@@ -69,17 +70,6 @@ def feye(n: int) -> np.ndarray:
     out = fzeros(n, n)
     for i in range(n):
         out[i, i] = ONE
-    return out
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ma, na = a.shape
-    mb, nb = b.shape
-    out = np.empty((ma * mb, na * nb), dtype=object)
-    for i in range(ma):
-        for j in range(na):
-            out[i * mb:(i + 1) * mb, j * nb:(j + 1) * nb] = (
-                ZERO if a[i, j] == 0 else a[i, j] * b)
     return out
 
 

@@ -107,9 +107,6 @@ class RationalField(Field):
         """Sum of the entrywise products."""
         return sum(x * y for x, y in zip(a.flat, b.flat))
 
-    def kron(self, a, b):
-        return xla.kron(a, b)
-
     def rank_with_margin(self, a):
         """Exact rank; an exact decision is always clear of any cut."""
         return xla.rank(a), True
@@ -253,9 +250,6 @@ class FloatField(Field):
         warning."""
         with np.errstate(over="ignore"):
             return float(np.sum(a * b))
-
-    def kron(self, a, b):
-        return np.kron(a, b)
 
     def _rank_from_singular_values(self, s, shape, ref):
         """Tolerance rank from the descending singular values s of a matrix

@@ -152,17 +152,6 @@ class MatPoly:
                 out[i + j] = out[i + j] + a @ b
         return MatPoly(out, self.field)
 
-    def kron(self, other: "MatPoly") -> "MatPoly":
-        """Symbolic Kronecker product of two matrix polynomials."""
-        self._check_field(other)
-        g = self.grade + other.grade
-        out = [self.field.zeros(self.m * other.m, self.n * other.n)
-               for _ in range(g + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + self.field.kron(a, b)
-        return MatPoly(out, self.field)
-
     def equal(self, other: "MatPoly") -> bool:
         if (self.field, self.m, self.n) != (other.field, other.m, other.n):
             return False
@@ -278,6 +267,14 @@ def rect_identity(m: int, n: int, field: str = FIELD_RATIONAL):
     return out
 
 
+def block_apply(t, a):
+    """(t ⊗ I_b)·a for a p x q matrix t and a (q·b) x c matrix a: t acts
+    on the q block rows of a, and the Kronecker product is never formed."""
+    p, q = t.shape
+    b, c = a.shape[0] // q, a.shape[1]
+    return (t @ a.reshape(q, b * c)).reshape(p * b, c)
+
+
 def lambda_vec(k: int, p: int = 1, field: str = FIELD_RATIONAL) -> MatPoly:
     """Column [lambda^(k-1), ..., lambda, 1]^T, Kronecker-expanded by I_p."""
     if k < 1 or p < 1:
@@ -374,10 +371,13 @@ def pencil_to_json(pen: MatPoly) -> dict:
             "y": matrix_to_json(pen.Y, pen.field)}
 
 
-def pencil_from_json(d, field) -> MatPoly:
+def pencil_from_json(d, field, width) -> MatPoly:
+    """The pencil of an {"x": X, "y": Y} form. An empty row list carries
+    no width, so it stands for a 0 x width part."""
     _require_keys(d, ("x", "y"), "pencil")
-    return MatPoly.pencil(matrix_from_json(d["x"], field),
-                          matrix_from_json(d["y"], field), field)
+    x, y = (matrix_from_json(d[key], field, None, None if d[key] else width)
+            for key in ("x", "y"))
+    return MatPoly.pencil(x, y, field)
 
 
 def dump_json(obj: dict) -> str:

@@ -16,7 +16,8 @@ pencils built from it: embedding into the Kronecker tower, projecting an
 ansatz member's left nullvectors down, lifting a left nullvector into a
 member with full lower-block rank, and the combined recovery driver.
 Both left-side maps read the member alone, through its block-row
-reduction (M kron I)*L; neither needs a trimming record.
+reduction (M kron I)*L, and carry vectors back by applying M^T to their k
+blocks; neither needs a trimming record or forms M kron I.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_FLOAT, SPAN_REL_TOL, field_of
-from .matpoly import MatPoly, lambda_vec, shear_s, _require_keys
+from .matpoly import MatPoly, block_apply, lambda_vec, shear_s, _require_keys
 from .reduction import TrimResult, row_reduction
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -302,7 +303,7 @@ def embed_right(x: MatPoly, k: int) -> MatPoly:
         raise SchemaError("expected a column vector polynomial")
     if k < 1:
         raise SchemaError("grade must be positive")
-    return lambda_vec(k, 1, x.field).kron(x)
+    return lambda_vec(k, x.m, x.field).matmul(x)
 
 
 def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
@@ -315,8 +316,8 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
     if y.m != k * m:
         raise PreconditionError(
             f"length mismatch: {y.m} entries vs {k} blocks of {m}")
-    row = field.kron(vv.reshape(1, k), field.eye(m))
-    return MatPoly([row @ c for c in y.coeffs], field)
+    return MatPoly([block_apply(vv.reshape(1, k), c) for c in y.coeffs],
+                   field)
 
 
 def _reduce(l: AnsatzPencil):
@@ -376,7 +377,7 @@ def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
     if not field.negligible(res, mscale):
         raise VerificationError("lifted vector fails the pencil residual")
 
-    y = MatPoly([red.mk.T @ c for c in stacked.coeffs],
+    y = MatPoly([block_apply(red.M.T, c) for c in stacked.coeffs],
                 field).scale(field.one / red.alpha)
     if y.degree != delta:
         raise VerificationError("lift changed the degree")
@@ -406,7 +407,7 @@ def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
     for j in range(comp.shape[1]):
         col = field.zeros(l.pencil.m, 1)
         col[m:, 0] = comp[:, j]
-        u = MatPoly([red.mk.T @ col], field)
+        u = MatPoly([block_apply(red.M.T, col)], field)
         us = lambda: mscale() * max(1.0, u.frob_norm())
         if not field.negligible(u.transpose().matmul(l.pencil), us):
             raise VerificationError("kernel vector fails the pencil residual")

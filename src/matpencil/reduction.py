@@ -4,10 +4,12 @@ Given a member L with ansatz vector v and any nonsingular M with Mv = a*e1,
 (M kron I)*L is a member with ansatz a*e1 (checked on its shifted sum, as
 is a trimming record's top strip against the ansatz [a]) whose constant
 lower block Z decides everything: full rank makes L a strong linearization
-candidate and admits a trimming step that deletes the redundant rows. This
-module extracts Z, tests its rank, performs the trimming, and builds explicit
-unimodular witnesses of the linearization property for members and trimmed
-pencils alike, from the block-Kronecker pencil both reduce to.
+candidate and admits a trimming step that deletes the redundant rows. M and
+its inverse act on the k block rows directly (``block_apply``); M kron I is
+never formed. This module extracts Z, tests its rank, performs the trimming,
+and builds explicit unimodular witnesses of the linearization property for
+members and trimmed pencils alike, from the block-Kronecker pencil both
+reduce to.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_RATIONAL, field_of, field_of_array
-from .matpoly import (MatPoly, lambda_vec, matrix_from_json,
+from .matpoly import (MatPoly, block_apply, lambda_vec, matrix_from_json,
                       matrix_to_json, pencil_from_json, pencil_to_json,
                       rect_identity, shear_s, _require_ints, _require_keys)
 from .qpoly import pm_det, to_pm
@@ -39,11 +41,9 @@ def reflector_for(v, field: Optional[str] = None):
 
 class RowReduction(NamedTuple):
     """A right-space member L reduced by M with M*v = alpha*e1: the
-    transform M kron I, the member (M kron I)*L and its constant
-    lower-left block Z."""
+    member (M kron I)*L and its constant lower-left block Z."""
     M: np.ndarray
     alpha: object
-    mk: np.ndarray
     pencil: MatPoly
     Z: np.ndarray
 
@@ -74,14 +74,14 @@ def row_reduction(l: AnsatzPencil, m_mat, alpha) -> RowReduction:
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     field = l.field
-    mk = field.kron(m_mat, field.eye(m))
-    reduced = MatPoly.pencil(mk @ l.pencil.X, mk @ l.pencil.Y, field)
+    reduced = MatPoly.pencil(block_apply(m_mat, l.pencil.X),
+                             block_apply(m_mat, l.pencil.Y), field)
     e1 = field.vector([alpha] + [0] * (k - 1))
     scale = lambda: max(1.0, l.pencil.frob_norm())
     if not field.negligible(ansatz_gap(reduced, p, e1), scale):
         raise StructureError(
             "reduced pencil is not a member with ansatz alpha*e1")
-    return RowReduction(m_mat, alpha, mk, reduced,
+    return RowReduction(m_mat, alpha, reduced,
                         reduced.Y[m:, :(k - 1) * n].copy())
 
 
@@ -266,7 +266,7 @@ class TrimResult:
         shapes = _shapes(d["side"], m, n, k)
         mats = {key: matrix_from_json(d[key], field, *shapes[key])
                 for key in ("M", "X12", "Y11") + _MATRICES}
-        pens = {key: pencil_from_json(d[key], field)
+        pens = {key: pencil_from_json(d[key], field, shapes[key][1])
                 for key in ("Lt", "Lt_hat", "K")}
         for key, p in pens.items():
             if (p.m, p.n) != shapes[key]:
@@ -314,20 +314,20 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     cn = (k - 1) * n
     m_mat, alpha = field.reflector(l.ansatz)
     red = row_reduction(l, m_mat, alpha)
-    mk, z = red.mk, red.Z
+    z = red.Z
     q1, q2, rt, q1_star, q2_star = field.factor_z(z, red.complement())
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)
         d_used[:m, :m] = field.eye(m)
         d_used[m:, m:] = q1_star
-        d_used = d_used @ mk
+        d_used = block_apply(m_mat.T, d_used.T).T
     else:
         d_used = field.matrix(d)
         if d_used.shape != (m + cn, k * m):
             raise SchemaError(f"row-selector must be {m + cn}x{k * m}")
-        stack_bottom = np.hstack([field.zeros(q2_star.shape[0], m),
-                                  q2_star]) @ mk
+        stack_bottom = block_apply(m_mat.T, np.hstack(
+            [field.zeros(q2_star.shape[0], m), q2_star]).T).T
         if field.rank(np.vstack([d_used, stack_bottom])) < k * m:
             raise PreconditionError(
                 "row-selector does not complete the kernel rows to a "
@@ -337,11 +337,10 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
 
     # Lt = Dtilde * Lt_hat through the factorized inverse of the row
     # transform: (M kron I)^{-1} diag(I, Q1) maps Lt_hat back to L
-    mk_inv = field.kron(field.inv(m_mat), field.eye(m))
     e1 = field.zeros(k * m, m + cn)
     e1[:m, :m] = field.eye(m)
     e1[m:, m:] = q1
-    dtilde = d_used @ (mk_inv @ e1)
+    dtilde = d_used @ block_apply(field.inv(m_mat), e1)
     if field.rank(dtilde) < m + cn:
         raise PreconditionError("trim produced a singular square factor")
 
@@ -424,8 +423,8 @@ def _member_form(l: AnsatzPencil) -> _KronForm:
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     red = row_reduction(l, *l.field.reflector(l.ansatz))
-    c = red.mk.copy()
-    c[m:] = l.field.inv(np.hstack([red.Z, red.complement()])) @ red.mk[m:]
+    c = np.kron(red.M, l.field.eye(m))
+    c[m:] = l.field.inv(np.hstack([red.Z, red.complement()])) @ c[m:]
     # block b of the target's lower rows takes the n rows of Z's block b,
     # then m - n rows of the complement
     cn = (k - 1) * n
@@ -507,7 +506,7 @@ def _padding(l: MatPoly, p: MatPoly):
     if l.m - m == l.n - n >= 0:
         return field.eye(l.m - m)
     if (l.m, l.n) == (k * m, k * n):
-        return field.kron(field.eye(k - 1), rect_identity(m, n, field))
+        return np.kron(field.eye(k - 1), rect_identity(m, n, field))
     raise SchemaError("pencil size does not match a padded polynomial")
 
 

@@ -79,19 +79,19 @@ class AnsatzPencil:
         if d["side"] not in (SIDE_L1, SIDE_L2):
             raise SchemaError(f"unknown side {d['side']!r}")
         poly = MatPoly.from_json_dict(d["poly"])
-        pen = pencil_from_json(d["pencil"], d["field"])
+        pen = pencil_from_json(d["pencil"], d["field"], poly.grade * poly.n)
         ansatz = matrix_from_json([d["ansatz"]], d["field"])[0]
         member = cls(pen, d["side"], ansatz, poly)
-        if not _satisfies_identity(member):
+        if not _satisfies_identity(ansatz_residual(member), pen):
             raise SchemaError("payload does not satisfy its ansatz identity")
         return member
 
 
-def _satisfies_identity(member: AnsatzPencil) -> bool:
-    pen = member.pencil
-    return member.field.frob_negligible(
-        ansatz_residual(member), lambda: max(pen.frob_norm(), 1.0),
-        MEMBERSHIP_REL_TOL)
+def _satisfies_identity(residual: MatPoly, pen: MatPoly) -> bool:
+    """The ansatz identity's rule for a residual of pen: its Frobenius
+    norm is at most MEMBERSHIP_REL_TOL * max(||pen||_F, 1)."""
+    return pen.field.frob_negligible(
+        residual, lambda: max(pen.frob_norm(), 1.0), MEMBERSHIP_REL_TOL)
 
 
 def _as_vector(v, field, k):
@@ -123,7 +123,7 @@ def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
     x = np.hstack([t[:, :n], -w])
     y = np.hstack([w + t[:, n:k * n], t[:, k * n:]])
     member = AnsatzPencil(MatPoly.pencil(x, y, field), SIDE_L1, v, p)
-    if not _satisfies_identity(member):
+    if not _satisfies_identity(ansatz_residual(member), member.pencil):
         raise VerificationError("construction violated the ansatz identity")
     return member
 
@@ -186,7 +186,7 @@ def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
 def ansatz_target(p: MatPoly, v) -> np.ndarray:
     """v ⊗ [A_k A_{k-1} ... A_0], the shifted-sum form of the identity."""
     strip = np.hstack(p.coeffs[::-1])
-    return p.field.kron(p.field.vector(v).reshape(-1, 1), strip)
+    return np.kron(p.field.vector(v).reshape(-1, 1), strip)
 
 
 def ansatz_gap(pencil: MatPoly, p: MatPoly, v) -> np.ndarray:
@@ -219,14 +219,15 @@ def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]
     """Recover the unique ansatz vector of a space member, or None.
 
     Solves block row by block row with an exact least-squares ratio, then
-    verifies the full identity. A zero polynomial makes the vector
-    non-unique, so the result is None with no attempt to pick one.
+    verifies the full identity on the same shifted sum. A zero polynomial
+    makes the vector non-unique, so the result is None.
     """
     k, m, n = p.grade, p.m, p.n
     if side == SIDE_L2:
         return ansatz_membership(l.transpose(), p.transpose(), SIDE_L1)
     if (l.m, l.n) != (k * m, k * n):
         raise SchemaError(f"pencil must be {k * m}x{k * n} for this side")
+    l._check_field(p)
     if p.is_zero():
         return None
     shifted = shifted_sum(l.X, l.Y, "col", (m, n))
@@ -235,9 +236,8 @@ def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]
     tt = p.field.inner(t, t)
     v = p.field.vector([p.field.inner(shifted[i * m:(i + 1) * m, :], t) / tt
                         for i in range(k)])
-    if _satisfies_identity(AnsatzPencil(l, side, v, p)):
-        return v
-    return None
+    gap = MatPoly([shifted - ansatz_target(p, v)], p.field)
+    return v if _satisfies_identity(gap, l) else None
 
 
 def _unit_like(p: MatPoly, i: int):

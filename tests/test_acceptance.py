@@ -45,7 +45,7 @@ def product_residual(member: AnsatzPencil) -> MatPoly:
     p = member.poly
     lhs = member.pencil.matmul(lambda_vec(p.grade, p.n, p.field))
     col = member.ansatz.reshape(-1, 1)
-    return lhs - MatPoly([p.field.kron(col, c) for c in p.coeffs], p.field)
+    return lhs - MatPoly([np.kron(col, c) for c in p.coeffs], p.field)
 
 
 def int_poly(rng, m, n, k, lo=-4, hi=5):

@@ -293,8 +293,8 @@ class TestMalformedInput:
         zero = "0" if field == "rational" else 0.0
         d = {"m": m, "n": n, "grade": 2, "field": field,
              "coeffs": [[[zero] * n for _ in range(m)]] * 3}
-        code, out = run("build", files("p.json", d), "--side", side,
-                        "--companion")
+        poly = files("p.json", d)
+        code, out = run("build", poly, "--side", side, "--companion")
         # the tower has n blocks on the right side and m on the left
         if (n if side == "l1" else m) == 0:
             assert code == 2
@@ -306,6 +306,26 @@ class TestMalformedInput:
         assert (got["side"], got["ansatz"], got["poly"]) == (
             side, [1, 0] if field == "float64" else ["1", "0"], d)
         assert got["pencil"] == {"x": [[]] * (2 * m), "y": [[]] * (2 * m)}
+        # the member reloads with its 2n columns, also from an empty row list
+        member = files("l.json", out)
+        for strong in (False, True):
+            code, out = run("check", member, poly, *["--strong"] * strong)
+            if field == "float64":
+                assert code == 2
+                assert jline(out)["message"] == (
+                    "linearization checks need the rational field")
+                continue
+            assert code == 0
+            assert jline(out) == {
+                "kind": "check_report", "mode": "glin", "strong": strong,
+                "verdict": {"kind": "verdict", "ok": True, "reason": ""},
+                "membership": {"l1": None, "l2": None}, "z_rank": 0,
+                "full_z_rank": True}
+        code, out = run("trim", member)
+        assert code == 2
+        assert jline(out) == {
+            "kind": "error", "error": "precondition",
+            "message": "wide polynomials trim through the left space"}
 
 
 class TestInfo:

@@ -15,8 +15,8 @@ from matpencil.cases import (CASE3_NORM_SQ, case2_poly, case3_eval_at_one,
 from matpencil.errors import PreconditionError, SchemaError
 from matpencil.field import RANK_SAFETY
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               dump_json, flip_r, h_dual, lambda_vec,
-                               rect_identity, shear_s)
+                               block_apply, dump_json, flip_r, h_dual,
+                               lambda_vec, rect_identity, shear_s)
 from matpencil.qpoly import coeffs, to_pm
 
 
@@ -206,6 +206,27 @@ class TestStructured:
                           FIELD_RATIONAL)
         rev = lambda_vec(k, 2).reversal()
         assert flipped.equal(rev)
+
+    @pytest.mark.parametrize("b,c", [(2, 3), (3, 1), (0, 3), (2, 0), (0, 0)])
+    @pytest.mark.parametrize("field", [FIELD_RATIONAL, FIELD_FLOAT])
+    def test_block_apply_is_the_kronecker_product(self, field, b, c):
+        rng = np.random.default_rng(7)
+        k = 3
+        ints = lambda *shape: rng.integers(-4, 5, size=shape)
+        mat = lambda *shape: (ints(*shape).astype(object) + xla.ZERO
+                              if field == FIELD_RATIONAL
+                              else ints(*shape).astype(float))
+        square, row = mat(k, k), mat(1, k)
+        a, d = mat(k * b, c), mat(c, k * b)
+        eye = field.eye(b)
+        # a square M and a 1 x k row on the block rows of a, and M from
+        # the right on the block columns of d through the transpose
+        pairs = [(block_apply(square, a), np.kron(square, eye) @ a),
+                 (block_apply(row, a), np.kron(row, eye) @ a),
+                 (block_apply(square.T, d.T).T, d @ np.kron(square, eye))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert field.is_zero(got - want)
 
     def test_shear_shape_and_band(self):
         s = shear_s(3, 1)

@@ -13,7 +13,7 @@ from matpencil.cases import (case1_member, case2_poly, case3_member,
                              case3_poly)
 from matpencil.errors import (PreconditionError, SchemaError,
                               VerificationError)
-from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
+from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
                                MinimalBasis, _pack_checked, embed_right,
@@ -191,13 +191,20 @@ class TestEmbedProject:
 
     def test_embed_degree_shift(self):
         rng = np.random.default_rng(11)
-        for k in (2, 3, 4):
-            coeffs = [xla.fmat([[int(v)] for v in rng.integers(-3, 4, 2)])
-                      for _ in range(3)]
-            x = MatPoly(coeffs, FIELD_RATIONAL)
+        for k, field in [(k, f) for f in (FIELD_RATIONAL, FIELD_FLOAT)
+                         for k in (2, 3, 4)]:
+            x = vec_poly(*rng.integers(-3, 4, (3, 2)).tolist(), field=field)
             if x.is_zero():
                 continue
-            assert embed_right(x, k).degree == (k - 1) + x.degree
+            y = embed_right(x, k)
+            assert y.degree == (k - 1) + x.degree
+            # the tower is Lambda_k kron x, coefficient by coefficient
+            lam = lambda_vec(k, 1, field)
+            want = [field.zeros(k * x.m, 1) for _ in range(k + x.grade)]
+            for i, a in enumerate(lam.coeffs):
+                for j, b in enumerate(x.coeffs):
+                    want[i + j] = want[i + j] + np.kron(a, b)
+            assert y.equal(MatPoly(want, field))
 
     def test_embed_rejects_rows(self):
         with pytest.raises(SchemaError):

@@ -37,7 +37,7 @@ def product_residual(member: AnsatzPencil) -> MatPoly:
         lam = lambda_vec(p.grade, p.m, p.field)
         lhs = lam.transpose().matmul(member.pencil)
         v = member.ansatz.reshape(1, -1)
-    return lhs - MatPoly([p.field.kron(v, c) for c in p.coeffs], p.field)
+    return lhs - MatPoly([np.kron(v, c) for c in p.coeffs], p.field)
 
 
 class TestBuildL1:
