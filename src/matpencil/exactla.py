@@ -1,12 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are numpy arrays with dtype=object holding ``fractions.Fraction``
 entries. numpy's matmul and ``kron`` work on object arrays, so products,
 block transforms and Kronecker products stay exact without a kernel here.
-The elimination kernels are sympy's: ``rref``, ``inv`` and ``det`` convert
-to a ``DomainMatrix`` over QQ, call it, and convert back.  Everything
-rank-related reads the canonical rref, so pivots, nullspace bases and
-particular solutions do not depend on the elimination order.
+The elimination kernels are sympy's, on a sparse ``DomainMatrix`` over QQ
+built from the nonzero entries alone: ``rref`` leaves its result in that
+form, and ``rank``, ``nullspace`` and ``solve`` read back only the pivots
+and the entries of R they need; ``inv`` converts its whole result back.
+Everything rank-related reads the canonical rref, so pivots, nullspace
+bases and particular solutions do not depend on the elimination order.
 """
 
 from fractions import Fraction
@@ -77,29 +79,42 @@ def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
 
-def to_domain(a: np.ndarray) -> DomainMatrix:
-    """The DomainMatrix over QQ holding the entries of a."""
-    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
-                         for row in a], a.shape, QQ)
+def to_domain(a) -> DomainMatrix:
+    """The sparse DomainMatrix over QQ holding the nonzero entries of a;
+    a DomainMatrix over QQ passes through."""
+    if isinstance(a, DomainMatrix):
+        return a
+    rows = {}
+    for i, row in enumerate(a.tolist()):
+        # a Fraction is in lowest terms, so QQ takes it without a gcd
+        entries = {j: QQ.dtype(x) for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+    return DomainMatrix(rows, a.shape, QQ)
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(x.numerator, x.denominator)
 
 
 def from_domain(d: DomainMatrix) -> np.ndarray:
     """Object array of Fractions holding the entries of d."""
-    out = np.empty(d.shape, dtype=object)
-    for i, row in enumerate(d.to_list()):
-        for j, x in enumerate(row):
-            out[i, j] = Fraction(x.numerator, x.denominator)
+    out = fzeros(*d.shape)
+    for i, row in d.to_dod().items():
+        for j, x in row.items():
+            out[i, j] = _fraction(x)
     return out
 
 
-def rref(a: np.ndarray):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
+def rref(a):
+    """Reduced row echelon form of a (an array or a DomainMatrix over QQ).
+    Returns (R, pivot_columns) with R a sparse DomainMatrix over QQ."""
     r, pivots = to_domain(a).rref()
-    return from_domain(r), list(pivots)
+    return r, list(pivots)
 
 
-def rank(a: np.ndarray) -> int:
-    if a.size == 0:
+def rank(a) -> int:
+    if 0 in a.shape:
         return 0
     return len(rref(a)[1])
 
@@ -110,26 +125,58 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.empty((0, 0), dtype=object)
     r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
+    pivot_set = set(pivots)
+    free = {fc: idx for idx, fc in
+            enumerate(j for j in range(n) if j not in pivot_set)}
     out = fzeros(n, len(free))
-    for idx, fc in enumerate(free):
+    for fc, idx in free.items():
         out[fc, idx] = ONE
-        for row_i, pc in enumerate(pivots):
-            out[pc, idx] = -r[row_i, fc]
+    for row_i, row in r.to_dod().items():
+        for fc, x in row.items():
+            if fc in free:
+                out[pivots[row_i], free[fc]] = -_fraction(x)
     return out
+
+
+def _solution(a: np.ndarray, b: np.ndarray):
+    """One solution of a·x = b, or None if inconsistent, and the pivot
+    columns of the rref of [a | b]."""
+    n = a.shape[1]
+    bb = b if b.ndim == 2 else b.reshape(-1, 1)
+    r, pivots = rref(np.concatenate([a, bb], axis=1))
+    if pivots and pivots[-1] >= n:
+        return None, pivots
+    x = fzeros(n, bb.shape[1])
+    for row_i, row in r.to_dod().items():
+        for j, v in row.items():
+            if j >= n:
+                x[pivots[row_i], j - n] = _fraction(v)
+    return (x if b.ndim == 2 else x[:, 0]), pivots
 
 
 def solve(a: np.ndarray, b: np.ndarray):
     """One solution of a·x = b (b may be a matrix), or None if inconsistent."""
-    m, n = a.shape
-    bb = b if b.ndim == 2 else b.reshape(-1, 1)
-    r, pivots = rref(np.concatenate([a, bb], axis=1))
-    if pivots and pivots[-1] >= n:
-        return None
-    x = fzeros(n, bb.shape[1])
-    for row_i, pc in enumerate(pivots):
-        x[pc, :] = r[row_i, n:]
-    return x if b.ndim == 2 else x[:, 0]
+    return _solution(a, b)[0]
+
+
+def unique_solve(a: np.ndarray, b: np.ndarray):
+    """The solution of a·x = b, or None when a has not full column rank
+    or the system is inconsistent."""
+    x, pivots = _solution(a, b)
+    n = a.shape[1]
+    return x if pivots[:n] == list(range(n)) else None
+
+
+def samples(coeffs, points):
+    """Yield the matrix polynomial with ascending coefficients coeffs at
+    each integer point, by Horner on sparse QQ matrices; the coefficients
+    are converted once."""
+    qq = [to_domain(c) for c in coeffs]
+    for t in points:
+        acc = qq[-1]
+        for c in reversed(qq[:-1]):
+            acc = acc * QQ(t) + c
+        yield acc
 
 
 def inv(a: np.ndarray) -> np.ndarray:
@@ -146,8 +193,7 @@ def det(a: np.ndarray) -> Fraction:
     m, n = a.shape
     if m != n:
         raise PreconditionError("determinant of a non-square matrix")
-    d = to_domain(a).det()
-    return Fraction(d.numerator, d.denominator)
+    return _fraction(to_domain(a).det())
 
 
 def to_float(a: np.ndarray) -> np.ndarray:

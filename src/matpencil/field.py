@@ -1,10 +1,11 @@
 """The two scalar fields: exact rationals and float64.
 
 Everything that differs between the fields lives here: building and
-coercing matrices, the linear algebra kernels, the negligibility tests,
-and JSON scalars.  Each field is a single object that compares equal to
-its name ("rational" or "float64") and serializes as that plain string,
-so code holding a field can both dispatch on it and write it out.
+coercing matrices, the linear algebra kernels and the samples a rank
+reads, the negligibility tests, and JSON scalars.  Each field is a
+single object that compares equal to its name ("rational" or
+"float64") and serializes as that plain string, so code holding a field
+can both dispatch on it and write it out.
 
 The rational field calls the exact backend (``exactla``, thin adapters
 over sympy's DomainMatrix on QQ) through module attribute lookup, so
@@ -100,8 +101,10 @@ class RationalField(Field):
     def is_zero(self, a) -> bool:
         return xla.is_zero(a)
 
-    def all_finite(self, arrays) -> bool:
-        return True
+    def samples(self, poly, points):
+        """Yield poly at each integer point, as a sparse QQ matrix for
+        rank."""
+        return xla.samples(poly.coeffs, points)
 
     def inner(self, a, b):
         """Sum of the entrywise products."""
@@ -128,10 +131,8 @@ class RationalField(Field):
     def min_norm_solve(self, a, b):
         """Minimum-norm solution of a·x = b for full-row-rank a, or None
         when a is rank deficient."""
-        gram = a @ a.T
-        if xla.rank(gram) != gram.shape[0]:
-            return None
-        return a.T @ xla.solve(gram, b)
+        x = xla.unique_solve(a @ a.T, b)
+        return None if x is None else a.T @ x
 
     def negligible(self, a, scale) -> bool:
         """Is every entry of a (an array or a matrix polynomial) zero?"""
@@ -241,9 +242,15 @@ class FloatField(Field):
     def is_zero(self, a) -> bool:
         return not np.any(a)
 
-    def all_finite(self, arrays) -> bool:
-        """Are all entries of the equally shaped arrays finite?"""
-        return bool(np.isfinite(arrays).all())
+    def samples(self, poly, points):
+        """poly at each point; raises when a sample leaves the float
+        range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [poly.eval(t) for t in points]
+        if not np.isfinite(out).all():
+            raise PreconditionError(
+                "a sample of the polynomial exceeds the float range")
+        return out
 
     def inner(self, a, b):
         """Sum of the entrywise products; an overflow gives inf without a

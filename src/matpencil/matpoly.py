@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, FIELD_RATIONAL, field_of
 
@@ -188,17 +186,14 @@ class MatPoly:
         The rank can only drop at finitely many points (at most the degree of
         a largest non-vanishing minor, <= k*min(m,n)), so maximizing over
         k*min(m,n)+1 distinct points attains it.  Sampling stops once the
-        rank reaches min(m,n), which no point can exceed.
+        rank reaches min(m,n), which no point can exceed.  The field
+        evaluates the samples in the form its rank reads: sparse QQ
+        matrices on the rational field, float64 arrays (all checked
+        finite first) on the other.
         """
         full = min(self.m, self.n)
-        npts = self.grade * full + 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples = [self.eval(t) for t in range(1, npts + 1)]
-        if not self.field.all_finite(samples):
-            raise PreconditionError(
-                "a sample of the polynomial exceeds the float range")
         best = 0
-        for s in samples:
+        for s in self.field.samples(self, range(1, self.grade * full + 2)):
             best = max(best, self.field.rank(s))
             if best == full:
                 break

@@ -242,7 +242,10 @@ def minimal_basis(p, side: str) -> MinimalBasis:
     convolution matrix with d+1 block columns are exactly the degree <= d
     vector polynomials killed by p (coefficients stacked highest first).
     A candidate is kept when its degree-d coefficient extends the
-    row-reduced leading matrix of the vectors already kept.
+    row-reduced leading matrix of the vectors already kept. Candidates
+    are tried only at a degree that carries a new index, where the
+    nullity grows by more than the count already kept; at any other
+    degree that growth equals the count, so no candidate could be kept.
 
     Exact arithmetic is the intended path; on float64 the nullspaces use
     the field's one rank cut and warn where ``rank_with_margin`` flags.
@@ -258,16 +261,20 @@ def minimal_basis(p, side: str) -> MinimalBasis:
     n = p.n
     leads = []  # running span of the kept leading coefficients
     chosen = []
+    nullity = 0  # at the previous degree
 
     def select(d):
+        nonlocal nullity
         ns = field.nullspace(p.conv_matrix(d))
-        for j in range(ns.shape[1]):
-            col = ns[:, j]
-            if field.span_add(leads, col[:n], SPAN_REL_TOL):
-                chosen.append(MatPoly(
-                    [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
-                     for i in range(d + 1)], field))
-        return ns.shape[1], len(chosen)
+        growth, nullity = ns.shape[1] - nullity, ns.shape[1]
+        if growth > len(chosen):  # an index equals d
+            for j in range(ns.shape[1]):
+                col = ns[:, j]
+                if field.span_add(leads, col[:n], SPAN_REL_TOL):
+                    chosen.append(MatPoly(
+                        [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
+                         for i in range(d + 1)], field))
+        return nullity, len(chosen)
 
     indices = index_walk(p, n - p.normal_rank(), select)
     basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), indices, field)

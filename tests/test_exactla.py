@@ -1,0 +1,202 @@
+"""The exact kernels against sympy's Matrix, an independent reference.
+
+exactla eliminates on sparse DomainMatrices over QQ and reads back only
+the entries its callers need; sympy's Matrix.rref, nullspace and
+gauss_jordan_solve work on dense symbolic matrices.  The draws are sparse
+rationals with non-integer entries, and include 0 x n, n x 0 and
+all-zero matrices.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, Rational, zeros
+from sympy.polys.matrices import DomainMatrix
+
+from matpencil import exactla as xla
+from matpencil.field import FIELD_RATIONAL
+
+COMMON = dict(deadline=None, max_examples=60)
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def matrices(draw, m=None, n=None):
+    m = draw(st.integers(0, 6)) if m is None else m
+    n = draw(st.integers(0, 6)) if n is None else n
+    # mostly zeros, as in a convolution matrix
+    rows = [[draw(entries) if draw(st.integers(0, 2)) == 0 else Fraction(0)
+             for _ in range(n)] for _ in range(m)]
+    out = xla.fzeros(m, n)
+    for i, row in enumerate(rows):
+        out[i, :] = row
+    return out
+
+
+def sympy_matrix(a: np.ndarray) -> Matrix:
+    out = zeros(*a.shape)
+    for (i, j), x in np.ndenumerate(a):
+        out[i, j] = Rational(x.numerator, x.denominator)
+    return out
+
+
+def fractions_of(a: Matrix) -> np.ndarray:
+    out = xla.fzeros(*a.shape)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            out[i, j] = Fraction(int(a[i, j].p), int(a[i, j].q))
+    return out
+
+
+def equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
+
+
+EDGE = [xla.fzeros(0, 3), xla.fzeros(3, 0), xla.fzeros(0, 0),
+        xla.fzeros(2, 3),
+        xla.fmat([["1/2", "0", "-3/4"], ["1", "0", "-3/2"]]),
+        xla.fmat([["0", "0"], ["0", "5/3"], ["0", "0"]])]
+
+
+def shape_id(a):
+    return "x".join(map(str, a.shape))
+
+
+class TestRref:
+    @settings(**COMMON)
+    @given(matrices())
+    def test_pivots_rank_and_entries(self, a):
+        r, pivots = xla.rref(a)
+        ref_r, ref_pivots = sympy_matrix(a).rref()
+        assert pivots == list(ref_pivots)
+        assert xla.rank(a) == len(ref_pivots)
+        assert isinstance(r, DomainMatrix)
+        assert equal(xla.from_domain(r), fractions_of(ref_r))
+
+    @pytest.mark.parametrize("a", EDGE, ids=shape_id)
+    def test_edge_shapes(self, a):
+        ref_r, ref_pivots = sympy_matrix(a).rref()
+        assert xla.rref(a)[1] == list(ref_pivots)
+        assert xla.rank(a) == len(ref_pivots)
+
+    @settings(**COMMON)
+    @given(matrices())
+    def test_rank_accepts_a_domain_matrix(self, a):
+        d = xla.to_domain(a)
+        assert xla.to_domain(d) is d
+        assert xla.rank(d) == xla.rank(a) == sympy_matrix(a).rank()
+        assert FIELD_RATIONAL.rank(d) == xla.rank(a)
+
+    @settings(**COMMON)
+    @given(matrices())
+    def test_sparse_form_holds_the_nonzero_entries(self, a):
+        dod = xla.to_domain(a).to_dod()
+        nonzero = {(i, j) for (i, j), x in np.ndenumerate(a) if x}
+        assert {(i, j) for i, row in dod.items() for j in row} == nonzero
+        assert equal(xla.from_domain(xla.to_domain(a)), a)
+
+
+class TestNullspace:
+    @settings(**COMMON)
+    @given(matrices())
+    def test_matches_sympy(self, a):
+        ns = xla.nullspace(a)
+        ref = sympy_matrix(a).nullspace()
+        assert ns.shape[1] == len(ref)
+        for j, v in enumerate(ref):
+            assert equal(ns[:, j:j + 1], fractions_of(v))
+        if ns.size:
+            assert xla.is_zero(a @ ns)
+
+    @pytest.mark.parametrize("a", EDGE, ids=shape_id)
+    def test_edge_shapes(self, a):
+        ns = xla.nullspace(a)
+        ref = sympy_matrix(a).nullspace()
+        assert ns.shape == ((a.shape[1], len(ref)) if a.shape[1] else (0, 0))
+        for j, v in enumerate(ref):
+            assert equal(ns[:, j:j + 1], fractions_of(v))
+
+
+def particular(a: np.ndarray, b: np.ndarray):
+    """sympy's Gauss-Jordan solution with every free parameter zero, or
+    None when the system is inconsistent."""
+    try:
+        sol, params = sympy_matrix(a).gauss_jordan_solve(sympy_matrix(b))
+    except ValueError:
+        return None
+    return fractions_of(sol.subs({t: 0 for t in params}))
+
+
+class TestSolve:
+    @settings(**COMMON)
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 2),
+           st.data())
+    def test_matches_sympy(self, m, n, cols, data):
+        a = data.draw(matrices(m, n))
+        if data.draw(st.booleans()):
+            # consistent by construction
+            b = a @ data.draw(matrices(n, cols))
+        else:
+            b = data.draw(matrices(m, cols))
+        x = xla.solve(a, b)
+        ref = particular(a, b)
+        if ref is None:
+            assert x is None
+        else:
+            assert equal(x, ref)
+            assert xla.is_zero(a @ x - b)
+
+    def test_inconsistent(self):
+        a = xla.fmat([["1/2", "1"], ["1", "2"]])
+        b = xla.fvec(["1", "3"])
+        assert particular(a, b.reshape(-1, 1)) is None
+        assert xla.solve(a, b) is None
+
+    def test_vector_right_hand_side(self):
+        a = xla.fmat([["1/2", "0", "1"], ["0", "0", "3"]])
+        b = xla.fvec(["1", "-2/5"])
+        x = xla.solve(a, b)
+        assert x.shape == (3,)
+        assert equal(x.reshape(-1, 1), particular(a, b.reshape(-1, 1)))
+
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_systems(self, m, n):
+        a = xla.fzeros(m, n)
+        assert equal(xla.solve(a, xla.fzeros(m, 1)), xla.fzeros(n, 1))
+        if m:
+            assert xla.solve(a, xla.fmat([["1"]] * m)) is None
+
+
+class TestMinNormSolve:
+    def test_full_row_rank(self):
+        a = xla.fmat([["1", "2", "0"], ["0", "1/3", "1"]])
+        b = xla.fmat([["1"], ["-1"]])
+        x = FIELD_RATIONAL.min_norm_solve(a, b)
+        gram = sympy_matrix(a) * sympy_matrix(a).T
+        ref = sympy_matrix(a).T * gram.inv() * sympy_matrix(b)
+        assert equal(x, fractions_of(ref))
+        assert xla.is_zero(a @ x - b)
+
+    def test_rank_deficient_returns_none(self):
+        # the second row is -3/2 times the first, so a a^T is singular
+        a = xla.fmat([["2/3", "0", "1"], ["-1", "0", "-3/2"]])
+        b = xla.fmat([["1"], ["-3/2"]])
+        assert xla.rank(a) == 1
+        assert FIELD_RATIONAL.min_norm_solve(a, b) is None
+
+    def test_one_elimination(self, monkeypatch):
+        seen = []
+        rref = xla.rref
+
+        def counting(a):
+            seen.append(a.shape)
+            return rref(a)
+        monkeypatch.setattr(xla, "rref", counting)
+        a = xla.fmat([["1", "2", "0"], ["0", "1/3", "1"]])
+        FIELD_RATIONAL.min_norm_solve(a, xla.fmat([["1"], ["-1"]]))
+        assert seen == [(2, 3)]

@@ -131,6 +131,46 @@ class TestNormalRank:
         assert len(ranked) == 5
 
 
+def planted_matpoly(rng, m, n, k, r):
+    """An m x r grade-(k-1) polynomial times an r x n pencil: grade k
+    and normal rank at most r."""
+    return rand_matpoly(rng, m, r, k - 1).matmul(rand_matpoly(rng, r, n, 1))
+
+
+def sampled_rank(p):
+    """Max of the exact ranks of p at the points 1..k*min(m, n)+1,
+    each sample evaluated in Fractions."""
+    points = range(1, p.grade * min(p.m, p.n) + 2)
+    return max(xla.rank(p.eval(Fraction(t))) for t in points)
+
+
+class TestNormalRankSamples:
+    @pytest.mark.parametrize("m,n,k,r", [
+        (4, 3, 2, 2), (4, 3, 3, 2), (3, 4, 2, 1), (3, 2, 3, 1), (5, 4, 2, 3)])
+    def test_planted_equals_the_fraction_samples(self, m, n, k, r):
+        p = planted_matpoly(np.random.default_rng(50 + 7 * k + r), m, n, k, r)
+        assert p.normal_rank() == sampled_rank(p) <= r
+
+    @pytest.mark.parametrize("m,n,k", [(3, 2, 3), (2, 3, 2), (4, 3, 2),
+                                       (1, 1, 1), (3, 3, 2)])
+    def test_generic_equals_the_fraction_samples(self, m, n, k):
+        p = rand_matpoly(np.random.default_rng(60 + m + n + k), m, n, k)
+        assert p.normal_rank() == sampled_rank(p)
+
+    def test_non_integer_and_zero_polynomials(self):
+        # rank one: the second row is 3/2 times the first
+        half = xla.fmat([["1/2", "-1/3"], ["3/4", "-1/2"], ["0", "0"]])
+        p = MatPoly([half, half * Fraction(-3, 4), xla.fzeros(3, 2)],
+                    FIELD_RATIONAL)
+        assert p.normal_rank() == sampled_rank(p) == 1
+        q = p + MatPoly([xla.fzeros(3, 2), xla.fmat(
+            [["0", "0"], ["0", "0"], ["2/5", "1/9"]])], FIELD_RATIONAL)
+        assert q.normal_rank() == sampled_rank(q) == 2
+        zero = MatPoly.zero(3, 2, 2)
+        assert zero.normal_rank() == sampled_rank(zero) == 0
+        assert MatPoly([xla.fzeros(0, 3)], FIELD_RATIONAL).normal_rank() == 0
+
+
 class TestConvMatrix:
     def test_single_block_column(self):
         rng = np.random.default_rng(2)

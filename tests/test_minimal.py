@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.cases import (case1_member, case2_poly, case3_member,
+from matpencil.cases import (case1_member, case1_poly, case2_poly,
+                             case3_member,
                              case3_poly)
 from matpencil.errors import (PreconditionError, SchemaError,
                               VerificationError)
+from matpencil.field import SPAN_REL_TOL
 from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
@@ -473,6 +475,100 @@ class TestRecover:
         l = companion_g1(p)
         rb = recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L1)
         assert rb.indices == (1,)
+
+
+def int_poly(rng, m, n, k):
+    return MatPoly([xla.fmat(rng.integers(-3, 4, size=(m, n)).tolist())
+                    for _ in range(k + 1)], FIELD_RATIONAL)
+
+
+def planted_poly(rng, m, n, k):
+    """An m x (n-1) grade-(k-1) polynomial times an (n-1) x n pencil: a
+    right nullvector and m - n + 1 left ones."""
+    return int_poly(rng, m, n - 1, k - 1).matmul(int_poly(rng, n - 1, n, 1))
+
+
+def every_degree_basis(p, side):
+    """minimal_basis's walk with span_add tried on every null column at
+    every degree: the reference for the skipped selection."""
+    q = p.transpose() if side == SIDE_LEFT else p
+    field, n = q.field, q.n
+    leads, chosen = [], []
+
+    def select(d):
+        ns = field.nullspace(q.conv_matrix(d))
+        for j in range(ns.shape[1]):
+            col = ns[:, j]
+            if field.span_add(leads, col[:n], SPAN_REL_TOL):
+                chosen.append(MatPoly(
+                    [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
+                     for i in range(d + 1)], field))
+        return ns.shape[1], len(chosen)
+
+    indices = index_walk(q, n - q.normal_rank(), select)
+    return MinimalBasis(side, tuple(chosen), indices, field)
+
+
+SELECTION_CASES = {
+    "planted-4x3k2": lambda: planted_poly(np.random.default_rng(70), 4, 3, 2),
+    "planted-4x3k3": lambda: planted_poly(np.random.default_rng(71), 4, 3, 3),
+    "planted-4x3k2-companion": lambda: companion_g1(
+        planted_poly(np.random.default_rng(72), 4, 3, 2)).pencil,
+    # left indices (0, 0, 2, 2) and (0, 0, 6): degrees with null columns
+    # but no new index lie between them
+    "planted-4x3k3-companion": lambda: companion_g1(
+        planted_poly(np.random.default_rng(71), 4, 3, 3)).pencil,
+    "generic-3x2k3-companion": lambda: companion_g1(
+        int_poly(np.random.default_rng(73), 3, 2, 3)).pencil,
+    "example1": case1_poly,
+    "example2": case2_poly,
+    "example3": case3_poly,
+    "generic-3x2k3": lambda: int_poly(np.random.default_rng(73), 3, 2, 3),
+}
+
+
+class TestSelection:
+    @pytest.mark.parametrize("side", [SIDE_RIGHT, SIDE_LEFT])
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_matches_selection_at_every_degree(self, name, side):
+        p = SELECTION_CASES[name]()
+        assert same_basis(minimal_basis(p, side), every_degree_basis(p, side))
+
+    def test_cases_carry_indices(self):
+        # the planted cases have indices on both sides, some above 0
+        for name in ("planted-4x3k2", "planted-4x3k3"):
+            p = SELECTION_CASES[name]()
+            right = minimal_basis(p, SIDE_RIGHT).indices
+            left = minimal_basis(p, SIDE_LEFT).indices
+            assert len(right) == 1 and len(left) == 2
+            assert max(right + left) > 0
+
+    @pytest.mark.parametrize("side", [SIDE_RIGHT, SIDE_LEFT])
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_span_add_runs_only_at_index_degrees(self, name, side,
+                                                 monkeypatch):
+        events = []
+        conv = MatPoly.conv_matrix
+        span_add = type(FIELD_RATIONAL).span_add
+
+        def conv_spy(poly, d):
+            events.append(("degree", d))
+            return conv(poly, d)
+
+        def span_spy(field, rows, vec, tol):
+            events.append(("span_add", None))
+            return span_add(field, rows, vec, tol)
+
+        monkeypatch.setattr(MatPoly, "conv_matrix", conv_spy)
+        monkeypatch.setattr(type(FIELD_RATIONAL), "span_add", span_spy)
+        basis = minimal_basis(SELECTION_CASES[name](), side)
+        tried, degree = set(), None
+        for kind, d in events:
+            if kind == "degree":
+                degree = d
+            else:
+                tried.add(degree)
+        assert tried == set(basis.indices)
 
 
 class TestIndexWalk:
