@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
-from .field import FIELD_FLOAT, RESIDUAL_REL_TOL, field_of_array
+from .field import FIELD_FLOAT, field_of_array
 from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
 from .minimal import pencil_indices, walk_indices
 from .reduction import TrimResult
@@ -191,10 +191,7 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
     kn = k * n
     coeffs = [x[(k - 1 - i) * kn:(k - i) * kn, :] for i in range(k)]
     dd = MatPoly([np.ascontiguousarray(c) for c in coeffs], field)
-    if not field.frob_negligible(
-            bp.matmul(lam + dd),
-            lambda: max(1.0, bp.frob_norm() * (lam + dd).frob_norm()),
-            RESIDUAL_REL_TOL):
+    if not field.negligible(bp.matmul(lam + dd), bp, lam + dd):
         raise VerificationError("dual completion residual above tolerance")
     if rt is not None and dbn is not None:
         limit = k * math.sqrt(2.0) / _smin(rt) * dbn

@@ -2,15 +2,19 @@
 
 Everything that differs between the fields lives here: building and
 coercing matrices, the linear algebra kernels and the samples a rank
-reads, the negligibility tests, and JSON scalars.  Each field is a
-single object that compares equal to its name ("rational" or
-"float64") and serializes as that plain string, so code holding a field
-can both dispatch on it and write it out.
+reads, the residual test, and JSON scalars.  Each field is a single
+object that compares equal to its name ("rational" or "float64") and
+serializes as that plain string, so code holding a field can both
+dispatch on it and write it out.
 
 The rational field calls the exact backend (``exactla``, thin adapters
 over sympy's DomainMatrix on QQ) through module attribute lookup, so
-replacing a backend function replaces it for every caller.  On the
-rational field every negligibility test is exact.
+replacing a backend function replaces it for every caller.
+
+Every float threshold on data lives here; no caller passes one.  Ranks
+cut singular values by one rule (RANK_SAFETY) and residuals are judged
+by one rule, ``negligible``: exactly zero on the rational field, and on
+float64 relative to the norms of the data the residual comes from.
 """
 
 import math
@@ -18,6 +22,9 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+# Imported eagerly although only FloatField.factor_z calls it: bench/run.py
+# reads sys.modules["scipy"].__version__ after every run, including
+# exact-only runs that never reach float code.
 import scipy.linalg
 
 from . import exactla as xla
@@ -29,8 +36,7 @@ from .errors import PreconditionError, SchemaError
 RANK_SAFETY = 8.0
 RANK_MARGIN = 10.0
 _EPS = float(np.finfo(float).eps)
-RESIDUAL_REL_TOL = 1e-9  # residuals and structural zero blocks
-MEMBERSHIP_REL_TOL = 1e-10  # ansatz identity of a space member
+RESIDUAL_REL_TOL = 1e-10  # residual relative to the data it comes from
 SPAN_REL_TOL = 1e-8  # independence of a new vector from a span
 CLEAN_REL_TOL = 1e-12  # noise next to the largest entry of a vector
 
@@ -51,11 +57,20 @@ def _sign_canonicalize(q, r):
     return q, r
 
 
+def _frob(x) -> float:
+    """Float Frobenius norm of a scalar, an array or a matrix polynomial;
+    math.hypot scales the entries, so the norm is inf only when it
+    exceeds the float range itself."""
+    return math.hypot(*np.concatenate(
+        [np.ravel(c) for c in getattr(x, "coeffs", (x,))]).tolist())
+
+
 class Field(str):
     """A scalar field; the instance is the string of its name.
 
-    ``negligible`` and ``frob_negligible`` take the reference scale as a
-    zero-argument callable: only the float field evaluates it.
+    ``negligible(residual, *factors)`` is the one residual test: the
+    factors are the data the residual is a product or difference of, and
+    only the float field reads them.
     """
 
     name = ""
@@ -108,7 +123,7 @@ class RationalField(Field):
 
     def inner(self, a, b):
         """Sum of the entrywise products."""
-        return sum(x * y for x, y in zip(a.flat, b.flat))
+        return a.ravel() @ b.ravel()
 
     def rank_with_margin(self, a):
         """Exact rank; an exact decision is always clear of any cut."""
@@ -134,12 +149,11 @@ class RationalField(Field):
         x = xla.unique_solve(a @ a.T, b)
         return None if x is None else a.T @ x
 
-    def negligible(self, a, scale) -> bool:
-        """Is every entry of a (an array or a matrix polynomial) zero?"""
-        return all(xla.is_zero(c) for c in getattr(a, "coeffs", (a,)))
-
-    def frob_negligible(self, poly, scale, tol):
-        return poly.is_zero()
+    def negligible(self, residual, *factors) -> bool:
+        """Is every entry of residual (an array or a matrix polynomial)
+        zero?  The factors are not read: an exact residual has no scale."""
+        return all(xla.is_zero(c)
+                   for c in getattr(residual, "coeffs", (residual,)))
 
     def clean(self, coeffs):
         return coeffs
@@ -177,20 +191,20 @@ class RationalField(Field):
         for j in range(cn):
             w = z[:, j].copy()
             for i in range(j):
-                c = sum(q1[t, i] * z[t, j] for t in range(rows)) / norms[i]
+                c = (q1[:, i] @ z[:, j]) / norms[i]
                 rt[i, j] = c
                 w = w - q1[:, i] * c
-            if all(x == 0 for x in w):
+            if xla.is_zero(w):
                 raise PreconditionError("columns are linearly dependent")
             rt[j, j] = xla.ONE
             q1[:, j] = w
-            norms.append(sum(x * x for x in w))
+            norms.append(w @ w)
         q1, rt = _sign_canonicalize(q1, rt)
         q2, _ = _sign_canonicalize(comp.copy(), None)
         q1_star = (q1 / np.array(norms, dtype=object)).T.copy()
         return q1, q2, rt, q1_star, q2.T.copy()
 
-    def span_add(self, rows, vec, tol) -> bool:
+    def span_add(self, rows, vec) -> bool:
         """Reduce vec against the (pivot, row) echelon rows; keep it when
         a nonzero entry is left."""
         w = np.array([Fraction(x) for x in vec], dtype=object)
@@ -300,16 +314,15 @@ class FloatField(Field):
     def min_norm_solve(self, a, b):
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
-    def negligible(self, a, scale) -> bool:
-        """Is the largest entry of a (an array or a matrix polynomial) at
-        most RESIDUAL_REL_TOL times scale()?"""
-        big = max((float(np.max(np.abs(c)))
-                   for c in getattr(a, "coeffs", (a,)) if c.size),
-                  default=0.0)
-        return big <= RESIDUAL_REL_TOL * scale()
-
-    def frob_negligible(self, poly, scale, tol):
-        return poly.frob_norm() <= tol * scale()
+    def negligible(self, residual, *factors) -> bool:
+        """Is ||residual||_F at most RESIDUAL_REL_TOL times the product of
+        max(1, ||f||_F) over the factors (arrays, matrix polynomials or
+        scalars)?  Raises when that product exceeds the float range; a
+        residual that does, or holds a nan, is not negligible."""
+        scale = math.prod(max(1.0, _frob(f)) for f in factors)
+        if scale == math.inf:
+            raise PreconditionError("Frobenius norm exceeds the float range")
+        return _frob(residual) <= RESIDUAL_REL_TOL * scale
 
     def clean(self, coeffs):
         """Zero the entries that are noise next to the largest one, so
@@ -346,9 +359,9 @@ class FloatField(Field):
         q2, _ = _sign_canonicalize(qf[:, cn:].copy(), None)
         return q1, q2, rt, q1.T.copy(), q2.T.copy()
 
-    def span_add(self, rows, vec, tol) -> bool:
+    def span_add(self, rows, vec) -> bool:
         """Twice-repeated Gram-Schmidt against the orthonormal rows; keep
-        vec when more than tol of its norm is left."""
+        vec when more than SPAN_REL_TOL of its norm is left."""
         w = np.asarray(vec, dtype=float).copy()
         base = float(np.linalg.norm(w))
         if base == 0.0:
@@ -357,7 +370,7 @@ class FloatField(Field):
             for row in rows:
                 w = w - float(row @ w) * row
         nrm = float(np.linalg.norm(w))
-        if nrm > tol * base:
+        if nrm > SPAN_REL_TOL * base:
             rows.append(w / nrm)
             return True
         return False

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
-from .field import FIELD_FLOAT, SPAN_REL_TOL, field_of
+from .field import FIELD_FLOAT, field_of
 from .matpoly import MatPoly, block_apply, lambda_vec, shear_s, _require_keys
 from .reduction import TrimResult, row_reduction
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
@@ -270,7 +270,7 @@ def minimal_basis(p, side: str) -> MinimalBasis:
         if growth > len(chosen):  # an index equals d
             for j in range(ns.shape[1]):
                 col = ns[:, j]
-                if field.span_add(leads, col[:n], SPAN_REL_TOL):
+                if field.span_add(leads, col[:n]):
                     chosen.append(MatPoly(
                         [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
                          for i in range(d + 1)], field))
@@ -288,8 +288,7 @@ def _certify(basis: MinimalBasis, p: MatPoly):
     for v in basis.vectors:
         res = (p.matmul(v) if basis.side == SIDE_RIGHT
                else v.transpose().matmul(p))
-        scale = lambda: max(1.0, p.frob_norm()) * max(1.0, v.frob_norm())
-        if not p.field.negligible(res, scale):
+        if not p.field.negligible(res, p, v):
             raise VerificationError("basis vector fails the residual check")
     _check_independent(basis)
 
@@ -354,8 +353,7 @@ def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
     if q.m != p.m:
         raise SchemaError("vector length does not match the row count")
     k, m, n, field = l.k, p.m, p.n, l.field
-    fscale = lambda: max(1.0, q.frob_norm() * max(1.0, p.frob_norm()))
-    if not field.negligible(q.transpose().matmul(p), fscale):
+    if not field.negligible(q.transpose().matmul(p), q, p):
         raise PreconditionError("vector is not in the left nullspace")
     if q.is_zero():
         return MatPoly.zero(k * m, 1, 0, field)
@@ -372,16 +370,13 @@ def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
     delta = q.degree
     for i in range(stacked.grade, delta, -1):
         t = stacked.coeff(i)[m:, :]
-        ts = lambda: (max(1.0, float(np.max(np.abs(z))))
-                      * max(1.0, float(np.max(np.abs(t)))))
-        if not field.negligible(t.T @ z, ts):
+        if not field.negligible(t.T @ z, z, t):
             raise VerificationError(
                 "degree reduction failed; the lift keeps a higher-degree tail")
     stacked = MatPoly([stacked.coeff(i) for i in range(delta + 1)], field)
 
     res = stacked.transpose().matmul(red.pencil)
-    mscale = lambda: fscale() * max(1.0, red.pencil.frob_norm())
-    if not field.negligible(res, mscale):
+    if not field.negligible(res, q, p, red.pencil):
         raise VerificationError("lifted vector fails the pencil residual")
 
     y = MatPoly([block_apply(red.M.T, c) for c in stacked.coeffs],
@@ -405,7 +400,6 @@ def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
     red, comp = _reduce(l)
     field = l.field
     m = l.poly.m
-    mscale = lambda: max(1.0, l.pencil.frob_norm())
     base = minimal_basis(l.pencil, SIDE_LEFT)
     if comp.shape[1] == 0:
         return base
@@ -415,8 +409,7 @@ def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
         col = field.zeros(l.pencil.m, 1)
         col[m:, 0] = comp[:, j]
         u = MatPoly([block_apply(red.M.T, col)], field)
-        us = lambda: mscale() * max(1.0, u.frob_norm())
-        if not field.negligible(u.transpose().matmul(l.pencil), us):
+        if not field.negligible(u.transpose().matmul(l.pencil), l.pencil, u):
             raise VerificationError("kernel vector fails the pencil residual")
         kernel.append(u)
 
@@ -424,13 +417,13 @@ def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
     higher = [(v, e) for v, e in zip(base.vectors, base.indices) if e > 0]
     span = []
     for u in kernel:
-        if not field.span_add(span, u.coeff(0)[:, 0], SPAN_REL_TOL):
+        if not field.span_add(span, u.coeff(0)[:, 0]):
             raise VerificationError("kernel vectors are dependent")
     picked = []
     for v in constants:
         if len(kernel) + len(picked) == len(constants):
             break
-        if field.span_add(span, v.coeff(0)[:, 0], SPAN_REL_TOL):
+        if field.span_add(span, v.coeff(0)[:, 0]):
             picked.append(v)
     if len(kernel) + len(picked) != len(constants):
         raise VerificationError(
@@ -456,7 +449,7 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int):
         bottom = _trim_tail(_clean(
             MatPoly([cc[(k - 1) * n:, :] for cc in y.coeffs], field)))
         emb = embed_right(bottom, k)
-        if not field.negligible(emb - y, lambda: max(1.0, y.frob_norm())):
+        if not field.negligible(emb - y, y):
             raise StructureError("right nullvector lacks the tower form")
         xs.append(bottom)
     return _pack_checked(xs, p, SIDE_RIGHT)

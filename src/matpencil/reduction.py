@@ -77,8 +77,7 @@ def row_reduction(l: AnsatzPencil, m_mat, alpha) -> RowReduction:
     reduced = MatPoly.pencil(block_apply(m_mat, l.pencil.X),
                              block_apply(m_mat, l.pencil.Y), field)
     e1 = field.vector([alpha] + [0] * (k - 1))
-    scale = lambda: max(1.0, l.pencil.frob_norm())
-    if not field.negligible(ansatz_gap(reduced, p, e1), scale):
+    if not field.negligible(ansatz_gap(reduced, p, e1), l.pencil):
         raise StructureError(
             "reduced pencil is not a member with ansatz alpha*e1")
     return RowReduction(m_mat, alpha, reduced,
@@ -217,8 +216,7 @@ class TrimResult:
         top, src = ((self.top, p) if self.side == SIDE_L1
                     else (self.top.transpose(), p.transpose()))
         gap = ansatz_gap(top, src, field.vector([self.alpha]))
-        scale = lambda: max(1.0, abs(self.alpha) * p.frob_norm())
-        if not field.negligible(gap, scale):
+        if not field.negligible(gap, self.alpha, p):
             raise SchemaError(
                 "trimming record was built from a different polynomial")
 
@@ -291,10 +289,11 @@ def _verify_trim_identities(tr: TrimResult):
     """Lt = Dtilde * Lt_hat (transposed on the left side) must hold."""
     if tr.side == SIDE_L2:
         return _verify_trim_identities(tr.transpose())
-    scale = lambda: max(1.0, tr.Lt.frob_norm())
-    for lt, hat in zip(tr.Lt.coeffs, tr.Lt_hat.coeffs):
-        if not tr.field.negligible(tr.Dtilde @ hat - lt, scale):
-            raise VerificationError("trim factors do not reproduce Lt")
+    gap = MatPoly([tr.Dtilde @ hat - lt
+                   for lt, hat in zip(tr.Lt.coeffs, tr.Lt_hat.coeffs)],
+                  tr.field)
+    if not tr.field.negligible(gap, tr.Lt):
+        raise VerificationError("trim factors do not reproduce Lt")
 
 
 def trim(l: AnsatzPencil, d=None) -> TrimResult:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
-from .field import MEMBERSHIP_REL_TOL, field_of_array
+from .field import field_of_array
 from .matpoly import (MatPoly, flip_r, matrix_from_json, pencil_from_json,
                       pencil_to_json, rect_identity)
 
@@ -82,16 +82,9 @@ class AnsatzPencil:
         pen = pencil_from_json(d["pencil"], d["field"], poly.grade * poly.n)
         ansatz = matrix_from_json([d["ansatz"]], d["field"])[0]
         member = cls(pen, d["side"], ansatz, poly)
-        if not _satisfies_identity(ansatz_residual(member), pen):
+        if not pen.field.negligible(ansatz_residual(member), pen):
             raise SchemaError("payload does not satisfy its ansatz identity")
         return member
-
-
-def _satisfies_identity(residual: MatPoly, pen: MatPoly) -> bool:
-    """The ansatz identity's rule for a residual of pen: its Frobenius
-    norm is at most MEMBERSHIP_REL_TOL * max(||pen||_F, 1)."""
-    return pen.field.frob_negligible(
-        residual, lambda: max(pen.frob_norm(), 1.0), MEMBERSHIP_REL_TOL)
 
 
 def _as_vector(v, field, k):
@@ -123,7 +116,7 @@ def build_l1(p: MatPoly, v, w) -> AnsatzPencil:
     x = np.hstack([t[:, :n], -w])
     y = np.hstack([w + t[:, n:k * n], t[:, k * n:]])
     member = AnsatzPencil(MatPoly.pencil(x, y, field), SIDE_L1, v, p)
-    if not _satisfies_identity(ansatz_residual(member), member.pencil):
+    if not field.negligible(ansatz_residual(member), member.pencil):
         raise VerificationError("construction violated the ansatz identity")
     return member
 
@@ -237,7 +230,7 @@ def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]
     v = p.field.vector([p.field.inner(shifted[i * m:(i + 1) * m, :], t) / tt
                         for i in range(k)])
     gap = MatPoly([shifted - ansatz_target(p, v)], p.field)
-    return v if _satisfies_identity(gap, l) else None
+    return v if p.field.negligible(gap, l) else None
 
 
 def _unit_like(p: MatPoly, i: int):

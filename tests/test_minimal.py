@@ -14,7 +14,6 @@ from matpencil.cases import (case1_member, case1_poly, case2_poly,
                              case3_poly)
 from matpencil.errors import (PreconditionError, SchemaError,
                               VerificationError)
-from matpencil.field import SPAN_REL_TOL
 from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
@@ -499,7 +498,7 @@ def every_degree_basis(p, side):
         ns = field.nullspace(q.conv_matrix(d))
         for j in range(ns.shape[1]):
             col = ns[:, j]
-            if field.span_add(leads, col[:n], SPAN_REL_TOL):
+            if field.span_add(leads, col[:n]):
                 chosen.append(MatPoly(
                     [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
                      for i in range(d + 1)], field))
@@ -555,9 +554,9 @@ class TestSelection:
             events.append(("degree", d))
             return conv(poly, d)
 
-        def span_spy(field, rows, vec, tol):
+        def span_spy(field, rows, vec):
             events.append(("span_add", None))
-            return span_add(field, rows, vec, tol)
+            return span_add(field, rows, vec)
 
         monkeypatch.setattr(MatPoly, "conv_matrix", conv_spy)
         monkeypatch.setattr(type(FIELD_RATIONAL), "span_add", span_spy)

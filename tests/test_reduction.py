@@ -11,7 +11,6 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case3_poly)
 from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
-from matpencil.field import RESIDUAL_REL_TOL
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                dump_json, flip_r, h_dual, lambda_vec,
                                rect_identity)
@@ -43,8 +42,12 @@ def rand_member(rng, m, n, k, field=FIELD_RATIONAL):
 
 
 def tiny(field, a) -> bool:
-    """Every entry of a is zero, or at most 1e-12 on the float field."""
-    return field.negligible(a, lambda: 1e-12 / RESIDUAL_REL_TOL)
+    """Every entry of a (an array or a matrix polynomial) is zero, or at
+    most 1e-12 in magnitude on the float field."""
+    blocks = getattr(a, "coeffs", (a,))
+    if field == FIELD_RATIONAL:
+        return all(xla.is_zero(c) for c in blocks)
+    return all(np.max(np.abs(c), initial=0.0) <= 1e-12 for c in blocks)
 
 
 def assert_core_reproduces_lt(tr: TrimResult):
