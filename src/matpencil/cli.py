@@ -14,6 +14,8 @@ step that produced them.
 import argparse
 import functools
 import json
+import os
+import sys
 
 from .backward import (appendix_lambda_min, run_experiment, sigma_min_tau,
                        summarize_experiment)
@@ -459,7 +461,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    """Console entry point; a closed stdout exits 1 without a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_SCHEMA
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

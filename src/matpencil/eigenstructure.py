@@ -1,27 +1,20 @@
-"""Smith normal form over the rational polynomials and complete
-eigenstructure reports.
+"""Complete eigenstructure reports and linearization verdicts.
 
-The exact path reduces a matrix polynomial to Smith form over QQ[l] with
-sympy's smith_normal_decomp, makes the invariant factors monic, and audits
-the result exactly: diagonal form, monic divisibility chain, unimodular
-transformations and the product U p V = S.  It reads the normal rank and
-finite elementary divisors off the invariant factors; rank walks over the
-convolution matrices give the infinite degrees and both lists of minimal
-indices, and the Index Sum Theorem certifies all four together.
+The exact path reads every local structure off rank walks over
+block-Toeplitz matrices (minimal.index_walk; the local Smith form of
+Gohberg, Lancaster & Rodman, Matrix Polynomials, 1982): both lists of
+minimal indices, the degrees at infinity, and the exponents of each
+repeated eigenvalue.  The Index Sum Theorem fixes the finite degree f and
+with it D_r, the product of the invariant factors: a gcd of multiples of
+D_r that reaches degree f.  No Smith form is taken.
 
-Linearization claims are certified in a fixed order.  First the witness: a
-member with full-rank Z, or a trimming record, built from the polynomial
-yields explicit unimodular E, F through its block-Kronecker form
-(reduction.linearization_witnesses), and E L F = diag(P, padding) is
-checked exactly over QQ[l], for the reversals as well when the claim is
-strong.  A witness that is built but fails that check raises.  Only when no
-witness can be built (a bare pencil, a deficient Z, a record or member of
-another polynomial, a zero alpha, a singular constant factor) is the claim
-settled by the Smith fallback: comparing the pencil's invariant factors
-with those of the polynomial padded by a constant block, which decides the
-finite structure and the nullspace dimensions in one shot; a strong claim
-also compares the two walks for the degrees at infinity.  Every rejection
-comes from that comparison.  No check is probabilistic.
+Linearization claims are certified in a fixed order: first explicit
+unimodular witnesses, E L F = diag(P, padding) checked exactly over QQ[l]
+(reduction.linearization_witnesses), for the reversals too when strong; a
+built witness that fails raises.  Only when none can be built is the claim
+settled by comparing the structures of the pencil and the polynomial
+(_padded_verdict), and every rejection comes from there.  No check is
+probabilistic.
 
 The float path only handles regular pencils through the generalized
 eigensolver.  It cannot resolve Jordan structure, so every numeric
@@ -30,16 +23,16 @@ eigenvalue is reported as a simple divisor.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import sympy
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
 from .minimal import index_walk, walk_indices
-from .qpoly import QQL, from_pm, pm_det, pm_eye, poly, to_pm
+from .qpoly import QQL, coeffs, pm_det, poly, to_pm
 from .reduction import TrimResult, linearization_witnesses, verify_witnesses
 from .spaces import AnsatzPencil
 
@@ -53,86 +46,15 @@ __all__ = [
     "smith_form",
 ]
 
+# Vandermonde compressions S (r x m) and T^T (r x n), entries (j + t)^(i + 1)
+# for each t: det(S p T) is tried before the r x r minors of p.
+COMPRESSIONS = (1, 2, 3)
+
 
 def _require_matpoly(p):
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
     return p
-
-
-# ---------------------------------------------------------------------------
-# Smith form
-
-
-def smith_form(p):
-    """Smith normal form with its unimodular transformations.
-
-    Returns (U, S, V) with U p V = S, S diagonal with monic invariant
-    factors in a divisibility chain.  sympy's smith_normal_decomp reduces
-    p over QQ[l]; each factor is then made monic, with the unit folded into
-    its row of U, and the result is audited exactly before it is returned.
-    A zero p keeps identity transformations.  Rational field only.
-    """
-    p = _require_matpoly(p)
-    if p.field != FIELD_RATIONAL:
-        raise PreconditionError("Smith reduction needs the rational field")
-    a = to_pm(p)
-    if p.is_zero():
-        s, u, v = a, pm_eye(p.m), pm_eye(p.n)
-    else:
-        s, u, v = smith_normal_decomp(a)
-        s, u = _make_monic(s, u)
-    _audit_smith(u, a, v, s)
-    return from_pm(u), from_pm(s), from_pm(v)
-
-
-def _make_monic(s, u):
-    """Scale each nonzero diagonal entry of s, and its row of u, by the
-    inverse of the entry's leading coefficient."""
-    s_rows, u_rows = s.to_list(), u.to_list()
-    for t in range(min(s.shape)):
-        d = s_rows[t][t]
-        if d and d.LC != 1:
-            lc = d.LC
-            s_rows[t][t] = d.monic()
-            u_rows[t] = [x.quo_ground(lc) for x in u_rows[t]]
-    return (DomainMatrix(s_rows, s.shape, QQL),
-            DomainMatrix(u_rows, u.shape, QQL))
-
-
-def _audit_smith(u, a, v, s):
-    """Raise unless s is diagonal with monic factors in a divisibility
-    chain, u and v have nonzero constant determinants, and u a v = s."""
-    rows = s.to_list()
-    m, n = s.shape
-    if any(rows[i][j] for i in range(m) for j in range(n) if i != j):
-        raise VerificationError("Smith reduction left an off-diagonal entry")
-    prev = None
-    for t in range(min(m, n)):
-        d = rows[t][t]
-        if not d:
-            prev = d
-            continue
-        if prev is not None and (not prev or d.rem(prev)):
-            raise VerificationError("invariant factors break the "
-                                    "divisibility chain")
-        if d.LC != 1:
-            raise VerificationError("invariant factor is not monic")
-        prev = d
-    if pm_det(u).degree() != 0:
-        raise VerificationError("row transformation is not unimodular")
-    if pm_det(v).degree() != 0:
-        raise VerificationError("column transformation is not unimodular")
-    if (u * a * v).to_list() != rows:
-        raise VerificationError("Smith reduction lost the transformation "
-                                "trail")
-
-
-def _smith_diag(p):
-    """Nonzero invariant factors of p, in chain order."""
-    _, s, _ = smith_form(p)
-    diag = (poly([c[t, t] for c in s.coeffs]) for t in range(min(s.m, s.n)))
-    return [d for d in diag if d]
 
 
 # ---------------------------------------------------------------------------
@@ -266,35 +188,109 @@ def _infinite_degrees(p: MatPoly, nrank: int) -> tuple:
     return tuple(e for e in index_walk(p, nrank, rank) if e > 0)
 
 
+def _multiples(p: MatPoly, r: int):
+    """Multiples of D_r, the gcd of the r x r minors of p: det(S p T) per
+    compression (Cauchy-Binet), then each r x r minor, lexicographically."""
+    for t in COMPRESSIONS:
+        s, u = (FIELD_RATIONAL.matrix([[(j + t) ** (i + 1) for j in range(w)]
+                                       for i in range(r)]) for w in (p.m, p.n))
+        yield pm_det(to_pm(MatPoly([s @ a @ u.T for a in p.coeffs])))
+    a = to_pm(p)
+    for rows in combinations(range(p.m), r):
+        for cols in combinations(range(p.n), r):
+            yield pm_det(a.extract(list(rows), list(cols)))
+
+
+def _finite_divisor(p: MatPoly, r: int, f: int):
+    """D_r of p, of normal rank r, whose degree the Index Sum Theorem fixes
+    at f: the monic gcd of its multiples, stopped once its degree is f."""
+    g = QQL.zero
+    for d in _multiples(p, r) if f > 0 else ():
+        g = g.gcd(d)
+        if g and g.degree() <= f:
+            break
+    if not g or g.degree() != f:
+        raise VerificationError("structural indices do not add up to the "
+                                "grade times the normal rank")
+    return g.monic()
+
+
+def _at_factor(p: MatPoly, fac: tuple) -> MatPoly:
+    """Q(l) = sum_i A_i kron (C + l I)^i, with C the companion matrix of
+    the monic irreducible fac of degree e.  Over the closure Q is similar
+    to the direct sum of p(theta + l) over the e roots theta of fac, so its
+    local structure at zero is that of p at each root, e times over."""
+    e = len(fac) - 1
+    c = FIELD_RATIONAL.matrix([[int(i == j + 1) for j in range(e - 1)]
+                               + [-fac[i]] for i in range(e)])
+    return MatPoly([sum(comb(i, j) * np.kron(p.coeffs[i],
+                                             np.linalg.matrix_power(c, i - j))
+                        for i in range(j, p.grade + 1))
+                    for j in range(p.grade + 1)], FIELD_RATIONAL)
+
+
+def _exponents(p: MatPoly, r: int, fac: tuple, simple: bool) -> tuple:
+    """Exponents of fac in p's invariant factors (normal rank r): Q's orders
+    at zero, each e times, or for a simple fac (1,) if Q(0) drops rank."""
+    e, q = len(fac) - 1, _at_factor(p, fac)
+    if simple:
+        return (1,) * (FIELD_RATIONAL.rank(q.coeffs[0]) < e * r)
+    return _infinite_degrees(q.reversal(), e * r)[e - 1::e]
+
+
+def _walks(p: MatPoly, nrank: int):
+    """Right and left minimal indices, degrees at infinity, and the finite
+    degree that the Index Sum Theorem leaves: grade * nrank less them."""
+    right, left, _ = walk_indices(p, nrank)
+    infinite = _infinite_degrees(p, nrank)
+    return (right, left, infinite,
+            p.grade * nrank - sum(infinite) - sum(right) - sum(left))
+
+
 def complete_eigenstructure(p) -> EigStructure:
     """Finite and infinite elementary divisors plus minimal indices.
 
-    Exact path: the Smith form of p for the normal rank and finite part,
-    rank walks for the rest, all certified by the Index Sum Theorem: the
-    degrees and indices add up to grade * normal rank (De Terán, Dopico &
-    Mackey, LAA 459, 2014).  Float path: regular pencils only, one simple
-    divisor per numeric eigenvalue.
+    Exact path: walks give the minimal indices and the degrees at
+    infinity, the Index Sum Theorem (De Terán, Dopico & Mackey, LAA 459,
+    2014) the finite degree f.  For f > 0, D_r is factored; each factor's
+    exponents, (1,) after a rank drop for a simple one, else from a walk,
+    must add up to its multiplicity, which certifies D_r.  Float path:
+    regular pencils only, one simple divisor per numeric eigenvalue.
     """
     p = _require_matpoly(p)
     if p.field == FIELD_FLOAT:
         return _float_regular_pencil(p)
-    divisors = _smith_diag(p)
-    nrank = len(divisors)
-    table = {}
-    for d in divisors:
-        if d.degree() > 0:
-            for fac, e in _factor_monic(d):
-                table.setdefault(fac, []).append(e)
-    finite = tuple((fac, tuple(table[fac]))
-                   for fac in sorted(table, key=lambda f: (len(f), f)))
-    right, left, _ = walk_indices(p, nrank)
-    es = EigStructure(nrank=nrank, finite=finite,
-                      infinite=_infinite_degrees(p, nrank),
-                      right_indices=right, left_indices=left, field=p.field)
-    if es.structural_sum() != p.grade * nrank:
-        raise VerificationError("structural indices do not add up to the "
-                                "grade times the normal rank")
-    return es
+    nrank = p.normal_rank()
+    right, left, infinite, f = _walks(p, nrank)
+    finite = []
+    if f:
+        for fac, mult in _factor_monic(_finite_divisor(p, nrank, f)):
+            exps = _exponents(p, nrank, fac, mult == 1)
+            if sum(exps) != mult:
+                raise VerificationError("local exponents do not add up to "
+                                        "the multiplicity of the factor")
+            finite.append((fac, exps))
+    return EigStructure(nrank=nrank, finite=finite, infinite=infinite,
+                        right_indices=right, left_indices=left,
+                        field=p.field)
+
+
+def smith_form(p) -> MatPoly:
+    """The Smith form S of p, assembled from complete_eigenstructure: the
+    invariant factors on the diagonal, each the product of the finite
+    elementary divisors it carries, then zeros.  Rational field only."""
+    if _require_matpoly(p).field != FIELD_RATIONAL:
+        raise PreconditionError("Smith form needs the rational field")
+    es = complete_eigenstructure(p)
+    diag = [QQL.one] * es.nrank
+    for fac, exps in es.finite:
+        for t, e in enumerate(reversed(exps), start=1):
+            diag[-t] *= poly(fac) ** e
+    out = MatPoly.zero(p.m, p.n, max((d.degree() for d in diag), default=0))
+    for i, d in enumerate(diag):
+        for t, c in enumerate(coeffs(d)):
+            out.coeffs[t][i, i] = c
+    return out
 
 
 def _float_regular_pencil(p: MatPoly) -> EigStructure:
@@ -355,33 +351,36 @@ def _rational_inputs(l, p):
 
 
 def _padded_verdict(lmat: MatPoly, p: MatPoly, r: int, strong: bool):
-    """Compare L with diag(P, E) for a constant E of rank r.
-
-    diag(P, E) is unimodularly equivalent to diag(P, I_r, 0), so its
-    nonzero invariant factors are r ones followed by those of P, and the
-    same holds for the two reversals.  Once the finite lists agree, the
-    reversals can differ only in their orders at zero, the infinite
-    degrees.
-    """
-    dl, dp = _smith_diag(lmat), _smith_diag(p)
-    if dl != [QQL.one] * r + dp:
+    """Compare L with diag(P, E), E constant of rank r: r more in normal
+    rank than P, P's elementary divisors.  With equal index-sum degrees, a
+    rank drop L(C) < e * nrank(L) at each simple factor of P and equal
+    exponents at each repeated one pin L's finite structure to P's."""
+    es = complete_eigenstructure(p)
+    nrank = lmat.normal_rank()
+    same = nrank == es.nrank + r
+    if same:
+        *_, infinite, f = _walks(lmat, nrank)
+        same = f == es.finite_degree_sum() and all(
+            _exponents(lmat, nrank, fac, exps == (1,)) == exps
+            for fac, exps in es.finite)
+    if not same:
         return Verdict(False, "finite structure mismatch")
-    if strong and (_infinite_degrees(lmat, len(dl))
-                   != _infinite_degrees(p, len(dp))):
+    if strong and infinite != es.infinite:
         return Verdict(False, "infinite eigenvalue mismatch")
     return Verdict(True, "")
 
 
-def _witnessed(l, p, strong: bool) -> bool:
-    """True when exact witnesses certify l, and its reversal when strong;
-    False when none can be built.  A built witness that fails its
+def _verdict(l, lmat: MatPoly, p: MatPoly, r: int, strong: bool):
+    """Accept l on exact witnesses for it, and its reversal when strong;
+    when none can be built, compare its pencil lmat with p padded by a
+    constant block of rank r.  A built witness that fails its
     verification raises VerificationError."""
     pairs = linearization_witnesses(l, p, strong)
     if pairs is None:
-        return False
+        return _padded_verdict(lmat, p, r, strong)
     for pen, poly, e, f in pairs:
         verify_witnesses(pen, poly, e, f)
-    return True
+    return Verdict(True, "")
 
 
 def check_g_linearization(l, p, strong: bool = False) -> Verdict:
@@ -391,25 +390,21 @@ def check_g_linearization(l, p, strong: bool = False) -> Verdict:
     The target is p padded with I_{k-1} kron I_{m,n}.  A member of p with
     full-rank Z is accepted on its verified witnesses; otherwise the
     pencil and the target, which share their shape, are compared by
-    Smith form, which also forces equal nullspace dimensions.
+    structure, which also forces equal nullspace dimensions.
     """
     lmat, p = _rational_inputs(l, p)
     k = p.grade
     if (lmat.m, lmat.n) != (k * p.m, k * p.n):
         raise SchemaError("pencil size does not match the grade")
-    if _witnessed(l, p, strong):
-        return Verdict(True, "")
-    return _padded_verdict(lmat, p, (k - 1) * min(p.m, p.n), strong)
+    return _verdict(l, lmat, p, (k - 1) * min(p.m, p.n), strong)
 
 
 def check_linearization(lt, p, strong: bool = False) -> Verdict:
     """Same decision for trimmed pencils against p padded with a square
     identity block sized by the shape difference: witnesses first, then
-    the Smith comparison."""
+    the structural comparison."""
     lmat, p = _rational_inputs(lt, p)
     s = lmat.m - p.m
     if s != lmat.n - p.n or s < 0:
         raise SchemaError("pencil size does not match a padded identity")
-    if _witnessed(lt, p, strong):
-        return Verdict(True, "")
-    return _padded_verdict(lmat, p, s, strong)
+    return _verdict(lt, lmat, p, s, strong)

@@ -28,7 +28,7 @@ from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of
 from .matpoly import MatPoly, block_apply, lambda_vec, shear_s, _require_keys
-from .reduction import TrimResult, row_reduction
+from .reduction import TrimResult, row_reduction, transposed_problem
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
 SIDE_RIGHT = "right"
@@ -500,8 +500,9 @@ def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
         if source.side != SIDE_L2:
             raise SchemaError("mode expects a left-space source")
         dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
-        dual = recover_minimal(source.transpose(), p.transpose(),
-                               _flip(side), dual_mode)
+        with transposed_problem():
+            dual = recover_minimal(source.transpose(), p.transpose(),
+                                   _flip(side), dual_mode)
         return MinimalBasis(side, dual.vectors, dual.indices, dual.field)
 
     if mode == MODE_GLIN_L1:

@@ -2,9 +2,10 @@
 
 A polynomial matrix is a sympy ``DomainMatrix`` over QQ[l] whose entries
 are ring elements; sums, products and determinants stay exact.  ``to_pm``
-and ``from_pm`` are the one conversion between that form and the
-ascending coefficient blocks of a rational ``MatPoly``; ``poly`` and
-``coeffs`` do the same for a single entry.
+turns the ascending coefficient blocks of a rational ``MatPoly`` into that
+form; ``poly`` and ``coeffs`` convert a single entry both ways.  The
+exact path takes determinants here: of the witnesses' unimodular factors
+and of the multiples of D_r that fix the finite eigenvalues.
 """
 
 from fractions import Fraction
@@ -17,7 +18,6 @@ from .field import FIELD_RATIONAL
 from .matpoly import MatPoly
 
 QQL = QQ[Symbol("l")]
-L = QQL.ring.gens[0]
 
 
 def poly(coeffs):
@@ -42,24 +42,6 @@ def to_pm(p: MatPoly) -> DomainMatrix:
     rows = [[poly([c[i, j] for c in p.coeffs]) for j in range(p.n)]
             for i in range(p.m)]
     return DomainMatrix(rows, (p.m, p.n), QQL)
-
-
-def from_pm(a: DomainMatrix) -> MatPoly:
-    """The rational matrix polynomial of a matrix over QQ[l]; its grade is
-    the largest entry degree (at least 0)."""
-    m, n = a.shape
-    rows = a.to_list()
-    g = max((x.degree() for row in rows for x in row), default=0)
-    out = [FIELD_RATIONAL.zeros(m, n) for _ in range(max(g, 0) + 1)]
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            for t, c in enumerate(coeffs(x)):
-                out[t][i, j] = c
-    return MatPoly(out, FIELD_RATIONAL)
-
-
-def pm_eye(n: int) -> DomainMatrix:
-    return DomainMatrix.eye(n, QQL).to_dense()
 
 
 def pm_det(a: DomainMatrix):

@@ -12,6 +12,7 @@ members and trimmed pencils alike, from the block-Kronecker pencil both
 reduce to.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -39,6 +40,21 @@ def reflector_for(v, field: Optional[str] = None):
     return field.reflector(v)
 
 
+WIDE_REFUSAL = "wide polynomials trim through the left space"
+
+
+@contextmanager
+def transposed_problem():
+    """Run a left-space member's problem on P^T: P^T wide means P tall."""
+    try:
+        yield
+    except PreconditionError as e:
+        if str(e) != WIDE_REFUSAL:
+            raise
+        raise PreconditionError("tall polynomials trim through the right "
+                                "space") from None
+
+
 class RowReduction(NamedTuple):
     """A right-space member L reduced by M with M*v = alpha*e1: the
     member (M kron I)*L and its constant lower-left block Z."""
@@ -58,8 +74,7 @@ class RowReduction(NamedTuple):
         """A basis of the left complement of Z's range, the kernel of Z^T;
         raise unless P is tall and Z has full column rank."""
         if self.pencil.m < self.pencil.n:
-            raise PreconditionError(
-                "wide polynomials trim through the left space")
+            raise PreconditionError(WIDE_REFUSAL)
         comp = self.pencil.field.nullspace(self.Z.T)
         if comp.shape[1] != self.Z.shape[0] - self.Z.shape[1]:
             raise PreconditionError(
@@ -307,7 +322,8 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     field = l.field
     if l.side == SIDE_L2:
         d_t = None if d is None else field.matrix(d).T.copy()
-        return trim(l.transpose(), d_t).transpose()
+        with transposed_problem():
+            return trim(l.transpose(), d_t).transpose()
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     cn = (k - 1) * n

@@ -3,8 +3,9 @@
 bench/tracing.py patches matpencil functions by name and raises
 AttributeError on a missing one, so a rename in the package would break
 `bench/run.py --trace 1` without this test.  `examples 3` certifies on
-its witnesses and reaches rref through `trim`; `examples 2` is a
-rejection, so it still reaches `smith_form`.  A solve -> build ->
+its witnesses and reaches rref through `trim`; `examples 2` verifies its
+witnesses, so it reaches `pm_det`.  No path reaches `smith_form`, but its
+shim must still resolve.  A solve -> build ->
 recover pipeline checks that the walks' eliminations and the normal-rank
 samples still reach the shimmed `exactla.rref`.
 """
@@ -34,7 +35,7 @@ def test_shims_install_and_count_an_example():
         counts = tracer.take()
     finally:
         tracer.uninstall()
-    assert counts["eigenstructure.smith_calls"] > 0
+    assert counts["qpoly.pm_det_calls"] > 0
     assert counts["exactla.rref_calls"] > 0
 
 

@@ -4,9 +4,13 @@ import io
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,20 @@ class TestExitCodes:
         code, out = run("check", l2, p2, "--strong")
         assert code == 3
         assert jline(out)["verdict"]["reason"] == "infinite eigenvalue mismatch"
+
+    def test_closed_stdout_exits_without_traceback(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "matpencil.cli", "examples", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        # the reader goes away before the first line is written
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 def _float_payload(entry):
@@ -323,9 +341,12 @@ class TestMalformedInput:
                 "full_z_rank": True}
         code, out = run("trim", member)
         assert code == 2
+        # an l1 member here is of a wide P, an l2 member of a tall one
         assert jline(out) == {
             "kind": "error", "error": "precondition",
-            "message": "wide polynomials trim through the left space"}
+            "message": "wide polynomials trim through the left space"
+            if side == "l1" else
+            "tall polynomials trim through the right space"}
 
 
 class TestInfo:
@@ -446,6 +467,25 @@ class TestTrim:
         err = jline(out)
         assert (err["kind"], err["error"]) == ("error", "schema")
         assert "unrecognized arguments" in err["message"]
+
+    @pytest.mark.parametrize("field", ["rational", "float64"])
+    def test_tall_left_space_member_names_the_right_space(self, files,
+                                                          field):
+        rng = np.random.default_rng(0)
+        p = MatPoly([rng.integers(-5, 6, (3, 2)).tolist() for _ in range(3)])
+        p = files("p.json", (p if field == "rational"
+                             else p.to_float()).to_json_dict())
+        code, out = run("build", p, "--side", "l2", "--companion")
+        assert code == 0
+        member = files("l.json", out)
+        for argv in (("trim", member),
+                     ("recover", member, p, "--mode", "glin_L2", "--side",
+                      "right")):
+            code, out = run(*argv)
+            assert code == 2
+            assert jline(out) == {
+                "kind": "error", "error": "precondition",
+                "message": "tall polynomials trim through the right space"}
 
     def test_explicit_row_selection(self, files):
         l3 = files("m3.json", case3_member().to_json_dict())

@@ -1,4 +1,5 @@
-"""Smith form, eigenstructure reports, and linearization verdicts."""
+"""Eigenstructure reports, the Smith form built from them, and
+linearization verdicts, against the Smith normal form oracle."""
 
 import collections
 import contextlib
@@ -7,13 +8,10 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from matpencil import exactla as xla
 from matpencil.cases import (
@@ -29,10 +27,9 @@ from matpencil.cli import main
 from matpencil.eigenstructure import (
     EigStructure,
     Verdict,
-    _audit_smith,
+    _finite_divisor,
     _infinite_degrees,
     _padded_verdict,
-    _smith_diag,
     check_g_linearization,
     check_linearization,
     complete_eigenstructure,
@@ -51,10 +48,13 @@ from matpencil.matpoly import (
 )
 from matpencil.minimal import (SIDE_LEFT, SIDE_RIGHT, minimal_basis,
                                walk_indices)
-from matpencil.qpoly import L, QQL, coeffs, poly as qp, to_pm
+from matpencil.qpoly import QQL, coeffs, poly as qp, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, build_l1, build_l2,
                               companion_g1, companion_g2)
+from smith_oracle import (oracle_decomposition, oracle_diag, oracle_finite,
+                          reference_strong_verdict, reference_verdict,
+                          reversal_orders)
 
 
 def fm(rows):
@@ -71,7 +71,7 @@ def rand_poly(rng, m, n, k):
 
 
 def smith_diag(p):
-    _, s, _ = smith_form(p)
+    s = smith_form(p)
     a = to_pm(s).to_list()
     return [a[i][i] for i in range(min(s.m, s.n))]
 
@@ -106,8 +106,7 @@ class TestSmithForm:
 
     def test_identity_fixed_point(self):
         i2 = MatPoly.constant(xla.feye(2), FIELD_RATIONAL)
-        u, s, v = smith_form(i2)
-        assert u.equal(i2) and s.equal(i2) and v.equal(i2)
+        assert smith_form(i2).equal(i2)
 
     def test_case2_rank_one(self):
         d = smith_diag(case2_poly())
@@ -124,11 +123,14 @@ class TestSmithForm:
         assert smith_diag(p) == [qp((-1, 0, 1))]
 
     def test_transformation_product(self):
+        # the oracle's unimodular U, V carry p to S up to units
         rng = np.random.default_rng(11)
         for _ in range(4):
             p = rand_poly(rng, 3, 3, 2)
-            u, s, v = smith_form(p)
-            assert u.matmul(p).matmul(v).equal(s)
+            s, u, v = oracle_decomposition(p)
+            assert (u * to_pm(p) * v).to_list() == s.to_list()
+            rows = s.to_list()
+            assert smith_diag(p) == [rows[t][t].monic() for t in range(3)]
 
     def test_chain_and_monic(self):
         rng = np.random.default_rng(12)
@@ -143,10 +145,8 @@ class TestSmithForm:
 
     def test_zero_polynomial(self):
         p = MatPoly.zero(2, 3, 1, FIELD_RATIONAL)
-        u, s, v = smith_form(p)
-        assert s.is_zero()
-        assert u.equal(MatPoly.constant(xla.feye(2), FIELD_RATIONAL))
-        assert v.equal(MatPoly.constant(xla.feye(3), FIELD_RATIONAL))
+        s = smith_form(p)
+        assert s.is_zero() and (s.m, s.n) == (2, 3)
 
     def test_planted_chain(self):
         # U0 diag(1, l, l^2 (l - 1), 0) V0 with integer unimodular U0, V0
@@ -163,7 +163,7 @@ class TestSmithForm:
 
     def test_non_monic_decomposition_made_monic(self):
         rev = case3_poly().reversal()
-        raw = smith_normal_decomp(to_pm(rev))[0].to_list()
+        raw = oracle_decomposition(rev)[0].to_list()
         assert raw[1][1].LC == 9
         d2 = qp((Fraction(-1, 9), 1, Fraction(38, 9), 6, 1))
         assert smith_diag(rev) == [qp((1,)), d2]
@@ -177,8 +177,8 @@ class TestSmithForm:
             smith_form(case2_poly().to_float())
 
     def test_deterministic(self):
-        a = smith_form(case3_poly())[1]
-        b = smith_form(case3_poly())[1]
+        a = smith_form(case3_poly())
+        b = smith_form(case3_poly())
         assert a.equal(b)
 
 
@@ -190,68 +190,6 @@ def int_unimodular(rng, n):
         i, j = rng.choice(n, 2, replace=False)
         u[i] += int(rng.integers(-2, 3)) * u[j]
     return xla.fmat(u[rng.permutation(n)].tolist())
-
-
-def _with_entry(a, i, j, x):
-    rows = a.to_list()
-    rows[i][j] = x
-    return DomainMatrix(rows, a.shape, QQL)
-
-
-def _with_row(a, i, row):
-    rows = a.to_list()
-    rows[i] = row
-    return DomainMatrix(rows, a.shape, QQL)
-
-
-class TestSmithAudit:
-    """Each of the audit's six conditions, broken on its own."""
-
-    def decomposition(self):
-        # diag(l, l^2 - l): already in Smith form
-        p = poly([[0, 0], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [0, 1]])
-        u, s, v = smith_form(p)
-        return to_pm(u), to_pm(p), to_pm(v), to_pm(s)
-
-    def test_valid_decomposition_passes(self):
-        _audit_smith(*self.decomposition())
-
-    @pytest.mark.parametrize("defect,message", [
-        ("off_diagonal", "off-diagonal"),
-        ("chain", "divisibility chain"),
-        ("monic", "not monic"),
-        ("det_u", "row transformation"),
-        ("det_v", "column transformation"),
-        ("product", "transformation trail"),
-    ])
-    def test_each_condition_raises(self, defect, message):
-        u, a, v, s = self.decomposition()
-        d = s.to_list()
-        if defect == "off_diagonal":
-            s = _with_entry(s, 0, 1, QQL.one)
-        elif defect == "chain":
-            s = _with_entry(_with_entry(s, 0, 0, d[1][1]), 1, 1, d[0][0])
-        elif defect == "monic":
-            s = _with_entry(s, 0, 0, 2 * d[0][0])
-        elif defect == "det_u":
-            u = _with_row(u, 0, [L * x for x in u.to_list()[0]])
-        elif defect == "det_v":
-            v = _with_row(v, 0, [L * x for x in v.to_list()[0]])
-        else:
-            r = u.to_list()
-            u = _with_row(u, 0, [x + y for x, y in zip(r[0], r[1])])
-        with pytest.raises(VerificationError, match=message):
-            _audit_smith(u, a, v, s)
-
-    def test_corrupted_transformation_from_the_reduction(self, monkeypatch):
-        def corrupted(a):
-            s, u, v = smith_normal_decomp(a)
-            r = u.to_list()
-            return s, _with_row(u, 0, [x + y for x, y in zip(r[0], r[1])]), v
-
-        monkeypatch.setattr(eigenstructure, "smith_normal_decomp", corrupted)
-        with pytest.raises(VerificationError):
-            smith_form(case3_poly())
 
 
 class TestEigStructureType:
@@ -539,7 +477,8 @@ def _no_smith(*args):
 
 class TestWitnessCertificate:
     """Accepted checks rest on verified witnesses; everything else on the
-    Smith comparison, with the same verdicts."""
+    structural comparison of the walks, with the same verdicts.  No path
+    forms a Smith form."""
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (4, 4, 2)])
     def test_accepted_strong_checks_skip_smith(self, monkeypatch, shape):
@@ -551,19 +490,39 @@ class TestWitnessCertificate:
         assert check_g_linearization(member, p, strong=True).ok
         assert check_linearization(tr, p, strong=True).ok
 
-    def test_fallbacks_reach_smith(self, monkeypatch):
+    def test_fallbacks_skip_smith(self, monkeypatch):
         p = case3_poly()
         member = companion_g1(p)
         tr = trim(member)
         monkeypatch.setattr(eigenstructure, "smith_form", _no_smith)
-        for check, obj, q in (
-                (check_g_linearization, member.pencil, p),
-                (check_g_linearization, case1_member(), case1_poly()),
-                (check_g_linearization, member, p.scale(2)),
-                (check_linearization, tr.Lt, p),
-                (check_linearization, tr, p.scale(2))):
-            with pytest.raises(AssertionError, match="smith_form reached"):
-                check(obj, q)
+        for check, obj, q, ok in (
+                (check_g_linearization, member.pencil, p, True),
+                (check_g_linearization, case1_member(), case1_poly(), True),
+                (check_g_linearization, member, p.scale(2), True),
+                (check_g_linearization, case2_member(), case2_poly(),
+                 False),
+                (check_linearization, tr.Lt, p, True),
+                (check_linearization, tr, p.scale(2), True)):
+            assert check(obj, q, strong=True).ok == ok
+        complete_eigenstructure(p)
+
+    def test_cli_paths_skip_smith(self, monkeypatch, tmp_path):
+        # q is not the source of the member, so its check falls back
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(dump_json(case3_poly().to_json_dict()))
+        q.write_text(dump_json(case3_poly().scale(2).to_json_dict()))
+        member = tmp_path / "l.json"
+        monkeypatch.setattr(eigenstructure, "smith_form", _no_smith)
+        for argv in (["examples", "1"], ["examples", "2"],
+                     ["examples", "3"], ["solve", str(p)],
+                     ["build", str(p), "--companion"],
+                     ["check", str(member), str(p), "--strong"],
+                     ["check", str(member), str(q), "--strong"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, buf.getvalue()
+            if argv[0] == "build":
+                member.write_text(buf.getvalue())
 
     def test_failed_witness_raises_instead_of_falling_back(self,
                                                            monkeypatch):
@@ -658,34 +617,51 @@ def check_cases(draw):
     return member, p
 
 
+def weak_and_strong(strong_verdict):
+    """The weak and strong reference verdicts, from the strong one: the
+    weak claim ignores an infinite eigenvalue mismatch."""
+    weak = (Verdict(True, "")
+            if strong_verdict.reason == "infinite eigenvalue mismatch"
+            else strong_verdict)
+    return weak, strong_verdict
+
+
 class TestVerdictsMatchSmith:
+    """Every verdict, accepted on witnesses or settled by the fallback,
+    equals the padded comparison of the oracle's invariant factors."""
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(check_cases())
     def test_check_equals_padded_verdict(self, case):
         member, p = case
-        k = p.grade
-        memo = {}
-        smith_diag = eigenstructure._smith_diag
+        r = (p.grade - 1) * min(p.m, p.n)
+        want = weak_and_strong(reference_verdict(member.pencil, p, r, True))
+        for strong in (False, True):
+            assert check_g_linearization(member, p, strong) == \
+                _padded_verdict(member.pencil, p, r, strong) == want[strong]
+        try:
+            tr = trim(member)
+        except PreconditionError:
+            return
+        r = tr.Lt.m - p.m
+        want = weak_and_strong(reference_verdict(tr.Lt, p, r, True))
+        for strong in (False, True):
+            assert check_linearization(tr, p, strong) == \
+                _padded_verdict(tr.Lt, p, r, strong) == want[strong]
 
-        def remembered(q):
-            key = tuple(tuple(c.flat) for c in q.coeffs) + ((q.m, q.n),)
-            if key not in memo:
-                memo[key] = smith_diag(q)
-            return memo[key]
-
-        # each example compares the same pencils up to four times
-        with mock.patch.object(eigenstructure, "_smith_diag", remembered):
-            for strong in (False, True):
-                assert check_g_linearization(member, p, strong) == \
-                    _padded_verdict(member.pencil, p,
-                                    (k - 1) * min(p.m, p.n), strong)
-            try:
-                tr = trim(member)
-            except PreconditionError:
-                return
-            for strong in (False, True):
-                assert check_linearization(tr, p, strong) == \
-                    _padded_verdict(tr.Lt, p, tr.Lt.m - p.m, strong)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_bare_pencils_at_both_strengths(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(1, 4, size=2))
+        s = int(rng.integers(0, 6 - max(m, n)))
+        p = MatPoly([fm(rng.integers(-1, 2, size=(m, n)).tolist())
+                     for _ in range(int(rng.integers(2, 4)))], FIELD_RATIONAL)
+        pen = MatPoly([fm(rng.integers(-1, 2, size=(m + s, n + s)).tolist())
+                       for _ in range(2)], FIELD_RATIONAL)
+        want = weak_and_strong(reference_verdict(pen, p, s, True))
+        for strong in (False, True):
+            assert check_linearization(pen, p, strong) == want[strong]
 
 
 def _bench_workloads():
@@ -725,42 +701,16 @@ def low_rank_polys(seed):
                 yield low_rank_poly(rng, m, n, k)
 
 
-def reversal_orders(p):
-    """The reference route: the positive powers of l in the invariant
-    factors of the reversal's Smith form."""
-    orders = (min(t for (t,) in d.monoms())
-              for d in _smith_diag(p.reversal()))
-    return tuple(t for t in orders if t > 0)
-
-
-def reference_strong_verdict(lmat, p, r):
-    """The strong Smith fallback on the Smith forms of both reversals,
-    with the reason split on the invariant factors stripped of l."""
-    ones = [QQL.one] * r
-    if _smith_diag(lmat) != ones + _smith_diag(p):
-        return Verdict(False, "finite structure mismatch")
-    d1, d2 = _smith_diag(lmat.reversal()), ones + _smith_diag(p.reversal())
-    if d1 == d2:
-        return Verdict(True, "")
-
-    def strip(diag):
-        return [d.exquo(L ** min(t for (t,) in d.monoms())) for d in diag]
-
-    if strip(d1) == strip(d2):
-        return Verdict(False, "infinite eigenvalue mismatch")
-    return Verdict(False, "reversal structure mismatch")
-
-
 class TestRankWalks:
-    """solve and the strong fallback read the degrees at infinity and the
-    minimal indices off rank walks; the Smith forms of the reversals they
-    replace are kept here as the reference."""
+    """solve and the fallback read the degrees at infinity and the minimal
+    indices off rank walks; the Smith forms of the reversals they replace
+    are the oracle's reference."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_infinite_degrees_on_regular_generators(self, seed):
         for case in _bench_workloads().make_round("regular", seed, 0):
             p = MatPoly.from_json_dict(case.files["P.json"])
-            assert _infinite_degrees(p, len(_smith_diag(p))) == \
+            assert _infinite_degrees(p, len(oracle_diag(p))) == \
                 reversal_orders(p)
 
     def test_infinite_degrees_on_examples_and_low_rank(self):
@@ -768,7 +718,7 @@ class TestRankWalks:
         polys += [q for q in low_rank_polys(70)]
         for p in polys:
             for q in (p, p.transpose()):
-                assert _infinite_degrees(q, len(_smith_diag(q))) == \
+                assert _infinite_degrees(q, len(oracle_diag(q))) == \
                     reversal_orders(q)
 
     def test_walk_indices_match_minimal_bases(self):
@@ -818,7 +768,7 @@ class TestRankWalks:
         with pytest.raises(VerificationError, match="grade times"):
             complete_eigenstructure(p)
 
-    def test_smith_forms_only_of_p_and_l(self, monkeypatch):
+    def test_no_smith_form_in_solve_or_check(self, monkeypatch):
         calls = []
 
         def counted(p):
@@ -827,8 +777,165 @@ class TestRankWalks:
 
         monkeypatch.setattr(eigenstructure, "smith_form", counted)
         complete_eigenstructure(case3_poly())
-        assert len(calls) == 1
-        calls.clear()
         pen = poly([[1]], [[1]])
         assert check_linearization(pen, pen, strong=True).ok
-        assert len(calls) == 2
+        assert not check_linearization(pen, poly([[2]], [[1]])).ok
+        assert calls == []
+
+
+def diag_poly(entries, m, n):
+    """The m x n polynomial with the QQ[l] elements entries on its
+    diagonal."""
+    out = MatPoly.zero(m, n, max((d.degree() for d in entries), default=0))
+    for i, d in enumerate(entries):
+        for t, c in enumerate(coeffs(d)):
+            out.coeffs[t][i, i] = c
+    return out
+
+
+# monic irreducible factors planted on diagonals: linear, quadratic, cubic
+FACTORS = ((-1, 1), (2, 1), (1, 0, 1), (-2, 0, 1), (-2, 0, 0, 1))
+
+
+@st.composite
+def structure_cases(draw):
+    """A rational polynomial with a known kind of finite structure:
+    U diag(d_1 | ... | d_r, 0) V with integer unimodular U, V and repeated
+    linear and non-linear factors in the chain, (l^2 - 2)^2 Q, a `regular`
+    workload input, or a generic or planted `recover` workload input."""
+    kind = draw(st.sampled_from(("planted_chain", "squared", "regular",
+                                 "rectangular")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "planted_chain":
+        m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        chain, d = [], QQL.one
+        for _ in range(draw(st.integers(1, min(m, n, 3)))):
+            for fac in draw(st.lists(st.sampled_from(FACTORS), max_size=2)):
+                d *= qp(fac)
+            chain.append(d)
+        return (MatPoly.constant(int_unimodular(rng, m))
+                .matmul(diag_poly(chain, m, n))
+                .matmul(MatPoly.constant(int_unimodular(rng, n))))
+    if kind == "squared":
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        q = MatPoly([fm(rng.integers(-3, 4, size=(m, n)).tolist())
+                     for _ in range(2)], FIELD_RATIONAL)
+        square = qp((-2, 0, 1)) ** 2
+        return diag_poly([square] * m, m, m).matmul(q)
+    workload = "regular" if kind == "regular" else "recover"
+    cases = _bench_workloads().make_round(workload, int(rng.integers(100)), 0)
+    case = cases[draw(st.integers(0, len(cases) - 1))]
+    return MatPoly.from_json_dict(case.files["P.json"])
+
+
+class TestFiniteRoute:
+    """The finite part from the Index Sum Theorem, a gcd of multiples of
+    D_r and walks at the repeated factors, against the oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(structure_cases())
+    def test_matches_the_oracle(self, p):
+        es = complete_eigenstructure(p)
+        diag = oracle_diag(p)
+        assert es.nrank == len(diag)
+        assert es.finite == oracle_finite(diag)
+        assert es.infinite == reversal_orders(p)
+
+    def test_repeated_factors(self):
+        u = int_unimodular(np.random.default_rng(5), 3)
+        quad = qp((1, 0, 1))
+        p = (MatPoly.constant(u)
+             .matmul(diag_poly([QQL.one, quad, quad ** 2 * qp((-1, 1))],
+                               3, 3))
+             .matmul(MatPoly.constant(u.T.copy())))
+        es = complete_eigenstructure(p)
+        assert es.finite == (((Fraction(-1), Fraction(1)), (1,)),
+                             ((Fraction(1), Fraction(0), Fraction(1)),
+                              (1, 2)))
+        q = rand_poly(np.random.default_rng(6), 3, 2, 1)
+        cube = diag_poly([qp((-2, 0, 0, 1))] * 3, 3, 3).matmul(q)
+        assert complete_eigenstructure(cube).finite == \
+            (((Fraction(-2), Fraction(0), Fraction(0), Fraction(1)),
+              (1, 1)),)
+
+    def test_minors_alone_reach_the_divisor(self, monkeypatch):
+        polys = [case3_poly(), poly([[0, 0], [0, 0]], [[1, 0], [0, -1]],
+                                    [[0, 0], [0, 1]])]
+        polys += [diag_poly([qp((-2, 0, 1)) ** 2] * 3, 3, 3).matmul(
+            rand_poly(np.random.default_rng(7), 3, 2, 1))]
+        want = [complete_eigenstructure(p) for p in polys]
+        monkeypatch.setattr(eigenstructure, "COMPRESSIONS", ())
+        assert [complete_eigenstructure(p) for p in polys] == want
+
+    def test_gcd_below_the_index_sum_degree_raises(self):
+        # D_2 of case 3 has degree 4
+        with pytest.raises(VerificationError, match="grade times"):
+            _finite_divisor(case3_poly(), 2, 5)
+
+    def test_multiples_exhausted_above_the_degree_raise(self, monkeypatch):
+        tried = []
+        real = eigenstructure._multiples
+
+        def counted(p, r):
+            for d in real(p, r):
+                tried.append(d)
+                yield d
+
+        monkeypatch.setattr(eigenstructure, "_multiples", counted)
+        with pytest.raises(VerificationError, match="grade times"):
+            _finite_divisor(case3_poly(), 2, 3)
+        # every compression, then all three 2 x 2 minors of the 3 x 2 case
+        assert len(tried) == len(eigenstructure.COMPRESSIONS) + 3
+
+    def test_exponents_must_add_up_to_the_multiplicity(self, monkeypatch):
+        p = diag_poly([QQL.one, qp((-1, 1)) ** 2], 2, 2)
+        assert complete_eigenstructure(p).finite == \
+            (((Fraction(-1), Fraction(1)), (2,)),)
+        monkeypatch.setattr(eigenstructure, "_exponents",
+                            lambda p, r, fac, simple: (1,))
+        with pytest.raises(VerificationError, match="multiplicity"):
+            complete_eigenstructure(p)
+
+    def test_an_undercounting_walk_is_caught(self, monkeypatch):
+        # [l - 1, 1] at grade 3: right index 1, degree 2 at infinity, no
+        # finite eigenvalue.  A walk that reports right index 0 leaves
+        # f = 1, the gcd of the multiples stops at a spurious linear
+        # factor, and P does not lose rank at its root.
+        p = poly([[-1, 1]], [[1, 0]], [[0, 0]], [[0, 0]])
+        es = complete_eigenstructure(p)
+        assert (es.finite, es.infinite, es.right_indices) == ((), (2,), (1,))
+        real = walk_indices
+
+        def undercount(q, nrank):
+            right, left, clear = real(q, nrank)
+            return tuple(e - 1 for e in right), left, clear
+
+        monkeypatch.setattr(eigenstructure, "walk_indices", undercount)
+        with pytest.raises(VerificationError, match="multiplicity"):
+            complete_eigenstructure(p)
+
+
+class TestStructuralFallback:
+    """The fallback pins L's finite structure by its normal rank, its
+    index-sum degree, a rank drop at each simple factor and a walk at
+    each repeated one."""
+
+    def test_repeated_factor_compares_its_exponents(self):
+        p = poly([[1]], [[-2]], [[1]])  # (l - 1)^2
+        jordan = poly([[-1, 1], [0, -1]], [[1, 0], [0, 1]])
+        split = poly([[-1, 0], [0, -1]], [[1, 0], [0, 1]])
+        assert check_linearization(jordan, p, strong=True).ok
+        v = check_linearization(split, p)
+        assert v == Verdict(False, "finite structure mismatch")
+        for pen in (jordan, split):
+            assert check_linearization(pen, p) == \
+                reference_verdict(pen, p, 1, False)
+
+    def test_simple_factor_needs_a_rank_drop(self):
+        p = poly([[-2]], [[0]], [[1]])  # l^2 - 2
+        for root, ok in ((2, True), (3, False)):
+            # l I - C, C the companion matrix of l^2 - root
+            pen = poly([[0, -root], [-1, 0]], [[1, 0], [0, 1]])
+            v = check_linearization(pen, p, strong=True)
+            assert v.ok == ok
+            assert v == reference_verdict(pen, p, 1, True)

@@ -15,6 +15,7 @@ from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil,
                               ansatz_residual, ansatz_target, build_l1,
                               build_l2, shifted_sum)
+from smith_oracle import oracle_decomposition
 
 ints = st.integers(min_value=-4, max_value=4)
 
@@ -126,11 +127,19 @@ class TestSmithCertificates:
     @settings(**COMMON)
     @given(polys(max_dim=3, max_grade=2))
     def test_transformation_and_chain(self, p):
-        u, s, v = smith_form(p)
-        assert u.matmul(p).matmul(v).equal(s)
-        uq, sq, vq = to_pm(u), to_pm(s).to_list(), to_pm(v)
-        assert pm_det(uq).degree() == 0
-        assert pm_det(vq).degree() == 0
+        """The oracle's unimodular U, V carry p to the Smith form that
+        smith_form assembles from the eigenstructure, up to units."""
+        s = smith_form(p)
+        sq = to_pm(s).to_list()
+        if not p.is_zero():
+            so, uq, vq = oracle_decomposition(p)
+            assert (uq * to_pm(p) * vq).to_list() == so.to_list()
+            assert pm_det(uq).degree() == 0
+            assert pm_det(vq).degree() == 0
+            so = so.to_list()
+            assert [sq[t][t] for t in range(min(p.m, p.n))] == \
+                [so[t][t].monic() if so[t][t] else so[t][t]
+                 for t in range(min(p.m, p.n))]
         for i in range(p.m):
             for j in range(p.n):
                 if i != j:
