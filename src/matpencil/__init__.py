@@ -9,13 +9,14 @@ from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, flip_r, h_dual,
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2,
                      shifted_sum, space_dimension)
-from .reduction import (TrimResult, full_z_rank, g_lin_witnesses,
-                        linearization_witnesses, reflector_for, row_reduction,
-                        trim, verify_witnesses, z_block, z_rank)
+from .reduction import (TrimResult, certify_linearization, full_z_rank,
+                        g_lin_witnesses, linearization_witnesses,
+                        reflector_for, row_reduction, trim, verify_witnesses,
+                        z_block, z_rank)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT, MinimalBasis,
                       embed_right, lift_left, minimal_basis, project_ansatz,
-                      recover_minimal, special_left_basis)
+                      recover_minimal, recover_sides, special_left_basis)
 from .eigenstructure import (EigStructure, Verdict, check_g_linearization,
                              check_linearization, complete_eigenstructure,
                              index_sum_check, smith_form)
@@ -31,13 +32,15 @@ __all__ = [
     "flip_r", "h_dual", "lambda_vec", "rect_identity",
     "shear_s", "SIDE_L1", "SIDE_L2", "AnsatzPencil", "ansatz_membership",
     "build_l1", "build_l2", "companion_g1", "companion_g2", "shifted_sum",
-    "space_dimension", "TrimResult", "full_z_rank", "g_lin_witnesses",
+    "space_dimension", "TrimResult", "certify_linearization",
+    "full_z_rank", "g_lin_witnesses",
     "linearization_witnesses", "reflector_for", "row_reduction", "trim",
     "verify_witnesses", "z_block", "z_rank", "MODE_GLIN_L1", "MODE_GLIN_L2",
     "MODE_TRIMMED_L1", "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT",
     "MinimalBasis", "embed_right", "lift_left", "minimal_basis",
     "project_ansatz",
-    "recover_minimal", "special_left_basis", "EigStructure", "Verdict",
+    "recover_minimal", "recover_sides", "special_left_basis",
+    "EigStructure", "Verdict",
     "check_g_linearization", "check_linearization",
     "complete_eigenstructure", "index_sum_check", "smith_form",
     "AppendixMatrices", "PerturbReport", "appendix_lambda_min",

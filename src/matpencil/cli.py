@@ -30,7 +30,7 @@ from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json,
                       matrix_from_json, pencil_to_json)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
-                      recover_minimal)
+                      recover_sides)
 from .reduction import (TrimResult, max_z_rank, trim, verify_witnesses,
                         z_rank)
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
@@ -214,8 +214,7 @@ def cmd_recover(args) -> int:
              else (args.side,))
     report = {"kind": "recover_report", "mode": args.mode,
               SIDE_LEFT: None, SIDE_RIGHT: None}
-    for side in sides:
-        mb = recover_minimal(source, p, side, args.mode)
+    for side, mb in zip(sides, recover_sides(source, p, sides, args.mode)):
         report[side] = mb.to_json_dict()
     print(dump_json(report))
     return EXIT_OK

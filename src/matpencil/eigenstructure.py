@@ -8,10 +8,11 @@ repeated eigenvalue.  The Index Sum Theorem fixes the finite degree f and
 with it D_r, the product of the invariant factors: a gcd of multiples of
 D_r that reaches degree f.  No Smith form is taken.
 
-Linearization claims are certified in a fixed order: first explicit
-unimodular witnesses, E L F = diag(P, padding) checked exactly over QQ[l]
-(reduction.linearization_witnesses), for the reversals too when strong; a
-built witness that fails raises.  Only when none can be built is the claim
+Linearization claims are certified in a fixed order: first the exact
+factor identities of the pencil's block-Kronecker form
+(reduction.certify_linearization), which imply unimodular E, F with
+E L F = diag(P, padding), for the reversals too when strong; a form whose
+identity fails raises.  Only when no form can be built is the claim
 settled by comparing the structures of the pencil and the polynomial
 (_padded_verdict), and every rejection comes from there.  No check is
 probabilistic.
@@ -33,7 +34,7 @@ from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
 from .minimal import index_walk, walk_indices
 from .qpoly import QQL, coeffs, pm_det, poly, to_pm
-from .reduction import TrimResult, linearization_witnesses, verify_witnesses
+from .reduction import TrimResult, certify_linearization
 from .spaces import AnsatzPencil
 
 __all__ = [
@@ -371,16 +372,13 @@ def _padded_verdict(lmat: MatPoly, p: MatPoly, r: int, strong: bool):
 
 
 def _verdict(l, lmat: MatPoly, p: MatPoly, r: int, strong: bool):
-    """Accept l on exact witnesses for it, and its reversal when strong;
-    when none can be built, compare its pencil lmat with p padded by a
-    constant block of rank r.  A built witness that fails its
-    verification raises VerificationError."""
-    pairs = linearization_witnesses(l, p, strong)
-    if pairs is None:
-        return _padded_verdict(lmat, p, r, strong)
-    for pen, poly, e, f in pairs:
-        verify_witnesses(pen, poly, e, f)
-    return Verdict(True, "")
+    """Accept l on the factor certificate of its block-Kronecker form, for
+    its reversal too when strong; when it has none, compare its pencil
+    lmat with p padded by a constant block of rank r.  A form that fails
+    an identity raises VerificationError."""
+    if certify_linearization(l, p, strong):
+        return Verdict(True, "")
+    return _padded_verdict(lmat, p, r, strong)
 
 
 def check_g_linearization(l, p, strong: bool = False) -> Verdict:
@@ -388,7 +386,7 @@ def check_g_linearization(l, p, strong: bool = False) -> Verdict:
     infinite) structure of p with matching nullspace dimensions?
 
     The target is p padded with I_{k-1} kron I_{m,n}.  A member of p with
-    full-rank Z is accepted on its verified witnesses; otherwise the
+    full-rank Z is accepted on its factor certificate; otherwise the
     pencil and the target, which share their shape, are compared by
     structure, which also forces equal nullspace dimensions.
     """
@@ -401,8 +399,8 @@ def check_g_linearization(l, p, strong: bool = False) -> Verdict:
 
 def check_linearization(lt, p, strong: bool = False) -> Verdict:
     """Same decision for trimmed pencils against p padded with a square
-    identity block sized by the shape difference: witnesses first, then
-    the structural comparison."""
+    identity block sized by the shape difference: the certificate first,
+    then the structural comparison."""
     lmat, p = _rational_inputs(lt, p)
     s = lmat.m - p.m
     if s != lmat.n - p.n or s < 0:

@@ -2,7 +2,8 @@
 
 Matrices are numpy arrays with dtype=object holding ``fractions.Fraction``
 entries. numpy's matmul and ``kron`` work on object arrays, so products,
-block transforms and Kronecker products stay exact without a kernel here.
+block transforms and Kronecker products stay exact without a kernel here;
+``matmul`` runs a product with mostly zero factors on sparse matrices.
 The elimination kernels are sympy's, on a sparse ``DomainMatrix`` over QQ
 built from the nonzero entries alone: ``rref`` leaves its result in that
 form, and ``rank``, ``nullspace`` and ``solve`` read back only the pivots
@@ -177,6 +178,12 @@ def samples(coeffs, points):
         for c in reversed(qq[:-1]):
             acc = acc * QQ(t) + c
         yield acc
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through sparse QQ matrices, which skip the products of zero
+    entries that numpy's object matmul makes."""
+    return from_domain(to_domain(a) * to_domain(b))
 
 
 def inv(a: np.ndarray) -> np.ndarray:

@@ -139,6 +139,9 @@ class RationalField(Field):
     def inv(self, a):
         return xla.inv(a)
 
+    def matmul(self, a, b):
+        return xla.matmul(a, b)
+
     def pinv(self, z):
         """Pseudoinverse (zᵀz)⁻¹zᵀ of a full-column-rank z."""
         return xla.inv(z.T @ z) @ z.T
@@ -307,6 +310,9 @@ class FloatField(Field):
 
     def inv(self, a):
         return np.linalg.inv(a)
+
+    def matmul(self, a, b):
+        return a @ b
 
     def pinv(self, z):
         return np.linalg.pinv(z)

@@ -28,7 +28,8 @@ from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of
 from .matpoly import MatPoly, block_apply, lambda_vec, shear_s, _require_keys
-from .reduction import TrimResult, row_reduction, transposed_problem
+from .reduction import (WIDE_REFUSAL, TrimResult, row_reduction,
+                        transposed_problem)
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
 SIDE_RIGHT = "right"
@@ -235,7 +236,7 @@ def pencil_indices(pencil: MatPoly):
     return right, left, ok_r and ok_l and agree
 
 
-def minimal_basis(p, side: str) -> MinimalBasis:
+def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
     """Minimal basis of the chosen rational nullspace of p.
 
     Walks degrees d = 0, 1, ... with index_walk; nullvectors of the
@@ -249,11 +250,13 @@ def minimal_basis(p, side: str) -> MinimalBasis:
 
     Exact arithmetic is the intended path; on float64 the nullspaces use
     the field's one rank cut and warn where ``rank_with_margin`` flags.
+    normal_rank, when given, maps p (or its transpose) to its normal rank:
+    a recovery passes a _RankOnce to read it once for both sides.
     """
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
     if side == SIDE_LEFT:
-        dual = minimal_basis(p.transpose(), SIDE_RIGHT)
+        dual = minimal_basis(p.transpose(), SIDE_RIGHT, normal_rank)
         return MinimalBasis(SIDE_LEFT, dual.vectors, dual.indices, dual.field)
     if side != SIDE_RIGHT:
         raise SchemaError(f"unknown side {side!r}")
@@ -276,7 +279,8 @@ def minimal_basis(p, side: str) -> MinimalBasis:
                          for i in range(d + 1)], field))
         return nullity, len(chosen)
 
-    indices = index_walk(p, n - p.normal_rank(), select)
+    rank = (normal_rank or MatPoly.normal_rank)(p)
+    indices = index_walk(p, n - rank, select)
     basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), indices, field)
     _certify(basis, p)
     return basis
@@ -386,7 +390,7 @@ def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
     return y
 
 
-def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
+def special_left_basis(l: AnsatzPencil, normal_rank=None) -> MinimalBasis:
     """Left minimal basis of the member whose constant head spans the
     kernel of the ansatz projection.
 
@@ -395,12 +399,13 @@ def special_left_basis(l: AnsatzPencil) -> MinimalBasis:
     kept, with its constant vectors greedily swapped in until the
     constant count matches. The degrees are those of the minimal basis;
     the result is re-checked for a full-rank leading matrix, which
-    certifies independence.
+    certifies independence.  normal_rank is minimal_basis's, for the
+    member's pencil.
     """
     red, comp = _reduce(l)
     field = l.field
     m = l.poly.m
-    base = minimal_basis(l.pencil, SIDE_LEFT)
+    base = minimal_basis(l.pencil, SIDE_LEFT, normal_rank)
     if comp.shape[1] == 0:
         return base
 
@@ -440,7 +445,7 @@ def _flip(side: str) -> str:
     return SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
 
 
-def _strip_tower(base: MinimalBasis, p: MatPoly, k: int):
+def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, normal_rank):
     """Peel Lambda_k kron x off every vector of a right pencil basis."""
     n = p.n
     field = base.field
@@ -452,17 +457,18 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int):
         if not field.negligible(emb - y, y):
             raise StructureError("right nullvector lacks the tower form")
         xs.append(bottom)
-    return _pack_checked(xs, p, SIDE_RIGHT)
+    return _pack_checked(xs, p, SIDE_RIGHT, normal_rank)
 
 
-def _pack_checked(vecs, p: MatPoly, side: str) -> MinimalBasis:
+def _pack_checked(vecs, p: MatPoly, side: str,
+                  normal_rank=None) -> MinimalBasis:
     """Sort recovered nullvectors of p into a basis and certify it: zero
     residuals, n - rank vectors (m - rank on the left) and a full-rank
     leading matrix, so the basis is column reduced. Minimality of the
     degrees is not re-checked; it rests on the recovery theorems, and a
-    recovered (l - 1)*x would pass."""
+    recovered (l - 1)*x would pass.  normal_rank is minimal_basis's."""
     field = p.field
-    r = p.normal_rank()
+    r = (normal_rank or MatPoly.normal_rank)(p)
     expected = (p.n if side == SIDE_RIGHT else p.m) - r
     if len(vecs) != expected:
         raise VerificationError(
@@ -478,6 +484,20 @@ def _pack_checked(vecs, p: MatPoly, side: str) -> MinimalBasis:
     return basis
 
 
+class _RankOnce:
+    """The normal rank of one polynomial, read from whichever of it and its
+    transpose asks first and then kept: a recovery needs the ranks of p
+    and of the source pencil on both sides."""
+
+    def __init__(self):
+        self.value = None
+
+    def __call__(self, q: MatPoly) -> int:
+        if self.value is None:
+            self.value = q.normal_rank()
+        return self.value
+
+
 def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
     """Minimal basis of p read off from a pencil built from it.
 
@@ -487,8 +507,15 @@ def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
     the source is a trimmed pencil. Left-space sources run the same rules
     on the transposed problem.
     """
-    if side not in (SIDE_LEFT, SIDE_RIGHT):
-        raise SchemaError(f"unknown side {side!r}")
+    return recover_sides(source, p, (side,), mode)[0]
+
+
+def recover_sides(source, p, sides, mode: str) -> tuple:
+    """recover_minimal for each of sides in turn, reading the normal ranks
+    of p and of the source pencil once for all of them."""
+    for side in sides:
+        if side not in (SIDE_LEFT, SIDE_RIGHT):
+            raise SchemaError(f"unknown side {side!r}")
     if mode not in RECOVERY_MODES:
         raise SchemaError(f"unknown recovery mode {mode!r}")
     if not isinstance(p, MatPoly):
@@ -501,35 +528,53 @@ def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
             raise SchemaError("mode expects a left-space source")
         dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
         with transposed_problem():
-            dual = recover_minimal(source.transpose(), p.transpose(),
-                                   _flip(side), dual_mode)
-        return MinimalBasis(side, dual.vectors, dual.indices, dual.field)
+            dual = recover_sides(source.transpose(), p.transpose(),
+                                 [_flip(side) for side in sides], dual_mode)
+        return tuple(MinimalBasis(side, d.vectors, d.indices, d.field)
+                     for side, d in zip(sides, dual))
 
+    p_rank, pencil_rank = _RankOnce(), _RankOnce()
     if mode == MODE_GLIN_L1:
         if not isinstance(source, AnsatzPencil) or source.side != SIDE_L1:
             raise SchemaError("mode expects a right-space member")
         if not source.poly.equal(p):
             raise SchemaError("member was built from a different polynomial")
-        if side == SIDE_RIGHT:
-            base = minimal_basis(source.pencil, SIDE_RIGHT)
-            return _strip_tower(base, p, source.k)
-        # the first (k-1)(m-n) vectors span the projection's kernel
-        sb = special_left_basis(source)
-        kept = sb.vectors[(source.k - 1) * (p.m - p.n):]
-        qs = [project_ansatz(source.ansatz, y, p.m) for y in kept]
-        return _pack_checked(qs, p, SIDE_LEFT)
-
+        return tuple(_recover_glin(source, p, side, p_rank, pencil_rank)
+                     for side in sides)
     if not isinstance(source, TrimResult) or source.side != SIDE_L1:
         raise SchemaError("mode expects a right-space trimming record")
     source.check_source(p)
+    return tuple(_recover_trimmed(source, p, side, p_rank, pencil_rank)
+                 for side in sides)
+
+
+def _recover_glin(l: AnsatzPencil, p: MatPoly, side: str, p_rank,
+                  pencil_rank) -> MinimalBasis:
     if side == SIDE_RIGHT:
-        base = minimal_basis(source.Lt, SIDE_RIGHT)
-        return _strip_tower(base, p, source.k)
-    base = minimal_basis(source.Lt, SIDE_LEFT)
-    v = source.ansatz()
-    dt = source.D.T
+        # every right nullvector of L is a tower exactly when L has as many
+        # as P; a wide P's member has more unless P is rank deficient
+        if p.m < p.n and (l.k * p.n - pencil_rank(l.pencil)
+                          > p.n - p_rank(p)):
+            raise PreconditionError(WIDE_REFUSAL)
+        base = minimal_basis(l.pencil, SIDE_RIGHT, pencil_rank)
+        return _strip_tower(base, p, l.k, p_rank)
+    # the first (k-1)(m-n) vectors span the projection's kernel
+    sb = special_left_basis(l, pencil_rank)
+    kept = sb.vectors[(l.k - 1) * (p.m - p.n):]
+    qs = [project_ansatz(l.ansatz, y, p.m) for y in kept]
+    return _pack_checked(qs, p, SIDE_LEFT, p_rank)
+
+
+def _recover_trimmed(tr: TrimResult, p: MatPoly, side: str, p_rank,
+                     pencil_rank) -> MinimalBasis:
+    if side == SIDE_RIGHT:
+        base = minimal_basis(tr.Lt, SIDE_RIGHT, pencil_rank)
+        return _strip_tower(base, p, tr.k, p_rank)
+    base = minimal_basis(tr.Lt, SIDE_LEFT, pencil_rank)
+    v = tr.ansatz()
+    dt = tr.D.T
     qs = []
     for y in base.vectors:
         lifted = MatPoly([dt @ cc for cc in y.coeffs], p.field)
         qs.append(project_ansatz(v, lifted, p.m))
-    return _pack_checked(qs, p, SIDE_LEFT)
+    return _pack_checked(qs, p, SIDE_LEFT, p_rank)

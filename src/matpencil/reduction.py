@@ -7,9 +7,10 @@ lower block Z decides everything: full rank makes L a strong linearization
 candidate and admits a trimming step that deletes the redundant rows. M and
 its inverse act on the k block rows directly (``block_apply``); M kron I is
 never formed. This module extracts Z, tests its rank, performs the trimming,
-and builds explicit unimodular witnesses of the linearization property for
-members and trimmed pencils alike, from the block-Kronecker pencil both
-reduce to.
+and certifies the linearization property of members and trimmed pencils
+alike on the exact factor identities of the block-Kronecker pencil both
+reduce to; it also builds the explicit unimodular witnesses those
+identities imply.
 """
 
 from contextlib import contextmanager
@@ -304,7 +305,7 @@ def _verify_trim_identities(tr: TrimResult):
     """Lt = Dtilde * Lt_hat (transposed on the left side) must hold."""
     if tr.side == SIDE_L2:
         return _verify_trim_identities(tr.transpose())
-    gap = MatPoly([tr.Dtilde @ hat - lt
+    gap = MatPoly([tr.field.matmul(tr.Dtilde, hat) - lt
                    for lt, hat in zip(tr.Lt.coeffs, tr.Lt_hat.coeffs)],
                   tr.field)
     if not tr.field.negligible(gap, tr.Lt):
@@ -366,64 +367,156 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     return out
 
 
-def _core_factor(tr: TrimResult):
-    """The constant factor Dtilde*diag(I, Rt) with Lt = Dtilde*diag(I, Rt)*K
-    of a right-space record."""
-    cn = tr.Rt.shape[0]
-    blk = tr.field.eye(tr.m + cn)
-    blk[tr.m:, tr.m:] = tr.Rt
-    return tr.Dtilde @ blk
-
-
 # ---------------------------------------------------------------------------
-# witnesses
+# the factor certificate and the witnesses
 #
-# Every certified pencil is reached from a block-Kronecker pencil through
-# constant factors: C*L*B = [K; 0] with K = [top; H], H = [I 0] + l[0 -I]
-# the dual of Lambda kron I_n, and top*(Lambda kron I_n) = alpha*P.  With
-# G = shear_s(k, n), H*Lambda = 0 and H*G = I, so F_K = [Lambda/alpha | G]
-# and E_K = [[I, -top*G], [0, I]] give E_K*K*F_K = diag(P, I).  Both are
-# unimodular, so E = T*diag(E_K, I)*C and F = B*F_K witness L, where the
-# permutation T only moves rows below the first m onto the target layout.
+# Every certified pencil L is reached from a block-Kronecker pencil through
+# constant factors:
+#
+#     S*L*B = D*diag(I_m, W)*[K; 0],   K = [top; H],
+#
+# with S = M kron I and W = [Z | N] for a member (D = I), and D = Dtilde and
+# W = Rt for a trimming record (S = I); B is a column permutation and
+# H = [I 0] + l[0 -I] the dual of Lambda kron I_n.  With top*(Lambda kron
+# I_n) = alpha*P, H*Lambda = 0 and H*G = I for G = shear_s(k, n), the
+# factors F_K = [Lambda/alpha | G] and E_K = [[I, -top*G], [0, I]] give
+# E_K*K*F_K = diag(P, I).  So with C = diag(I_m, W)^-1 * D^-1 * S,
+# E = T*diag(E_K, I)*C and F = B*F_K witness L, where the row permutation T
+# only moves rows below the first m onto the target layout.
+# certify_linearization checks the factor identities themselves;
+# linearization_witnesses assembles E and F, which the tests verify over
+# QQ[l] as the certificate's oracle.
 
 @dataclass(frozen=True)
 class _KronForm:
-    """A pencil L written as c*L*B = [K; 0], with c constant nonsingular,
-    B the row permutation b of the identity and K = [top; H] the
-    block-Kronecker pencil of block width n, plus the row permutation t
-    (fixing the first m rows) onto the target diag(P, padding)."""
-    c: np.ndarray
+    """A pencil L written as S*L*B = D*diag(I_m, W)*[K; 0].  pencil holds
+    S*L; m_mat is M with S = M kron I, or None when S = I; d is D, or None
+    when D = I; w is W; B is the column permutation b of the identity
+    (B*x = x[b]); K = [top; H] is the block-Kronecker pencil of block width
+    n; the row permutation t (fixing the first m rows) carries
+    [diag(P, I); 0] onto the target diag(P, padding)."""
+    pencil: MatPoly
+    m_mat: Optional[np.ndarray]
+    d: Optional[np.ndarray]
+    w: np.ndarray
     top: MatPoly
     alpha: object
     b: np.ndarray
     t: np.ndarray
     n: int
 
-    def reversal(self) -> "_KronForm":
-        """The form of rev L against rev P: rev K = diag(I, -Pi)*K'*flip
-        with K' = [rev(top)*flip; H] and Pi the block flip of H's rows."""
-        m, n = self.top.m, self.n
+    def nonsingular(self) -> bool:
+        """alpha != 0 and the constant factors M, D and W are square of full
+        rank, so that C and F_K exist."""
+        return self.alpha != 0 and all(
+            FIELD_RATIONAL.rank(a) == a.shape[0] == a.shape[1]
+            for a in (self.m_mat, self.d, self.w) if a is not None)
+
+    def certify(self, p: MatPoly) -> None:
+        """Check that the form certifies its pencil as a linearization of
+        p, given nonsingular(); raise VerificationError otherwise.  Checked
+        exactly, on constant matrices and the pencil's two coefficients:
+
+        (1) pencil*B = D*diag(I, W)*[K; 0], and the shifted sum of top
+            equals alpha*[A_k ... A_0], i.e. top*(Lambda kron I) = alpha*P;
+        (3) H*Lambda = 0, H*G = I and the last block row of Lambda is I,
+            for Lambda = lambda_vec(k, n) and G = shear_s(k, n);
+        (4) b and t are permutations, t fixes the first m rows, and
+            T*[diag(P, I); 0] = diag(P, padding).
+
+        With nonsingular(), that is (2), these are as strong as checking
+        E*L*F = diag(P, padding) over QQ[l] with det E and det F nonzero
+        constants:
+        - K*F_K = [[top*Lambda/alpha, top*G], [H*Lambda/alpha, H*G]]
+          = [[P, top*G], [0, I]] by (1) and (3), so E_K*K*F_K = diag(P, I)
+          by block multiplication;
+        - E*L*F = T*diag(E_K, I)*C*L*B*F_K = T*diag(E_K, I)*[K; 0]*F_K
+          = T*[diag(P, I); 0] = diag(P, padding) by (1) and (4);
+        - det E = ±det C: E_K is unit upper triangular and T a permutation;
+          C is a product of nonsingular constant factors;
+        - [alpha*(e_k^T kron I); H]*F_K = [[I, alpha*(e_k^T kron I)*G],
+          [0, I]] is block unit upper triangular by (3), so det F_K divides
+          1 in QQ[l]: a nonzero constant, and det F = ±det F_K.
+        """
+        field, m, n = FIELD_RATIONAL, self.top.m, self.n
         k = self.top.n // n
-        c = self.c.copy()
-        c[m:m + (k - 1) * n] = -self.c[m + _block_flip(k - 1, n)]
+        cn = (k - 1) * n
+        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
+        last = MatPoly([c[cn:] for c in lam.coeffs], field)
+        if not (_h_times(lam, n).is_zero()
+                and _h_times(g, n).equal(MatPoly([field.eye(cn)], field))
+                and last.equal(MatPoly([field.eye(n)], field))):
+            raise VerificationError(
+                "H, Lambda and G fail their fixed identities")
+        if not field.negligible(
+                ansatz_gap(self.top, p, field.vector([self.alpha]))):
+            raise VerificationError(
+                "top strip is not alpha times the polynomial")
+        image = _stack_over(self.top, self.w[:, :cn]).coeffs
+        if self.d is not None:
+            image = [field.matmul(self.d, c) for c in image]
+        gap = MatPoly([c[:, self.b] - a
+                       for c, a in zip(image, self.pencil.coeffs)], field)
+        if not field.negligible(gap):
+            raise VerificationError(
+                "pencil is not the constant-factor image of its "
+                "block-Kronecker form")
+        rows = self.pencil.m
+        lifted = field.zeros(rows - m, cn)
+        lifted[:cn] = field.eye(cn)
+        if not (np.array_equal(np.sort(self.b), np.arange(k * n))
+                and np.array_equal(np.sort(self.t), np.arange(rows))
+                and np.array_equal(self.t[:m], np.arange(m))
+                and field.is_zero(lifted[self.t[m:] - m]
+                                  - _padding(self.pencil, p))):
+            raise VerificationError(
+                "permutations do not reach the padded polynomial")
+
+    def reversal(self) -> "_KronForm":
+        """The form of rev L against rev P: rev H = -Pi*H*flip with Pi the
+        block flip of H's rows, so rev(S*L)*flip = D*diag(I, W')*[K'; 0]
+        with K' = [rev(top)*flip; H] and W' = W*diag(-Pi, I)."""
+        n = self.n
+        k = self.top.n // n
+        cn = (k - 1) * n
+        w = self.w.copy()
+        w[:, :cn] = -self.w[:, _block_flip(k - 1, n)]
         flip = _block_flip(k, n)
         top = MatPoly([x[:, flip] for x in self.top.reversal().coeffs],
                       FIELD_RATIONAL)
-        return _KronForm(c, top, self.alpha, flip[self.b], self.t, n)
+        return _KronForm(self.pencil.reversal(), self.m_mat, self.d, w, top,
+                         self.alpha, flip[self.b], self.t, n)
 
     def witnesses(self) -> Tuple[MatPoly, MatPoly]:
-        """E = T*diag(E_K, I)*c and F = B*F_K."""
+        """E = T*diag(E_K, I)*C and F = B*F_K; raise PreconditionError
+        unless nonsingular()."""
+        if not self.nonsingular():
+            raise PreconditionError("a constant factor is singular")
         field, m, n = FIELD_RATIONAL, self.top.m, self.n
         k = self.top.n // n
+        core = field.eye(self.pencil.m)
+        core[m:, m:] = self.w
+        c = field.inv(core if self.d is None else self.d @ core)
+        if self.m_mat is not None:  # c * (M kron I)
+            c = block_apply(self.m_mat.T, c.T).T
         lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
         f = [np.hstack([lam.coeff(i) / self.alpha, g.coeff(i)])[self.b]
              for i in range(k)]
-        e = [self.c[self.t]] + [field.zeros(*self.c.shape)
-                                for _ in range(k - 1)]
-        lower = self.c[m:m + (k - 1) * n]
-        for c, block in zip(e, self.top.matmul(g).coeffs):
-            c[:m] -= block @ lower
+        e = [c[self.t]] + [field.zeros(*c.shape) for _ in range(k - 1)]
+        lower = c[m:m + (k - 1) * n]
+        for coeff, block in zip(e, self.top.matmul(g).coeffs):
+            coeff[:m] -= block @ lower
         return MatPoly(e, field), MatPoly(f, field)
+
+
+def _h_times(y: MatPoly, n: int) -> MatPoly:
+    """H*y for the H = [I 0] + l[0 -I] of K and _stack_over, with blocks
+    of n rows: y without its last block minus l times y without its
+    first."""
+    field, cn = y.field, y.m - n
+    up = MatPoly([c[:cn] for c in y.coeffs], field)
+    down = MatPoly([field.zeros(cn, y.n)] + [c[n:] for c in y.coeffs], field)
+    return up - down
 
 
 def _block_flip(k: int, n: int) -> np.ndarray:
@@ -438,23 +531,20 @@ def _member_form(l: AnsatzPencil) -> _KronForm:
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     red = row_reduction(l, *l.field.reflector(l.ansatz))
-    c = np.kron(red.M, l.field.eye(m))
-    c[m:] = l.field.inv(np.hstack([red.Z, red.complement()])) @ c[m:]
+    w = np.hstack([red.Z, red.complement()])
     # block b of the target's lower rows takes the n rows of Z's block b,
     # then m - n rows of the complement
     cn = (k - 1) * n
     rest = cn + np.arange((k - 1) * (m - n)).reshape(k - 1, m - n)
     lower = np.hstack([np.arange(cn).reshape(k - 1, n), rest])
     t = np.concatenate([np.arange(m), m + lower.ravel()])
-    return _KronForm(c, red.top, red.alpha, np.arange(k * n), t, n)
+    return _KronForm(red.pencil, red.M, None, w, red.top, red.alpha,
+                     np.arange(k * n), t, n)
 
 
 def _trim_form(tr: TrimResult) -> _KronForm:
-    """Lt = Dtilde*diag(I, Rt)*K for a right-space record; raise on a zero
-    alpha or a singular factor."""
-    if tr.alpha == 0:
-        raise PreconditionError("trimming record has no shift core")
-    return _KronForm(tr.field.inv(_core_factor(tr)), tr.top, tr.alpha,
+    """Lt = Dtilde*diag(I, Rt)*K for a right-space record."""
+    return _KronForm(tr.Lt, None, tr.Dtilde, tr.Rt, tr.top, tr.alpha,
                      np.arange(tr.k * tr.n),
                      np.arange(tr.m + tr.Rt.shape[0]), tr.n)
 
@@ -482,6 +572,27 @@ def _kron_form(obj, p: MatPoly):
     raise PreconditionError("a bare pencil has no witness")
 
 
+def certify_linearization(obj, p: MatPoly, strong: bool = False) -> bool:
+    """Certify a member or trimming record built from p as a linearization
+    of p, and as a strong one when strong (its form's reversal against
+    rev p), on the factor identities of _KronForm.certify: no E or F is
+    assembled and nothing is multiplied over QQ[l].  False when no form
+    with nonsingular factors exists (a bare pencil, a deficient Z, a
+    record or member of another polynomial, a zero alpha, a singular
+    constant factor); raises VerificationError when an identity fails."""
+    try:
+        form, transposed = _kron_form(obj, p)
+    except PreconditionError:
+        return False
+    if not form.nonsingular():
+        return False
+    q = p.transpose() if transposed else p
+    form.certify(q)
+    if strong:
+        form.reversal().certify(q.reversal())
+    return True
+
+
 def _witness_pair(form: _KronForm, transposed: bool):
     e, f = form.witnesses()
     return (f.transpose(), e.transpose()) if transposed else (e, f)
@@ -491,10 +602,13 @@ def linearization_witnesses(obj, p: MatPoly, strong: bool = False):
     """Unverified witnesses (pencil, polynomial, E, F) for a member or a
     trimming record built from p, then for the reversals when strong; None
     when no witness can be built (a bare pencil, a deficient Z, a record
-    or member of another polynomial, a singular constant factor)."""
+    or member of another polynomial, a zero alpha, a singular constant
+    factor)."""
     try:
         form, transposed = _kron_form(obj, p)
     except PreconditionError:
+        return None
+    if not form.nonsingular():
         return None
     pen = obj.pencil if isinstance(obj, AnsatzPencil) else obj.Lt
     out = [(pen, p, *_witness_pair(form, transposed))]

@@ -177,9 +177,15 @@ def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
 
 
 def ansatz_target(p: MatPoly, v) -> np.ndarray:
-    """v ⊗ [A_k A_{k-1} ... A_0], the shifted-sum form of the identity."""
+    """v ⊗ [A_k A_{k-1} ... A_0], the shifted-sum form of the identity;
+    the block rows of zero entries of v are left zero, not multiplied."""
     strip = np.hstack(p.coeffs[::-1])
-    return np.kron(p.field.vector(v).reshape(-1, 1), strip)
+    v = p.field.vector(v)
+    out = p.field.zeros(v.shape[0] * p.m, strip.shape[1])
+    for i, x in enumerate(v):
+        if x != 0:
+            out[i * p.m:(i + 1) * p.m] = x * strip
+    return out
 
 
 def ansatz_gap(pencil: MatPoly, p: MatPoly, v) -> np.ndarray:

@@ -3,8 +3,8 @@
 bench/tracing.py patches matpencil functions by name and raises
 AttributeError on a missing one, so a rename in the package would break
 `bench/run.py --trace 1` without this test.  `examples 3` certifies on
-its witnesses and reaches rref through `trim`; `examples 2` verifies its
-witnesses, so it reaches `pm_det`.  No path reaches `smith_form`, but its
+its factor certificate and reaches rref through `trim`; `examples 2`
+verifies its bundled witnesses over QQ[l], so it reaches `pm_det`.  No path reaches `smith_form`, but its
 shim must still resolve.  A solve -> build ->
 recover pipeline checks that the walks' eliminations and the normal-rank
 samples still reach the shimmed `exactla.rref`.

@@ -487,6 +487,68 @@ class TestTrim:
                 "kind": "error", "error": "precondition",
                 "message": "tall polynomials trim through the right space"}
 
+    @pytest.mark.parametrize("field", ["rational", "float64"])
+    def test_tall_left_space_member_left_recovery(self, files, field):
+        """The left basis of a tall P from its left-space member is a right
+        recovery on the transposed, wide problem: refused with the shape
+        precondition of `--side right`, unless P is rank deficient enough
+        for every right nullvector of the member to be a tower."""
+        rng = np.random.default_rng(0)
+        generic = MatPoly([rng.integers(-5, 6, (3, 2)).tolist()
+                           for _ in range(3)])
+        # C(l) * [l, -1] with C of degree one: P * (1, l)^T = 0
+        c0, c1 = np.array([[1], [2], [-1]]), np.array([[0], [1], [3]])
+        k0, k1 = np.array([[0, -1]]), np.array([[1, 0]])
+        planted = MatPoly([(c0 @ k0).tolist(), (c0 @ k1 + c1 @ k0).tolist(),
+                           (c1 @ k1).tolist()])
+        for p, sides in ((generic, ("left", "both")), (planted, ("left",))):
+            p = files("p.json", (p if field == "rational"
+                                 else p.to_float()).to_json_dict())
+            code, out = run("build", p, "--side", "l2", "--companion")
+            assert code == 0
+            member = files("l.json", out)
+            for side in sides:
+                code, out = run("recover", member, p, "--mode", "glin_L2",
+                                "--side", side)
+                if sides == ("left",):
+                    assert code == 0, out
+                    assert jline(out)["left"]["indices"] == [0, 1]
+                else:
+                    assert code == 2
+                    assert jline(out) == {
+                        "kind": "error", "error": "precondition",
+                        "message": "tall polynomials trim through the "
+                                   "right space"}
+
+    def test_recovery_reads_each_normal_rank_once(self, files, monkeypatch):
+        """Both sides of a recovery share the normal ranks of P and of the
+        source pencil, and the output does not change."""
+        rng = np.random.default_rng(3)
+        coeffs = [rng.integers(-5, 6, (4, 3)) for _ in range(4)]
+        for c in coeffs:  # the third column is the sum of the first two
+            c[:, 2] = c[:, 0] + c[:, 1]
+        p = files("p.json", MatPoly([c.tolist() for c in coeffs])
+                  .to_json_dict())
+        member = files("l.json", run("build", p, "--companion")[1])
+        trimmed = files("t.json", run("trim", member)[1])
+        sources = ((member, "glin_L1"), (trimmed, "trimmed_L1"))
+        before = [run("recover", src, p, "--mode", mode)
+                  for src, mode in sources]
+        calls = []
+        real = MatPoly.normal_rank
+
+        def counted(self):
+            calls.append((self.m, self.n))
+            return real(self)
+
+        monkeypatch.setattr(MatPoly, "normal_rank", counted)
+        for (src, mode), want in zip(sources, before):
+            calls.clear()
+            assert run("recover", src, p, "--mode", mode) == want
+            assert want[0] == 0
+            assert jline(want[1])["right"]["indices"] == [0]
+            assert len(calls) == 2 and (4, 3) in calls
+
     def test_explicit_row_selection(self, files):
         l3 = files("m3.json", case3_member().to_json_dict())
         d = files("d.json", json.dumps([[1, 0, 0, 0, 0, 0],

@@ -476,9 +476,9 @@ def _no_smith(*args):
 
 
 class TestWitnessCertificate:
-    """Accepted checks rest on verified witnesses; everything else on the
-    structural comparison of the walks, with the same verdicts.  No path
-    forms a Smith form."""
+    """Accepted checks rest on the factor certificate, which implies
+    unimodular witnesses; everything else on the structural comparison of
+    the walks, with the same verdicts.  No path forms a Smith form."""
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (4, 4, 2)])
     def test_accepted_strong_checks_skip_smith(self, monkeypatch, shape):
@@ -489,6 +489,49 @@ class TestWitnessCertificate:
         monkeypatch.setattr(eigenstructure, "smith_form", _no_smith)
         assert check_g_linearization(member, p, strong=True).ok
         assert check_linearization(tr, p, strong=True).ok
+
+    def test_accepted_checks_assemble_no_witnesses(self, monkeypatch,
+                                                   tmp_path):
+        """`check --strong` of a full-Z member and `check --lin --strong`
+        of its trim take nothing over QQ[l], on both sides."""
+        from matpencil import qpoly, reduction
+        calls = []
+
+        def spy(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for module in (qpoly, reduction, eigenstructure):
+            for name in ("to_pm", "pm_det"):
+                monkeypatch.setattr(module, name,
+                                    spy(name, getattr(module, name)))
+        rng = np.random.default_rng(62)
+        poly, member, trimmed = (str(tmp_path / f) for f in
+                                 ("p.json", "l.json", "t.json"))
+        for (m, n, k), side in (((3, 2, 3), "l1"), ((2, 3, 2), "l2")):
+            p = MatPoly([rng.integers(-5, 6, (m, n)).tolist()
+                         for _ in range(k + 1)])
+            Path(poly).write_text(dump_json(p.to_json_dict()))
+            for argv, out in (
+                    (["build", poly, "--side", side, "--companion"], member),
+                    (["check", member, poly, "--strong"], None),
+                    (["trim", member], trimmed),
+                    (["check", trimmed, poly, "--lin", "--strong"], None)):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert main(argv) == 0, buf.getvalue()
+                if out is not None:
+                    Path(out).write_text(buf.getvalue())
+                else:
+                    report = json.loads(buf.getvalue())
+                    assert report["verdict"]["ok"]
+                    assert report.get("full_z_rank") in (True, None)
+        assert calls == []
+        # the spies see the oracle's calls
+        reduction.g_lin_witnesses(companion_g1(case3_poly()))
+        assert "to_pm" in calls and "pm_det" in calls
 
     def test_fallbacks_skip_smith(self, monkeypatch):
         p = case3_poly()

@@ -172,6 +172,15 @@ class TestSolve:
             assert xla.solve(a, xla.fmat([["1"]] * m)) is None
 
 
+class TestMatmul:
+    @settings(**COMMON)
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+           st.data())
+    def test_matches_the_object_product(self, m, n, p, data):
+        a, b = data.draw(matrices(m, n)), data.draw(matrices(n, p))
+        assert equal(xla.matmul(a, b), a @ b)
+
+
 class TestMinNormSolve:
     def test_full_row_rank(self):
         a = xla.fmat([["1", "2", "0"], ["0", "1/3", "1"]])

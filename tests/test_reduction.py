@@ -1,6 +1,8 @@
 """Lower-block extraction, witnesses, and trimming, anchored on the three
 bundled cases and the companion members."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,16 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case2_member, case2_poly, case2_witnesses,
                              case3_expected_lt, case3_member, case3_published_d,
                              case3_poly)
+from matpencil.eigenstructure import (_padded_verdict, check_g_linearization,
+                                      check_linearization)
 from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                dump_json, flip_r, h_dual, lambda_vec,
                                rect_identity)
 from matpencil import reduction
-from matpencil.reduction import (TrimResult, full_z_rank, g_lin_witnesses,
+from matpencil.reduction import (TrimResult, certify_linearization,
+                                 full_z_rank, g_lin_witnesses,
                                  linearization_witnesses,
                                  reflector_for, row_reduction, trim,
                                  verify_witnesses, z_block, z_rank)
@@ -52,7 +57,10 @@ def tiny(field, a) -> bool:
 
 def assert_core_reproduces_lt(tr: TrimResult):
     """Lt = Dtilde * diag(I, Rt) * K for a right-space record."""
-    lead = reduction._core_factor(tr)
+    cn = tr.Rt.shape[0]
+    blk = tr.field.eye(tr.m + cn)
+    blk[tr.m:, tr.m:] = tr.Rt
+    lead = tr.Dtilde @ blk
     for a, b in ((lead @ tr.K.X, tr.Lt.X), (lead @ tr.K.Y, tr.Lt.Y)):
         assert tiny(tr.field, a - b)
 
@@ -342,6 +350,187 @@ class TestLinearizationWitnesses:
         broken = TrimResult.from_json_dict(d)
         assert_core_reproduces_lt(broken)
         assert linearization_witnesses(broken, case3_poly()) is None
+
+
+def planted_poly(rng, m, n, k):
+    """A polynomial whose last column repeats its first (P kills
+    e_1 - e_n) when tall, whose last row repeats its first when wide."""
+    p = rand_poly(rng, m, n, k)
+    for c in p.coeffs:
+        if m >= n:
+            c[:, -1] = c[:, 0]
+        else:
+            c[-1] = c[0]
+    return p
+
+
+def certificate_cases():
+    """Members of both spaces, k = 2 and 3, generic and planted, companion
+    and random (ansatz vectors with a leading zero among them), with the
+    polynomial each is built from."""
+    rng = np.random.default_rng(70)
+    for m, n, k in ((3, 2, 2), (2, 3, 2), (4, 2, 3), (2, 4, 3), (3, 3, 3),
+                    (3, 2, 3)):
+        for make in (rand_poly, planted_poly):
+            p = make(rng, m, n, k)
+            yield companion_g1(p) if m >= n else companion_g2(p), p
+            v = [0] + rng.integers(1, 4, size=k - 1).tolist()
+            if m >= n:
+                w = rng.integers(-3, 4, size=(k * m, (k - 1) * n))
+                yield build_l1(p, v, xla.fmat(w.tolist())), p
+            else:
+                w = rng.integers(-3, 4, size=((k - 1) * m, k * n))
+                yield build_l2(p, v, xla.fmat(w.tolist())), p
+
+
+def member_form():
+    p = case3_poly()
+    form, transposed = reduction._kron_form(companion_g1(p), p)
+    assert not transposed and form.nonsingular()
+    return form, p
+
+
+def bumped(poly: MatPoly, i: int, row: int, col: int) -> MatPoly:
+    out = poly.copy()
+    out.coeffs[i][row, col] += 1
+    return out
+
+
+class TestFactorCertificate:
+    """certify_linearization checks the factor identities of the
+    block-Kronecker form; the witnesses it never assembles, verified over
+    QQ[l], are its oracle."""
+
+    def test_accepted_forms_have_verified_witnesses(self):
+        done = 0
+        for member, p in certificate_cases():
+            for obj in (member, trim(member)):
+                for strong in (False, True):
+                    assert certify_linearization(obj, p, strong)
+                    pairs = linearization_witnesses(obj, p, strong)
+                    assert len(pairs) == 1 + strong
+                    for pen, poly, e, f in pairs:
+                        verify_witnesses(pen, poly, e, f)
+                done += 1
+        assert done == 48
+
+    def test_published_trim(self):
+        tr = trim(case3_member(), d=case3_published_d())
+        assert not xla.is_zero(tr.Dtilde - xla.feye(tr.Dtilde.shape[0]))
+        assert certify_linearization(tr, case3_poly(), strong=True)
+
+    def test_no_form_where_no_witness(self):
+        p = case3_poly()
+        member = companion_g1(p)
+        wide = rand_poly(np.random.default_rng(52), 2, 3, 2)
+        for obj, q in ((member.pencil, p), (member, p.scale(2)),
+                       (trim(member), p.scale(2)),
+                       (case1_member(), case1_member().poly),
+                       (build_l1(wide, [1, 0], xla.fzeros(4, 3)), wide)):
+            assert linearization_witnesses(obj, q) is None
+            assert not certify_linearization(obj, q, strong=True)
+
+    def test_tampered_top_strip(self):
+        form, p = member_form()
+        for pencil in (form.pencil, bumped(form.pencil, 1, 0, 0)):
+            with pytest.raises(VerificationError, match="alpha times"):
+                replace(form, top=bumped(form.top, 1, 0, 0),
+                        pencil=pencil).certify(p)
+        # the pencil's top rows moved alone
+        with pytest.raises(VerificationError, match="constant-factor image"):
+            replace(form, pencil=bumped(form.pencil, 1, 0, 0)).certify(p)
+
+    def test_lower_row_off_z_times_h(self):
+        form, p = member_form()
+        m = form.top.m
+        for i in (0, 1):
+            with pytest.raises(VerificationError,
+                               match="constant-factor image"):
+                replace(form, pencil=bumped(form.pencil, i, m, 1)).certify(p)
+        with pytest.raises(VerificationError, match="constant-factor image"):
+            replace(form, pencil=bumped(form.pencil, 1, 0, 0)).reversal() \
+                .certify(p.reversal())
+
+    def test_strong_checks_certify_the_reversal(self, monkeypatch):
+        p = case3_poly()
+        reversal = reduction._KronForm.reversal
+
+        def tampered(form):
+            rev = reversal(form)
+            return replace(rev, pencil=bumped(rev.pencil, 0, 0, 0))
+
+        monkeypatch.setattr(reduction._KronForm, "reversal", tampered)
+        for obj in (companion_g1(p), trim(companion_g1(p))):
+            assert certify_linearization(obj, p)
+            with pytest.raises(VerificationError):
+                certify_linearization(obj, p, strong=True)
+
+    def test_permutations(self):
+        form, p = member_form()
+        b = form.b.copy()
+        b[0] = b[1]
+        t = form.t.copy()
+        m = form.top.m
+        t[[m, m + 1]] = t[[m + 1, m]]
+        with pytest.raises(VerificationError):
+            replace(form, b=b).certify(p)
+        with pytest.raises(VerificationError, match="permutations"):
+            replace(form, t=t).certify(p)
+
+    def test_singular_factors_fall_back(self, monkeypatch):
+        form, p = member_form()
+        w = form.w.copy()
+        w[:, 1] = w[:, 0]
+        for broken in (replace(form, alpha=xla.frac(0)), replace(form, w=w),
+                       replace(form, m_mat=xla.fzeros(3, 3))):
+            assert not broken.nonsingular()
+            with pytest.raises(PreconditionError):
+                broken.witnesses()
+        # a check whose form has a singular [Z | N] settles by structure,
+        # as when no form can be built
+        member = companion_g1(p)
+        monkeypatch.setattr(reduction, "_member_form",
+                            lambda l: replace(form, w=w))
+        assert not certify_linearization(member, p, strong=True)
+        assert check_g_linearization(member, p, strong=True) == \
+            _padded_verdict(member.pencil, p, 2, True)
+
+    def test_zero_alpha_record_falls_back(self):
+        zero = MatPoly([xla.fzeros(3, 2)] * 3, FIELD_RATIONAL)
+        d = trim(companion_g1(zero)).to_json_dict()
+        d["alpha"] = "0"
+        record = TrimResult.from_json_dict(d)
+        assert not certify_linearization(record, zero, strong=True)
+        assert check_linearization(record, zero, strong=True) == \
+            _padded_verdict(record.Lt, zero, 2, True)
+
+    def test_singular_dtilde_falls_back(self):
+        tr = trim(case3_member())
+        d = tr.to_json_dict()
+        dt = tr.Dtilde.copy()
+        dt[1] = dt[0]
+        d["Dtilde"] = [[str(x) for x in row] for row in dt]
+        d["Lt"] = {"x": [[str(x) for x in row] for row in dt @ tr.Lt_hat.X],
+                   "y": [[str(x) for x in row] for row in dt @ tr.Lt_hat.Y]}
+        broken = TrimResult.from_json_dict(d)
+        assert not certify_linearization(broken, case3_poly(), strong=True)
+        assert check_linearization(broken, case3_poly(), strong=True) == \
+            _padded_verdict(broken.Lt, case3_poly(), 2, True)
+
+    @pytest.mark.parametrize("name", ["shear_s", "lambda_vec"])
+    def test_wrong_fixed_factor(self, monkeypatch, name):
+        real = getattr(reduction, name)
+
+        def wrong(k, n, field):
+            out = real(k, n, field)
+            out.coeffs[0][-1, -1] += 1
+            return out
+
+        monkeypatch.setattr(reduction, name, wrong)
+        p = case3_poly()
+        for obj in (companion_g1(p), trim(companion_g1(p))):
+            with pytest.raises(VerificationError, match="fixed identities"):
+                certify_linearization(obj, p)
 
 
 class TestTrim:

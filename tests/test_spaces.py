@@ -169,6 +169,19 @@ class TestShiftedSum:
         out = shifted_sum(member.pencil.X, member.pencil.Y, "col", (3, 2))
         assert xla.is_zero(out - ansatz_target(p, member.ansatz))
 
+    def test_zero_ansatz_entries_leave_zero_rows(self):
+        rng = np.random.default_rng(19)
+        p = rand_poly(rng, 3, 2, 3)
+        v = xla.fvec([0, 2, 0])
+        strip = np.hstack(p.coeffs[::-1])
+        assert xla.is_zero(ansatz_target(p, v)
+                           - np.kron(v.reshape(-1, 1), strip))
+        # on float64 the zero block rows hold +0.0, not -0.0 products
+        out = ansatz_target(p.to_float(), np.array([0.0, 2.0, -0.0]))
+        assert not np.signbit(out[:3]).any()
+        assert not np.signbit(out[6:]).any()
+        assert np.array_equal(out[3:6], 2.0 * strip.astype(float))
+
     def test_zero_block_size_is_a_precondition(self):
         z = xla.fzeros(4, 4)
         for side in ("col", "row"):
