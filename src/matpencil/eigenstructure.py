@@ -191,9 +191,11 @@ def _infinite_degrees(p: MatPoly, nrank: int) -> tuple:
 
 def _multiples(p: MatPoly, r: int):
     """Multiples of D_r, the gcd of the r x r minors of p: det(S p T) per
-    compression (Cauchy-Binet), then each r x r minor, lexicographically."""
+    compression (Cauchy-Binet), then each r x r minor, lexicographically.
+    The weights are no arithmetic progression: at r = 1 one can put the
+    same spurious root into every compression."""
     for t in COMPRESSIONS:
-        s, u = (FIELD_RATIONAL.matrix([[(j + t) ** (i + 1) for j in range(w)]
+        s, u = (FIELD_RATIONAL.matrix([[(j + t) ** (i + 2) for j in range(w)]
                                        for i in range(r)]) for w in (p.m, p.n))
         yield pm_det(to_pm(MatPoly([s @ a @ u.T for a in p.coeffs])))
     a = to_pm(p)

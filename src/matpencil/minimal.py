@@ -331,9 +331,9 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
 
 
 def _reduce(l: AnsatzPencil):
-    """The block-row reduction of a right-space member and a basis of the
-    left complement of its Z; raises unless P is tall and Z has full
-    column rank."""
+    """The block-Kronecker form of a right-space member and its
+    complement(), a basis of the left complement of Z; raises unless P is
+    tall and Z has full column rank."""
     if not isinstance(l, AnsatzPencil) or l.side != SIDE_L1:
         raise PreconditionError("needs a right-space member; transpose first")
     red = row_reduction(l, *l.field.reflector(l.ansatz))

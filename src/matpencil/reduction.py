@@ -1,21 +1,23 @@
 """Reduction of ansatz-space pencils.
 
 Given a member L with ansatz vector v and any nonsingular M with Mv = a*e1,
-(M kron I)*L is a member with ansatz a*e1 (checked on its shifted sum, as
-is a trimming record's top strip against the ansatz [a]) whose constant
-lower block Z decides everything: full rank makes L a strong linearization
-candidate and admits a trimming step that deletes the redundant rows. M and
-its inverse act on the k block rows directly (``block_apply``); M kron I is
-never formed. This module extracts Z, tests its rank, performs the trimming,
-and certifies the linearization property of members and trimmed pencils
-alike on the exact factor identities of the block-Kronecker pencil both
-reduce to; it also builds the explicit unimodular witnesses those
-identities imply.
+(M kron I)*L is a member with ansatz a*e1 whose constant lower block Z
+decides everything: full rank makes L a strong linearization candidate and
+admits a trimming step that deletes the redundant rows. M and its inverse
+act on the k block rows directly (``block_apply``); M kron I is never
+formed. ``row_reduction`` returns that reduced member as its
+block-Kronecker form, and a trimming record carries one of its own; z_rank,
+the trimming, the left recovery and the linearization certificate all read
+those forms, and each form checks the two factor identities it rests on
+(the top strip's shifted sum and the constant-factor image) in one place.
+This module also builds the explicit unimodular witnesses those identities
+imply.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,20 +58,35 @@ def transposed_problem():
                                 "space") from None
 
 
-class RowReduction(NamedTuple):
-    """A right-space member L reduced by M with M*v = alpha*e1: the
-    member (M kron I)*L and its constant lower-left block Z."""
-    M: np.ndarray
-    alpha: object
+# ---------------------------------------------------------------------------
+# the block-Kronecker form
+
+@dataclass(frozen=True)
+class _KronForm:
+    """A member or trimming record L written through constant factors
+    around a block-Kronecker pencil of block width n:
+
+        S*L*B = D*diag(I_m, W)*[K; 0],   K = [top; H],
+
+    with H = [I 0] + l[0 -I] the dual of Lambda kron I_n.  A member
+    (row_reduction) has S = M kron I, D = I and W = [Z | complement()]; a
+    record has S = I, D = Dtilde and W = Rt.  pencil holds S*L; M is None
+    when S = I and D when D = I; Z is W's leading (k-1)*n columns; B is
+    the column permutation b of the identity (B*x = x[b]).  certify()
+    checks the factor identities; witnesses() assembles the E and F they
+    imply, which the tests verify over QQ[l] as the certificate's oracle.
+    """
     pencil: MatPoly
+    M: Optional[np.ndarray]
+    D: Optional[np.ndarray]
     Z: np.ndarray
+    top: MatPoly
+    alpha: object
+    b: np.ndarray
 
     @property
-    def top(self) -> MatPoly:
-        """The first m rows of (M kron I)*L."""
-        m = self.pencil.m - self.Z.shape[0]
-        return MatPoly.pencil(self.pencil.X[:m], self.pencil.Y[:m],
-                              self.pencil.field)
+    def n(self) -> int:
+        return self.top.n - self.Z.shape[1]
 
     def complement(self) -> np.ndarray:
         """A basis of the left complement of Z's range, the kernel of Z^T;
@@ -82,22 +99,142 @@ class RowReduction(NamedTuple):
                 "lower block is rank deficient; cannot trim")
         return comp
 
+    @cached_property
+    def W(self) -> np.ndarray:
+        """[Z | complement()]; a square Z of a tall pencil is its own W,
+        and nonsingular() takes its rank instead of an empty kernel."""
+        rows, cn = self.Z.shape
+        if rows == cn and self.pencil.m >= self.pencil.n:
+            return self.Z
+        return np.hstack([self.Z, self.complement()])
 
-def row_reduction(l: AnsatzPencil, m_mat, alpha) -> RowReduction:
-    """The block-row reduction of a right-space member, after verifying
-    that (M kron I)*L is a member with ansatz vector alpha*e1: its lower
-    block rows then hold -Z at lambda and Z in the constant part."""
-    p = l.poly
-    k, m, n = p.grade, p.m, p.n
-    field = l.field
-    reduced = MatPoly.pencil(block_apply(m_mat, l.pencil.X),
-                             block_apply(m_mat, l.pencil.Y), field)
-    e1 = field.vector([alpha] + [0] * (k - 1))
-    if not field.negligible(ansatz_gap(reduced, p, e1), l.pencil):
-        raise StructureError(
-            "reduced pencil is not a member with ansatz alpha*e1")
-    return RowReduction(m_mat, alpha, reduced,
-                        reduced.Y[m:, :(k - 1) * n].copy())
+    @property
+    def t(self) -> np.ndarray:
+        """The row permutation, fixing the first m rows, that carries
+        [diag(P, I); 0] onto diag(P, padding): block b of the target's lower
+        rows takes the n rows of Z's block b, then m - n rows of N."""
+        m, (rows, cn) = self.top.m, self.Z.shape
+        if rows == cn:
+            return np.arange(m + rows)
+        blocks = self.top.n // self.n - 1
+        rest = cn + np.arange(rows - cn).reshape(blocks, -1)
+        lower = np.hstack([np.arange(cn).reshape(blocks, self.n), rest])
+        return np.concatenate([np.arange(m), m + lower.ravel()])
+
+    def top_gap(self, p: MatPoly) -> np.ndarray:
+        """The shifted sum of top less alpha*[A_k ... A_0]: zero exactly
+        when top*(Lambda kron I) = alpha*P."""
+        return ansatz_gap(self.top, p, self.pencil.field.vector([self.alpha]))
+
+    def image_gap(self) -> MatPoly:
+        """D*diag(I, W)*[K; 0] with its columns taken in the order b, less
+        the pencil: zero exactly when pencil*B = D*diag(I, W)*[K; 0]."""
+        field = self.pencil.field
+        image = _stack_over(self.top, self.Z).coeffs
+        if self.D is not None:
+            image = [field.matmul(self.D, c) for c in image]
+        return MatPoly([c[:, self.b] - a
+                        for c, a in zip(image, self.pencil.coeffs)], field)
+
+    def nonsingular(self) -> bool:
+        """alpha != 0 and the constant factors M, D and W are square of full
+        rank, so that C and F_K exist; False where complement() fails."""
+        try:
+            factors = (self.M, self.D, self.W)
+        except PreconditionError:
+            return False
+        rank = self.pencil.field.rank
+        return self.alpha != 0 and all(rank(a) == a.shape[0] == a.shape[1]
+                                       for a in factors if a is not None)
+
+    def certify(self, p: MatPoly) -> None:
+        """Check that the form certifies its pencil as a linearization of
+        p, given nonsingular(); raise VerificationError otherwise.  Checked
+        exactly, on constant matrices and the pencil's two coefficients:
+
+        (1) image_gap() and top_gap(p) vanish: pencil*B = D*diag(I, W)*
+            [K; 0] and top*(Lambda kron I) = alpha*P;
+        (3) H*Lambda = 0, H*G = I and the last block row of Lambda is I,
+            for Lambda = lambda_vec(k, n) and G = shear_s(k, n);
+        (4) b and t are permutations, t fixes the first m rows, and
+            T*[diag(P, I); 0] = diag(P, padding).
+
+        With nonsingular(), that is (2), these are as strong as checking
+        E*L*F = diag(P, padding) over QQ[l] with det E and det F nonzero
+        constants:
+        - K*F_K = [[top*Lambda/alpha, top*G], [H*Lambda/alpha, H*G]]
+          = [[P, top*G], [0, I]] by (1) and (3), so E_K*K*F_K = diag(P, I)
+          by block multiplication;
+        - E*L*F = T*diag(E_K, I)*C*L*B*F_K = T*diag(E_K, I)*[K; 0]*F_K
+          = T*[diag(P, I); 0] = diag(P, padding) by (1) and (4);
+        - det E = ±det C: E_K is unit upper triangular and T a permutation;
+          C is a product of nonsingular constant factors;
+        - [alpha*(e_k^T kron I); H]*F_K = [[I, alpha*(e_k^T kron I)*G],
+          [0, I]] is block unit upper triangular by (3), so det F_K divides
+          1 in QQ[l]: a nonzero constant, and det F = ±det F_K.
+        """
+        field, m, n = FIELD_RATIONAL, self.top.m, self.n
+        k = self.top.n // n
+        cn = (k - 1) * n
+        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
+        last = MatPoly([c[cn:] for c in lam.coeffs], field)
+        if not (_h_times(lam, n).is_zero()
+                and _h_times(g, n).equal(MatPoly([field.eye(cn)], field))
+                and last.equal(MatPoly([field.eye(n)], field))):
+            raise VerificationError(
+                "H, Lambda and G fail their fixed identities")
+        if not field.negligible(self.top_gap(p)):
+            raise VerificationError(
+                "top strip is not alpha times the polynomial")
+        if not field.negligible(self.image_gap()):
+            raise VerificationError(
+                "pencil is not the constant-factor image of its "
+                "block-Kronecker form")
+        rows, t = self.pencil.m, self.t
+        lifted = field.zeros(rows - m, cn)
+        lifted[:cn] = field.eye(cn)
+        if not (np.array_equal(np.sort(self.b), np.arange(k * n))
+                and np.array_equal(np.sort(t), np.arange(rows))
+                and np.array_equal(t[:m], np.arange(m))
+                and field.is_zero(lifted[t[m:] - m]
+                                  - _padding(self.pencil, p))):
+            raise VerificationError(
+                "permutations do not reach the padded polynomial")
+
+    def reversal(self) -> "_KronForm":
+        """The form of rev L against rev P: rev H = -Pi*H*flip with Pi the
+        block flip of H's rows, so rev(S*L)*flip = D*diag(I, W')*[K'; 0]
+        with K' = [rev(top)*flip; H] and W' = W*diag(-Pi, I)."""
+        n = self.n
+        k = self.top.n // n
+        flip = _block_flip(k, n)
+        top = MatPoly([x[:, flip] for x in self.top.reversal().coeffs],
+                      self.top.field)
+        return _KronForm(self.pencil.reversal(), self.M, self.D,
+                         -self.Z[:, _block_flip(k - 1, n)], top, self.alpha,
+                         flip[self.b])
+
+    def witnesses(self) -> Tuple[MatPoly, MatPoly]:
+        """E = T*diag(E_K, I)*C and F = B*F_K, with E_K and F_K as in
+        certify() and C = diag(I_m, W)^-1 * D^-1 * S; raise
+        PreconditionError unless nonsingular()."""
+        if not self.nonsingular():
+            raise PreconditionError("a constant factor is singular")
+        field, m, n = FIELD_RATIONAL, self.top.m, self.n
+        k = self.top.n // n
+        core = field.eye(self.pencil.m)
+        core[m:, m:] = self.W
+        c = field.inv(core if self.D is None else self.D @ core)
+        if self.M is not None:  # c * (M kron I)
+            c = block_apply(self.M.T, c.T).T
+        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
+        f = [np.hstack([lam.coeff(i) / self.alpha, g.coeff(i)])[self.b]
+             for i in range(k)]
+        e = [c[self.t]] + [field.zeros(*c.shape) for _ in range(k - 1)]
+        lower = c[m:m + (k - 1) * n]
+        for coeff, block in zip(e, self.top.matmul(g).coeffs):
+            coeff[:m] -= block @ lower
+        return MatPoly(e, field), MatPoly(f, field)
 
 
 def _stack_over(top: MatPoly, lower) -> MatPoly:
@@ -113,6 +250,39 @@ def _stack_over(top: MatPoly, lower) -> MatPoly:
     y[:m] = top.Y
     y[m:, :cn] = lower
     return MatPoly.pencil(x, y, field)
+
+
+def _h_times(y: MatPoly, n: int) -> MatPoly:
+    """H*y for the H = [I 0] + l[0 -I] of K and _stack_over, with blocks
+    of n rows: y without its last block minus l times y without its
+    first."""
+    field, cn = y.field, y.m - n
+    up = MatPoly([c[:cn] for c in y.coeffs], field)
+    down = MatPoly([field.zeros(cn, y.n)] + [c[n:] for c in y.coeffs], field)
+    return up - down
+
+
+def _block_flip(k: int, n: int) -> np.ndarray:
+    """Row order of flip_r(k, n): flip_r(k, n) @ x == x[_block_flip(k, n)]."""
+    return np.arange(k * n).reshape(k, n)[::-1].ravel()
+
+
+def row_reduction(l: AnsatzPencil, m_mat, alpha) -> _KronForm:
+    """The block-Kronecker form of a right-space member, after verifying
+    that (M kron I)*L is a member with ansatz vector alpha*e1: its lower
+    block rows then hold -Z at lambda and Z in the constant part."""
+    p = l.poly
+    k, m, n = p.grade, p.m, p.n
+    field = l.field
+    reduced = MatPoly.pencil(block_apply(m_mat, l.pencil.X),
+                             block_apply(m_mat, l.pencil.Y), field)
+    e1 = field.vector([alpha] + [0] * (k - 1))
+    if not field.negligible(ansatz_gap(reduced, p, e1), l.pencil):
+        raise StructureError(
+            "reduced pencil is not a member with ansatz alpha*e1")
+    top = MatPoly.pencil(reduced.X[:m], reduced.Y[:m], field)
+    z = reduced.Y[m:, :(k - 1) * n].copy()
+    return _KronForm(reduced, m_mat, None, z, top, alpha, np.arange(k * n))
 
 
 def z_block(l: AnsatzPencil, m_mat, alpha):
@@ -167,7 +337,8 @@ class TrimResult:
     The top strip is stored once; Lt_hat, K and the corners X12, Y11 the
     JSON form repeats are derived from it and Rt. For left-space members
     every factor acts from the right instead and is stored transposed, so
-    Lt = L * D and Lt = Lt_hat * Dtilde there.
+    Lt = L * D and Lt = Lt_hat * Dtilde there. Both identities the record
+    rests on are checked on its block-Kronecker form, _form.
     """
     side: str
     field: str
@@ -187,6 +358,15 @@ class TrimResult:
 
     def __post_init__(self):
         object.__setattr__(self, "field", field_of(self.field))
+
+    @cached_property
+    def _form(self) -> _KronForm:
+        """Lt = Dtilde*diag(I, Rt)*K as a block-Kronecker form, on the right
+        side: a left-space record's form is its transpose's."""
+        if self.side == SIDE_L2:
+            return self.transpose()._form
+        return _KronForm(self.Lt, None, self.Dtilde, self.Rt, self.top,
+                         self.alpha, np.arange(self.k * self.n))
 
     @property
     def Lt_hat(self) -> MatPoly:
@@ -229,9 +409,8 @@ class TrimResult:
         field = self.field
         if (field, self.m, self.n, self.k) != (p.field, p.m, p.n, p.grade):
             raise SchemaError("trimming record does not fit this polynomial")
-        top, src = ((self.top, p) if self.side == SIDE_L1
-                    else (self.top.transpose(), p.transpose()))
-        gap = ansatz_gap(top, src, field.vector([self.alpha]))
+        gap = self._form.top_gap(p if self.side == SIDE_L1
+                                 else p.transpose())
         if not field.negligible(gap, self.alpha, p):
             raise SchemaError(
                 "trimming record was built from a different polynomial")
@@ -303,12 +482,8 @@ class TrimResult:
 
 def _verify_trim_identities(tr: TrimResult):
     """Lt = Dtilde * Lt_hat (transposed on the left side) must hold."""
-    if tr.side == SIDE_L2:
-        return _verify_trim_identities(tr.transpose())
-    gap = MatPoly([tr.field.matmul(tr.Dtilde, hat) - lt
-                   for lt, hat in zip(tr.Lt.coeffs, tr.Lt_hat.coeffs)],
-                  tr.field)
-    if not tr.field.negligible(gap, tr.Lt):
+    form = tr._form
+    if not tr.field.negligible(form.image_gap(), form.pencil):
         raise VerificationError("trim factors do not reproduce Lt")
 
 
@@ -330,8 +505,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     cn = (k - 1) * n
     m_mat, alpha = field.reflector(l.ansatz)
     red = row_reduction(l, m_mat, alpha)
-    z = red.Z
-    q1, q2, rt, q1_star, q2_star = field.factor_z(z, red.complement())
+    q1, q2, rt, q1_star, q2_star = field.factor_z(red.Z, red.complement())
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)
@@ -349,226 +523,47 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
                 "row-selector does not complete the kernel rows to a "
                 "nonsingular matrix")
 
-    lt = MatPoly.pencil(d_used @ l.pencil.X, d_used @ l.pencil.Y, field)
+    lt = MatPoly.pencil(field.matmul(d_used, l.pencil.X),
+                        field.matmul(d_used, l.pencil.Y), field)
 
     # Lt = Dtilde * Lt_hat through the factorized inverse of the row
     # transform: (M kron I)^{-1} diag(I, Q1) maps Lt_hat back to L
     e1 = field.zeros(k * m, m + cn)
     e1[:m, :m] = field.eye(m)
     e1[m:, m:] = q1
-    dtilde = d_used @ block_apply(field.inv(m_mat), e1)
+    dtilde = field.matmul(d_used, block_apply(field.inv(m_mat), e1))
     if field.rank(dtilde) < m + cn:
         raise PreconditionError("trim produced a singular square factor")
 
     out = TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
-                     alpha=alpha, Z=z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
+                     alpha=alpha, Z=red.Z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
                      Dtilde=dtilde, Lt=lt, top=red.top)
     _verify_trim_identities(out)
     return out
 
 
 # ---------------------------------------------------------------------------
-# the factor certificate and the witnesses
-#
-# Every certified pencil L is reached from a block-Kronecker pencil through
-# constant factors:
-#
-#     S*L*B = D*diag(I_m, W)*[K; 0],   K = [top; H],
-#
-# with S = M kron I and W = [Z | N] for a member (D = I), and D = Dtilde and
-# W = Rt for a trimming record (S = I); B is a column permutation and
-# H = [I 0] + l[0 -I] the dual of Lambda kron I_n.  With top*(Lambda kron
-# I_n) = alpha*P, H*Lambda = 0 and H*G = I for G = shear_s(k, n), the
-# factors F_K = [Lambda/alpha | G] and E_K = [[I, -top*G], [0, I]] give
-# E_K*K*F_K = diag(P, I).  So with C = diag(I_m, W)^-1 * D^-1 * S,
-# E = T*diag(E_K, I)*C and F = B*F_K witness L, where the row permutation T
-# only moves rows below the first m onto the target layout.
-# certify_linearization checks the factor identities themselves;
-# linearization_witnesses assembles E and F, which the tests verify over
-# QQ[l] as the certificate's oracle.
-
-@dataclass(frozen=True)
-class _KronForm:
-    """A pencil L written as S*L*B = D*diag(I_m, W)*[K; 0].  pencil holds
-    S*L; m_mat is M with S = M kron I, or None when S = I; d is D, or None
-    when D = I; w is W; B is the column permutation b of the identity
-    (B*x = x[b]); K = [top; H] is the block-Kronecker pencil of block width
-    n; the row permutation t (fixing the first m rows) carries
-    [diag(P, I); 0] onto the target diag(P, padding)."""
-    pencil: MatPoly
-    m_mat: Optional[np.ndarray]
-    d: Optional[np.ndarray]
-    w: np.ndarray
-    top: MatPoly
-    alpha: object
-    b: np.ndarray
-    t: np.ndarray
-    n: int
-
-    def nonsingular(self) -> bool:
-        """alpha != 0 and the constant factors M, D and W are square of full
-        rank, so that C and F_K exist."""
-        return self.alpha != 0 and all(
-            FIELD_RATIONAL.rank(a) == a.shape[0] == a.shape[1]
-            for a in (self.m_mat, self.d, self.w) if a is not None)
-
-    def certify(self, p: MatPoly) -> None:
-        """Check that the form certifies its pencil as a linearization of
-        p, given nonsingular(); raise VerificationError otherwise.  Checked
-        exactly, on constant matrices and the pencil's two coefficients:
-
-        (1) pencil*B = D*diag(I, W)*[K; 0], and the shifted sum of top
-            equals alpha*[A_k ... A_0], i.e. top*(Lambda kron I) = alpha*P;
-        (3) H*Lambda = 0, H*G = I and the last block row of Lambda is I,
-            for Lambda = lambda_vec(k, n) and G = shear_s(k, n);
-        (4) b and t are permutations, t fixes the first m rows, and
-            T*[diag(P, I); 0] = diag(P, padding).
-
-        With nonsingular(), that is (2), these are as strong as checking
-        E*L*F = diag(P, padding) over QQ[l] with det E and det F nonzero
-        constants:
-        - K*F_K = [[top*Lambda/alpha, top*G], [H*Lambda/alpha, H*G]]
-          = [[P, top*G], [0, I]] by (1) and (3), so E_K*K*F_K = diag(P, I)
-          by block multiplication;
-        - E*L*F = T*diag(E_K, I)*C*L*B*F_K = T*diag(E_K, I)*[K; 0]*F_K
-          = T*[diag(P, I); 0] = diag(P, padding) by (1) and (4);
-        - det E = ±det C: E_K is unit upper triangular and T a permutation;
-          C is a product of nonsingular constant factors;
-        - [alpha*(e_k^T kron I); H]*F_K = [[I, alpha*(e_k^T kron I)*G],
-          [0, I]] is block unit upper triangular by (3), so det F_K divides
-          1 in QQ[l]: a nonzero constant, and det F = ±det F_K.
-        """
-        field, m, n = FIELD_RATIONAL, self.top.m, self.n
-        k = self.top.n // n
-        cn = (k - 1) * n
-        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
-        last = MatPoly([c[cn:] for c in lam.coeffs], field)
-        if not (_h_times(lam, n).is_zero()
-                and _h_times(g, n).equal(MatPoly([field.eye(cn)], field))
-                and last.equal(MatPoly([field.eye(n)], field))):
-            raise VerificationError(
-                "H, Lambda and G fail their fixed identities")
-        if not field.negligible(
-                ansatz_gap(self.top, p, field.vector([self.alpha]))):
-            raise VerificationError(
-                "top strip is not alpha times the polynomial")
-        image = _stack_over(self.top, self.w[:, :cn]).coeffs
-        if self.d is not None:
-            image = [field.matmul(self.d, c) for c in image]
-        gap = MatPoly([c[:, self.b] - a
-                       for c, a in zip(image, self.pencil.coeffs)], field)
-        if not field.negligible(gap):
-            raise VerificationError(
-                "pencil is not the constant-factor image of its "
-                "block-Kronecker form")
-        rows = self.pencil.m
-        lifted = field.zeros(rows - m, cn)
-        lifted[:cn] = field.eye(cn)
-        if not (np.array_equal(np.sort(self.b), np.arange(k * n))
-                and np.array_equal(np.sort(self.t), np.arange(rows))
-                and np.array_equal(self.t[:m], np.arange(m))
-                and field.is_zero(lifted[self.t[m:] - m]
-                                  - _padding(self.pencil, p))):
-            raise VerificationError(
-                "permutations do not reach the padded polynomial")
-
-    def reversal(self) -> "_KronForm":
-        """The form of rev L against rev P: rev H = -Pi*H*flip with Pi the
-        block flip of H's rows, so rev(S*L)*flip = D*diag(I, W')*[K'; 0]
-        with K' = [rev(top)*flip; H] and W' = W*diag(-Pi, I)."""
-        n = self.n
-        k = self.top.n // n
-        cn = (k - 1) * n
-        w = self.w.copy()
-        w[:, :cn] = -self.w[:, _block_flip(k - 1, n)]
-        flip = _block_flip(k, n)
-        top = MatPoly([x[:, flip] for x in self.top.reversal().coeffs],
-                      FIELD_RATIONAL)
-        return _KronForm(self.pencil.reversal(), self.m_mat, self.d, w, top,
-                         self.alpha, flip[self.b], self.t, n)
-
-    def witnesses(self) -> Tuple[MatPoly, MatPoly]:
-        """E = T*diag(E_K, I)*C and F = B*F_K; raise PreconditionError
-        unless nonsingular()."""
-        if not self.nonsingular():
-            raise PreconditionError("a constant factor is singular")
-        field, m, n = FIELD_RATIONAL, self.top.m, self.n
-        k = self.top.n // n
-        core = field.eye(self.pencil.m)
-        core[m:, m:] = self.w
-        c = field.inv(core if self.d is None else self.d @ core)
-        if self.m_mat is not None:  # c * (M kron I)
-            c = block_apply(self.m_mat.T, c.T).T
-        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
-        f = [np.hstack([lam.coeff(i) / self.alpha, g.coeff(i)])[self.b]
-             for i in range(k)]
-        e = [c[self.t]] + [field.zeros(*c.shape) for _ in range(k - 1)]
-        lower = c[m:m + (k - 1) * n]
-        for coeff, block in zip(e, self.top.matmul(g).coeffs):
-            coeff[:m] -= block @ lower
-        return MatPoly(e, field), MatPoly(f, field)
-
-
-def _h_times(y: MatPoly, n: int) -> MatPoly:
-    """H*y for the H = [I 0] + l[0 -I] of K and _stack_over, with blocks
-    of n rows: y without its last block minus l times y without its
-    first."""
-    field, cn = y.field, y.m - n
-    up = MatPoly([c[:cn] for c in y.coeffs], field)
-    down = MatPoly([field.zeros(cn, y.n)] + [c[n:] for c in y.coeffs], field)
-    return up - down
-
-
-def _block_flip(k: int, n: int) -> np.ndarray:
-    """Row order of flip_r(k, n): flip_r(k, n) @ x == x[_block_flip(k, n)]."""
-    return np.arange(k * n).reshape(k, n)[::-1].ravel()
-
-
-def _member_form(l: AnsatzPencil) -> _KronForm:
-    """(M kron I)*L = diag(I_m, [Z | N])*[K; 0] for a right-space member,
-    with N a basis of the complement of Z's range; raise unless Z has
-    full column rank."""
-    p = l.poly
-    k, m, n = p.grade, p.m, p.n
-    red = row_reduction(l, *l.field.reflector(l.ansatz))
-    w = np.hstack([red.Z, red.complement()])
-    # block b of the target's lower rows takes the n rows of Z's block b,
-    # then m - n rows of the complement
-    cn = (k - 1) * n
-    rest = cn + np.arange((k - 1) * (m - n)).reshape(k - 1, m - n)
-    lower = np.hstack([np.arange(cn).reshape(k - 1, n), rest])
-    t = np.concatenate([np.arange(m), m + lower.ravel()])
-    return _KronForm(red.pencil, red.M, None, w, red.top, red.alpha,
-                     np.arange(k * n), t, n)
-
-
-def _trim_form(tr: TrimResult) -> _KronForm:
-    """Lt = Dtilde*diag(I, Rt)*K for a right-space record."""
-    return _KronForm(tr.Lt, None, tr.Dtilde, tr.Rt, tr.top, tr.alpha,
-                     np.arange(tr.k * tr.n),
-                     np.arange(tr.m + tr.Rt.shape[0]), tr.n)
-
+# the certificate and the witnesses
 
 def _kron_form(obj, p: MatPoly):
     """The block-Kronecker form of a member or trimming record built from
     p, and whether it was taken through the transpose; raises when none
-    can be built."""
+    can be built.  A member's form may still be singular: nonsingular()
+    decides."""
     if p.field != FIELD_RATIONAL:
         raise PreconditionError("witness construction needs the rational field")
     if isinstance(obj, AnsatzPencil):
         if obj.poly.grade != p.grade or not obj.poly.equal(p):
             raise PreconditionError("member was built from another polynomial")
-        if obj.side == SIDE_L2:
-            return _member_form(obj.transpose()), True
-        return _member_form(obj), False
+        member = obj.transpose() if obj.side == SIDE_L2 else obj
+        return (row_reduction(member, *member.field.reflector(member.ansatz)),
+                obj.side == SIDE_L2)
     if isinstance(obj, TrimResult):
         try:
             obj.check_source(p)
         except SchemaError as e:
             raise PreconditionError(str(e)) from e
-        if obj.side == SIDE_L2:
-            return _trim_form(obj.transpose()), True
-        return _trim_form(obj), False
+        return obj._form, obj.side == SIDE_L2
     raise PreconditionError("a bare pencil has no witness")
 
 

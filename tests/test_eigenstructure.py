@@ -930,6 +930,24 @@ class TestFiniteRoute:
         # every compression, then all three 2 x 2 minors of the 3 x 2 case
         assert len(tried) == len(eigenstructure.COMPRESSIONS) + 3
 
+    def test_rank_one_compressions_reach_the_divisor(self, monkeypatch):
+        # weights in an arithmetic progression give every compression of
+        # this P the spurious factor 2 - l; no minor should be needed
+        tried = []
+        real = eigenstructure._multiples
+
+        def counted(p, r):
+            for d in real(p, r):
+                tried.append(d)
+                yield d
+
+        monkeypatch.setattr(eigenstructure, "_multiples", counted)
+        p = poly([[0, 0, 0], [0, 0, 0]], [[1, 0, 1], [0, 0, 0]],
+                 [[0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]])
+        assert complete_eigenstructure(p).finite == \
+            (((Fraction(0), Fraction(1)), (1,)),)
+        assert 0 < len(tried) <= len(eigenstructure.COMPRESSIONS)
+
     def test_exponents_must_add_up_to_the_multiplicity(self, monkeypatch):
         p = diag_poly([QQL.one, qp((-1, 1)) ** 2], 2, 2)
         assert complete_eigenstructure(p).finite == \

@@ -465,32 +465,38 @@ class TestFactorCertificate:
             with pytest.raises(VerificationError):
                 certify_linearization(obj, p, strong=True)
 
-    def test_permutations(self):
+    def test_permutations(self, monkeypatch):
         form, p = member_form()
         b = form.b.copy()
         b[0] = b[1]
+        with pytest.raises(VerificationError):
+            replace(form, b=b).certify(p)
+        # t follows from Z's shape; one that misses the padding is refused
         t = form.t.copy()
         m = form.top.m
         t[[m, m + 1]] = t[[m + 1, m]]
-        with pytest.raises(VerificationError):
-            replace(form, b=b).certify(p)
+        monkeypatch.setattr(reduction._KronForm, "t", property(lambda s: t))
         with pytest.raises(VerificationError, match="permutations"):
-            replace(form, t=t).certify(p)
+            form.certify(p)
 
     def test_singular_factors_fall_back(self, monkeypatch):
         form, p = member_form()
-        w = form.w.copy()
-        w[:, 1] = w[:, 0]
-        for broken in (replace(form, alpha=xla.frac(0)), replace(form, w=w),
-                       replace(form, m_mat=xla.fzeros(3, 3))):
+        z = form.Z.copy()
+        z[:, 1] = z[:, 0]
+        record = trim(companion_g1(p))._form
+        rt = record.Z.copy()
+        rt[:, 1] = rt[:, 0]
+        for broken in (replace(form, alpha=xla.frac(0)), replace(form, Z=z),
+                       replace(form, M=xla.fzeros(3, 3)),
+                       replace(record, Z=rt)):
             assert not broken.nonsingular()
             with pytest.raises(PreconditionError):
                 broken.witnesses()
-        # a check whose form has a singular [Z | N] settles by structure,
+        # a check whose member's Z is rank deficient settles by structure,
         # as when no form can be built
         member = companion_g1(p)
-        monkeypatch.setattr(reduction, "_member_form",
-                            lambda l: replace(form, w=w))
+        monkeypatch.setattr(reduction, "row_reduction",
+                            lambda l, m_mat, alpha: replace(form, Z=z))
         assert not certify_linearization(member, p, strong=True)
         assert check_g_linearization(member, p, strong=True) == \
             _padded_verdict(member.pencil, p, 2, True)
@@ -531,6 +537,40 @@ class TestFactorCertificate:
         for obj in (companion_g1(p), trim(companion_g1(p))):
             with pytest.raises(VerificationError, match="fixed identities"):
                 certify_linearization(obj, p)
+
+
+class TestMemberForm:
+    """row_reduction's form is the one that z_block, trim and the
+    certificate read."""
+
+    def test_nonsingular_exactly_when_the_complement_exists(self):
+        wide = rand_poly(np.random.default_rng(52), 2, 3, 2)
+        # a grade-1 wide member: its Z is 0 x 0, square, yet it has no W
+        flat = rand_poly(np.random.default_rng(53), 2, 3, 1)
+        members = [member for member, _ in certificate_cases()]
+        members += [build_l1(wide, [1, 0], xla.fzeros(4, 3)), case1_member(),
+                    AnsatzPencil(flat, SIDE_L1, xla.fvec([1]), flat)]
+        seen = set()
+        for member in members:
+            right = member if member.side == SIDE_L1 else member.transpose()
+            m_mat, alpha = reflector_for(right.ansatz, right.field)
+            form = row_reduction(right, m_mat, alpha)
+            try:
+                form.complement()
+                ok = True
+            except PreconditionError:
+                ok = False
+            assert form.nonsingular() == ok
+            seen.add(ok)
+            z = z_block(member, m_mat, alpha)
+            assert xla.is_zero(
+                (z if member.side == SIDE_L1 else z.T) - form.Z)
+            if ok and form.Z.shape[0] == form.Z.shape[1]:
+                assert form.W is form.Z
+        assert seen == {True, False}
+        # a record's square Rt is its own W: no kernel is eliminated
+        record = trim(companion_g1(case3_poly()))._form
+        assert record.W is record.Z and record.nonsingular()
 
 
 class TestTrim:
