@@ -16,7 +16,7 @@ from .reduction import (TrimResult, certify_linearization, full_z_rank,
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT, MinimalBasis,
                       embed_right, lift_left, minimal_basis, project_ansatz,
-                      recover_minimal, recover_sides, special_left_basis)
+                      recover_minimal, recover_sides)
 from .eigenstructure import (EigStructure, Verdict, check_g_linearization,
                              check_linearization, complete_eigenstructure,
                              index_sum_check, smith_form)
@@ -39,7 +39,7 @@ __all__ = [
     "MODE_TRIMMED_L1", "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT",
     "MinimalBasis", "embed_right", "lift_left", "minimal_basis",
     "project_ansatz",
-    "recover_minimal", "recover_sides", "special_left_basis",
+    "recover_minimal", "recover_sides",
     "EigStructure", "Verdict",
     "check_g_linearization", "check_linearization",
     "complete_eigenstructure", "index_sum_check", "smith_form",

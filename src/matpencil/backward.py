@@ -176,7 +176,8 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
         db = _require_pencil(delta_b, "row perturbation")
         dbn = db.frob_norm()
     if rt is not None and dbn is not None:
-        if not dbn < _smin(rt) / (2.0 * k ** 1.5):
+        sig_r = _smin(rt)
+        if not dbn < sig_r / (2.0 * k ** 1.5):
             raise PreconditionError("row perturbation exceeds the dual "
                                     "completion radius")
     field = bp.field
@@ -194,7 +195,7 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
     if not field.negligible(bp.matmul(lam + dd), bp, lam + dd):
         raise VerificationError("dual completion residual above tolerance")
     if rt is not None and dbn is not None:
-        limit = k * math.sqrt(2.0) / _smin(rt) * dbn
+        limit = k * math.sqrt(2.0) / sig_r * dbn
         if dd.frob_norm() > limit * (1.0 + 1e-12):
             raise VerificationError("dual completion norm bound failed")
     if not _is_block_minimal(bp, k):

@@ -14,10 +14,11 @@ growing convolution matrices.
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
 ansatz member's left nullvectors down, lifting a left nullvector into a
-member with full lower-block rank, and the combined recovery driver.
-Both left-side maps read the member alone, through its block-row
-reduction (M kron I)*L, and carry vectors back by applying M^T to their k
-blocks; neither needs a trimming record or forms M kron I.
+member with full lower-block rank, and one recovery routine for members
+and trimming records alike. A member's left recovery and lift_left read
+the member alone, through its block-row reduction (M kron I)*L, and carry
+vectors back by applying M^T to their k blocks; neither needs a trimming
+record or forms M kron I.
 """
 
 from dataclasses import dataclass
@@ -28,8 +29,7 @@ from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of
 from .matpoly import MatPoly, block_apply, lambda_vec, shear_s, _require_keys
-from .reduction import (WIDE_REFUSAL, TrimResult, row_reduction,
-                        transposed_problem)
+from .reduction import WIDE_REFUSAL, TrimResult, transposed_problem
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
 SIDE_RIGHT = "right"
@@ -294,16 +294,10 @@ def _certify(basis: MinimalBasis, p: MatPoly):
                else v.transpose().matmul(p))
         if not p.field.negligible(res, p, v):
             raise VerificationError("basis vector fails the residual check")
-    _check_independent(basis)
-
-
-def _check_independent(basis: MinimalBasis):
-    """Full column rank of the leading matrix, so the basis is column
-    reduced; that implies full normal rank of the stacked vectors
-    (Forney, SIAM J. Control 13, 1975). Raises otherwise."""
-    if basis.count == 0:
-        return
-    if basis.field.rank(basis.leading_matrix()) != basis.count:
+    # a full-column-rank leading matrix makes the basis column reduced,
+    # which implies full normal rank of the stacked vectors (Forney, SIAM
+    # J. Control 13, 1975)
+    if basis.count and basis.field.rank(basis.leading_matrix()) != basis.count:
         raise VerificationError("leading coefficient matrix is rank deficient")
 
 
@@ -336,7 +330,7 @@ def _reduce(l: AnsatzPencil):
     tall and Z has full column rank."""
     if not isinstance(l, AnsatzPencil) or l.side != SIDE_L1:
         raise PreconditionError("needs a right-space member; transpose first")
-    red = row_reduction(l, *l.field.reflector(l.ansatz))
+    red = l._form
     return red, red.complement()
 
 
@@ -388,61 +382,6 @@ def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
     if y.degree != delta:
         raise VerificationError("lift changed the degree")
     return y
-
-
-def special_left_basis(l: AnsatzPencil, normal_rank=None) -> MinimalBasis:
-    """Left minimal basis of the member whose constant head spans the
-    kernel of the ansatz projection.
-
-    The first (k-1)(m-n) vectors are constants built from the left
-    complement of Z; the rest of a freshly computed minimal basis is
-    kept, with its constant vectors greedily swapped in until the
-    constant count matches. The degrees are those of the minimal basis;
-    the result is re-checked for a full-rank leading matrix, which
-    certifies independence.  normal_rank is minimal_basis's, for the
-    member's pencil.
-    """
-    red, comp = _reduce(l)
-    field = l.field
-    m = l.poly.m
-    base = minimal_basis(l.pencil, SIDE_LEFT, normal_rank)
-    if comp.shape[1] == 0:
-        return base
-
-    kernel = []
-    for j in range(comp.shape[1]):
-        col = field.zeros(l.pencil.m, 1)
-        col[m:, 0] = comp[:, j]
-        u = MatPoly([block_apply(red.M.T, col)], field)
-        if not field.negligible(u.transpose().matmul(l.pencil), l.pencil, u):
-            raise VerificationError("kernel vector fails the pencil residual")
-        kernel.append(u)
-
-    constants = [v for v, e in zip(base.vectors, base.indices) if e == 0]
-    higher = [(v, e) for v, e in zip(base.vectors, base.indices) if e > 0]
-    span = []
-    for u in kernel:
-        if not field.span_add(span, u.coeff(0)[:, 0]):
-            raise VerificationError("kernel vectors are dependent")
-    picked = []
-    for v in constants:
-        if len(kernel) + len(picked) == len(constants):
-            break
-        if field.span_add(span, v.coeff(0)[:, 0]):
-            picked.append(v)
-    if len(kernel) + len(picked) != len(constants):
-        raise VerificationError(
-            "constant completion failed; no special basis found")
-
-    vectors = tuple(kernel + picked + [v for v, _ in higher])
-    indices = tuple([0] * len(constants) + [e for _, e in higher])
-    result = MinimalBasis(SIDE_LEFT, vectors, indices, field)
-    _check_independent(result)
-    return result
-
-
-def _flip(side: str) -> str:
-    return SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
 
 
 def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, normal_rank):
@@ -502,10 +441,10 @@ def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
     """Minimal basis of p read off from a pencil built from it.
 
     Right bases of right-space members and their trims are Kronecker
-    towers and are peeled; left bases go through the special basis and
-    the ansatz projection, with the trimming selector transposed in when
-    the source is a trimmed pencil. Left-space sources run the same rules
-    on the transposed problem.
+    towers and are peeled; left bases go through the ansatz projection,
+    a member's less the constants that span the projection's kernel and a
+    trimmed pencil's with the trimming selector transposed in. Left-space
+    sources run the same rules on the transposed problem.
     """
     return recover_sides(source, p, (side,), mode)[0]
 
@@ -528,8 +467,10 @@ def recover_sides(source, p, sides, mode: str) -> tuple:
             raise SchemaError("mode expects a left-space source")
         dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
         with transposed_problem():
-            dual = recover_sides(source.transpose(), p.transpose(),
-                                 [_flip(side) for side in sides], dual_mode)
+            dual = recover_sides(
+                source.transpose(), p.transpose(),
+                [SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
+                 for side in sides], dual_mode)
         return tuple(MinimalBasis(side, d.vectors, d.indices, d.field)
                      for side, d in zip(sides, dual))
 
@@ -539,42 +480,75 @@ def recover_sides(source, p, sides, mode: str) -> tuple:
             raise SchemaError("mode expects a right-space member")
         if not source.poly.equal(p):
             raise SchemaError("member was built from a different polynomial")
-        return tuple(_recover_glin(source, p, side, p_rank, pencil_rank)
-                     for side in sides)
-    if not isinstance(source, TrimResult) or source.side != SIDE_L1:
-        raise SchemaError("mode expects a right-space trimming record")
-    source.check_source(p)
-    return tuple(_recover_trimmed(source, p, side, p_rank, pencil_rank)
+    else:
+        if not isinstance(source, TrimResult) or source.side != SIDE_L1:
+            raise SchemaError("mode expects a right-space trimming record")
+        source.check_source(p)
+    return tuple(_recover(source, p, side, p_rank, pencil_rank)
                  for side in sides)
 
 
-def _recover_glin(l: AnsatzPencil, p: MatPoly, side: str, p_rank,
-                  pencil_rank) -> MinimalBasis:
+def _recover(source, p: MatPoly, side: str, p_rank,
+             pencil_rank) -> MinimalBasis:
+    """One side of recover_sides from a right-space member or trimming
+    record.  Right bases of both are Kronecker towers and are peeled.  A
+    left basis of either is carried to P by the ansatz projection, a
+    record's through D^T first; a member's is P's lifted plus (k-1)(m-n)
+    constants that span the projection's kernel, which are dropped."""
+    member = isinstance(source, AnsatzPencil)
+    pencil = source.pencil if member else source.Lt
     if side == SIDE_RIGHT:
         # every right nullvector of L is a tower exactly when L has as many
         # as P; a wide P's member has more unless P is rank deficient
-        if p.m < p.n and (l.k * p.n - pencil_rank(l.pencil)
-                          > p.n - p_rank(p)):
+        if member and p.m < p.n and (source.k * p.n - pencil_rank(pencil)
+                                     > p.n - p_rank(p)):
             raise PreconditionError(WIDE_REFUSAL)
-        base = minimal_basis(l.pencil, SIDE_RIGHT, pencil_rank)
-        return _strip_tower(base, p, l.k, p_rank)
-    # the first (k-1)(m-n) vectors span the projection's kernel
-    sb = special_left_basis(l, pencil_rank)
-    kept = sb.vectors[(l.k - 1) * (p.m - p.n):]
-    qs = [project_ansatz(l.ansatz, y, p.m) for y in kept]
+        base = minimal_basis(pencil, SIDE_RIGHT, pencil_rank)
+        return _strip_tower(base, p, source.k, p_rank)
+    if member:
+        red, comp = _reduce(source)
+    base = minimal_basis(pencil, SIDE_LEFT, pencil_rank)
+    if member:
+        v, kept = source.ansatz, _past_kernel(source, red, comp, base)
+    else:
+        v, dt = source.ansatz(), source.D.T
+        kept = [MatPoly([dt @ c for c in y.coeffs], p.field)
+                for y in base.vectors]
+    qs = [project_ansatz(v, y, p.m) for y in kept]
     return _pack_checked(qs, p, SIDE_LEFT, p_rank)
 
 
-def _recover_trimmed(tr: TrimResult, p: MatPoly, side: str, p_rank,
-                     pencil_rank) -> MinimalBasis:
-    if side == SIDE_RIGHT:
-        base = minimal_basis(tr.Lt, SIDE_RIGHT, pencil_rank)
-        return _strip_tower(base, p, tr.k, p_rank)
-    base = minimal_basis(tr.Lt, SIDE_LEFT, pencil_rank)
-    v = tr.ansatz()
-    dt = tr.D.T
-    qs = []
-    for y in base.vectors:
-        lifted = MatPoly([dt @ cc for cc in y.coeffs], p.field)
-        qs.append(project_ansatz(v, lifted, p.m))
-    return _pack_checked(qs, p, SIDE_LEFT, p_rank)
+def _past_kernel(l: AnsatzPencil, red, comp, base: MinimalBasis) -> list:
+    """The vectors of the member's left minimal basis that project to P's:
+    with the constants (M^T kron I)[0; N] spanning the projection's
+    kernel, N = comp the left complement of Z, the base's constants that
+    extend that span, in order, until it is as large as the base's
+    constant count, then every higher vector.  Selecting here rather than
+    among the projections keeps a float projection that vanishes up to
+    rounding from counting as independent."""
+    if comp.shape[1] == 0:
+        return list(base.vectors)
+    field, m = l.field, l.poly.m
+    kernel = []
+    for j in range(comp.shape[1]):
+        col = field.zeros(l.pencil.m, 1)
+        col[m:, 0] = comp[:, j]
+        u = MatPoly([block_apply(red.M.T, col)], field)
+        if not field.negligible(u.transpose().matmul(l.pencil), l.pencil, u):
+            raise VerificationError("kernel vector fails the pencil residual")
+        kernel.append(u)
+    span = []
+    for u in kernel:
+        if not field.span_add(span, u.coeff(0)[:, 0]):
+            raise VerificationError("kernel vectors are dependent")
+    constants = [y for y, e in zip(base.vectors, base.indices) if e == 0]
+    picked = []
+    for y in constants:
+        if len(span) == len(constants):
+            break
+        if field.span_add(span, y.coeff(0)[:, 0]):
+            picked.append(y)
+    if len(span) != len(constants):
+        raise VerificationError(
+            "constant completion failed; no special basis found")
+    return picked + [y for y, e in zip(base.vectors, base.indices) if e > 0]

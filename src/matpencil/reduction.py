@@ -6,10 +6,12 @@ decides everything: full rank makes L a strong linearization candidate and
 admits a trimming step that deletes the redundant rows. M and its inverse
 act on the k block rows directly (``block_apply``); M kron I is never
 formed. ``row_reduction`` returns that reduced member as its
-block-Kronecker form, and a trimming record carries one of its own; z_rank,
-the trimming, the left recovery and the linearization certificate all read
-those forms, and each form checks the two factor identities it rests on
-(the top strip's shifted sum and the constant-factor image) in one place.
+block-Kronecker form, which each member builds once and keeps
+(``AnsatzPencil._form``), and a trimming record carries one of its own;
+z_rank, the trimming, the left recovery and the linearization certificate
+all read those forms, and each form checks the two factor identities it
+rests on (the top strip's shifted sum and the constant-factor image) in
+one place.
 This module also builds the explicit unimodular witnesses those identities
 imply.
 """
@@ -294,8 +296,9 @@ def z_block(l: AnsatzPencil, m_mat, alpha):
 
 
 def z_rank(l: AnsatzPencil) -> int:
-    m_mat, alpha = reflector_for(l.ansatz, l.field)
-    return l.field.rank(z_block(l, m_mat, alpha))
+    """Rank of the Z block of the member's own block-Kronecker form."""
+    z = l._form.Z
+    return l.field.rank(z.T if l.side == SIDE_L2 else z)
 
 
 def max_z_rank(l: AnsatzPencil) -> int:
@@ -503,8 +506,8 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     cn = (k - 1) * n
-    m_mat, alpha = field.reflector(l.ansatz)
-    red = row_reduction(l, m_mat, alpha)
+    red = l._form
+    m_mat, alpha = red.M, red.alpha
     q1, q2, rt, q1_star, q2_star = field.factor_z(red.Z, red.complement())
 
     if d is None:
@@ -555,9 +558,7 @@ def _kron_form(obj, p: MatPoly):
     if isinstance(obj, AnsatzPencil):
         if obj.poly.grade != p.grade or not obj.poly.equal(p):
             raise PreconditionError("member was built from another polynomial")
-        member = obj.transpose() if obj.side == SIDE_L2 else obj
-        return (row_reduction(member, *member.field.reflector(member.ansatz)),
-                obj.side == SIDE_L2)
+        return obj._form, obj.side == SIDE_L2
     if isinstance(obj, TrimResult):
         try:
             obj.check_source(p)

@@ -10,6 +10,7 @@ holds iff the shifted sum [X 0] + [0 Y] equals v ⊗ [A_k ... A_0].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,16 @@ class AnsatzPencil:
     @property
     def field(self) -> str:
         return self.pencil.field
+
+    @cached_property
+    def _form(self):
+        """The block-Kronecker form under the ansatz vector's reflector
+        (reduction.row_reduction), built once per member: a left-space
+        member's form is its transpose's."""
+        if self.side == SIDE_L2:
+            return self.transpose()._form
+        from .reduction import row_reduction  # reduction imports this module
+        return row_reduction(self, *self.field.reflector(self.ansatz))
 
     def transpose(self) -> "AnsatzPencil":
         """The transposed pencil lives in the opposite space of the

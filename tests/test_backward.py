@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matpencil import backward
 from matpencil import exactla as xla
 from matpencil.backward import (
     AppendixMatrices,
@@ -238,6 +239,22 @@ class TestDualCompletion:
         res = (tr.b_block() + db).matmul(
             lambda_vec(k, n, FIELD_RATIONAL) + dd)
         assert res.is_zero()
+
+    def test_one_sigma_min_of_rt_per_call(self, monkeypatch):
+        tr = trim(companion_g1(case3_poly().to_float()))
+        k, n = tr.k, tr.n
+        db = MatPoly.zero((k - 1) * n, k * n, 1, FIELD_FLOAT)
+        db.coeffs[0][0, 0] = 1e-3
+        seen = []
+        real = backward._smin
+
+        def counted(a):
+            seen.append(a is tr.Rt)
+            return real(a)
+
+        monkeypatch.setattr(backward, "_smin", counted)
+        dual_completion(tr.b_block() + db, k, n, rt=tr.Rt, delta_b=db)
+        assert seen.count(True) == 1
 
     def test_radius_precondition(self):
         rng = np.random.default_rng(11)

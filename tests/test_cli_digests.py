@@ -304,3 +304,58 @@ def test_planted_left_null_vector_recovery_pinned(tmp_path, side):
              "trimmed_L" + side])),
     }
     assert got == PLANTED_DIGESTS[side]
+
+
+# A tall 4x2 k=2 polynomial whose third row is the first plus twice the
+# second in every coefficient, and a member of its right space with a
+# random ansatz vector and free block.  The member's left minimal basis
+# holds (k-1)(m-n) = 2 constants beyond P's lifted basis, which span the
+# kernel of the ansatz projection and are dropped; the vectors that
+# remain project to a different basis of P than the trimmed route gives.
+RANDOM_MEMBER_COEFFS = [
+    [[3, 0], [3, 0], [9, 0], [1, 0]],
+    [[0, 3], [3, -1], [6, 1], [1, -2]],
+    [[1, -2], [-1, -2], [-1, -6], [1, 3]],
+]
+RANDOM_MEMBER_ANSATZ = [-1, 1]
+RANDOM_MEMBER_W = [[2, 3], [1, -2], [-1, -3], [2, -3], [3, 2], [-1, 0],
+                   [1, -3], [-1, 0]]
+
+RANDOM_MEMBER_DIGESTS = {
+    "recover_glin_left":
+        "b50c3afd0c4e1db784e4dec83deb526d72f0f62532685bf9233b16ca6877bf03",
+    "recover_trimmed_left":
+        "423e965d3138572403dd7b3dab5fa96ab35a9e60bc651c6e6c38d9f08f192076",
+}
+
+
+def test_random_member_left_recovery_pinned(tmp_path):
+    def strings(rows):
+        return [[str(x) for x in row] for row in rows]
+
+    poly = tmp_path / "p.json"
+    ansatz = tmp_path / "v.json"
+    free = tmp_path / "w.json"
+    member = tmp_path / "l.json"
+    trimmed = tmp_path / "t.json"
+    poly.write_text(dump_json({
+        "m": 4, "n": 2, "grade": 2, "field": "rational",
+        "coeffs": [strings(c) for c in RANDOM_MEMBER_COEFFS]}))
+    ansatz.write_text(dump_json([str(x) for x in RANDOM_MEMBER_ANSATZ]))
+    free.write_text(dump_json(strings(RANDOM_MEMBER_W)))
+    member.write_text(_stdout(["build", str(poly), "--side", "l1",
+                               "--ansatz", str(ansatz), "--w", str(free)]))
+    trimmed.write_text(_stdout(["trim", str(member)]))
+    texts = {
+        "recover_glin_left": _stdout(
+            ["recover", str(member), str(poly), "--mode", "glin_L1",
+             "--side", "left"]),
+        "recover_trimmed_left": _stdout(
+            ["recover", str(trimmed), str(poly), "--mode", "trimmed_L1",
+             "--side", "left"]),
+    }
+    left = {name: json.loads(text)["left"] for name, text in texts.items()}
+    assert left["recover_glin_left"]["indices"] == [0, 3]
+    assert left["recover_glin_left"] != left["recover_trimmed_left"]
+    got = {name: _digest(text) for name, text in texts.items()}
+    assert got == RANDOM_MEMBER_DIGESTS

@@ -20,8 +20,8 @@ from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MinimalBasis, _pack_checked, embed_right,
                                index_walk, lift_left, minimal_basis,
                                pencil_indices, project_ansatz,
-                               recover_minimal, special_left_basis)
-from matpencil.reduction import trim
+                               recover_minimal)
+from matpencil.reduction import full_z_rank, trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
 
 
@@ -296,17 +296,30 @@ class TestLift:
             assert project_ansatz([1, 0], y, 3).equal(q)
 
 
+def constants(basis: MinimalBasis) -> int:
+    return sum(1 for e in basis.indices if e == 0)
+
+
 class TestSpecialBasis:
+    """A right-space member's left minimal basis is P's lifted plus
+    (k-1)(m-n) constants spanning the kernel of the ansatz projection;
+    the glin recovery drops those constants before projecting."""
+
     def test_case2_companion(self):
-        sb = special_left_basis(companion_g1(case2_poly()))
-        assert sb.indices == (0, 0, 1)
-        assert sb.vectors[0].equal(vec_poly([0, 0, 0, 0, 0, 1]))
+        p = case2_poly()
+        l = companion_g1(p)
+        lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+        assert minimal_basis(l.pencil, SIDE_LEFT).indices == (0, 0, 1)
+        assert lb.indices == (0, 1)
+        assert spans_line(lb.vectors[0], vec_poly([0, 0, 1]))
 
     def test_case3_member(self):
-        sb = special_left_basis(case3_member())
-        assert sb.indices == (0, 0)
-        # M swaps the two blocks, so the kernel vector lands on top
-        assert sb.vectors[0].equal(vec_poly([0, 0, 1, 0, 0, 0]))
+        # case 3's ansatz vector is not e1, so M is not I
+        l = case3_member()
+        assert minimal_basis(l.pencil, SIDE_LEFT).indices == (0, 0)
+        lb = recover_minimal(l, case3_poly(), SIDE_LEFT, MODE_GLIN_L1)
+        assert lb.indices == (0,)
+        assert spans_line(lb.vectors[0], vec_poly([-2, -1, 1]))
 
     def test_square_returns_plain_basis(self):
         a0 = [[0, 0], [0, 1]]
@@ -315,33 +328,60 @@ class TestSpecialBasis:
         p = MatPoly([xla.fmat(a0), xla.fmat(a1), xla.fmat(a2)],
                     FIELD_RATIONAL)
         l = companion_g1(p)
-        sb = special_left_basis(l)
-        assert same_basis(sb, minimal_basis(l.pencil, SIDE_LEFT))
+        base = minimal_basis(l.pencil, SIDE_LEFT)
+        lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+        assert lb.indices == base.indices
+        assert all(spans_line(q, project_ansatz(l.ansatz, y, p.m))
+                   for q, y in zip(lb.vectors, base.vectors))
 
     def test_generic_tall_has_only_kernel_zeros(self):
         rng = np.random.default_rng(37)
+        polys = [planted_left_poly(rng) for _ in range(2)]
         for _ in range(3):
-            coeffs = [xla.fmat(rng.integers(-4, 5, size=(3, 2)).tolist())
-                      for _ in range(3)]
-            p = MatPoly(coeffs, FIELD_RATIONAL)
-            flat = np.hstack([np.array(c, dtype=object) for c in p.coeffs])
-            if xla.rank(flat) < 3:
-                continue
-            sb = special_left_basis(companion_g1(p))
-            assert sum(1 for e in sb.indices if e == 0) == 1
+            polys.append(MatPoly([xla.fmat(rng.integers(-4, 5, size=(3, 2))
+                                           .tolist()) for _ in range(3)],
+                                 FIELD_RATIONAL))
+        polys.append(planted_poly(np.random.default_rng(70), 4, 3, 3))
+        for m, k in ((4, 2), (5, 3)):
+            # rows past the second repeat row 0 plus row 1: m - 2 constants
+            p = int_poly(rng, m, 2, k)
+            for c in p.coeffs:
+                c[2:] = c[0] + c[1]
+            polys.append(p)
+        seen = set()
+        for p in polys:
+            k = p.grade
+            w = rng.integers(-3, 4, size=(k * p.m, (k - 1) * p.n)).tolist()
+            members = [companion_g1(p), build_l1(p, [2, -1] + [1] * (k - 2),
+                                                 xla.fmat(w))]
+            for l in members:
+                assert full_z_rank(l)
+                lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+                extra = (k - 1) * (p.m - p.n)
+                assert constants(minimal_basis(l.pencil, SIDE_LEFT)) \
+                    == constants(lb) + extra
+                assert constants(lb) == constants(minimal_basis(p, SIDE_LEFT))
+                seen.add(constants(lb))
+        assert seen == {0, 2, 3}
 
     def test_deficient_z_refused(self):
         with pytest.raises(PreconditionError,
                            match="lower block is rank deficient; cannot trim"):
-            special_left_basis(case1_member())
+            recover_minimal(case1_member(), case1_poly(), SIDE_LEFT,
+                            MODE_GLIN_L1)
+        pw = case2_poly().transpose()
         with pytest.raises(PreconditionError,
                            match="wide polynomials trim through the left"):
-            special_left_basis(companion_g1(case2_poly().transpose()))
+            recover_minimal(companion_g1(pw), pw, SIDE_LEFT, MODE_GLIN_L1)
 
     def test_left_space_member_refused(self):
-        l2 = companion_g2(case2_poly().transpose())
-        with pytest.raises(PreconditionError):
-            special_left_basis(l2)
+        pw = case2_poly().transpose()
+        l2 = companion_g2(pw)
+        with pytest.raises(SchemaError, match="expects a right-space member"):
+            recover_minimal(l2, pw, SIDE_LEFT, MODE_GLIN_L1)
+        with pytest.raises(PreconditionError,
+                           match="needs a right-space member"):
+            lift_left(vec_poly([1, 0]), l2)
 
 
 class TestRecover:

@@ -21,7 +21,7 @@ from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
 from matpencil import reduction
 from matpencil.reduction import (TrimResult, certify_linearization,
                                  full_z_rank, g_lin_witnesses,
-                                 linearization_witnesses,
+                                 linearization_witnesses, max_z_rank,
                                  reflector_for, row_reduction, trim,
                                  verify_witnesses, z_block, z_rank)
 from matpencil.spaces import (SIDE_L1, AnsatzPencil, build_l1, build_l2,
@@ -571,6 +571,25 @@ class TestMemberForm:
         # a record's square Rt is its own W: no kernel is eliminated
         record = trim(companion_g1(case3_poly()))._form
         assert record.W is record.Z and record.nonsingular()
+
+    def test_one_reduction_per_member(self, monkeypatch):
+        """A strong check and its z_rank reduce the member once; a
+        left-space member's form is its transpose's."""
+        calls = []
+        real = reduction.row_reduction
+
+        def counted(l, m_mat, alpha):
+            calls.append(l.side)
+            return real(l, m_mat, alpha)
+
+        monkeypatch.setattr(reduction, "row_reduction", counted)
+        p = case3_poly()
+        for member, q in ((companion_g1(p), p),
+                          (companion_g2(p.transpose()), p.transpose())):
+            calls.clear()
+            assert check_g_linearization(member, q, strong=True).ok
+            assert z_rank(member) == max_z_rank(member)
+            assert calls == [SIDE_L1]
 
 
 class TestTrim:
