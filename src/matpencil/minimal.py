@@ -6,10 +6,14 @@ degrees are the minimal indices. The construction here walks the
 nullspaces of the convolution matrices degree by degree and keeps every
 candidate whose leading coefficient extends a row-reduced leading matrix,
 which certifies minimality as it goes; walk_indices reads the indices
-alone off the ranks of the same matrices, on either field. A float
-pencil's indices can also be read off Van Dooren's staircase
-(pencil_indices), whose SVDs are of blocks of the pencil rather than of
-growing convolution matrices.
+alone off the ranks of the same matrices, on either field. Its walks
+start past one rank probe per side: the Index Sum Theorem bounds the
+least index, and a full-rank, clear decision just below that bound
+settles every lower degree at once. A probe that fails leaves the walk
+to run from degree 0, and its decision adds no flag unless the walk
+reaches it. A float pencil's indices can also be read off Van Dooren's
+staircase (pencil_indices), whose SVDs are of blocks of the pencil
+rather than of growing convolution matrices.
 
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
@@ -137,7 +141,7 @@ class MinimalBasis:
         return cls(d["side"], tuple(vecs), tuple(d["indices"]), field)
 
 
-def index_walk(p: MatPoly, want: int, step) -> tuple:
+def index_walk(p: MatPoly, want: int, step, start: int = 0) -> tuple:
     """The want ascending indices whose count grows, from degree d - 1 to
     d, by the number of indices <= d; that growth may never shrink, and
     every index is at most grade * min(m, n).
@@ -147,12 +151,13 @@ def index_walk(p: MatPoly, want: int, step) -> tuple:
     by p (De Terán, Dopico & Mackey, ELA 18, 2009), or a rank for the
     infinite degrees.  When the caller selects basis vectors as it goes,
     step also returns how many it holds so far (else None); that count
-    must equal the growth at the same degree.
+    must equal the growth at the same degree.  The walk begins at start,
+    below which the caller has shown every count to be 0.
     """
     bound = p.grade * min(p.m, p.n)
     indices = []
     prev_count = 0
-    d = 0
+    d = start
     while len(indices) < want:
         if d > bound:
             raise VerificationError("index walk passed the degree bound")
@@ -172,18 +177,46 @@ def index_walk(p: MatPoly, want: int, step) -> tuple:
 def walk_indices(p: MatPoly, nrank: int):
     """Right and left minimal indices of p, of normal rank nrank, from the
     ranks of its convolution matrices alone, and whether every rank
-    decision stayed clear of the field's cut (always, when exact)."""
+    decision stayed clear of the field's cut (always, when exact).
+
+    One probe per side skips the degrees that carry no index.  The Index
+    Sum Theorem (De Terán, Dopico & Mackey, LAA 459, 2014) bounds the
+    want indices of a side by S = grade * nrank (less the right indices'
+    sum, on the left), so the least is at most S // want.  If conv(D),
+    D = S // want - 1, has full column rank with a clear decision, the
+    walk starts at D + 1 with a count of 0.  That is sound on both fields:
+    conv(d - 1) with zero rows appended is the first d*n columns of
+    conv(d).  Over QQ full column rank at D gives it at every d <= D.  On
+    float64 full and clear means sigma_min > RANK_MARGIN * tol, with tol =
+    max(shape) * sigma_max * eps * RANK_SAFETY; as d falls sigma_min
+    cannot fall and sigma_max and max(shape) cannot grow, so each skipped
+    degree would report nullity 0, clearly.  Otherwise the walk runs from
+    0 and reuses the probe's rank if it reaches D; a probe the walk never
+    reaches adds no flag, since the walk made no decision there.
+    """
     clear = []
 
-    def indices(q, want):
-        def nullity(d):
-            rank, ok = q.field.rank_with_margin(q.conv_matrix(d))
-            clear.append(ok)
-            return (d + 1) * q.n - rank, None
-        return index_walk(q, want, nullity)
+    def indices(q, want, total):
+        ranks = {}
 
-    return (indices(p, p.n - nrank), indices(p.transpose(), p.m - nrank),
-            all(clear))
+        def rank(d):
+            if d not in ranks:
+                ranks[d] = q.field.rank_with_margin(q.conv_matrix(d))
+            return ranks[d]
+
+        def nullity(d):
+            r, ok = rank(d)
+            clear.append(ok)
+            return (d + 1) * q.n - r, None
+
+        probe = total // want - 1 if want > 0 else 0
+        full = probe >= 1 and rank(probe) == ((probe + 1) * q.n, True)
+        return index_walk(q, want, nullity, probe + 1 if full else 0)
+
+    total = p.grade * nrank
+    right = indices(p, p.n - nrank, total)
+    left = indices(p.transpose(), p.m - nrank, total - sum(right))
+    return right, left, all(clear)
 
 
 def _staircase(y, x):

@@ -93,7 +93,8 @@ def test_criterion_1_example_reproduction():
 
 
 def test_criterion_2_sigma_min_formula():
-    t0 = time.time()
+    # CPU time of this process: load on the host cannot fail the budget
+    t0 = time.process_time()
     worst = 0.0
     for k in range(2, 13):
         for n in range(1, 5):
@@ -102,7 +103,7 @@ def test_criterion_2_sigma_min_formula():
                 worst = max(worst, abs(formula - svd))
         s = 2.0 * math.sin(math.pi / (4 * k - 2))
         assert abs(s * s - appendix_lambda_min(k)) <= 1e-12
-    elapsed = time.time() - t0
+    elapsed = time.process_time() - t0
     assert worst <= 1e-10
     assert elapsed < 5.0
     print(f"criterion 2 (smallest singular value formula): PASS "

@@ -20,9 +20,10 @@ from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MinimalBasis, _pack_checked, embed_right,
                                index_walk, lift_left, minimal_basis,
                                pencil_indices, project_ansatz,
-                               recover_minimal)
+                               recover_minimal, walk_indices)
 from matpencil.reduction import full_z_rank, trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
+from walk_oracle import oracle_walk_indices
 
 
 def vec_poly(*coeff_lists, field=FIELD_RATIONAL):
@@ -648,6 +649,153 @@ class TestIndexWalk:
         with pytest.raises(VerificationError, match="selected index"):
             index_walk(self.poly, 3, step)
         assert calls == [0, 1]
+
+    def test_start_skips_the_degrees_below(self):
+        # the counts below degree 2 are known to be 0; growth 2, 3 from there
+        calls = []
+
+        def step(d):
+            calls.append(d)
+            return {2: 2, 3: 5}[d], None
+        assert index_walk(self.poly, 3, step, start=2) == (2, 2, 3)
+        assert calls == [2, 3]
+
+
+def float_poly(rng, m, n, k, inner=None, noise=0.0):
+    """Standard normal coefficients; with inner, a product A(l) B(l)
+    through that many columns, plus noise of the given size."""
+    def draw(rows, cols, grade):
+        return MatPoly([rng.standard_normal((rows, cols))
+                        for _ in range(grade + 1)], FIELD_FLOAT)
+    if inner is None:
+        return draw(m, n, k)
+    a = int(rng.integers(0, k + 1))
+    p = draw(m, inner, a).matmul(draw(inner, n, k - a))
+    return MatPoly([c + noise * rng.standard_normal(c.shape)
+                    for c in p.coeffs], FIELD_FLOAT)
+
+
+def walk_outcome(walk, p, nrank):
+    """The walk's result, or the class and message of what it raised."""
+    try:
+        return walk(p, nrank)
+    except VerificationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """Column counts of the matrices that rank_with_margin decides, with
+    each decision's clear flag, on both fields."""
+    log = []
+    for field in (FIELD_FLOAT, FIELD_RATIONAL):
+        real = type(field).rank_with_margin
+
+        def spy(self, a, real=real):
+            out = real(self, a)
+            log.append((a.shape[1], out[1]))
+            return out
+        monkeypatch.setattr(type(field), "rank_with_margin", spy)
+    return log
+
+
+def run_logged(log, walk, p, nrank):
+    log.clear()
+    out = walk_outcome(walk, p, nrank)
+    return out, list(log)
+
+
+class TestWalkProbe:
+    """walk_indices starts each walk past a rank probe placed by the Index
+    Sum Theorem; the linear walk of tests/walk_oracle.py is the reference
+    for indices, flags and raised messages."""
+
+    def test_float_inputs_match_the_oracle(self):
+        rng = np.random.default_rng(90)
+        unclear = 0
+        for i in range(600):
+            m, n = (int(x) for x in rng.integers(1, 6, size=2))
+            k = int(rng.integers(1, 4))
+            inner = None if i % 3 == 0 else int(rng.integers(1, min(m, n) + 1))
+            noise = 10.0 ** rng.uniform(-16, -6) if i % 3 == 2 else 0.0
+            p = float_poly(rng, m, n, k, inner, noise)
+            nrank = p.normal_rank()
+            want = walk_outcome(oracle_walk_indices, p, nrank)
+            assert walk_outcome(walk_indices, p, nrank) == want
+            unclear += not want[2]
+        assert unclear > 0  # near-cut decisions are among the inputs
+
+    def test_exact_inputs_match_the_oracle(self, ranked):
+        rng = np.random.default_rng(91)
+        fewer = more = 0
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for k in (1, 2, 3):
+                    polys = [int_poly(rng, m, n, k)]
+                    if n > 1:
+                        polys.append(planted_poly(rng, m, n, k))
+                    for p in polys:
+                        nrank = p.normal_rank()
+                        got, calls = run_logged(ranked, walk_indices, p,
+                                                nrank)
+                        want, oracle_calls = run_logged(
+                            ranked, oracle_walk_indices, p, nrank)
+                        assert got == want
+                        fewer += len(calls) < len(oracle_calls)
+                        more += len(calls) > len(oracle_calls)
+        # probes that settle a prefix, and probes that fail unreached
+        assert fewer > 0 and more > 0
+
+    @pytest.mark.parametrize("field", [FIELD_FLOAT, FIELD_RATIONAL])
+    def test_raised_messages_match_the_oracle(self, field):
+        # a normal rank one too low sends a walk past the degree bound
+        p = int_poly(np.random.default_rng(92), 3, 3, 2)
+        if field == FIELD_FLOAT:
+            p = p.to_float()
+        want = walk_outcome(oracle_walk_indices, p, 2)
+        assert want == ("VerificationError",
+                        "index walk passed the degree bound")
+        assert walk_outcome(walk_indices, p, 2) == want
+
+    def test_an_unreached_probe_near_the_cut_leaves_no_flag(self, ranked):
+        # (1 + l)^7 [l - 1, l - 1 - eta]: right index 1; the near-common
+        # root leaves a singular value 15 and 12 times the cut at degrees
+        # 0 and 1, which falls to 8 times the cut at the probe, degree 7
+        g = MatPoly([np.array([[float(math.comb(7, i))]]) for i in range(8)],
+                    FIELD_FLOAT)
+        ab = MatPoly([np.array([[-1.0, -1.0 - 2.5e-13]]),
+                      np.array([[1.0, 1.0]])], FIELD_FLOAT)
+        p = g.matmul(ab)
+        got, calls = run_logged(ranked, walk_indices, p, 1)
+        want, oracle_calls = run_logged(ranked, oracle_walk_indices, p, 1)
+        assert want == ((1,), (), True)
+        assert got == want
+        assert calls == [(16, False)] + oracle_calls
+
+    def test_generic_left_walk_ranks_two_matrices(self, ranked):
+        # 5x4 grade 3: one left index, 12; the probe at degree 11 is full
+        p = float_poly(np.random.default_rng(93), 5, 4, 3)
+        got, calls = run_logged(ranked, walk_indices, p, 4)
+        assert got == ((), (12,), True)
+        assert [cols // 5 - 1 for cols, _ in calls] == [11, 12]
+
+    def test_planted_right_index_costs_at_most_one_more_rank(self, ranked):
+        # a 4x1 grade-2 column times a 1x2 pencil: right index 1, below
+        # the probe at degree 2
+        p = planted_poly(np.random.default_rng(94), 4, 2, 3)
+        got, calls = run_logged(ranked, walk_indices, p, 1)
+        want, oracle_calls = run_logged(ranked, oracle_walk_indices, p, 1)
+        assert got == want and got[0] == (1,)
+        assert len(calls) <= len(oracle_calls) + 1
+
+    def test_a_reached_probe_is_ranked_once(self, ranked):
+        # right index 1 at normal rank 1, grade 2: the probe at degree 1
+        # fails, and the walk reuses its rank there
+        p = planted_right_poly(np.random.default_rng(95))
+        got, calls = run_logged(ranked, walk_indices, p, 1)
+        want, oracle_calls = run_logged(ranked, oracle_walk_indices, p, 1)
+        assert got == want and got[0] == (1,)
+        assert sorted(calls) == sorted(oracle_calls)
 
 
 def kron_l(eps):
