@@ -229,7 +229,7 @@ def perturbed_polynomial(a, da, dd, alpha) -> MatPoly:
     k = a.n // n
     lam = lambda_vec(k, n, a.field)
     out = (a + da).matmul(dd) + da.matmul(lam)
-    return out.scale(a.field.one / a.field.scalar(alpha))
+    return out.scale(a.field.div(a.field.one, a.field.scalar(alpha)))
 
 
 # ---------------------------------------------------------------------------

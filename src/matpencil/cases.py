@@ -12,8 +12,6 @@ Case 3: a dense 3x2 quadratic walked through reduction and trimming, with a
 published 5x4 trimmed pencil for an explicitly chosen row-selection matrix.
 """
 
-from fractions import Fraction
-
 from . import exactla as xla
 from .matpoly import FIELD_RATIONAL, MatPoly
 
@@ -57,13 +55,13 @@ def case2_witnesses():
                    [1, 0, 0, 0, 0, 0],
                    [0, 0, 0, 0, 0, 1]])
     e1 = xla.fzeros(6, 6)
-    e1[0, 3] = xla.ONE
+    e1[0, 3] = 1
     f0 = xla.fmat([[0, 1, 0, 0],
                    [0, 0, 0, 1],
                    [-1, 0, 0, 0],
                    [0, -1, 1, 0]])
     f1 = xla.fzeros(4, 4)
-    f1[1, 1] = -xla.ONE
+    f1[1, 1] = -1
     return (MatPoly([e0, e1], FIELD_RATIONAL),
             MatPoly([f0, f1], FIELD_RATIONAL))
 
@@ -143,4 +141,4 @@ def case3_eval_at_one():
     return xla.fmat([[5, 13], [13, 12], [23, 38]])
 
 
-CASE3_NORM_SQ = Fraction(1022)
+CASE3_NORM_SQ = 1022

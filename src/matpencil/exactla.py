@@ -1,7 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are numpy arrays with dtype=object holding ``fractions.Fraction``
-entries. numpy's matmul and ``kron`` work on object arrays, so products,
+Matrices are numpy arrays with dtype=object.  An entry is an ``int`` when
+its value is an integer and a ``fractions.Fraction`` otherwise, never a
+float: integral blocks (members, companions, reflectors, factor
+identities) then multiply on int arithmetic, and only a true division
+makes a Fraction.  Every exact division goes through ``div``, since
+int / int would give a float.  Arithmetic on Fractions may leave one of
+denominator 1; it equals the int and prints the same.
+
+numpy's matmul and ``kron`` work on object arrays, so products,
 block transforms and Kronecker products stay exact without a kernel here;
 ``matmul`` runs a product with mostly zero factors on sparse matrices.
 The elimination kernels are sympy's, on a sparse ``DomainMatrix`` over QQ
@@ -21,29 +28,49 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .errors import PreconditionError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3' or '-5/7', and Fractions. Floats are
+def frac(x):
+    """Coerce ints, strings like '3' or '-5/7', and Fractions to an int
+    when the value is integral and a Fraction otherwise.  Floats are
     rejected so rounding never sneaks into an exact computation."""
-    if isinstance(x, Fraction):
+    if type(x) is int:
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, float):
         raise TypeError("refusing float -> Fraction coercion; convert explicitly")
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational scalar")
 
 
-def fmat(rows) -> np.ndarray:
-    """Build a 2-d object array of Fractions from nested iterables."""
-    data = [[frac(x) for x in row] for row in rows]
+def _div(a, b):
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return a / b
+
+
+_div_array = np.frompyfunc(_div, 2, 1)
+
+
+def div(a, b):
+    """a / b exactly, for scalars or (elementwise, broadcast) object
+    arrays: an int quotient when the division is exact, a Fraction
+    otherwise, never a float."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return _div_array(a, b)
+    return _div(a, b)
+
+
+def fmat(rows, coerce=frac) -> np.ndarray:
+    """Build a 2-d object array from nested iterables, coercing each entry
+    once with coerce."""
+    data = [[coerce(x) for x in row] for row in rows]
     if not data:
         return np.empty((0, 0), dtype=object)
     width = len(data[0])
@@ -65,14 +92,14 @@ def fvec(entries) -> np.ndarray:
 
 def fzeros(m: int, n: int) -> np.ndarray:
     out = np.empty((m, n), dtype=object)
-    out[...] = ZERO
+    out[...] = 0
     return out
 
 
 def feye(n: int) -> np.ndarray:
     out = fzeros(n, n)
     for i in range(n):
-        out[i, i] = ONE
+        out[i, i] = 1
     return out
 
 
@@ -87,23 +114,25 @@ def to_domain(a) -> DomainMatrix:
         return a
     rows = {}
     for i, row in enumerate(a.tolist()):
-        # a Fraction is in lowest terms, so QQ takes it without a gcd
+        # an int, or a Fraction in lowest terms: QQ takes it without a gcd
         entries = {j: QQ.dtype(x) for j, x in enumerate(row) if x}
         if entries:
             rows[i] = entries
     return DomainMatrix(rows, a.shape, QQ)
 
 
-def _fraction(x) -> Fraction:
-    return Fraction(x.numerator, x.denominator)
+def qq_scalar(x):
+    """The int or Fraction of the value of x, an element of QQ."""
+    p, q = int(x.numerator), int(x.denominator)
+    return p if q == 1 else Fraction(p, q)
 
 
 def from_domain(d: DomainMatrix) -> np.ndarray:
-    """Object array of Fractions holding the entries of d."""
+    """Object array holding the entries of d."""
     out = fzeros(*d.shape)
     for i, row in d.to_dod().items():
         for j, x in row.items():
-            out[i, j] = _fraction(x)
+            out[i, j] = qq_scalar(x)
     return out
 
 
@@ -131,11 +160,11 @@ def nullspace(a: np.ndarray) -> np.ndarray:
             enumerate(j for j in range(n) if j not in pivot_set)}
     out = fzeros(n, len(free))
     for fc, idx in free.items():
-        out[fc, idx] = ONE
+        out[fc, idx] = 1
     for row_i, row in r.to_dod().items():
         for fc, x in row.items():
             if fc in free:
-                out[pivots[row_i], free[fc]] = -_fraction(x)
+                out[pivots[row_i], free[fc]] = -qq_scalar(x)
     return out
 
 
@@ -151,7 +180,7 @@ def _solution(a: np.ndarray, b: np.ndarray):
     for row_i, row in r.to_dod().items():
         for j, v in row.items():
             if j >= n:
-                x[pivots[row_i], j - n] = _fraction(v)
+                x[pivots[row_i], j - n] = qq_scalar(v)
     return (x if b.ndim == 2 else x[:, 0]), pivots
 
 
@@ -196,11 +225,11 @@ def inv(a: np.ndarray) -> np.ndarray:
         raise PreconditionError("matrix is singular") from e
 
 
-def det(a: np.ndarray) -> Fraction:
+def det(a: np.ndarray):
     m, n = a.shape
     if m != n:
         raise PreconditionError("determinant of a non-square matrix")
-    return _fraction(to_domain(a).det())
+    return qq_scalar(to_domain(a).det())
 
 
 def to_float(a: np.ndarray) -> np.ndarray:

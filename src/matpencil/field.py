@@ -9,7 +9,10 @@ dispatch on it and write it out.
 
 The rational field calls the exact backend (``exactla``, thin adapters
 over sympy's DomainMatrix on QQ) through module attribute lookup, so
-replacing a backend function replaces it for every caller.
+replacing a backend function replaces it for every caller.  Its entries
+follow the backend's rule: an int when the value is integral, a Fraction
+otherwise, never a float; every exact division goes through
+``exactla.div`` (``Field.div``), since int / int would give a float.
 
 Every float threshold on data lives here; no caller passes one.  Ranks
 cut singular values by one rule (RANK_SAFETY) and residuals are judged
@@ -19,7 +22,6 @@ float64 relative to the norms of the data the residual comes from.
 
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 # Imported eagerly although only FloatField.factor_z calls it: bench/run.py
@@ -84,13 +86,22 @@ class Field(str):
     def rank(self, a) -> int:
         return self.rank_with_margin(a)[0]
 
+    def parse_matrix(self, rows) -> np.ndarray:
+        """The matrix of nested lists of JSON scalars."""
+        return self.matrix([[self.scalar_from_json(x) for x in r]
+                            for r in rows])
+
 
 class RationalField(Field):
-    """Exact arithmetic on ``fractions.Fraction`` entries in object
-    arrays."""
+    """Exact arithmetic in object arrays: int entries where the value is
+    integral, ``fractions.Fraction`` entries otherwise."""
 
     name = "rational"
-    one = xla.ONE
+    one = 1
+
+    def parse_matrix(self, rows) -> np.ndarray:
+        """The matrix of nested lists of JSON scalars, each parsed once."""
+        return xla.fmat(rows, self.scalar_from_json)
 
     def scalar(self, x):
         return xla.frac(x)
@@ -124,6 +135,10 @@ class RationalField(Field):
     def inner(self, a, b):
         """Sum of the entrywise products."""
         return a.ravel() @ b.ravel()
+
+    def div(self, a, b):
+        """Exact a / b, entrywise on arrays; never a float."""
+        return xla.div(a, b)
 
     def rank_with_margin(self, a):
         """Exact rank; an exact decision is always clear of any cut."""
@@ -176,7 +191,7 @@ class RationalField(Field):
         pv = perm @ vec
         alpha = pv[0]
         elem = xla.fzeros(k, k)
-        elem[0, 0] = xla.ONE
+        elem[0, 0] = 1
         for i in range(1, k):
             elem[i, 0] = -pv[i]
             elem[i, i] = alpha
@@ -194,29 +209,29 @@ class RationalField(Field):
         for j in range(cn):
             w = z[:, j].copy()
             for i in range(j):
-                c = (q1[:, i] @ z[:, j]) / norms[i]
+                c = xla.div(q1[:, i] @ z[:, j], norms[i])
                 rt[i, j] = c
                 w = w - q1[:, i] * c
             if xla.is_zero(w):
                 raise PreconditionError("columns are linearly dependent")
-            rt[j, j] = xla.ONE
+            rt[j, j] = 1
             q1[:, j] = w
             norms.append(w @ w)
         q1, rt = _sign_canonicalize(q1, rt)
         q2, _ = _sign_canonicalize(comp.copy(), None)
-        q1_star = (q1 / np.array(norms, dtype=object)).T.copy()
+        q1_star = xla.div(q1, np.array(norms, dtype=object)).T.copy()
         return q1, q2, rt, q1_star, q2.T.copy()
 
     def span_add(self, rows, vec) -> bool:
         """Reduce vec against the (pivot, row) echelon rows; keep it when
         a nonzero entry is left."""
-        w = np.array([Fraction(x) for x in vec], dtype=object)
+        w = self.vector(vec)
         for pivot, row in rows:
             if w[pivot] != 0:
                 w = w - w[pivot] * row
         for j in range(w.shape[0]):
             if w[j] != 0:
-                rows.append((j, w / w[j]))
+                rows.append((j, xla.div(w, w[j])))
                 return True
         return False
 
@@ -224,13 +239,22 @@ class RationalField(Field):
         return str(x)
 
     def scalar_from_json(self, x):
+        """An int or Fraction from a JSON integer or a Fraction literal.
+        int() reads a subset of Fraction's grammar, to the same value, and
+        is tried first; it reads underscores, which Fraction reads only from
+        Python 3.11, so a literal with one goes to Fraction alone."""
         if isinstance(x, str):
+            if "_" not in x:
+                try:
+                    return int(x)
+                except ValueError:
+                    pass
             try:
-                return Fraction(x)
+                return xla.frac(x)
             except (ValueError, ZeroDivisionError) as e:
                 raise SchemaError(f"bad rational literal {x!r}") from e
-        if isinstance(x, int) and not isinstance(x, bool):
-            return Fraction(x)
+        if type(x) is int:
+            return x
         raise SchemaError(
             f"rational entries must be strings, got {type(x).__name__}")
 
@@ -274,6 +298,9 @@ class FloatField(Field):
         warning."""
         with np.errstate(over="ignore"):
             return float(np.sum(a * b))
+
+    def div(self, a, b):
+        return a / b
 
     def _rank_from_singular_values(self, s, shape, ref):
         """Tolerance rank from the descending singular values s of a matrix

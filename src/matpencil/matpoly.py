@@ -5,9 +5,11 @@ format keep that order too. Grade is explicit and may exceed the degree,
 which matters for reversal and for grade-k perturbation statements. A
 pencil lambda*X + Y is the grade-1 MatPoly [Y, X].
 
-Two scalar fields are supported, "rational" (Fraction entries in object
-arrays, exact) and "float64"; field.py holds everything that differs
-between them.
+Two scalar fields are supported, "rational" and "float64"; field.py holds
+everything that differs between them.  Rational coefficients are object
+arrays, exact: an entry is an int when its value is integral and a
+Fraction otherwise, never a float, and exact division goes through
+``Field.div``.
 """
 
 import json
@@ -356,7 +358,7 @@ def matrix_from_json(rows, field: str, m=None, n=None):
         raise SchemaError("row length mismatch")
     if not rows and n is not None:
         return field.zeros(0, n)
-    return field.matrix([[field.scalar_from_json(x) for x in r] for r in rows])
+    return field.parse_matrix(rows)
 
 
 def pencil_to_json(pen: MatPoly) -> dict:

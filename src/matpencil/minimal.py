@@ -359,12 +359,12 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
 
 def _reduce(l: AnsatzPencil):
     """The block-Kronecker form of a right-space member and its
-    complement(), a basis of the left complement of Z; raises unless P is
+    complement, a basis of the left complement of Z; raises unless P is
     tall and Z has full column rank."""
     if not isinstance(l, AnsatzPencil) or l.side != SIDE_L1:
         raise PreconditionError("needs a right-space member; transpose first")
     red = l._form
-    return red, red.complement()
+    return red, red.complement
 
 
 def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
@@ -411,7 +411,7 @@ def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
         raise VerificationError("lifted vector fails the pencil residual")
 
     y = MatPoly([block_apply(red.M.T, c) for c in stacked.coeffs],
-                field).scale(field.one / red.alpha)
+                field).scale(field.div(field.one, red.alpha))
     if y.degree != delta:
         raise VerificationError("lift changed the degree")
     return y

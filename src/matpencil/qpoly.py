@@ -10,11 +10,10 @@ finite eigenvalues, and of the unimodular factors of explicit witnesses
 factor certificate that accepted checks run on).
 """
 
-from fractions import Fraction
-
 from sympy import QQ, Symbol
 from sympy.polys.matrices import DomainMatrix
 
+from . import exactla as xla
 from .errors import PreconditionError
 from .field import FIELD_RATIONAL
 from .matpoly import MatPoly
@@ -30,10 +29,11 @@ def poly(coeffs):
 
 
 def coeffs(p) -> tuple:
-    """Ascending Fraction coefficients of p, without trailing zeros."""
-    out = [Fraction(0)] * (p.degree() + 1 if p else 0)
+    """Ascending coefficients of p (ints or Fractions), without trailing
+    zeros."""
+    out = [0] * (p.degree() + 1 if p else 0)
     for (t,), c in p.items():
-        out[t] = Fraction(c.numerator, c.denominator)
+        out[t] = xla.qq_scalar(c)
     return tuple(out)
 
 

@@ -71,7 +71,7 @@ class _KronForm:
         S*L*B = D*diag(I_m, W)*[K; 0],   K = [top; H],
 
     with H = [I 0] + l[0 -I] the dual of Lambda kron I_n.  A member
-    (row_reduction) has S = M kron I, D = I and W = [Z | complement()]; a
+    (row_reduction) has S = M kron I, D = I and W = [Z | complement]; a
     record has S = I, D = Dtilde and W = Rt.  pencil holds S*L; M is None
     when S = I and D when D = I; Z is W's leading (k-1)*n columns; B is
     the column permutation b of the identity (B*x = x[b]).  certify()
@@ -90,9 +90,11 @@ class _KronForm:
     def n(self) -> int:
         return self.top.n - self.Z.shape[1]
 
+    @cached_property
     def complement(self) -> np.ndarray:
-        """A basis of the left complement of Z's range, the kernel of Z^T;
-        raise unless P is tall and Z has full column rank."""
+        """A basis of the left complement of Z's range, the kernel of Z^T,
+        eliminated once per form; raise unless P is tall and Z has full
+        column rank."""
         if self.pencil.m < self.pencil.n:
             raise PreconditionError(WIDE_REFUSAL)
         comp = self.pencil.field.nullspace(self.Z.T)
@@ -103,12 +105,12 @@ class _KronForm:
 
     @cached_property
     def W(self) -> np.ndarray:
-        """[Z | complement()]; a square Z of a tall pencil is its own W,
+        """[Z | complement]; a square Z of a tall pencil is its own W,
         and nonsingular() takes its rank instead of an empty kernel."""
         rows, cn = self.Z.shape
         if rows == cn and self.pencil.m >= self.pencil.n:
             return self.Z
-        return np.hstack([self.Z, self.complement()])
+        return np.hstack([self.Z, self.complement])
 
     @property
     def t(self) -> np.ndarray:
@@ -140,7 +142,7 @@ class _KronForm:
 
     def nonsingular(self) -> bool:
         """alpha != 0 and the constant factors M, D and W are square of full
-        rank, so that C and F_K exist; False where complement() fails."""
+        rank, so that C and F_K exist; False where complement fails."""
         try:
             factors = (self.M, self.D, self.W)
         except PreconditionError:
@@ -230,7 +232,8 @@ class _KronForm:
         if self.M is not None:  # c * (M kron I)
             c = block_apply(self.M.T, c.T).T
         lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
-        f = [np.hstack([lam.coeff(i) / self.alpha, g.coeff(i)])[self.b]
+        f = [np.hstack([field.div(lam.coeff(i), self.alpha),
+                        g.coeff(i)])[self.b]
              for i in range(k)]
         e = [c[self.t]] + [field.zeros(*c.shape) for _ in range(k - 1)]
         lower = c[m:m + (k - 1) * n]
@@ -508,7 +511,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     cn = (k - 1) * n
     red = l._form
     m_mat, alpha = red.M, red.alpha
-    q1, q2, rt, q1_star, q2_star = field.factor_z(red.Z, red.complement())
+    q1, q2, rt, q1_star, q2_star = field.factor_z(red.Z, red.complement)
 
     if d is None:
         d_used = field.zeros(m + cn, k * m)

@@ -244,8 +244,9 @@ def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]
     strip = ansatz_target(p, _unit_like(p, 0))  # e_1 strip, used per block row
     t = strip[:m, :]
     tt = p.field.inner(t, t)
-    v = p.field.vector([p.field.inner(shifted[i * m:(i + 1) * m, :], t) / tt
-                        for i in range(k)])
+    v = p.field.vector([
+        p.field.div(p.field.inner(shifted[i * m:(i + 1) * m, :], t), tt)
+        for i in range(k)])
     gap = MatPoly([shifted - ansatz_target(p, v)], p.field)
     return v if p.field.negligible(gap, l) else None
 

@@ -168,8 +168,10 @@ class TestRationalKernels:
     def test_inner_matches_the_sum_of_products(self):
         rng = np.random.default_rng(5)
         for shape in ((3, 4), (1, 1), (0, 2)):
-            a = xla.fmat(rng.integers(-9, 10, size=shape).tolist()) / 7
-            b = xla.fmat(rng.integers(-9, 10, size=shape).tolist()) / 3
+            a = xla.fmat(rng.integers(-9, 10, size=shape).tolist()) \
+                / Fraction(7)
+            b = xla.fmat(rng.integers(-9, 10, size=shape).tolist()) \
+                / Fraction(3)
             want = sum(x * y for x, y in zip(a.flat, b.flat))
             assert FIELD_RATIONAL.inner(a, b) == want
 
@@ -182,10 +184,11 @@ class TestRationalKernels:
         for j in range(cn):
             w = z[:, j].copy()
             for i in range(j):
-                c = sum(q_ref[t, i] * z[t, j] for t in range(rows)) / norms[i]
+                c = Fraction(sum(q_ref[t, i] * z[t, j]
+                                 for t in range(rows))) / norms[i]
                 rt_ref[i, j] = c
                 w = w - q_ref[:, i] * c
-            rt_ref[j, j] = xla.ONE
+            rt_ref[j, j] = 1
             q_ref[:, j] = w
             norms.append(sum(x * x for x in w))
         comp = FIELD_RATIONAL.nullspace(z.T)
@@ -194,7 +197,8 @@ class TestRationalKernels:
             s = 1 if (q1[:, j] == q_ref[:, j]).all() else -1
             assert (q1[:, j] == s * q_ref[:, j]).all()
             assert (rt[j, :] == s * rt_ref[j, :]).all()
-            assert (q1_star[j, :] == s * q_ref[:, j] / norms[j]).all()
+            assert (q1_star[j, :]
+                    == s * q_ref[:, j] / Fraction(norms[j])).all()
 
 
 def test_cli_import_loads_numpy_scipy_and_sympy():

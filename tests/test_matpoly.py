@@ -253,7 +253,7 @@ class TestStructured:
         rng = np.random.default_rng(7)
         k = 3
         ints = lambda *shape: rng.integers(-4, 5, size=shape)
-        mat = lambda *shape: (ints(*shape).astype(object) + xla.ZERO
+        mat = lambda *shape: (ints(*shape).astype(object)
                               if field == FIELD_RATIONAL
                               else ints(*shape).astype(float))
         square, row = mat(k, k), mat(1, k)

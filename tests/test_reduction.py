@@ -119,13 +119,13 @@ class TestZBlock:
     def test_companion_is_negated_identity_pattern(self):
         p = case3_poly()
         c1 = companion_g1(p)
-        z = z_block(c1, xla.feye(2), xla.ONE)
+        z = z_block(c1, xla.feye(2), 1)
         assert xla.is_zero(z + rect_identity(3, 2))
 
     def test_companion_k3(self):
         rng = np.random.default_rng(31)
         p = rand_poly(rng, 4, 2, 3)
-        z = z_block(companion_g1(p), xla.feye(3), xla.ONE)
+        z = z_block(companion_g1(p), xla.feye(3), 1)
         target = np.kron(xla.feye(2), rect_identity(4, 2))
         assert xla.is_zero(z + target)
 
@@ -153,7 +153,7 @@ class TestZBlock:
         fake = AnsatzPencil(MatPoly.pencil(x, c1.pencil.Y, p.field), c1.side,
                             c1.ansatz, p)
         with pytest.raises(StructureError):
-            z_block(fake, xla.feye(2), xla.ONE)
+            z_block(fake, xla.feye(2), 1)
 
     @pytest.mark.parametrize("field", [FIELD_RATIONAL, FIELD_FLOAT])
     def test_structure_error_on_a_wrong_middle_top_block(self, field):
@@ -187,7 +187,7 @@ class TestZBlock:
         rng = np.random.default_rng(33)
         p = rand_poly(rng, 2, 3, 2)
         c2 = companion_g2(p)
-        z = z_block(c2, xla.feye(2), xla.ONE)
+        z = z_block(c2, xla.feye(2), 1)
         assert z.shape == (2, 3)
         assert xla.is_zero(z + rect_identity(2, 3))
         assert full_z_rank(c2)
@@ -556,7 +556,7 @@ class TestMemberForm:
             m_mat, alpha = reflector_for(right.ansatz, right.field)
             form = row_reduction(right, m_mat, alpha)
             try:
-                form.complement()
+                form.complement
                 ok = True
             except PreconditionError:
                 ok = False
@@ -684,6 +684,21 @@ class TestTrim:
         trim(member)
         assert sum(seen) == 1
 
+    def test_complement_is_eliminated_once_per_form(self, monkeypatch):
+        # the certificate's W and the trim's Q2 share the form's complement
+        member = case3_member()
+        zt = member._form.Z.T
+        seen = []
+        nullspace = xla.nullspace
+
+        def counting(a):
+            seen.append(a.shape == zt.shape and xla.is_zero(a - zt))
+            return nullspace(a)
+        monkeypatch.setattr(xla, "nullspace", counting)
+        assert certify_linearization(member, member.poly)
+        trim(member)
+        assert sum(seen) == 1
+
     def test_square_identity_selector(self):
         rng = np.random.default_rng(39)
         p = rand_poly(rng, 2, 2, 2)
@@ -737,8 +752,8 @@ class TestTrim:
         k = tr.K
         c1 = frobenius_c1(p)
         flip = xla.feye(5)
-        flip[3, 3] = -xla.ONE
-        flip[4, 4] = -xla.ONE
+        flip[3, 3] = -1
+        flip[4, 4] = -1
         assert xla.is_zero(k.X - flip.dot(c1.X))
         assert xla.is_zero(k.Y - flip.dot(c1.Y))
 
