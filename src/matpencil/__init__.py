@@ -22,9 +22,8 @@ from .eigenstructure import (EigStructure, Verdict, check_g_linearization,
                              index_sum_check, smith_form)
 from .backward import (AppendixMatrices, PerturbReport, appendix_lambda_min,
                        backward_constants, dual_completion,
-                       minimality_margin, optimality_check,
-                       perturbed_polynomial, reports_to_jsonl,
-                       run_experiment, sigma_min_tau, summarize_experiment)
+                       perturbed_polynomial, run_experiment, sigma_min_tau,
+                       summarize_experiment)
 
 __all__ = [
     "MatPencilError", "PreconditionError", "SchemaError", "StructureError",
@@ -44,7 +43,6 @@ __all__ = [
     "check_g_linearization", "check_linearization",
     "complete_eigenstructure", "index_sum_check", "smith_form",
     "AppendixMatrices", "PerturbReport", "appendix_lambda_min",
-    "backward_constants", "dual_completion", "minimality_margin",
-    "optimality_check", "perturbed_polynomial", "reports_to_jsonl",
+    "backward_constants", "dual_completion", "perturbed_polynomial",
     "run_experiment", "sigma_min_tau", "summarize_experiment",
 ]

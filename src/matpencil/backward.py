@@ -1,16 +1,17 @@
 """Backward-error machinery for trimmed pencils.
 
-Covers the minimality margin of the shifted block row, completion of the
-dual polynomial basis after a perturbation, the perturbed polynomial the
-trimmed pencil actually linearizes, the backward-error constants, and a
-seeded experiment driver that checks the advertised bound trial by trial.
+Covers completion of the dual polynomial basis after a perturbation of
+the shifted block row, the perturbed polynomial the trimmed pencil
+actually linearizes, the backward-error constants, and a seeded
+experiment driver that checks the advertised bound trial by trial.
 
 Trials are independent pure computations; each one draws from its own
 generator seeded by (seed, trial index), so execution order cannot leak
-between trials and reports are listed in trial order.
+between trials and reports are listed in trial order.  The perturbed
+pencils' staircases run stacked, TRIAL_BLOCK trials at a time, with every
+rank decision still taken per pencil under the field's one rule.
 """
 
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, field_of_array
 from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
-from .minimal import pencil_indices, walk_indices
+from .minimal import stack_indices, walk_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
 
@@ -29,16 +30,14 @@ __all__ = [
     "appendix_lambda_min",
     "backward_constants",
     "dual_completion",
-    "minimality_margin",
-    "optimality_check",
     "perturbed_polynomial",
-    "reports_to_jsonl",
     "run_experiment",
     "sigma_min_tau",
     "summarize_experiment",
 ]
 
-OPTIMAL_BAND = 10.0  # optimality_check's ratios pass within this factor
+# trials per block; a block's perturbed pencils run one stacked staircase
+TRIAL_BLOCK = 32
 
 
 def _require_pencil(x, what: str) -> MatPoly:
@@ -92,12 +91,6 @@ class AppendixMatrices:
         out[j - 1, j - 1] += 1.0
         return out
 
-    @classmethod
-    def t_hat(cls, j: int) -> np.ndarray:
-        out = cls.d(j) + cls.l(j) + cls.l(j).T
-        out[0, 0] += 1.0
-        return out
-
 
 def appendix_lambda_min(k: int) -> float:
     """Smallest eigenvalue of the leading corner block, closed form."""
@@ -126,36 +119,11 @@ def sigma_min_tau(k: int, n: int, j: int):
 # Minimality and dual completion
 
 
-def _split_sizes(bp: MatPoly):
-    """Recover (k, n) from a (k-1)n x kn block row."""
-    rows, cols = bp.m, bp.n
-    if cols <= rows or cols % (cols - rows) != 0:
-        raise SchemaError("block row shape is not (k-1)n x kn")
-    k = cols // (cols - rows)
-    if k < 2:
-        raise SchemaError("block row shape is not (k-1)n x kn")
-    return k, cols - rows
-
-
 def _is_block_minimal(bp: MatPoly, k: int) -> bool:
     c_sq = bp.conv_matrix(k - 2)
     c_row = bp.conv_matrix(k - 1)
     return (bp.field.rank(c_sq) == c_sq.shape[0]
             and bp.field.rank(c_row) == c_row.shape[0])
-
-
-def minimality_margin(bp, rt):
-    """Is the (possibly perturbed) block row still a minimal basis with
-    every row index equal to one?
-
-    Checks the square convolution matrix for nonsingularity and the next
-    one for full row rank.  The margin is the admissible perturbation
-    radius 3 sigma_min(rt) / (2 k^(3/2)), returned for reference.
-    """
-    bp = _require_pencil(bp, "block row")
-    k, _ = _split_sizes(bp)
-    margin = 3.0 * _smin(rt) / (2.0 * k ** 1.5)
-    return _is_block_minimal(bp, k), margin
 
 
 def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
@@ -291,11 +259,6 @@ class PerturbReport:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
-def reports_to_jsonl(reports) -> str:
-    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
-                   for r in reports)
-
-
 def summarize_experiment(reports) -> dict:
     ratios = [r.ratio for r in reports]
     return {
@@ -325,6 +288,12 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     under the unperturbed shift rules.  The two sides use independent
     methods: the polynomial's indices come from the convolution walk that
     defines them, the pencil's from its staircase.
+
+    Trials run in blocks of TRIAL_BLOCK: each trial of a block runs up to
+    its perturbed pencil, then the block's pencils go through one stacked
+    staircase (stack_indices), whose decisions are per pencil under the
+    field's one rank rule, and the block's reports follow in trial order.
+    Memory stays bounded by the block, whatever the trial count.
     """
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
@@ -354,8 +323,13 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     kappa_r = _cond2(rt)
     epsilon = eps_fraction * bound
     rows = m + (k - 1) * n
-    reports = []
-    for t in range(trials):
+
+    ly, lx = ltf.coeff(0), ltf.coeff(1)
+
+    def trial(t):
+        """Trial t up to the perturbed pencil, whose staircase runs with
+        its block's: ((dP norm, ratio, the perturbed polynomial's
+        indices), (Y, X) of the perturbed pencil)."""
         rng = np.random.default_rng([seed, t])
         dx = rng.standard_normal((rows, k * n))
         dy = rng.standard_normal((rows, k * n))
@@ -371,50 +345,21 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         dpn = dp.frob_norm()
         ratio = (dpn / p_norm) / (epsilon / lt_norm)
         pp = pf + dp
-        rp, lp_idx, ok_p = walk_indices(pp, pp.normal_rank())
-        perturbed_pencil = ltf + MatPoly([dy, dx], FIELD_FLOAT)
-        rl, ll, ok_l = pencil_indices(perturbed_pencil)
-        preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)
-        reports.append(PerturbReport(
-            epsilon=epsilon, bound_rhs=bound, delta_P_norm=dpn,
-            ratio=ratio, constant_hat=c_hat, constant_full=c_full,
-            kappa_dtilde=kappa_d, kappa_rtilde=kappa_r,
-            sigma_min_rtilde=sig_r, indices_preserved=preserved,
-            conclusive=ok_p and ok_l))
+        return ((dpn, ratio, walk_indices(pp, pp.normal_rank())),
+                (ly + dy, lx + dx))
+
+    reports = []
+    for start in range(0, trials, TRIAL_BLOCK):
+        done, pencils = zip(*[trial(t) for t in
+                              range(start, min(start + TRIAL_BLOCK, trials))])
+        ys, xs = map(np.stack, zip(*pencils))
+        for (dpn, ratio, (rp, lp_idx, ok_p)), (rl, ll, ok_l) in zip(
+                done, stack_indices(ys, xs)):
+            preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)
+            reports.append(PerturbReport(
+                epsilon=epsilon, bound_rhs=bound, delta_P_norm=dpn,
+                ratio=ratio, constant_hat=c_hat, constant_full=c_full,
+                kappa_dtilde=kappa_d, kappa_rtilde=kappa_r,
+                sigma_min_rtilde=sig_r, indices_preserved=preserved,
+                conclusive=ok_p and ok_l))
     return reports
-
-
-def optimality_check(tr: TrimResult, p) -> dict:
-    """Measure how far the trim sits from the well-scaled regime: both
-    condition numbers near one and the strip norm near the scaled
-    polynomial norm near the smallest singular value of the triangular
-    factor."""
-    if not isinstance(tr, TrimResult):
-        raise SchemaError("expected a trimming record")
-    alpha = abs(float(tr.alpha))
-    p_norm = float(p.frob_norm())
-    a_norm = float(tr.a_block().frob_norm())
-    sig_r = _smin(tr.Rt)
-    scaled = alpha * p_norm
-    kappa_d, kappa_r = _cond2(tr.Dtilde), _cond2(tr.Rt)
-    conditions = [
-        {"name": "row_compression_conditioning",
-         "value": kappa_d, "passes": kappa_d <= OPTIMAL_BAND},
-        {"name": "triangular_factor_conditioning",
-         "value": kappa_r, "passes": kappa_r <= OPTIMAL_BAND},
-        {"name": "strip_norm_over_scaled_poly_norm",
-         "value": a_norm / scaled,
-         "passes": 1.0 / OPTIMAL_BAND <= a_norm / scaled <= OPTIMAL_BAND},
-        {"name": "smallest_singular_over_scaled_poly_norm",
-         "value": sig_r / scaled,
-         "passes": 1.0 / OPTIMAL_BAND <= sig_r / scaled <= OPTIMAL_BAND},
-    ]
-    all_pass = all(c["passes"] for c in conditions)
-    report = {
-        "kind": "optimality_report",
-        "conditions": conditions,
-        "all_pass": all_pass,
-        "recommendation": "" if all_pass else
-        "rescale so the ansatz scale equals one over the polynomial norm",
-    }
-    return report

@@ -13,7 +13,10 @@ settles every lower degree at once. A probe that fails leaves the walk
 to run from degree 0, and its decision adds no flag unless the walk
 reaches it. A float pencil's indices can also be read off Van Dooren's
 staircase (pencil_indices), whose SVDs are of blocks of the pencil
-rather than of growing convolution matrices.
+rather than of growing convolution matrices. The staircase runs on
+stacks (stack_indices): one SVD call per step for all pencils whose
+decisions agree so far, each decision still per pencil under the
+field's one rank rule; a lone pencil is a stack of one.
 
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
@@ -220,9 +223,10 @@ def walk_indices(p: MatPoly, nrank: int):
 
 
 def _staircase(y, x):
-    """Right minimal indices of the float pencil y + l*x (Van Dooren, LAA
-    27, 1979), and whether every rank decision stayed RANK_MARGIN from
-    the cut.
+    """Right minimal indices of each float pencil y[i] + l*x[i] of a stack
+    of shape (b, rows, cols) (Van Dooren, LAA 27, 1979), and whether every
+    rank decision stayed RANK_MARGIN from the cut: one (indices, clear)
+    pair per pencil, in stack order.
 
     Step i compresses the columns of the current y to its nullity nu_i,
     then the rows of x on those null columns to their rank mu_i, and
@@ -230,27 +234,64 @@ def _staircase(y, x):
     indices equal i - 1, and the walk stops once y has full column rank.
     All transforms are orthogonal, so each block belongs to a pencil
     within rounding of the whole one: every cut is the field's rule for
-    the whole [y x], its shape and its sigma_max.
+    the pencil's own whole [y x], its shape and its sigma_max, taken once
+    per pencil per decision.  Each step makes one SVD call per group of
+    pencils whose decisions have agreed so far; where a decision differs
+    the group splits, since its blocks no longer share a shape.  Groups
+    are indexed before they are sliced, so every block keeps the memory
+    layout a lone pencil's would have, and with it the same bits.
     """
-    whole = np.hstack([y, x])
-    ref = np.linalg.svd(whole, compute_uv=False)[0] if whole.size else 0.0
+    b, rows, cols = y.shape
+    shape = (rows, 2 * cols)
+    refs = (np.linalg.svd(np.concatenate([y, x], axis=2),
+                          compute_uv=False)[:, 0] if rows and cols
+            else [0.0] * b)
     rank_cut = FIELD_FLOAT._rank_from_singular_values
-    indices, clear, degree = [], True, 0
-    while y.shape[1]:
+    indices = [[] for _ in range(b)]
+    clear = [True] * b
+
+    def decide(ids, svals):
+        """Each pencil's rank under its own ref; positions by rank, as a
+        slice that copies nothing when every rank agrees."""
+        groups = {}
+        for j, (i, s) in enumerate(zip(ids, svals)):
+            r, ok = rank_cut(s, shape, refs[i])
+            clear[i] = clear[i] and ok
+            groups.setdefault(r, []).append(j)
+        if len(groups) == 1:
+            return [(r, slice(None)) for r in groups]
+        return groups.items()
+
+    work = [(np.arange(b), y, x, 0)]
+    while work:
+        ids, y, x, degree = work.pop()
+        if not y.shape[2]:
+            continue
         _, s, vh = np.linalg.svd(y)
-        r, ok_y = rank_cut(s, whole.shape, ref)
-        clear = clear and ok_y
-        if r == y.shape[1]:
-            break
-        kept, null = vh[:r].T, vh[r:].T
-        u, s, _ = np.linalg.svd(x @ null)
-        mu, ok_x = rank_cut(s, whole.shape, ref)
-        clear = clear and ok_x
-        indices.extend([degree] * (null.shape[1] - mu))
-        rest = u[:, mu:].T
-        y, x = rest @ y @ kept, rest @ x @ kept
-        degree += 1
-    return tuple(indices), clear
+        for r, pos in decide(ids, s):
+            if r == y.shape[2]:
+                continue
+            ids_r, y_r, x_r, vh_r = ids[pos], y[pos], x[pos], vh[pos]
+            null = vh_r[:, r:].swapaxes(1, 2)
+            u, s, _ = np.linalg.svd(x_r @ null)
+            for mu, sub in decide(ids_r, s):
+                for i in ids_r[sub]:
+                    indices[i].extend([degree] * (null.shape[2] - mu))
+                rest = u[sub][:, :, mu:].swapaxes(1, 2)
+                kept = vh_r[sub][:, :r].swapaxes(1, 2)
+                work.append((ids_r[sub], rest @ y_r[sub] @ kept,
+                             rest @ x_r[sub] @ kept, degree + 1))
+    return [(tuple(i), ok) for i, ok in zip(indices, clear)]
+
+
+def stack_indices(y, x):
+    """pencil_indices of each float64 pencil y[i] + l*x[i] of a stack of
+    shape (b, rows, cols), in stack order."""
+    rows, cols = y.shape[1:]
+    right = _staircase(y, x)
+    left = _staircase(y.swapaxes(1, 2), x.swapaxes(1, 2))
+    return [(r, l, ok_r and ok_l and cols - len(r) == rows - len(l))
+            for (r, ok_r), (l, ok_l) in zip(right, left)]
 
 
 def pencil_indices(pencil: MatPoly):
@@ -258,15 +299,12 @@ def pencil_indices(pencil: MatPoly):
     off Van Dooren's staircase of column and row compressions, and
     whether every rank decision stayed RANK_MARGIN from the cut.
 
-    Each compression takes one SVD of a block of the pencil; the left
-    indices come from the same staircase on the transpose, and both
-    sides must agree on the normal rank.
+    The pencil runs as a stack of one through the staircase that
+    stack_indices runs on many; the left indices come from the same
+    staircase on the transpose, and both sides must agree on the normal
+    rank.
     """
-    y, x = pencil.coeff(0), pencil.coeff(1)
-    right, ok_r = _staircase(y, x)
-    left, ok_l = _staircase(y.T, x.T)
-    agree = pencil.n - len(right) == pencil.m - len(left)
-    return right, left, ok_r and ok_l and agree
+    return stack_indices(pencil.coeff(0)[None], pencil.coeff(1)[None])[0]
 
 
 def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:

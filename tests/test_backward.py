@@ -18,10 +18,7 @@ from matpencil.backward import (
     appendix_lambda_min,
     backward_constants,
     dual_completion,
-    minimality_margin,
-    optimality_check,
     perturbed_polynomial,
-    reports_to_jsonl,
     run_experiment,
     sigma_min_tau,
     summarize_experiment,
@@ -39,6 +36,9 @@ from matpencil.matpoly import (
 from matpencil.minimal import pencil_indices, walk_indices
 from matpencil.reduction import trim
 from matpencil.spaces import build_l1, companion_g1
+from backward_oracle import (minimality_margin, optimality_check,
+                             reports_to_jsonl, t_hat)
+from staircase_oracle import oracle_pencil_indices
 
 
 def scaled_companion_trim(rng, m, n, k):
@@ -73,7 +73,7 @@ class TestAppendixMatrices:
     def test_corner_matrices_symmetric(self):
         for j in range(1, 6):
             t = AppendixMatrices.t(j)
-            th = AppendixMatrices.t_hat(j)
+            th = t_hat(j)
             assert np.array_equal(t, t.T)
             assert np.array_equal(th, th.T)
 
@@ -81,10 +81,10 @@ class TestAppendixMatrices:
         for j in range(2, 7):
             f = np.fliplr(np.eye(j))
             t = AppendixMatrices.t(j)
-            assert np.array_equal(f @ t @ f, AppendixMatrices.t_hat(j))
+            assert np.array_equal(f @ t @ f, t_hat(j))
 
     def test_k3_corner_block(self):
-        th = AppendixMatrices.t_hat(2)
+        th = t_hat(2)
         assert th.tolist() == [[2, -1], [-1, 1]]
         lam = np.linalg.eigvalsh(th)[0]
         assert abs(lam - 0.3819660112501051) < 1e-12
@@ -92,7 +92,7 @@ class TestAppendixMatrices:
 
     def test_lambda_min_closed_form(self):
         for k in range(3, 9):
-            lam = np.linalg.eigvalsh(AppendixMatrices.t_hat(k - 1))[0]
+            lam = np.linalg.eigvalsh(t_hat(k - 1))[0]
             assert abs(lam - appendix_lambda_min(k)) < 1e-12
 
     def test_trig_identity(self):
@@ -500,6 +500,151 @@ def _bench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def oracle_run_experiment(p, tr, eps_fraction, trials, seed):
+    """run_experiment one trial at a time, each perturbed pencil through
+    the one-pencil staircase of tests/staircase_oracle.py.  The package
+    functions are read off the backward module when called, so a test
+    that patches one patches both routes."""
+    if not isinstance(tr, backward.TrimResult):
+        raise SchemaError("expected a trimming record")
+    if tr.side == backward.SIDE_L2:
+        tr = tr.transpose()
+        p = p.transpose()
+    if not 0.0 < eps_fraction < 1.0:
+        raise PreconditionError("perturbation fraction must sit strictly "
+                                "inside the radius")
+    if trials < 1:
+        raise PreconditionError("need at least one trial")
+    tr.check_source(p)
+    k, m, n = tr.k, tr.m, tr.n
+    pf = p.to_float()
+    dt = backward._fmatrix(tr.Dtilde)
+    rt = backward._fmatrix(tr.Rt)
+    af = tr.a_block().to_float()
+    bf = tr.b_block().to_float()
+    ltf = tr.Lt.to_float()
+    alpha = float(tr.alpha)
+    sig_r = backward._smin(rt)
+    bound = sig_r * backward._smin(dt) / (2.0 * k ** 1.5)
+    lt_norm = ltf.frob_norm()
+    p_norm = pf.frob_norm()
+    c_hat, c_full = backward.backward_constants(tr, p)
+    kappa_d = backward._cond2(dt)
+    kappa_r = backward._cond2(rt)
+    epsilon = eps_fraction * bound
+    rows = m + (k - 1) * n
+    reports = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        dx = rng.standard_normal((rows, k * n))
+        dy = rng.standard_normal((rows, k * n))
+        s = epsilon / math.sqrt(np.sum(dx * dx) + np.sum(dy * dy))
+        dx *= s
+        dy *= s
+        ex = np.linalg.solve(dt, dx)
+        ey = np.linalg.solve(dt, dy)
+        da = MatPoly([ey[:m], ex[:m]], FIELD_FLOAT)
+        db = MatPoly([ey[m:], ex[m:]], FIELD_FLOAT)
+        dd = backward.dual_completion(bf + db, k, n, rt=rt, delta_b=db)
+        dp = backward.perturbed_polynomial(af, da, dd, alpha)
+        dpn = dp.frob_norm()
+        ratio = (dpn / p_norm) / (epsilon / lt_norm)
+        pp = pf + dp
+        rp, lp_idx, ok_p = backward.walk_indices(pp, pp.normal_rank())
+        perturbed_pencil = ltf + MatPoly([dy, dx], FIELD_FLOAT)
+        rl, ll, ok_l = oracle_pencil_indices(perturbed_pencil)
+        preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)
+        reports.append(PerturbReport(
+            epsilon=epsilon, bound_rhs=bound, delta_P_norm=dpn,
+            ratio=ratio, constant_hat=c_hat, constant_full=c_full,
+            kappa_dtilde=kappa_d, kappa_rtilde=kappa_r,
+            sigma_min_rtilde=sig_r, indices_preserved=preserved,
+            conclusive=ok_p and ok_l))
+    return reports
+
+
+def _backward_cases():
+    """(P, trimming record of its L1 companion) for the four shapes of
+    round 0 of the backward workload, seed 0."""
+    out = []
+    for case in _bench_workloads().make_round("backward", 0, 0):
+        p = MatPoly.from_json_dict(case.files["P.json"])
+        out.append(pytest.param(p, trim(companion_g1(p)), id=case.name))
+    return out
+
+
+class TestBlockedExperiment:
+    """run_experiment runs its trials in blocks of TRIAL_BLOCK, one stacked
+    staircase per block; its reports equal the trial-by-trial oracle's."""
+
+    def test_block_size(self):
+        # the trial counts 31, 32 and 33 below straddle a block boundary
+        assert backward.TRIAL_BLOCK == 32
+
+    @pytest.mark.parametrize("p,tr", _backward_cases())
+    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 100])
+    def test_reports_equal_the_oracle(self, p, tr, trials):
+        got = run_experiment(p, tr, 0.5, trials, 11)
+        assert got == oracle_run_experiment(p, tr, 0.5, trials, 11)
+        assert len(got) == trials
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-9])
+    def test_near_the_cut_matches_the_oracle(self, eps):
+        # this close to the pencil most trials are inconclusive (see
+        # TestRunExperiment); at 1e-11 the pencils of one block differ in
+        # their indices, at 1e-9 the polynomial's flags vary: either way
+        # the reports must come out trial for trial
+        tr = trim(case3_member())
+        got = run_experiment(case3_poly(), tr, eps, 40, 0)
+        assert got == oracle_run_experiment(case3_poly(), tr, eps, 40, 0)
+        assert {r.indices_preserved for r in got[:32]} == {True, False}
+
+    def test_left_space_record_matches_the_oracle(self):
+        trl2 = trim(case3_member().transpose())
+        p = case3_poly().transpose()
+        assert (run_experiment(p, trl2, 0.4, 33, 2)
+                == oracle_run_experiment(p, trl2, 0.4, 33, 2))
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1), (1.0, 1), (0.5, 0), (0.5, -3)], ids=str)
+    def test_same_argument_errors(self, args):
+        tr = trim(case3_member())
+        self._same_error(case3_poly(), tr, *args)
+
+    def test_same_errors_on_bad_records(self):
+        tr = trim(case3_member())
+        self._same_error(case3_poly(), "trim", 0.5, 1)
+        self._same_error(case3_poly().scale(2), tr, 0.5, 1)
+
+    def test_same_error_from_inside_a_block(self, monkeypatch):
+        # a failure at trial 40, the ninth trial of the second block,
+        # surfaces with its class and message
+        real = backward.dual_completion
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 41:
+                raise backward.VerificationError(
+                    "dual completion residual above tolerance")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backward, "dual_completion", failing)
+        tr = trim(case3_member())
+        self._same_error(case3_poly(), tr, 0.5, 100,
+                         reset=calls.clear)
+
+    @staticmethod
+    def _same_error(p, tr, eps, trials, reset=lambda: None):
+        errors = []
+        for run in (run_experiment, oracle_run_experiment):
+            reset()
+            with pytest.raises(Exception) as info:
+                run(p, tr, eps, trials, 0)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
 
 class TestPencilIndexCrossCheck:

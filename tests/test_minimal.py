@@ -20,9 +20,10 @@ from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MinimalBasis, _pack_checked, embed_right,
                                index_walk, lift_left, minimal_basis,
                                pencil_indices, project_ansatz,
-                               recover_minimal, walk_indices)
+                               recover_minimal, stack_indices, walk_indices)
 from matpencil.reduction import full_z_rank, trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
+from staircase_oracle import oracle_pencil_indices
 from walk_oracle import oracle_walk_indices
 
 
@@ -890,3 +891,97 @@ class TestPencilIndices:
         assert at(3 * cut) == ((), (), False)
         assert at(cut / 3) == ((0,), (0,), False)
         assert at(cut / 1000) == ((0,), (0,), True)
+
+
+# forms of one shape, 5x6, whose first staircase steps decide apart: Y's
+# nullity counts the L and zero-eigenvalue J blocks (2, 2, 4, 1), and X
+# keeps null only the columns of L_0 blocks, the indices 0 (0, 1, 1, 0)
+SAME_SHAPE_FORMS = [
+    ([kron_l(2), kron_j(2, 0.0), kron_n(1)], (2,), ()),
+    ([kron_l(0), kron_j(2, 1.0), kron_j(1, 0.0), kron_n(2)], (0,), ()),
+    ([kron_l(1), kron_l(0), kron_lt(0), kron_j(2, 0.0), kron_j(1, 0.0)],
+     (0, 1), (0,)),
+    ([kron_l(4), kron_n(1)], (4,), ()),
+]
+
+# scramblings whose rounding leaves a zero singular value within
+# RANK_MARGIN of the cut: (index into KRONECKER_FORMS, seed)
+NEAR_CUT = [(0, 54), (0, 125), (1, 155), (2, 26)]
+
+
+class TestStackedStaircase:
+    """stack_indices against the one-pencil staircase of
+    tests/staircase_oracle.py: equal indices and flags, pencil by pencil,
+    whatever the stack mixes."""
+
+    @staticmethod
+    def stacked(pencils):
+        got = stack_indices(np.stack([p.coeff(0) for p in pencils]),
+                            np.stack([p.coeff(1) for p in pencils]))
+        assert got == [oracle_pencil_indices(p) for p in pencils]
+        return got
+
+    def test_same_shape_forms_decide_apart(self):
+        # the premise of the mixed stack below
+        first = []
+        for blocks, right, _ in SAME_SHAPE_FORMS:
+            y = scrambled_pencil(blocks, 0).coeff(0)
+            first.append((y.shape[1] - np.linalg.matrix_rank(y),
+                          right.count(0)))
+        assert first == [(2, 0), (2, 1), (4, 1), (1, 0)]
+
+    def test_mixed_forms_split_at_both_decisions(self):
+        pencils = [scrambled_pencil(blocks, seed) for seed in range(4)
+                   for blocks, _, _ in SAME_SHAPE_FORMS]
+        assert self.stacked(pencils) == [
+            (right, left, True) for _ in range(4)
+            for _, right, left in SAME_SHAPE_FORMS]
+
+    def test_mixed_kronecker_forms_of_one_shape(self):
+        # forms 1 and 2 of KRONECKER_FORMS are both 8x8
+        pencils = [scrambled_pencil(KRONECKER_FORMS[f][0], seed)
+                   for seed in range(3) for f in (1, 2, 1)]
+        assert self.stacked(pencils) == [
+            KRONECKER_FORMS[f][1:] + (True,)
+            for _ in range(3) for f in (1, 2, 1)]
+
+    @pytest.mark.parametrize("blocks,right,left", KRONECKER_FORMS[:4])
+    def test_each_pencil_is_cut_at_its_own_scale(self, blocks, right, left):
+        # the staircase is scale invariant; a cut taken from another
+        # pencil's sigma_max would lose the small one's nonzero values
+        base = scrambled_pencil(blocks, 0)
+        pencils = [base.scale(1e14), base, base.scale(1e-14)]
+        assert self.stacked(pencils) == [(right, left, True)] * 3
+
+    @pytest.mark.parametrize("blocks,right,left", KRONECKER_FORMS)
+    def test_stacks_of_one(self, blocks, right, left):
+        for seed in range(3):
+            pencil = scrambled_pencil(blocks, seed)
+            assert self.stacked([pencil]) == [(right, left, True)]
+            assert pencil_indices(pencil) == (right, left, True)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_pencils(self, rows, cols):
+        # every column is a right index 0 and every row a left one
+        pencil = MatPoly([np.zeros((rows, cols))] * 2, FIELD_FLOAT)
+        want = ((0,) * cols, (0,) * rows, True)
+        assert pencil_indices(pencil) == want
+        assert self.stacked([pencil] * 3) == [want] * 3
+
+    @pytest.mark.parametrize("form,seed", NEAR_CUT)
+    def test_near_cut_stays_flagged(self, form, seed):
+        blocks, right, left = KRONECKER_FORMS[form]
+        near = scrambled_pencil(blocks, seed)
+        assert pencil_indices(near) == (right, left, False)
+        pencils = [scrambled_pencil(blocks, s) for s in (0, 1)]
+        pencils[1:1] = [near]
+        assert self.stacked(pencils) == [(right, left, True),
+                                         (right, left, False),
+                                         (right, left, True)]
+
+    def test_near_cut_pencils_in_one_stack(self):
+        # the two 8x8 near-cut scramblings next to clear ones of both forms
+        pencils = [scrambled_pencil(KRONECKER_FORMS[f][0], seed)
+                   for f, seed in ((1, 0), (1, 155), (2, 26), (2, 0))]
+        assert [ok for *_, ok in self.stacked(pencils)] \
+            == [True, False, False, True]
