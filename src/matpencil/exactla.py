@@ -8,9 +8,8 @@ makes a Fraction.  Every exact division goes through ``div``, since
 int / int would give a float.  Arithmetic on Fractions may leave one of
 denominator 1; it equals the int and prints the same.
 
-numpy's matmul and ``kron`` work on object arrays, so products,
-block transforms and Kronecker products stay exact without a kernel here;
-``matmul`` runs a product with mostly zero factors on sparse matrices.
+numpy's ``@`` and ``kron`` work on object arrays, so products, block
+transforms and Kronecker products stay exact without a kernel here.
 The elimination kernels are sympy's, on a sparse ``DomainMatrix`` over QQ
 built from the nonzero entries alone: ``rref`` leaves its result in that
 form, and ``rank``, ``nullspace`` and ``solve`` read back only the pivots
@@ -207,12 +206,6 @@ def samples(coeffs, points):
         for c in reversed(qq[:-1]):
             acc = acc * QQ(t) + c
         yield acc
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through sparse QQ matrices, which skip the products of zero
-    entries that numpy's object matmul makes."""
-    return from_domain(to_domain(a) * to_domain(b))
 
 
 def inv(a: np.ndarray) -> np.ndarray:

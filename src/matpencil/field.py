@@ -15,7 +15,8 @@ otherwise, never a float; every exact division goes through
 ``exactla.div`` (``Field.div``), since int / int would give a float.
 
 Every float threshold on data lives here; no caller passes one.  Ranks
-cut singular values by one rule (RANK_SAFETY) and residuals are judged
+cut singular values by one rule (RANK_SAFETY), which also decides the
+independent columns of a matrix (``pivots``), and residuals are judged
 by one rule, ``negligible``: exactly zero on the rational field, and on
 float64 relative to the norms of the data the residual comes from.
 """
@@ -39,7 +40,6 @@ RANK_SAFETY = 8.0
 RANK_MARGIN = 10.0
 _EPS = float(np.finfo(float).eps)
 RESIDUAL_REL_TOL = 1e-10  # residual relative to the data it comes from
-SPAN_REL_TOL = 1e-8  # independence of a new vector from a span
 CLEAN_REL_TOL = 1e-12  # noise next to the largest entry of a vector
 
 
@@ -154,9 +154,6 @@ class RationalField(Field):
     def inv(self, a):
         return xla.inv(a)
 
-    def matmul(self, a, b):
-        return xla.matmul(a, b)
-
     def pinv(self, z):
         """Pseudoinverse (zᵀz)⁻¹zᵀ of a full-column-rank z."""
         return xla.inv(z.T @ z) @ z.T
@@ -222,18 +219,10 @@ class RationalField(Field):
         q1_star = xla.div(q1, np.array(norms, dtype=object)).T.copy()
         return q1, q2, rt, q1_star, q2.T.copy()
 
-    def span_add(self, rows, vec) -> bool:
-        """Reduce vec against the (pivot, row) echelon rows; keep it when
-        a nonzero entry is left."""
-        w = self.vector(vec)
-        for pivot, row in rows:
-            if w[pivot] != 0:
-                w = w - w[pivot] * row
-        for j in range(w.shape[0]):
-            if w[j] != 0:
-                rows.append((j, xla.div(w, w[j])))
-                return True
-        return False
+    def pivots(self, a) -> list:
+        """The columns of a independent of the columns before them: the
+        pivot columns of its rref."""
+        return xla.rref(a)[1] if a.size else []
 
     def scalar_to_json(self, x):
         return str(x)
@@ -338,9 +327,6 @@ class FloatField(Field):
     def inv(self, a):
         return np.linalg.inv(a)
 
-    def matmul(self, a, b):
-        return a @ b
-
     def pinv(self, z):
         return np.linalg.pinv(z)
 
@@ -375,7 +361,9 @@ class FloatField(Field):
         if nrm == 0.0:
             raise PreconditionError("ansatz vector must be nonzero")
         u = vec - nrm * np.eye(k)[:, 0]
-        if np.linalg.norm(u) <= 1e-14 * nrm:
+        # v is already ||v||*e1 when u is zero under the rank rule
+        if not self._rank_from_singular_values(
+                np.array([np.linalg.norm(u)]), (k, 1), nrm)[0]:
             return np.eye(k), nrm
         m = np.eye(k) - 2.0 * np.outer(u, u) / float(u @ u)
         return m, nrm
@@ -392,21 +380,21 @@ class FloatField(Field):
         q2, _ = _sign_canonicalize(qf[:, cn:].copy(), None)
         return q1, q2, rt, q1.T.copy(), q2.T.copy()
 
-    def span_add(self, rows, vec) -> bool:
-        """Twice-repeated Gram-Schmidt against the orthonormal rows; keep
-        vec when more than SPAN_REL_TOL of its norm is left."""
-        w = np.asarray(vec, dtype=float).copy()
-        base = float(np.linalg.norm(w))
-        if base == 0.0:
-            return False
-        for _ in range(2):
-            for row in rows:
-                w = w - float(row @ w) * row
-        nrm = float(np.linalg.norm(w))
-        if nrm > SPAN_REL_TOL * base:
-            rows.append(w / nrm)
-            return True
-        return False
+    def pivots(self, a) -> list:
+        """The columns of a that raise the tolerance rank of the columns
+        kept before them.  The columns are blocks of unit vectors, such as
+        nullspace columns, so every cut is relative to 1 at a's shape;
+        warns when a decision is near the cut."""
+        kept = []
+        for j in range(a.shape[1]):
+            s = np.linalg.svd(a[:, kept + [j]], compute_uv=False)
+            rank, clear = self._rank_from_singular_values(s, a.shape, 1.0)
+            if not clear:
+                warnings.warn("pivot rank decision is near the tolerance",
+                              RuntimeWarning)
+            if rank > len(kept):
+                kept.append(j)
+        return kept
 
     def scalar_to_json(self, x):
         return float(x)

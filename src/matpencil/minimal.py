@@ -5,8 +5,9 @@ polynomial is a polynomial basis of least possible degree sum; the sorted
 degrees are the minimal indices. The construction here walks the
 nullspaces of the convolution matrices degree by degree and keeps every
 candidate whose leading coefficient extends a row-reduced leading matrix,
-which certifies minimality as it goes; walk_indices reads the indices
-alone off the ranks of the same matrices, on either field. Its walks
+which certifies minimality as it goes, each choice made by the field's
+one pivot rule (Field.pivots); walk_indices reads the indices alone off
+the ranks of the same matrices, on either field. Its walks
 start past one rank probe per side: the Index Sum Theorem bounds the
 least index, and a full-rank, clear decision just below that bound
 settles every lower degree at once. A probe that fails leaves the walk
@@ -313,14 +314,15 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
     Walks degrees d = 0, 1, ... with index_walk; nullvectors of the
     convolution matrix with d+1 block columns are exactly the degree <= d
     vector polynomials killed by p (coefficients stacked highest first).
-    A candidate is kept when its degree-d coefficient extends the
-    row-reduced leading matrix of the vectors already kept. Candidates
-    are tried only at a degree that carries a new index, where the
-    nullity grows by more than the count already kept; at any other
-    degree that growth equals the count, so no candidate could be kept.
+    A candidate is kept when its degree-d coefficient is a pivot (the
+    field's pivots) of the leading coefficients already kept followed by
+    the candidates'. Candidates are tried only at a degree that carries a
+    new index, where the nullity grows by more than the count already
+    kept; at any other degree that growth equals the count, so no
+    candidate could be kept.
 
-    Exact arithmetic is the intended path; on float64 the nullspaces use
-    the field's one rank cut and warn where ``rank_with_margin`` flags.
+    Exact arithmetic is the intended path; on float64 the nullspaces and
+    the pivots use the field's one rank cut and warn near it.
     normal_rank, when given, maps p (or its transpose) to its normal rank:
     a recovery passes a _RankOnce to read it once for both sides.
     """
@@ -333,21 +335,22 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
         raise SchemaError(f"unknown side {side!r}")
     field = p.field
     n = p.n
-    leads = []  # running span of the kept leading coefficients
+    leads = field.zeros(n, 0)  # the kept leading coefficients
     chosen = []
     nullity = 0  # at the previous degree
 
     def select(d):
-        nonlocal nullity
+        nonlocal nullity, leads
         ns = field.nullspace(p.conv_matrix(d))
         growth, nullity = ns.shape[1] - nullity, ns.shape[1]
         if growth > len(chosen):  # an index equals d
-            for j in range(ns.shape[1]):
-                col = ns[:, j]
-                if field.span_add(leads, col[:n]):
-                    chosen.append(MatPoly(
-                        [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
-                         for i in range(d + 1)], field))
+            c = leads.shape[1]
+            new = [j - c for j in field.pivots(
+                np.concatenate([leads, ns[:n, :]], axis=1)) if j >= c]
+            leads = np.concatenate([leads, ns[:n, new]], axis=1)
+            chosen.extend(MatPoly(
+                [ns[(d - i) * n:(d - i + 1) * n, j:j + 1].copy()
+                 for i in range(d + 1)], field) for j in new)
         return nullity, len(chosen)
 
     rank = (normal_rank or MatPoly.normal_rank)(p)
@@ -593,10 +596,10 @@ def _past_kernel(l: AnsatzPencil, red, comp, base: MinimalBasis) -> list:
     """The vectors of the member's left minimal basis that project to P's:
     with the constants (M^T kron I)[0; N] spanning the projection's
     kernel, N = comp the left complement of Z, the base's constants that
-    extend that span, in order, until it is as large as the base's
-    constant count, then every higher vector.  Selecting here rather than
-    among the projections keeps a float projection that vanishes up to
-    rounding from counting as independent."""
+    are pivots past that span, in order, until it is as large as the
+    base's constant count, then every higher vector.  Selecting here
+    rather than among the projections keeps a float projection that
+    vanishes up to rounding from counting as independent."""
     if comp.shape[1] == 0:
         return list(base.vectors)
     field, m = l.field, l.poly.m
@@ -608,18 +611,14 @@ def _past_kernel(l: AnsatzPencil, red, comp, base: MinimalBasis) -> list:
         if not field.negligible(u.transpose().matmul(l.pencil), l.pencil, u):
             raise VerificationError("kernel vector fails the pencil residual")
         kernel.append(u)
-    span = []
-    for u in kernel:
-        if not field.span_add(span, u.coeff(0)[:, 0]):
-            raise VerificationError("kernel vectors are dependent")
     constants = [y for y, e in zip(base.vectors, base.indices) if e == 0]
-    picked = []
-    for y in constants:
-        if len(span) == len(constants):
-            break
-        if field.span_add(span, y.coeff(0)[:, 0]):
-            picked.append(y)
-    if len(span) != len(constants):
+    k0 = len(kernel)
+    piv = field.pivots(np.concatenate(
+        [u.coeff(0) for u in kernel + constants], axis=1))[:len(constants)]
+    if piv[:k0] != list(range(k0)):
+        raise VerificationError("kernel vectors are dependent")
+    if len(piv) != len(constants):
         raise VerificationError(
             "constant completion failed; no special basis found")
-    return picked + [y for y, e in zip(base.vectors, base.indices) if e > 0]
+    return ([constants[j - k0] for j in piv[k0:]]
+            + [y for y, e in zip(base.vectors, base.indices) if e > 0])

@@ -136,7 +136,7 @@ class _KronForm:
         field = self.pencil.field
         image = _stack_over(self.top, self.Z).coeffs
         if self.D is not None:
-            image = [field.matmul(self.D, c) for c in image]
+            image = [self.D @ c for c in image]
         return MatPoly([c[:, self.b] - a
                         for c, a in zip(image, self.pencil.coeffs)], field)
 
@@ -529,15 +529,14 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
                 "row-selector does not complete the kernel rows to a "
                 "nonsingular matrix")
 
-    lt = MatPoly.pencil(field.matmul(d_used, l.pencil.X),
-                        field.matmul(d_used, l.pencil.Y), field)
+    lt = MatPoly.pencil(d_used @ l.pencil.X, d_used @ l.pencil.Y, field)
 
     # Lt = Dtilde * Lt_hat through the factorized inverse of the row
     # transform: (M kron I)^{-1} diag(I, Q1) maps Lt_hat back to L
     e1 = field.zeros(k * m, m + cn)
     e1[:m, :m] = field.eye(m)
     e1[m:, m:] = q1
-    dtilde = field.matmul(d_used, block_apply(field.inv(m_mat), e1))
+    dtilde = d_used @ block_apply(field.inv(m_mat), e1)
     if field.rank(dtilde) < m + cn:
         raise PreconditionError("trim produced a singular square factor")
 

@@ -22,6 +22,7 @@ from matpencil.cli import main
 from matpencil.matpoly import MatPoly, dump_json
 from matpencil.reduction import TrimResult, trim
 from matpencil.spaces import companion_g1, companion_g2
+from test_minimal import planted_poly
 
 
 def run(*argv):
@@ -605,6 +606,20 @@ class TestRecover:
     def test_source_mode_mismatch(self, trim3, p3):
         code, _ = run("recover", trim3, p3, "--mode", "glin_L1")
         assert code == 1
+
+    # A planted 5x4 k=3 P in float64: at degree 3 of the companion's left
+    # walk a null column's leading block is rounding noise (norm ~1e-16),
+    # which a cut against the block's own norm kept as independent.
+    @pytest.mark.parametrize("side", ["left", "both"])
+    def test_float_planted_left_indices(self, files, side):
+        p = planted_poly(np.random.default_rng(0), 5, 4, 3)
+        pf = files("p.json", p.to_float().to_json_dict())
+        code, out = run("build", pf, "--companion")
+        assert code == 0
+        code, out = run("recover", files("l.json", out), pf,
+                        "--mode", "glin_L1", "--side", side)
+        assert code == 0
+        assert jline(out)["left"]["indices"] == [3, 3]
 
 
 class TestBackward:

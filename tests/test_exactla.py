@@ -17,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from matpencil import exactla as xla
 from matpencil.field import FIELD_RATIONAL
+from span_oracle import span_pivots
 
 COMMON = dict(deadline=None, max_examples=60)
 
@@ -172,13 +173,11 @@ class TestSolve:
             assert xla.solve(a, xla.fmat([["1"]] * m)) is None
 
 
-class TestMatmul:
+class TestPivots:
     @settings(**COMMON)
-    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
-           st.data())
-    def test_matches_the_object_product(self, m, n, p, data):
-        a, b = data.draw(matrices(m, n)), data.draw(matrices(n, p))
-        assert equal(xla.matmul(a, b), a @ b)
+    @given(matrices())
+    def test_match_the_in_order_echelon(self, a):
+        assert FIELD_RATIONAL.pivots(a) == span_pivots(a)
 
 
 class TestMinNormSolve:

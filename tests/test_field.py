@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +18,11 @@ from matpencil import exactla as xla
 from matpencil.cases import case3_member, case3_poly
 from matpencil.cli import main
 from matpencil.errors import PreconditionError, SchemaError, VerificationError
-from matpencil.field import RESIDUAL_REL_TOL
+from matpencil.field import RANK_SAFETY, RESIDUAL_REL_TOL
 from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
 from matpencil.reduction import TrimResult, reflector_for, trim, z_block
 from matpencil.spaces import AnsatzPencil, companion_g1, companion_g2
+from span_oracle import span_pivots
 
 # factors and the scale prod max(1, ||f||_F) they give
 FACTORS = {
@@ -98,6 +100,58 @@ class TestFloatRule:
             code = main(["build", str(path), "--companion"])
         assert code == 2
         assert json.loads(buf.getvalue())["error"] == "precondition"
+
+
+class TestFloatPivots:
+    """A column is a pivot when it raises the tolerance rank of the columns
+    kept before it, cut against the unit scale of null vectors."""
+
+    def test_noise_column_is_not_a_pivot(self):
+        # the middle column points away from the others, but its norm is
+        # rounding noise next to the unit vectors it sits beside
+        a = np.zeros((4, 3))
+        a[0, 0] = a[1, 2] = 1.0
+        a[3, 1] = 2e-16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FIELD_FLOAT.pivots(a) == [0, 2]
+
+    def test_dependent_columns_are_skipped(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 3)))
+        a = np.column_stack([q[:, 0], q[:, 1], (q[:, 0] - q[:, 1]) / 2,
+                             np.zeros(6), q[:, 2], q[:, 0]])
+        assert FIELD_FLOAT.pivots(a) == [0, 1, 4]
+        assert FIELD_FLOAT.pivots(np.zeros((0, 2))) == []
+        assert FIELD_FLOAT.pivots(np.zeros((3, 0))) == []
+
+    def test_near_cut_decision_warns(self):
+        # the cut is max(shape) * eps * RANK_SAFETY against the scale 1
+        cut = 2 * np.finfo(float).eps * RANK_SAFETY
+        a = np.array([[1.0, 0.0], [0.0, 2.0 * cut]])
+        with pytest.warns(RuntimeWarning, match="near the tolerance"):
+            assert FIELD_FLOAT.pivots(a) == [0, 1]
+
+
+class TestRationalPivots:
+    """RationalField.pivots against the in-order echelon reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_span_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            m, n = rng.integers(1, 7, size=2)
+            r = int(rng.integers(0, min(m, n) + 1))
+            # rank r at most, with some columns zeroed
+            a = rng.integers(-3, 4, (m, r)) @ rng.integers(-3, 4, (r, n))
+            a[:, rng.random(n) < 0.2] = 0
+            a = xla.fmat(a.tolist())
+            got = FIELD_RATIONAL.pivots(a)
+            assert got == span_pivots(a)
+            assert len(got) == xla.rank(a)
+
+    def test_empty_and_zero_matrices(self):
+        for m, n in ((0, 3), (3, 0), (0, 0), (2, 3)):
+            assert FIELD_RATIONAL.pivots(xla.fzeros(m, n)) == []
 
 
 class TestRationalRule:

@@ -530,19 +530,22 @@ def planted_poly(rng, m, n, k):
 
 
 def every_degree_basis(p, side):
-    """minimal_basis's walk with span_add tried on every null column at
-    every degree: the reference for the skipped selection."""
+    """minimal_basis's walk with the pivot rule run on every null column
+    at every degree: the reference for the skipped selection."""
     q = p.transpose() if side == SIDE_LEFT else p
     field, n = q.field, q.n
-    leads, chosen = [], []
+    leads, chosen = field.zeros(n, 0), []
 
     def select(d):
+        nonlocal leads
         ns = field.nullspace(q.conv_matrix(d))
         for j in range(ns.shape[1]):
-            col = ns[:, j]
-            if field.span_add(leads, col[:n]):
+            col = ns[:, j:j + 1]
+            grown = np.concatenate([leads, col[:n]], axis=1)
+            if len(field.pivots(grown)) > leads.shape[1]:
+                leads = grown
                 chosen.append(MatPoly(
-                    [col[(d - i) * n:(d - i + 1) * n].reshape(n, 1).copy()
+                    [col[(d - i) * n:(d - i + 1) * n].copy()
                      for i in range(d + 1)], field))
         return ns.shape[1], len(chosen)
 
@@ -590,18 +593,18 @@ class TestSelection:
                                                  monkeypatch):
         events = []
         conv = MatPoly.conv_matrix
-        span_add = type(FIELD_RATIONAL).span_add
+        pivots = type(FIELD_RATIONAL).pivots
 
         def conv_spy(poly, d):
             events.append(("degree", d))
             return conv(poly, d)
 
-        def span_spy(field, rows, vec):
-            events.append(("span_add", None))
-            return span_add(field, rows, vec)
+        def pivots_spy(field, a):
+            events.append(("pivots", None))
+            return pivots(field, a)
 
         monkeypatch.setattr(MatPoly, "conv_matrix", conv_spy)
-        monkeypatch.setattr(type(FIELD_RATIONAL), "span_add", span_spy)
+        monkeypatch.setattr(type(FIELD_RATIONAL), "pivots", pivots_spy)
         basis = minimal_basis(SELECTION_CASES[name](), side)
         tried, degree = set(), None
         for kind, d in events:

@@ -13,6 +13,7 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case3_poly)
 from matpencil.eigenstructure import (_padded_verdict, check_g_linearization,
                                       check_linearization)
+from matpencil.field import RANK_SAFETY
 from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
@@ -107,6 +108,17 @@ class TestReflector:
     def test_float_positive_axis(self):
         m, a = reflector_for(np.array([0.25, 0.0, 0.0]))
         assert np.allclose(m, np.eye(3)) and abs(a - 0.25) < 1e-15
+
+    def test_float_axis_cut_is_the_rank_rule(self):
+        # the reflector is the identity exactly when u = v - ||v||*e1 has
+        # norm at most k * ||v|| * eps * RANK_SAFETY, the rank rule for a
+        # k x 1 column
+        cut = 3 * np.finfo(float).eps * RANK_SAFETY
+        m, _ = reflector_for(np.array([1.0, 0.5 * cut, 0.0]))
+        assert (m == np.eye(3)).all()
+        m, _ = reflector_for(np.array([1.0, 2.0 * cut, 0.0]))
+        assert not (m == np.eye(3)).all()
+        assert np.allclose(m @ m.T, np.eye(3))
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
