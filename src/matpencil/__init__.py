@@ -4,23 +4,21 @@ eigenstructure, and backward-error experiments."""
 
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      StructureError, VerificationError)
-from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, flip_r, h_dual,
+from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, h_dual,
                       lambda_vec, rect_identity, shear_s)
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
                      build_l1, build_l2, companion_g1, companion_g2,
-                     shifted_sum, space_dimension)
+                     shifted_sum)
 from .reduction import (TrimResult, certify_linearization, full_z_rank,
-                        g_lin_witnesses, linearization_witnesses,
-                        reflector_for, row_reduction, trim, verify_witnesses,
-                        z_block, z_rank)
+                        row_reduction, trim, verify_witnesses, z_rank)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT, MinimalBasis,
-                      embed_right, lift_left, minimal_basis, project_ansatz,
+                      embed_right, minimal_basis, project_ansatz,
                       recover_minimal, recover_sides)
 from .eigenstructure import (EigStructure, Verdict, check_g_linearization,
                              check_linearization, complete_eigenstructure,
-                             index_sum_check, smith_form)
-from .backward import (AppendixMatrices, PerturbReport, appendix_lambda_min,
+                             smith_form)
+from .backward import (PerturbReport, appendix_lambda_min,
                        backward_constants, dual_completion,
                        perturbed_polynomial, run_experiment, sigma_min_tau,
                        summarize_experiment)
@@ -28,21 +26,20 @@ from .backward import (AppendixMatrices, PerturbReport, appendix_lambda_min,
 __all__ = [
     "MatPencilError", "PreconditionError", "SchemaError", "StructureError",
     "VerificationError", "FIELD_FLOAT", "FIELD_RATIONAL", "MatPoly",
-    "flip_r", "h_dual", "lambda_vec", "rect_identity",
+    "h_dual", "lambda_vec", "rect_identity",
     "shear_s", "SIDE_L1", "SIDE_L2", "AnsatzPencil", "ansatz_membership",
     "build_l1", "build_l2", "companion_g1", "companion_g2", "shifted_sum",
-    "space_dimension", "TrimResult", "certify_linearization",
-    "full_z_rank", "g_lin_witnesses",
-    "linearization_witnesses", "reflector_for", "row_reduction", "trim",
-    "verify_witnesses", "z_block", "z_rank", "MODE_GLIN_L1", "MODE_GLIN_L2",
+    "TrimResult", "certify_linearization",
+    "full_z_rank", "row_reduction", "trim",
+    "verify_witnesses", "z_rank", "MODE_GLIN_L1", "MODE_GLIN_L2",
     "MODE_TRIMMED_L1", "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT",
-    "MinimalBasis", "embed_right", "lift_left", "minimal_basis",
+    "MinimalBasis", "embed_right", "minimal_basis",
     "project_ansatz",
     "recover_minimal", "recover_sides",
     "EigStructure", "Verdict",
     "check_g_linearization", "check_linearization",
-    "complete_eigenstructure", "index_sum_check", "smith_form",
-    "AppendixMatrices", "PerturbReport", "appendix_lambda_min",
+    "complete_eigenstructure", "smith_form",
+    "PerturbReport", "appendix_lambda_min",
     "backward_constants", "dual_completion", "perturbed_polynomial",
     "run_experiment", "sigma_min_tau", "summarize_experiment",
 ]

@@ -25,7 +25,6 @@ from .reduction import TrimResult
 from .spaces import SIDE_L2
 
 __all__ = [
-    "AppendixMatrices",
     "PerturbReport",
     "appendix_lambda_min",
     "backward_constants",
@@ -66,32 +65,6 @@ def _cond2(a) -> float:
 # Spectral reference values
 
 
-class AppendixMatrices:
-    """Tridiagonal comparison blocks for the Gram matrix of the shifted
-    block row's convolution matrix."""
-
-    @staticmethod
-    def d(j: int) -> np.ndarray:
-        if j < 1:
-            raise PreconditionError("block size must be positive")
-        out = 2.0 * np.eye(j)
-        out[0, 0] = 1.0
-        out[j - 1, j - 1] = 1.0
-        return out
-
-    @staticmethod
-    def l(j: int) -> np.ndarray:
-        if j < 1:
-            raise PreconditionError("block size must be positive")
-        return np.diag(-np.ones(j - 1), -1)
-
-    @classmethod
-    def t(cls, j: int) -> np.ndarray:
-        out = cls.d(j) + cls.l(j) + cls.l(j).T
-        out[j - 1, j - 1] += 1.0
-        return out
-
-
 def appendix_lambda_min(k: int) -> float:
     """Smallest eigenvalue of the leading corner block, closed form."""
     if k < 2:
@@ -126,15 +99,16 @@ def _is_block_minimal(bp: MatPoly, k: int) -> bool:
             and bp.field.rank(c_row) == c_row.shape[0])
 
 
-def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
+def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None) -> MatPoly:
     """Correction of the dual polynomial basis after the block row moved.
 
     Solves the exact annihilation condition for the perturbed row as a
     linear system in the correction's coefficients, taking the minimum
-    norm solution.  When the base triangular factor and the row
-    perturbation are supplied, the admissible radius precondition and the
-    norm bound on the correction are enforced as well.  The perturbed dual
-    pair is verified minimal before returning.
+    norm solution.  When sig_r, the smallest singular value of the base
+    triangular factor Rt, and the row perturbation are supplied, the
+    admissible radius precondition and the norm bound on the correction
+    are enforced as well.  The perturbed dual pair is verified minimal
+    before returning.
     """
     bp = _require_pencil(bp, "block row")
     if (bp.m, bp.n) != ((k - 1) * n, k * n):
@@ -143,8 +117,7 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
     if delta_b is not None:
         db = _require_pencil(delta_b, "row perturbation")
         dbn = db.frob_norm()
-    if rt is not None and dbn is not None:
-        sig_r = _smin(rt)
+    if sig_r is not None and dbn is not None:
         if not dbn < sig_r / (2.0 * k ** 1.5):
             raise PreconditionError("row perturbation exceeds the dual "
                                     "completion radius")
@@ -162,7 +135,7 @@ def dual_completion(bp, k: int, n: int, rt=None, delta_b=None) -> MatPoly:
     dd = MatPoly([np.ascontiguousarray(c) for c in coeffs], field)
     if not field.negligible(bp.matmul(lam + dd), bp, lam + dd):
         raise VerificationError("dual completion residual above tolerance")
-    if rt is not None and dbn is not None:
+    if sig_r is not None and dbn is not None:
         limit = k * math.sqrt(2.0) / sig_r * dbn
         if dd.frob_norm() > limit * (1.0 + 1e-12):
             raise VerificationError("dual completion norm bound failed")
@@ -340,7 +313,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         ey = np.linalg.solve(dt, dy)
         da = MatPoly([ey[:m], ex[:m]], FIELD_FLOAT)
         db = MatPoly([ey[m:], ex[m:]], FIELD_FLOAT)
-        dd = dual_completion(bf + db, k, n, rt=rt, delta_b=db)
+        dd = dual_completion(bf + db, k, n, sig_r=sig_r, delta_b=db)
         dp = perturbed_polynomial(af, da, dd, alpha)
         dpn = dp.frob_norm()
         ratio = (dpn / p_norm) / (epsilon / lt_norm)

@@ -137,8 +137,4 @@ def case3_expected_lt() -> MatPoly:
                           FIELD_RATIONAL)
 
 
-def case3_eval_at_one():
-    return xla.fmat([[5, 13], [13, 12], [23, 38]])
-
-
 CASE3_NORM_SQ = 1022

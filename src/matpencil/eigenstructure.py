@@ -23,13 +23,13 @@ eigenvalue is reported as a simple divisor.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import sympy
 
+from . import exactla as xla
 from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
 from .minimal import index_walk, walk_indices
@@ -43,7 +43,6 @@ __all__ = [
     "check_g_linearization",
     "check_linearization",
     "complete_eigenstructure",
-    "index_sum_check",
     "smith_form",
 ]
 
@@ -114,10 +113,6 @@ class EigStructure:
             total += d * sum(exps)
         return total
 
-    def structural_sum(self) -> int:
-        return (self.finite_degree_sum() + sum(self.infinite)
-                + sum(self.right_indices) + sum(self.left_indices))
-
     def to_json_dict(self) -> dict:
         if self.field == FIELD_FLOAT:
             fin = [{"value": [x.real, x.imag], "exponents": list(e)}
@@ -158,17 +153,11 @@ class EigStructure:
                    left_indices=tuple(d["left_indices"]), field=field)
 
 
-def index_sum_check(es: EigStructure) -> bool:
-    """Pencil bookkeeping: all structural degrees add up to the normal
-    rank."""
-    return es.structural_sum() == es.nrank
-
-
 def _factor_monic(d):
     """Monic irreducible factors of a monic element of QQ[l], with
     multiplicities, as ascending coefficient tuples."""
     _, factors = sympy.factor_list(sympy.Poly(d.as_expr(), domain=sympy.QQ))
-    out = [(tuple(Fraction(int(c.p), int(c.q))
+    out = [(tuple(xla.qq_scalar(c)
                   for c in reversed(f.monic().all_coeffs())), int(e))
            for f, e in factors]
     out.sort(key=lambda fe: (len(fe[0]), fe[0]))

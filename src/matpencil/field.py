@@ -11,7 +11,8 @@ The rational field calls the exact backend (``exactla``, thin adapters
 over sympy's DomainMatrix on QQ) through module attribute lookup, so
 replacing a backend function replaces it for every caller.  Its entries
 follow the backend's rule: an int when the value is integral, a Fraction
-otherwise, never a float; every exact division goes through
+otherwise, never a float, and ``matrix`` and ``vector`` refuse an object
+array holding anything else; every exact division goes through
 ``exactla.div`` (``Field.div``), since int / int would give a float.
 
 Every float threshold on data lives here; no caller passes one.  Ranks
@@ -23,6 +24,7 @@ float64 relative to the norms of the data the residual comes from.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 # Imported eagerly although only FloatField.factor_z calls it: bench/run.py
@@ -45,6 +47,18 @@ CLEAN_REL_TOL = 1e-12  # noise next to the largest entry of a vector
 
 def _is_object_array(a) -> bool:
     return isinstance(a, np.ndarray) and a.dtype == object
+
+
+def _exact(a):
+    """The object array a, after checking that every entry is exactly an
+    int or a Fraction: an object array passes through the rational field
+    uncoerced, and a float, bool or numpy scalar in it would run exact
+    code on other arithmetic."""
+    for x in a.flat:
+        if type(x) is not int and type(x) is not Fraction:
+            raise SchemaError("rational entries must be int or Fraction, "
+                              f"got {type(x).__name__}")
+    return a
 
 
 def _sign_canonicalize(q, r):
@@ -107,10 +121,10 @@ class RationalField(Field):
         return xla.frac(x)
 
     def matrix(self, a) -> np.ndarray:
-        return a if _is_object_array(a) else xla.fmat(a)
+        return _exact(a) if _is_object_array(a) else xla.fmat(a)
 
     def vector(self, v) -> np.ndarray:
-        return v if _is_object_array(v) else xla.fvec(list(v))
+        return _exact(v) if _is_object_array(v) else xla.fvec(list(v))
 
     def zeros(self, m, n):
         return xla.fzeros(m, n)
@@ -153,10 +167,6 @@ class RationalField(Field):
 
     def inv(self, a):
         return xla.inv(a)
-
-    def pinv(self, z):
-        """Pseudoinverse (zᵀz)⁻¹zᵀ of a full-column-rank z."""
-        return xla.inv(z.T @ z) @ z.T
 
     def min_norm_solve(self, a, b):
         """Minimum-norm solution of a·x = b for full-row-rank a, or None
@@ -326,9 +336,6 @@ class FloatField(Field):
 
     def inv(self, a):
         return np.linalg.inv(a)
-
-    def pinv(self, z):
-        return np.linalg.pinv(z)
 
     def min_norm_solve(self, a, b):
         return np.linalg.lstsq(a, b, rcond=None)[0]

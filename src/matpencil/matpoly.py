@@ -315,17 +315,6 @@ def shear_s(k: int, p: int = 1, field: str = FIELD_RATIONAL) -> MatPoly:
     return MatPoly(coeffs, field)
 
 
-def flip_r(k: int, p: int = 1, field: str = FIELD_RATIONAL):
-    """Block antidiagonal permutation; reverses the block order of
-    lambda_vec(k, p)."""
-    field = field_of(field)
-    out = field.zeros(k * p, k * p)
-    eye = field.eye(p)
-    for i in range(k):
-        out[i * p:(i + 1) * p, (k - 1 - i) * p:(k - i) * p] = eye
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON helpers
 

@@ -12,21 +12,20 @@ start past one rank probe per side: the Index Sum Theorem bounds the
 least index, and a full-rank, clear decision just below that bound
 settles every lower degree at once. A probe that fails leaves the walk
 to run from degree 0, and its decision adds no flag unless the walk
-reaches it. A float pencil's indices can also be read off Van Dooren's
-staircase (pencil_indices), whose SVDs are of blocks of the pencil
-rather than of growing convolution matrices. The staircase runs on
-stacks (stack_indices): one SVD call per step for all pencils whose
-decisions agree so far, each decision still per pencil under the
-field's one rank rule; a lone pencil is a stack of one.
+reaches it. Float pencils' indices can also be read off Van Dooren's
+staircase, whose SVDs are of blocks of the pencils rather than of
+growing convolution matrices. The staircase runs on stacks
+(stack_indices): one SVD call per step for all pencils whose decisions
+agree so far, each decision still per pencil under the field's one rank
+rule.
 
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
-ansatz member's left nullvectors down, lifting a left nullvector into a
-member with full lower-block rank, and one recovery routine for members
-and trimming records alike. A member's left recovery and lift_left read
-the member alone, through its block-row reduction (M kron I)*L, and carry
-vectors back by applying M^T to their k blocks; neither needs a trimming
-record or forms M kron I.
+ansatz member's left nullvectors down, and one recovery routine for
+members and trimming records alike. A member's left recovery reads the
+member alone, through its block-row reduction (M kron I)*L, and carries
+vectors back by applying M^T to their k blocks; it needs no trimming
+record and forms no M kron I.
 """
 
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of
-from .matpoly import MatPoly, block_apply, lambda_vec, shear_s, _require_keys
+from .matpoly import MatPoly, block_apply, lambda_vec, _require_keys
 from .reduction import WIDE_REFUSAL, TrimResult, transposed_problem
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -286,26 +285,16 @@ def _staircase(y, x):
 
 
 def stack_indices(y, x):
-    """pencil_indices of each float64 pencil y[i] + l*x[i] of a stack of
-    shape (b, rows, cols), in stack order."""
+    """Right and left minimal indices of each float64 pencil y[i] +
+    l*x[i] of a stack of shape (b, rows, cols), in stack order, and
+    whether every rank decision stayed RANK_MARGIN from the cut and both
+    sides agree on the normal rank.  The left indices come from the same
+    staircase on the transposes."""
     rows, cols = y.shape[1:]
     right = _staircase(y, x)
     left = _staircase(y.swapaxes(1, 2), x.swapaxes(1, 2))
     return [(r, l, ok_r and ok_l and cols - len(r) == rows - len(l))
             for (r, ok_r), (l, ok_l) in zip(right, left)]
-
-
-def pencil_indices(pencil: MatPoly):
-    """Right and left minimal indices of a float64 pencil Y + l*X, read
-    off Van Dooren's staircase of column and row compressions, and
-    whether every rank decision stayed RANK_MARGIN from the cut.
-
-    The pencil runs as a stack of one through the staircase that
-    stack_indices runs on many; the left indices come from the same
-    staircase on the transpose, and both sides must agree on the normal
-    rank.
-    """
-    return stack_indices(pencil.coeff(0)[None], pencil.coeff(1)[None])[0]
 
 
 def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
@@ -396,66 +385,6 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
             f"length mismatch: {y.m} entries vs {k} blocks of {m}")
     return MatPoly([block_apply(vv.reshape(1, k), c) for c in y.coeffs],
                    field)
-
-
-def _reduce(l: AnsatzPencil):
-    """The block-Kronecker form of a right-space member and its
-    complement, a basis of the left complement of Z; raises unless P is
-    tall and Z has full column rank."""
-    if not isinstance(l, AnsatzPencil) or l.side != SIDE_L1:
-        raise PreconditionError("needs a right-space member; transpose first")
-    red = l._form
-    return red, red.complement
-
-
-def lift_left(q: MatPoly, l: AnsatzPencil) -> MatPoly:
-    """Lift a left nullvector of P = l.poly into the member l.
-
-    With the member row-transformed so the lower block pair (-Z, Z) is
-    exposed, the complementary component is forced: contracting the top
-    strip with the upper-shear tower and the pseudoinverse of Z gives the
-    unique tail whose stacked vector annihilates the member. Coefficients
-    above deg q are then removed after checking they hit Z trivially, so
-    the lifted vector keeps the degree of q.
-    """
-    red, _ = _reduce(l)
-    p = l.poly
-    if not isinstance(q, MatPoly) or q.n != 1:
-        raise SchemaError("expected a column vector polynomial")
-    if q.m != p.m:
-        raise SchemaError("vector length does not match the row count")
-    k, m, n, field = l.k, p.m, p.n, l.field
-    if not field.negligible(q.transpose().matmul(p), q, p):
-        raise PreconditionError("vector is not in the left nullspace")
-    if q.is_zero():
-        return MatPoly.zero(k * m, 1, 0, field)
-
-    z = red.Z
-    head = q.transpose().matmul(red.top)
-    tail_row = head.matmul(shear_s(k, n, field)) \
-                   .matmul(MatPoly([field.pinv(z)], field)).scale(-1)
-    qtil = tail_row.transpose()
-
-    g = max(q.degree, qtil.degree, 0)
-    stacked = MatPoly([np.vstack([q.coeff(i), qtil.coeff(i)])
-                       for i in range(g + 1)], field)
-    delta = q.degree
-    for i in range(stacked.grade, delta, -1):
-        t = stacked.coeff(i)[m:, :]
-        if not field.negligible(t.T @ z, z, t):
-            raise VerificationError(
-                "degree reduction failed; the lift keeps a higher-degree tail")
-    stacked = MatPoly([stacked.coeff(i) for i in range(delta + 1)], field)
-
-    res = stacked.transpose().matmul(red.pencil)
-    if not field.negligible(res, q, p, red.pencil):
-        raise VerificationError("lifted vector fails the pencil residual")
-
-    y = MatPoly([block_apply(red.M.T, c) for c in stacked.coeffs],
-                field).scale(field.div(field.one, red.alpha))
-    if y.degree != delta:
-        raise VerificationError("lift changed the degree")
-    return y
 
 
 def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, normal_rank):
@@ -580,7 +509,8 @@ def _recover(source, p: MatPoly, side: str, p_rank,
         base = minimal_basis(pencil, SIDE_RIGHT, pencil_rank)
         return _strip_tower(base, p, source.k, p_rank)
     if member:
-        red, comp = _reduce(source)
+        red = source._form
+        comp = red.complement
     base = minimal_basis(pencil, SIDE_LEFT, pencil_rank)
     if member:
         v, kept = source.ansatz, _past_kernel(source, red, comp, base)

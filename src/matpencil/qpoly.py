@@ -5,9 +5,8 @@ are ring elements; sums, products and determinants stay exact.  ``to_pm``
 turns the ascending coefficient blocks of a rational ``MatPoly`` into that
 form; ``poly`` and ``coeffs`` convert a single entry both ways.  The
 exact path takes determinants here: of the multiples of D_r that fix the
-finite eigenvalues, and of the unimodular factors of explicit witnesses
-(reduction.verify_witnesses: `examples 2` and the tests' oracle for the
-factor certificate that accepted checks run on).
+finite eigenvalues, and of the unimodular factors of given witnesses
+(reduction.verify_witnesses, which `examples 2` runs on case 2's pair).
 """
 
 from sympy import QQ, Symbol

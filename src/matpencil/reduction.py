@@ -11,38 +11,26 @@ block-Kronecker form, which each member builds once and keeps
 z_rank, the trimming, the left recovery and the linearization certificate
 all read those forms, and each form checks the two factor identities it
 rests on (the top strip's shifted sum and the constant-factor image) in
-one place.
-This module also builds the explicit unimodular witnesses those identities
-imply.
+one place.  No unimodular E or F is assembled here; verify_witnesses
+checks a given pair over QQ[l] (`examples 2` runs it on case 2's
+hand-written pair).
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
-from .field import FIELD_RATIONAL, field_of, field_of_array
+from .field import FIELD_RATIONAL, field_of
 from .matpoly import (MatPoly, block_apply, lambda_vec, matrix_from_json,
                       matrix_to_json, pencil_from_json, pencil_to_json,
                       rect_identity, shear_s, _require_ints, _require_keys)
 from .qpoly import pm_det, to_pm
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_gap
-
-
-def reflector_for(v, field: Optional[str] = None):
-    """Nonsingular M with M*v = alpha*e1, alpha != 0.
-
-    Float path: Householder reflector, alpha = ||v||_2. Exact path: the
-    elementary matrix [[1, 0], [-v_2..-v_k | v_1 I]] composed with a row
-    swap when the leading entry vanishes; alpha is that leading entry.
-    Without a field, float arrays take the float path.
-    """
-    field = field_of_array(v) if field is None else field_of(field)
-    return field.reflector(v)
 
 
 WIDE_REFUSAL = "wide polynomials trim through the left space"
@@ -75,8 +63,8 @@ class _KronForm:
     record has S = I, D = Dtilde and W = Rt.  pencil holds S*L; M is None
     when S = I and D when D = I; Z is W's leading (k-1)*n columns; B is
     the column permutation b of the identity (B*x = x[b]).  certify()
-    checks the factor identities; witnesses() assembles the E and F they
-    imply, which the tests verify over QQ[l] as the certificate's oracle.
+    checks the factor identities; the E and F they imply are assembled
+    only by the tests' oracle (tests/witness_oracle.py).
     """
     pencil: MatPoly
     M: Optional[np.ndarray]
@@ -218,29 +206,6 @@ class _KronForm:
                          -self.Z[:, _block_flip(k - 1, n)], top, self.alpha,
                          flip[self.b])
 
-    def witnesses(self) -> Tuple[MatPoly, MatPoly]:
-        """E = T*diag(E_K, I)*C and F = B*F_K, with E_K and F_K as in
-        certify() and C = diag(I_m, W)^-1 * D^-1 * S; raise
-        PreconditionError unless nonsingular()."""
-        if not self.nonsingular():
-            raise PreconditionError("a constant factor is singular")
-        field, m, n = FIELD_RATIONAL, self.top.m, self.n
-        k = self.top.n // n
-        core = field.eye(self.pencil.m)
-        core[m:, m:] = self.W
-        c = field.inv(core if self.D is None else self.D @ core)
-        if self.M is not None:  # c * (M kron I)
-            c = block_apply(self.M.T, c.T).T
-        lam, g = lambda_vec(k, n, field), shear_s(k, n, field)
-        f = [np.hstack([field.div(lam.coeff(i), self.alpha),
-                        g.coeff(i)])[self.b]
-             for i in range(k)]
-        e = [c[self.t]] + [field.zeros(*c.shape) for _ in range(k - 1)]
-        lower = c[m:m + (k - 1) * n]
-        for coeff, block in zip(e, self.top.matmul(g).coeffs):
-            coeff[:m] -= block @ lower
-        return MatPoly(e, field), MatPoly(f, field)
-
 
 def _stack_over(top: MatPoly, lower) -> MatPoly:
     """The pencil with the strip top over the lower block pair
@@ -268,7 +233,8 @@ def _h_times(y: MatPoly, n: int) -> MatPoly:
 
 
 def _block_flip(k: int, n: int) -> np.ndarray:
-    """Row order of flip_r(k, n): flip_r(k, n) @ x == x[_block_flip(k, n)]."""
+    """Row order that reverses the k blocks of n rows: x[_block_flip(k, n)]
+    is x with its blocks in the opposite order."""
     return np.arange(k * n).reshape(k, n)[::-1].ravel()
 
 
@@ -288,14 +254,6 @@ def row_reduction(l: AnsatzPencil, m_mat, alpha) -> _KronForm:
     top = MatPoly.pencil(reduced.X[:m], reduced.Y[:m], field)
     z = reduced.Y[m:, :(k - 1) * n].copy()
     return _KronForm(reduced, m_mat, None, z, top, alpha, np.arange(k * n))
-
-
-def z_block(l: AnsatzPencil, m_mat, alpha):
-    """The constant lower-left block of (M kron I)*L, after the structure
-    checks of the row transform."""
-    if l.side == SIDE_L2:
-        return z_block(l.transpose(), m_mat, alpha).T.copy()
-    return row_reduction(l, m_mat, alpha).Z
 
 
 def z_rank(l: AnsatzPencil) -> int:
@@ -548,7 +506,7 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
 
 
 # ---------------------------------------------------------------------------
-# the certificate and the witnesses
+# the certificate and the witness check
 
 def _kron_form(obj, p: MatPoly):
     """The block-Kronecker form of a member or trimming record built from
@@ -589,41 +547,6 @@ def certify_linearization(obj, p: MatPoly, strong: bool = False) -> bool:
     if strong:
         form.reversal().certify(q.reversal())
     return True
-
-
-def _witness_pair(form: _KronForm, transposed: bool):
-    e, f = form.witnesses()
-    return (f.transpose(), e.transpose()) if transposed else (e, f)
-
-
-def linearization_witnesses(obj, p: MatPoly, strong: bool = False):
-    """Unverified witnesses (pencil, polynomial, E, F) for a member or a
-    trimming record built from p, then for the reversals when strong; None
-    when no witness can be built (a bare pencil, a deficient Z, a record
-    or member of another polynomial, a zero alpha, a singular constant
-    factor)."""
-    try:
-        form, transposed = _kron_form(obj, p)
-    except PreconditionError:
-        return None
-    if not form.nonsingular():
-        return None
-    pen = obj.pencil if isinstance(obj, AnsatzPencil) else obj.Lt
-    out = [(pen, p, *_witness_pair(form, transposed))]
-    if strong:
-        out.append((pen.reversal(), p.reversal(),
-                    *_witness_pair(form.reversal(), transposed)))
-    return out
-
-
-def g_lin_witnesses(l: AnsatzPencil) -> Tuple[MatPoly, MatPoly]:
-    """Unimodular E, F with E*L*F = diag(P, I_{k-1} kron I_{m,n}),
-    constructed explicitly and verified symbolically. Exact field only."""
-    if l.field != FIELD_RATIONAL:
-        raise PreconditionError("witness construction needs the rational field")
-    e, f = _witness_pair(*_kron_form(l, l.poly))
-    verify_witnesses(l.pencil, l.poly, e, f)
-    return e, f
 
 
 def _padding(l: MatPoly, p: MatPoly):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import field_of_array
-from .matpoly import (MatPoly, flip_r, matrix_from_json, pencil_from_json,
+from .matpoly import (MatPoly, matrix_from_json, pencil_from_json,
                       pencil_to_json, rect_identity)
 
 SIDE_L1 = "l1"
@@ -57,18 +57,6 @@ class AnsatzPencil:
         other = SIDE_L2 if self.side == SIDE_L1 else SIDE_L1
         return AnsatzPencil(self.pencil.transpose(), other, self.ansatz,
                             self.poly.transpose())
-
-    def reversal_member(self) -> "AnsatzPencil":
-        """Reversed pencil times a block flip is a member for the reversed
-        polynomial with the same ansatz vector."""
-        rev = self.pencil.reversal().coeffs
-        if self.side == SIDE_L1:
-            flip = flip_r(self.k, self.poly.n, self.field)
-            pen = MatPoly([c @ flip for c in rev], self.field)
-        else:
-            flip = flip_r(self.k, self.poly.m, self.field)
-            pen = MatPoly([flip @ c for c in rev], self.field)
-        return AnsatzPencil(pen, self.side, self.ansatz, self.poly.reversal())
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,34 +243,3 @@ def _unit_like(p: MatPoly, i: int):
     e = p.field.zeros(p.grade, 1)[:, 0]
     e[i] = p.field.one
     return e
-
-
-def space_dimension(m: int, n: int, k: int) -> int:
-    if m < 1 or n < 1 or k < 2:
-        raise PreconditionError("needs positive sizes and grade >= 2")
-    return k * (k - 1) * m * n + k
-
-
-def generator_matrix(p: MatPoly, side: str) -> np.ndarray:
-    """Stacked vectorizations [vec X | vec Y] of the spanning set given by
-    unit ansatz vectors and unit free blocks; its rank is the space
-    dimension whenever P is nonzero."""
-    k, m, n = p.grade, p.m, p.n
-    rows = []
-
-    def vec_of(member):
-        pen = member.pencil.to_float()
-        return np.concatenate([pen.X.ravel(), pen.Y.ravel()])
-
-    wshape = (k * m, (k - 1) * n) if side == SIDE_L1 else ((k - 1) * m, k * n)
-    zero_w = p.field.zeros(*wshape)
-    build = build_l1 if side == SIDE_L1 else build_l2
-    for i in range(k):
-        rows.append(vec_of(build(p, _unit_like(p, i), zero_w)))
-    zero_v = p.field.zeros(k, 1)[:, 0]
-    for r in range(wshape[0]):
-        for c in range(wshape[1]):
-            w = p.field.zeros(*wshape)
-            w[r, c] = p.field.one
-            rows.append(vec_of(build(p, zero_v, w)))
-    return np.vstack(rows)

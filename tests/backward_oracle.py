@@ -1,19 +1,48 @@
 """Reference helpers for the backward-error tests.
 
 Nothing in the package calls these; they check the paper's appendix and
-the trimmed pencil's scaling from the outside: the flipped corner block
-T_hat, the minimality margin of the shifted block row, how far a trim
-sits from the well-scaled regime, and a JSON-lines rendering of reports.
+the trimmed pencil's scaling from the outside: the tridiagonal corner
+blocks T and T_hat, the minimality margin of the shifted block row, how
+far a trim sits from the well-scaled regime, and a JSON-lines rendering
+of reports.
 """
 
 import json
 
-from matpencil.backward import (AppendixMatrices, _cond2, _is_block_minimal,
-                                _require_pencil, _smin)
-from matpencil.errors import SchemaError
+import numpy as np
+
+from matpencil.backward import (_cond2, _is_block_minimal, _require_pencil,
+                                _smin)
+from matpencil.errors import PreconditionError, SchemaError
 from matpencil.reduction import TrimResult
 
 OPTIMAL_BAND = 10.0  # optimality_check's ratios pass within this factor
+
+
+class AppendixMatrices:
+    """Tridiagonal comparison blocks for the Gram matrix of the shifted
+    block row's convolution matrix."""
+
+    @staticmethod
+    def d(j: int) -> np.ndarray:
+        if j < 1:
+            raise PreconditionError("block size must be positive")
+        out = 2.0 * np.eye(j)
+        out[0, 0] = 1.0
+        out[j - 1, j - 1] = 1.0
+        return out
+
+    @staticmethod
+    def l(j: int) -> np.ndarray:
+        if j < 1:
+            raise PreconditionError("block size must be positive")
+        return np.diag(-np.ones(j - 1), -1)
+
+    @classmethod
+    def t(cls, j: int) -> np.ndarray:
+        out = cls.d(j) + cls.l(j) + cls.l(j).T
+        out[j - 1, j - 1] += 1.0
+        return out
 
 
 def t_hat(j: int):

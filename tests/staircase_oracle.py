@@ -5,12 +5,14 @@ The package's _staircase runs a stack of pencils through each step with
 one SVD call per group of pencils whose decisions agree.  The tests
 compare it with this staircase, which compresses a single pencil with
 the same rank rule, ref and shape, and reads the same indices and
-clear-of-the-cut flag.
+clear-of-the-cut flag.  pencil_indices runs one pencil through the
+package's stacked staircase as a stack of one.
 """
 
 import numpy as np
 
 from matpencil.field import FIELD_FLOAT
+from matpencil.minimal import stack_indices
 
 
 def _staircase(y, x):
@@ -56,3 +58,11 @@ def oracle_pencil_indices(pencil):
     left, ok_l = _staircase(y.T, x.T)
     agree = pencil.n - len(right) == pencil.m - len(left)
     return right, left, ok_r and ok_l and agree
+
+
+def pencil_indices(pencil):
+    """Right and left minimal indices of a float64 pencil Y + l*X, read
+    off the package's staircase as a stack of one, and whether every rank
+    decision stayed RANK_MARGIN from the cut and both sides agree on the
+    normal rank."""
+    return stack_indices(pencil.coeff(0)[None], pencil.coeff(1)[None])[0]

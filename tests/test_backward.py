@@ -13,7 +13,6 @@ import pytest
 from matpencil import backward
 from matpencil import exactla as xla
 from matpencil.backward import (
-    AppendixMatrices,
     PerturbReport,
     appendix_lambda_min,
     backward_constants,
@@ -33,12 +32,12 @@ from matpencil.matpoly import (
     h_dual,
     lambda_vec,
 )
-from matpencil.minimal import pencil_indices, walk_indices
+from matpencil.minimal import walk_indices
 from matpencil.reduction import trim
 from matpencil.spaces import build_l1, companion_g1
-from backward_oracle import (minimality_margin, optimality_check,
-                             reports_to_jsonl, t_hat)
-from staircase_oracle import oracle_pencil_indices
+from backward_oracle import (AppendixMatrices, minimality_margin,
+                             optimality_check, reports_to_jsonl, t_hat)
+from staircase_oracle import oracle_pencil_indices, pencil_indices
 
 
 def scaled_companion_trim(rng, m, n, k):
@@ -201,7 +200,7 @@ class TestDualCompletion:
         dy = rng.standard_normal(((k - 1) * n, k * n))
         s = 0.5 * radius / math.sqrt(np.sum(dx * dx) + np.sum(dy * dy))
         db = MatPoly([dy * s, dx * s], FIELD_FLOAT)
-        dd = dual_completion(b + db, k, n, rt=rt, delta_b=db)
+        dd = dual_completion(b + db, k, n, sig_r=sig, delta_b=db)
         res = (b + db).matmul(lambda_vec(k, n, FIELD_FLOAT) + dd)
         assert res.frob_norm() <= 1e-10
         assert dd.frob_norm() <= k * math.sqrt(2) / sig * db.frob_norm()
@@ -222,7 +221,7 @@ class TestDualCompletion:
             dy = rng.standard_normal(((k - 1) * n, k * n))
             s = 0.8 * radius / math.sqrt(np.sum(dx * dx) + np.sum(dy * dy))
             db = MatPoly([dy * s, dx * s], FIELD_FLOAT)
-            dd = dual_completion(b + db, k, n, rt=rt, delta_b=db)
+            dd = dual_completion(b + db, k, n, sig_r=sig, delta_b=db)
             assert dd.frob_norm() <= k * math.sqrt(2) / sig * db.frob_norm()
             hits += 1
         assert hits >= 90
@@ -234,27 +233,37 @@ class TestDualCompletion:
         db.coeffs[0][0, 0] = Fraction(1, 100)
         db.coeffs[1][1, 2] = Fraction(-1, 200)
         dd = dual_completion(tr.b_block() + db, k, n,
-                             rt=tr.Rt, delta_b=db)
+                             sig_r=backward._smin(tr.Rt), delta_b=db)
         assert dd.field == FIELD_RATIONAL
         res = (tr.b_block() + db).matmul(
             lambda_vec(k, n, FIELD_RATIONAL) + dd)
         assert res.is_zero()
 
     def test_one_sigma_min_of_rt_per_call(self, monkeypatch):
-        tr = trim(companion_g1(case3_poly().to_float()))
+        """run_experiment takes the sigma_min of Rt once per call and
+        hands it to every trial's dual_completion, which takes none."""
+        p = case3_poly().to_float()
+        tr = trim(companion_g1(p))
         k, n = tr.k, tr.n
         db = MatPoly.zero((k - 1) * n, k * n, 1, FIELD_FLOAT)
         db.coeffs[0][0, 0] = 1e-3
-        seen = []
         real = backward._smin
+        sig_r = real(tr.Rt)
+        seen = []
 
         def counted(a):
-            seen.append(a is tr.Rt)
+            seen.append(a)
             return real(a)
 
         monkeypatch.setattr(backward, "_smin", counted)
-        dual_completion(tr.b_block() + db, k, n, rt=tr.Rt, delta_b=db)
-        assert seen.count(True) == 1
+        dual_completion(tr.b_block() + db, k, n, sig_r=sig_r, delta_b=db)
+        assert seen == []
+        counts = []
+        for trials in (1, 4):
+            seen.clear()
+            run_experiment(p, tr, eps_fraction=0.5, trials=trials, seed=0)
+            counts.append(len(seen))
+        assert counts[0] == counts[1]
 
     def test_radius_precondition(self):
         rng = np.random.default_rng(11)
@@ -264,7 +273,7 @@ class TestDualCompletion:
         dx = rng.standard_normal(((k - 1) * n, k * n))
         db = MatPoly([dx, dx], FIELD_FLOAT)
         with pytest.raises(PreconditionError):
-            dual_completion(b + db, k, n, rt=rt, delta_b=db)
+            dual_completion(b + db, k, n, sig_r=1.0, delta_b=db)
 
     def test_shape_validation(self):
         with pytest.raises(SchemaError):
@@ -547,7 +556,8 @@ def oracle_run_experiment(p, tr, eps_fraction, trials, seed):
         ey = np.linalg.solve(dt, dy)
         da = MatPoly([ey[:m], ex[:m]], FIELD_FLOAT)
         db = MatPoly([ey[m:], ex[m:]], FIELD_FLOAT)
-        dd = backward.dual_completion(bf + db, k, n, rt=rt, delta_b=db)
+        dd = backward.dual_completion(bf + db, k, n, sig_r=sig_r,
+                                      delta_b=db)
         dp = backward.perturbed_polynomial(af, da, dd, alpha)
         dpn = dp.frob_norm()
         ratio = (dpn / p_norm) / (epsilon / lt_norm)

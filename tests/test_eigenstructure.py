@@ -33,7 +33,6 @@ from matpencil.eigenstructure import (
     check_g_linearization,
     check_linearization,
     complete_eigenstructure,
-    index_sum_check,
     smith_form,
 )
 from matpencil.errors import (PreconditionError, SchemaError,
@@ -52,9 +51,11 @@ from matpencil.qpoly import QQL, coeffs, poly as qp, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, build_l1, build_l2,
                               companion_g1, companion_g2)
+from index_sum_oracle import index_sum_check, structural_sum
 from smith_oracle import (oracle_decomposition, oracle_diag, oracle_finite,
                           reference_strong_verdict, reference_verdict,
                           reversal_orders)
+from witness_oracle import g_lin_witnesses
 
 
 def fm(rows):
@@ -215,7 +216,7 @@ class TestEigStructureType:
         assert again == es
 
     def test_structural_sum(self):
-        assert self.build().structural_sum() == 1 * 3 + 1 + 1
+        assert structural_sum(self.build()) == 1 * 3 + 1 + 1
 
     def test_bad_kind(self):
         d = self.build().to_json_dict()
@@ -530,7 +531,7 @@ class TestWitnessCertificate:
                     assert report.get("full_z_rank") in (True, None)
         assert calls == []
         # the spies see the oracle's calls
-        reduction.g_lin_witnesses(companion_g1(case3_poly()))
+        g_lin_witnesses(companion_g1(case3_poly()))
         assert "to_pm" in calls and "pm_det" in calls
 
     def test_fallbacks_skip_smith(self, monkeypatch):
@@ -775,7 +776,7 @@ class TestRankWalks:
     def test_index_sum_holds_at_every_grade(self):
         for p in low_rank_polys(72):
             es = complete_eigenstructure(p)
-            assert es.structural_sum() == p.grade * es.nrank
+            assert structural_sum(es) == p.grade * es.nrank
 
     def test_strong_fallback_on_bare_pencils(self):
         rng = np.random.default_rng(73)

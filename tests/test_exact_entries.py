@@ -20,13 +20,15 @@ from matpencil import exactla as xla
 from matpencil.backward import perturbed_polynomial
 from matpencil.cases import case2_poly
 from matpencil.cli import EXIT_SCHEMA, main
+from matpencil.eigenstructure import complete_eigenstructure
 from matpencil.errors import SchemaError
 from matpencil.field import FIELD_RATIONAL, RationalField
 from matpencil.matpoly import MatPoly, dump_json, lambda_vec, rect_identity
-from matpencil.minimal import lift_left
-from matpencil.reduction import g_lin_witnesses, reflector_for, row_reduction
+from matpencil.reduction import row_reduction
 from matpencil.spaces import SIDE_L1, ansatz_membership, build_l1
+from lift_oracle import lift_left
 from span_oracle import span_add
+from witness_oracle import g_lin_witnesses, witnesses
 from test_cli_digests import (GENERIC_SEEDS, _bare_pencil, case3_outputs,
                               generic_outputs)
 
@@ -57,7 +59,7 @@ XLA_RESULTS = ("frac", "div", "fmat", "fvec", "fzeros", "feye", "qq_scalar",
                "from_domain", "nullspace", "solve", "unique_solve", "inv",
                "det")
 FIELD_RESULTS = ("scalar", "matrix", "vector", "zeros", "eye", "inner", "div",
-                 "nullspace", "pivots", "solve", "inv", "pinv",
+                 "nullspace", "pivots", "solve", "inv",
                  "min_norm_solve", "reflector", "factor_z",
                  "scalar_from_json", "parse_matrix")
 
@@ -161,6 +163,31 @@ class TestIntegralValuesAreInts:
         assert type(xla.det(sq)) is int
         assert xla.inv(xla.fmat([[2]]))[0, 0] == Fraction(1, 2)
 
+    def test_factor_coefficients(self):
+        # the library tour's polynomial in README.md: one quartic factor
+        p = MatPoly([[[1, 7], [2, 5], [4, 19]], [[3, 4], [9, 2], [15, 10]],
+                     [[1, 0], [0, 1], [2, 1]]])
+        (factor, _), = complete_eigenstructure(p).finite
+        assert [type(c) for c in factor] == [int] * 5
+
+
+class TestInexactEntriesRefused:
+    """An object array passes through the rational field uncoerced, so
+    the field refuses one holding an entry that is not exactly an int or
+    a Fraction."""
+
+    @pytest.mark.parametrize("entry", [0.5, True, np.int64(1)],
+                             ids=["float", "bool", "int64"])
+    def test_matrix_and_vector(self, entry):
+        with pytest.raises(SchemaError, match="int or Fraction"):
+            MatPoly([np.array([[entry]], dtype=object)])
+        with pytest.raises(SchemaError, match="int or Fraction"):
+            FIELD_RATIONAL.vector(np.array([1, entry], dtype=object))
+
+    def test_exact_entries_pass_through(self):
+        a = np.array([[1, Fraction(1, 2), Fraction(4, 2)]], dtype=object)
+        assert FIELD_RATIONAL.matrix(a) is a
+
 
 def _scaled_companion(p, alpha):
     """The member with ansatz alpha*e1 and the companion's free block: its
@@ -212,10 +239,9 @@ class TestDivisionSites:
     def test_kron_form_with_alpha_two(self):
         p = case2_poly()
         member = _scaled_companion(p, 2)
-        form = row_reduction(member, *reflector_for(member.ansatz,
-                                                    member.field))
+        form = row_reduction(member, *member.field.reflector(member.ansatz))
         assert form.alpha == 2
-        e, f = form.witnesses()
+        e, f = witnesses(form)
         _exact([e, f])
         assert Fraction(1, 2) in set(f.coeffs[0].flat) | set(f.coeffs[1].flat)
         g_lin_witnesses(member)  # verified over QQ[l]

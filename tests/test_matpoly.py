@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.cases import (CASE3_NORM_SQ, case2_poly, case3_eval_at_one,
-                             case3_poly)
+from matpencil.cases import CASE3_NORM_SQ, case2_poly, case3_poly
 from matpencil.errors import PreconditionError, SchemaError
 from matpencil.field import RANK_SAFETY
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               block_apply, dump_json, flip_r, h_dual,
+                               block_apply, dump_json, h_dual,
                                lambda_vec, rect_identity, shear_s)
 from matpencil.qpoly import coeffs, to_pm
+from space_oracle import flip_r
+
+# case 3's polynomial at l = 1: A_0 + A_1 + A_2
+CASE3_AT_ONE = [[5, 13], [13, 12], [23, 38]]
 
 
 def rand_matpoly(rng, m, n, k, lo=-4, hi=5):
@@ -39,7 +42,7 @@ class TestEval:
 
     def test_dense_case_at_one(self):
         out = case3_poly().eval(1)
-        assert xla.is_zero(out - case3_eval_at_one())
+        assert xla.is_zero(out - xla.fmat(CASE3_AT_ONE))
 
     def test_exact_float_agreement(self):
         rng = np.random.default_rng(7)

@@ -18,12 +18,12 @@ from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
                                MinimalBasis, _pack_checked, embed_right,
-                               index_walk, lift_left, minimal_basis,
-                               pencil_indices, project_ansatz,
+                               index_walk, minimal_basis, project_ansatz,
                                recover_minimal, stack_indices, walk_indices)
 from matpencil.reduction import full_z_rank, trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
-from staircase_oracle import oracle_pencil_indices
+from lift_oracle import lift_left
+from staircase_oracle import oracle_pencil_indices, pencil_indices
 from walk_oracle import oracle_walk_indices
 
 

@@ -4,17 +4,17 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from matpencil import exactla as xla
-from matpencil.eigenstructure import (complete_eigenstructure,
-                                      index_sum_check, smith_form)
+from matpencil.eigenstructure import complete_eigenstructure, smith_form
 from matpencil.errors import PreconditionError
 from matpencil.matpoly import FIELD_RATIONAL, MatPoly, lambda_vec
-from matpencil.minimal import (SIDE_LEFT, lift_left, minimal_basis,
-                               project_ansatz)
+from matpencil.minimal import SIDE_LEFT, minimal_basis, project_ansatz
 from matpencil.qpoly import pm_det, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil,
                               ansatz_residual, ansatz_target, build_l1,
                               build_l2, shifted_sum)
+from index_sum_oracle import index_sum_check
+from lift_oracle import lift_left
 from smith_oracle import oracle_decomposition
 
 ints = st.integers(min_value=-4, max_value=4)

@@ -17,16 +17,16 @@ from matpencil.field import RANK_SAFETY
 from matpencil.errors import (PreconditionError, SchemaError,
                               StructureError, VerificationError)
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
-                               dump_json, flip_r, h_dual, lambda_vec,
-                               rect_identity)
+                               dump_json, h_dual, lambda_vec, rect_identity)
 from matpencil import reduction
 from matpencil.reduction import (TrimResult, certify_linearization,
-                                 full_z_rank, g_lin_witnesses,
-                                 linearization_witnesses, max_z_rank,
-                                 reflector_for, row_reduction, trim,
-                                 verify_witnesses, z_block, z_rank)
+                                 full_z_rank, max_z_rank, row_reduction,
+                                 trim, verify_witnesses, z_rank)
 from matpencil.spaces import (SIDE_L1, AnsatzPencil, build_l1, build_l2,
                               companion_g1, companion_g2)
+import witness_oracle
+from space_oracle import flip_r, reversal_member
+from witness_oracle import g_lin_witnesses, linearization_witnesses, witnesses
 
 
 def rand_poly(rng, m, n, k, field=FIELD_RATIONAL):
@@ -85,28 +85,28 @@ def frobenius_c1(p: MatPoly) -> MatPoly:
 
 class TestReflector:
     def test_unit_vector(self):
-        m, a = reflector_for(xla.fvec([1, 0]))
+        m, a = FIELD_RATIONAL.reflector(xla.fvec([1, 0]))
         assert a == 1 and xla.is_zero(m - xla.feye(2))
 
     def test_row_swap(self):
-        m, a = reflector_for(xla.fvec([0, 1]))
+        m, a = FIELD_RATIONAL.reflector(xla.fvec([0, 1]))
         assert a == 1
         assert xla.is_zero(m - xla.fmat([[0, 1], [1, 0]]))
 
     def test_exact_general(self):
         v = xla.fvec([3, 4])
-        m, a = reflector_for(v)
+        m, a = FIELD_RATIONAL.reflector(v)
         mv = m.dot(v)
         assert a == 3 and mv[0] == a and mv[1] == 0
 
     def test_float_householder(self):
-        m, a = reflector_for(np.array([3.0, 4.0]))
+        m, a = FIELD_FLOAT.reflector(np.array([3.0, 4.0]))
         assert abs(a - 5.0) < 1e-14
         assert np.allclose(m @ np.array([3.0, 4.0]), [5.0, 0.0])
         assert np.allclose(m @ m.T, np.eye(2))
 
     def test_float_positive_axis(self):
-        m, a = reflector_for(np.array([0.25, 0.0, 0.0]))
+        m, a = FIELD_FLOAT.reflector(np.array([0.25, 0.0, 0.0]))
         assert np.allclose(m, np.eye(3)) and abs(a - 0.25) < 1e-15
 
     def test_float_axis_cut_is_the_rank_rule(self):
@@ -114,46 +114,46 @@ class TestReflector:
         # norm at most k * ||v|| * eps * RANK_SAFETY, the rank rule for a
         # k x 1 column
         cut = 3 * np.finfo(float).eps * RANK_SAFETY
-        m, _ = reflector_for(np.array([1.0, 0.5 * cut, 0.0]))
+        m, _ = FIELD_FLOAT.reflector(np.array([1.0, 0.5 * cut, 0.0]))
         assert (m == np.eye(3)).all()
-        m, _ = reflector_for(np.array([1.0, 2.0 * cut, 0.0]))
+        m, _ = FIELD_FLOAT.reflector(np.array([1.0, 2.0 * cut, 0.0]))
         assert not (m == np.eye(3)).all()
         assert np.allclose(m @ m.T, np.eye(3))
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
-            reflector_for(xla.fvec([0, 0]))
+            FIELD_RATIONAL.reflector(xla.fvec([0, 0]))
         with pytest.raises(PreconditionError):
-            reflector_for(np.zeros(3))
+            FIELD_FLOAT.reflector(np.zeros(3))
 
 
 class TestZBlock:
     def test_companion_is_negated_identity_pattern(self):
         p = case3_poly()
         c1 = companion_g1(p)
-        z = z_block(c1, xla.feye(2), 1)
+        z = row_reduction(c1, xla.feye(2), 1).Z
         assert xla.is_zero(z + rect_identity(3, 2))
 
     def test_companion_k3(self):
         rng = np.random.default_rng(31)
         p = rand_poly(rng, 4, 2, 3)
-        z = z_block(companion_g1(p), xla.feye(3), 1)
+        z = row_reduction(companion_g1(p), xla.feye(3), 1).Z
         target = np.kron(xla.feye(2), rect_identity(4, 2))
         assert xla.is_zero(z + target)
 
     def test_rank_deficient_case(self):
         member = case1_member()
-        m, a = reflector_for(member.ansatz)
-        z = z_block(member, m, a)
+        m, a = FIELD_RATIONAL.reflector(member.ansatz)
+        z = row_reduction(member, m, a).Z
         assert xla.is_zero(z - xla.fmat(CASE1_Z))
         assert z_rank(member) == 1
         assert not full_z_rank(member)
 
     def test_walked_example(self):
         member = case3_member()
-        m, a = reflector_for(member.ansatz)
+        m, a = FIELD_RATIONAL.reflector(member.ansatz)
         assert xla.is_zero(m - xla.fmat(CASE3_M)) and a == 1
-        z = z_block(member, m, a)
+        z = row_reduction(member, m, a).Z
         assert xla.is_zero(z - xla.fmat(CASE3_Z))
         assert full_z_rank(member)
 
@@ -165,7 +165,7 @@ class TestZBlock:
         fake = AnsatzPencil(MatPoly.pencil(x, c1.pencil.Y, p.field), c1.side,
                             c1.ansatz, p)
         with pytest.raises(StructureError):
-            z_block(fake, xla.feye(2), 1)
+            row_reduction(fake, xla.feye(2), 1)
 
     @pytest.mark.parametrize("field", [FIELD_RATIONAL, FIELD_FLOAT])
     def test_structure_error_on_a_wrong_middle_top_block(self, field):
@@ -179,7 +179,7 @@ class TestZBlock:
         fake = AnsatzPencil(MatPoly.pencil(x, c1.pencil.Y, field), c1.side,
                             c1.ansatz, p)
         with pytest.raises(StructureError):
-            row_reduction(fake, *reflector_for(fake.ansatz, field))
+            row_reduction(fake, *field.reflector(fake.ansatz))
         for member in (fake, fake.transpose()):
             with pytest.raises(StructureError):
                 trim(member)
@@ -188,18 +188,18 @@ class TestZBlock:
         rng = np.random.default_rng(32)
         for _ in range(5):
             member = rand_member(rng, 3, 2, 2)
-            m1, a1 = reflector_for(member.ansatz)
+            m1, a1 = FIELD_RATIONAL.reflector(member.ansatz)
             s = xla.fmat([[2, 3], [0, 1]])  # fixes the e1 direction
             m2 = s.dot(m1)
-            z1 = z_block(member, m1, a1)
-            z2 = z_block(member, m2, a1 * 2)
+            z1 = row_reduction(member, m1, a1).Z
+            z2 = row_reduction(member, m2, a1 * 2).Z
             assert xla.rank(z1) == xla.rank(z2)
 
     def test_l2_side(self):
         rng = np.random.default_rng(33)
         p = rand_poly(rng, 2, 3, 2)
         c2 = companion_g2(p)
-        z = z_block(c2, xla.feye(2), 1)
+        z = row_reduction(c2.transpose(), xla.feye(2), 1).Z.T
         assert z.shape == (2, 3)
         assert xla.is_zero(z + rect_identity(2, 3))
         assert full_z_rank(c2)
@@ -208,10 +208,10 @@ class TestZBlock:
         rng = np.random.default_rng(34)
         for _ in range(3):
             member = rand_member(rng, 3, 2, 2)
-            m1, a1 = reflector_for(member.ansatz)
-            z = z_block(member, m1, a1)
-            rev = member.reversal_member()
-            zr = z_block(rev, m1, a1)
+            m1, a1 = FIELD_RATIONAL.reflector(member.ansatz)
+            z = row_reduction(member, m1, a1).Z
+            rev = reversal_member(member)
+            zr = row_reduction(rev, m1, a1).Z
             flip = flip_r(member.k - 1, 2)
             assert xla.is_zero(zr + z.dot(flip))
 
@@ -289,7 +289,7 @@ class TestWitnesses:
             calls.append(args)
             verify_witnesses(*args)
 
-        monkeypatch.setattr(reduction, "verify_witnesses", counting)
+        monkeypatch.setattr(witness_oracle, "verify_witnesses", counting)
         g_lin_witnesses(companion_g2(rand_poly(np.random.default_rng(38),
                                                2, 3, 3)))
         assert len(calls) == 1
@@ -503,7 +503,7 @@ class TestFactorCertificate:
                        replace(record, Z=rt)):
             assert not broken.nonsingular()
             with pytest.raises(PreconditionError):
-                broken.witnesses()
+                witnesses(broken)
         # a check whose member's Z is rank deficient settles by structure,
         # as when no form can be built
         member = companion_g1(p)
@@ -552,7 +552,7 @@ class TestFactorCertificate:
 
 
 class TestMemberForm:
-    """row_reduction's form is the one that z_block, trim and the
+    """row_reduction's form is the one that z_rank, trim and the
     certificate read."""
 
     def test_nonsingular_exactly_when_the_complement_exists(self):
@@ -565,8 +565,7 @@ class TestMemberForm:
         seen = set()
         for member in members:
             right = member if member.side == SIDE_L1 else member.transpose()
-            m_mat, alpha = reflector_for(right.ansatz, right.field)
-            form = row_reduction(right, m_mat, alpha)
+            form = row_reduction(right, *right.field.reflector(right.ansatz))
             try:
                 form.complement
                 ok = True
@@ -574,9 +573,6 @@ class TestMemberForm:
                 ok = False
             assert form.nonsingular() == ok
             seen.add(ok)
-            z = z_block(member, m_mat, alpha)
-            assert xla.is_zero(
-                (z if member.side == SIDE_L1 else z.T) - form.Z)
             if ok and form.Z.shape[0] == form.Z.shape[1]:
                 assert form.W is form.Z
         assert seen == {True, False}
@@ -609,7 +605,7 @@ class TestTrim:
                                         companion_g1(case3_poly().to_float())])
     def test_member_pencil_is_the_row_transformed_member(self, member):
         field = member.field
-        red = row_reduction(member, *reflector_for(member.ansatz, field))
+        red = row_reduction(member, *field.reflector(member.ansatz))
         mk = np.kron(red.M, field.eye(member.poly.m))
         moved = MatPoly([mk @ c for c in member.pencil.coeffs], field)
         assert tiny(field, moved - red.pencil)
@@ -682,8 +678,7 @@ class TestTrim:
     def test_z_is_eliminated_once(self, monkeypatch):
         # the rank decision and Q2 both come from one rref of Z^T
         member = case3_member()
-        z = row_reduction(member, *reflector_for(member.ansatz,
-                                                 member.field)).Z
+        z = row_reduction(member, *member.field.reflector(member.ansatz)).Z
         seen = []
         rref = xla.rref
 
