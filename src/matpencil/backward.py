@@ -7,9 +7,15 @@ experiment driver that checks the advertised bound trial by trial.
 
 Trials are independent pure computations; each one draws from its own
 generator seeded by (seed, trial index), so execution order cannot leak
-between trials and reports are listed in trial order.  The perturbed
-pencils' staircases run stacked, TRIAL_BLOCK trials at a time, with every
-rank decision still taken per pencil under the field's one rule.
+between trials and reports are listed in trial order.  They run
+TRIAL_BLOCK at a time as one stack: the solves, the dual completion, the
+perturbed polynomial, their norms, the first normal-rank sample and the
+pencils' staircases take one numpy call per step for the whole block,
+with every decision still taken per trial under the field's one rule.
+Three steps stay per trial: the draws, from each trial's own generator;
+the dual completion's minimum norm solves, since np.linalg.lstsq takes
+2-D arrays only; and the polynomial's index walk, whose cost is the
+flops of its SVDs, not call overhead.
 """
 
 import math
@@ -17,9 +23,11 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import PreconditionError, SchemaError, VerificationError
+from .errors import (MatPencilError, PreconditionError, SchemaError,
+                     VerificationError)
 from .field import FIELD_FLOAT, field_of_array
-from .matpoly import MatPoly, _require_keys, h_dual, lambda_vec
+from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _require_keys, h_dual,
+                      lambda_vec)
 from .minimal import stack_indices, walk_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
@@ -35,7 +43,7 @@ __all__ = [
     "summarize_experiment",
 ]
 
-# trials per block; a block's perturbed pencils run one stacked staircase
+# trials per block; a block runs as one stack up to the per-trial walks
 TRIAL_BLOCK = 32
 
 
@@ -89,17 +97,126 @@ def sigma_min_tau(k: int, n: int, j: int):
 
 
 # ---------------------------------------------------------------------------
+# Stacks of polynomials
+#
+# A stack holds polynomials of one shape and grade as one array (b, g+1,
+# rows, cols) of ascending coefficients.  Every step below is elementwise,
+# a sum over each coefficient, or a stacked @, solve or svd, which numpy
+# runs slice by slice with the kernels and memory layout a lone
+# polynomial's MatPoly arithmetic gets, so each slice comes out with that
+# polynomial's bits (TestStackOfOne checks it).
+
+
+def _stack(poly: MatPoly) -> np.ndarray:
+    """poly as a stack of one."""
+    return np.stack(poly.coeffs)[None]
+
+
+def _poly(c) -> MatPoly:
+    """One polynomial of a stack, as a MatPoly."""
+    return MatPoly(list(c), field_of_array(c))
+
+
+def _at(i: int, error: Exception) -> Exception:
+    """error, marked as raised for slice i of a stack: run_experiment reruns
+    the slices before it, which may fail first."""
+    error.stack_index = i
+    return error
+
+
+def _require_all(oks, error: Exception):
+    """Raise error, marked, for the first slice whose ok is false."""
+    for i, ok in enumerate(oks):
+        if not ok:
+            raise _at(i, error)
+
+
+def _on(i: int, fn, *args):
+    """fn(*args) for slice i of a stack; an error it raises is marked as
+    slice i's."""
+    try:
+        return fn(*args)
+    except MatPencilError as e:
+        raise _at(i, e)
+
+
+def _product(a, b) -> np.ndarray:
+    """MatPoly.matmul of each pair of polynomials of two stacks (either may
+    be one polynomial's (g+1, rows, cols), which broadcasts), summed in its
+    order."""
+    out = [0] * (a.shape[-3] + b.shape[-3] - 1)
+    for i in range(a.shape[-3]):
+        for j in range(b.shape[-3]):
+            out[i + j] = out[i + j] + a[..., i, :, :] @ b[..., j, :, :]
+    return np.stack(out, axis=-3)
+
+
+def _conv(c, j: int) -> np.ndarray:
+    """MatPoly.conv_matrix(j) of each polynomial of a stack."""
+    b, g1, r, s = c.shape
+    out = np.zeros_like(c, shape=(b, (g1 + j) * r, (j + 1) * s))
+    for i in range(j + 1):
+        for t in range(g1):
+            out[:, (i + t) * r:(i + t + 1) * r, i * s:(i + 1) * s] = (
+                c[:, g1 - 1 - t])
+    return out
+
+
+def _frob_norms(c) -> list:
+    """MatPoly.frob_norm of each polynomial of a stack.  On float64 the
+    squares of the whole stack are summed at once, coefficient by
+    coefficient in MatPoly's order; a slice whose sum leaves the float
+    range takes MatPoly.frob_norm's scaled sum, and its errors."""
+    if c.dtype == object:
+        return [_on(i, MatPoly.frob_norm, _poly(x)) for i, x in enumerate(c)]
+    with np.errstate(over="ignore"):
+        sq = np.sum(c * c, axis=(2, 3))
+    total = 0
+    for j in range(sq.shape[1]):
+        total = total + sq[:, j]
+    norms = np.sqrt(total).tolist()
+    for i, x in enumerate(norms):
+        if x == math.inf or x < _SQRT_FLOAT_MIN:
+            norms[i] = _on(i, MatPoly.frob_norm, _poly(c[i]))
+    return norms
+
+
+def _normal_ranks(pp) -> list:
+    """MatPoly.normal_rank of each float64 polynomial of a stack.  Every
+    sample of the whole stack is evaluated at once and the first ones are
+    ranked by one SVD call; a polynomial with a sample out of the float
+    range, or whose first sample falls short of full rank, samples on
+    through MatPoly.normal_rank, which raises for the former."""
+    g, m, n = pp.shape[1] - 1, pp.shape[2], pp.shape[3]
+    full = min(m, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = []
+        for t in range(1, g * full + 2):
+            acc = pp[:, g]
+            for i in range(g - 1, -1, -1):
+                acc = acc * float(t) + pp[:, i]
+            samples.append(acc)
+    finite = np.isfinite(samples).all(axis=(0, 2, 3))
+    ranks = np.full(len(pp), -1)
+    ranks[finite] = FIELD_FLOAT.ranks(samples[0][finite])
+    return [r if r == full else _on(i, MatPoly.normal_rank, _poly(pp[i]))
+            for i, r in enumerate(ranks.tolist())]
+
+
+# ---------------------------------------------------------------------------
 # Minimality and dual completion
 
 
-def _is_block_minimal(bp: MatPoly, k: int) -> bool:
-    c_sq = bp.conv_matrix(k - 2)
-    c_row = bp.conv_matrix(k - 1)
-    return (bp.field.rank(c_sq) == c_sq.shape[0]
-            and bp.field.rank(c_row) == c_row.shape[0])
+def _is_block_minimal(bp, k: int) -> list:
+    """Whether each block row of a stack is a minimal basis: conv(k-2)
+    nonsingular and conv(k-1) of full row rank."""
+    field = field_of_array(bp)
+    c_sq, c_row = _conv(bp, k - 2), _conv(bp, k - 1)
+    return [a == c_sq.shape[1] and b == c_row.shape[1]
+            for a, b in zip(field.ranks(c_sq), field.ranks(c_row))]
 
 
-def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None) -> MatPoly:
+def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None):
     """Correction of the dual polynomial basis after the block row moved.
 
     Solves the exact annihilation condition for the perturbed row as a
@@ -109,68 +226,89 @@ def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None) -> MatPoly:
     admissible radius precondition and the norm bound on the correction
     are enforced as well.  The perturbed dual pair is verified minimal
     before returning.
+
+    bp and delta_b are one block row and its perturbation, pencils giving
+    one correction (a MatPoly), or stacks (b, 2, (k-1)n, kn) giving a stack
+    (b, k, kn, n) of corrections.  One row runs as a stack of one.  Each
+    step takes one call for the whole stack, except the minimum norm
+    solves, which are one per row; every check is per row, and a failure
+    raises the first failing row's error, marked with its position
+    (stack_index).
     """
-    bp = _require_pencil(bp, "block row")
-    if (bp.m, bp.n) != ((k - 1) * n, k * n):
+    if not isinstance(bp, np.ndarray):
+        bp = _require_pencil(bp, "block row")
+        if (bp.m, bp.n) != ((k - 1) * n, k * n):
+            raise SchemaError("block row shape is not (k-1)n x kn")
+        if delta_b is not None:
+            delta_b = _stack(_require_pencil(delta_b, "row perturbation"))
+        return _poly(dual_completion(_stack(bp), k, n, sig_r, delta_b)[0])
+    if bp.shape[1:] != (2, (k - 1) * n, k * n):
         raise SchemaError("block row shape is not (k-1)n x kn")
-    dbn = None
-    if delta_b is not None:
-        db = _require_pencil(delta_b, "row perturbation")
-        dbn = db.frob_norm()
+    dbn = None if delta_b is None else _frob_norms(delta_b)
     if sig_r is not None and dbn is not None:
-        if not dbn < sig_r / (2.0 * k ** 1.5):
-            raise PreconditionError("row perturbation exceeds the dual "
-                                    "completion radius")
-    field = bp.field
-    lam = lambda_vec(k, n, field)
-    target = bp.matmul(lam)
-    x = field.min_norm_solve(
-        bp.conv_matrix(k - 1),
-        np.vstack([target.coeff(i) for i in range(target.grade, -1, -1)]))
-    if x is None:
-        raise VerificationError("dual completion system is rank deficient")
-    x = -x
+        radius = sig_r / (2.0 * k ** 1.5)
+        _require_all((x < radius for x in dbn), PreconditionError(
+            "row perturbation exceeds the dual completion radius"))
+    field = field_of_array(bp)
+    lam = np.stack(lambda_vec(k, n, field).coeffs)
+    target = _product(bp, lam)
+    rhs = target[:, ::-1].reshape(len(bp), -1, n)
+    xs = [field.min_norm_solve(a, y) for a, y in zip(_conv(bp, k - 1), rhs)]
+    _require_all((x is not None for x in xs), VerificationError(
+        "dual completion system is rank deficient"))
     kn = k * n
-    coeffs = [x[(k - 1 - i) * kn:(k - i) * kn, :] for i in range(k)]
-    dd = MatPoly([np.ascontiguousarray(c) for c in coeffs], field)
-    if not field.negligible(bp.matmul(lam + dd), bp, lam + dd):
-        raise VerificationError("dual completion residual above tolerance")
+    dd = np.ascontiguousarray(-np.stack(xs).reshape(-1, k, kn, n)[:, ::-1])
+    lam_dd = lam + dd
+    residual = _product(bp, lam_dd)
+    _require_all([_on(i, field.negligible, *slices) for i, slices in
+                  enumerate(zip(residual, bp, lam_dd))],
+                 VerificationError("dual completion residual above "
+                                   "tolerance"))
     if sig_r is not None and dbn is not None:
-        limit = k * math.sqrt(2.0) / sig_r * dbn
-        if dd.frob_norm() > limit * (1.0 + 1e-12):
-            raise VerificationError("dual completion norm bound failed")
-    if not _is_block_minimal(bp, k):
-        raise VerificationError("perturbed block row is not a minimal "
-                                "basis")
-    if field.rank((lam + dd).coeff(k - 1)) != n:
-        raise VerificationError("perturbed dual basis is not column "
-                                "reduced")
+        limits = (k * math.sqrt(2.0) / sig_r * x for x in dbn)
+        _require_all((x <= limit * (1.0 + 1e-12)
+                      for x, limit in zip(_frob_norms(dd), limits)),
+                     VerificationError("dual completion norm bound failed"))
+    _require_all(_is_block_minimal(bp, k), VerificationError(
+        "perturbed block row is not a minimal basis"))
+    _require_all((r == n for r in field.ranks(lam_dd[:, k - 1])),
+                 VerificationError("perturbed dual basis is not column "
+                                   "reduced"))
     return dd
 
 
-def perturbed_polynomial(a, da, dd, alpha) -> MatPoly:
+def perturbed_polynomial(a, da, dd, alpha):
     """The polynomial the perturbed trimmed pencil actually linearizes,
-    relative to the original: (1/alpha) ((A + dA) dD + dA Lambda)."""
+    relative to the original: (1/alpha) ((A + dA) dD + dA Lambda).
+
+    da and dd are one strip perturbation and dual correction, giving a
+    MatPoly, or stacks (b, 2, m, kn) and (b, k, kn, n), giving a stack
+    (b, k+1, m, n); one pair runs as a stack of one."""
     a = _require_pencil(a, "top strip")
-    da = _require_pencil(da, "strip perturbation")
+    one = not isinstance(da, np.ndarray)
+    if one:
+        da = _require_pencil(da, "strip perturbation")
     if float(alpha) == 0.0:
         raise PreconditionError("scale must be nonzero")
-    if (a.field, a.m, a.n) != (da.field, da.m, da.n):
-        raise SchemaError("strip and perturbation shapes differ")
-    if dd is None:
-        raise SchemaError("dual correction is required; pass a zero "
-                          "polynomial of shape kn x n")
-    if dd.m != a.n:
-        raise SchemaError("dual correction height must match the strip "
-                          "width")
-    n = dd.n
-    if a.n % n != 0:
-        raise SchemaError("strip width is not a multiple of the dual "
-                          "width")
-    k = a.n // n
-    lam = lambda_vec(k, n, a.field)
-    out = (a + da).matmul(dd) + da.matmul(lam)
-    return out.scale(a.field.div(a.field.one, a.field.scalar(alpha)))
+    if one:
+        if (a.field, a.m, a.n) != (da.field, da.m, da.n):
+            raise SchemaError("strip and perturbation shapes differ")
+        if dd is None:
+            raise SchemaError("dual correction is required; pass a zero "
+                              "polynomial of shape kn x n")
+        if dd.m != a.n:
+            raise SchemaError("dual correction height must match the "
+                              "strip width")
+        if a.n % dd.n != 0:
+            raise SchemaError("strip width is not a multiple of the dual "
+                              "width")
+        return _poly(perturbed_polynomial(a, _stack(da), _stack(dd),
+                                          alpha)[0])
+    field = a.field
+    n = dd.shape[-1]
+    lam = np.stack(lambda_vec(a.n // n, n, field).coeffs)
+    out = _product(np.stack(a.coeffs) + da, dd) + _product(da, lam)
+    return out * field.scalar(field.div(field.one, field.scalar(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +400,19 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     methods: the polynomial's indices come from the convolution walk that
     defines them, the pencil's from its staircase.
 
-    Trials run in blocks of TRIAL_BLOCK: each trial of a block runs up to
-    its perturbed pencil, then the block's pencils go through one stacked
-    staircase (stack_indices), whose decisions are per pencil under the
-    field's one rank rule, and the block's reports follow in trial order.
-    Memory stays bounded by the block, whatever the trial count.
+    Trials run in blocks of TRIAL_BLOCK, each block as one stack: the
+    draws are per trial, from the trial's own generator; the Dtilde
+    solves, the dual completion, the perturbed polynomial, its norm and
+    the first normal-rank sample take one call per step for the block,
+    except the dual completion's per-trial lstsq; the polynomial walks
+    run trial by trial, being flops-bound; then the block's pencils go
+    through one stacked staircase (stack_indices).  Every decision is
+    per trial under the field's one rule and that trial's own reference,
+    and the block's reports follow in trial order.  A failure raises the
+    first failing trial's error, as a trial-by-trial run would: when a
+    stacked step fails on a trial, the trials before it run again, since
+    one of them may fail a later step.  Memory stays bounded by the
+    block, whatever the trial count.
     """
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
@@ -278,6 +424,8 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
                                 "inside the radius")
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     tr.check_source(p)
     k, m, n = tr.k, tr.m, tr.n
     pf = p.to_float()
@@ -297,42 +445,57 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     epsilon = eps_fraction * bound
     rows = m + (k - 1) * n
 
-    ly, lx = ltf.coeff(0), ltf.coeff(1)
+    ly, lx = ltf.coeffs
+    b_row, p_coeffs = np.stack(bf.coeffs), np.stack(pf.coeffs)
 
-    def trial(t):
-        """Trial t up to the perturbed pencil, whose staircase runs with
-        its block's: ((dP norm, ratio, the perturbed polynomial's
-        indices), (Y, X) of the perturbed pencil)."""
-        rng = np.random.default_rng([seed, t])
-        dx = rng.standard_normal((rows, k * n))
-        dy = rng.standard_normal((rows, k * n))
-        s = epsilon / math.sqrt(np.sum(dx * dx) + np.sum(dy * dy))
-        dx *= s
-        dy *= s
-        ex = np.linalg.solve(dt, dx)
-        ey = np.linalg.solve(dt, dy)
-        da = MatPoly([ey[:m], ex[:m]], FIELD_FLOAT)
-        db = MatPoly([ey[m:], ex[m:]], FIELD_FLOAT)
-        dd = dual_completion(bf + db, k, n, sig_r=sig_r, delta_b=db)
+    def block(ts):
+        """The reports of trials ts, run as one stack up to the polynomial
+        walks, which run trial by trial, and the stacked staircase."""
+        draws = []
+        for t in ts:
+            rng = np.random.default_rng([seed, t])
+            draws.append((rng.standard_normal((rows, k * n)),
+                          rng.standard_normal((rows, k * n))))
+        dx, dy = map(np.stack, zip(*draws))
+        s = epsilon / np.sqrt(np.sum(dx * dx, axis=(1, 2))
+                              + np.sum(dy * dy, axis=(1, 2)))
+        dx *= s[:, None, None]
+        dy *= s[:, None, None]
+        # [E_y, E_x] = Dtilde^-1 [dY, dX]: the strip rows, then the block row
+        de = np.linalg.solve(dt, np.stack([dy, dx], axis=1))
+        da, db = de[:, :, :m], de[:, :, m:]
+        dd = dual_completion(b_row + db, k, n, sig_r=sig_r, delta_b=db)
         dp = perturbed_polynomial(af, da, dd, alpha)
-        dpn = dp.frob_norm()
-        ratio = (dpn / p_norm) / (epsilon / lt_norm)
-        pp = pf + dp
-        return ((dpn, ratio, walk_indices(pp, pp.normal_rank())),
-                (ly + dy, lx + dx))
-
-    reports = []
-    for start in range(0, trials, TRIAL_BLOCK):
-        done, pencils = zip(*[trial(t) for t in
-                              range(start, min(start + TRIAL_BLOCK, trials))])
-        ys, xs = map(np.stack, zip(*pencils))
-        for (dpn, ratio, (rp, lp_idx, ok_p)), (rl, ll, ok_l) in zip(
-                done, stack_indices(ys, xs)):
+        dpns = _frob_norms(dp)
+        pp = p_coeffs + dp
+        walks = [walk_indices(_poly(c), r)
+                 for c, r in zip(pp, _normal_ranks(pp))]
+        reports = []
+        for dpn, (rp, lp_idx, ok_p), (rl, ll, ok_l) in zip(
+                dpns, walks, stack_indices(ly + dy, lx + dx)):
             preserved = (rl == tuple(e + k - 1 for e in rp) and ll == lp_idx)
             reports.append(PerturbReport(
                 epsilon=epsilon, bound_rhs=bound, delta_P_norm=dpn,
-                ratio=ratio, constant_hat=c_hat, constant_full=c_full,
-                kappa_dtilde=kappa_d, kappa_rtilde=kappa_r,
-                sigma_min_rtilde=sig_r, indices_preserved=preserved,
-                conclusive=ok_p and ok_l))
+                ratio=(dpn / p_norm) / (epsilon / lt_norm), constant_hat=c_hat,
+                constant_full=c_full, kappa_dtilde=kappa_d,
+                kappa_rtilde=kappa_r, sigma_min_rtilde=sig_r,
+                indices_preserved=preserved, conclusive=ok_p and ok_l))
+        return reports
+
+    reports = []
+    for start in range(0, trials, TRIAL_BLOCK):
+        ts = range(start, min(start + TRIAL_BLOCK, trials))
+        failed = None
+        while ts:
+            try:
+                reports += block(ts)
+                break
+            except MatPencilError as e:
+                if getattr(e, "stack_index", None) is None:
+                    raise
+                # trial ts[i] failed a stacked step; an earlier trial may
+                # fail a later one, so the trials before it run again
+                ts, failed = ts[:e.stack_index], e
+        if failed is not None:
+            raise failed
     return reports

@@ -100,6 +100,10 @@ class Field(str):
     def rank(self, a) -> int:
         return self.rank_with_margin(a)[0]
 
+    def ranks(self, stack) -> list:
+        """The rank of each matrix of a stack (b, rows, cols), in order."""
+        return [self.rank(a) for a in stack]
+
     def parse_matrix(self, rows) -> np.ndarray:
         """The matrix of nested lists of JSON scalars."""
         return self.matrix([[self.scalar_from_json(x) for x in r]
@@ -319,6 +323,14 @@ class FloatField(Field):
             return 0, True
         s = np.linalg.svd(a, compute_uv=False)
         return self._rank_from_singular_values(s, a.shape, s[0])
+
+    def ranks(self, stack) -> list:
+        """The rank of each matrix of a stack from one SVD call, each cut
+        at its own sigma_max."""
+        if stack.size == 0:
+            return [0] * len(stack)
+        return [self._rank_from_singular_values(s, stack.shape[1:], s[0])[0]
+                for s in np.linalg.svd(stack, compute_uv=False)]
 
     def nullspace(self, a):
         """Right singular vectors past the tolerance rank; warns when the

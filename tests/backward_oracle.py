@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from matpencil.backward import (_cond2, _is_block_minimal, _require_pencil,
-                                _smin)
+                                _smin, _stack)
 from matpencil.errors import PreconditionError, SchemaError
 from matpencil.reduction import TrimResult
 
@@ -75,7 +75,7 @@ def minimality_margin(bp, rt):
     bp = _require_pencil(bp, "block row")
     k, _ = _split_sizes(bp)
     margin = 3.0 * _smin(rt) / (2.0 * k ** 1.5)
-    return _is_block_minimal(bp, k), margin
+    return _is_block_minimal(_stack(bp), k)[0], margin
 
 
 def reports_to_jsonl(reports) -> str:

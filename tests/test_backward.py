@@ -25,6 +25,7 @@ from matpencil.backward import (
 from matpencil.cases import case3_member, case3_poly
 from matpencil.eigenstructure import complete_eigenstructure
 from matpencil.errors import PreconditionError, SchemaError
+from matpencil.field import FloatField
 from matpencil.matpoly import (
     FIELD_FLOAT,
     FIELD_RATIONAL,
@@ -336,6 +337,89 @@ class TestPerturbedPolynomial:
             perturbed_polynomial(a, a, None, 1.0)
 
 
+def _bits(c):
+    """The exact content of an array: its bytes on float64, each entry's
+    type and value on the rational field."""
+    if c.dtype == object:
+        return [(type(x), x) for x in c.flat]
+    return c.shape, np.ascontiguousarray(c).tobytes()
+
+
+def _same_slices(stack, polys):
+    assert len(stack) == len(polys)
+    for c, poly in zip(stack, polys):
+        assert [_bits(x) for x in c] == [_bits(x) for x in poly.coeffs]
+
+
+def _float_rows(b):
+    """The strip, base block row, sigma_min of Rt and b strip and row
+    perturbations at half the radius, of a 4x3 k=3 scaled companion."""
+    rng = np.random.default_rng(21)
+    p, tr = scaled_companion_trim(rng, 4, 3, 3)
+    bf, sig = tr.b_block(), backward._smin(tr.Rt)
+    radius = sig / (2 * tr.k ** 1.5)
+    das, dbs = [], []
+    for _ in range(b):
+        db = [rng.standard_normal((bf.m, bf.n)) for _ in range(2)]
+        s = 0.5 * radius / math.sqrt(sum(np.sum(c * c) for c in db))
+        dbs.append(MatPoly([c * s for c in db], FIELD_FLOAT))
+        das.append(MatPoly([rng.standard_normal((tr.m, bf.n))
+                            for _ in range(2)], FIELD_FLOAT))
+    return tr, bf, sig, das, dbs
+
+
+def _rational_rows(b):
+    """As _float_rows, on case 3's exact trim with a few Fraction entries
+    per perturbation."""
+    rng = np.random.default_rng(22)
+    tr = trim(case3_member())
+    bf = tr.b_block()
+
+    def sparse(m, n, denominator):
+        poly = MatPoly.zero(m, n, 1, FIELD_RATIONAL)
+        for c in poly.coeffs:
+            i, j = rng.integers(0, m), rng.integers(0, n)
+            c[i, j] = Fraction(int(rng.integers(-3, 4)), denominator)
+        return poly
+
+    das = [sparse(tr.m, bf.n, 7) for _ in range(b)]
+    dbs = [sparse(bf.m, bf.n, 400) for _ in range(b)]
+    return tr, bf, backward._smin(tr.Rt), das, dbs
+
+
+class TestStackOfOne:
+    """On a stack, the dual completion and the perturbed polynomial give
+    each slice the bits of the one-trial call on it."""
+
+    @pytest.mark.parametrize("rows", [_float_rows, _rational_rows])
+    @pytest.mark.parametrize("b", [1, 2, 33])
+    def test_slices_equal_the_one_trial_calls(self, rows, b):
+        tr, bf, sig, das, dbs = rows(b)
+        k, n = tr.k, tr.n
+        one = [dual_completion(bf + db, k, n, sig_r=sig, delta_b=db)
+               for db in dbs]
+        db = np.stack([np.stack(x.coeffs) for x in dbs])
+        bp = np.stack([np.stack((bf + x).coeffs) for x in dbs])
+        dd = dual_completion(bp, k, n, sig_r=sig, delta_b=db)
+        _same_slices(dd, one)
+        a = tr.a_block()
+        da = np.stack([np.stack(x.coeffs) for x in das])
+        _same_slices(perturbed_polynomial(a, da, dd, tr.alpha),
+                     [perturbed_polynomial(a, x, y, tr.alpha)
+                      for x, y in zip(das, one)])
+
+    def test_failure_marks_the_first_failing_row(self):
+        tr, bf, sig, _, dbs = _float_rows(4)
+        k, n = tr.k, tr.n
+        dbs[2] = dbs[2].scale(10.0)
+        dbs[3] = dbs[3].scale(10.0)
+        db = np.stack([np.stack(x.coeffs) for x in dbs])
+        bp = np.stack([np.stack((bf + x).coeffs) for x in dbs])
+        with pytest.raises(PreconditionError) as info:
+            dual_completion(bp, k, n, sig_r=sig, delta_b=db)
+        assert info.value.stack_index == 2
+
+
 class TestBackwardConstants:
     def test_case3_formula(self):
         tr = trim(case3_member())
@@ -526,6 +610,8 @@ def oracle_run_experiment(p, tr, eps_fraction, trials, seed):
                                 "inside the radius")
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     tr.check_source(p)
     k, m, n = tr.k, tr.m, tr.n
     pf = p.to_float()
@@ -628,23 +714,56 @@ class TestBlockedExperiment:
         self._same_error(case3_poly(), "trim", 0.5, 1)
         self._same_error(case3_poly().scale(2), tr, 0.5, 1)
 
+    @staticmethod
+    def _fail_solves(monkeypatch, calls, failing):
+        """Count the dual completion's minimum norm solves, one per trial
+        in trial order on both routes, and shift the solutions of the calls
+        numbered in failing so that their residual check fails."""
+        real = FloatField.min_norm_solve
+
+        def solve(self, a, b):
+            calls.append(None)
+            x = real(self, a, b)
+            return x + 1.0 if len(calls) in failing else x
+
+        monkeypatch.setattr(FloatField, "min_norm_solve", solve)
+
     def test_same_error_from_inside_a_block(self, monkeypatch):
         # a failure at trial 40, the ninth trial of the second block,
         # surfaces with its class and message
-        real = backward.dual_completion
         calls = []
-
-        def failing(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 41:
-                raise backward.VerificationError(
-                    "dual completion residual above tolerance")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(backward, "dual_completion", failing)
+        self._fail_solves(monkeypatch, calls, {41})
         tr = trim(case3_member())
-        self._same_error(case3_poly(), tr, 0.5, 100,
-                         reset=calls.clear)
+        err = self._same_error(case3_poly(), tr, 0.5, 100,
+                               reset=calls.clear)
+        assert err == (backward.VerificationError,
+                       "dual completion residual above tolerance")
+
+    def test_first_failing_trial_wins(self, monkeypatch):
+        # trial 5 fails the residual check, a step the block takes before
+        # the minimality check, which trial 3 fails: trial 3 fails first
+        calls, checked = [], []
+        self._fail_solves(monkeypatch, calls, {6})
+        real = backward._is_block_minimal
+
+        def minimal(bp, k):
+            # the slices checked so far, counted across calls: the fourth
+            # is trial 3 on both routes
+            first = len(checked)
+            checked.extend(real(bp, k))
+            return [ok and first + i != 3
+                    for i, ok in enumerate(checked[first:])]
+
+        monkeypatch.setattr(backward, "_is_block_minimal", minimal)
+
+        def reset():
+            calls.clear()
+            checked.clear()
+
+        tr = trim(case3_member())
+        err = self._same_error(case3_poly(), tr, 0.5, 10, reset=reset)
+        assert err == (backward.VerificationError,
+                       "perturbed block row is not a minimal basis")
 
     @staticmethod
     def _same_error(p, tr, eps, trials, reset=lambda: None):
@@ -655,6 +774,7 @@ class TestBlockedExperiment:
                 run(p, tr, eps, trials, 0)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+        return errors[0]
 
 
 class TestPencilIndexCrossCheck:

@@ -88,3 +88,22 @@ def test_every_payload_keeps_the_error_contract(tmp_path, d):
         if code == 0:
             run(["backward", p, write("t.json", out), "--eps", "0.5",
                  "--trials", "2", "--seed", "0"])
+
+
+def test_negative_seed_is_a_precondition_error(tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"m": 2, "n": 1, "grade": 2, "field": "float64",
+                             "coeffs": [[[1.0], [2.0]], [[0.5], [-1.0]],
+                                        [[3.0], [1.0]]]}))
+    code, out = run(["build", str(p), "--side", "l1", "--companion"])
+    assert code == 0
+    member = tmp_path / "l.json"
+    member.write_text(out)
+    code, out = run(["trim", str(member)])
+    assert code == 0
+    t = tmp_path / "t.json"
+    t.write_text(out)
+    code, out = run(["backward", str(p), str(t), "--eps", "0.5", "--trials",
+                     "2", "--seed", "-1"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "error"
