@@ -10,18 +10,24 @@ denominator 1; it equals the int and prints the same.
 
 numpy's ``@`` and ``kron`` work on object arrays, so products, block
 transforms and Kronecker products stay exact without a kernel here.
-The elimination kernels are sympy's, on a sparse ``DomainMatrix`` over QQ
-built from the nonzero entries alone: ``rref`` leaves its result in that
-form, and ``rank``, ``nullspace`` and ``solve`` read back only the pivots
-and the entries of R they need; ``inv`` converts its whole result back.
-Everything rank-related reads the canonical rref, so pivots, nullspace
-bases and particular solutions do not depend on the elimination order.
+Every elimination runs on one route: ``rref`` builds a sparse
+``DomainMatrix`` over ZZ from the nonzero entries alone, each row scaled
+by the lcm of its denominators (which changes neither the rref, nor the
+pivots, nor the rank), and runs sympy's fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968) on it.  Its result is N and den with
+R = N/den the canonical rref; ``rank`` and ``pivots`` read the pivots
+alone, and ``nullspace`` and ``solve`` divide only the entries of N they
+need.  Everything rank-related reads the canonical rref, so pivots,
+nullspace bases and particular solutions do not depend on the
+elimination order.  ``inv`` and ``det`` stay on sparse QQ matrices, and
+``inv`` converts its whole result back.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
@@ -106,6 +112,43 @@ def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
 
+def _times(x, c: int) -> int:
+    """c*x as an int, for an int or rational x whose denominator divides
+    c."""
+    return int(x.numerator) * (c // int(x.denominator))
+
+
+_times_array = np.frompyfunc(_times, 2, 1)
+
+
+def integral_multiple(arrays) -> list:
+    """The object arrays times the lcm of the denominators of all their
+    entries, as int arrays; arrays already integral come back as they
+    are."""
+    c = math.lcm(*(x.denominator for a in arrays for x in a.flat
+                   if type(x) is not int))
+    return list(arrays) if c == 1 else [_times_array(a, c) for a in arrays]
+
+
+def to_zz(a) -> DomainMatrix:
+    """The sparse DomainMatrix over ZZ holding the nonzero entries of a,
+    each row times the lcm of its denominators: it has the rref, the
+    pivots and the rank of a.  a is an array or a DomainMatrix over ZZ,
+    which passes through."""
+    if isinstance(a, DomainMatrix):
+        return a
+    out = {}
+    for i, row in enumerate(a.tolist()):
+        row = {j: x for j, x in enumerate(row) if x}
+        dens = [x.denominator for x in row.values() if type(x) is not int]
+        if dens:
+            c = math.lcm(*dens)
+            out[i] = {j: _times(x, c) for j, x in row.items()}
+        elif row:
+            out[i] = row
+    return DomainMatrix(out, a.shape, ZZ)
+
+
 def to_domain(a) -> DomainMatrix:
     """The sparse DomainMatrix over QQ holding the nonzero entries of a;
     a DomainMatrix over QQ passes through."""
@@ -136,16 +179,18 @@ def from_domain(d: DomainMatrix) -> np.ndarray:
 
 
 def rref(a):
-    """Reduced row echelon form of a (an array or a DomainMatrix over QQ).
-    Returns (R, pivot_columns) with R a sparse DomainMatrix over QQ."""
-    r, pivots = to_domain(a).rref()
-    return r, list(pivots)
+    """Reduced row echelon form of a (an array or a DomainMatrix over ZZ),
+    by fraction-free elimination over ZZ on its row-scaled form.  Returns
+    (N, den, pivot_columns): N a sparse DomainMatrix over ZZ and den a
+    Python int (whatever sympy's ground types), with R = N/den."""
+    n, den, pivots = to_zz(a).rref_den(method="FF")
+    return n, int(den), list(pivots)
 
 
 def rank(a) -> int:
     if 0 in a.shape:
         return 0
-    return len(rref(a)[1])
+    return len(rref(a)[2])
 
 
 def nullspace(a: np.ndarray) -> np.ndarray:
@@ -153,7 +198,7 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if n == 0:
         return np.empty((0, 0), dtype=object)
-    r, pivots = rref(a)
+    r, den, pivots = rref(a)
     pivot_set = set(pivots)
     free = {fc: idx for idx, fc in
             enumerate(j for j in range(n) if j not in pivot_set)}
@@ -163,7 +208,7 @@ def nullspace(a: np.ndarray) -> np.ndarray:
     for row_i, row in r.to_dod().items():
         for fc, x in row.items():
             if fc in free:
-                out[pivots[row_i], free[fc]] = -qq_scalar(x)
+                out[pivots[row_i], free[fc]] = div(-int(x), den)
     return out
 
 
@@ -172,14 +217,14 @@ def _solution(a: np.ndarray, b: np.ndarray):
     columns of the rref of [a | b]."""
     n = a.shape[1]
     bb = b if b.ndim == 2 else b.reshape(-1, 1)
-    r, pivots = rref(np.concatenate([a, bb], axis=1))
+    r, den, pivots = rref(np.concatenate([a, bb], axis=1))
     if pivots and pivots[-1] >= n:
         return None, pivots
     x = fzeros(n, bb.shape[1])
     for row_i, row in r.to_dod().items():
         for j, v in row.items():
             if j >= n:
-                x[pivots[row_i], j - n] = qq_scalar(v)
+                x[pivots[row_i], j - n] = div(int(v), den)
     return (x if b.ndim == 2 else x[:, 0]), pivots
 
 
@@ -197,14 +242,15 @@ def unique_solve(a: np.ndarray, b: np.ndarray):
 
 
 def samples(coeffs, points):
-    """Yield the matrix polynomial with ascending coefficients coeffs at
-    each integer point, by Horner on sparse QQ matrices; the coefficients
-    are converted once."""
-    qq = [to_domain(c) for c in coeffs]
+    """Yield, for rank, the matrix polynomial with ascending coefficients
+    coeffs at each integer point, times the lcm of the denominators of all
+    its entries (which leaves every rank as it is): Horner on sparse
+    matrices over ZZ, the coefficients converted once."""
+    mats = [to_zz(c) for c in integral_multiple(coeffs)]
     for t in points:
-        acc = qq[-1]
-        for c in reversed(qq[:-1]):
-            acc = acc * QQ(t) + c
+        acc = mats[-1]
+        for c in reversed(mats[:-1]):
+            acc = acc * ZZ(t) + c
         yield acc
 
 

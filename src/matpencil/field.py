@@ -8,12 +8,13 @@ serializes as that plain string, so code holding a field can both
 dispatch on it and write it out.
 
 The rational field calls the exact backend (``exactla``, thin adapters
-over sympy's DomainMatrix on QQ) through module attribute lookup, so
-replacing a backend function replaces it for every caller.  Its entries
-follow the backend's rule: an int when the value is integral, a Fraction
-otherwise, never a float, and ``matrix`` and ``vector`` refuse an object
-array holding anything else; every exact division goes through
-``exactla.div`` (``Field.div``), since int / int would give a float.
+over sympy's DomainMatrix, eliminating fraction-free over ZZ) through
+module attribute lookup, so replacing a backend function replaces it
+for every caller.  Its entries follow the backend's rule: an int when
+the value is integral, a Fraction otherwise, never a float, and
+``matrix`` and ``vector`` refuse an object array holding anything else;
+every exact division goes through ``exactla.div`` (``Field.div``),
+since int / int would give a float.
 
 Every float threshold on data lives here; no caller passes one.  Ranks
 cut singular values by one rule (RANK_SAFETY), which also decides the
@@ -146,8 +147,8 @@ class RationalField(Field):
         return xla.is_zero(a)
 
     def samples(self, poly, points):
-        """Yield poly at each integer point, as a sparse QQ matrix for
-        rank."""
+        """Yield poly at each integer point, times the lcm of the
+        denominators of its entries, as a sparse ZZ matrix for rank."""
         return xla.samples(poly.coeffs, points)
 
     def inner(self, a, b):
@@ -186,6 +187,13 @@ class RationalField(Field):
 
     def clean(self, coeffs):
         return coeffs
+
+    def integral_multiple(self, coeffs):
+        """The coefficients times the lcm of the denominators of all their
+        entries, as int arrays: an exact residual of the multiple is zero
+        exactly when that of the coefficients is, and is found on int
+        arithmetic."""
+        return xla.integral_multiple(coeffs)
 
     def reflector(self, v):
         """Elementary M = [[1, 0], [-v_2..-v_k | v_1 I]] composed with a
@@ -236,7 +244,7 @@ class RationalField(Field):
     def pivots(self, a) -> list:
         """The columns of a independent of the columns before them: the
         pivot columns of its rref."""
-        return xla.rref(a)[1] if a.size else []
+        return xla.rref(a)[2] if a.size else []
 
     def scalar_to_json(self, x):
         return str(x)
@@ -371,6 +379,10 @@ class FloatField(Field):
             return coeffs
         thr = CLEAN_REL_TOL * big
         return [np.where(np.abs(c) <= thr, 0.0, c) for c in coeffs]
+
+    def integral_multiple(self, coeffs):
+        """Float coefficients have no denominators to clear: unchanged."""
+        return coeffs
 
     def reflector(self, v):
         """Householder reflector; alpha = ||v||_2."""

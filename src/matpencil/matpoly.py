@@ -189,9 +189,10 @@ class MatPoly:
         a largest non-vanishing minor, <= k*min(m,n)), so maximizing over
         k*min(m,n)+1 distinct points attains it.  Sampling stops once the
         rank reaches min(m,n), which no point can exceed.  The field
-        evaluates the samples in the form its rank reads: sparse QQ
-        matrices on the rational field, float64 arrays (all checked
-        finite first) on the other.
+        evaluates the samples in the form its rank reads: sparse ZZ
+        matrices on the rational field (the polynomial times the lcm of
+        its denominators, which changes no rank), float64 arrays (all
+        checked finite first) on the other.
         """
         full = min(self.m, self.n)
         best = 0

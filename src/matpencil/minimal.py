@@ -351,10 +351,14 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
 
 def _certify(basis: MinimalBasis, p: MatPoly):
     """Zero residuals and a full-rank leading matrix; raises on either
-    failure."""
+    failure.  On the rational field each residual is that of the vector's
+    integral multiple (the field's integral_multiple), which is zero
+    exactly when the vector's own is, and is found on int arithmetic; a
+    float vector is checked as it is."""
     for v in basis.vectors:
-        res = (p.matmul(v) if basis.side == SIDE_RIGHT
-               else v.transpose().matmul(p))
+        w = MatPoly(p.field.integral_multiple(v.coeffs), v.field)
+        res = (p.matmul(w) if basis.side == SIDE_RIGHT
+               else w.transpose().matmul(p))
         if not p.field.negligible(res, p, v):
             raise VerificationError("basis vector fails the residual check")
     # a full-column-rank leading matrix makes the basis column reduced,
@@ -404,8 +408,9 @@ def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, normal_rank):
 
 def _pack_checked(vecs, p: MatPoly, side: str,
                   normal_rank=None) -> MinimalBasis:
-    """Sort recovered nullvectors of p into a basis and certify it: zero
-    residuals, n - rank vectors (m - rank on the left) and a full-rank
+    """Sort recovered nullvectors of p into a basis and certify it
+    (_certify): zero residuals, checked exactly on each vector's integral
+    multiple, n - rank vectors (m - rank on the left) and a full-rank
     leading matrix, so the basis is column reduced. Minimality of the
     degrees is not re-checked; it rests on the recovery theorems, and a
     recovered (l - 1)*x would pass.  normal_rank is minimal_basis's."""

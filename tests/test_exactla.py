@@ -1,18 +1,20 @@
 """The exact kernels against sympy's Matrix, an independent reference.
 
-exactla eliminates on sparse DomainMatrices over QQ and reads back only
-the entries its callers need; sympy's Matrix.rref, nullspace and
+exactla eliminates fraction-free on sparse DomainMatrices over ZZ, each
+row scaled by the lcm of its denominators, and reads back only the
+entries its callers need; sympy's Matrix.rref, nullspace and
 gauss_jordan_solve work on dense symbolic matrices.  The draws are sparse
 rationals with non-integer entries, and include 0 x n, n x 0 and
 all-zero matrices.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix, Rational, zeros
+from sympy import QQ, ZZ, Matrix, Rational, zeros
 from sympy.polys.matrices import DomainMatrix
 
 from matpencil import exactla as xla
@@ -68,21 +70,31 @@ def shape_id(a):
     return "x".join(map(str, a.shape))
 
 
+def over_den(n: DomainMatrix, den: int) -> np.ndarray:
+    """The object array N/den."""
+    out = xla.fzeros(*n.shape)
+    for i, row in n.to_dod().items():
+        for j, x in row.items():
+            out[i, j] = xla.div(int(x), den)
+    return out
+
+
 class TestRref:
     @settings(**COMMON)
     @given(matrices())
     def test_pivots_rank_and_entries(self, a):
-        r, pivots = xla.rref(a)
+        n, den, pivots = xla.rref(a)
         ref_r, ref_pivots = sympy_matrix(a).rref()
         assert pivots == list(ref_pivots)
         assert xla.rank(a) == len(ref_pivots)
-        assert isinstance(r, DomainMatrix)
-        assert equal(xla.from_domain(r), fractions_of(ref_r))
+        assert isinstance(n, DomainMatrix) and n.domain == ZZ
+        assert type(den) is int and den != 0
+        assert equal(over_den(n, den), fractions_of(ref_r))
 
     @pytest.mark.parametrize("a", EDGE, ids=shape_id)
     def test_edge_shapes(self, a):
         ref_r, ref_pivots = sympy_matrix(a).rref()
-        assert xla.rref(a)[1] == list(ref_pivots)
+        assert xla.rref(a)[2] == list(ref_pivots)
         assert xla.rank(a) == len(ref_pivots)
 
     @settings(**COMMON)
@@ -100,6 +112,88 @@ class TestRref:
         nonzero = {(i, j) for (i, j), x in np.ndenumerate(a) if x}
         assert {(i, j) for i, row in dod.items() for j in row} == nonzero
         assert equal(xla.from_domain(xla.to_domain(a)), a)
+
+
+class TestRowScaledForm:
+    """rref eliminates over ZZ on the rows of a, each scaled by the lcm of
+    its denominators; its N/den is sympy's rref of a itself."""
+
+    def test_row_with_different_denominators(self):
+        a = xla.fmat([["1/2", "1/3", "0", "1"], ["0", "0", "0", "0"],
+                      ["1/3", "-5/6", "4", "0"]])
+        zz = xla.to_zz(a)
+        assert zz.domain == ZZ
+        assert zz.to_dod() == {0: {0: 3, 1: 2, 3: 6},
+                               2: {0: 2, 1: -5, 2: 24}}
+        assert all(type(x) is int for row in zz.to_dod().values()
+                   for x in row.values())
+        n, den, pivots = xla.rref(a)
+        ref_r, ref_pivots = sympy_matrix(a).rref()
+        assert pivots == list(ref_pivots) == [0, 1]
+        assert equal(over_den(n, den), fractions_of(ref_r))
+
+    @pytest.mark.parametrize("a", EDGE, ids=shape_id)
+    def test_zero_rows_and_empty_shapes(self, a):
+        n, den, pivots = xla.rref(a)
+        assert n.shape == a.shape and n.domain == ZZ
+        ref_r, ref_pivots = sympy_matrix(a).rref()
+        assert pivots == list(ref_pivots)
+        assert equal(over_den(n, den), fractions_of(ref_r))
+        zero_rows = {i for i in range(a.shape[0]) if xla.is_zero(a[i])}
+        assert not zero_rows & set(xla.to_zz(a).to_dod())
+
+    def test_den_is_a_python_int_under_any_ground_type(self, monkeypatch):
+        class GroundInt(int):
+            """An integer of ZZ's ground type that is not int, as gmpy2's
+            mpz is."""
+
+        rref_den = DomainMatrix.rref_den
+
+        def ground_den(self, **kw):
+            n, den, pivots = rref_den(self, **kw)
+            return n, GroundInt(den), pivots
+        monkeypatch.setattr(DomainMatrix, "rref_den", ground_den)
+        # every pivot 1: den is ZZ's one
+        a = xla.fmat([[1, 0, 3], [0, 1, 5]])
+        assert type(xla.rref(a)[1]) is int
+        got = (xla.nullspace(a), xla.solve(a[:, :2], a[:, 2]))
+        assert all(type(x) in (int, Fraction) for g in got for x in g.flat)
+        assert got[0][:, 0].tolist() == [-3, -5, 1]
+
+    @settings(**COMMON)
+    @given(matrices())
+    def test_zz_domain_matrix_input(self, a):
+        n, den, pivots = xla.rref(a)
+        zz = xla.to_zz(a)
+        assert zz.domain == ZZ and xla.to_zz(zz) is zz
+        n_d, den_d, pivots_d = xla.rref(zz)
+        assert pivots_d == pivots
+        assert equal(over_den(n_d, den_d), over_den(n, den))
+
+    @settings(**COMMON)
+    @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4),
+           st.booleans(), st.data())
+    def test_samples_are_the_scaled_horner_over_zz(self, k, m, n, integral,
+                                                   data):
+        coeffs = [data.draw(matrices(m, n)) for _ in range(k + 1)]
+        if integral:
+            coeffs = [xla.fmat([[x.numerator for x in row] for row in c])
+                      if c.size else c for c in coeffs]
+        # the lcm of every denominator in the polynomial
+        c = math.lcm(*(Fraction(x).denominator for a in coeffs
+                       for x in a.flat))
+        points = range(1, 4)
+        got = list(xla.samples(coeffs, points))
+        for t, d in zip(points, got):
+            assert d.domain == ZZ
+            # c times the Horner over QQ
+            acc = xla.to_domain(coeffs[-1])
+            for a in reversed(coeffs[:-1]):
+                acc = acc * QQ(t) + xla.to_domain(a)
+            want = xla.from_domain(acc) * c
+            assert equal(over_den(d, 1), want)
+            assert all(type(x) is int for x in over_den(d, 1).flat)
+            assert xla.rank(d) == xla.rank(xla.from_domain(acc))
 
 
 class TestNullspace:

@@ -518,6 +518,55 @@ class TestRecover:
         assert rb.indices == (1,)
 
 
+class TestCertifyOnIntegralMultiples:
+    """_certify checks each rational vector's residual on its multiple by
+    the lcm of its denominators, which is zero exactly when the vector's
+    own is."""
+
+    # p = [3, 2l] kills (2l, -3), and v = (l/3, -1/2) is its multiple by
+    # 1/6: the coefficients' denominators (2 and 3) differ
+    P = MatPoly([xla.fmat([[3, 0]]), xla.fmat([[0, 2]])], FIELD_RATIONAL)
+    V = vec_poly(["0", "-1/2"], ["1/3", "0"])
+    # p·(l/3, -1/3) = l/3
+    BAD = vec_poly(["0", "-1/3"], ["1/3", "0"])
+
+    @pytest.mark.parametrize("side", [SIDE_RIGHT, SIDE_LEFT])
+    def test_fraction_vector_with_a_residual_is_refused(self, side):
+        p = self.P if side == SIDE_RIGHT else self.P.transpose()
+        with pytest.raises(VerificationError,
+                           match="fails the residual check"):
+            _pack_checked([self.BAD], p, side)
+
+    @pytest.mark.parametrize("side", [SIDE_RIGHT, SIDE_LEFT])
+    def test_nullvector_with_a_nontrivial_multiple_passes(self, side):
+        p = self.P if side == SIDE_RIGHT else self.P.transpose()
+        basis = _pack_checked([self.V], p, side)
+        assert basis.indices == (1,)
+        assert basis.vectors[0].equal(self.V)
+
+    def test_residuals_run_on_ints(self, monkeypatch):
+        seen = []
+        matmul = MatPoly.matmul
+
+        def spy(a, b):
+            seen.extend(x for c in a.coeffs + b.coeffs for x in c.flat)
+            return matmul(a, b)
+        monkeypatch.setattr(MatPoly, "matmul", spy)
+        _pack_checked([self.V], self.P, SIDE_RIGHT)
+        _pack_checked([self.V], self.P.transpose(), SIDE_LEFT)
+        assert seen and all(type(x) is int for x in seen)
+
+    def test_the_multiple_is_the_least_integral_one(self):
+        w = FIELD_RATIONAL.integral_multiple(self.V.coeffs)
+        assert [c[:, 0].tolist() for c in w] == [[0, -3], [2, 0]]
+        assert all(type(x) is int for c in w for x in c.flat)
+        ints = vec_poly([1, 0], [0, 2]).coeffs
+        floats = self.V.to_float().coeffs
+        for field, coeffs in ((FIELD_RATIONAL, ints), (FIELD_FLOAT, floats)):
+            assert all(a is b for a, b in zip(
+                field.integral_multiple(coeffs), coeffs))
+
+
 def int_poly(rng, m, n, k):
     return MatPoly([xla.fmat(rng.integers(-3, 4, size=(m, n)).tolist())
                     for _ in range(k + 1)], FIELD_RATIONAL)
