@@ -11,11 +11,12 @@ between trials and reports are listed in trial order.  They run
 TRIAL_BLOCK at a time as one stack: the solves, the dual completion, the
 perturbed polynomial, their norms, the first normal-rank sample and the
 pencils' staircases take one numpy call per step for the whole block,
-with every decision still taken per trial under the field's one rule.
-Three steps stay per trial: the draws, from each trial's own generator;
-the dual completion's minimum norm solves, since np.linalg.lstsq takes
-2-D arrays only; and the polynomial's index walk, whose cost is the
-flops of its SVDs, not call overhead.
+with every decision still taken per trial under the field's one rule;
+a lone trial is a stack of one.  Three steps stay per trial: the draws,
+from each trial's own generator; the dual completion's minimum norm
+solves, since np.linalg.lstsq takes 2-D arrays only; and the
+polynomial's index walk, whose cost is the flops of its SVDs, not call
+overhead.
 """
 
 import math
@@ -26,8 +27,8 @@ import numpy as np
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of_array
-from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _require_keys, h_dual,
-                      lambda_vec)
+from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _conv, _product,
+                      _require_keys, h_dual, lambda_vec)
 from .minimal import stack_indices, walk_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
@@ -45,12 +46,6 @@ __all__ = [
 
 # trials per block; a block runs as one stack up to the per-trial walks
 TRIAL_BLOCK = 32
-
-
-def _require_pencil(x, what: str) -> MatPoly:
-    if not isinstance(x, MatPoly) or x.grade != 1:
-        raise SchemaError(what + " must be a pencil")
-    return x
 
 
 def _fmatrix(a) -> np.ndarray:
@@ -99,94 +94,39 @@ def sigma_min_tau(k: int, n: int, j: int):
 # ---------------------------------------------------------------------------
 # Stacks of polynomials
 #
-# A stack holds polynomials of one shape and grade as one array (b, g+1,
-# rows, cols) of ascending coefficients.  Every step below is elementwise,
-# a sum over each coefficient, or a stacked @, solve or svd, which numpy
-# runs slice by slice with the kernels and memory layout a lone
-# polynomial's MatPoly arithmetic gets, so each slice comes out with that
-# polynomial's bits (TestStackOfOne checks it).
-
-
-def _stack(poly: MatPoly) -> np.ndarray:
-    """poly as a stack of one."""
-    return np.stack(poly.coeffs)[None]
+# Every polynomial below is float64 and sits in a stack, one array (b,
+# g+1, rows, cols) of ascending coefficients (see matpoly): a lone trial
+# is a stack of one.  Every step is elementwise, a sum over each
+# coefficient, or a stacked @, solve or svd, which numpy runs slice by
+# slice, so each slice comes out with the bits of a stack of one
+# (TestStackOfOne checks it).
 
 
 def _poly(c) -> MatPoly:
     """One polynomial of a stack, as a MatPoly."""
-    return MatPoly(list(c), field_of_array(c))
-
-
-def _at(i: int, error: Exception) -> Exception:
-    """error, marked as raised for slice i of a stack: run_experiment reruns
-    the slices before it, which may fail first."""
-    error.stack_index = i
-    return error
-
-
-def _require_all(oks, error: Exception):
-    """Raise error, marked, for the first slice whose ok is false."""
-    for i, ok in enumerate(oks):
-        if not ok:
-            raise _at(i, error)
-
-
-def _on(i: int, fn, *args):
-    """fn(*args) for slice i of a stack; an error it raises is marked as
-    slice i's."""
-    try:
-        return fn(*args)
-    except MatPencilError as e:
-        raise _at(i, e)
-
-
-def _product(a, b) -> np.ndarray:
-    """MatPoly.matmul of each pair of polynomials of two stacks (either may
-    be one polynomial's (g+1, rows, cols), which broadcasts), summed in its
-    order."""
-    out = [0] * (a.shape[-3] + b.shape[-3] - 1)
-    for i in range(a.shape[-3]):
-        for j in range(b.shape[-3]):
-            out[i + j] = out[i + j] + a[..., i, :, :] @ b[..., j, :, :]
-    return np.stack(out, axis=-3)
-
-
-def _conv(c, j: int) -> np.ndarray:
-    """MatPoly.conv_matrix(j) of each polynomial of a stack."""
-    b, g1, r, s = c.shape
-    out = np.zeros_like(c, shape=(b, (g1 + j) * r, (j + 1) * s))
-    for i in range(j + 1):
-        for t in range(g1):
-            out[:, (i + t) * r:(i + t + 1) * r, i * s:(i + 1) * s] = (
-                c[:, g1 - 1 - t])
-    return out
+    return MatPoly(list(c), FIELD_FLOAT)
 
 
 def _frob_norms(c) -> list:
-    """MatPoly.frob_norm of each polynomial of a stack.  On float64 the
-    squares of the whole stack are summed at once, coefficient by
-    coefficient in MatPoly's order; a slice whose sum leaves the float
-    range takes MatPoly.frob_norm's scaled sum, and its errors."""
-    if c.dtype == object:
-        return [_on(i, MatPoly.frob_norm, _poly(x)) for i, x in enumerate(c)]
+    """MatPoly.frob_norm of each polynomial of a stack.  The squares of
+    the whole stack are summed at once, coefficient by coefficient in
+    MatPoly's order; a slice whose sum leaves the float range takes
+    MatPoly.frob_norm's scaled sum, and its errors."""
     with np.errstate(over="ignore"):
         sq = np.sum(c * c, axis=(2, 3))
     total = 0
     for j in range(sq.shape[1]):
         total = total + sq[:, j]
-    norms = np.sqrt(total).tolist()
-    for i, x in enumerate(norms):
-        if x == math.inf or x < _SQRT_FLOAT_MIN:
-            norms[i] = _on(i, MatPoly.frob_norm, _poly(c[i]))
-    return norms
+    return [_poly(x).frob_norm() if y == math.inf or y < _SQRT_FLOAT_MIN
+            else y for x, y in zip(c, np.sqrt(total).tolist())]
 
 
 def _normal_ranks(pp) -> list:
-    """MatPoly.normal_rank of each float64 polynomial of a stack.  Every
-    sample of the whole stack is evaluated at once and the first ones are
-    ranked by one SVD call; a polynomial with a sample out of the float
-    range, or whose first sample falls short of full rank, samples on
-    through MatPoly.normal_rank, which raises for the former."""
+    """MatPoly.normal_rank of each polynomial of a stack.  Every sample of
+    the whole stack is evaluated at once and the first ones are ranked by
+    one SVD call; a polynomial with a sample out of the float range, or
+    whose first sample falls short of full rank, samples on through
+    MatPoly.normal_rank, which raises for the former."""
     g, m, n = pp.shape[1] - 1, pp.shape[2], pp.shape[3]
     full = min(m, n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,8 +139,8 @@ def _normal_ranks(pp) -> list:
     finite = np.isfinite(samples).all(axis=(0, 2, 3))
     ranks = np.full(len(pp), -1)
     ranks[finite] = FIELD_FLOAT.ranks(samples[0][finite])
-    return [r if r == full else _on(i, MatPoly.normal_rank, _poly(pp[i]))
-            for i, r in enumerate(ranks.tolist())]
+    return [r if r == full else _poly(c).normal_rank()
+            for c, r in zip(pp, ranks.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -210,105 +150,72 @@ def _normal_ranks(pp) -> list:
 def _is_block_minimal(bp, k: int) -> list:
     """Whether each block row of a stack is a minimal basis: conv(k-2)
     nonsingular and conv(k-1) of full row rank."""
-    field = field_of_array(bp)
     c_sq, c_row = _conv(bp, k - 2), _conv(bp, k - 1)
-    return [a == c_sq.shape[1] and b == c_row.shape[1]
-            for a, b in zip(field.ranks(c_sq), field.ranks(c_row))]
+    return [a == c_sq.shape[1] and b == c_row.shape[1] for a, b in
+            zip(FIELD_FLOAT.ranks(c_sq), FIELD_FLOAT.ranks(c_row))]
 
 
 def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None):
-    """Correction of the dual polynomial basis after the block row moved.
+    """Corrections of the dual polynomial basis after the block row moved.
 
-    Solves the exact annihilation condition for the perturbed row as a
+    Solves the exact annihilation condition for each perturbed row as a
     linear system in the correction's coefficients, taking the minimum
     norm solution.  When sig_r, the smallest singular value of the base
-    triangular factor Rt, and the row perturbation are supplied, the
+    triangular factor Rt, and the row perturbations are supplied, the
     admissible radius precondition and the norm bound on the correction
-    are enforced as well.  The perturbed dual pair is verified minimal
+    are enforced as well.  Each perturbed dual pair is verified minimal
     before returning.
 
-    bp and delta_b are one block row and its perturbation, pencils giving
-    one correction (a MatPoly), or stacks (b, 2, (k-1)n, kn) giving a stack
-    (b, k, kn, n) of corrections.  One row runs as a stack of one.  Each
-    step takes one call for the whole stack, except the minimum norm
-    solves, which are one per row; every check is per row, and a failure
-    raises the first failing row's error, marked with its position
-    (stack_index).
+    bp and delta_b are float64 stacks (b, 2, (k-1)n, kn) of block rows
+    and their perturbations; the result is the stack (b, k, kn, n) of
+    corrections.  Each step takes one call for the whole stack, except the
+    minimum norm solves, which are one per row.  Every check is per row,
+    and raises when any row fails it.
     """
-    if not isinstance(bp, np.ndarray):
-        bp = _require_pencil(bp, "block row")
-        if (bp.m, bp.n) != ((k - 1) * n, k * n):
-            raise SchemaError("block row shape is not (k-1)n x kn")
-        if delta_b is not None:
-            delta_b = _stack(_require_pencil(delta_b, "row perturbation"))
-        return _poly(dual_completion(_stack(bp), k, n, sig_r, delta_b)[0])
     if bp.shape[1:] != (2, (k - 1) * n, k * n):
         raise SchemaError("block row shape is not (k-1)n x kn")
     dbn = None if delta_b is None else _frob_norms(delta_b)
     if sig_r is not None and dbn is not None:
         radius = sig_r / (2.0 * k ** 1.5)
-        _require_all((x < radius for x in dbn), PreconditionError(
-            "row perturbation exceeds the dual completion radius"))
-    field = field_of_array(bp)
-    lam = np.stack(lambda_vec(k, n, field).coeffs)
-    target = _product(bp, lam)
-    rhs = target[:, ::-1].reshape(len(bp), -1, n)
-    xs = [field.min_norm_solve(a, y) for a, y in zip(_conv(bp, k - 1), rhs)]
-    _require_all((x is not None for x in xs), VerificationError(
-        "dual completion system is rank deficient"))
+        if not all(x < radius for x in dbn):
+            raise PreconditionError("row perturbation exceeds the dual "
+                                    "completion radius")
+    lam = np.stack(lambda_vec(k, n, FIELD_FLOAT).coeffs)
+    rhs = _product(bp, lam)[:, ::-1].reshape(len(bp), -1, n)
+    xs = [FIELD_FLOAT.min_norm_solve(a, y)
+          for a, y in zip(_conv(bp, k - 1), rhs)]
     kn = k * n
     dd = np.ascontiguousarray(-np.stack(xs).reshape(-1, k, kn, n)[:, ::-1])
     lam_dd = lam + dd
     residual = _product(bp, lam_dd)
-    _require_all([_on(i, field.negligible, *slices) for i, slices in
-                  enumerate(zip(residual, bp, lam_dd))],
-                 VerificationError("dual completion residual above "
-                                   "tolerance"))
+    if not all(FIELD_FLOAT.negligible(*slices)
+               for slices in zip(residual, bp, lam_dd)):
+        raise VerificationError("dual completion residual above tolerance")
     if sig_r is not None and dbn is not None:
         limits = (k * math.sqrt(2.0) / sig_r * x for x in dbn)
-        _require_all((x <= limit * (1.0 + 1e-12)
-                      for x, limit in zip(_frob_norms(dd), limits)),
-                     VerificationError("dual completion norm bound failed"))
-    _require_all(_is_block_minimal(bp, k), VerificationError(
-        "perturbed block row is not a minimal basis"))
-    _require_all((r == n for r in field.ranks(lam_dd[:, k - 1])),
-                 VerificationError("perturbed dual basis is not column "
-                                   "reduced"))
+        if not all(x <= limit * (1.0 + 1e-12)
+                   for x, limit in zip(_frob_norms(dd), limits)):
+            raise VerificationError("dual completion norm bound failed")
+    if not all(_is_block_minimal(bp, k)):
+        raise VerificationError("perturbed block row is not a minimal basis")
+    if not all(r == n for r in FIELD_FLOAT.ranks(lam_dd[:, k - 1])):
+        raise VerificationError("perturbed dual basis is not column "
+                                "reduced")
     return dd
 
 
 def perturbed_polynomial(a, da, dd, alpha):
-    """The polynomial the perturbed trimmed pencil actually linearizes,
+    """The polynomials the perturbed trimmed pencil actually linearizes,
     relative to the original: (1/alpha) ((A + dA) dD + dA Lambda).
 
-    da and dd are one strip perturbation and dual correction, giving a
-    MatPoly, or stacks (b, 2, m, kn) and (b, k, kn, n), giving a stack
-    (b, k+1, m, n); one pair runs as a stack of one."""
-    a = _require_pencil(a, "top strip")
-    one = not isinstance(da, np.ndarray)
-    if one:
-        da = _require_pencil(da, "strip perturbation")
+    a holds the top strip's coefficients (2, m, kn); da and dd are float64
+    stacks (b, 2, m, kn) and (b, k, kn, n) of strip perturbations and dual
+    corrections.  The result is the stack (b, k+1, m, n)."""
     if float(alpha) == 0.0:
         raise PreconditionError("scale must be nonzero")
-    if one:
-        if (a.field, a.m, a.n) != (da.field, da.m, da.n):
-            raise SchemaError("strip and perturbation shapes differ")
-        if dd is None:
-            raise SchemaError("dual correction is required; pass a zero "
-                              "polynomial of shape kn x n")
-        if dd.m != a.n:
-            raise SchemaError("dual correction height must match the "
-                              "strip width")
-        if a.n % dd.n != 0:
-            raise SchemaError("strip width is not a multiple of the dual "
-                              "width")
-        return _poly(perturbed_polynomial(a, _stack(da), _stack(dd),
-                                          alpha)[0])
-    field = a.field
     n = dd.shape[-1]
-    lam = np.stack(lambda_vec(a.n // n, n, field).coeffs)
-    out = _product(np.stack(a.coeffs) + da, dd) + _product(da, lam)
-    return out * field.scalar(field.div(field.one, field.scalar(alpha)))
+    lam = np.stack(lambda_vec(a.shape[-1] // n, n, FIELD_FLOAT).coeffs)
+    return (_product(a + da, dd) + _product(da, lam)) * (1.0 / float(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +315,10 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     run trial by trial, being flops-bound; then the block's pencils go
     through one stacked staircase (stack_indices).  Every decision is
     per trial under the field's one rule and that trial's own reference,
-    and the block's reports follow in trial order.  A failure raises the
-    first failing trial's error, as a trial-by-trial run would: when a
-    stacked step fails on a trial, the trials before it run again, since
-    one of them may fail a later step.  Memory stays bounded by the
-    block, whatever the trial count.
+    and the block's reports follow in trial order.  When a block raises,
+    its trials run again one at a time, each as a stack of one, and the
+    first error raised is the one a trial-by-trial run raises.  Memory
+    stays bounded by the block, whatever the trial count.
     """
     if not isinstance(tr, TrimResult):
         raise SchemaError("expected a trimming record")
@@ -431,8 +337,6 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     pf = p.to_float()
     dt = _fmatrix(tr.Dtilde)
     rt = _fmatrix(tr.Rt)
-    af = tr.a_block().to_float()
-    bf = tr.b_block().to_float()
     ltf = tr.Lt.to_float()
     alpha = float(tr.alpha)
     sig_r = _smin(rt)
@@ -446,7 +350,9 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     rows = m + (k - 1) * n
 
     ly, lx = ltf.coeffs
-    b_row, p_coeffs = np.stack(bf.coeffs), np.stack(pf.coeffs)
+    a_strip, b_row, p_coeffs = (
+        np.stack(x.coeffs) for x in (tr.a_block().to_float(),
+                                     tr.b_block().to_float(), pf))
 
     def block(ts):
         """The reports of trials ts, run as one stack up to the polynomial
@@ -465,7 +371,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         de = np.linalg.solve(dt, np.stack([dy, dx], axis=1))
         da, db = de[:, :, :m], de[:, :, m:]
         dd = dual_completion(b_row + db, k, n, sig_r=sig_r, delta_b=db)
-        dp = perturbed_polynomial(af, da, dd, alpha)
+        dp = perturbed_polynomial(a_strip, da, dd, alpha)
         dpns = _frob_norms(dp)
         pp = p_coeffs + dp
         walks = [walk_indices(_poly(c), r)
@@ -485,17 +391,12 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     reports = []
     for start in range(0, trials, TRIAL_BLOCK):
         ts = range(start, min(start + TRIAL_BLOCK, trials))
-        failed = None
-        while ts:
-            try:
-                reports += block(ts)
-                break
-            except MatPencilError as e:
-                if getattr(e, "stack_index", None) is None:
-                    raise
-                # trial ts[i] failed a stacked step; an earlier trial may
-                # fail a later one, so the trials before it run again
-                ts, failed = ts[:e.stack_index], e
-        if failed is not None:
-            raise failed
+        try:
+            reports += block(ts)
+        except MatPencilError:
+            # a stacked step raises for the block; the first trial that
+            # raises on its own is the one a trial-by-trial run stops at
+            for t in ts:
+                block([t])
+            raise
     return reports

@@ -19,17 +19,17 @@ R = N/den the canonical rref; ``rank`` and ``pivots`` read the pivots
 alone, and ``nullspace`` and ``solve`` divide only the entries of N they
 need.  Everything rank-related reads the canonical rref, so pivots,
 nullspace bases and particular solutions do not depend on the
-elimination order.  ``inv`` and ``det`` stay on sparse QQ matrices, and
-``inv`` converts its whole result back.
+elimination order.  ``inv`` is the unique solution of a·X = I, and
+``det`` the fraction-free determinant over ZZ of the integral multiple
+of a, divided back.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from sympy import QQ, ZZ
+from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .errors import PreconditionError
 
@@ -149,33 +149,10 @@ def to_zz(a) -> DomainMatrix:
     return DomainMatrix(out, a.shape, ZZ)
 
 
-def to_domain(a) -> DomainMatrix:
-    """The sparse DomainMatrix over QQ holding the nonzero entries of a;
-    a DomainMatrix over QQ passes through."""
-    if isinstance(a, DomainMatrix):
-        return a
-    rows = {}
-    for i, row in enumerate(a.tolist()):
-        # an int, or a Fraction in lowest terms: QQ takes it without a gcd
-        entries = {j: QQ.dtype(x) for j, x in enumerate(row) if x}
-        if entries:
-            rows[i] = entries
-    return DomainMatrix(rows, a.shape, QQ)
-
-
 def qq_scalar(x):
     """The int or Fraction of the value of x, an element of QQ."""
     p, q = int(x.numerator), int(x.denominator)
     return p if q == 1 else Fraction(p, q)
-
-
-def from_domain(d: DomainMatrix) -> np.ndarray:
-    """Object array holding the entries of d."""
-    out = fzeros(*d.shape)
-    for i, row in d.to_dod().items():
-        for j, x in row.items():
-            out[i, j] = qq_scalar(x)
-    return out
 
 
 def rref(a):
@@ -255,20 +232,24 @@ def samples(coeffs, points):
 
 
 def inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of a: the unique solution of a·X = I."""
     m, n = a.shape
     if m != n:
         raise PreconditionError("inverse of a non-square matrix")
-    try:
-        return from_domain(to_domain(a).inv())
-    except DMNonInvertibleMatrixError as e:
-        raise PreconditionError("matrix is singular") from e
+    x = unique_solve(a, feye(n))
+    if x is None:
+        raise PreconditionError("matrix is singular")
+    return x
 
 
 def det(a: np.ndarray):
+    """The determinant of a: sympy's fraction-free (Bareiss) determinant
+    over ZZ of c·a, c the lcm of the denominators of a, divided by c^n."""
     m, n = a.shape
     if m != n:
         raise PreconditionError("determinant of a non-square matrix")
-    return qq_scalar(to_domain(a).det())
+    c = math.lcm(*(x.denominator for x in a.flat if type(x) is not int))
+    return div(int(to_zz(_times_array(a, c)).det()), c ** n)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:

@@ -101,10 +101,6 @@ class Field(str):
     def rank(self, a) -> int:
         return self.rank_with_margin(a)[0]
 
-    def ranks(self, stack) -> list:
-        """The rank of each matrix of a stack (b, rows, cols), in order."""
-        return [self.rank(a) for a in stack]
-
     def parse_matrix(self, rows) -> np.ndarray:
         """The matrix of nested lists of JSON scalars."""
         return self.matrix([[self.scalar_from_json(x) for x in r]
@@ -172,12 +168,6 @@ class RationalField(Field):
 
     def inv(self, a):
         return xla.inv(a)
-
-    def min_norm_solve(self, a, b):
-        """Minimum-norm solution of a·x = b for full-row-rank a, or None
-        when a is rank deficient."""
-        x = xla.unique_solve(a @ a.T, b)
-        return None if x is None else a.T @ x
 
     def negligible(self, residual, *factors) -> bool:
         """Is every entry of residual (an array or a matrix polynomial)

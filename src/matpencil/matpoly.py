@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import PreconditionError, SchemaError, VerificationError
 from .field import FIELD_FLOAT, FIELD_RATIONAL, field_of
 
@@ -141,16 +143,13 @@ class MatPoly:
         return MatPoly([c * s for c in self.coeffs], self.field)
 
     def matmul(self, other: "MatPoly") -> "MatPoly":
-        """Polynomial product; grade is the sum of grades."""
+        """Polynomial product; grade is the sum of grades.  _product on
+        the two polynomials."""
         self._check_field(other)
         if self.n != other.m:
             raise SchemaError("inner dimensions differ")
-        g = self.grade + other.grade
-        out = [self.field.zeros(self.m, other.n) for _ in range(g + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a @ b
-        return MatPoly(out, self.field)
+        return MatPoly(list(_product(np.stack(self.coeffs),
+                                     np.stack(other.coeffs))), self.field)
 
     def equal(self, other: "MatPoly") -> bool:
         if (self.field, self.m, self.n) != (other.field, other.m, other.n):
@@ -204,17 +203,11 @@ class MatPoly:
 
     def conv_matrix(self, j: int):
         """Block-Toeplitz convolution matrix with j+1 block columns; block
-        column i carries A_k..A_0 shifted down i block rows."""
+        column i carries A_k..A_0 shifted down i block rows.  _conv on a
+        stack of one."""
         if j < 0:
             raise PreconditionError("negative block-column count")
-        k = self.grade
-        rows, cols = (k + j + 1) * self.m, (j + 1) * self.n
-        out = self.field.zeros(rows, cols)
-        for i in range(j + 1):
-            for t in range(k + 1):
-                r0 = (i + t) * self.m
-                out[r0:r0 + self.m, i * self.n:(i + 1) * self.n] = self.coeffs[k - t]
-        return out
+        return _conv(np.stack(self.coeffs)[None], j)[0]
 
     def to_float(self) -> "MatPoly":
         return MatPoly([self.field.to_float(c) for c in self.coeffs], FIELD_FLOAT)
@@ -251,6 +244,43 @@ class MatPoly:
 
     def __repr__(self):
         return f"MatPoly({self.m}x{self.n}, grade={self.grade}, field={self.field})"
+
+
+# ---------------------------------------------------------------------------
+# Stacks of polynomials
+#
+# A stack holds polynomials of one shape and grade as one array (b, g+1,
+# rows, cols) of ascending coefficients, float64 or exact.  The product
+# and the convolution matrix below are the only implementations of
+# MatPoly.matmul and MatPoly.conv_matrix, which run them on one
+# polynomial; numpy runs a stacked @ slice by slice with the kernels a
+# lone polynomial's product gets, so each slice of a stack comes out with
+# that polynomial's bits.
+
+
+def _product(a, b):
+    """The polynomial product of each pair of polynomials of two stacks,
+    either of which may be one polynomial's (g+1, rows, cols), which
+    broadcasts."""
+    a = [a[..., i, :, :] for i in range(a.shape[-3])]
+    b = [b[..., j, :, :] for j in range(b.shape[-3])]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x @ y
+    return np.stack(out, axis=-3)
+
+
+def _conv(c, j: int):
+    """The convolution matrix with j+1 block columns of each polynomial of
+    a stack."""
+    b, g1, r, s = c.shape
+    # block (row i + t, column i) is A_(g-t): block column i holds the
+    # reversed coefficients from block row i down
+    out = np.zeros_like(c, shape=(b, g1 + j, r, j + 1, s))
+    for i in range(j + 1):
+        out[:, i:i + g1, :, i] = c[:, ::-1]
+    return out.reshape(b, (g1 + j) * r, (j + 1) * s)
 
 
 # ---------------------------------------------------------------------------

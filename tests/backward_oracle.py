@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
-from matpencil.backward import (_cond2, _is_block_minimal, _require_pencil,
-                                _smin, _stack)
+from matpencil.backward import _cond2, _is_block_minimal, _smin
 from matpencil.errors import PreconditionError, SchemaError
+from matpencil.matpoly import MatPoly
 from matpencil.reduction import TrimResult
 
 OPTIMAL_BAND = 10.0  # optimality_check's ratios pass within this factor
@@ -72,10 +72,11 @@ def minimality_margin(bp, rt):
     one for full row rank.  The margin is the admissible perturbation
     radius 3 sigma_min(rt) / (2 k^(3/2)), returned for reference.
     """
-    bp = _require_pencil(bp, "block row")
+    if not isinstance(bp, MatPoly) or bp.grade != 1:
+        raise SchemaError("block row must be a pencil")
     k, _ = _split_sizes(bp)
-    margin = 3.0 * _smin(rt) / (2.0 * k ** 1.5)
-    return _is_block_minimal(_stack(bp), k)[0], margin
+    ok = _is_block_minimal(np.stack(bp.to_float().coeffs)[None], k)[0]
+    return ok, 3.0 * _smin(rt) / (2.0 * k ** 1.5)
 
 
 def reports_to_jsonl(reports) -> str:

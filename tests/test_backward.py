@@ -4,7 +4,6 @@ import dataclasses
 import importlib.util
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from matpencil.errors import PreconditionError, SchemaError
 from matpencil.field import FloatField
 from matpencil.matpoly import (
     FIELD_FLOAT,
-    FIELD_RATIONAL,
     MatPoly,
     h_dual,
     lambda_vec,
@@ -182,12 +180,24 @@ class TestMinimalityMargin:
                               np.eye(2))
 
 
+def stack(*polys):
+    """Float64 matrix polynomials of one shape and grade as a stack."""
+    return np.stack([np.stack(p.to_float().coeffs) for p in polys])
+
+
+def poly(c):
+    """One polynomial of a stack, as a MatPoly."""
+    return MatPoly(list(c), FIELD_FLOAT)
+
+
 class TestDualCompletion:
     def test_zero_perturbation_exact(self):
+        # the unperturbed row annihilates Lambda exactly: every product
+        # cancels in floating point too, and the correction is zero
         tr = trim(case3_member())
-        dd = dual_completion(tr.b_block(), tr.k, tr.n)
-        assert dd.is_zero()
-        assert dd.field == FIELD_RATIONAL
+        dd = dual_completion(stack(tr.b_block()), tr.k, tr.n)
+        assert dd.shape == (1, tr.k, tr.k * tr.n, tr.n)
+        assert not np.any(dd)
 
     def test_random_half_radius(self):
         rng = np.random.default_rng(9)
@@ -201,7 +211,8 @@ class TestDualCompletion:
         dy = rng.standard_normal(((k - 1) * n, k * n))
         s = 0.5 * radius / math.sqrt(np.sum(dx * dx) + np.sum(dy * dy))
         db = MatPoly([dy * s, dx * s], FIELD_FLOAT)
-        dd = dual_completion(b + db, k, n, sig_r=sig, delta_b=db)
+        dd = poly(dual_completion(stack(b + db), k, n, sig_r=sig,
+                                  delta_b=stack(db))[0])
         res = (b + db).matmul(lambda_vec(k, n, FIELD_FLOAT) + dd)
         assert res.frob_norm() <= 1e-10
         assert dd.frob_norm() <= k * math.sqrt(2) / sig * db.frob_norm()
@@ -222,27 +233,30 @@ class TestDualCompletion:
             dy = rng.standard_normal(((k - 1) * n, k * n))
             s = 0.8 * radius / math.sqrt(np.sum(dx * dx) + np.sum(dy * dy))
             db = MatPoly([dy * s, dx * s], FIELD_FLOAT)
-            dd = dual_completion(b + db, k, n, sig_r=sig, delta_b=db)
+            dd = poly(dual_completion(stack(b + db), k, n, sig_r=sig,
+                                      delta_b=stack(db))[0])
             assert dd.frob_norm() <= k * math.sqrt(2) / sig * db.frob_norm()
             hits += 1
         assert hits >= 90
 
-    def test_exact_rational_path(self):
+    def test_case3_row_with_dyadic_perturbation(self):
+        # case 3's exact row, moved by two dyadic entries, in float64
         tr = trim(case3_member())
         k, n = tr.k, tr.n
-        db = MatPoly.zero((k - 1) * n, k * n, 1, FIELD_RATIONAL)
-        db.coeffs[0][0, 0] = Fraction(1, 100)
-        db.coeffs[1][1, 2] = Fraction(-1, 200)
-        dd = dual_completion(tr.b_block() + db, k, n,
-                             sig_r=backward._smin(tr.Rt), delta_b=db)
-        assert dd.field == FIELD_RATIONAL
-        res = (tr.b_block() + db).matmul(
-            lambda_vec(k, n, FIELD_RATIONAL) + dd)
-        assert res.is_zero()
+        db = MatPoly.zero((k - 1) * n, k * n, 1, FIELD_FLOAT)
+        db.coeffs[0][0, 0] = 1 / 128
+        db.coeffs[1][1, 2] = -1 / 256
+        bp = tr.b_block().to_float() + db
+        dd = poly(dual_completion(stack(bp), k, n,
+                                  sig_r=backward._smin(tr.Rt),
+                                  delta_b=stack(db))[0])
+        assert dd.frob_norm() > 0
+        res = bp.matmul(lambda_vec(k, n, FIELD_FLOAT) + dd)
+        assert FIELD_FLOAT.negligible(res, bp, dd)
 
     def test_one_sigma_min_of_rt_per_call(self, monkeypatch):
         """run_experiment takes the sigma_min of Rt once per call and
-        hands it to every trial's dual_completion, which takes none."""
+        hands it to every block's dual_completion, which takes none."""
         p = case3_poly().to_float()
         tr = trim(companion_g1(p))
         k, n = tr.k, tr.n
@@ -257,7 +271,8 @@ class TestDualCompletion:
             return real(a)
 
         monkeypatch.setattr(backward, "_smin", counted)
-        dual_completion(tr.b_block() + db, k, n, sig_r=sig_r, delta_b=db)
+        dual_completion(stack(tr.b_block() + db), k, n, sig_r=sig_r,
+                        delta_b=stack(db))
         assert seen == []
         counts = []
         for trials in (1, 4):
@@ -274,20 +289,23 @@ class TestDualCompletion:
         dx = rng.standard_normal(((k - 1) * n, k * n))
         db = MatPoly([dx, dx], FIELD_FLOAT)
         with pytest.raises(PreconditionError):
-            dual_completion(b + db, k, n, sig_r=1.0, delta_b=db)
+            dual_completion(stack(b + db), k, n, sig_r=1.0,
+                            delta_b=stack(db))
 
     def test_shape_validation(self):
         with pytest.raises(SchemaError):
-            dual_completion(MatPoly.zero(2, 4, 1, FIELD_FLOAT), 3, 2)
+            dual_completion(stack(MatPoly.zero(2, 4, 1, FIELD_FLOAT)), 3, 2)
 
 
 class TestPerturbedPolynomial:
     def test_all_zero(self):
         tr = trim(case3_member())
-        a = tr.a_block()
-        da = MatPoly.zero(a.m, a.n, 1, FIELD_RATIONAL)
-        dd = MatPoly.zero(tr.k * tr.n, tr.n, tr.k - 1, FIELD_RATIONAL)
-        assert perturbed_polynomial(a, da, dd, tr.alpha).is_zero()
+        a = stack(tr.a_block())[0]
+        da = np.zeros((1, *a.shape))
+        dd = np.zeros((1, tr.k, tr.k * tr.n, tr.n))
+        dp = perturbed_polynomial(a, da, dd, float(tr.alpha))
+        assert dp.shape == (1, tr.k + 1, tr.m, tr.n)
+        assert not np.any(dp)
 
     def test_zero_dual_norm_bound(self):
         rng = np.random.default_rng(13)
@@ -298,57 +316,42 @@ class TestPerturbedPolynomial:
                      FIELD_FLOAT)
         dd = MatPoly.zero(k * n, n, k - 1, FIELD_FLOAT)
         alpha = 0.7
-        dp = perturbed_polynomial(a, da, dd, alpha)
+        dp = poly(perturbed_polynomial(stack(a)[0], stack(da), stack(dd),
+                                       alpha)[0])
         expected = da.matmul(lambda_vec(k, n, FIELD_FLOAT)).scale(1 / alpha)
         assert (dp - expected).frob_norm() < 1e-12
         assert dp.frob_norm() <= math.sqrt(2) / alpha * da.frob_norm()
 
     def test_matches_manual_expansion(self):
-        # 1x2 strip, k=2, n=1: expand the defining products by hand
-        a = MatPoly([xla.fmat([[1, 2]]), xla.fmat([[3, 4]])],
-                    FIELD_RATIONAL)
-        da = MatPoly([xla.fmat([[5, -1]]), xla.fmat([[0, 2]])],
-                     FIELD_RATIONAL)
-        dd = MatPoly([xla.fmat([[7], [8]]), xla.fmat([[-2], [1]])],
-                     FIELD_RATIONAL)
-        alpha = Fraction(3)
-        got = perturbed_polynomial(a, da, dd, alpha)
-        s = a + da
-        lam_plus = MatPoly([xla.fmat([[0], [1]]), xla.fmat([[1], [0]])],
-                           FIELD_RATIONAL) + dd
-        manual = (s.matmul(lam_plus) - a.matmul(
-            MatPoly([xla.fmat([[0], [1]]), xla.fmat([[1], [0]])],
-                    FIELD_RATIONAL))).scale(Fraction(1, 3))
-        assert got.equal(manual)
+        # 1x2 strip, k=2, n=1: expand the defining products by hand; the
+        # integer sums are exact in float64, so the bits match
+        a = MatPoly([[[1, 2]], [[3, 4]]], FIELD_FLOAT)
+        da = MatPoly([[[5, -1]], [[0, 2]]], FIELD_FLOAT)
+        dd = MatPoly([[[7], [8]], [[-2], [1]]], FIELD_FLOAT)
+        got = perturbed_polynomial(stack(a)[0], stack(da), stack(dd), 3.0)
+        lam = MatPoly([[[0], [1]], [[1], [0]]], FIELD_FLOAT)
+        manual = ((a + da).matmul(lam + dd)
+                  - a.matmul(lam)).scale(1.0 / 3.0)
+        assert got.tobytes() == stack(manual).tobytes()
 
     def test_zero_scale_rejected(self):
-        a = MatPoly.zero(1, 2, 1, FIELD_FLOAT)
-        dd = MatPoly.zero(2, 1, 1, FIELD_FLOAT)
+        a = np.zeros((2, 1, 2))
+        dd = np.zeros((1, 2, 2, 1))
         with pytest.raises(PreconditionError):
-            perturbed_polynomial(a, a, dd, 0.0)
-
-    def test_shape_mismatch(self):
-        a = MatPoly.zero(1, 2, 1, FIELD_FLOAT)
-        da = MatPoly.zero(2, 2, 1, FIELD_FLOAT)
-        dd = MatPoly.zero(2, 1, 1, FIELD_FLOAT)
-        with pytest.raises(SchemaError):
-            perturbed_polynomial(a, da, dd, 1.0)
-        with pytest.raises(SchemaError):
-            perturbed_polynomial(a, a, None, 1.0)
+            perturbed_polynomial(a, a[None], dd, 0.0)
 
 
 def _bits(c):
-    """The exact content of an array: its bytes on float64, each entry's
-    type and value on the rational field."""
-    if c.dtype == object:
-        return [(type(x), x) for x in c.flat]
+    """The shape and bytes of a float64 array."""
     return c.shape, np.ascontiguousarray(c).tobytes()
 
 
-def _same_slices(stack, polys):
-    assert len(stack) == len(polys)
-    for c, poly in zip(stack, polys):
-        assert [_bits(x) for x in c] == [_bits(x) for x in poly.coeffs]
+def _same_slices(stack, stacks):
+    """Each slice of stack has the bits of the matching stack of one."""
+    assert len(stack) == len(stacks)
+    for c, one in zip(stack, stacks):
+        assert one.shape[0] == 1
+        assert _bits(c) == _bits(one[0])
 
 
 def _float_rows(b):
@@ -369,18 +372,19 @@ def _float_rows(b):
 
 
 def _rational_rows(b):
-    """As _float_rows, on case 3's exact trim with a few Fraction entries
-    per perturbation."""
+    """As _float_rows, on case 3's exact (rational) trim in float64, with
+    a few entries per perturbation that are small rationals rounded to
+    float64."""
     rng = np.random.default_rng(22)
     tr = trim(case3_member())
-    bf = tr.b_block()
+    bf = tr.b_block().to_float()
 
     def sparse(m, n, denominator):
-        poly = MatPoly.zero(m, n, 1, FIELD_RATIONAL)
-        for c in poly.coeffs:
+        out = MatPoly.zero(m, n, 1, FIELD_FLOAT)
+        for c in out.coeffs:
             i, j = rng.integers(0, m), rng.integers(0, n)
-            c[i, j] = Fraction(int(rng.integers(-3, 4)), denominator)
-        return poly
+            c[i, j] = int(rng.integers(-3, 4)) / denominator
+        return out
 
     das = [sparse(tr.m, bf.n, 7) for _ in range(b)]
     dbs = [sparse(bf.m, bf.n, 400) for _ in range(b)]
@@ -388,36 +392,24 @@ def _rational_rows(b):
 
 
 class TestStackOfOne:
-    """On a stack, the dual completion and the perturbed polynomial give
-    each slice the bits of the one-trial call on it."""
+    """On a stack of b rows, the dual completion and the perturbed
+    polynomial give each slice the bits of the stack of one holding it:
+    run_experiment's rerun of a failing block rests on this."""
 
     @pytest.mark.parametrize("rows", [_float_rows, _rational_rows])
     @pytest.mark.parametrize("b", [1, 2, 33])
     def test_slices_equal_the_one_trial_calls(self, rows, b):
         tr, bf, sig, das, dbs = rows(b)
         k, n = tr.k, tr.n
-        one = [dual_completion(bf + db, k, n, sig_r=sig, delta_b=db)
-               for db in dbs]
-        db = np.stack([np.stack(x.coeffs) for x in dbs])
-        bp = np.stack([np.stack((bf + x).coeffs) for x in dbs])
-        dd = dual_completion(bp, k, n, sig_r=sig, delta_b=db)
+        one = [dual_completion(stack(bf + db), k, n, sig_r=sig,
+                               delta_b=stack(db)) for db in dbs]
+        dd = dual_completion(stack(*(bf + x for x in dbs)), k, n,
+                             sig_r=sig, delta_b=stack(*dbs))
         _same_slices(dd, one)
-        a = tr.a_block()
-        da = np.stack([np.stack(x.coeffs) for x in das])
-        _same_slices(perturbed_polynomial(a, da, dd, tr.alpha),
-                     [perturbed_polynomial(a, x, y, tr.alpha)
+        a, alpha = stack(tr.a_block())[0], float(tr.alpha)
+        _same_slices(perturbed_polynomial(a, stack(*das), dd, alpha),
+                     [perturbed_polynomial(a, stack(x), y, alpha)
                       for x, y in zip(das, one)])
-
-    def test_failure_marks_the_first_failing_row(self):
-        tr, bf, sig, _, dbs = _float_rows(4)
-        k, n = tr.k, tr.n
-        dbs[2] = dbs[2].scale(10.0)
-        dbs[3] = dbs[3].scale(10.0)
-        db = np.stack([np.stack(x.coeffs) for x in dbs])
-        bp = np.stack([np.stack((bf + x).coeffs) for x in dbs])
-        with pytest.raises(PreconditionError) as info:
-            dual_completion(bp, k, n, sig_r=sig, delta_b=db)
-        assert info.value.stack_index == 2
 
 
 class TestBackwardConstants:
@@ -642,9 +634,10 @@ def oracle_run_experiment(p, tr, eps_fraction, trials, seed):
         ey = np.linalg.solve(dt, dy)
         da = MatPoly([ey[:m], ex[:m]], FIELD_FLOAT)
         db = MatPoly([ey[m:], ex[m:]], FIELD_FLOAT)
-        dd = backward.dual_completion(bf + db, k, n, sig_r=sig_r,
-                                      delta_b=db)
-        dp = backward.perturbed_polynomial(af, da, dd, alpha)
+        dd = backward.dual_completion(stack(bf + db), k, n, sig_r=sig_r,
+                                      delta_b=stack(db))
+        dp = poly(backward.perturbed_polynomial(stack(af)[0], stack(da), dd,
+                                                alpha)[0])
         dpn = dp.frob_norm()
         ratio = (dpn / p_norm) / (epsilon / lt_norm)
         pp = pf + dp
@@ -738,6 +731,53 @@ class TestBlockedExperiment:
                                reset=calls.clear)
         assert err == (backward.VerificationError,
                        "dual completion residual above tolerance")
+
+    def test_failure_at_a_trial_of_a_block_raises_its_error(self,
+                                                            monkeypatch):
+        # trial 2's solve is shifted whenever its system comes back, which
+        # it does with the same bits in a stack of one: the block raises,
+        # trials 0 to 2 run again one at a time, and trial 2 raises
+        real = FloatField.min_norm_solve
+        systems, sizes = [], []
+
+        def solve(self, a, b):
+            systems.append(a.tobytes())
+            x = real(self, a, b)
+            return x + 1.0 if systems[2:3] == systems[-1:] else x
+
+        monkeypatch.setattr(FloatField, "min_norm_solve", solve)
+        dual_completion = backward.dual_completion
+
+        def sized(bp, *args, **kwargs):
+            sizes.append(len(bp))
+            return dual_completion(bp, *args, **kwargs)
+
+        monkeypatch.setattr(backward, "dual_completion", sized)
+
+        def reset():
+            systems.clear()
+            sizes.clear()
+
+        tr = trim(case3_member())
+        err = self._same_error(case3_poly(), tr, 0.5, 10, reset=reset)
+        assert err == (backward.VerificationError,
+                       "dual completion residual above tolerance")
+        reset()
+        with pytest.raises(backward.VerificationError):
+            run_experiment(case3_poly(), tr, 0.5, 10, 0)
+        assert sizes == [10, 1, 1, 1]
+
+    def test_blocks_run_once_without_a_failure(self, monkeypatch):
+        sizes = []
+        dual_completion = backward.dual_completion
+
+        def sized(bp, *args, **kwargs):
+            sizes.append(len(bp))
+            return dual_completion(bp, *args, **kwargs)
+
+        monkeypatch.setattr(backward, "dual_completion", sized)
+        run_experiment(case3_poly(), trim(case3_member()), 0.5, 70, 0)
+        assert sizes == [32, 32, 6]
 
     def test_first_failing_trial_wins(self, monkeypatch):
         # trial 5 fails the residual check, a step the block takes before

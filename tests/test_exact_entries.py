@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.backward import perturbed_polynomial
 from matpencil.cases import case2_poly
 from matpencil.cli import EXIT_SCHEMA, main
 from matpencil.eigenstructure import complete_eigenstructure
 from matpencil.errors import SchemaError
 from matpencil.field import FIELD_RATIONAL, RationalField
-from matpencil.matpoly import MatPoly, dump_json, lambda_vec, rect_identity
+from matpencil.matpoly import MatPoly, dump_json, rect_identity
 from matpencil.reduction import row_reduction
 from matpencil.spaces import SIDE_L1, ansatz_membership, build_l1
 from lift_oracle import lift_left
@@ -56,11 +55,10 @@ def _bad(value):
 
 
 XLA_RESULTS = ("frac", "div", "fmat", "fvec", "fzeros", "feye", "qq_scalar",
-               "from_domain", "nullspace", "solve", "unique_solve", "inv",
-               "det")
+               "nullspace", "solve", "unique_solve", "inv", "det")
 FIELD_RESULTS = ("scalar", "matrix", "vector", "zeros", "eye", "inner", "div",
-                 "nullspace", "pivots", "solve", "inv",
-                 "min_norm_solve", "reflector", "factor_z",
+                 "nullspace", "pivots", "solve", "inv", "reflector",
+                 "factor_z",
                  "scalar_from_json", "parse_matrix")
 
 
@@ -265,16 +263,16 @@ class TestDivisionSites:
         assert Fraction(1, 2) in set(y.coeffs[0].flat)
         assert y.transpose().matmul(member.pencil).is_zero()
 
-    def test_perturbed_polynomial(self):
-        a = MatPoly([xla.fmat([[1, 2]]), xla.fmat([[3, 4]])])
-        da = MatPoly([xla.fmat([[5, -1]]), xla.fmat([[0, 2]])])
-        dd = MatPoly([xla.fmat([[7], [8]]), xla.fmat([[-2], [1]])])
-        got = perturbed_polynomial(a, da, dd, 2)
+    def test_inv_and_det(self):
+        # det divides the ZZ determinant of 6a by 6^2; inv divides the
+        # rref's numerators by its denominator
+        a = xla.fmat([["1/2", "1"], ["1/3", "1"]])
+        assert xla.det(a) == Fraction(1, 6)
+        assert type(xla.det(xla.fmat([["1/2", "1"], ["1/2", "3"]]))) is int
+        got = xla.inv(xla.fmat([[2, 1], [1, 3]]))
         _exact(got)
-        want = ((a + da).matmul(dd) + da.matmul(lambda_vec(2, 1))).scale(
-            Fraction(1, 2))
-        assert got.equal(want)
-        assert any(type(x) is Fraction for c in got.coeffs for x in c.flat)
+        assert got.tolist() == [[Fraction(3, 5), Fraction(-1, 5)],
+                                [Fraction(-1, 5), Fraction(2, 5)]]
 
 
 LITERALS = ["3", "-0", "+3", " 3 ", "3_0", "٣", "²", "1/0", "1e3", "0x1",

@@ -2,10 +2,10 @@
 
 exactla eliminates fraction-free on sparse DomainMatrices over ZZ, each
 row scaled by the lcm of its denominators, and reads back only the
-entries its callers need; sympy's Matrix.rref, nullspace and
-gauss_jordan_solve work on dense symbolic matrices.  The draws are sparse
-rationals with non-integer entries, and include 0 x n, n x 0 and
-all-zero matrices.
+entries its callers need; sympy's Matrix.rref, nullspace,
+gauss_jordan_solve, inv and det work on dense symbolic matrices.  The
+draws are sparse rationals with non-integer entries, and include 0 x n,
+n x 0 and all-zero matrices.
 """
 
 import math
@@ -14,11 +14,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import QQ, ZZ, Matrix, Rational, zeros
+from sympy import ZZ, Matrix, Rational, zeros
 from sympy.polys.matrices import DomainMatrix
 
 from matpencil import exactla as xla
-from matpencil.field import FIELD_RATIONAL
+from matpencil.errors import PreconditionError
+from matpencil.field import FIELD_FLOAT, FIELD_RATIONAL
 from span_oracle import span_pivots
 
 COMMON = dict(deadline=None, max_examples=60)
@@ -100,18 +101,21 @@ class TestRref:
     @settings(**COMMON)
     @given(matrices())
     def test_rank_accepts_a_domain_matrix(self, a):
-        d = xla.to_domain(a)
-        assert xla.to_domain(d) is d
+        d = xla.to_zz(a)
+        assert xla.to_zz(d) is d
         assert xla.rank(d) == xla.rank(a) == sympy_matrix(a).rank()
         assert FIELD_RATIONAL.rank(d) == xla.rank(a)
 
     @settings(**COMMON)
     @given(matrices())
     def test_sparse_form_holds_the_nonzero_entries(self, a):
-        dod = xla.to_domain(a).to_dod()
+        dod = xla.to_zz(a).to_dod()
         nonzero = {(i, j) for (i, j), x in np.ndenumerate(a) if x}
         assert {(i, j) for i, row in dod.items() for j in row} == nonzero
-        assert equal(xla.from_domain(xla.to_domain(a)), a)
+        for i, row in dod.items():
+            c = math.lcm(*(x.denominator for x in a[i]))
+            assert {j: int(x) for j, x in row.items()} == {
+                j: int(x * c) for j, x in enumerate(a[i]) if x}
 
 
 class TestRowScaledForm:
@@ -187,13 +191,12 @@ class TestRowScaledForm:
         for t, d in zip(points, got):
             assert d.domain == ZZ
             # c times the Horner over QQ
-            acc = xla.to_domain(coeffs[-1])
+            acc = sympy_matrix(coeffs[-1])
             for a in reversed(coeffs[:-1]):
-                acc = acc * QQ(t) + xla.to_domain(a)
-            want = xla.from_domain(acc) * c
-            assert equal(over_den(d, 1), want)
+                acc = acc * t + sympy_matrix(a)
+            assert equal(over_den(d, 1), fractions_of(acc) * c)
             assert all(type(x) is int for x in over_den(d, 1).flat)
-            assert xla.rank(d) == xla.rank(xla.from_domain(acc))
+            assert xla.rank(d) == acc.rank()
 
 
 class TestNullspace:
@@ -276,20 +279,55 @@ class TestPivots:
 
 class TestMinNormSolve:
     def test_full_row_rank(self):
+        # the float64 solve of the dual completion: aᵀ (a aᵀ)⁻¹ b
         a = xla.fmat([["1", "2", "0"], ["0", "1/3", "1"]])
         b = xla.fmat([["1"], ["-1"]])
-        x = FIELD_RATIONAL.min_norm_solve(a, b)
+        x = FIELD_FLOAT.min_norm_solve(xla.to_float(a), xla.to_float(b))
         gram = sympy_matrix(a) * sympy_matrix(a).T
         ref = sympy_matrix(a).T * gram.inv() * sympy_matrix(b)
-        assert equal(x, fractions_of(ref))
-        assert xla.is_zero(a @ x - b)
+        assert np.allclose(x, xla.to_float(fractions_of(ref)), rtol=1e-14,
+                           atol=0)
 
-    def test_rank_deficient_returns_none(self):
-        # the second row is -3/2 times the first, so a a^T is singular
-        a = xla.fmat([["2/3", "0", "1"], ["-1", "0", "-3/2"]])
-        b = xla.fmat([["1"], ["-3/2"]])
-        assert xla.rank(a) == 1
-        assert FIELD_RATIONAL.min_norm_solve(a, b) is None
+
+# square draws up to 4x4; the sparse ones are often singular
+squares = st.integers(0, 4).flatmap(lambda n: matrices(n, n))
+
+
+class TestInvDet:
+    """inv solves a·X = I on the ZZ route; det is the ZZ determinant of
+    the integral multiple of a, divided back."""
+
+    @settings(**COMMON)
+    @given(squares)
+    def test_det_matches_sympy(self, a):
+        got = xla.det(a)
+        assert type(got) in (int, Fraction)
+        assert got == Fraction(str(sympy_matrix(a).det()))
+        assert type(got) is int or got.denominator != 1
+
+    @settings(**COMMON)
+    @given(squares)
+    def test_inv_matches_sympy(self, a):
+        ref = sympy_matrix(a)
+        if ref.det() == 0:
+            with pytest.raises(PreconditionError, match="matrix is singular"):
+                xla.inv(a)
+            return
+        got = xla.inv(a)
+        assert equal(got, fractions_of(ref.inv()))
+        assert all(type(x) is int or x.denominator != 1 for x in got.flat)
+
+    def test_singular_and_rank_deficient(self):
+        # the second row is -3/2 times the first
+        a = xla.fmat([["2/3", "1"], ["-1", "-3/2"]])
+        assert xla.det(a) == 0
+        with pytest.raises(PreconditionError, match="matrix is singular"):
+            xla.inv(a)
+        assert xla.unique_solve(a, xla.feye(2)) is None
+        with pytest.raises(PreconditionError, match="non-square"):
+            xla.inv(xla.fzeros(2, 3))
+        with pytest.raises(PreconditionError, match="non-square"):
+            xla.det(xla.fzeros(3, 2))
 
     def test_one_elimination(self, monkeypatch):
         seen = []
@@ -299,6 +337,6 @@ class TestMinNormSolve:
             seen.append(a.shape)
             return rref(a)
         monkeypatch.setattr(xla, "rref", counting)
-        a = xla.fmat([["1", "2", "0"], ["0", "1/3", "1"]])
-        FIELD_RATIONAL.min_norm_solve(a, xla.fmat([["1"], ["-1"]]))
-        assert seen == [(2, 3)]
+        a = xla.fmat([["1", "2"], ["1/3", "1"]])
+        assert equal(xla.inv(a), xla.fmat([["3", "-6"], ["-1", "3"]]))
+        assert seen == [(2, 4)]
