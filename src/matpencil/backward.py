@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of_array
-from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _conv, _product,
-                      _require_keys, h_dual, lambda_vec)
+from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _conv, _require_keys,
+                      _stack_product, h_dual, lambda_vec)
 from .minimal import stack_indices, walk_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
@@ -181,13 +181,13 @@ def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None):
             raise PreconditionError("row perturbation exceeds the dual "
                                     "completion radius")
     lam = np.stack(lambda_vec(k, n, FIELD_FLOAT).coeffs)
-    rhs = _product(bp, lam)[:, ::-1].reshape(len(bp), -1, n)
+    rhs = _stack_product(bp, lam)[:, ::-1].reshape(len(bp), -1, n)
     xs = [FIELD_FLOAT.min_norm_solve(a, y)
           for a, y in zip(_conv(bp, k - 1), rhs)]
     kn = k * n
     dd = np.ascontiguousarray(-np.stack(xs).reshape(-1, k, kn, n)[:, ::-1])
     lam_dd = lam + dd
-    residual = _product(bp, lam_dd)
+    residual = _stack_product(bp, lam_dd)
     if not all(FIELD_FLOAT.negligible(*slices)
                for slices in zip(residual, bp, lam_dd)):
         raise VerificationError("dual completion residual above tolerance")
@@ -215,7 +215,8 @@ def perturbed_polynomial(a, da, dd, alpha):
         raise PreconditionError("scale must be nonzero")
     n = dd.shape[-1]
     lam = np.stack(lambda_vec(a.shape[-1] // n, n, FIELD_FLOAT).coeffs)
-    return (_product(a + da, dd) + _product(da, lam)) * (1.0 / float(alpha))
+    return ((_stack_product(a + da, dd) + _stack_product(da, lam))
+            * (1.0 / float(alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ class Field(str):
     def rank(self, a) -> int:
         return self.rank_with_margin(a)[0]
 
+    def nullspace(self, a):
+        """nullspace_with_margin's basis; warns when the rank decision is
+        near the cut."""
+        ns, clear = self.nullspace_with_margin(a)
+        if not clear:
+            warnings.warn("nullspace rank decision is near the tolerance",
+                          RuntimeWarning)
+        return ns
+
     def parse_matrix(self, rows) -> np.ndarray:
         """The matrix of nested lists of JSON scalars."""
         return self.matrix([[self.scalar_from_json(x) for x in r]
@@ -159,9 +168,10 @@ class RationalField(Field):
         """Exact rank; an exact decision is always clear of any cut."""
         return xla.rank(a), True
 
-    def nullspace(self, a):
-        """Canonical rref basis, one column per free column."""
-        return xla.nullspace(a)
+    def nullspace_with_margin(self, a):
+        """Canonical rref basis, one column per free column; always
+        clear."""
+        return xla.nullspace(a), True
 
     def solve(self, a, b):
         return xla.solve(a, b)
@@ -330,16 +340,13 @@ class FloatField(Field):
         return [self._rank_from_singular_values(s, stack.shape[1:], s[0])[0]
                 for s in np.linalg.svd(stack, compute_uv=False)]
 
-    def nullspace(self, a):
-        """Right singular vectors past the tolerance rank; warns when the
-        rank decision is near the cut."""
+    def nullspace_with_margin(self, a):
+        """Right singular vectors past the tolerance rank, and whether the
+        rank decision stayed RANK_MARGIN from the cut."""
         _, s, vh = np.linalg.svd(a)
         rank, clear = self._rank_from_singular_values(
             s, a.shape, s[0] if s.size else 0.0)
-        if not clear:
-            warnings.warn("nullspace rank decision is near the tolerance",
-                          RuntimeWarning)
-        return np.ascontiguousarray(vh[rank:, :].T)
+        return np.ascontiguousarray(vh[rank:, :].T), clear
 
     def solve(self, a, b):
         return np.linalg.solve(a, b)

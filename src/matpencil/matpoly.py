@@ -144,12 +144,11 @@ class MatPoly:
 
     def matmul(self, other: "MatPoly") -> "MatPoly":
         """Polynomial product; grade is the sum of grades.  _product on
-        the two polynomials."""
+        the two coefficient lists."""
         self._check_field(other)
         if self.n != other.m:
             raise SchemaError("inner dimensions differ")
-        return MatPoly(list(_product(np.stack(self.coeffs),
-                                     np.stack(other.coeffs))), self.field)
+        return MatPoly(_product(self.coeffs, other.coeffs), self.field)
 
     def equal(self, other: "MatPoly") -> bool:
         if (self.field, self.m, self.n) != (other.field, other.m, other.n):
@@ -259,16 +258,21 @@ class MatPoly:
 
 
 def _product(a, b):
-    """The polynomial product of each pair of polynomials of two stacks,
-    either of which may be one polynomial's (g+1, rows, cols), which
-    broadcasts."""
-    a = [a[..., i, :, :] for i in range(a.shape[-3])]
-    b = [b[..., j, :, :] for j in range(b.shape[-3])]
+    """The ascending coefficients of the polynomial product of a and b,
+    two sequences of ascending coefficients: matrices, or stacks (b, rows,
+    cols) of them, which broadcast."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x @ y
-    return np.stack(out, axis=-3)
+    return out
+
+
+def _stack_product(a, b):
+    """_product of each pair of polynomials of two stacks, either of which
+    may be one polynomial's (g+1, rows, cols), which broadcasts."""
+    return np.stack(_product(np.moveaxis(a, -3, 0), np.moveaxis(b, -3, 0)),
+                    axis=-3)
 
 
 def _conv(c, j: int):

@@ -3,21 +3,23 @@
 A minimal basis of the right (left) rational nullspace of a matrix
 polynomial is a polynomial basis of least possible degree sum; the sorted
 degrees are the minimal indices. The construction here walks the
-nullspaces of the convolution matrices degree by degree and keeps every
+nullspaces of the convolution matrices up the degrees and keeps every
 candidate whose leading coefficient extends a row-reduced leading matrix,
 which certifies minimality as it goes, each choice made by the field's
 one pivot rule (Field.pivots); walk_indices reads the indices alone off
-the ranks of the same matrices, on either field. Its walks
-start past one rank probe per side: the Index Sum Theorem bounds the
-least index, and a full-rank, clear decision just below that bound
-settles every lower degree at once. A probe that fails leaves the walk
-to run from degree 0, and its decision adds no flag unless the walk
-reaches it. Float pencils' indices can also be read off Van Dooren's
-staircase, whose SVDs are of blocks of the pencils rather than of
-growing convolution matrices. The staircase runs on stacks
-(stack_indices): one SVD call per step for all pencils whose decisions
-agree so far, each decision still per pencil under the field's one rank
-rule.
+the ranks of the same matrices, on either field.  Both run one walk
+driver, index_walk.  On a settled side, one whose other side holds no
+indices or has been walked, the Index Sum Theorem bounds the sum of the
+indices left: the driver reads a last index straight off one
+elimination at that bound, and probes the gaps below when several are
+left.  A decision that is not clear, or a count that shows an index
+below the bound, leaves the walk to go on degree by degree; a probe the
+walk never reaches adds no flag.  Float pencils' indices can also be
+read off Van Dooren's staircase, whose SVDs are of blocks of the pencils
+rather than of growing convolution matrices. The staircase runs on
+stacks (stack_indices): one SVD call per step for all pencils whose
+decisions agree so far, each decision still per pencil under the
+field's one rank rule.
 
 The other half of the module moves bases between a polynomial and the
 pencils built from it: embedding into the Kronecker tower, projecting an
@@ -28,6 +30,7 @@ vectors back by applying M^T to their k blocks; it needs no trimming
 record and forms no M kron I.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +147,7 @@ class MinimalBasis:
         return cls(d["side"], tuple(vecs), tuple(d["indices"]), field)
 
 
-def index_walk(p: MatPoly, want: int, step, start: int = 0) -> tuple:
+def index_walk(p, want, step, probe=None, total=0) -> tuple:
     """The want ascending indices whose count grows, from degree d - 1 to
     d, by the number of indices <= d; that growth may never shrink, and
     every index is at most grade * min(m, n).
@@ -154,14 +157,49 @@ def index_walk(p: MatPoly, want: int, step, start: int = 0) -> tuple:
     by p (De Terán, Dopico & Mackey, ELA 18, 2009), or a rank for the
     infinite degrees.  When the caller selects basis vectors as it goes,
     step also returns how many it holds so far (else None); that count
-    must equal the growth at the same degree.  The walk begins at start,
-    below which the caller has shown every count to be 0.
+    must equal the growth at the same degree.  Both checks run at every
+    degree the walk visits.
+
+    Without probe the walk visits every degree from 0.  With it, the side
+    is settled: total bounds the sum of the want indices (the Index Sum
+    Theorem, De Terán, Dopico & Mackey, LAA 459, 2014, with the other
+    side's sum taken off), and probe(D) returns the nullity at D and
+    whether its decision is clear, with no other effect.  With E the
+    indices found, all below d, conv(D) has nullity at least
+    base(D) = sum over E of (D - e + 1), plus D - e + 1 for each index e
+    left that is <= D.  Once per count of indices found (for w >= 2 left,
+    only past degree 0, where a member's constants lie) the walk tries:
+    - w = 1: the last index is at most D = total - sum(E), and it equals
+      D exactly when the nullity at D is base(D) + 1; then the walk
+      visits D next, as if it had seen base(D) - |E| at D - 1.
+    - w >= 2: the least index left is at most (total - sum(E)) // w; at D
+      one below that, a nullity of base(D) puts none in [d, D], and the
+      walk resumes at D + 1 with that count.
+    Each is taken only on a clear decision; otherwise the walk goes on
+    from d, and the probe counts as a visit only if the walk reaches D.
+    Over QQ every skip is exact.  On float64 a skipped degree is not
+    decided, so a flag of clear decisions covers the degrees visited.
     """
     bound = p.grade * min(p.m, p.n)
     indices = []
     prev_count = 0
-    d = start
+    d = 0
+    skip = probe is not None
     while len(indices) < want:
+        w = want - len(indices)
+        if skip and (w == 1 or d > 0):
+            skip = False
+            rest = total - sum(indices)
+            target = rest if w == 1 else rest // w - 1
+            if target > d:
+                base = sum(target - e + 1 for e in indices)
+                count, clear = probe(target)
+                if clear and count == base + (w == 1):
+                    if w == 1:
+                        d, prev_count = target, base - len(indices)
+                    else:
+                        d, prev_count = target + 1, count
+                    continue
         if d > bound:
             raise VerificationError("index walk passed the degree bound")
         count, selected = step(d)
@@ -171,7 +209,9 @@ def index_walk(p: MatPoly, want: int, step, start: int = 0) -> tuple:
                 "nullspace growth does not match the selected index profile")
         if growth < len(indices):
             raise VerificationError("index profile is not monotone")
-        indices.extend([d] * (growth - len(indices)))
+        if growth > len(indices):
+            indices.extend([d] * (growth - len(indices)))
+            skip = probe is not None
         prev_count = count
         d += 1
     return tuple(indices)
@@ -180,45 +220,37 @@ def index_walk(p: MatPoly, want: int, step, start: int = 0) -> tuple:
 def walk_indices(p: MatPoly, nrank: int):
     """Right and left minimal indices of p, of normal rank nrank, from the
     ranks of its convolution matrices alone, and whether every rank
-    decision stayed clear of the field's cut (always, when exact).
-
-    One probe per side skips the degrees that carry no index.  The Index
-    Sum Theorem (De Terán, Dopico & Mackey, LAA 459, 2014) bounds the
-    want indices of a side by S = grade * nrank (less the right indices'
-    sum, on the left), so the least is at most S // want.  If conv(D),
-    D = S // want - 1, has full column rank with a clear decision, the
-    walk starts at D + 1 with a count of 0.  That is sound on both fields:
-    conv(d - 1) with zero rows appended is the first d*n columns of
-    conv(d).  Over QQ full column rank at D gives it at every d <= D.  On
-    float64 full and clear means sigma_min > RANK_MARGIN * tol, with tol =
-    max(shape) * sigma_max * eps * RANK_SAFETY; as d falls sigma_min
-    cannot fall and sigma_max and max(shape) cannot grow, so each skipped
-    degree would report nullity 0, clearly.  Otherwise the walk runs from
-    0 and reuses the probe's rank if it reaches D; a probe the walk never
-    reaches adds no flag, since the walk made no decision there.
+    decision the walks made stayed clear of the field's cut (always, when
+    exact).  Each side runs index_walk on the nullities of its
+    convolution matrices, probed where the side is settled: the right
+    side when p has full row rank (no left indices), the left side
+    always, with the right indices' sum taken off its total
+    grade * nrank.  A rank is taken once per degree, whether a probe or
+    the walk asks first; a probe's decision counts only if the walk
+    visits its degree.
     """
     clear = []
 
-    def indices(q, want, total):
+    def indices(q, want, total, settled):
         ranks = {}
 
-        def rank(d):
+        def probe(d):
             if d not in ranks:
-                ranks[d] = q.field.rank_with_margin(q.conv_matrix(d))
+                r, ok = q.field.rank_with_margin(q.conv_matrix(d))
+                ranks[d] = (d + 1) * q.n - r, ok
             return ranks[d]
 
         def nullity(d):
-            r, ok = rank(d)
+            count, ok = probe(d)
             clear.append(ok)
-            return (d + 1) * q.n - r, None
+            return count, None
 
-        probe = total // want - 1 if want > 0 else 0
-        full = probe >= 1 and rank(probe) == ((probe + 1) * q.n, True)
-        return index_walk(q, want, nullity, probe + 1 if full else 0)
+        return index_walk(q, want, nullity, probe if settled else None,
+                          total)
 
     total = p.grade * nrank
-    right = indices(p, p.n - nrank, total)
-    left = indices(p.transpose(), p.m - nrank, total - sum(right))
+    right = indices(p, p.n - nrank, total, p.m == nrank)
+    left = indices(p.transpose(), p.m - nrank, total - sum(right), True)
     return right, left, all(clear)
 
 
@@ -300,20 +332,28 @@ def stack_indices(y, x):
 def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
     """Minimal basis of the chosen rational nullspace of p.
 
-    Walks degrees d = 0, 1, ... with index_walk; nullvectors of the
-    convolution matrix with d+1 block columns are exactly the degree <= d
-    vector polynomials killed by p (coefficients stacked highest first).
-    A candidate is kept when its degree-d coefficient is a pivot (the
+    Walks the degrees with index_walk; nullvectors of the convolution
+    matrix with d+1 block columns are exactly the degree <= d vector
+    polynomials killed by p (coefficients stacked highest first).  A
+    candidate is kept when its degree-d coefficient is a pivot (the
     field's pivots) of the leading coefficients already kept followed by
-    the candidates'. Candidates are tried only at a degree that carries a
-    new index, where the nullity grows by more than the count already
-    kept; at any other degree that growth equals the count, so no
-    candidate could be kept.
+    the candidates'.  Candidates are tried only at a degree that carries a
+    new index, where the nullity exceeds the sum of d - e + 1 over the
+    indices e kept; at any other degree the kept vectors and their shifts
+    span the nullspace, so no candidate could be kept.
+
+    When p has full row rank (no left indices; full column rank for a
+    left basis) the walk is settled and probes its nullspaces: a
+    generic p's last index is the Index Sum bound, so past degree 0 one
+    elimination there finds it and its vector, out of the same canonical
+    nullspace a linear walk would read.  A nullspace is taken once per
+    degree, whether a probe or the walk asks first.
 
     Exact arithmetic is the intended path; on float64 the nullspaces and
-    the pivots use the field's one rank cut and warn near it.
-    normal_rank, when given, maps p (or its transpose) to its normal rank:
-    a recovery passes a _RankOnce to read it once for both sides.
+    the pivots use the field's one rank cut and warn near it, a probe's
+    nullspace only if the walk visits its degree.  normal_rank, when
+    given, maps p (or its transpose) to its normal rank: a recovery
+    passes a _RankOnce to read it once for both sides.
     """
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
@@ -326,13 +366,22 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
     n = p.n
     leads = field.zeros(n, 0)  # the kept leading coefficients
     chosen = []
-    nullity = 0  # at the previous degree
+    spaces = {}  # nullspaces taken and not yet visited, by degree
+
+    def probe(d):
+        if d not in spaces:
+            spaces[d] = field.nullspace_with_margin(p.conv_matrix(d))
+        ns, clear = spaces[d]
+        return ns.shape[1], clear
 
     def select(d):
-        nonlocal nullity, leads
-        ns = field.nullspace(p.conv_matrix(d))
-        growth, nullity = ns.shape[1] - nullity, ns.shape[1]
-        if growth > len(chosen):  # an index equals d
+        nonlocal leads
+        probe(d)
+        ns, clear = spaces.pop(d)
+        if not clear:
+            warnings.warn("nullspace rank decision is near the tolerance",
+                          RuntimeWarning)
+        if ns.shape[1] > sum(d - v.grade + 1 for v in chosen):
             c = leads.shape[1]
             new = [j - c for j in field.pivots(
                 np.concatenate([leads, ns[:n, :]], axis=1)) if j >= c]
@@ -340,10 +389,11 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
             chosen.extend(MatPoly(
                 [ns[(d - i) * n:(d - i + 1) * n, j:j + 1].copy()
                  for i in range(d + 1)], field) for j in new)
-        return nullity, len(chosen)
+        return ns.shape[1], len(chosen)
 
     rank = (normal_rank or MatPoly.normal_rank)(p)
-    indices = index_walk(p, n - rank, select)
+    indices = index_walk(p, n - rank, select,
+                         probe if p.m == rank else None, p.grade * rank)
     basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), indices, field)
     _certify(basis, p)
     return basis

@@ -4,6 +4,7 @@ between a polynomial and its ansatz pencils."""
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,14 +18,15 @@ from matpencil.errors import (PreconditionError, SchemaError,
 from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                                MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
-                               MinimalBasis, _pack_checked, embed_right,
-                               index_walk, minimal_basis, project_ansatz,
-                               recover_minimal, stack_indices, walk_indices)
+                               MinimalBasis, _certify, _pack_checked,
+                               embed_right, index_walk, minimal_basis,
+                               project_ansatz, recover_minimal, stack_indices,
+                               walk_indices)
 from matpencil.reduction import full_z_rank, trim
 from matpencil.spaces import build_l1, companion_g1, companion_g2
 from lift_oracle import lift_left
 from staircase_oracle import oracle_pencil_indices, pencil_indices
-from walk_oracle import oracle_walk_indices
+from walk_oracle import oracle_minimal_basis, oracle_walk_indices
 
 
 def vec_poly(*coeff_lists, field=FIELD_RATIONAL):
@@ -703,15 +705,30 @@ class TestIndexWalk:
             index_walk(self.poly, 3, step)
         assert calls == [0, 1]
 
-    def test_start_skips_the_degrees_below(self):
-        # the counts below degree 2 are known to be 0; growth 2, 3 from there
+    def test_a_clear_probe_jumps_to_the_last_index(self):
+        # one index left and a cap of 3: a nullity of 1 at degree 3 puts
+        # the index there, and the walk visits degree 3 alone
+        calls, probes = [], []
+
+        def step(d):
+            calls.append(d)
+            return {3: 1}[d], None
+
+        def probe(d):
+            probes.append(d)
+            return {3: 1}[d], True
+        assert index_walk(self.poly, 1, step, probe, 3) == (3,)
+        assert (probes, calls) == ([3], [3])
+
+    def test_an_unclear_probe_walks_from_zero(self):
         calls = []
 
         def step(d):
             calls.append(d)
-            return {2: 2, 3: 5}[d], None
-        assert index_walk(self.poly, 3, step, start=2) == (2, 2, 3)
-        assert calls == [2, 3]
+            return [0, 0, 0, 1][d], None
+        assert index_walk(self.poly, 1, step,
+                          lambda d: (1, False), 3) == (3,)
+        assert calls == [0, 1, 2, 3]
 
 
 def float_poly(rng, m, n, k, inner=None, noise=0.0):
@@ -813,7 +830,7 @@ class TestWalkProbe:
     def test_an_unreached_probe_near_the_cut_leaves_no_flag(self, ranked):
         # (1 + l)^7 [l - 1, l - 1 - eta]: right index 1; the near-common
         # root leaves a singular value 15 and 12 times the cut at degrees
-        # 0 and 1, which falls to 8 times the cut at the probe, degree 7
+        # 0 and 1, which falls near the cut at the jump to the cap, 8
         g = MatPoly([np.array([[float(math.comb(7, i))]]) for i in range(8)],
                     FIELD_FLOAT)
         ab = MatPoly([np.array([[-1.0, -1.0 - 2.5e-13]]),
@@ -823,14 +840,15 @@ class TestWalkProbe:
         want, oracle_calls = run_logged(ranked, oracle_walk_indices, p, 1)
         assert want == ((1,), (), True)
         assert got == want
-        assert calls == [(16, False)] + oracle_calls
+        assert calls == [(18, False)] + oracle_calls
 
-    def test_generic_left_walk_ranks_two_matrices(self, ranked):
-        # 5x4 grade 3: one left index, 12; the probe at degree 11 is full
+    def test_generic_left_walk_ranks_one_matrix(self, ranked):
+        # 5x4 grade 3: one left index, 12, which the jump to the cap reads
         p = float_poly(np.random.default_rng(93), 5, 4, 3)
         got, calls = run_logged(ranked, walk_indices, p, 4)
-        assert got == ((), (12,), True)
-        assert [cols // 5 - 1 for cols, _ in calls] == [11, 12]
+        want = walk_outcome(oracle_walk_indices, p, 4)
+        assert got == want == ((), (12,), True)
+        assert [cols // 5 - 1 for cols, _ in calls] == [12]
 
     def test_planted_right_index_costs_at_most_one_more_rank(self, ranked):
         # a 4x1 grade-2 column times a 1x2 pencil: right index 1, below
@@ -849,6 +867,178 @@ class TestWalkProbe:
         want, oracle_calls = run_logged(ranked, oracle_walk_indices, p, 1)
         assert got == want and got[0] == (1,)
         assert sorted(calls) == sorted(oracle_calls)
+
+
+def kronecker_right_pencil(indices, seed):
+    """An exact full-row-rank pencil whose right minimal indices are the
+    given ones: L_e = l*[I 0] + [0 I] blocks (a zero column for e = 0),
+    times seeded unimodular integer matrices on both sides."""
+    rows, cols = sum(indices), sum(e + 1 for e in indices)
+    y, x = np.zeros((rows, cols), dtype=int), np.zeros((rows, cols), dtype=int)
+    r = c = 0
+    for e in indices:
+        x[r:r + e, c:c + e] += np.eye(e, dtype=int)
+        y[r:r + e, c + 1:c + e + 1] += np.eye(e, dtype=int)
+        r, c = r + e, c + e + 1
+    rng = np.random.default_rng(seed)
+
+    def unimodular(k):
+        lower = np.tril(rng.integers(-2, 3, (k, k)), -1) + np.eye(k, dtype=int)
+        upper = np.triu(rng.integers(-2, 3, (k, k)), 1) + np.eye(k, dtype=int)
+        return lower @ upper
+    u, v = unimodular(rows), unimodular(cols)
+    return MatPoly([xla.fmat((u @ a @ v).tolist()) for a in (y, x)],
+                   FIELD_RATIONAL)
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """The degree of each convolution matrix whose nullspace the field
+    takes, on both fields: column count over the polynomial's width."""
+    log = []
+    for field in (FIELD_FLOAT, FIELD_RATIONAL):
+        real = type(field).nullspace_with_margin
+
+        def spy(self, a, real=real):
+            log.append(a.shape[1])
+            return real(self, a)
+        monkeypatch.setattr(type(field), "nullspace_with_margin", spy)
+    return log
+
+
+def logged_basis(log, build, p, side):
+    """build(p, side), the degrees it eliminated at, and the messages it
+    warned with."""
+    log.clear()
+    width = p.m if side == SIDE_LEFT else p.n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = build(p, side)
+    return (basis, [cols // width - 1 for cols in log],
+            [str(w.message) for w in caught])
+
+
+def certified_oracle(p, side):
+    basis = oracle_minimal_basis(p, side)
+    _certify(basis, p)
+    return basis
+
+
+class TestWalkDriver:
+    """minimal_basis and walk_indices run one walk driver; the linear
+    walks of tests/walk_oracle.py are the reference for indices, bytes,
+    flags and warnings.  Settled sides probe; the others walk from 0."""
+
+    @pytest.mark.parametrize("indices,degrees", [
+        # degree 0 finds the constants, the gap probe at 8 // 2 - 1 = 3
+        # is full, and degree 4 carries both indices left
+        ((0, 0, 4, 4), [0, 3, 4]),
+        # the gap probe at 3 meets the index 3: the walk resumes at 1,
+        # reuses the probe's nullspace at 3, and jumps to 8 - 3 = 5
+        ((0, 0, 3, 5), [0, 3, 1, 2, 5]),
+    ])
+    def test_a_settled_side_with_gaps(self, eliminated, indices, degrees):
+        p = kronecker_right_pencil(indices, seed=sum(indices))
+        got, calls, warned = logged_basis(eliminated, minimal_basis, p,
+                                          SIDE_RIGHT)
+        want, oracle_calls, _ = logged_basis(eliminated, oracle_minimal_basis,
+                                             p, SIDE_RIGHT)
+        assert got.indices == indices and same_basis(got, want)
+        assert calls == degrees and not warned
+        assert oracle_calls == list(range(max(indices) + 1))
+        nrank = p.normal_rank()
+        assert walk_indices(p, nrank) == oracle_walk_indices(p, nrank) \
+            == (indices, (), True)
+
+    def test_a_finite_eigenvalue_puts_the_last_index_below_the_cap(
+            self, eliminated):
+        # (l - 2) Q, Q a generic 3x2 pencil: left index 2, cap 2 * 2 = 4;
+        # the nullity at 4 is 3, not 1, so the walk runs from 0 and never
+        # reaches 4 again
+        q = int_poly(np.random.default_rng(96), 3, 2, 1)
+        a, b = int_poly(np.random.default_rng(97), 3, 2, 1).coeffs
+        p = MatPoly([-2 * a, a - 2 * b, b])
+        got, calls, _ = logged_basis(eliminated, minimal_basis, p, SIDE_LEFT)
+        want, _, _ = logged_basis(eliminated, oracle_minimal_basis, p,
+                                  SIDE_LEFT)
+        assert got.indices == (2,) and same_basis(got, want)
+        assert calls == [4, 0, 1, 2]
+        assert walk_indices(p, 2) == oracle_walk_indices(p, 2)
+
+    @pytest.mark.parametrize("side", [SIDE_RIGHT, SIDE_LEFT])
+    def test_indices_on_both_sides_take_no_probe(self, eliminated, ranked,
+                                                 side):
+        p = planted_poly(np.random.default_rng(71), 4, 3, 3)
+        got, calls, _ = logged_basis(eliminated, minimal_basis, p, side)
+        want, oracle_calls, _ = logged_basis(eliminated,
+                                             oracle_minimal_basis, p, side)
+        assert same_basis(got, want) and calls == oracle_calls
+        nrank = p.normal_rank()
+        got, calls = run_logged(ranked, walk_indices, p, nrank)
+        want, oracle_calls = run_logged(ranked, oracle_walk_indices, p,
+                                        nrank)
+        # the right walk visits every degree up to its last index; the
+        # left one is settled by it
+        assert got == want and got[0] and got[1]
+        last = max(got[0]) + 1
+        assert calls[:last] == oracle_calls[:last] \
+            == [(3 * (d + 1), True) for d in range(last)]
+
+    def test_a_jump_near_the_cut_falls_back_and_warns_nothing(
+            self, eliminated):
+        # the pair of TestWalkProbe's unreached probe: the nullspace at the
+        # cap, 8, is near the cut and is never visited
+        g = MatPoly([np.array([[float(math.comb(7, i))]]) for i in range(8)],
+                    FIELD_FLOAT)
+        ab = MatPoly([np.array([[-1.0, -1.0 - 2.5e-13]]),
+                      np.array([[1.0, 1.0]])], FIELD_FLOAT)
+        p = g.matmul(ab)
+        got, calls, warned = logged_basis(eliminated, minimal_basis, p,
+                                          SIDE_RIGHT)
+        want, oracle_calls, oracle_warned = logged_basis(
+            eliminated, oracle_minimal_basis, p, SIDE_RIGHT)
+        assert got.indices == (1,) and same_basis(got, want)
+        assert calls == [8, 0, 1] and oracle_calls == [0, 1]
+        assert warned == oracle_warned == []
+
+    def test_exact_bases_match_the_oracle(self):
+        rng = np.random.default_rng(97)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for k in (1, 2, 3):
+                    polys = [int_poly(rng, m, n, k)]
+                    if n > 1:
+                        polys.append(planted_poly(rng, m, n, k))
+                    for p in polys:
+                        for side in (SIDE_RIGHT, SIDE_LEFT):
+                            assert same_basis(minimal_basis(p, side),
+                                              oracle_minimal_basis(p, side))
+
+    def test_float_bases_match_the_oracle(self):
+        rng = np.random.default_rng(98)
+        for i in range(150):
+            m, n = (int(x) for x in rng.integers(1, 6, size=2))
+            k = int(rng.integers(1, 4))
+            inner = None if i % 3 == 0 else int(rng.integers(1, min(m, n) + 1))
+            noise = 10.0 ** rng.uniform(-16, -6) if i % 3 == 2 else 0.0
+            p = float_poly(rng, m, n, k, inner, noise)
+            for side in (SIDE_RIGHT, SIDE_LEFT):
+                assert basis_outcome(minimal_basis, p, side) \
+                    == basis_outcome(certified_oracle, p, side)
+
+
+def basis_outcome(build, p, side):
+    """The basis's indices and vector bytes, or the message of what it
+    raised, and the messages it warned with."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            basis = build(p, side)
+            out = basis.indices, [c.tobytes() for v in basis.vectors
+                                  for c in v.coeffs]
+        except VerificationError as exc:
+            out = str(exc)
+    return out, [str(w.message) for w in caught]
 
 
 def kron_l(eps):
