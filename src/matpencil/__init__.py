@@ -14,7 +14,7 @@ from .reduction import (TrimResult, certify_linearization, full_z_rank,
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT, MinimalBasis,
                       embed_right, minimal_basis, project_ansatz,
-                      recover_minimal, recover_sides)
+                      recover_minimal)
 from .eigenstructure import (EigStructure, Verdict, check_g_linearization,
                              check_linearization, complete_eigenstructure,
                              smith_form)
@@ -35,7 +35,7 @@ __all__ = [
     "MODE_TRIMMED_L1", "MODE_TRIMMED_L2", "SIDE_LEFT", "SIDE_RIGHT",
     "MinimalBasis", "embed_right", "minimal_basis",
     "project_ansatz",
-    "recover_minimal", "recover_sides",
+    "recover_minimal",
     "EigStructure", "Verdict",
     "check_g_linearization", "check_linearization",
     "complete_eigenstructure", "smith_form",

@@ -20,15 +20,15 @@ overhead.
 """
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (MatPencilError, PreconditionError, SchemaError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of_array
-from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _conv, _require_keys,
-                      _stack_product, h_dual, lambda_vec)
+from .matpoly import (_SQRT_FLOAT_MIN, MatPoly, _conv, _stack_product,
+                      h_dual, lambda_vec)
 from .minimal import stack_indices, walk_indices
 from .reduction import TrimResult
 from .spaces import SIDE_L2
@@ -155,16 +155,16 @@ def _is_block_minimal(bp, k: int) -> list:
             zip(FIELD_FLOAT.ranks(c_sq), FIELD_FLOAT.ranks(c_row))]
 
 
-def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None):
+def dual_completion(bp, k: int, n: int, sig_r: float, delta_b):
     """Corrections of the dual polynomial basis after the block row moved.
 
     Solves the exact annihilation condition for each perturbed row as a
     linear system in the correction's coefficients, taking the minimum
-    norm solution.  When sig_r, the smallest singular value of the base
-    triangular factor Rt, and the row perturbations are supplied, the
-    admissible radius precondition and the norm bound on the correction
-    are enforced as well.  Each perturbed dual pair is verified minimal
-    before returning.
+    norm solution.  sig_r, the smallest singular value of the base
+    triangular factor Rt, and the row perturbations delta_b set the
+    admissible radius precondition and the norm bound on the correction,
+    both enforced.  Each perturbed dual pair is verified minimal before
+    returning.
 
     bp and delta_b are float64 stacks (b, 2, (k-1)n, kn) of block rows
     and their perturbations; the result is the stack (b, k, kn, n) of
@@ -174,12 +174,11 @@ def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None):
     """
     if bp.shape[1:] != (2, (k - 1) * n, k * n):
         raise SchemaError("block row shape is not (k-1)n x kn")
-    dbn = None if delta_b is None else _frob_norms(delta_b)
-    if sig_r is not None and dbn is not None:
-        radius = sig_r / (2.0 * k ** 1.5)
-        if not all(x < radius for x in dbn):
-            raise PreconditionError("row perturbation exceeds the dual "
-                                    "completion radius")
+    dbn = _frob_norms(delta_b)
+    radius = sig_r / (2.0 * k ** 1.5)
+    if not all(x < radius for x in dbn):
+        raise PreconditionError("row perturbation exceeds the dual "
+                                "completion radius")
     lam = np.stack(lambda_vec(k, n, FIELD_FLOAT).coeffs)
     rhs = _stack_product(bp, lam)[:, ::-1].reshape(len(bp), -1, n)
     xs = [FIELD_FLOAT.min_norm_solve(a, y)
@@ -191,11 +190,10 @@ def dual_completion(bp, k: int, n: int, sig_r=None, delta_b=None):
     if not all(FIELD_FLOAT.negligible(*slices)
                for slices in zip(residual, bp, lam_dd)):
         raise VerificationError("dual completion residual above tolerance")
-    if sig_r is not None and dbn is not None:
-        limits = (k * math.sqrt(2.0) / sig_r * x for x in dbn)
-        if not all(x <= limit * (1.0 + 1e-12)
-                   for x, limit in zip(_frob_norms(dd), limits)):
-            raise VerificationError("dual completion norm bound failed")
+    limits = (k * math.sqrt(2.0) / sig_r * x for x in dbn)
+    if not all(x <= limit * (1.0 + 1e-12)
+               for x, limit in zip(_frob_norms(dd), limits)):
+        raise VerificationError("dual completion norm bound failed")
     if not all(_is_block_minimal(bp, k)):
         raise VerificationError("perturbed block row is not a minimal basis")
     if not all(r == n for r in FIELD_FLOAT.ranks(lam_dd[:, k - 1])):
@@ -236,7 +234,7 @@ def backward_constants(tr: TrimResult, p):
     alpha = abs(float(tr.alpha))
     p_norm = float(p.frob_norm())
     lt_hat_norm = float(tr.Lt_hat.frob_norm())
-    a_norm = float(tr.a_block().frob_norm())
+    a_norm = float(tr.top.frob_norm())
     sig_r = _smin(tr.Rt)
     c_hat = (lt_hat_norm / p_norm / alpha) * (3.0 + 2.0 * k * a_norm / sig_r)
     c_full = _cond2(tr.Dtilde) * c_hat
@@ -257,7 +255,7 @@ class PerturbReport:
     kappa_rtilde: float
     sigma_min_rtilde: float
     indices_preserved: bool
-    conclusive: bool = True
+    conclusive: bool
 
     def bound_holds(self) -> bool:
         if self.epsilon >= self.bound_rhs:
@@ -266,16 +264,6 @@ class PerturbReport:
 
     def to_json_dict(self) -> dict:
         return {"kind": "perturb_report", **asdict(self)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PerturbReport":
-        """Load a report; fields with a default (conclusive) may be
-        missing."""
-        required = [f.name for f in fields(cls) if f.default is MISSING]
-        _require_keys(d, ("kind", *required), "perturbation report")
-        if d["kind"] != "perturb_report":
-            raise SchemaError("not a perturbation report")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def summarize_experiment(reports) -> dict:
@@ -352,7 +340,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
 
     ly, lx = ltf.coeffs
     a_strip, b_row, p_coeffs = (
-        np.stack(x.coeffs) for x in (tr.a_block().to_float(),
+        np.stack(x.coeffs) for x in (tr.top.to_float(),
                                      tr.b_block().to_float(), pf))
 
     def block(ts):
@@ -371,7 +359,7 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
         # [E_y, E_x] = Dtilde^-1 [dY, dX]: the strip rows, then the block row
         de = np.linalg.solve(dt, np.stack([dy, dx], axis=1))
         da, db = de[:, :, :m], de[:, :, m:]
-        dd = dual_completion(b_row + db, k, n, sig_r=sig_r, delta_b=db)
+        dd = dual_completion(b_row + db, k, n, sig_r, db)
         dp = perturbed_polynomial(a_strip, da, dd, alpha)
         dpns = _frob_norms(dp)
         pp = p_coeffs + dp

@@ -1,9 +1,9 @@
 """Command line driver: JSON files in, canonical JSON on stdout.
 
 Exit codes are scriptable: 0 success, 1 malformed input (including bad
-flags), 2 failed mathematical precondition, 3 failed verification.  A
-rejected linearization check and a violated experimental bound both count
-as verification failures.
+flags), 2 failed mathematical precondition (an input too large for memory
+included), 3 failed verification.  A rejected linearization check and a
+violated experimental bound both count as verification failures.
 
 Reports are emitted through a canonical serializer (sorted keys, fixed
 separators), so identical inputs and seed give byte-identical output.
@@ -30,7 +30,7 @@ from .matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json,
                       matrix_from_json, pencil_to_json)
 from .minimal import (MODE_GLIN_L1, MODE_GLIN_L2, MODE_TRIMMED_L1,
                       MODE_TRIMMED_L2, SIDE_LEFT, SIDE_RIGHT,
-                      recover_sides)
+                      recover_minimal)
 from .reduction import (TrimResult, max_z_rank, trim, verify_witnesses,
                         z_rank)
 from .spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_membership,
@@ -214,7 +214,7 @@ def cmd_recover(args) -> int:
              else (args.side,))
     report = {"kind": "recover_report", "mode": args.mode,
               SIDE_LEFT: None, SIDE_RIGHT: None}
-    for side, mb in zip(sides, recover_sides(source, p, sides, args.mode)):
+    for side, mb in zip(sides, recover_minimal(source, p, sides, args.mode)):
         report[side] = mb.to_json_dict()
     print(dump_json(report))
     return EXIT_OK
@@ -452,6 +452,11 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         print(dump_json({"kind": "error", "error": "precondition",
                          "message": str(e)}))
+        return EXIT_PRECONDITION
+    except MemoryError as e:
+        # sizes that parse but whose arrays cannot be allocated
+        print(dump_json({"kind": "error", "error": "precondition",
+                         "message": f"input too large for memory: {e}"}))
         return EXIT_PRECONDITION
     except (VerificationError, MatPencilError) as e:
         print(dump_json({"kind": "error", "error": "verification",

@@ -31,7 +31,7 @@ import sympy
 
 from . import exactla as xla
 from .errors import PreconditionError, SchemaError, VerificationError
-from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, _require_keys
+from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
 from .minimal import index_walk, walk_indices
 from .qpoly import QQL, coeffs, pm_det, poly, to_pm
 from .reduction import TrimResult, certify_linearization
@@ -129,28 +129,6 @@ class EigStructure:
             "right_indices": list(self.right_indices),
             "left_indices": list(self.left_indices),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EigStructure":
-        _require_keys(d, ("kind", "field", "nrank", "finite", "infinite",
-                          "right_indices", "left_indices"),
-                      "eigenstructure")
-        if d["kind"] != "eigstructure":
-            raise SchemaError("not an eigenstructure record")
-        field = d["field"]
-        fin = []
-        for entry in d["finite"]:
-            exps = tuple(entry["exponents"])
-            if field == FIELD_FLOAT:
-                re, im = entry["value"]
-                fin.append((complex(re, im), exps))
-            else:
-                fin.append((tuple(FIELD_RATIONAL.scalar_from_json(c)
-                                  for c in entry["factor"]), exps))
-        return cls(nrank=int(d["nrank"]), finite=tuple(fin),
-                   infinite=tuple(d["infinite"]),
-                   right_indices=tuple(d["right_indices"]),
-                   left_indices=tuple(d["left_indices"]), field=field)
 
 
 def _factor_monic(d):

@@ -34,7 +34,7 @@ def _block(a, field):
 class MatPoly:
     """Grade-k matrix polynomial with coefficients [A_0, ..., A_k]."""
 
-    def __init__(self, coeffs, field: str = FIELD_RATIONAL, grade=None):
+    def __init__(self, coeffs, field: str = FIELD_RATIONAL):
         field = field_of(field)
         coeffs = [_block(c, field) for c in coeffs]
         if not coeffs:
@@ -42,11 +42,6 @@ class MatPoly:
         shape = coeffs[0].shape
         if any(c.shape != shape for c in coeffs):
             raise SchemaError("coefficient blocks differ in shape")
-        if grade is not None:
-            if grade + 1 < len(coeffs):
-                raise SchemaError("grade smaller than the coefficient list")
-            while len(coeffs) < grade + 1:
-                coeffs.append(field.zeros(shape[0], shape[1]))
         self.coeffs = coeffs
         self.field = field
         self.m, self.n = shape
@@ -74,10 +69,6 @@ class MatPoly:
     def zero(cls, m, n, grade, field=FIELD_RATIONAL):
         field = field_of(field)
         return cls([field.zeros(m, n) for _ in range(grade + 1)], field)
-
-    @classmethod
-    def constant(cls, a, field=FIELD_RATIONAL):
-        return cls([a], field)
 
     @classmethod
     def pencil(cls, x, y, field=FIELD_RATIONAL):

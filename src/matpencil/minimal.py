@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (PreconditionError, SchemaError, StructureError,
                      VerificationError)
 from .field import FIELD_FLOAT, field_of
-from .matpoly import MatPoly, block_apply, lambda_vec, _require_keys
+from .matpoly import MatPoly, block_apply, lambda_vec
 from .reduction import WIDE_REFUSAL, TrimResult, transposed_problem
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil
 
@@ -122,29 +122,6 @@ class MinimalBasis:
             "indices": list(self.indices),
             "vectors": vecs,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MinimalBasis":
-        _require_keys(d, ("kind", "side", "field", "indices", "vectors"),
-                      "minimal basis")
-        if d["kind"] != "minimal_basis":
-            raise SchemaError("not a minimal basis document")
-        field = field_of(d["field"])
-        vecs = []
-        for coeff_lists in d["vectors"]:
-            if not coeff_lists:
-                raise SchemaError("a vector needs at least one coefficient")
-            rows = len(coeff_lists[0])
-            coeffs = []
-            for cl in coeff_lists:
-                if len(cl) != rows:
-                    raise SchemaError("coefficient lengths differ")
-                c = field.zeros(rows, 1)
-                for i, s in enumerate(cl):
-                    c[i, 0] = field.scalar_from_json(s)
-                coeffs.append(c)
-            vecs.append(MatPoly(coeffs, field))
-        return cls(d["side"], tuple(vecs), tuple(d["indices"]), field)
 
 
 def index_walk(p, want, step, probe=None, total=0) -> tuple:
@@ -495,8 +472,10 @@ class _RankOnce:
         return self.value
 
 
-def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
-    """Minimal basis of p read off from a pencil built from it.
+def recover_minimal(source, p, sides, mode: str) -> tuple:
+    """Minimal bases of p read off from a pencil built from it, one per
+    entry of sides, reading the normal ranks of p and of the source
+    pencil once for all of them.
 
     Right bases of right-space members and their trims are Kronecker
     towers and are peeled; left bases go through the ansatz projection,
@@ -504,12 +483,6 @@ def recover_minimal(source, p, side: str, mode: str) -> MinimalBasis:
     trimmed pencil's with the trimming selector transposed in. Left-space
     sources run the same rules on the transposed problem.
     """
-    return recover_sides(source, p, (side,), mode)[0]
-
-
-def recover_sides(source, p, sides, mode: str) -> tuple:
-    """recover_minimal for each of sides in turn, reading the normal ranks
-    of p and of the source pencil once for all of them."""
     for side in sides:
         if side not in (SIDE_LEFT, SIDE_RIGHT):
             raise SchemaError(f"unknown side {side!r}")
@@ -525,7 +498,7 @@ def recover_sides(source, p, sides, mode: str) -> tuple:
             raise SchemaError("mode expects a left-space source")
         dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
         with transposed_problem():
-            dual = recover_sides(
+            dual = recover_minimal(
                 source.transpose(), p.transpose(),
                 [SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
                  for side in sides], dual_mode)
@@ -548,7 +521,7 @@ def recover_sides(source, p, sides, mode: str) -> tuple:
 
 def _recover(source, p: MatPoly, side: str, p_rank,
              pencil_rank) -> MinimalBasis:
-    """One side of recover_sides from a right-space member or trimming
+    """One side of recover_minimal from a right-space member or trimming
     record.  Right bases of both are Kronecker towers and are peeled.  A
     left basis of either is carried to P by the ansatz projection, a
     record's through D^T first; a member's is P's lifted plus (k-1)(m-n)

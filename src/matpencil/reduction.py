@@ -257,9 +257,9 @@ def row_reduction(l: AnsatzPencil, m_mat, alpha) -> _KronForm:
 
 
 def z_rank(l: AnsatzPencil) -> int:
-    """Rank of the Z block of the member's own block-Kronecker form."""
-    z = l._form.Z
-    return l.field.rank(z.T if l.side == SIDE_L2 else z)
+    """Rank of the Z block of the member's own block-Kronecker form (a
+    left-space member's is its transpose's, of equal rank)."""
+    return l.field.rank(l._form.Z)
 
 
 def max_z_rank(l: AnsatzPencil) -> int:
@@ -345,11 +345,6 @@ class TrimResult:
         if self.side == SIDE_L2:
             return self.transpose().K.transpose()
         return _stack_over(self.top, self.field.eye(self.Rt.shape[0]))
-
-    def a_block(self) -> MatPoly:
-        """Top strip of Lt_hat; satisfies A * (Lambda kron I) = alpha * P
-        on the right side (transposed identity on the left side)."""
-        return self.top
 
     def b_block(self) -> MatPoly:
         """Bottom strip of Lt_hat; equals -Rt * (H kron I) on the right

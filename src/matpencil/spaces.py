@@ -150,29 +150,19 @@ def companion_g2(p: MatPoly) -> AnsatzPencil:
     return companion_g1(p.transpose()).transpose()
 
 
-def shifted_sum(x, y, side: str, block_dims) -> np.ndarray:
-    """Column variant: [X | 0] + [0 | Y] on m x n blocks; row variant is the
-    vertical analogue."""
-    m, n = block_dims
-    if m < 1 or n < 1:
+def shifted_sum(x, y, n: int) -> np.ndarray:
+    """[X | 0] + [0 | Y] on blocks n columns wide."""
+    if n < 1:
         raise PreconditionError("sizes must be positive")
     if x.shape != y.shape:
         raise SchemaError("summands differ in shape")
     rows, cols = x.shape
-    if rows % m or cols % n:
+    if cols % n:
         raise SchemaError("shape is not a whole number of blocks")
-    field = field_of_array(x)
-    if side == "col":
-        out = field.zeros(rows, cols + n)
-        out[:, :cols] = out[:, :cols] + x
-        out[:, n:] = out[:, n:] + y
-        return out
-    if side == "row":
-        out = field.zeros(rows + m, cols)
-        out[:rows, :] = out[:rows, :] + x
-        out[m:, :] = out[m:, :] + y
-        return out
-    raise SchemaError(f"unknown shifted-sum side {side!r}")
+    out = field_of_array(x).zeros(rows, cols + n)
+    out[:, :cols] = out[:, :cols] + x
+    out[:, n:] = out[:, n:] + y
+    return out
 
 
 def ansatz_target(p: MatPoly, v) -> np.ndarray:
@@ -200,8 +190,7 @@ def ansatz_gap(pencil: MatPoly, p: MatPoly, v) -> np.ndarray:
     target = ansatz_target(p, v)
     if pencil.m != target.shape[0]:
         raise SchemaError("shapes differ")
-    # rows are matched to the target, so block rows need no size of their own
-    return shifted_sum(pencil.X, pencil.Y, "col", (1, n)) - target
+    return shifted_sum(pencil.X, pencil.Y, n) - target
 
 
 def ansatz_residual(member: AnsatzPencil) -> MatPoly:
@@ -228,7 +217,7 @@ def ansatz_membership(l: MatPoly, p: MatPoly, side: str) -> Optional[np.ndarray]
     l._check_field(p)
     if p.is_zero():
         return None
-    shifted = shifted_sum(l.X, l.Y, "col", (m, n))
+    shifted = shifted_sum(l.X, l.Y, n)
     strip = ansatz_target(p, _unit_like(p, 0))  # e_1 strip, used per block row
     t = strip[:m, :]
     tt = p.field.inner(t, t)

@@ -93,7 +93,7 @@ def optimality_check(tr: TrimResult, p) -> dict:
         raise SchemaError("expected a trimming record")
     alpha = abs(float(tr.alpha))
     p_norm = float(p.frob_norm())
-    a_norm = float(tr.a_block().frob_norm())
+    a_norm = float(tr.top.frob_norm())
     sig_r = _smin(tr.Rt)
     scaled = alpha * p_norm
     kappa_d, kappa_r = _cond2(tr.Dtilde), _cond2(tr.Rt)

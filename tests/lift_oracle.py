@@ -1,7 +1,7 @@
 """Reference route for the tests: lifting a left nullvector into a member.
 
 The package recovers P's left minimal basis from a member's by the ansatz
-projection (minimal.recover_sides) and never lifts a vector up.  The
+projection (minimal.recover_minimal) and never lifts a vector up.  The
 tests check the recovery theorem the other way: a left nullvector q of P
 lifts to a left nullvector of a full-Z-rank right-space member, of the
 same degree, that projects back onto q.

@@ -305,8 +305,7 @@ def test_criterion_8_property_suites():
         assert ansatz_residual(member).is_zero()
         if member.side == SIDE_L1:
             p = member.poly
-            got = shifted_sum(member.pencil.X, member.pencil.Y, "col",
-                              (p.m, p.n))
+            got = shifted_sum(member.pencil.X, member.pencil.Y, p.n)
             assert np.array_equal(got, ansatz_target(p, member.ansatz))
             assert product_residual(member).is_zero()
             x = member.pencil.X.copy()
@@ -317,7 +316,7 @@ def test_criterion_8_property_suites():
             assert not ansatz_residual(broken).is_zero()
             assert not product_residual(broken).is_zero()
             assert not np.array_equal(
-                shifted_sum(x, member.pencil.Y, "col", (p.m, p.n)),
+                shifted_sum(x, member.pencil.Y, p.n),
                 ansatz_target(p, member.ansatz))
 
     # lift then project is the identity, degrees kept

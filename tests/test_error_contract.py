@@ -10,9 +10,11 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from matpencil import cli
 from matpencil.cli import main
 
 EXTREMES = {
@@ -107,3 +109,21 @@ def test_negative_seed_is_a_precondition_error(tmp_path):
                      "2", "--seed", "-1"])
     assert code == 2
     assert json.loads(out)["kind"] == "error"
+
+
+@pytest.mark.parametrize("argv, callee", [
+    (["lemma-check", "--k", "100000", "--n", "1"], "sigma_min_tau"),
+    (["examples", "3"], "trim"),
+])
+def test_out_of_memory_is_a_precondition_error(monkeypatch, argv, callee):
+    # stands in for numpy's "Unable to allocate 74.5 GiB" without
+    # allocating anything
+    def raise_memory_error(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, callee, raise_memory_error)
+    code, out = run(argv)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "precondition"
+    assert "74.5 GiB" in err["message"]

@@ -77,7 +77,7 @@ class TestReversal:
         assert total == 4
 
     def test_grade_exceeding_degree(self):
-        p = MatPoly([xla.feye(2)], FIELD_RATIONAL, grade=2)
+        p = MatPoly([xla.feye(2), xla.fzeros(2, 2), xla.fzeros(2, 2)])
         assert p.grade == 2 and p.degree == 0
         r = p.reversal()
         assert r.degree == 2 and r.coeffs[2][0, 0] == 1

@@ -1,7 +1,6 @@
 """Minimal bases via convolution-matrix nullspaces, and the recovery maps
 between a polynomial and its ansatz pencils."""
 
-import json
 import math
 import sys
 import warnings
@@ -99,19 +98,6 @@ class TestMinimalBasisType:
         v = vec_poly([1, 0])
         with pytest.raises(SchemaError):
             MinimalBasis(SIDE_RIGHT, (v,), (1,), FIELD_RATIONAL)
-
-    def test_json_round_trip(self):
-        mb = minimal_basis(case2_poly(), SIDE_LEFT)
-        doc = json.loads(json.dumps(mb.to_json_dict()))
-        back = MinimalBasis.from_json_dict(doc)
-        assert same_basis(mb, back)
-
-    def test_tampered_json(self):
-        mb = minimal_basis(case2_poly(), SIDE_LEFT)
-        doc = mb.to_json_dict()
-        doc["indices"] = list(reversed(doc["indices"]))
-        with pytest.raises(SchemaError):
-            MinimalBasis.from_json_dict(doc)
 
 
 class TestMinimalBasisComputation:
@@ -312,7 +298,7 @@ class TestSpecialBasis:
     def test_case2_companion(self):
         p = case2_poly()
         l = companion_g1(p)
-        lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+        lb = recover_minimal(l, p, (SIDE_LEFT,), MODE_GLIN_L1)[0]
         assert minimal_basis(l.pencil, SIDE_LEFT).indices == (0, 0, 1)
         assert lb.indices == (0, 1)
         assert spans_line(lb.vectors[0], vec_poly([0, 0, 1]))
@@ -321,7 +307,7 @@ class TestSpecialBasis:
         # case 3's ansatz vector is not e1, so M is not I
         l = case3_member()
         assert minimal_basis(l.pencil, SIDE_LEFT).indices == (0, 0)
-        lb = recover_minimal(l, case3_poly(), SIDE_LEFT, MODE_GLIN_L1)
+        lb = recover_minimal(l, case3_poly(), (SIDE_LEFT,), MODE_GLIN_L1)[0]
         assert lb.indices == (0,)
         assert spans_line(lb.vectors[0], vec_poly([-2, -1, 1]))
 
@@ -333,7 +319,7 @@ class TestSpecialBasis:
                     FIELD_RATIONAL)
         l = companion_g1(p)
         base = minimal_basis(l.pencil, SIDE_LEFT)
-        lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+        lb = recover_minimal(l, p, (SIDE_LEFT,), MODE_GLIN_L1)[0]
         assert lb.indices == base.indices
         assert all(spans_line(q, project_ansatz(l.ansatz, y, p.m))
                    for q, y in zip(lb.vectors, base.vectors))
@@ -360,7 +346,7 @@ class TestSpecialBasis:
                                                  xla.fmat(w))]
             for l in members:
                 assert full_z_rank(l)
-                lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+                lb = recover_minimal(l, p, (SIDE_LEFT,), MODE_GLIN_L1)[0]
                 extra = (k - 1) * (p.m - p.n)
                 assert constants(minimal_basis(l.pencil, SIDE_LEFT)) \
                     == constants(lb) + extra
@@ -371,18 +357,18 @@ class TestSpecialBasis:
     def test_deficient_z_refused(self):
         with pytest.raises(PreconditionError,
                            match="lower block is rank deficient; cannot trim"):
-            recover_minimal(case1_member(), case1_poly(), SIDE_LEFT,
+            recover_minimal(case1_member(), case1_poly(), (SIDE_LEFT,),
                             MODE_GLIN_L1)
         pw = case2_poly().transpose()
         with pytest.raises(PreconditionError,
                            match="wide polynomials trim through the left"):
-            recover_minimal(companion_g1(pw), pw, SIDE_LEFT, MODE_GLIN_L1)
+            recover_minimal(companion_g1(pw), pw, (SIDE_LEFT,), MODE_GLIN_L1)
 
     def test_left_space_member_refused(self):
         pw = case2_poly().transpose()
         l2 = companion_g2(pw)
         with pytest.raises(SchemaError, match="expects a right-space member"):
-            recover_minimal(l2, pw, SIDE_LEFT, MODE_GLIN_L1)
+            recover_minimal(l2, pw, (SIDE_LEFT,), MODE_GLIN_L1)
         with pytest.raises(PreconditionError,
                            match="needs a right-space member"):
             lift_left(vec_poly([1, 0]), l2)
@@ -392,58 +378,58 @@ class TestRecover:
     def test_case2_glin_right(self):
         p = case2_poly()
         l = companion_g1(p)
-        rb = recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L1)
+        rb = recover_minimal(l, p, (SIDE_RIGHT,), MODE_GLIN_L1)[0]
         assert rb.indices == (1,)
         assert spans_line(rb.vectors[0], vec_poly([1, 0], [0, -1]))
 
     def test_case2_glin_left(self):
         p = case2_poly()
         l = companion_g1(p)
-        lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+        lb = recover_minimal(l, p, (SIDE_LEFT,), MODE_GLIN_L1)[0]
         assert lb.indices == (0, 1)
 
     def test_case2_trimmed_right(self):
         p = case2_poly()
         tr = trim(companion_g1(p))
-        rb = recover_minimal(tr, p, SIDE_RIGHT, MODE_TRIMMED_L1)
+        rb = recover_minimal(tr, p, (SIDE_RIGHT,), MODE_TRIMMED_L1)[0]
         assert rb.indices == (1,)
         assert spans_line(rb.vectors[0], vec_poly([1, 0], [0, -1]))
 
     def test_case3_trimmed_left(self):
         p = case3_poly()
         tr = trim(case3_member())
-        lb = recover_minimal(tr, p, SIDE_LEFT, MODE_TRIMMED_L1)
+        lb = recover_minimal(tr, p, (SIDE_LEFT,), MODE_TRIMMED_L1)[0]
         assert lb.indices == (0,)
         assert spans_line(lb.vectors[0], vec_poly([-2, -1, 1]))
 
     def test_case3_trimmed_right_empty(self):
         p = case3_poly()
         tr = trim(case3_member())
-        rb = recover_minimal(tr, p, SIDE_RIGHT, MODE_TRIMMED_L1)
+        rb = recover_minimal(tr, p, (SIDE_RIGHT,), MODE_TRIMMED_L1)[0]
         assert rb.count == 0
 
     def test_case3_glin_left(self):
         p = case3_poly()
         l = case3_member()
-        lb = recover_minimal(l, p, SIDE_LEFT, MODE_GLIN_L1)
+        lb = recover_minimal(l, p, (SIDE_LEFT,), MODE_GLIN_L1)[0]
         assert lb.indices == (0,)
         assert spans_line(lb.vectors[0], vec_poly([-2, -1, 1]))
 
     def test_wide_glin_l2(self):
         pw = case2_poly().transpose()
         l2 = companion_g2(pw)
-        rb = recover_minimal(l2, pw, SIDE_RIGHT, MODE_GLIN_L2)
+        rb = recover_minimal(l2, pw, (SIDE_RIGHT,), MODE_GLIN_L2)[0]
         assert rb.indices == (0, 1)
-        lb = recover_minimal(l2, pw, SIDE_LEFT, MODE_GLIN_L2)
+        lb = recover_minimal(l2, pw, (SIDE_LEFT,), MODE_GLIN_L2)[0]
         assert lb.indices == (1,)
         assert spans_line(lb.vectors[0], vec_poly([1, 0], [0, -1]))
 
     def test_wide_trimmed_l2(self):
         pw = case2_poly().transpose()
         tr = trim(companion_g2(pw))
-        rb = recover_minimal(tr, pw, SIDE_RIGHT, MODE_TRIMMED_L2)
+        rb = recover_minimal(tr, pw, (SIDE_RIGHT,), MODE_TRIMMED_L2)[0]
         assert rb.indices == (0, 1)
-        lb = recover_minimal(tr, pw, SIDE_LEFT, MODE_TRIMMED_L2)
+        lb = recover_minimal(tr, pw, (SIDE_LEFT,), MODE_TRIMMED_L2)[0]
         assert lb.indices == (1,)
 
     def test_planted_right_shift(self):
@@ -454,7 +440,7 @@ class TestRecover:
             l = companion_g1(p)
             lvl = minimal_basis(l.pencil, SIDE_RIGHT).indices
             assert lvl == tuple(e + 1 for e in want)
-            got = recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L1).indices
+            got = recover_minimal(l, p, (SIDE_RIGHT,), MODE_GLIN_L1)[0].indices
             assert got == want
 
     def test_source_type_checks(self):
@@ -462,24 +448,24 @@ class TestRecover:
         l = companion_g1(p)
         tr = trim(l)
         with pytest.raises(SchemaError):
-            recover_minimal(tr, p, SIDE_RIGHT, MODE_GLIN_L1)
+            recover_minimal(tr, p, (SIDE_RIGHT,), MODE_GLIN_L1)
         with pytest.raises(SchemaError):
-            recover_minimal(l, p, SIDE_RIGHT, MODE_TRIMMED_L1)
+            recover_minimal(l, p, (SIDE_RIGHT,), MODE_TRIMMED_L1)
         with pytest.raises(SchemaError):
-            recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L2)
+            recover_minimal(l, p, (SIDE_RIGHT,), MODE_GLIN_L2)
         with pytest.raises(SchemaError):
-            recover_minimal(l, p, "up", MODE_GLIN_L1)
+            recover_minimal(l, p, ("up",), MODE_GLIN_L1)
         with pytest.raises(SchemaError):
-            recover_minimal(l, p, SIDE_RIGHT, "companion")
+            recover_minimal(l, p, (SIDE_RIGHT,), "companion")
         with pytest.raises(SchemaError):
-            recover_minimal(l, case3_poly(), SIDE_RIGHT, MODE_GLIN_L1)
+            recover_minimal(l, case3_poly(), (SIDE_RIGHT,), MODE_GLIN_L1)
         with pytest.raises(SchemaError):
-            recover_minimal(tr, case3_poly(), SIDE_RIGHT, MODE_TRIMMED_L1)
+            recover_minimal(tr, case3_poly(), (SIDE_RIGHT,), MODE_TRIMMED_L1)
 
     def test_float_trimmed_left(self):
         p = case3_poly().to_float()
         tr = trim(companion_g1(p))
-        lb = recover_minimal(tr, p, SIDE_LEFT, MODE_TRIMMED_L1)
+        lb = recover_minimal(tr, p, (SIDE_LEFT,), MODE_TRIMMED_L1)[0]
         assert lb.indices == (0,)
         oracle = vec_poly([-2, -1, 1], field=FIELD_FLOAT)
         assert spans_line(lb.vectors[0], oracle, tol=1e-8)
@@ -493,13 +479,14 @@ class TestRecover:
                     and getattr(mod, "trim", None) is trim):
                 monkeypatch.setattr(mod, "trim", refuse)
         p = case2_poly()
-        lb = recover_minimal(companion_g1(p), p, SIDE_LEFT, MODE_GLIN_L1)
+        lb = recover_minimal(companion_g1(p), p, (SIDE_LEFT,), MODE_GLIN_L1)[0]
         assert lb.indices == (0, 1)
-        lb = recover_minimal(case3_member(), case3_poly(), SIDE_LEFT,
-                             MODE_GLIN_L1)
+        lb = recover_minimal(case3_member(), case3_poly(), (SIDE_LEFT,),
+                             MODE_GLIN_L1)[0]
         assert lb.indices == (0,)
         pw = p.transpose()
-        lb = recover_minimal(companion_g2(pw), pw, SIDE_LEFT, MODE_GLIN_L2)
+        lb = recover_minimal(companion_g2(pw), pw, (SIDE_LEFT,),
+                             MODE_GLIN_L2)[0]
         assert lb.indices == (1,)
 
     def test_leading_matrix_certificate_fires(self):
@@ -516,7 +503,7 @@ class TestRecover:
     def test_float_glin_right(self):
         p = case2_poly().to_float()
         l = companion_g1(p)
-        rb = recover_minimal(l, p, SIDE_RIGHT, MODE_GLIN_L1)
+        rb = recover_minimal(l, p, (SIDE_RIGHT,), MODE_GLIN_L1)[0]
         assert rb.indices == (1,)
 
 

@@ -74,8 +74,7 @@ class TestShiftedSumEquivalence:
     @given(members())
     def test_members_hit_the_target(self, member):
         p = member.poly
-        got = shifted_sum(member.pencil.X, member.pencil.Y, "col",
-                          (p.m, p.n))
+        got = shifted_sum(member.pencil.X, member.pencil.Y, p.n)
         assert np.array_equal(got, ansatz_target(p, member.ansatz))
         assert product_residual(member).is_zero()
 
@@ -89,7 +88,7 @@ class TestShiftedSumEquivalence:
         x[i, j] = x[i, j] + 1
         broken = AnsatzPencil(MatPoly.pencil(x, member.pencil.Y, member.field),
                               member.side, member.ansatz, p)
-        got = shifted_sum(x, member.pencil.Y, "col", (p.m, p.n))
+        got = shifted_sum(x, member.pencil.Y, p.n)
         sum_matches = np.array_equal(got, ansatz_target(p, member.ansatz))
         residual_zero = ansatz_residual(broken).is_zero()
         product_zero = product_residual(broken).is_zero()

@@ -720,7 +720,7 @@ class TestTrim:
         if not full_z_rank(member):
             pytest.skip("unlucky draw")
         tr = trim(member)
-        a = tr.a_block()
+        a = tr.top
         lam = lambda_vec(2, 2)
         prod = a.matmul(lam)
         assert prod.equal(member.poly.scale(tr.alpha))
@@ -739,7 +739,7 @@ class TestTrim:
     def test_row_split_reconstructs(self):
         member = case3_member()
         tr = trim(member)
-        top = tr.a_block()
+        top = tr.top
         bottom = tr.b_block()
         assert xla.is_zero(np.vstack([top.X, bottom.X]) - tr.Lt_hat.X)
         assert xla.is_zero(np.vstack([top.Y, bottom.Y]) - tr.Lt_hat.Y)
@@ -800,7 +800,7 @@ class TestTrim:
         assert np.allclose(tr.Q1.T @ tr.Q1, np.eye(2), atol=1e-12)
         assert np.allclose(tr.Q1 @ tr.Rt, tr.Z, atol=1e-10)
         lam = lambda_vec(2, 2, FIELD_FLOAT)
-        prod = tr.a_block().matmul(lam)
+        prod = tr.top.matmul(lam)
         target = member.poly.scale(tr.alpha)
         assert (prod - target).frob_norm() <= 1e-9 * max(1.0, target.frob_norm())
         assert_core_reproduces_lt(tr)

@@ -154,19 +154,19 @@ class TestBuildL2:
 class TestShiftedSum:
     def test_zero(self):
         z = xla.fzeros(4, 4)
-        assert xla.is_zero(shifted_sum(z, z, "col", (2, 2)))
+        assert xla.is_zero(shifted_sum(z, z, 2))
 
     def test_companion_strip(self):
         p = case3_poly()
         c1 = companion_g1(p)
-        out = shifted_sum(c1.pencil.X, c1.pencil.Y, "col", (3, 2))
+        out = shifted_sum(c1.pencil.X, c1.pencil.Y, 2)
         assert xla.is_zero(out - ansatz_target(p, c1.ansatz))
 
     def test_matches_symbolic_product(self):
         rng = np.random.default_rng(17)
         p = rand_poly(rng, 3, 2, 2)
         member = build_l1(p, [3, -1], rand_w(rng, 6, 2))
-        out = shifted_sum(member.pencil.X, member.pencil.Y, "col", (3, 2))
+        out = shifted_sum(member.pencil.X, member.pencil.Y, 2)
         assert xla.is_zero(out - ansatz_target(p, member.ansatz))
 
     def test_zero_ansatz_entries_leave_zero_rows(self):
@@ -184,19 +184,15 @@ class TestShiftedSum:
 
     def test_zero_block_size_is_a_precondition(self):
         z = xla.fzeros(4, 4)
-        for side in ("col", "row"):
-            for dims in ((0, 2), (2, 0)):
-                with pytest.raises(PreconditionError,
-                                   match="sizes must be positive"):
-                    shifted_sum(z, z, side, dims)
+        with pytest.raises(PreconditionError, match="sizes must be positive"):
+            shifted_sum(z, z, 0)
 
-    def test_row_variant_transposes(self):
-        rng = np.random.default_rng(18)
-        x = rand_w(rng, 4, 4)
-        y = rand_w(rng, 4, 4)
-        col = shifted_sum(x, y, "col", (2, 2))
-        row = shifted_sum(x.T.copy(), y.T.copy(), "row", (2, 2))
-        assert xla.is_zero(col - row.T)
+    def test_partial_blocks_are_a_schema_error(self):
+        z = xla.fzeros(4, 4)
+        with pytest.raises(SchemaError, match="whole number of blocks"):
+            shifted_sum(z, z, 3)
+        with pytest.raises(SchemaError, match="summands differ in shape"):
+            shifted_sum(z, xla.fzeros(4, 2), 2)
 
 
 class TestAnsatzGap:
