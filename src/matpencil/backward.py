@@ -332,6 +332,9 @@ def run_experiment(p, tr: TrimResult, eps_fraction: float, trials: int,
     bound = sig_r * _smin(dt) / (2.0 * k ** 1.5)
     lt_norm = ltf.frob_norm()
     p_norm = pf.frob_norm()
+    if alpha == 0.0 or p_norm == 0.0 or bound == 0.0:
+        raise PreconditionError("the bound needs a nonzero scale and "
+                                "polynomial and nonsingular Rt and Dtilde")
     c_hat, c_full = backward_constants(tr, p)
     kappa_d = _cond2(dt)
     kappa_r = _cond2(rt)

@@ -11,11 +11,11 @@ D_r that reaches degree f.  No Smith form is taken.
 Linearization claims are certified in a fixed order: first the exact
 factor identities of the pencil's block-Kronecker form
 (reduction.certify_linearization), which imply unimodular E, F with
-E L F = diag(P, padding), for the reversals too when strong; a form whose
-identity fails raises.  Only when no form can be built is the claim
-settled by comparing the structures of the pencil and the polynomial
-(_padded_verdict), and every rejection comes from there.  No check is
-probabilistic.
+E L F = diag(P, padding) and make the pencil a strong linearization; a
+form whose identity fails raises.  Only when no form can be built is the
+claim settled by comparing the structures of the pencil and the
+polynomial (_padded_verdict), and every rejection comes from there.  No
+check is probabilistic.
 
 The float path only handles regular pencils through the generalized
 eigensolver.  It cannot resolve Jordan structure, so every numeric
@@ -341,11 +341,11 @@ def _padded_verdict(lmat: MatPoly, p: MatPoly, r: int, strong: bool):
 
 
 def _verdict(l, lmat: MatPoly, p: MatPoly, r: int, strong: bool):
-    """Accept l on the factor certificate of its block-Kronecker form, for
-    its reversal too when strong; when it has none, compare its pencil
+    """Accept l on the factor certificate of its block-Kronecker form,
+    which is strong as it stands; when it has none, compare its pencil
     lmat with p padded by a constant block of rank r.  A form that fails
     an identity raises VerificationError."""
-    if certify_linearization(l, p, strong):
+    if certify_linearization(l, p):
         return Verdict(True, "")
     return _padded_verdict(lmat, p, r, strong)
 

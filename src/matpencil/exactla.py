@@ -253,5 +253,4 @@ def det(a: np.ndarray):
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float) if a.ndim == 2 \
-        else np.array([float(x) for x in a], dtype=float)
+    return a.astype(float)

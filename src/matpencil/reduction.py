@@ -9,11 +9,12 @@ formed. ``row_reduction`` returns that reduced member as its
 block-Kronecker form, which each member builds once and keeps
 (``AnsatzPencil._form``), and a trimming record carries one of its own;
 z_rank, the trimming, the left recovery and the linearization certificate
-all read those forms, and each form checks the two factor identities it
-rests on (the top strip's shifted sum and the constant-factor image) in
-one place.  No unimodular E or F is assembled here; verify_witnesses
-checks a given pair over QQ[l] (`examples 2` runs it on case 2's
-hand-written pair).
+all read those forms.  The two factor identities a form rests on (the top
+strip's shifted sum and the constant-factor image) are checked where the
+form is built: by row_reduction for a member, by TrimResult and its
+check_source for a record.  No unimodular E or F is assembled here;
+verify_witnesses checks a given pair over QQ[l] (`examples 2` runs it on
+case 2's hand-written pair).
 """
 
 from contextlib import contextmanager
@@ -56,15 +57,15 @@ class _KronForm:
     """A member or trimming record L written through constant factors
     around a block-Kronecker pencil of block width n:
 
-        S*L*B = D*diag(I_m, W)*[K; 0],   K = [top; H],
+        S*L = D*diag(I_m, W)*[K; 0],   K = [top; H],
 
     with H = [I 0] + l[0 -I] the dual of Lambda kron I_n.  A member
     (row_reduction) has S = M kron I, D = I and W = [Z | complement]; a
     record has S = I, D = Dtilde and W = Rt.  pencil holds S*L; M is None
-    when S = I and D when D = I; Z is W's leading (k-1)*n columns; B is
-    the column permutation b of the identity (B*x = x[b]).  certify()
-    checks the factor identities; the E and F they imply are assembled
-    only by the tests' oracle (tests/witness_oracle.py).
+    when S = I and D when D = I; Z is W's leading (k-1)*n columns.  Where
+    the form is built, this identity and top*(Lambda kron I) = alpha*P are
+    checked; certify() checks the rest, and only the tests' oracle
+    (tests/witness_oracle.py) assembles the E and F they imply.
     """
     pencil: MatPoly
     M: Optional[np.ndarray]
@@ -72,7 +73,6 @@ class _KronForm:
     Z: np.ndarray
     top: MatPoly
     alpha: object
-    b: np.ndarray
 
     @property
     def n(self) -> int:
@@ -119,14 +119,13 @@ class _KronForm:
         return ansatz_gap(self.top, p, self.pencil.field.vector([self.alpha]))
 
     def image_gap(self) -> MatPoly:
-        """D*diag(I, W)*[K; 0] with its columns taken in the order b, less
-        the pencil: zero exactly when pencil*B = D*diag(I, W)*[K; 0]."""
-        field = self.pencil.field
+        """D*diag(I, W)*[K; 0] less the pencil: zero exactly when the
+        pencil is that constant-factor image."""
         image = _stack_over(self.top, self.Z).coeffs
         if self.D is not None:
             image = [self.D @ c for c in image]
-        return MatPoly([c[:, self.b] - a
-                        for c, a in zip(image, self.pencil.coeffs)], field)
+        return MatPoly([c - a for c, a in zip(image, self.pencil.coeffs)],
+                       self.pencil.field)
 
     def nonsingular(self) -> bool:
         """alpha != 0 and the constant factors M, D and W are square of full
@@ -140,30 +139,31 @@ class _KronForm:
                                        for a in factors if a is not None)
 
     def certify(self, p: MatPoly) -> None:
-        """Check that the form certifies its pencil as a linearization of
-        p, given nonsingular(); raise VerificationError otherwise.  Checked
-        exactly, on constant matrices and the pencil's two coefficients:
+        """Check that the form certifies its pencil as a strong
+        linearization of p, given (1) S*L = D*diag(I, W)*[K; 0] and
+        top*(Lambda kron I) = alpha*P, checked where the form was built,
+        and (2) nonsingular(); raise VerificationError unless, exactly:
 
-        (1) image_gap() and top_gap(p) vanish: pencil*B = D*diag(I, W)*
-            [K; 0] and top*(Lambda kron I) = alpha*P;
         (3) H*Lambda = 0, H*G = I and the last block row of Lambda is I,
             for Lambda = lambda_vec(k, n) and G = shear_s(k, n);
-        (4) b and t are permutations, t fixes the first m rows, and
+        (4) t is a permutation fixing the first m rows, and
             T*[diag(P, I); 0] = diag(P, padding).
 
-        With nonsingular(), that is (2), these are as strong as checking
-        E*L*F = diag(P, padding) over QQ[l] with det E and det F nonzero
-        constants:
+        These are as strong as checking E*L*F = diag(P, padding) over
+        QQ[l] with det E and det F nonzero constants:
         - K*F_K = [[top*Lambda/alpha, top*G], [H*Lambda/alpha, H*G]]
           = [[P, top*G], [0, I]] by (1) and (3), so E_K*K*F_K = diag(P, I)
           by block multiplication;
-        - E*L*F = T*diag(E_K, I)*C*L*B*F_K = T*diag(E_K, I)*[K; 0]*F_K
+        - E*L*F = T*diag(E_K, I)*C*L*F_K = T*diag(E_K, I)*[K; 0]*F_K
           = T*[diag(P, I); 0] = diag(P, padding) by (1) and (4);
         - det E = ±det C: E_K is unit upper triangular and T a permutation;
           C is a product of nonsingular constant factors;
         - [alpha*(e_k^T kron I); H]*F_K = [[I, alpha*(e_k^T kron I)*G],
           [0, I]] is block unit upper triangular by (3), so det F_K divides
-          1 in QQ[l]: a nonzero constant, and det F = ±det F_K.
+          1 in QQ[l]: a nonzero constant, and det F = det F_K.
+        The reversal's identities are these with X and Y swapped and the
+        blocks flipped, so the form is a strong linearization (Dopico,
+        Lawrence, Perez & Van Dooren, Numer. Math. 140, 2018).
         """
         field, m, n = FIELD_RATIONAL, self.top.m, self.n
         k = self.top.n // n
@@ -175,36 +175,15 @@ class _KronForm:
                 and last.equal(MatPoly([field.eye(n)], field))):
             raise VerificationError(
                 "H, Lambda and G fail their fixed identities")
-        if not field.negligible(self.top_gap(p)):
-            raise VerificationError(
-                "top strip is not alpha times the polynomial")
-        if not field.negligible(self.image_gap()):
-            raise VerificationError(
-                "pencil is not the constant-factor image of its "
-                "block-Kronecker form")
         rows, t = self.pencil.m, self.t
         lifted = field.zeros(rows - m, cn)
         lifted[:cn] = field.eye(cn)
-        if not (np.array_equal(np.sort(self.b), np.arange(k * n))
-                and np.array_equal(np.sort(t), np.arange(rows))
+        if not (np.array_equal(np.sort(t), np.arange(rows))
                 and np.array_equal(t[:m], np.arange(m))
                 and field.is_zero(lifted[t[m:] - m]
                                   - _padding(self.pencil, p))):
             raise VerificationError(
                 "permutations do not reach the padded polynomial")
-
-    def reversal(self) -> "_KronForm":
-        """The form of rev L against rev P: rev H = -Pi*H*flip with Pi the
-        block flip of H's rows, so rev(S*L)*flip = D*diag(I, W')*[K'; 0]
-        with K' = [rev(top)*flip; H] and W' = W*diag(-Pi, I)."""
-        n = self.n
-        k = self.top.n // n
-        flip = _block_flip(k, n)
-        top = MatPoly([x[:, flip] for x in self.top.reversal().coeffs],
-                      self.top.field)
-        return _KronForm(self.pencil.reversal(), self.M, self.D,
-                         -self.Z[:, _block_flip(k - 1, n)], top, self.alpha,
-                         flip[self.b])
 
 
 def _stack_over(top: MatPoly, lower) -> MatPoly:
@@ -232,16 +211,10 @@ def _h_times(y: MatPoly, n: int) -> MatPoly:
     return up - down
 
 
-def _block_flip(k: int, n: int) -> np.ndarray:
-    """Row order that reverses the k blocks of n rows: x[_block_flip(k, n)]
-    is x with its blocks in the opposite order."""
-    return np.arange(k * n).reshape(k, n)[::-1].ravel()
-
-
 def row_reduction(l: AnsatzPencil, m_mat, alpha) -> _KronForm:
     """The block-Kronecker form of a right-space member, after verifying
-    that (M kron I)*L is a member with ansatz vector alpha*e1: its lower
-    block rows then hold -Z at lambda and Z in the constant part."""
+    that (M kron I)*L is a member with ansatz alpha*e1: its top rows are
+    then alpha*P's and its lower ones Z*H, both identities of the form."""
     p = l.poly
     k, m, n = p.grade, p.m, p.n
     field = l.field
@@ -253,7 +226,7 @@ def row_reduction(l: AnsatzPencil, m_mat, alpha) -> _KronForm:
             "reduced pencil is not a member with ansatz alpha*e1")
     top = MatPoly.pencil(reduced.X[:m], reduced.Y[:m], field)
     z = reduced.Y[m:, :(k - 1) * n].copy()
-    return _KronForm(reduced, m_mat, None, z, top, alpha, np.arange(k * n))
+    return _KronForm(reduced, m_mat, None, z, top, alpha)
 
 
 def z_rank(l: AnsatzPencil) -> int:
@@ -302,7 +275,9 @@ class TrimResult:
     JSON form repeats are derived from it and Rt. For left-space members
     every factor acts from the right instead and is stored transposed, so
     Lt = L * D and Lt = Lt_hat * Dtilde there. Both identities the record
-    rests on are checked on its block-Kronecker form, _form.
+    rests on are checked on its block-Kronecker form, _form: Lt = Dtilde *
+    Lt_hat as the record is made, whether trimmed, loaded or built by
+    hand, and the top strip's shifted sum by check_source.
     """
     side: str
     field: str
@@ -321,30 +296,32 @@ class TrimResult:
     top: MatPoly
 
     def __post_init__(self):
+        """Raise VerificationError unless Lt = Dtilde * Lt_hat."""
         object.__setattr__(self, "field", field_of(self.field))
+        form = self._form
+        if not self.field.negligible(form.image_gap(), form.pencil):
+            raise VerificationError("trim factors do not reproduce Lt")
 
     @cached_property
     def _form(self) -> _KronForm:
         """Lt = Dtilde*diag(I, Rt)*K as a block-Kronecker form, on the right
         side: a left-space record's form is its transpose's."""
+        lt, top, dt, rt = self.Lt, self.top, self.Dtilde, self.Rt
         if self.side == SIDE_L2:
-            return self.transpose()._form
-        return _KronForm(self.Lt, None, self.Dtilde, self.Rt, self.top,
-                         self.alpha, np.arange(self.k * self.n))
+            lt, top, dt, rt = lt.transpose(), top.transpose(), dt.T, rt.T
+        return _KronForm(lt, None, dt, rt, top, self.alpha)
 
     @property
     def Lt_hat(self) -> MatPoly:
         """The reduced form [top; Rt*H] with Lt = Dtilde * Lt_hat."""
-        if self.side == SIDE_L2:
-            return self.transpose().Lt_hat.transpose()
-        return _stack_over(self.top, self.Rt)
+        out = _stack_over(self._form.top, self._form.Z)
+        return out.transpose() if self.side == SIDE_L2 else out
 
     @property
     def K(self) -> MatPoly:
         """The block-Kronecker pencil [top; H]."""
-        if self.side == SIDE_L2:
-            return self.transpose().K.transpose()
-        return _stack_over(self.top, self.field.eye(self.Rt.shape[0]))
+        out = _stack_over(self._form.top, self.field.eye(len(self.Rt)))
+        return out.transpose() if self.side == SIDE_L2 else out
 
     def b_block(self) -> MatPoly:
         """Bottom strip of Lt_hat; equals -Rt * (H kron I) on the right
@@ -403,8 +380,9 @@ class TrimResult:
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrimResult":
         """Load a record, reading the top strip from Lt_hat; raise
-        VerificationError unless K, X12, Y11 and the rest of Lt_hat equal
-        what that strip and Rt give, and Lt = Dtilde * Lt_hat holds."""
+        VerificationError unless Lt = Dtilde * Lt_hat holds, checked as
+        the record is made, and K, X12, Y11 and the rest of Lt_hat equal
+        what that strip and Rt give."""
         keys = ("kind", "side", "field", "m", "n", "k", "M", "alpha", "Lt",
                 "Lt_hat", "K", "X12", "Y11") + _MATRICES
         _require_keys(d, keys, "trim result")
@@ -435,15 +413,7 @@ class TrimResult:
                 and field.is_zero(mats["Y11"] - y11)):
             raise VerificationError(
                 "trimming record's copies of the top strip disagree")
-        _verify_trim_identities(out)
         return out
-
-
-def _verify_trim_identities(tr: TrimResult):
-    """Lt = Dtilde * Lt_hat (transposed on the left side) must hold."""
-    form = tr._form
-    if not tr.field.negligible(form.image_gap(), form.pencil):
-        raise VerificationError("trim factors do not reproduce Lt")
 
 
 def trim(l: AnsatzPencil, d=None) -> TrimResult:
@@ -493,11 +463,9 @@ def trim(l: AnsatzPencil, d=None) -> TrimResult:
     if field.rank(dtilde) < m + cn:
         raise PreconditionError("trim produced a singular square factor")
 
-    out = TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
-                     alpha=alpha, Z=red.Z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
-                     Dtilde=dtilde, Lt=lt, top=red.top)
-    _verify_trim_identities(out)
-    return out
+    return TrimResult(side=SIDE_L1, field=field, m=m, n=n, k=k, M=m_mat,
+                      alpha=alpha, Z=red.Z, Q1=q1, Q2=q2, Rt=rt, D=d_used,
+                      Dtilde=dtilde, Lt=lt, top=red.top)
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +491,21 @@ def _kron_form(obj, p: MatPoly):
     raise PreconditionError("a bare pencil has no witness")
 
 
-def certify_linearization(obj, p: MatPoly, strong: bool = False) -> bool:
-    """Certify a member or trimming record built from p as a linearization
-    of p, and as a strong one when strong (its form's reversal against
-    rev p), on the factor identities of _KronForm.certify: no E or F is
-    assembled and nothing is multiplied over QQ[l].  False when no form
-    with nonsingular factors exists (a bare pencil, a deficient Z, a
-    record or member of another polynomial, a zero alpha, a singular
-    constant factor); raises VerificationError when an identity fails."""
+def certify_linearization(obj, p: MatPoly) -> bool:
+    """Certify a member or trimming record built from p as a strong
+    linearization of p on the factor identities of its block-Kronecker
+    form (_KronForm.certify): no E or F is assembled and nothing is
+    multiplied over QQ[l].  False when no form with nonsingular factors
+    exists (a bare pencil, a deficient Z, a record or member of another
+    polynomial, a zero alpha, a singular constant factor); raises
+    VerificationError when an identity fails."""
     try:
         form, transposed = _kron_form(obj, p)
     except PreconditionError:
         return False
     if not form.nonsingular():
         return False
-    q = p.transpose() if transposed else p
-    form.certify(q)
-    if strong:
-        form.reversal().certify(q.reversal())
+    form.certify(p.transpose() if transposed else p)
     return True
 
 

@@ -32,7 +32,7 @@ from matpencil.matpoly import (
     lambda_vec,
 )
 from matpencil.minimal import walk_indices
-from matpencil.reduction import trim
+from matpencil.reduction import _stack_over, trim
 from matpencil.spaces import build_l1, companion_g1
 from backward_oracle import (AppendixMatrices, minimality_margin,
                              optimality_check, reports_to_jsonl, t_hat)
@@ -543,7 +543,11 @@ class TestOptimalityCheck:
     def test_bad_conditioning_flagged(self):
         rng = np.random.default_rng(16)
         p, tr = scaled_companion_trim(rng, 3, 2, 2)
-        bad = dataclasses.replace(tr, Rt=np.diag([1.0, 1e6]))
+        # a consistent record: Lt = Dtilde * Lt_hat for the new Rt
+        rt = np.diag([1.0, 1e6])
+        lt = MatPoly([tr.Dtilde @ c for c in _stack_over(tr.top, rt).coeffs],
+                     FIELD_FLOAT)
+        bad = dataclasses.replace(tr, Rt=rt, Lt=lt)
         rep = optimality_check(bad, p)
         assert not rep["all_pass"]
         names = [c["name"] for c in rep["conditions"] if not c["passes"]]

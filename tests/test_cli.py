@@ -364,6 +364,16 @@ class TestInfo:
         assert code == 0
         assert jline(out)["field"] == "float64"
 
+    @pytest.mark.parametrize("cmd", ["info", "solve"])
+    def test_field_conversion_keeps_an_empty_shape(self, files, cmd):
+        # a 0 x 2 polynomial converts to float64 as it loads as float64
+        empty = {"m": 0, "n": 2, "grade": 1, "coeffs": [[], []]}
+        exact = files("e.json", json.dumps({**empty, "field": "rational"}))
+        native = files("f.json", json.dumps({**empty, "field": "float64"}))
+        code, out = run(cmd, exact, "--field", "float64")
+        assert (code, out) == run(cmd, native)
+        assert code == (0 if cmd == "info" else 2)
+
     def test_no_promotion_to_rational(self, files):
         pf = files("pf.json", case3_poly().to_float().to_json_dict())
         code, out = run("info", pf, "--field", "rational")

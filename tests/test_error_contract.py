@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matpencil import cli
+from matpencil.cases import case3_poly
 from matpencil.cli import main
 
 EXTREMES = {
@@ -109,6 +110,56 @@ def test_negative_seed_is_a_precondition_error(tmp_path):
                      "2", "--seed", "-1"])
     assert code == 2
     assert json.loads(out)["kind"] == "error"
+
+
+@pytest.mark.parametrize("degenerate", ["zero_polynomial", "zero_scale",
+                                        "singular_rt", "singular_dtilde"])
+def test_backward_without_a_bound_is_a_precondition_error(tmp_path,
+                                                          degenerate):
+    """Consistent records whose bound or constants would divide by zero:
+    the zero polynomial's companion trim, and case 3's companion trim
+    with alpha = 0 and a zero top strip, a zero Rt, or a repeated row of
+    Dtilde, each with Lt = Dtilde * Lt_hat kept."""
+    def write(name, d):
+        path = tmp_path / name
+        path.write_text(d if isinstance(d, str) else json.dumps(d))
+        return str(path)
+
+    zero = {"m": 3, "n": 2, "grade": 2, "field": "rational",
+            "coeffs": [[["0"] * 2] * 3] * 3}
+    p = write("p.json", zero if degenerate == "zero_polynomial"
+              else case3_poly().to_json_dict())
+    code, out = run(["build", p, "--side", "l1", "--companion"])
+    assert code == 0
+    code, out = run(["trim", write("l.json", out)])
+    assert code == 0
+    d = json.loads(out)
+    m = d["m"]
+
+    def zero_rows(keys, rows):
+        for key in keys:
+            for coeff in d[key].values():
+                for row in coeff[rows]:
+                    row[:] = ["0"] * len(row)
+
+    if degenerate == "zero_scale":
+        d["alpha"] = "0"
+        zero_rows(("Lt", "Lt_hat", "K"), slice(None, m))
+        for key in ("X12", "Y11"):
+            d[key] = [["0"] * len(row) for row in d[key]]
+    elif degenerate == "singular_rt":
+        d["Rt"] = [["0"] * len(row) for row in d["Rt"]]
+        zero_rows(("Lt", "Lt_hat"), slice(m, None))
+    elif degenerate == "singular_dtilde":
+        assert d["Dtilde"] == [["1" if i == j else "0" for j in range(5)]
+                               for i in range(5)]
+        d["Dtilde"][1] = d["Dtilde"][0]
+        for coeff in d["Lt"].values():
+            coeff[1] = coeff[0]
+    code, out = run(["backward", p, write("t.json", d), "--eps", "0.5",
+                     "--trials", "3", "--seed", "0"])
+    assert code == 2
+    assert json.loads(out)["error"] == "precondition"
 
 
 @pytest.mark.parametrize("argv, callee", [

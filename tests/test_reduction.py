@@ -11,7 +11,8 @@ from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
                              case2_member, case2_poly, case2_witnesses,
                              case3_expected_lt, case3_member, case3_published_d,
                              case3_poly)
-from matpencil.eigenstructure import (_padded_verdict, check_g_linearization,
+from matpencil.eigenstructure import (Verdict, _padded_verdict,
+                                      check_g_linearization,
                                       check_linearization)
 from matpencil.field import RANK_SAFETY
 from matpencil.errors import (PreconditionError, SchemaError,
@@ -417,8 +418,8 @@ class TestFactorCertificate:
         done = 0
         for member, p in certificate_cases():
             for obj in (member, trim(member)):
+                assert certify_linearization(obj, p)
                 for strong in (False, True):
-                    assert certify_linearization(obj, p, strong)
                     pairs = linearization_witnesses(obj, p, strong)
                     assert len(pairs) == 1 + strong
                     for pen, poly, e, f in pairs:
@@ -429,7 +430,7 @@ class TestFactorCertificate:
     def test_published_trim(self):
         tr = trim(case3_member(), d=case3_published_d())
         assert not xla.is_zero(tr.Dtilde - xla.feye(tr.Dtilde.shape[0]))
-        assert certify_linearization(tr, case3_poly(), strong=True)
+        assert certify_linearization(tr, case3_poly())
 
     def test_no_form_where_no_witness(self):
         p = case3_poly()
@@ -440,50 +441,74 @@ class TestFactorCertificate:
                        (case1_member(), case1_member().poly),
                        (build_l1(wide, [1, 0], xla.fzeros(4, 3)), wide)):
             assert linearization_witnesses(obj, q) is None
-            assert not certify_linearization(obj, q, strong=True)
+            assert not certify_linearization(obj, q)
 
     def test_tampered_top_strip(self):
-        form, p = member_form()
-        for pencil in (form.pencil, bumped(form.pencil, 1, 0, 0)):
-            with pytest.raises(VerificationError, match="alpha times"):
-                replace(form, top=bumped(form.top, 1, 0, 0),
-                        pencil=pencil).certify(p)
-        # the pencil's top rows moved alone
-        with pytest.raises(VerificationError, match="constant-factor image"):
-            replace(form, pencil=bumped(form.pencil, 1, 0, 0)).certify(p)
+        # the factor identities are checked where each form is built: a
+        # member's by row_reduction, a record's top strip by check_source
+        p = case3_poly()
+        member = companion_g1(p)
+        for i in (0, 1):
+            bad = AnsatzPencil(bumped(member.pencil, i, 0, 0), member.side,
+                               member.ansatz, p)
+            with pytest.raises(StructureError, match="alpha\\*e1"):
+                row_reduction(bad, *bad.field.reflector(bad.ansatz))
+            assert not certify_linearization(bad, p)
+        tr = trim(member)
+        bad = replace(tr, top=bumped(tr.top, 1, 0, 0),
+                      Lt=bumped(tr.Lt, 1, 0, 0))
+        with pytest.raises(SchemaError, match="different polynomial"):
+            bad.check_source(p)
+        assert not certify_linearization(bad, p)
 
     def test_lower_row_off_z_times_h(self):
-        form, p = member_form()
-        m = form.top.m
-        for i in (0, 1):
-            with pytest.raises(VerificationError,
-                               match="constant-factor image"):
-                replace(form, pencil=bumped(form.pencil, i, m, 1)).certify(p)
-        with pytest.raises(VerificationError, match="constant-factor image"):
-            replace(form, pencil=bumped(form.pencil, 1, 0, 0)).reversal() \
-                .certify(p.reversal())
-
-    def test_strong_checks_certify_the_reversal(self, monkeypatch):
         p = case3_poly()
-        reversal = reduction._KronForm.reversal
+        member = companion_g1(p)
+        m = p.m
+        for i in (0, 1):
+            bad = AnsatzPencil(bumped(member.pencil, i, m, 1), member.side,
+                               member.ansatz, p)
+            with pytest.raises(StructureError, match="alpha\\*e1"):
+                row_reduction(bad, *bad.field.reflector(bad.ansatz))
+        tr = trim(member)
+        for pen in (bumped(tr.Lt, 0, m, 1), bumped(tr.Lt, 1, 0, 0)):
+            with pytest.raises(VerificationError,
+                               match="trim factors do not reproduce Lt"):
+                replace(tr, Lt=pen)
+            with pytest.raises(VerificationError,
+                               match="trim factors do not reproduce Lt"):
+                replace(tr.transpose(), Lt=pen.transpose())
 
-        def tampered(form):
-            rev = reversal(form)
-            return replace(rev, pencil=bumped(rev.pencil, 0, 0, 0))
-
-        monkeypatch.setattr(reduction._KronForm, "reversal", tampered)
-        for obj in (companion_g1(p), trim(companion_g1(p))):
-            assert certify_linearization(obj, p)
-            with pytest.raises(VerificationError):
-                certify_linearization(obj, p, strong=True)
+    @pytest.mark.parametrize("m, n", [(3, 2), (2, 3), (4, 3), (3, 4),
+                                      (3, 3)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_strong_verdict_is_the_weak_one(self, m, n, k):
+        """A certified form is a strong linearization: the strong verdict
+        of every certified member and record is the weak one, accepted."""
+        rng = np.random.default_rng([71, m, n, k])
+        p = rand_poly(rng, m, n, k)
+        v = rng.integers(1, 4, size=k).tolist()
+        if m >= n:
+            w = rng.integers(-3, 4, size=(k * m, (k - 1) * n))
+            members = (companion_g1(p), build_l1(p, v, xla.fmat(w.tolist())))
+        else:
+            w = rng.integers(-3, 4, size=((k - 1) * m, k * n))
+            members = (companion_g2(p), build_l2(p, v, xla.fmat(w.tolist())))
+        done = 0
+        for member in members:
+            if not full_z_rank(member):
+                continue
+            for obj, check in ((member, check_g_linearization),
+                               (trim(member), check_linearization)):
+                assert certify_linearization(obj, p)
+                assert check(obj, p, strong=True) == check(obj, p) \
+                    == Verdict(True, "")
+                done += 1
+        assert done >= 2
 
     def test_permutations(self, monkeypatch):
-        form, p = member_form()
-        b = form.b.copy()
-        b[0] = b[1]
-        with pytest.raises(VerificationError):
-            replace(form, b=b).certify(p)
         # t follows from Z's shape; one that misses the padding is refused
+        form, p = member_form()
         t = form.t.copy()
         m = form.top.m
         t[[m, m + 1]] = t[[m + 1, m]]
@@ -509,7 +534,7 @@ class TestFactorCertificate:
         member = companion_g1(p)
         monkeypatch.setattr(reduction, "row_reduction",
                             lambda l, m_mat, alpha: replace(form, Z=z))
-        assert not certify_linearization(member, p, strong=True)
+        assert not certify_linearization(member, p)
         assert check_g_linearization(member, p, strong=True) == \
             _padded_verdict(member.pencil, p, 2, True)
 
@@ -518,7 +543,7 @@ class TestFactorCertificate:
         d = trim(companion_g1(zero)).to_json_dict()
         d["alpha"] = "0"
         record = TrimResult.from_json_dict(d)
-        assert not certify_linearization(record, zero, strong=True)
+        assert not certify_linearization(record, zero)
         assert check_linearization(record, zero, strong=True) == \
             _padded_verdict(record.Lt, zero, 2, True)
 
@@ -531,7 +556,7 @@ class TestFactorCertificate:
         d["Lt"] = {"x": [[str(x) for x in row] for row in dt @ tr.Lt_hat.X],
                    "y": [[str(x) for x in row] for row in dt @ tr.Lt_hat.Y]}
         broken = TrimResult.from_json_dict(d)
-        assert not certify_linearization(broken, case3_poly(), strong=True)
+        assert not certify_linearization(broken, case3_poly())
         assert check_linearization(broken, case3_poly(), strong=True) == \
             _padded_verdict(broken.Lt, case3_poly(), 2, True)
 
@@ -579,6 +604,17 @@ class TestMemberForm:
         # a record's square Rt is its own W: no kernel is eliminated
         record = trim(companion_g1(case3_poly()))._form
         assert record.W is record.Z and record.nonsingular()
+
+    def test_factor_identities_hold_where_built(self):
+        """row_reduction's check that the reduced member has ansatz
+        alpha*e1, and the record's own checks, leave no gap for the
+        certificate to find."""
+        for member, p in certificate_cases():
+            right = member if member.side == SIDE_L1 else member.transpose()
+            q = p if member.side == SIDE_L1 else p.transpose()
+            form = row_reduction(right, *right.field.reflector(right.ansatz))
+            for f in (form, trim(member)._form):
+                assert xla.is_zero(f.top_gap(q)) and f.image_gap().is_zero()
 
     def test_one_reduction_per_member(self, monkeypatch):
         """A strong check and its z_rank reduce the member once; a
