@@ -20,7 +20,7 @@ overhead.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,7 +263,7 @@ class PerturbReport:
         return self.ratio <= self.constant_full
 
     def to_json_dict(self) -> dict:
-        return {"kind": "perturb_report", **asdict(self)}
+        return {"kind": "perturb_report", **vars(self)}
 
 
 def summarize_experiment(reports) -> dict:

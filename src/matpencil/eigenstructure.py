@@ -18,8 +18,9 @@ polynomial (_padded_verdict), and every rejection comes from there.  No
 check is probabilistic.
 
 The float path only handles regular pencils through the generalized
-eigensolver.  It cannot resolve Jordan structure, so every numeric
-eigenvalue is reported as a simple divisor.
+eigensolver, scipy.linalg.eigvals, which loads on the first float solve.
+It cannot resolve Jordan structure, so every numeric eigenvalue is
+reported as a simple divisor.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+import scipy
 import sympy
 
 from . import exactla as xla
@@ -264,8 +266,6 @@ def smith_form(p) -> MatPoly:
 
 
 def _float_regular_pencil(p: MatPoly) -> EigStructure:
-    import scipy.linalg
-
     if p.grade != 1:
         raise PreconditionError("float eigenstructure only covers regular "
                                 "pencils; use the rational field")

@@ -21,6 +21,10 @@ cut singular values by one rule (RANK_SAFETY), which also decides the
 independent columns of a matrix (``pivots``), and residuals are judged
 by one rule, ``negligible``: exactly zero on the rational field, and on
 float64 relative to the norms of the data the residual comes from.
+
+SciPy serves one kernel here, the pivoted QR of ``FloatField.factor_z``
+(float ``trim``).  ``scipy.linalg`` loads on that first call, so exact
+commands never pay for it.
 """
 
 import math
@@ -28,10 +32,10 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-# Imported eagerly although only FloatField.factor_z calls it: bench/run.py
-# reads sys.modules["scipy"].__version__ after every run, including
-# exact-only runs that never reach float code.
-import scipy.linalg
+# Only the bare package, which bench/run.py's version report reads from
+# sys.modules after every run.  SciPy's lazy submodule loader imports
+# scipy.linalg, about a third of the start-up, on the first lookup.
+import scipy
 
 from . import exactla as xla
 from .errors import PreconditionError, SchemaError

@@ -19,7 +19,7 @@ from matpencil.cases import case3_member, case3_poly
 from matpencil.cli import main
 from matpencil.errors import PreconditionError, SchemaError, VerificationError
 from matpencil.field import RANK_SAFETY, RESIDUAL_REL_TOL
-from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
+from matpencil.matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly, dump_json
 from matpencil.reduction import TrimResult, row_reduction, trim
 from matpencil.spaces import AnsatzPencil, companion_g1, companion_g2
 from span_oracle import span_pivots
@@ -255,15 +255,95 @@ class TestRationalKernels:
                     == s * q_ref[:, j] / Fraction(norms[j])).all()
 
 
+# Runs each argv list given as JSON in argv[2] through the command line in
+# this interpreter and prints one JSON line per command: the exit code,
+# whether scipy.linalg is loaded afterwards, and the command's stdout.
+# argv[1] == "eager" imports scipy.linalg before the command line does.
+_FRESH_RUN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "eager":
+    import scipy.linalg
+import matpencil.cli
+print(json.dumps([m for m in ("numpy", "scipy", "sympy", "scipy.linalg")
+                  if m in sys.modules]))
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = matpencil.cli.main(argv)
+    print(json.dumps([code, "scipy.linalg" in sys.modules, buf.getvalue()]))
+"""
+
+
+def _fresh_run(commands, eager=False):
+    """(modules loaded by importing the command line, [(exit code,
+    scipy.linalg loaded, stdout) per command]) in a new interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, "eager" if eager else "lazy",
+         json.dumps(commands)],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    return lines[0], [tuple(r) for r in lines[1:]]
+
+
 def test_cli_import_loads_numpy_scipy_and_sympy():
     """The benchmark's report reads these modules' versions from
     sys.modules after runs that reach no float code, so importing the
-    command line must load them."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, matpencil.cli; "
-            "print([m for m in ('numpy', 'scipy', 'sympy') "
-            "if m not in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "[]"
+    command line must load them; scipy.linalg waits for float code."""
+    loaded, _ = _fresh_run([])
+    assert loaded == ["numpy", "scipy", "sympy"]
+
+
+def test_exact_commands_leave_scipy_linalg_unloaded(tmp_path):
+    poly = _write_poly(tmp_path, case3_poly())
+    member, record = tmp_path / "l.json", tmp_path / "t.json"
+    member.write_text(_cli_stdout(["build", poly, "--companion"]))
+    record.write_text(_cli_stdout(["trim", str(member)]))
+    commands = [["examples", "1"], ["examples", "2"], ["examples", "3"],
+                ["build", poly, "--companion"],
+                ["check", str(member), poly, "--strong"],
+                ["trim", str(member)],
+                ["check", str(record), poly, "--lin", "--strong"],
+                ["solve", poly],
+                ["recover", str(member), poly, "--mode", "glin_L1"],
+                ["recover", str(record), poly, "--mode", "trimmed_L1"]]
+    _, runs = _fresh_run(commands)
+    assert [(code, linalg) for code, linalg, _ in runs] \
+        == [(0, False)] * len(commands)
+
+
+@pytest.mark.parametrize("command", ["trim", "solve"])
+def test_float_commands_load_scipy_linalg_on_first_use(tmp_path, command):
+    """Float trim (pivoted QR) and float solve (eigvals) load scipy.linalg
+    when they reach it, and print what they print when it loads eagerly."""
+    if command == "trim":
+        member = tmp_path / "l.json"
+        member.write_text(_cli_stdout(
+            ["build", _write_poly(tmp_path, case3_poly()), "--companion",
+             "--field", "float64"]))
+        argv = ["trim", str(member)]
+    else:
+        pencil = MatPoly([FIELD_RATIONAL.matrix([[2, 1], [0, 3]]),
+                          FIELD_RATIONAL.matrix([[1, 0], [0, 0]])],
+                         FIELD_RATIONAL)
+        argv = ["solve", _write_poly(tmp_path, pencil), "--field",
+                "float64"]
+    _, lazy = _fresh_run([argv])
+    _, eager = _fresh_run([argv], eager=True)
+    assert lazy[0][:2] == (0, True)
+    assert lazy == eager
+
+
+def _write_poly(tmp_path, p):
+    path = tmp_path / "p.json"
+    path.write_text(dump_json(p.to_json_dict()))
+    return str(path)
+
+
+def _cli_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, buf.getvalue()
+    return buf.getvalue()
