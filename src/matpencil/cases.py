@@ -29,9 +29,6 @@ def case1_member():
     return build_l1(case1_poly(), v, w)
 
 
-CASE1_Z = [[-1, 0], [0, 0], [0, 0]]
-
-
 def case2_poly() -> MatPoly:
     a0 = [[0, 0], [0, 1], [0, 0]]
     a1 = [[0, 1], [1, 0], [0, 0]]
@@ -80,28 +77,6 @@ def case3_member():
     return build_l1(case3_poly(), v, w)
 
 
-CASE3_X = [
-    [0, 0, -1, 0],
-    [0, 0, 0, -1],
-    [0, 0, 0, 0],
-    [1, 2, 0, 0],
-    [2, 5, 0, 0],
-    [4, 9, 0, 0],
-]
-
-CASE3_Y = [
-    [1, 0, 0, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, 0],
-    [3, 4, 1, 7],
-    [9, 2, 2, 5],
-    [15, 10, 4, 19],
-]
-
-CASE3_M = [[0, 1], [1, 0]]
-
-CASE3_Z = [[1, 0], [0, 1], [0, 0]]
-
 # explicit row-selection matrix from the walked example
 CASE3_D = [
     [1, 0, 0, 0, 0, 0],
@@ -135,6 +110,3 @@ def case3_published_d():
 def case3_expected_lt() -> MatPoly:
     return MatPoly.pencil(xla.fmat(CASE3_LT_X), xla.fmat(CASE3_LT_Y),
                           FIELD_RATIONAL)
-
-
-CASE3_NORM_SQ = 1022

@@ -16,8 +16,8 @@ by the lcm of its denominators (which changes neither the rref, nor the
 pivots, nor the rank), and runs sympy's fraction-free elimination
 (Bareiss, Math. Comp. 22, 1968) on it.  Its result is N and den with
 R = N/den the canonical rref; ``rank`` and ``pivots`` read the pivots
-alone, and ``nullspace`` and ``solve`` divide only the entries of N they
-need.  Everything rank-related reads the canonical rref, so pivots,
+alone, and ``nullspace`` and ``unique_solve`` divide only the entries of
+N they need.  Everything rank-related reads the canonical rref, so pivots,
 nullspace bases and particular solutions do not depend on the
 elimination order.  ``inv`` is the unique solution of a·X = I, and
 ``det`` the fraction-free determinant over ZZ of the integral multiple
@@ -203,11 +203,6 @@ def _solution(a: np.ndarray, b: np.ndarray):
             if j >= n:
                 x[pivots[row_i], j - n] = div(int(v), den)
     return (x if b.ndim == 2 else x[:, 0]), pivots
-
-
-def solve(a: np.ndarray, b: np.ndarray):
-    """One solution of a·x = b (b may be a matrix), or None if inconsistent."""
-    return _solution(a, b)[0]
 
 
 def unique_solve(a: np.ndarray, b: np.ndarray):

@@ -177,9 +177,6 @@ class RationalField(Field):
         clear."""
         return xla.nullspace(a), True
 
-    def solve(self, a, b):
-        return xla.solve(a, b)
-
     def inv(self, a):
         return xla.inv(a)
 
@@ -351,9 +348,6 @@ class FloatField(Field):
         rank, clear = self._rank_from_singular_values(
             s, a.shape, s[0] if s.size else 0.0)
         return np.ascontiguousarray(vh[rank:, :].T), clear
-
-    def solve(self, a, b):
-        return np.linalg.solve(a, b)
 
     def inv(self, a):
         return np.linalg.inv(a)

@@ -27,7 +27,8 @@ ansatz member's left nullvectors down, and one recovery routine for
 members and trimming records alike. A member's left recovery reads the
 member alone, through its block-row reduction (M kron I)*L, and carries
 vectors back by applying M^T to their k blocks; it needs no trimming
-record and forms no M kron I.
+record and forms no M kron I.  A record's reads only its checked
+block-Kronecker form and carries vectors to P by alpha*Dtilde^T.
 """
 
 import warnings
@@ -306,7 +307,7 @@ def stack_indices(y, x):
             for (r, ok_r), (l, ok_l) in zip(right, left)]
 
 
-def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
+def minimal_basis(p, side: str, rank=None) -> MinimalBasis:
     """Minimal basis of the chosen rational nullspace of p.
 
     Walks the degrees with index_walk; nullvectors of the convolution
@@ -328,14 +329,14 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
 
     Exact arithmetic is the intended path; on float64 the nullspaces and
     the pivots use the field's one rank cut and warn near it, a probe's
-    nullspace only if the walk visits its degree.  normal_rank, when
-    given, maps p (or its transpose) to its normal rank: a recovery
-    passes a _RankOnce to read it once for both sides.
+    nullspace only if the walk visits its degree.  rank is p's normal
+    rank (its transpose's, the same) when the caller has read it: a
+    recovery reads it once for both sides; None reads it here.
     """
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
     if side == SIDE_LEFT:
-        dual = minimal_basis(p.transpose(), SIDE_RIGHT, normal_rank)
+        dual = minimal_basis(p.transpose(), SIDE_RIGHT, rank)
         return MinimalBasis(SIDE_LEFT, dual.vectors, dual.indices, dual.field)
     if side != SIDE_RIGHT:
         raise SchemaError(f"unknown side {side!r}")
@@ -368,7 +369,8 @@ def minimal_basis(p, side: str, normal_rank=None) -> MinimalBasis:
                  for i in range(d + 1)], field) for j in new)
         return ns.shape[1], len(chosen)
 
-    rank = (normal_rank or MatPoly.normal_rank)(p)
+    if rank is None:
+        rank = p.normal_rank()
     indices = index_walk(p, n - rank, select,
                          probe if p.m == rank else None, p.grade * rank)
     basis = MinimalBasis(SIDE_RIGHT, tuple(chosen), indices, field)
@@ -418,32 +420,31 @@ def project_ansatz(v, y: MatPoly, m: int) -> MatPoly:
                    field)
 
 
-def _strip_tower(base: MinimalBasis, p: MatPoly, k: int, normal_rank):
-    """Peel Lambda_k kron x off every vector of a right pencil basis."""
+def _strip_tower(base: MinimalBasis, p: MatPoly, k: int,
+                 rank: int) -> MinimalBasis:
+    """Peel Lambda_k kron x off every vector of a right pencil basis;
+    p has normal rank rank."""
     n = p.n
     field = base.field
     xs = []
     for y in base.vectors:
-        bottom = _trim_tail(_clean(
-            MatPoly([cc[(k - 1) * n:, :] for cc in y.coeffs], field)))
-        emb = embed_right(bottom, k)
-        if not field.negligible(emb - y, y):
+        bottom = MatPoly([c[(k - 1) * n:, :] for c in y.coeffs], field)
+        if not field.negligible(embed_right(bottom, k) - y, y):
             raise StructureError("right nullvector lacks the tower form")
         xs.append(bottom)
-    return _pack_checked(xs, p, SIDE_RIGHT, normal_rank)
+    return _pack_checked(xs, p, SIDE_RIGHT, rank)
 
 
-def _pack_checked(vecs, p: MatPoly, side: str,
-                  normal_rank=None) -> MinimalBasis:
-    """Sort recovered nullvectors of p into a basis and certify it
-    (_certify): zero residuals, checked exactly on each vector's integral
-    multiple, n - rank vectors (m - rank on the left) and a full-rank
-    leading matrix, so the basis is column reduced. Minimality of the
-    degrees is not re-checked; it rests on the recovery theorems, and a
-    recovered (l - 1)*x would pass.  normal_rank is minimal_basis's."""
+def _pack_checked(vecs, p: MatPoly, side: str, rank: int) -> MinimalBasis:
+    """Clean recovered nullvectors of p, of normal rank rank, sort them
+    into a basis and certify it (_certify): zero residuals, checked
+    exactly on each vector's integral multiple, n - rank vectors
+    (m - rank on the left) and a full-rank leading matrix, so the basis
+    is column reduced. Minimality of the degrees is not re-checked; it
+    rests on the recovery theorems, and a recovered (l - 1)*x would
+    pass."""
     field = p.field
-    r = (normal_rank or MatPoly.normal_rank)(p)
-    expected = (p.n if side == SIDE_RIGHT else p.m) - r
+    expected = (p.n if side == SIDE_RIGHT else p.m) - rank
     if len(vecs) != expected:
         raise VerificationError(
             f"index count mismatch: got {len(vecs)}, expected {expected}")
@@ -458,30 +459,17 @@ def _pack_checked(vecs, p: MatPoly, side: str,
     return basis
 
 
-class _RankOnce:
-    """The normal rank of one polynomial, read from whichever of it and its
-    transpose asks first and then kept: a recovery needs the ranks of p
-    and of the source pencil on both sides."""
-
-    def __init__(self):
-        self.value = None
-
-    def __call__(self, q: MatPoly) -> int:
-        if self.value is None:
-            self.value = q.normal_rank()
-        return self.value
-
-
 def recover_minimal(source, p, sides, mode: str) -> tuple:
     """Minimal bases of p read off from a pencil built from it, one per
-    entry of sides, reading the normal ranks of p and of the source
-    pencil once for all of them.
+    entry of sides.  The arguments are checked first; then the normal
+    ranks of p and of the source pencil are read once, as two integers,
+    for every side.
 
-    Right bases of right-space members and their trims are Kronecker
-    towers and are peeled; left bases go through the ansatz projection,
-    a member's less the constants that span the projection's kernel and a
-    trimmed pencil's with the trimming selector transposed in. Left-space
-    sources run the same rules on the transposed problem.
+    A member is read through its pencil and ansatz vector, a trimming
+    record only through its checked right-side form (_form): the pencil,
+    Dtilde, alpha and the top strip that check_source holds to p.
+    Left-space sources run the right-space rules on the transposed
+    problem: a member is transposed, and a record's form already is.
     """
     for side in sides:
         if side not in (SIDE_LEFT, SIDE_RIGHT):
@@ -490,49 +478,53 @@ def recover_minimal(source, p, sides, mode: str) -> tuple:
         raise SchemaError(f"unknown recovery mode {mode!r}")
     if not isinstance(p, MatPoly):
         raise SchemaError("expected a matrix polynomial")
-
-    if mode in (MODE_GLIN_L2, MODE_TRIMMED_L2):
-        if not isinstance(source, (AnsatzPencil, TrimResult)):
-            raise SchemaError("unsupported source object")
-        if source.side != SIDE_L2:
-            raise SchemaError("mode expects a left-space source")
-        dual_mode = MODE_GLIN_L1 if mode == MODE_GLIN_L2 else MODE_TRIMMED_L1
-        with transposed_problem():
-            dual = recover_minimal(
-                source.transpose(), p.transpose(),
-                [SIDE_LEFT if side == SIDE_RIGHT else SIDE_RIGHT
-                 for side in sides], dual_mode)
-        return tuple(MinimalBasis(side, d.vectors, d.indices, d.field)
-                     for side, d in zip(sides, dual))
-
-    p_rank, pencil_rank = _RankOnce(), _RankOnce()
-    if mode == MODE_GLIN_L1:
-        if not isinstance(source, AnsatzPencil) or source.side != SIDE_L1:
-            raise SchemaError("mode expects a right-space member")
+    left = mode in (MODE_GLIN_L2, MODE_TRIMMED_L2)
+    space, wanted = ("left", SIDE_L2) if left else ("right", SIDE_L1)
+    if mode in (MODE_GLIN_L1, MODE_GLIN_L2):
+        if not isinstance(source, AnsatzPencil) or source.side != wanted:
+            raise SchemaError(f"mode expects a {space}-space member")
         if not source.poly.equal(p):
             raise SchemaError("member was built from a different polynomial")
+        if left:
+            source = source.transpose()
+        pencil = source.pencil
     else:
-        if not isinstance(source, TrimResult) or source.side != SIDE_L1:
-            raise SchemaError("mode expects a right-space trimming record")
+        if not isinstance(source, TrimResult) or source.side != wanted:
+            raise SchemaError(f"mode expects a {space}-space trimming record")
         source.check_source(p)
-    return tuple(_recover(source, p, side, p_rank, pencil_rank)
-                 for side in sides)
+        pencil = source._form.pencil
+    if left:
+        p = p.transpose()
+    ranks = p.normal_rank(), pencil.normal_rank()
+    if not left:
+        return tuple(_recover(source, p, pencil, side, *ranks)
+                     for side in sides)
+    dual = {SIDE_LEFT: SIDE_RIGHT, SIDE_RIGHT: SIDE_LEFT}
+    with transposed_problem():
+        bases = [_recover(source, p, pencil, dual[side], *ranks)
+                 for side in sides]
+    return tuple(MinimalBasis(side, b.vectors, b.indices, b.field)
+                 for side, b in zip(sides, bases))
 
 
-def _recover(source, p: MatPoly, side: str, p_rank,
-             pencil_rank) -> MinimalBasis:
-    """One side of recover_minimal from a right-space member or trimming
-    record.  Right bases of both are Kronecker towers and are peeled.  A
-    left basis of either is carried to P by the ansatz projection, a
-    record's through D^T first; a member's is P's lifted plus (k-1)(m-n)
-    constants that span the projection's kernel, which are dropped."""
+def _recover(source, p: MatPoly, pencil: MatPoly, side: str, p_rank: int,
+             pencil_rank: int) -> MinimalBasis:
+    """One side of recover_minimal from a right-space member or a
+    trimming record's right-side form, whose pencil is pencil; p and
+    pencil have normal ranks p_rank and pencil_rank.  Right bases of both
+    are Kronecker towers and are peeled.  A member's left basis is carried to
+    P by the ansatz projection; it is P's lifted plus (k-1)(m-n) constants
+    that span the projection's kernel, which are dropped.  A record's left
+    vector y goes to alpha * (Dtilde^T y)[:m]: Lt = Dtilde*diag(I, Rt)*K,
+    checked as the record was made, and top*(Lambda kron I) = alpha*P,
+    checked by check_source, make that a left nullvector of P, and it
+    equals the projection of D^T y by the trimmed member's ansatz."""
     member = isinstance(source, AnsatzPencil)
-    pencil = source.pencil if member else source.Lt
     if side == SIDE_RIGHT:
         # every right nullvector of L is a tower exactly when L has as many
         # as P; a wide P's member has more unless P is rank deficient
-        if member and p.m < p.n and (source.k * p.n - pencil_rank(pencil)
-                                     > p.n - p_rank(p)):
+        if member and p.m < p.n and (source.k * p.n - pencil_rank
+                                     > p.n - p_rank):
             raise PreconditionError(WIDE_REFUSAL)
         base = minimal_basis(pencil, SIDE_RIGHT, pencil_rank)
         return _strip_tower(base, p, source.k, p_rank)
@@ -541,12 +533,13 @@ def _recover(source, p: MatPoly, side: str, p_rank,
         comp = red.complement
     base = minimal_basis(pencil, SIDE_LEFT, pencil_rank)
     if member:
-        v, kept = source.ansatz, _past_kernel(source, red, comp, base)
+        qs = [project_ansatz(source.ansatz, y, p.m)
+              for y in _past_kernel(source, red, comp, base)]
     else:
-        v, dt = source.ansatz(), source.D.T
-        kept = [MatPoly([dt @ c for c in y.coeffs], p.field)
-                for y in base.vectors]
-    qs = [project_ansatz(v, y, p.m) for y in kept]
+        form = source._form
+        carry = form.D[:, :p.m].T * form.alpha
+        qs = [MatPoly([carry @ c for c in y.coeffs], p.field)
+              for y in base.vectors]
     return _pack_checked(qs, p, SIDE_LEFT, p_rank)
 
 

@@ -277,7 +277,10 @@ class TrimResult:
     Lt = L * D and Lt = Lt_hat * Dtilde there. Both identities the record
     rests on are checked on its block-Kronecker form, _form: Lt = Dtilde *
     Lt_hat as the record is made, whether trimmed, loaded or built by
-    hand, and the top strip's shifted sum by check_source.
+    hand, and the top strip's shifted sum by check_source.  Recovery reads
+    the record through that form alone.  M, D, Z, Q1 and Q2 are
+    provenance: trim prints them and loading checks their shapes, but no
+    command reads them.
     """
     side: str
     field: str
@@ -350,12 +353,6 @@ class TrimResult:
         if not field.negligible(gap, self.alpha, p):
             raise SchemaError(
                 "trimming record was built from a different polynomial")
-
-    def ansatz(self) -> np.ndarray:
-        """Member's ansatz vector, recovered from M v = alpha e1."""
-        e1 = self.field.zeros(self.k, 1)
-        e1[0, 0] = self.alpha
-        return self.field.solve(self.M, e1)[:, 0]
 
     def transpose(self) -> "TrimResult":
         """Same trimming seen from the opposite space side."""

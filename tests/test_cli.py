@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from matpencil.cases import (case2_member, case2_poly, case3_member,
-                             case3_published_d, case3_poly, CASE3_NORM_SQ)
+                             case3_published_d, case3_poly)
 from matpencil import cli
 from matpencil.cli import main
 from matpencil.matpoly import MatPoly, dump_json
-from matpencil.reduction import TrimResult, trim
+from matpencil.reduction import TrimResult, _KronForm, trim
 from matpencil.spaces import companion_g1, companion_g2
+from test_cli_digests import (RANDOM_MEMBER_ANSATZ, RANDOM_MEMBER_COEFFS,
+                              RANDOM_MEMBER_W)
+from test_matpoly import CASE3_NORM_SQ
 from test_minimal import planted_poly
 
 
@@ -616,6 +619,80 @@ class TestRecover:
     def test_source_mode_mismatch(self, trim3, p3):
         code, _ = run("recover", trim3, p3, "--mode", "glin_L1")
         assert code == 1
+
+    @pytest.fixture
+    def wide3(self, files):
+        """Case 3's transpose, its left-space companion and the trimming
+        record of that member."""
+        pw = files("pw.json", case3_poly().transpose().to_json_dict())
+        code, out = run("build", pw, "--side", "l2", "--companion")
+        assert code == 0
+        l2 = files("l2.json", out)
+        code, out = run("trim", l2)
+        assert code == 0
+        return {"P": pw, "L": l2, "T": files("t2.json", out)}
+
+    @pytest.mark.parametrize("source,mode,wanted", [
+        ("T", "glin_L2", "left-space member"),
+        ("L", "trimmed_L2", "left-space trimming record")])
+    def test_left_space_modes_name_the_left_space(self, wide3, source, mode,
+                                                  wanted):
+        code, out = run("recover", wide3[source], wide3["P"], "--mode", mode)
+        assert code == 1
+        assert jline(out) == {"kind": "error", "error": "schema",
+                              "message": f"mode expects a {wanted}"}
+
+    def test_left_space_record_is_checked_once(self, wide3, monkeypatch):
+        """Lt = Dtilde * Lt_hat is checked as the record loads; recovery
+        reads the record's form and makes no second, transposed record."""
+        calls = []
+        image_gap = _KronForm.image_gap
+
+        def counted(form):
+            calls.append(form)
+            return image_gap(form)
+
+        monkeypatch.setattr(_KronForm, "image_gap", counted)
+        code, out = run("recover", wide3["T"], wide3["P"], "--mode",
+                        "trimmed_L2")
+        assert code == 0, out
+        assert jline(out)["right"]["indices"] == [0]
+        assert jline(out)["left"]["indices"] == []
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("member", ["case3", "random"])
+    def test_record_left_basis_reads_neither_m_nor_d(self, files, companion3,
+                                                     p3, member):
+        """A record's left basis goes to P through its checked form
+        alone: replacing M by a shear and D by zeros in the record's JSON
+        changes no byte of the recovery."""
+        if member == "case3":
+            p, source = p3, companion3
+        else:
+            def strings(rows):
+                return [[str(x) for x in row] for row in rows]
+            p = files("p.json", {
+                "m": 4, "n": 2, "grade": 2, "field": "rational",
+                "coeffs": [strings(c) for c in RANDOM_MEMBER_COEFFS]})
+            code, source = run(
+                "build", p, "--ansatz",
+                files("v.json", [str(x) for x in RANDOM_MEMBER_ANSATZ]),
+                "--w", files("w.json", strings(RANDOM_MEMBER_W)))
+            assert code == 0
+            source = files("l.json", source)
+        code, out = run("trim", source)
+        assert code == 0
+        record = jline(out)
+        shear = [["1", "5"], ["0", "1"]]  # both records have k = 2
+        zeros = [["0"] * len(row) for row in record["D"]]
+        assert (shear, zeros) != (record["M"], record["D"])
+        tampered = dict(record, M=shear, D=zeros)
+        outs = [run("recover", files(name, doc), p, "--mode", "trimmed_L1",
+                    "--side", "left")
+                for name, doc in (("t.json", record),
+                                  ("tampered.json", tampered))]
+        assert outs[0][0] == 0, outs[0]
+        assert outs[1] == outs[0]
 
     # A planted 5x4 k=3 P in float64: at degree 3 of the companion's left
     # walk a null column's leading block is rounding noise (norm ~1e-16),

@@ -160,7 +160,7 @@ class TestRowScaledForm:
         # every pivot 1: den is ZZ's one
         a = xla.fmat([[1, 0, 3], [0, 1, 5]])
         assert type(xla.rref(a)[1]) is int
-        got = (xla.nullspace(a), xla.solve(a[:, :2], a[:, 2]))
+        got = (xla.nullspace(a), xla._solution(a[:, :2], a[:, 2])[0])
         assert all(type(x) in (int, Fraction) for g in got for x in g.flat)
         assert got[0][:, 0].tolist() == [-3, -5, 1]
 
@@ -231,6 +231,9 @@ def particular(a: np.ndarray, b: np.ndarray):
 
 
 class TestSolve:
+    """_solution's particular solution, the path unique_solve and inv
+    run."""
+
     @settings(**COMMON)
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 2),
            st.data())
@@ -241,7 +244,7 @@ class TestSolve:
             b = a @ data.draw(matrices(n, cols))
         else:
             b = data.draw(matrices(m, cols))
-        x = xla.solve(a, b)
+        x = xla._solution(a, b)[0]
         ref = particular(a, b)
         if ref is None:
             assert x is None
@@ -253,21 +256,22 @@ class TestSolve:
         a = xla.fmat([["1/2", "1"], ["1", "2"]])
         b = xla.fvec(["1", "3"])
         assert particular(a, b.reshape(-1, 1)) is None
-        assert xla.solve(a, b) is None
+        assert xla._solution(a, b)[0] is None
 
     def test_vector_right_hand_side(self):
         a = xla.fmat([["1/2", "0", "1"], ["0", "0", "3"]])
         b = xla.fvec(["1", "-2/5"])
-        x = xla.solve(a, b)
+        x = xla._solution(a, b)[0]
         assert x.shape == (3,)
         assert equal(x.reshape(-1, 1), particular(a, b.reshape(-1, 1)))
 
     @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0)])
     def test_empty_systems(self, m, n):
         a = xla.fzeros(m, n)
-        assert equal(xla.solve(a, xla.fzeros(m, 1)), xla.fzeros(n, 1))
+        assert equal(xla._solution(a, xla.fzeros(m, 1))[0],
+                     xla.fzeros(n, 1))
         if m:
-            assert xla.solve(a, xla.fmat([["1"]] * m)) is None
+            assert xla._solution(a, xla.fmat([["1"]] * m))[0] is None
 
 
 class TestPivots:

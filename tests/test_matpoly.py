@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.cases import CASE3_NORM_SQ, case2_poly, case3_poly
+from matpencil.cases import case2_poly, case3_poly
 from matpencil.errors import PreconditionError, SchemaError
 from matpencil.field import RANK_SAFETY
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
@@ -21,6 +21,9 @@ from space_oracle import flip_r
 
 # case 3's polynomial at l = 1: A_0 + A_1 + A_2
 CASE3_AT_ONE = [[5, 13], [13, 12], [23, 38]]
+
+# the squared Frobenius norm of case 3's polynomial
+CASE3_NORM_SQ = 1022
 
 
 def rand_matpoly(rng, m, n, k, lo=-4, hi=5):

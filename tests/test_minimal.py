@@ -496,9 +496,10 @@ class TestRecover:
                     FIELD_RATIONAL)
         x1 = vec_poly([0, -1, 0], [1, 0, 0])
         x2 = vec_poly([0, -1, 1], [1, 0, 0])
+        rank = p.normal_rank()
         with pytest.raises(VerificationError,
                            match="leading coefficient matrix is rank deficient"):
-            _pack_checked([x1, x2], p, SIDE_RIGHT)
+            _pack_checked([x1, x2], p, SIDE_RIGHT, rank)
 
     def test_float_glin_right(self):
         p = case2_poly().to_float()
@@ -524,12 +525,12 @@ class TestCertifyOnIntegralMultiples:
         p = self.P if side == SIDE_RIGHT else self.P.transpose()
         with pytest.raises(VerificationError,
                            match="fails the residual check"):
-            _pack_checked([self.BAD], p, side)
+            _pack_checked([self.BAD], p, side, p.normal_rank())
 
     @pytest.mark.parametrize("side", [SIDE_RIGHT, SIDE_LEFT])
     def test_nullvector_with_a_nontrivial_multiple_passes(self, side):
         p = self.P if side == SIDE_RIGHT else self.P.transpose()
-        basis = _pack_checked([self.V], p, side)
+        basis = _pack_checked([self.V], p, side, p.normal_rank())
         assert basis.indices == (1,)
         assert basis.vectors[0].equal(self.V)
 
@@ -541,8 +542,9 @@ class TestCertifyOnIntegralMultiples:
             seen.extend(x for c in a.coeffs + b.coeffs for x in c.flat)
             return matmul(a, b)
         monkeypatch.setattr(MatPoly, "matmul", spy)
-        _pack_checked([self.V], self.P, SIDE_RIGHT)
-        _pack_checked([self.V], self.P.transpose(), SIDE_LEFT)
+        rank = self.P.normal_rank()
+        _pack_checked([self.V], self.P, SIDE_RIGHT, rank)
+        _pack_checked([self.V], self.P.transpose(), SIDE_LEFT, rank)
         assert seen and all(type(x) is int for x in seen)
 
     def test_the_multiple_is_the_least_integral_one(self):

@@ -111,7 +111,7 @@ class TestLiftProject:
     def test_round_trip_preserves_vector_and_degree(self, setup):
         p, member = setup
         try:
-            tr = trim(member)
+            trim(member)
         except PreconditionError:
             assume(False)
         basis = minimal_basis(p, SIDE_LEFT)
@@ -119,7 +119,7 @@ class TestLiftProject:
         for q in basis.vectors:
             y = lift_left(q, member)
             assert y.degree == q.degree
-            assert project_ansatz(tr.ansatz(), y, p.m).equal(q)
+            assert project_ansatz(member.ansatz, y, p.m).equal(q)
 
 
 class TestSmithCertificates:

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.cases import (CASE1_Z, CASE3_M, CASE3_Z, case1_member,
-                             case2_member, case2_poly, case2_witnesses,
-                             case3_expected_lt, case3_member, case3_published_d,
-                             case3_poly)
+from matpencil.cases import (case1_member, case2_member, case2_poly,
+                             case2_witnesses, case3_expected_lt, case3_member,
+                             case3_published_d, case3_poly)
 from matpencil.eigenstructure import (Verdict, _padded_verdict,
                                       check_g_linearization,
                                       check_linearization)
@@ -28,6 +27,11 @@ from matpencil.spaces import (SIDE_L1, AnsatzPencil, build_l1, build_l2,
 import witness_oracle
 from space_oracle import flip_r, reversal_member
 from witness_oracle import g_lin_witnesses, linearization_witnesses, witnesses
+
+# the Z block of case 1's member, and the reflector and Z block of case 3's
+CASE1_Z = [[-1, 0], [0, 0], [0, 0]]
+CASE3_M = [[0, 1], [1, 0]]
+CASE3_Z = [[1, 0], [0, 1], [0, 0]]
 
 
 def rand_poly(rng, m, n, k, field=FIELD_RATIONAL):

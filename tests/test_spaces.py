@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matpencil import exactla as xla
-from matpencil.cases import CASE3_X, CASE3_Y, case2_member, case3_poly
+from matpencil.cases import case2_member, case3_poly
 from matpencil.errors import PreconditionError, SchemaError, VerificationError
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                lambda_vec, rect_identity)
@@ -14,6 +14,25 @@ from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_gap,
                               ansatz_target, build_l1, build_l2,
                               companion_g1, companion_g2, shifted_sum)
 from space_oracle import generator_matrix, reversal_member, space_dimension
+
+# the X and Y coefficients of case 3's member
+CASE3_X = [
+    [0, 0, -1, 0],
+    [0, 0, 0, -1],
+    [0, 0, 0, 0],
+    [1, 2, 0, 0],
+    [2, 5, 0, 0],
+    [4, 9, 0, 0],
+]
+
+CASE3_Y = [
+    [1, 0, 0, 0],
+    [0, 1, 0, 0],
+    [0, 0, 0, 0],
+    [3, 4, 1, 7],
+    [9, 2, 2, 5],
+    [15, 10, 4, 19],
+]
 
 
 def rand_poly(rng, m, n, k):
