@@ -35,7 +35,7 @@ from . import exactla as xla
 from .errors import PreconditionError, SchemaError, VerificationError
 from .matpoly import FIELD_FLOAT, FIELD_RATIONAL, MatPoly
 from .minimal import index_walk, walk_indices
-from .qpoly import QQL, coeffs, pm_det, poly, to_pm
+from .qpoly import QQL, coeffs, pm_det, poly
 from .reduction import TrimResult, certify_linearization
 from .spaces import AnsatzPencil
 
@@ -135,8 +135,11 @@ class EigStructure:
 
 def _factor_monic(d):
     """Monic irreducible factors of a monic element of QQ[l], with
-    multiplicities, as ascending coefficient tuples."""
-    _, factors = sympy.factor_list(sympy.Poly(d.as_expr(), domain=sympy.QQ))
+    multiplicities, as ascending coefficient tuples.  The Poly is built
+    from the element's terms: going through a sympy expression would
+    make the first factor_list of a process import sympy.combinatorics."""
+    _, factors = sympy.factor_list(sympy.Poly.from_dict(
+        dict(d.items()), *d.ring.symbols, domain=sympy.QQ))
     out = [(tuple(xla.qq_scalar(c)
                   for c in reversed(f.monic().all_coeffs())), int(e))
            for f, e in factors]
@@ -160,17 +163,17 @@ def _infinite_degrees(p: MatPoly, nrank: int) -> tuple:
 
 def _multiples(p: MatPoly, r: int):
     """Multiples of D_r, the gcd of the r x r minors of p: det(S p T) per
-    compression (Cauchy-Binet), then each r x r minor, lexicographically.
-    The weights are no arithmetic progression: at r = 1 one can put the
-    same spurious root into every compression."""
+    compression (Cauchy-Binet), then each r x r minor, lexicographically,
+    each an r x r MatPoly whose determinant pm_det interpolates from
+    integer points.  The weights are no arithmetic progression: at r = 1
+    one can put the same spurious root into every compression."""
     for t in COMPRESSIONS:
         s, u = (FIELD_RATIONAL.matrix([[(j + t) ** (i + 2) for j in range(w)]
                                        for i in range(r)]) for w in (p.m, p.n))
-        yield pm_det(to_pm(MatPoly([s @ a @ u.T for a in p.coeffs])))
-    a = to_pm(p)
+        yield pm_det(MatPoly([s @ a @ u.T for a in p.coeffs]))
     for rows in combinations(range(p.m), r):
         for cols in combinations(range(p.n), r):
-            yield pm_det(a.extract(list(rows), list(cols)))
+            yield pm_det(MatPoly([a[np.ix_(rows, cols)] for a in p.coeffs]))
 
 
 def _finite_divisor(p: MatPoly, r: int, f: int):

@@ -21,7 +21,11 @@ N they need.  Everything rank-related reads the canonical rref, so pivots,
 nullspace bases and particular solutions do not depend on the
 elimination order.  ``inv`` is the unique solution of a·X = I, and
 ``det`` the fraction-free determinant over ZZ of the integral multiple
-of a, divided back.
+of a, divided back; ``qpoly.pm_det`` interpolates the determinant of a
+polynomial matrix from it.  A polynomial matrix is ranked and its
+determinant taken at integer points, where the field's ``samples``
+evaluate the int arrays of its integral multiple by Horner, so no
+matrix over a polynomial ring is formed.
 """
 
 import math
@@ -121,30 +125,32 @@ def _times(x, c: int) -> int:
 _times_array = np.frompyfunc(_times, 2, 1)
 
 
+def denominator_lcm(arrays) -> int:
+    """The lcm of the denominators of all entries of the object arrays."""
+    return math.lcm(*(x.denominator for a in arrays for x in a.flat
+                      if type(x) is not int))
+
+
 def integral_multiple(arrays) -> list:
     """The object arrays times the lcm of the denominators of all their
     entries, as int arrays; arrays already integral come back as they
     are."""
-    c = math.lcm(*(x.denominator for a in arrays for x in a.flat
-                   if type(x) is not int))
+    c = denominator_lcm(arrays)
     return list(arrays) if c == 1 else [_times_array(a, c) for a in arrays]
 
 
-def to_zz(a) -> DomainMatrix:
+def to_zz(a: np.ndarray) -> DomainMatrix:
     """The sparse DomainMatrix over ZZ holding the nonzero entries of a,
     each row times the lcm of its denominators: it has the rref, the
-    pivots and the rank of a.  a is an array or a DomainMatrix over ZZ,
-    which passes through."""
-    if isinstance(a, DomainMatrix):
-        return a
+    pivots and the rank of a.  A row of ints is taken as it is, with no
+    lcm."""
     out = {}
     for i, row in enumerate(a.tolist()):
         row = {j: x for j, x in enumerate(row) if x}
-        dens = [x.denominator for x in row.values() if type(x) is not int]
-        if dens:
-            c = math.lcm(*dens)
-            out[i] = {j: _times(x, c) for j, x in row.items()}
-        elif row:
+        if not all(type(x) is int for x in row.values()):
+            c = math.lcm(*(x.denominator for x in row.values()))
+            row = {j: _times(x, c) for j, x in row.items()}
+        if row:
             out[i] = row
     return DomainMatrix(out, a.shape, ZZ)
 
@@ -156,8 +162,8 @@ def qq_scalar(x):
 
 
 def rref(a):
-    """Reduced row echelon form of a (an array or a DomainMatrix over ZZ),
-    by fraction-free elimination over ZZ on its row-scaled form.  Returns
+    """Reduced row echelon form of a by fraction-free elimination over ZZ
+    on its row-scaled form.  Returns
     (N, den, pivot_columns): N a sparse DomainMatrix over ZZ and den a
     Python int (whatever sympy's ground types), with R = N/den."""
     n, den, pivots = to_zz(a).rref_den(method="FF")
@@ -213,19 +219,6 @@ def unique_solve(a: np.ndarray, b: np.ndarray):
     return x if pivots[:n] == list(range(n)) else None
 
 
-def samples(coeffs, points):
-    """Yield, for rank, the matrix polynomial with ascending coefficients
-    coeffs at each integer point, times the lcm of the denominators of all
-    its entries (which leaves every rank as it is): Horner on sparse
-    matrices over ZZ, the coefficients converted once."""
-    mats = [to_zz(c) for c in integral_multiple(coeffs)]
-    for t in points:
-        acc = mats[-1]
-        for c in reversed(mats[:-1]):
-            acc = acc * ZZ(t) + c
-        yield acc
-
-
 def inv(a: np.ndarray) -> np.ndarray:
     """The inverse of a: the unique solution of a·X = I."""
     m, n = a.shape
@@ -243,8 +236,8 @@ def det(a: np.ndarray):
     m, n = a.shape
     if m != n:
         raise PreconditionError("determinant of a non-square matrix")
-    c = math.lcm(*(x.denominator for x in a.flat if type(x) is not int))
-    return div(int(to_zz(_times_array(a, c)).det()), c ** n)
+    c = denominator_lcm([a])
+    return div(int(to_zz(a if c == 1 else _times_array(a, c)).det()), c ** n)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:

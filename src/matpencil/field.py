@@ -157,8 +157,15 @@ class RationalField(Field):
 
     def samples(self, poly, points):
         """Yield poly at each integer point, times the lcm of the
-        denominators of its entries, as a sparse ZZ matrix for rank."""
-        return xla.samples(poly.coeffs, points)
+        denominators of its entries: Horner, as MatPoly.eval, on the int
+        arrays of its integral multiple, so each sample is an int array
+        (rank reads it as it is)."""
+        coeffs = xla.integral_multiple(poly.coeffs)
+        for t in points:
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = acc * t + c
+            yield acc
 
     def inner(self, a, b):
         """Sum of the entrywise products."""

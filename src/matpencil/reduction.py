@@ -13,8 +13,9 @@ all read those forms.  The two factor identities a form rests on (the top
 strip's shifted sum and the constant-factor image) are checked where the
 form is built: by row_reduction for a member, by TrimResult and its
 check_source for a record.  No unimodular E or F is assembled here;
-verify_witnesses checks a given pair over QQ[l] (`examples 2` runs it on
-case 2's hand-written pair).
+verify_witnesses checks a given pair on its coefficients and its
+determinants at integer points (`examples 2` runs it on case 2's
+hand-written pair).
 """
 
 from contextlib import contextmanager
@@ -30,7 +31,7 @@ from .field import FIELD_RATIONAL, field_of
 from .matpoly import (MatPoly, block_apply, lambda_vec, matrix_from_json,
                       matrix_to_json, pencil_from_json, pencil_to_json,
                       rect_identity, shear_s, _require_ints, _require_keys)
-from .qpoly import pm_det, to_pm
+from .qpoly import pm_det
 from .spaces import SIDE_L1, SIDE_L2, AnsatzPencil, ansatz_gap
 
 
@@ -277,7 +278,8 @@ class TrimResult:
     Lt = L * D and Lt = Lt_hat * Dtilde there. Both identities the record
     rests on are checked on its block-Kronecker form, _form: Lt = Dtilde *
     Lt_hat as the record is made, whether trimmed, loaded or built by
-    hand, and the top strip's shifted sum by check_source.  Recovery reads
+    hand (a transpose carries the form already checked), and the top
+    strip's shifted sum by check_source.  Recovery reads
     the record through that form alone.  M, D, Z, Q1 and Q2 are
     provenance: trim prints them and loading checks their shapes, but no
     command reads them.
@@ -355,13 +357,17 @@ class TrimResult:
                 "trimming record was built from a different polynomial")
 
     def transpose(self) -> "TrimResult":
-        """Same trimming seen from the opposite space side."""
+        """Same trimming seen from the opposite space side.  Both sides
+        read one right-side form, so the transpose carries this record's
+        checked _form and runs no check of its own."""
         other = SIDE_L2 if self.side == SIDE_L1 else SIDE_L1
-        return TrimResult(
+        out = object.__new__(TrimResult)
+        out.__dict__.update(
             side=other, field=self.field, m=self.n, n=self.m, k=self.k,
             M=self.M, alpha=self.alpha, Lt=self.Lt.transpose(),
-            top=self.top.transpose(),
+            top=self.top.transpose(), _form=self._form,
             **{key: getattr(self, key).T.copy() for key in _MATRICES})
+        return out
 
     def to_json_dict(self) -> dict:
         field = self.field
@@ -518,14 +524,15 @@ def _padding(l: MatPoly, p: MatPoly):
 
 
 def verify_witnesses(l: MatPoly, p: MatPoly, e: MatPoly, f: MatPoly) -> None:
-    """Check E*L*F = diag(P, padding) exactly over QQ[l] for the pencil L,
-    and that both determinants are nonzero constants. Raises on failure."""
-    if p.field != FIELD_RATIONAL:
+    """Check E*L*F = diag(P, padding) exactly for the pencil L, by
+    MatPoly.matmul on the coefficients, and that both determinants
+    (pm_det, interpolated from integer points) are nonzero constants.
+    Raises on failure."""
+    if any(x.field != FIELD_RATIONAL for x in (l, p, e, f)):
         raise PreconditionError("witness verification needs the rational field")
-    target = to_pm(p.block_diag(MatPoly([_padding(l, p)], p.field)))
-    ea, fa = to_pm(e), to_pm(f)
-    if not (ea * to_pm(l) * fa - target).is_zero_matrix:
+    target = p.block_diag(MatPoly([_padding(l, p)], p.field))
+    if not e.matmul(l).matmul(f).equal(target):
         raise VerificationError("witness product is not the padded polynomial")
-    for name, w in (("left", ea), ("right", fa)):
+    for name, w in (("left", e), ("right", f)):
         if pm_det(w).degree() != 0:
             raise VerificationError(f"{name} witness is not unimodular")

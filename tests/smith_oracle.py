@@ -1,18 +1,27 @@
 """Reference route for the tests: sympy's Smith normal form over QQ[l].
 
 The package reads every local structure off rank walks and never forms a
-Smith form.  The tests compare its reports and verdicts with the
-invariant factors of sympy's Smith normal form, made monic here, and its
-Smith form with sympy's decomposition U p V = S.
+Smith form, nor any matrix over QQ[l].  The tests compare its reports and
+verdicts with the invariant factors of sympy's Smith normal form, made
+monic here, and its Smith form with sympy's decomposition U p V = S, on
+the DomainMatrix over QQ[l] that to_pm builds.
 """
 
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import (smith_normal_decomp,
                                               smith_normal_form)
 
 from matpencil.eigenstructure import Verdict, _factor_monic
-from matpencil.qpoly import QQL, to_pm
+from matpencil.qpoly import QQL, poly
 
 L = QQL.ring.gens[0]
+
+
+def to_pm(p) -> DomainMatrix:
+    """The matrix over QQ[l] of a rational matrix polynomial."""
+    rows = [[poly([c[i, j] for c in p.coeffs]) for j in range(p.n)]
+            for i in range(p.m)]
+    return DomainMatrix(rows, (p.m, p.n), QQL)
 
 
 def oracle_decomposition(p):

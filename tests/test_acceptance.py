@@ -23,7 +23,6 @@ from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                lambda_vec)
 from matpencil.minimal import (SIDE_LEFT, SIDE_RIGHT, minimal_basis,
                                project_ansatz)
-from matpencil.qpoly import to_pm
 from matpencil.reduction import full_z_rank, row_reduction, trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil,
                               ansatz_residual, ansatz_target, build_l1,
@@ -31,7 +30,7 @@ from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil,
                               shifted_sum)
 from index_sum_oracle import index_sum_check
 from lift_oracle import lift_left
-from smith_oracle import oracle_diag
+from smith_oracle import oracle_diag, to_pm
 from space_oracle import space_dimension
 
 

@@ -4,8 +4,9 @@ bench/tracing.py patches matpencil functions by name and raises
 AttributeError on a missing one, so a rename in the package would break
 `bench/run.py --trace 1` without this test.  `examples 3` certifies on
 its factor certificate and reaches rref through `trim`; `examples 2`
-verifies its bundled witnesses over QQ[l], so it reaches `pm_det`.  No path reaches `smith_form`, but its
-shim must still resolve.  A solve -> build ->
+verifies its bundled witnesses, whose determinants `pm_det` interpolates
+from `exactla.det` at integer points, so it reaches both.  No path
+reaches `smith_form`, but its shim must still resolve.  A solve -> build ->
 recover pipeline checks that the walks' eliminations and the normal-rank
 samples still reach the shimmed `exactla.rref`.
 """
@@ -36,6 +37,7 @@ def test_shims_install_and_count_an_example():
     finally:
         tracer.uninstall()
     assert counts["qpoly.pm_det_calls"] > 0
+    assert counts["exactla.det_s"] > 0
     assert counts["exactla.rref_calls"] > 0
 
 

@@ -588,6 +588,23 @@ class TestSolve:
                                 "factor": ["-9", "-54", "-38", "-9", "1"]}]
         assert d["left_indices"] == [0]
 
+    def test_factoring_loads_no_combinatorics(self, p3):
+        """D_r is factored from its ring terms, not through a sympy
+        expression, whose first factor_list imports sympy.combinatorics:
+        a fresh solve of case 3, whose D_r has a quartic factor, does not
+        load it and prints the bytes of an in-process solve."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        script = ("import sys\nfrom matpencil.cli import main\n"
+                  "code = main(['solve', sys.argv[1]])\n"
+                  "assert 'sympy.combinatorics' not in sys.modules\n"
+                  "sys.exit(code)\n")
+        out = subprocess.run([sys.executable, "-c", script, p3], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == run("solve", p3)[1]
+
     def test_float_regular_pencil(self, files):
         p = files("reg.json", {"m": 2, "n": 2, "grade": 1,
                                "field": "float64",
@@ -659,6 +676,28 @@ class TestRecover:
         assert jline(out)["right"]["indices"] == [0]
         assert jline(out)["left"]["indices"] == []
         assert len(calls) == 1
+
+    def test_transposed_records_carry_the_checked_form(self, wide3,
+                                                       monkeypatch):
+        """trim of a left-space member checks the right-side record it
+        makes, and backward the record it loads; neither checks the
+        transpose again, since a transpose carries the checked form."""
+        calls = []
+        image_gap = _KronForm.image_gap
+
+        def counted(form):
+            calls.append(form)
+            return image_gap(form)
+
+        monkeypatch.setattr(_KronForm, "image_gap", counted)
+        code, out = run("trim", wide3["L"])
+        assert code == 0, out
+        assert jline(out)["side"] == "l2"
+        assert len(calls) == 1
+        code, out = run("backward", wide3["P"], wide3["T"], "--eps", "0.5",
+                        "--trials", "2", "--seed", "3")
+        assert code == 0, out
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("member", ["case3", "random"])
     def test_record_left_basis_reads_neither_m_nor_d(self, files, companion3,

@@ -47,14 +47,14 @@ from matpencil.matpoly import (
 )
 from matpencil.minimal import (SIDE_LEFT, SIDE_RIGHT, minimal_basis,
                                walk_indices)
-from matpencil.qpoly import QQL, coeffs, poly as qp, to_pm
+from matpencil.qpoly import QQL, coeffs, poly as qp
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, build_l1, build_l2,
                               companion_g1, companion_g2)
 from index_sum_oracle import index_sum_check, structural_sum
 from smith_oracle import (oracle_decomposition, oracle_diag, oracle_finite,
                           reference_strong_verdict, reference_verdict,
-                          reversal_orders)
+                          reversal_orders, to_pm)
 from witness_oracle import g_lin_witnesses
 
 
@@ -470,7 +470,10 @@ class TestWitnessCertificate:
     def test_accepted_checks_assemble_no_witnesses(self, monkeypatch,
                                                    tmp_path):
         """`check --strong` of a full-Z member and `check --lin --strong`
-        of its trim take nothing over QQ[l], on both sides."""
+        of its trim take nothing over QQ[l], on both sides: no polynomial
+        determinant, and no matrix over QQ[l], which only the tests'
+        Smith oracle builds."""
+        import smith_oracle
         from matpencil import qpoly, reduction
         calls = []
 
@@ -481,9 +484,10 @@ class TestWitnessCertificate:
             return counted
 
         for module in (qpoly, reduction, eigenstructure):
-            for name in ("to_pm", "pm_det"):
-                monkeypatch.setattr(module, name,
-                                    spy(name, getattr(module, name)))
+            monkeypatch.setattr(module, "pm_det",
+                                spy("pm_det", getattr(module, "pm_det")))
+        monkeypatch.setattr(smith_oracle, "to_pm",
+                            spy("to_pm", smith_oracle.to_pm))
         rng = np.random.default_rng(62)
         poly, member, trimmed = (str(tmp_path / f) for f in
                                  ("p.json", "l.json", "t.json"))
@@ -506,8 +510,9 @@ class TestWitnessCertificate:
                     assert report["verdict"]["ok"]
                     assert report.get("full_z_rank") in (True, None)
         assert calls == []
-        # the spies see the oracle's calls
+        # the spies see the oracles' calls
         g_lin_witnesses(companion_g1(case3_poly()))
+        oracle_diag(case3_poly())
         assert "to_pm" in calls and "pm_det" in calls
 
     def test_fallbacks_skip_smith(self, monkeypatch):

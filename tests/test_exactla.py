@@ -20,6 +20,7 @@ from sympy.polys.matrices import DomainMatrix
 from matpencil import exactla as xla
 from matpencil.errors import PreconditionError
 from matpencil.field import FIELD_FLOAT, FIELD_RATIONAL
+from matpencil.matpoly import MatPoly
 from span_oracle import span_pivots
 
 COMMON = dict(deadline=None, max_examples=60)
@@ -87,7 +88,7 @@ class TestRref:
         n, den, pivots = xla.rref(a)
         ref_r, ref_pivots = sympy_matrix(a).rref()
         assert pivots == list(ref_pivots)
-        assert xla.rank(a) == len(ref_pivots)
+        assert FIELD_RATIONAL.rank(a) == xla.rank(a) == len(ref_pivots)
         assert isinstance(n, DomainMatrix) and n.domain == ZZ
         assert type(den) is int and den != 0
         assert equal(over_den(n, den), fractions_of(ref_r))
@@ -97,14 +98,6 @@ class TestRref:
         ref_r, ref_pivots = sympy_matrix(a).rref()
         assert xla.rref(a)[2] == list(ref_pivots)
         assert xla.rank(a) == len(ref_pivots)
-
-    @settings(**COMMON)
-    @given(matrices())
-    def test_rank_accepts_a_domain_matrix(self, a):
-        d = xla.to_zz(a)
-        assert xla.to_zz(d) is d
-        assert xla.rank(d) == xla.rank(a) == sympy_matrix(a).rank()
-        assert FIELD_RATIONAL.rank(d) == xla.rank(a)
 
     @settings(**COMMON)
     @given(matrices())
@@ -165,38 +158,29 @@ class TestRowScaledForm:
         assert got[0][:, 0].tolist() == [-3, -5, 1]
 
     @settings(**COMMON)
-    @given(matrices())
-    def test_zz_domain_matrix_input(self, a):
-        n, den, pivots = xla.rref(a)
-        zz = xla.to_zz(a)
-        assert zz.domain == ZZ and xla.to_zz(zz) is zz
-        n_d, den_d, pivots_d = xla.rref(zz)
-        assert pivots_d == pivots
-        assert equal(over_den(n_d, den_d), over_den(n, den))
-
-    @settings(**COMMON)
     @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4),
            st.booleans(), st.data())
     def test_samples_are_the_scaled_horner_over_zz(self, k, m, n, integral,
                                                    data):
         coeffs = [data.draw(matrices(m, n)) for _ in range(k + 1)]
-        if integral:
-            coeffs = [xla.fmat([[x.numerator for x in row] for row in c])
-                      if c.size else c for c in coeffs]
+        # entries as the package keeps them: an int when integral
+        coeffs = [xla.fmat([[x.numerator if integral else x for x in row]
+                            for row in c]) if c.size else c for c in coeffs]
         # the lcm of every denominator in the polynomial
         c = math.lcm(*(Fraction(x).denominator for a in coeffs
                        for x in a.flat))
         points = range(1, 4)
-        got = list(xla.samples(coeffs, points))
+        got = list(FIELD_RATIONAL.samples(MatPoly(coeffs), points))
+        assert len(got) == len(points)
         for t, d in zip(points, got):
-            assert d.domain == ZZ
-            # c times the Horner over QQ
+            # an int array: c times the Horner over QQ
+            assert d.shape == (m, n)
+            assert all(type(x) is int for x in d.flat)
             acc = sympy_matrix(coeffs[-1])
             for a in reversed(coeffs[:-1]):
                 acc = acc * t + sympy_matrix(a)
-            assert equal(over_den(d, 1), fractions_of(acc) * c)
-            assert all(type(x) is int for x in over_den(d, 1).flat)
-            assert xla.rank(d) == acc.rank()
+            assert equal(d, fractions_of(acc) * c)
+            assert FIELD_RATIONAL.rank(d) == xla.rank(d) == acc.rank()
 
 
 class TestNullspace:

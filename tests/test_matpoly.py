@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from matpencil import exactla as xla
 from matpencil.cases import case2_poly, case3_poly
@@ -16,7 +18,8 @@ from matpencil.field import RANK_SAFETY
 from matpencil.matpoly import (FIELD_FLOAT, FIELD_RATIONAL, MatPoly,
                                block_apply, dump_json, h_dual,
                                lambda_vec, rect_identity, shear_s)
-from matpencil.qpoly import coeffs, to_pm
+from matpencil.qpoly import QQL, coeffs, pm_det
+from smith_oracle import to_pm
 from space_oracle import flip_r
 
 # case 3's polynomial at l = 1: A_0 + A_1 + A_2
@@ -175,6 +178,82 @@ class TestNormalRankSamples:
         zero = MatPoly.zero(3, 2, 2)
         assert zero.normal_rank() == sampled_rank(zero) == 0
         assert MatPoly([xla.fzeros(0, 3)], FIELD_RATIONAL).normal_rank() == 0
+
+
+def oracle_sample_ranks(p):
+    """The ranks of the oracle's matrix over QQ[l] at the points
+    1..k*min(m, n)+1, each substituted and ranked by sympy's Matrix."""
+    a = to_pm(p).to_Matrix()
+    return [a.subs(sympy.Symbol("l"), t).rank()
+            for t in range(1, p.grade * min(p.m, p.n) + 2)]
+
+
+class TestNormalRankOracle:
+    """normal_rank against the oracle's matrix over QQ[l], sampled on a
+    route that shares no code with the package's int Horner."""
+
+    @pytest.mark.parametrize("m,n,k,r", [
+        (4, 3, 3, 2), (3, 4, 2, 1), (3, 3, 2, 2), (2, 3, 3, 1),
+        (4, 3, 1, 3), (1, 2, 2, 1)])
+    def test_generic_and_rank_deficient(self, m, n, k, r):
+        rng = np.random.default_rng(70 + 5 * m + 3 * n + k + r)
+        planted = planted_matpoly(rng, m, n, k, r)
+        for p in (rand_matpoly(rng, m, n, k), planted,
+                  planted.scale(Fraction(-2, 3))
+                  + MatPoly([xla.fzeros(m, n)] * k + [xla.fmat(
+                      [[Fraction(1, 7)] * n] + [[0] * n] * (m - 1))])):
+            assert p.normal_rank() == max(oracle_sample_ranks(p))
+        assert planted.normal_rank() <= r
+
+
+@st.composite
+def square_polys(draw):
+    """Square rational polynomials of size 0-6 and grade 0-3, integer or
+    with denominators; half of those of size 2 or more are singular, a
+    row of every coefficient a multiple of another row's."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    dens = st.integers(1, 4) if draw(st.booleans()) else st.just(1)
+    entries = st.builds(Fraction, st.integers(-5, 5), dens)
+    out = []
+    for _ in range(k + 1):
+        a = xla.fzeros(n, n)
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = xla.frac(draw(entries))
+        out.append(a)
+    if n > 1 and draw(st.booleans()):
+        s = draw(st.integers(-2, 2))
+        for a in out:
+            a[-1] = [xla.frac(x * s) for x in a[0]]
+    return MatPoly(out, FIELD_RATIONAL)
+
+
+class TestPolynomialDeterminant:
+    """pm_det interpolates the determinant from integer points; the
+    oracle takes it over QQ[l] on sympy's DomainMatrix."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(square_polys())
+    def test_equals_the_oracle_determinant(self, p):
+        got = pm_det(p)
+        assert got.ring == QQL.ring
+        assert got == to_pm(p).det()
+
+    def test_known_determinants(self):
+        # det [[l, 1], [0, l - 1/2]] = l^2 - l/2; a singular pencil's is 0
+        p = MatPoly([xla.fmat([["0", "1"], ["0", "-1/2"]]),
+                     xla.fmat([[1, 0], [0, 1]])], FIELD_RATIONAL)
+        assert coeffs(pm_det(p)) == (0, Fraction(-1, 2), 1)
+        q = MatPoly([xla.fmat([[1, 2], [2, 4]]), xla.fmat([[3, 1], [6, 2]])],
+                    FIELD_RATIONAL)
+        assert not pm_det(q)
+        assert pm_det(MatPoly([xla.fzeros(0, 0)], FIELD_RATIONAL)) == QQL.one
+
+    def test_refusals(self):
+        with pytest.raises(PreconditionError, match="non-square"):
+            pm_det(MatPoly.zero(2, 3, 1))
+        with pytest.raises(PreconditionError, match="rational field"):
+            pm_det(case3_poly().to_float())
 
 
 class TestConvMatrix:

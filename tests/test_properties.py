@@ -8,14 +8,13 @@ from matpencil.eigenstructure import complete_eigenstructure, smith_form
 from matpencil.errors import PreconditionError
 from matpencil.matpoly import FIELD_RATIONAL, MatPoly, lambda_vec
 from matpencil.minimal import SIDE_LEFT, minimal_basis, project_ansatz
-from matpencil.qpoly import pm_det, to_pm
 from matpencil.reduction import trim
 from matpencil.spaces import (SIDE_L1, SIDE_L2, AnsatzPencil,
                               ansatz_residual, ansatz_target, build_l1,
                               build_l2, shifted_sum)
 from index_sum_oracle import index_sum_check
 from lift_oracle import lift_left
-from smith_oracle import oracle_decomposition
+from smith_oracle import oracle_decomposition, to_pm
 
 ints = st.integers(min_value=-4, max_value=4)
 
@@ -133,8 +132,8 @@ class TestSmithCertificates:
         if not p.is_zero():
             so, uq, vq = oracle_decomposition(p)
             assert (uq * to_pm(p) * vq).to_list() == so.to_list()
-            assert pm_det(uq).degree() == 0
-            assert pm_det(vq).degree() == 0
+            assert uq.det().degree() == 0
+            assert vq.det().degree() == 0
             so = so.to_list()
             assert [sq[t][t] for t in range(min(p.m, p.n))] == \
                 [so[t][t].monic() if so[t][t] else so[t][t]

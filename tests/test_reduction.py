@@ -238,6 +238,26 @@ class TestWitnesses:
         with pytest.raises(VerificationError):
             verify_witnesses(case2_member().pencil, case2_poly(), e, bad)
 
+    def test_both_messages(self):
+        """A wrong product and a right product through a witness whose
+        determinant is not constant fail with their own messages."""
+        e, f = case2_witnesses()
+        with pytest.raises(VerificationError, match="witness product is "
+                           "not the padded polynomial"):
+            verify_witnesses(case2_member().pencil, case2_poly(), e,
+                             f.scale(2))
+        # L = diag(0, 1) pads the 1 x 1 zero polynomial by I_1, and
+        # W = diag(l, 1), of determinant l, has W * L = L * W = L
+        pen = MatPoly.pencil(xla.fzeros(2, 2), xla.fmat([[0, 0], [0, 1]]))
+        zero = MatPoly.zero(1, 1, 1)
+        eye = MatPoly([xla.feye(2)], FIELD_RATIONAL)
+        w = MatPoly.pencil(xla.fmat([[1, 0], [0, 0]]),
+                           xla.fmat([[0, 0], [0, 1]]))
+        for name, (e, f) in (("left", (w, eye)), ("right", (eye, w))):
+            with pytest.raises(VerificationError,
+                               match=f"{name} witness is not unimodular"):
+                verify_witnesses(pen, zero, e, f)
+
     def test_random_members(self):
         rng = np.random.default_rng(35)
         done = 0
@@ -262,11 +282,11 @@ class TestWitnesses:
         assert e.matmul(member.pencil).matmul(f).equal(target)
 
     def test_determinants_constant(self):
-        from matpencil.qpoly import pm_det, to_pm
+        from matpencil.qpoly import pm_det
         member = case3_member()
         e, f = g_lin_witnesses(member)
-        de = pm_det(to_pm(e))
-        df = pm_det(to_pm(f))
+        de = pm_det(e)
+        df = pm_det(f)
         assert de.degree() == 0 and de
         assert df.degree() == 0 and df
 
