@@ -163,9 +163,9 @@ def qq_scalar(x):
 
 def rref(a):
     """Reduced row echelon form of a by fraction-free elimination over ZZ
-    on its row-scaled form.  Returns
-    (N, den, pivot_columns): N a sparse DomainMatrix over ZZ and den a
-    Python int (whatever sympy's ground types), with R = N/den."""
+    on its row-scaled form.  Returns (N, den, pivot_columns): N a sparse
+    DomainMatrix over ZZ and den a Python int (whatever sympy's ground
+    types), with R = N/den."""
     n, den, pivots = to_zz(a).rref_den(method="FF")
     return n, int(den), list(pivots)
 
