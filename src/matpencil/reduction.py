@@ -279,10 +279,10 @@ class TrimResult:
     rests on are checked on its block-Kronecker form, _form: Lt = Dtilde *
     Lt_hat as the record is made, whether trimmed, loaded or built by
     hand (a transpose carries the form already checked), and the top
-    strip's shifted sum by check_source.  Recovery reads
-    the record through that form alone.  M, D, Z, Q1 and Q2 are
-    provenance: trim prints them and loading checks their shapes, but no
-    command reads them.
+    strip's shifted sum by check_source.  Recovery reads the record
+    through that form alone.  M, D, Z, Q1 and Q2 are provenance: trim
+    prints them and loading checks their shapes, but no command reads
+    them.
     """
     side: str
     field: str
