@@ -28,6 +28,11 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+# The package's one SciPy import, and only the bare package: it serves
+# eigvals below, whose scipy.linalg loads on the first float solve, and
+# bench/run.py's version report, which reads scipy from sys.modules
+# after every run.  Loading scipy.linalg eagerly would cost about a
+# third of the command line's start-up.
 import scipy
 import sympy
 

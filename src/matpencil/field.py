@@ -22,9 +22,10 @@ independent columns of a matrix (``pivots``), and residuals are judged
 by one rule, ``negligible``: exactly zero on the rational field, and on
 float64 relative to the norms of the data the residual comes from.
 
-SciPy serves one kernel here, the pivoted QR of ``FloatField.factor_z``
-(float ``trim``).  ``scipy.linalg`` loads on that first call, so exact
-commands never pay for it.
+Both fields factor ``trim``'s block Z (``factor_z``) by one algorithm,
+orthogonalizing its columns in order: the rational field by
+Gram-Schmidt, float64 by numpy's unpivoted Householder QR, which is that
+Gram-Schmidt with its columns normalized.  This module imports no SciPy.
 """
 
 import math
@@ -32,10 +33,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-# Only the bare package, which bench/run.py's version report reads from
-# sys.modules after every run.  SciPy's lazy submodule loader imports
-# scipy.linalg, about a third of the start-up, on the first lookup.
-import scipy
 
 from . import exactla as xla
 from .errors import PreconditionError, SchemaError
@@ -402,14 +399,16 @@ class FloatField(Field):
         return m, nrm
 
     def factor_z(self, z, comp):
-        """Pivoted QR: orthonormal q1 spanning ran(z) with q1ᵀz = rt and
-        its orthonormal complement q2, taken from the same QR; comp, the
-        kernel basis behind the caller's rank decision, is not needed.
-        Returns (q1, q2, rt, q1ᵀ, q2ᵀ)."""
+        """numpy's Householder QR in column order, the rational field's
+        Gram-Schmidt normalized: orthonormal q1 with z = q1·rt, rt upper
+        triangular, and q2, the orthonormal complement from the same QR.
+        Householder QR is backward stable without pivoting, and the
+        caller's rank decision has found z of full column rank, so q1
+        spans ran(z); comp, the kernel basis behind that decision, is not
+        needed.  Returns (q1, q2, rt, q1ᵀ, q2ᵀ)."""
         cn = z.shape[1]
-        qf, rf, piv = scipy.linalg.qr(z, pivoting=True)
-        rt = rf[:cn, :] @ np.eye(z.shape[1])[piv, :]
-        q1, rt = _sign_canonicalize(qf[:, :cn].copy(), rt)
+        qf, rf = np.linalg.qr(z, mode="complete")
+        q1, rt = _sign_canonicalize(qf[:, :cn].copy(), rf[:cn, :].copy())
         q2, _ = _sign_canonicalize(qf[:, cn:].copy(), None)
         return q1, q2, rt, q1.T.copy(), q2.T.copy()
 

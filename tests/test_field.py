@@ -1,9 +1,12 @@
 """The one residual rule, ``Field.negligible``, at its cut and at the
-loaders that apply it, and the exact kernels of the rational field."""
+loaders that apply it, the exact kernels of the rational field, the
+float factorization of Z against the exact one, and which commands load
+scipy.linalg."""
 
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -255,6 +258,71 @@ class TestRationalKernels:
                     == s * q_ref[:, j] / Fraction(norms[j])).all()
 
 
+# (rows, columns) of the seeded integer Z factored on both fields
+FACTOR_Z_SHAPES = ((9, 5), (6, 3), (4, 4), (5, 1), (7, 6), (3, 3))
+
+
+@pytest.mark.parametrize("seed, shape", enumerate(FACTOR_Z_SHAPES),
+                         ids=[f"{r}x{c}" for r, c in FACTOR_Z_SHAPES])
+def test_float_factor_z_is_the_exact_gram_schmidt_normalized(seed, shape):
+    """numpy's Householder QR of z is the rational field's Gram-Schmidt
+    with unit columns: q1_f = q1_e·diag(1/‖w_j‖), rt_f = diag(‖w_j‖)·rt_e,
+    and q2 completes q1 to an orthogonal matrix in the kernel of zᵀ."""
+    rng = np.random.default_rng(seed)
+    z = xla.fmat(rng.integers(-5, 6, size=shape).tolist())
+    rows, cn = shape
+    assert FIELD_RATIONAL.rank(z) == cn
+    q1_e, _, rt_e, _, _ = FIELD_RATIONAL.factor_z(
+        z, FIELD_RATIONAL.nullspace(z.T))
+    zf = z.astype(float)
+    q1, q2, rt, q1_star, q2_star = FIELD_FLOAT.factor_z(zf, None)
+    for j in range(cn):
+        col = q1_e[:, j]
+        norm = math.sqrt(float(col @ col))
+        q_want = np.array([float(x) for x in col]) / norm
+        rt_want = np.array([float(x) for x in rt_e[j, :]]) * norm
+        # the canonical sign follows the first entry of largest magnitude,
+        # which rounding may move between tied entries
+        mags = [abs(x) for x in col]
+        tied = mags.count(max(mags)) > 1
+        s = -1.0 if tied and q_want @ q1[:, j] < 0 else 1.0
+        assert np.allclose(q1[:, j], s * q_want, rtol=0, atol=1e-12)
+        scale = np.abs(rt_want).max()
+        assert np.allclose(rt[j, :], s * rt_want, rtol=0, atol=1e-12 * scale)
+    assert (np.tril(rt, -1) == 0).all()
+    assert q2.shape == (rows, rows - cn)
+    assert np.abs(q2.T @ zf).max(initial=0.0) <= 1e-12 * np.abs(zf).max()
+    q = np.hstack([q1, q2])
+    assert np.allclose(q.T @ q, np.eye(rows), rtol=0, atol=1e-12)
+    assert (q1_star == q1.T).all() and (q2_star == q2.T).all()
+
+
+@pytest.mark.parametrize("side, k", [("l1", 2), ("l1", 3),
+                                     ("l2", 2), ("l2", 3)])
+def test_float_trim_of_a_companion_prints_signed_unit_factors(
+        tmp_path, side, k):
+    """A companion member's Z is a block of signed unit columns, so the
+    float trim's Q1, Q2 and Rt hold only 0 and ±1 and Q1·Rt is Z exactly,
+    whichever QR computes them; the backward workload's bytes rest on
+    this.  A tall P trims through L1, a wide one through L2, where the
+    record holds the transposes."""
+    rng = np.random.default_rng([k, int(side == "l2")])
+    shape = (3, 2) if side == "l1" else (2, 3)
+    p = MatPoly([rng.standard_normal(shape) for _ in range(k + 1)],
+                FIELD_FLOAT)
+    member = tmp_path / "l.json"
+    member.write_text(_cli_stdout(
+        ["build", _write_poly(tmp_path, p), "--companion", "--side", side]))
+    record = json.loads(_cli_stdout(["trim", str(member)]))
+    q1, q2, rt, z = (np.array(record[key], dtype=float)
+                     for key in ("Q1", "Q2", "Rt", "Z"))
+    for a in (q1, q2, rt):
+        assert np.isin(a, (-1.0, 0.0, 1.0)).all()
+    if side == "l2":
+        q1, rt, z = q1.T, rt.T, z.T
+    assert (q1 @ rt == z).all()
+
+
 # Runs each argv list given as JSON in argv[2] through the command line in
 # this interpreter and prints one JSON line per command: the exit code,
 # whether scipy.linalg is loaded afterwards, and the command's stdout.
@@ -313,22 +381,50 @@ def test_exact_commands_leave_scipy_linalg_unloaded(tmp_path):
         == [(0, False)] * len(commands)
 
 
-@pytest.mark.parametrize("command", ["trim", "solve"])
+def _float_trim_route(tmp_path, name, p, side, modes):
+    """argv lists of the float backward route from a rational P written
+    under tmp_path: build the companion member, trim it, recover from the
+    member and from the record, and run backward on the record."""
+    poly = str(tmp_path / f"{name}.json")
+    member, record = (str(tmp_path / f"{name}_{x}.json") for x in "lt")
+    Path(poly).write_text(dump_json(p.to_json_dict()))
+    build = ["build", poly, "--companion", "--side", side,
+             "--field", "float64"]
+    Path(member).write_text(_cli_stdout(build))
+    Path(record).write_text(_cli_stdout(["trim", member]))
+    return [build, ["trim", member],
+            ["recover", member, poly, "--mode", modes[0],
+             "--field", "float64"],
+            ["recover", record, poly, "--mode", modes[1],
+             "--field", "float64"],
+            ["backward", poly, record, "--eps", "0.5", "--trials", "20",
+             "--seed", "3", "--field", "float64"]]
+
+
+def test_float_trim_route_leaves_scipy_linalg_unloaded(tmp_path):
+    """Float trim factors Z by numpy's QR, so the whole float backward
+    route, tall through L1 and wide through L2, runs without scipy.linalg
+    and prints what it prints when scipy.linalg loads eagerly."""
+    p = case3_poly()
+    commands = (_float_trim_route(tmp_path, "tall", p, "l1",
+                                  ("glin_L1", "trimmed_L1"))
+                + _float_trim_route(tmp_path, "wide", p.transpose(), "l2",
+                                    ("glin_L2", "trimmed_L2")))
+    _, lazy = _fresh_run(commands)
+    _, eager = _fresh_run(commands, eager=True)
+    assert [(code, linalg) for code, linalg, _ in lazy] \
+        == [(0, False)] * len(commands)
+    assert [out for _, _, out in lazy] == [out for _, _, out in eager]
+
+
+@pytest.mark.parametrize("command", ["solve"])
 def test_float_commands_load_scipy_linalg_on_first_use(tmp_path, command):
-    """Float trim (pivoted QR) and float solve (eigvals) load scipy.linalg
-    when they reach it, and print what they print when it loads eagerly."""
-    if command == "trim":
-        member = tmp_path / "l.json"
-        member.write_text(_cli_stdout(
-            ["build", _write_poly(tmp_path, case3_poly()), "--companion",
-             "--field", "float64"]))
-        argv = ["trim", str(member)]
-    else:
-        pencil = MatPoly([FIELD_RATIONAL.matrix([[2, 1], [0, 3]]),
-                          FIELD_RATIONAL.matrix([[1, 0], [0, 0]])],
-                         FIELD_RATIONAL)
-        argv = ["solve", _write_poly(tmp_path, pencil), "--field",
-                "float64"]
+    """Float solve (eigvals), the one command that reaches scipy.linalg,
+    loads it there, and prints what it prints when it loads eagerly."""
+    pencil = MatPoly([FIELD_RATIONAL.matrix([[2, 1], [0, 3]]),
+                      FIELD_RATIONAL.matrix([[1, 0], [0, 0]])],
+                     FIELD_RATIONAL)
+    argv = [command, _write_poly(tmp_path, pencil), "--field", "float64"]
     _, lazy = _fresh_run([argv])
     _, eager = _fresh_run([argv], eager=True)
     assert lazy[0][:2] == (0, True)
